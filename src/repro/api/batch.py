@@ -5,14 +5,14 @@ design.  Two mechanisms make a batch cheaper than a sequential
 ``session.run()`` loop:
 
 * **Incremental serving.**  OmniSim configurations that differ only in
-  FIFO depths are served by retiming the session's captured baseline and
-  re-checking its recorded query constraints
-  (:func:`repro.sim.incremental.resimulate`) — microseconds instead of a
-  full Func+Perf re-simulation, with automatic fallback to a real run
-  (and reference re-capture, exactly like ``repro.dse``) when a
-  constraint flips.  A config that passes constraint validation provably
-  leaves the recorded execution — and hence every functional output —
-  unchanged, so the baseline's scalars/buffers are the config's too.
+  FIFO depths go through the replay policy ``repro.dse`` sweeps use
+  (:mod:`repro.exec.replay`): retime the session's captured baseline and
+  re-check its recorded query constraints — microseconds instead of a
+  full Func+Perf re-simulation — with automatic fallback to a real run
+  (and reference re-capture) when a constraint flips.  A config that
+  passes constraint validation provably leaves the recorded execution —
+  and hence every functional output — unchanged, so the baseline's
+  scalars/buffers are the config's too.
   This is the LightningSimV2/GSIM argument (the compiled model, not the
   run, is the unit of reuse) applied to batch execution; it is why
   ``run_many`` beats a ``.run()`` loop even on one core.
@@ -39,37 +39,38 @@ stripped from returned results (``keep_graphs=False``): they dominate
 pickle size (~250 KB per typea run) and batch callers want numbers, not
 replay state.
 
-Both execution paths run under the supervised executor
-(:mod:`repro.exec`): worker crashes respawn the pool and retry with
-backoff, hung chunks die at the ``timeout`` deadline, a config that
-keeps failing alone is quarantined as a result with ``.failure`` set,
-and ``checkpoint=``/``resume=`` journal completed configs so an
-interrupted batch re-runs only what is missing.  The returned
-:class:`BatchResult` (a plain ``list`` of results) carries the
-``supervision`` provenance block.
+Execution is a :class:`repro.exec.JournaledRun`: worker crashes respawn
+the pool and retry with backoff, hung chunks die at the ``timeout``
+deadline, a config that keeps failing alone is quarantined as a result
+with ``.failure`` set, and ``checkpoint=``/``resume=`` journal
+completed configs so an interrupted batch re-runs only what is
+missing.  The returned :class:`BatchResult` (a plain ``list`` of
+results) carries the ``supervision`` provenance block.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-import pickle
-import time as _time
-from concurrent.futures import ProcessPoolExecutor
 
-from ..errors import (
-    ConstraintViolation,
-    DeadlockError,
-    SimulationError,
-    UnsupportedDesignError,
+from ..errors import DeadlockError, UnsupportedDesignError
+from ..exec.replay import (
+    MODE_FULL,
+    SOURCE_FULL,
+    Replayer,
+    load_reference,
+    ship_reference,
 )
-from ..exec.supervisor import chunk_contiguous  # noqa: F401  (re-export;
-#   historical home of this helper — tests and callers import it here)
-from ..sim.incremental import resimulate
-from ..sim.registry import get_engine, run_engine, validate_depths
+from ..sim.registry import (
+    get_engine,
+    run_engine,
+    validate_depth_names,
+    validate_depths,
+)
 from ..sim.result import SimulationResult, SimulationStats
-from .design_ref import compile_from_ref
+from .design_ref import compile_from_ref, shardable
 
 #: config keys consumed by the batch layer itself; everything else in a
 #: config dict forwards to the engine constructor
@@ -100,66 +101,56 @@ def normalize_config(config: dict, compiled) -> dict:
     }
 
 
-def _strip_replay_state(result: SimulationResult) -> SimulationResult:
-    """Drop the heavy incremental-replay attachments from a result."""
-    result.graph = None
-    result.constraints = []
-    result.fifo_channels = {}
-    result.trace = None
-    return result
+class _BatchRunner(Replayer):
+    """Serves one shard of a batch: :class:`repro.exec.replay.Replayer`
+    outcomes as :class:`SimulationResult`\\ s.
 
-
-def _portable_baseline(baseline, keep_graphs: bool):
-    """The baseline form shipped to pool workers.
-
-    The columnar trace artifact (static-edge columns pre-built, so
-    workers never rebuild them) plus the functional outputs served
-    results inherit; the object graph / constraint list / channel
-    tables travel only when the caller asked to ``keep_graphs``.
-    """
-    from ..trace.columnar import replay_trace
-
-    trace = replay_trace(baseline)
-    if trace is not None:
-        trace.ensure_static()
-    if keep_graphs or trace is None:
-        return baseline
-    return dataclasses.replace(baseline, graph=None, constraints=[],
-                               fifo_channels={})
-
-
-class _BatchRunner:
-    """Serves one shard of a batch against a mutable reference run.
-
-    Mirrors the ``repro.dse`` Evaluator: incremental-first against the
-    captured reference, full re-simulation (with reference re-capture)
-    on constraint divergence.
+    Configs the policy can serve (OmniSim, no engine kwargs — executor
+    choice doesn't gate eligibility: incremental replay re-runs no Func
+    Sim code at all) go through it; everything else, and every config
+    when ``incremental`` is off, is a plain full run on its own engine.
+    Served results inherit the functional outputs of the run that was
+    replayed: constraint validation proves the recorded execution —
+    hence every value — is exactly what a fresh run at the served
+    depths would produce (paper section 7.2).
     """
 
-    def __init__(self, compile_fn, base_depths: dict, baseline=None):
-        self._compile_fn = compile_fn
-        self._compiled = None
-        self.base_depths = dict(base_depths)
-        #: most recent *full* captured run (functional outputs + graph),
-        #: replaced on every fallback re-capture; None disables
-        #: incremental serving.  Served results inherit this run's
-        #: functional outputs: constraint validation proves the recorded
-        #: execution — hence every value — is exactly what a fresh run
-        #: at the served depths would produce (paper section 7.2).
-        self.reference = baseline
+    def __init__(self, reference, base_depths: dict, compile_fn, *,
+                 incremental: bool = True, keep_graphs: bool = False):
+        super().__init__(reference, base_depths, compile_fn)
+        self.incremental = incremental
+        self.keep_graphs = keep_graphs
 
-    @property
-    def compiled(self):
-        """The compiled design, built on first use (full runs only)."""
-        if self._compiled is None:
-            self._compiled = self._compile_fn()
-        return self._compiled
+    def _eligible(self, config: dict) -> bool:
+        return (self.incremental and config["engine"] == "omnisim"
+                and not config["kwargs"])
 
-    def _served_result(self, inc, elapsed: float, keep_graphs: bool,
-                       mode: str) -> SimulationResult:
-        """Build the served :class:`SimulationResult` for one validated
-        incremental replay (scalar or vectorized) of the reference."""
-        base = self.reference
+    def evaluate(self, config: dict) -> SimulationResult:
+        """Run one normalized config; simulation-level failures fold
+        into the result instead of raising."""
+        if self._eligible(config):
+            return self.result_of(self.replay(config["depths"],
+                                              config["executor"]))
+        return self._run(config)
+
+    def evaluate_batch(self, configs: list) -> list:
+        """Evaluate a slice of configs in order, the eligible ones
+        through one call of the vectorized batch kernel (rows it
+        declines take the scalar path, bit-for-bit identical)."""
+        eligible = [c for c in configs if self._eligible(c)]
+        served = self.replay_batch([c["depths"] for c in eligible],
+                                   [c["executor"] for c in eligible])
+        return [self.result_of(next(served)) if self._eligible(c)
+                else self._run(c) for c in configs]
+
+    def result_of(self, outcome) -> SimulationResult:
+        """The served :class:`SimulationResult` for one replay outcome."""
+        if outcome.error is not None:
+            return self._failed("omnisim", outcome.error)
+        if outcome.source == SOURCE_FULL:
+            return self._full(outcome.run)
+        base, inc = outcome.run, outcome.incremental
+        keep = self.keep_graphs
         return SimulationResult(
             design_name=base.design_name,
             simulator="omnisim",
@@ -170,191 +161,79 @@ class _BatchRunner:
             module_end_times=dict(inc.module_end_times),
             fifo_leftovers=dict(base.fifo_leftovers),
             stats=dataclasses.replace(base.stats),
-            execute_seconds=elapsed,
+            execute_seconds=outcome.seconds,
             frontend_seconds=0.0,
             warnings=list(base.warnings),
             phase_seconds={"serving": "incremental",
                            "replay_seconds": inc.seconds,
-                           "mode": mode},
+                           "mode": outcome.mode},
             # Attaching replay state costs a constraints-list copy per
             # served config; skip it when the caller strips it anyway.
-            graph=base.graph if keep_graphs else None,
-            constraints=list(base.constraints) if keep_graphs else [],
-            fifo_channels=(dict(base.fifo_channels) if keep_graphs
-                           else {}),
-            trace=base.trace if keep_graphs else None,
+            graph=base.graph if keep else None,
+            constraints=list(base.constraints) if keep else [],
+            fifo_channels=dict(base.fifo_channels) if keep else {},
+            trace=base.trace if keep else None,
         )
 
-    def _serve_incremental(self, config: dict, keep_graphs: bool,
-                           mode: str = "scalar"
-                           ) -> SimulationResult | None:
-        """Try to serve ``config`` from the captured reference; None
-        means a full run is required."""
-        if self.reference is None:
-            return None
-        if config["engine"] != "omnisim" or config["kwargs"]:
-            # Executor choice doesn't gate eligibility: incremental
-            # replay re-runs no Func Sim code at all.
-            return None
-        # Always overlay the *design's* declared depths, not the
-        # reference's: after a re-capture the reference was recorded at
-        # some other config's depths, and resimulate() fills unmentioned
-        # FIFOs from its reference.  The full map keeps configs
-        # independent of shard evaluation order.
-        depths = dict(self.base_depths)
-        depths.update(config["depths"])
-        start = _time.perf_counter()
+    def _run(self, config: dict) -> SimulationResult:
         try:
-            inc = resimulate(self.reference, depths)
-        except (ConstraintViolation, SimulationError):
-            # Flipped constraint, or the graph went cyclic under these
-            # depths; a real run decides what actually happens there.
-            return None
-        return self._served_result(inc, _time.perf_counter() - start,
-                                   keep_graphs, mode)
+            return self._full(run_engine(
+                config["engine"], self.compiled,
+                depths=config["depths"] or None,
+                executor=config["executor"], **config["kwargs"]))
+        except (DeadlockError, UnsupportedDesignError) as exc:
+            return self._failed(config["engine"], exc)
 
-    def run_config(self, config: dict, keep_graphs: bool,
-                   _mode: str = "scalar") -> SimulationResult:
-        """Run one normalized config; fold simulation-level failures
-        into the result instead of raising."""
-        result = self._serve_incremental(config, keep_graphs, _mode)
-        if result is None:
-            try:
-                result = run_engine(config["engine"], self.compiled,
-                                    depths=config["depths"] or None,
-                                    executor=config["executor"],
-                                    **config["kwargs"])
-                result.phase_seconds["serving"] = "full"
-                result.phase_seconds["mode"] = "full"
-                if (self.reference is not None
-                        and config["engine"] == "omnisim"
-                        and result.graph is not None):
-                    # Re-capture: this run's graph serves its
-                    # neighbourhood in the rest of the shard.
-                    self.reference = result
-            except DeadlockError as exc:
-                result = SimulationResult(
-                    design_name=self.compiled.name,
-                    simulator=config["engine"],
-                    cycles=exc.cycle,
-                    failure=str(exc),
-                    phase_seconds={"serving": "full", "mode": "full"},
-                )
-            except UnsupportedDesignError as exc:
-                result = SimulationResult(
-                    design_name=self.compiled.name,
-                    simulator=config["engine"],
-                    cycles=0,
-                    failure=str(exc),
-                    phase_seconds={"serving": "full", "mode": "full"},
-                )
-        if not keep_graphs:
-            if result is self.reference:
-                # The shard still replays against this run: strip a
-                # copy, keep the reference intact.
-                result = dataclasses.replace(result)
-            _strip_replay_state(result)
-        return result
+    def _full(self, result: SimulationResult) -> SimulationResult:
+        result.phase_seconds.update(serving="full", mode=MODE_FULL)
+        if self.keep_graphs:
+            return result
+        # The run may be the reference the shard still replays against:
+        # drop the heavy replay attachments from a copy.
+        return dataclasses.replace(result, graph=None, constraints=[],
+                                   fifo_channels={}, trace=None)
 
-    def run_configs(self, configs: list, keep_graphs: bool
-                    ) -> list[SimulationResult]:
-        """Evaluate a slice of configs in order, serving eligible rows
-        through the vectorized batch kernel
-        (:func:`repro.trace.vectorized.resimulate_batch`) in one matrix
-        sweep.  Ineligible rows — and every row the kernel declines
-        (constraint flip, depth outside the kernel's safe range, NumPy
-        unavailable) — take the scalar :meth:`run_config` path one at a
-        time, producing bit-for-bit identical values."""
-        from ..trace.columnar import replay_trace
-        from ..trace.vectorized import batch_supported, resimulate_batch
-
-        served: list = [None] * len(configs)
-        trace = (replay_trace(self.reference)
-                 if self.reference is not None else None)
-        eligible = {i for i, c in enumerate(configs)
-                    if c["engine"] == "omnisim" and not c["kwargs"]}
-        batched = (trace is not None and len(eligible) > 1
-                   and batch_supported(trace))
-        if batched:
-            order = sorted(eligible)
-            maps = []
-            for i in order:
-                depths = dict(self.base_depths)
-                depths.update(configs[i]["depths"])
-                maps.append(depths)
-            start = _time.perf_counter()
-            rows = resimulate_batch(trace, maps)
-            elapsed = (_time.perf_counter() - start) / len(order)
-            for i, inc in zip(order, rows):
-                if inc is not None:
-                    served[i] = self._served_result(
-                        inc, elapsed, keep_graphs, mode="vectorized")
-        out = []
-        for i, config in enumerate(configs):
-            if served[i] is not None:
-                out.append(served[i])
-            else:
-                # "scalar-fallback" marks a row the kernel looked at and
-                # declined; rows the batch never covered stay "scalar".
-                mode = ("scalar-fallback"
-                        if batched and i in eligible else "scalar")
-                out.append(self.run_config(config, keep_graphs, mode))
-        return out
+    def _failed(self, engine: str, exc) -> SimulationResult:
+        return SimulationResult(
+            design_name=self.compiled.name,
+            simulator=engine,
+            cycles=exc.cycle if isinstance(exc, DeadlockError) else 0,
+            failure=str(exc),
+            phase_seconds={"serving": "full", "mode": MODE_FULL},
+        )
 
 
-# ---------------------------------------------------------------------------
-# process-pool plumbing.  Module-level state because ProcessPoolExecutor
-# tasks can only reach module globals; one runner per worker, built from
-# the design reference + baseline shipped via the initializer.
-
-_WORKER_RUNNER: _BatchRunner | None = None
-_WORKER_KEEP_GRAPHS = False
-_WORKER_BATCH_SIZE = 0
-
-
-def _init_worker(design_ref, base_depths, baseline,
-                 keep_graphs: bool = False, batch_size: int = 0) -> None:
-    global _WORKER_RUNNER, _WORKER_KEEP_GRAPHS, _WORKER_BATCH_SIZE
-    _WORKER_RUNNER = _BatchRunner(
-        lambda: compile_from_ref(design_ref), base_depths, baseline
-    )
-    _WORKER_KEEP_GRAPHS = keep_graphs
-    _WORKER_BATCH_SIZE = batch_size
+def _worker_runner(design_ref, base_depths, shipped, incremental,
+                   keep_graphs):
+    """Pool-worker factory (:func:`repro.exec.worker.init_worker`)."""
+    return _BatchRunner(
+        load_reference(shipped), base_depths,
+        functools.partial(compile_from_ref, design_ref),
+        incremental=incremental, keep_graphs=keep_graphs)
 
 
-def _run_chunk(wire) -> list:
-    """Supervised wire format: ``[(config, fault_directive), ...]``.
-
-    Fault directives segment the chunk: everything before a directive is
-    flushed (batched through :meth:`_BatchRunner.run_configs` when the
-    worker was initialized with a batch size) so the fault lands exactly
-    where sequential evaluation would put it."""
-    from ..exec.faults import apply_fault
-
-    results: list = []
-    segment: list = []
-
-    def flush():
-        if not segment:
-            return
-        if _WORKER_BATCH_SIZE > 1:
-            for lo in range(0, len(segment), _WORKER_BATCH_SIZE):
-                results.extend(_WORKER_RUNNER.run_configs(
-                    segment[lo:lo + _WORKER_BATCH_SIZE],
-                    _WORKER_KEEP_GRAPHS))
-        else:
-            for config in segment:
-                results.append(_WORKER_RUNNER.run_config(
-                    config, _WORKER_KEEP_GRAPHS))
-        del segment[:]
-
-    for config, directive in wire:
-        if directive is not None:
-            flush()
-            apply_fault(directive)
-        segment.append(config)
-    flush()
-    return results
+def serve_depths(session, baseline, depths: dict,
+                 executor: str | None = None) -> SimulationResult:
+    """One OmniSim run of ``session``'s design at depth overrides,
+    served from ``baseline`` (its captured run, or ``None``):
+    incremental replay first, one full re-simulation on divergence —
+    what ``repro run --depth`` and ``/v1/run`` answer with.  The
+    result's ``phase_seconds["serving"]`` says which; a true deadlock
+    at the requested depths raises :class:`~repro.errors.DeadlockError`.
+    """
+    name, declared = session.declared(baseline)
+    runner = _BatchRunner(baseline, declared, lambda: session.compiled)
+    outcome = runner.replay(
+        validate_depth_names(depths, declared, name),
+        executor if executor is not None else session.executor)
+    if outcome.error is not None:
+        raise outcome.error
+    result = runner.result_of(outcome)
+    if outcome.incremental is not None:
+        # ``repro run`` prints the replayed capture's label.
+        result.phase_seconds = dict(outcome.run.phase_seconds,
+                                    **result.phase_seconds)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +315,7 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
     ``"full"``).  ``vectorize=False`` pins every config to the scalar
     path.  Checkpoint/journal granularity stays per config either way.
     """
-    from ..exec import (
-        CheckpointJournal,
-        ExecPolicy,
-        Supervisor,
-        Unit,
-        resolve_plan,
-        run_serial,
-    )
-
+    from ..exec import ExecPolicy, JournaledRun, Unit, resolve_plan
     from ..trace.vectorized import DEFAULT_BATCH_SIZE
 
     if checkpoint is not None and keep_graphs:
@@ -456,40 +327,29 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
         batch_size = DEFAULT_BATCH_SIZE
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    effective_batch = batch_size if (vectorize and incremental) else 0
     fault_plan = resolve_plan(faults)
     policy = ExecPolicy(timeout=timeout, max_retries=max_retries)
     compiled = session.compiled
     normalized = [normalize_config(config, compiled) for config in configs]
     if not normalized:
         return BatchResult()
+    base_depths = compiled.stream_depths()
+    runner = _BatchRunner(None, base_depths, lambda: compiled,
+                          incremental=incremental,
+                          keep_graphs=keep_graphs)
     # Capture (or reuse) the baseline only when some config can actually
     # be served from it.  A design that deadlocks at its declared depths
-    # has no baseline to replay; serve every config with a full run and
-    # let the per-config failure folding report the deadlocks.
-    needs_baseline = incremental and any(
-        c["engine"] == "omnisim" and not c["kwargs"] for c in normalized
-    )
-    baseline = None
-    if needs_baseline:
+    # has no baseline to replay: full runs decide (and the first one
+    # that completes is re-captured as the reference).
+    if any(runner._eligible(c) for c in normalized):
         try:
-            baseline = session.baseline()
+            runner.reference = session.baseline()
         except DeadlockError:
-            baseline = None
-    base_depths = compiled.stream_depths()
-
-    jobs = max(1, min(jobs, len(normalized)))
-    if jobs > 1 and session.design_ref[0] == "compiled":
-        try:
-            pickle.dumps(compiled)
-        except Exception:
-            jobs = 1
+            pass
 
     units = [Unit(i, _config_key(i, config), config)
              for i, config in enumerate(normalized)]
-
-    journal = None
-    restored = {}
+    identity = None
     if checkpoint is not None:
         identity = {
             "kind": "run_many",
@@ -500,75 +360,31 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
             "count": len(units),
             "incremental": incremental,
         }
-        journal, restored = CheckpointJournal.open(checkpoint, identity,
-                                                   resume=resume)
 
-    def quarantined_result(config, detail):
+    def quarantined(unit, detail):
         return SimulationResult(
             design_name=compiled.name,
-            simulator=config["engine"],
+            simulator=unit.payload["engine"],
             cycles=0,
             failure=(f"quarantined after {detail['attempts']} attempts: "
                      f"{detail['reason']}: {detail['message']}"),
             phase_seconds={"serving": "quarantined"},
         )
 
-    results_by_index: dict = {}
-    pending = []
-    for unit in units:
-        doc = restored.get(unit.key)
-        if doc is not None:
-            results_by_index[unit.index] = _result_from_json(doc)
-        else:
-            pending.append(unit)
-    resumed = len(units) - len(pending)
-
-    def record(unit, status, value):
-        if journal is None:
-            return
-        result = (value if status == "ok"
-                  else quarantined_result(unit.payload, value))
-        journal.append(unit.key, _result_to_json(result))
-
-    try:
-        if jobs == 1:
-            runner = _BatchRunner(lambda: compiled, base_depths, baseline)
-            results, report = run_serial(
-                pending,
-                lambda config: runner.run_config(config, keep_graphs),
-                policy=policy, fault_plan=fault_plan, record=record,
-                run_batch=(
-                    (lambda cfgs: runner.run_configs(cfgs, keep_graphs))
-                    if effective_batch > 1 else None),
-                batch_size=effective_batch,
-            )
-        else:
-            shipped = (None if baseline is None
-                       else _portable_baseline(baseline, keep_graphs))
-            def pool_factory():
-                return ProcessPoolExecutor(
-                    max_workers=jobs,
-                    initializer=_init_worker,
-                    initargs=(session.design_ref, base_depths, shipped,
-                              keep_graphs, effective_batch),
-                )
-            supervisor = Supervisor(
-                pool_factory, _run_chunk, jobs=jobs, policy=policy,
-                fault_plan=fault_plan, record=record,
-            )
-            results, report = supervisor.run(pending)
-    finally:
-        if journal is not None:
-            journal.close()
-
-    for index, (status, value) in results.items():
-        results_by_index[index] = (value if status == "ok"
-                                   else quarantined_result(
-                                       normalized[index], value))
-    out = BatchResult(results_by_index[i] for i in range(len(normalized)))
-    supervision = report.to_json()
-    supervision["resumed"] = resumed
-    supervision["checkpoint"] = (str(checkpoint)
-                                 if checkpoint is not None else None)
-    out.supervision = supervision
+    worker = None
+    if jobs > 1 and shardable(session.design_ref):
+        worker = (_worker_runner, (
+            session.design_ref, base_depths,
+            ship_reference(session, runner.reference, whole=keep_graphs),
+            incremental, keep_graphs))
+    with JournaledRun(
+        runner, worker=worker, jobs=jobs,
+        batch_size=batch_size if (vectorize and incremental) else 0,
+        policy=policy, fault_plan=fault_plan,
+        encode=_result_to_json, decode=_result_from_json,
+        quarantined=quarantined, checkpoint=checkpoint,
+        identity=identity, resume=resume,
+    ) as run:
+        out = BatchResult(run.run(units)[0])
+        out.supervision = run.supervision()
     return out

@@ -118,6 +118,24 @@ def compile_from_ref(ref) -> CompiledDesign:
     raise ValueError(f"unknown design reference tag {ref[0]!r}")
 
 
+def shardable(ref) -> bool:
+    """Whether the design behind ``ref`` can reach a pool worker.  Name
+    and path references always can; an ad-hoc compiled design must
+    cross the process boundary whole, and ``@hls.kernel``-wrapped
+    functions don't pickle under the spawn/forkserver start methods
+    (fork merely inherits them).  Callers probe once and degrade to
+    in-process evaluation instead of crashing platform-dependently."""
+    if ref[0] != "compiled":
+        return True
+    import pickle
+
+    try:
+        pickle.dumps(ref[1])
+    except Exception:
+        return False
+    return True
+
+
 def trace_ref(digest: str, cache_dir) -> tuple:
     """Build a ``("trace", digest, cache_dir)`` reference to a cached
     baseline artifact (what ``repro.dse`` ships to pool workers)."""

@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 
 from ..sim.context import resolve_executor
-from ..sim.registry import run_engine, validate_depth_names, validate_depths
+from ..sim.registry import run_engine, validate_depth_names
 from ..trace.store import artifact_digest, resolve_store
 from .design_ref import resolve_design
 
@@ -177,6 +177,17 @@ class Session:
                     store.put(digest, artifact)
         return result
 
+    def declared(self, baseline) -> tuple:
+        """``(design name, declared depth map)`` — read off
+        ``baseline``'s artifact (which carries both) while the session
+        has not compiled, so warm-cache paths stay compile-free."""
+        from ..trace.columnar import replay_trace
+
+        trace = replay_trace(baseline)
+        if trace is not None and self._compiled is None:
+            return trace.design_name, dict(trace.depths)
+        return self.compiled.name, self.compiled.stream_depths()
+
     @property
     def graph(self):
         """The captured :class:`~repro.sim.graph.SimulationGraph` —
@@ -227,16 +238,11 @@ class Session:
         compile-free.
         """
         from ..sim.incremental import resimulate
-        from ..trace.columnar import replay_trace
 
         baseline = self.baseline(executor=executor)
-        trace = replay_trace(baseline)
-        if trace is not None and self._compiled is None:
-            depths = validate_depth_names(depths, trace.depths,
-                                          trace.design_name)
-        else:
-            depths = validate_depths(self.compiled, depths)
-        return resimulate(baseline, depths)
+        name, declared = self.declared(baseline)
+        return resimulate(baseline,
+                          validate_depth_names(depths, declared, name))
 
     def resimulate_many(self, configs, *, executor: str | None = None,
                         batch_size: int | None = None) -> list:
@@ -259,12 +265,8 @@ class Session:
         order) every row is evaluated by the scalar path instead —
         same values, just not batched.
         """
-        from ..trace.columnar import replay_trace
-        from ..trace.vectorized import (
-            DEFAULT_BATCH_SIZE,
-            batch_supported,
-            resimulate_batch,
-        )
+        from ..exec.replay import kernel_rows, replay_one
+        from ..trace.vectorized import DEFAULT_BATCH_SIZE
 
         if batch_size is None:
             batch_size = DEFAULT_BATCH_SIZE
@@ -272,22 +274,11 @@ class Session:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         configs = list(configs)
         baseline = self.baseline(executor=executor)
-        trace = replay_trace(baseline)
-        out: list = []
-        if trace is not None and batch_supported(trace):
-            for lo in range(0, len(configs), batch_size):
-                out.extend(resimulate_batch(
-                    trace, configs[lo:lo + batch_size]))
-            return out
-        from ..errors import ConstraintViolation, SimulationError
-        from ..sim.incremental import resimulate
-
-        for config in configs:
-            try:
-                out.append(resimulate(baseline, dict(config)))
-            except (ConstraintViolation, SimulationError):
-                out.append(None)
-        return out
+        rows = kernel_rows(baseline, configs, batch_size)
+        if rows is None:
+            rows = [replay_one(baseline, dict(config))[0]
+                    for config in configs]
+        return rows
 
     def run_many(self, configs, *, jobs: int = 1, incremental: bool = True,
                  keep_graphs: bool = False, timeout: float | None = None,

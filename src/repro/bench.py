@@ -295,20 +295,6 @@ def bench_dse(name: str, params: dict, specs: list) -> dict:
         raise RuntimeError(
             f"dse bench: vectorized and scalar sweeps of {name} diverge")
 
-    # Supervised-executor overhead vs the bare ``pool.map`` path it
-    # replaced: same space, same pool width, best of two runs each (the
-    # first pooled run pays OS page-cache warmup for both modes).  The
-    # budget is <5%; the supervisor's extra work is all parent-side
-    # bookkeeping (deadlines, backoff gates, per-chunk futures).
-    def pooled_seconds(mode: str) -> float:
-        return min(
-            explore(name, specs, params=params, jobs=2,
-                    trace_cache=False, _pool_mode=mode).seconds
-            for _ in range(2)
-        )
-
-    bare = pooled_seconds("bare")
-    supervised = pooled_seconds("supervised")
     return {
         "params": params,
         "space": specs,
@@ -325,13 +311,6 @@ def bench_dse(name: str, params: dict, specs: list) -> dict:
         "scalar_configs_per_sec": round(scalar.configs_per_sec, 1),
         "vectorize_speedup": round(
             sweep.configs_per_sec / max(scalar.configs_per_sec, 1e-9), 2),
-        "supervision": {
-            "jobs": 2,
-            "bare_pool_seconds": round(bare, 6),
-            "supervised_seconds": round(supervised, 6),
-            "overhead_pct": round(100.0 * (supervised - bare)
-                                  / max(bare, 1e-9), 2),
-        },
     }
 
 

@@ -105,40 +105,21 @@ def cmd_list(_args) -> int:
 
 def _run_from_trace(session, args, depths):
     """Serve an omnisim run from the session's (possibly warm-cached)
-    baseline: directly at base depths, via constraint-checked
-    incremental replay for depth overrides.  Returns ``None`` when the
-    replay is invalid there (a full run decides what really happens)."""
-    import dataclasses
-
-    from .errors import ConstraintViolation, SimulationError
+    baseline: directly at base depths, via the replay policy
+    (:func:`repro.api.batch.serve_depths`) for depth overrides."""
+    from .api.batch import serve_depths
 
     try:
         base = session.baseline(executor=args.executor)
     except DeadlockError:
-        if depths:
-            # The *declared* depths deadlock; the requested override may
-            # not — the full run at those depths decides (run_many
-            # guards this identically).
-            return None
-        raise
+        if not depths:
+            raise
+        # The *declared* depths deadlock; the requested override may
+        # not — the full run at those depths decides.
+        base = None
     if not depths:
         return base
-    try:
-        inc = session.resimulate(depths, executor=args.executor)
-    except ConstraintViolation:
-        return None
-    except DeadlockError:
-        raise
-    except SimulationError:
-        return None  # replay went cyclic: let a real run diagnose it
-    return dataclasses.replace(
-        base,
-        cycles=inc.cycles,
-        module_end_times=dict(inc.module_end_times),
-        execute_seconds=inc.seconds,
-        frontend_seconds=0.0,
-        phase_seconds=dict(base.phase_seconds, serving="incremental"),
-    )
+    return serve_depths(session, base, depths, args.executor)
 
 
 def cmd_run(args) -> int:
@@ -149,13 +130,12 @@ def cmd_run(args) -> int:
     session = Session.open(args.design, trace_cache=args.trace_cache)
     depths = _parse_depths(args.depth)
     try:
-        result = None
         if session.trace_store is not None and args.sim == "omnisim":
             # Repeat runs skip recapture: the baseline loads from the
             # content-addressed cache and depth overrides replay
             # incrementally (full-run fallback on divergence).
             result = _run_from_trace(session, args, depths)
-        if result is None:
+        else:
             result = session.run(engine=args.sim, executor=args.executor,
                                  depths=depths)
     except DeadlockError as exc:

@@ -1,78 +1,54 @@
 """Depth-space exploration engine: incremental-first, fallback-on-violation.
 
-The evaluation strategy per configuration (paper section 7.2 at sweep
-scale):
+Every configuration is evaluated by the replay policy of
+:mod:`repro.exec.replay` (paper section 7.2 at sweep scale): retime the
+captured graph under the configuration's depths and re-validate the
+recorded queries — microseconds per point — and only when a constraint
+flips pay for a full OmniSim run, whose own graph is re-captured as the
+new reference so the neighbourhood (sweeps enumerate neighbours
+consecutively) returns to the incremental path.  True deadlocks are
+recorded as points without a cycle count rather than aborting the sweep.
+:class:`Evaluator` is that policy shaped as :class:`SweepPoint`\\ s.
 
-1. **Incremental first.**  Retime the currently captured simulation graph
-   under the configuration's depths and re-validate the recorded query
-   constraints (`repro.sim.incremental.resimulate`) — microseconds per
-   point thanks to the static-edge cache.
-2. **Fallback on divergence.**  A :class:`~repro.errors.ConstraintViolation`
-   (or a graph made cyclic by the new depths) means the recorded execution
-   is invalid there: run a full OmniSim simulation at that configuration.
-3. **Re-capture.**  The divergent run's own graph becomes the new
-   reference, so subsequent nearby configurations — sweeps enumerate
-   neighbours consecutively — return to the incremental path.
-4. **True deadlocks** are recorded as points without a cycle count rather
-   than aborting the sweep.
-
-Sharding: with ``jobs > 1`` the configuration list is split into
-contiguous chunks (preserving neighbour locality) and spread over a
-``concurrent.futures`` process pool.  Each worker receives the captured
-base run once — as a ``("trace", digest, cache_dir)`` reference into the
-content-addressed store when the baseline artifact is cached (workers
-load the static-edge-complete columnar artifact straight from disk;
-the initializer payload is just a digest), falling back to pickling the
-portable trace-carrying reference otherwise — and compiles the design
-lazily, only if one of its configurations actually needs a full
-re-simulation.
-
-Resilience: both the serial and the pool path run under the supervised
-executor (:mod:`repro.exec`) — worker crashes respawn the pool and
-retry with backoff, hung chunks are killed at the ``timeout`` deadline,
-and a configuration that keeps failing on its own is *quarantined* as a
+*Which* configurations are evaluated is a :mod:`repro.dse.search`
+strategy's call — the exhaustive grid (or a seeded sample of it) is the
+strategy that proposes everything in round one — and one round loop
+drives them all: the strategy proposes a batch, a
+:class:`repro.exec.JournaledRun` evaluates it (journal-restored,
+in-process or sharded over supervised pool workers, vectorized where
+possible), and the observed outcomes steer the next round.  A
+configuration that keeps failing on its own is *quarantined* as a
 :data:`SOURCE_QUARANTINED` point (``cycles=None``) instead of aborting
-the sweep.  ``checkpoint=``/``resume=`` journal every completed
-configuration to an append-only JSONL file keyed by the sweep's
-identity (design, trace digest, space, sampling), so an interrupted
-sweep re-evaluates only what is missing; the ``SweepResult.supervision``
-block records retries, respawns, quarantines and resumed counts.
+the sweep; the ``SweepResult.supervision`` block records retries,
+respawns, quarantines, rounds and resumed counts.
 """
 
 from __future__ import annotations
 
-import json as _json
-import os as _os
-import pickle
+import functools
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ..errors import (
-    ConstraintViolation,
-    DeadlockError,
-    DseError,
-    SimulationError,
+from ..errors import DseError
+from ..exec.replay import (  # noqa: F401  (the labels are dse API)
+    MODE_FULL,
+    MODE_SCALAR,
+    MODE_SCALAR_FALLBACK,
+    MODE_VECTORIZED,
+    SOURCE_DEADLOCK,
+    SOURCE_FULL,
+    SOURCE_INCREMENTAL,
+    Replayer,
+    load_reference,
+    ship_reference,
 )
-from ..sim.incremental import resimulate
-from ..sim.registry import run_engine
-from ..sim.result import portable_reference
+from ..trace.columnar import DEFAULT_FIFO_WIDTH, replay_trace
 from .pareto import frontier_distance, pareto_front
-from .space import ENUMERATE_LIMIT, DepthSpace
+from .space import DepthSpace
 
-#: evaluation paths a sweep point can come from
-SOURCE_INCREMENTAL = "incremental"
-SOURCE_FULL = "full"
-SOURCE_DEADLOCK = "deadlock"
+#: a configuration that exhausted its retry budget (never an evaluation
+#: path: the supervised executor synthesizes these points)
 SOURCE_QUARANTINED = "quarantined"
-
-#: evaluation modes — *how* the point's path ran (orthogonal to source):
-#: served by the batched NumPy kernel, by the scalar replay loop, by the
-#: scalar loop after the kernel declined the row, or by a full run
-MODE_VECTORIZED = "vectorized"
-MODE_SCALAR = "scalar"
-MODE_SCALAR_FALLBACK = "scalar-fallback"
-MODE_FULL = "full"
 
 
 @dataclass
@@ -136,12 +112,11 @@ class SweepResult:
     capture: str = "cold"
     #: provenance of the supervised execution (retries, respawns,
     #: quarantines, resumed count, checkpoint path) — see
-    #: :class:`repro.exec.SupervisionReport`; None on the legacy bare
-    #: pool path
+    #: :class:`repro.exec.SupervisionReport`
     supervision: dict | None = None
-    #: adaptive-search provenance (strategy, per-round evals/frontier
-    #: movement, prune counters, budget accounting) — None on plain
-    #: exhaustive sweeps; see :mod:`repro.dse.search`
+    #: search provenance (strategy, per-round evals/frontier movement,
+    #: prune counters, budget accounting) — None unless ``strategy=`` or
+    #: ``max_evals=`` asked for a search; see :mod:`repro.dse.search`
     search: dict | None = None
 
     @property
@@ -233,139 +208,41 @@ class SweepResult:
         }
 
 
-class Evaluator:
-    """Incremental-first evaluation against a mutable reference run."""
+class Evaluator(Replayer):
+    """Incremental-first evaluation against a mutable reference run:
+    :class:`repro.exec.replay.Replayer` outcomes as
+    :class:`SweepPoint`\\ s."""
 
-    def __init__(self, reference, base_depths: dict, compile_fn,
-                 executor: str | None = None):
-        """Args:
-            reference: a captured OmniSim run (graph + constraints).
-            base_depths: the design's declared depths; each evaluated
-                config overlays these.
-            compile_fn: zero-arg callable producing the compiled design,
-                invoked lazily on the first full-simulation fallback.
-            executor: Func Sim executor name for fallback runs.
-        """
-        #: most recent captured run; replaced on every successful fallback
-        self.reference = reference
-        self.base_depths = dict(base_depths)
-        self._compile_fn = compile_fn
-        self._compiled = None
-        self.executor = executor
-
-    @property
-    def compiled(self):
-        """The compiled design, built on first use (fallbacks only)."""
-        if self._compiled is None:
-            self._compiled = self._compile_fn()
-        return self._compiled
-
-    def evaluate(self, config: dict,
-                 _mode: str = MODE_SCALAR) -> SweepPoint:
+    def evaluate(self, config: dict) -> SweepPoint:
         """Evaluate one depth configuration: incremental first, full
         OmniSim re-simulation (with graph re-capture) on divergence."""
-        depths = dict(self.base_depths)
-        depths.update(config)
-        start = _time.perf_counter()
-        if self.reference is None:
-            # No replay handle (cache entry vanished between shipping
-            # and worker start): every point runs full until the first
-            # successful run re-captures a reference.
-            return self._evaluate_full(depths, start,
-                                       "reference unavailable")
-        try:
-            incremental = resimulate(self.reference, depths)
-        except ConstraintViolation as exc:
-            query = exc.query
-            detail = (f"constraint {query.kind} on '{query.fifo}' flipped"
-                      if query is not None else str(exc))
-            return self._evaluate_full(depths, start, detail)
-        except SimulationError as exc:
-            # The recorded graph went cyclic under these depths; let a
-            # real run decide whether the design truly deadlocks there.
-            return self._evaluate_full(depths, start, str(exc))
-        return SweepPoint(
-            depths=depths,
-            cycles=incremental.cycles,
-            buffer_bits=incremental.buffer_bits,
-            source=SOURCE_INCREMENTAL,
-            seconds=_time.perf_counter() - start,
-            mode=_mode,
-        )
+        return self._point(self.replay(config))
 
     def evaluate_batch(self, configs) -> list:
-        """Evaluate many depth configurations at once: the batched
-        NumPy kernel (:func:`repro.trace.vectorized.resimulate_batch`)
-        serves every row whose recorded queries re-validate; declined
-        rows — a flipped constraint, invalid depths, or a whole-batch
-        downgrade (no NumPy, no all-depth order) — re-run one by one
-        through :meth:`evaluate`, which produces the identical point or
-        fallback.  Returns one :class:`SweepPoint` per config, in
-        order."""
-        configs = list(configs)
-        if len(configs) <= 1 or self.reference is None:
-            return [self.evaluate(config) for config in configs]
-        from ..trace.columnar import replay_trace
-        from ..trace.vectorized import batch_supported, resimulate_batch
+        """Evaluate a slice of configurations through one call of the
+        batched NumPy kernel; rows it declines re-run one by one
+        through the scalar path, which produces the identical point or
+        fallback.  One :class:`SweepPoint` per config, in order."""
+        return [self._point(outcome)
+                for outcome in self.replay_batch(configs)]
 
-        trace = replay_trace(self.reference)
-        if trace is None or not batch_supported(trace):
-            return [self.evaluate(config) for config in configs]
-        full_maps = []
-        for config in configs:
-            depths = dict(self.base_depths)
-            depths.update(config)
-            full_maps.append(depths)
-        rows = resimulate_batch(trace, full_maps)
-        points = []
-        for config, inc in zip(configs, rows):
-            if inc is None:
-                points.append(self.evaluate(config,
-                                            _mode=MODE_SCALAR_FALLBACK))
-            else:
-                points.append(SweepPoint(
-                    depths=inc.depths,
-                    cycles=inc.cycles,
-                    buffer_bits=inc.buffer_bits,
-                    source=SOURCE_INCREMENTAL,
-                    seconds=inc.seconds,
-                    mode=MODE_VECTORIZED,
-                ))
-        return points
-
-    def _evaluate_full(self, depths: dict, start: float,
-                       detail: str) -> SweepPoint:
-        try:
-            fresh = run_engine("omnisim", self.compiled, depths=depths,
-                               executor=self.executor)
-        except DeadlockError as exc:
-            return SweepPoint(
-                depths=depths,
-                cycles=None,
-                buffer_bits=self._buffer_bits(depths),
-                source=SOURCE_DEADLOCK,
-                seconds=_time.perf_counter() - start,
-                detail=str(exc),
-                mode=MODE_FULL,
-            )
-        # Re-capture: the divergent run's graph serves the neighbourhood.
-        self.reference = fresh
+    def _point(self, outcome) -> SweepPoint:
+        inc = outcome.incremental
         return SweepPoint(
-            depths=depths,
-            cycles=fresh.cycles,
-            buffer_bits=self._buffer_bits(depths),
-            source=SOURCE_FULL,
-            seconds=_time.perf_counter() - start,
-            detail=detail,
-            mode=MODE_FULL,
+            depths=outcome.depths,
+            cycles=outcome.cycles,
+            buffer_bits=(inc.buffer_bits if inc is not None
+                         else self._buffer_bits(outcome.depths)),
+            source=outcome.source,
+            seconds=outcome.seconds,
+            detail=outcome.detail,
+            mode=outcome.mode,
         )
 
     def _buffer_bits(self, depths: dict) -> int:
         """FIFO storage cost of ``depths``: via the reference's replay
         trace when one exists, else from the design's stream
         declarations (no-reference workers)."""
-        from ..trace.columnar import DEFAULT_FIFO_WIDTH, replay_trace
-
         trace = (replay_trace(self.reference)
                  if self.reference is not None else None)
         if trace is not None:
@@ -379,86 +256,32 @@ class Evaluator:
         )
 
 
-# ---------------------------------------------------------------------------
-# process-pool sharding
-#
-# One Evaluator per worker process, built in the pool initializer from a
-# design reference (see :mod:`repro.api.design_ref` — the same picklable
-# reference scheme ``Session.run_many`` workers use).  Module-level state
-# because ProcessPoolExecutor tasks can only reach module globals.
-
-_WORKER_EVALUATOR: Evaluator | None = None
-_WORKER_BATCH_SIZE = 0
-
-
-def _make_compile_fn(design_ref):
+def _worker_evaluator(design_ref, base_depths, executor, shipped):
+    """Pool-worker factory (:func:`repro.exec.worker.init_worker`): the
+    reference arrives in its shipped form and the design compiles
+    lazily, only if a configuration needs a full re-simulation."""
     from ..api.design_ref import compile_from_ref
 
-    return lambda: compile_from_ref(design_ref)
+    return Evaluator(load_reference(shipped), base_depths,
+                     functools.partial(compile_from_ref, design_ref),
+                     executor)
 
 
-def _load_reference(reference_spec):
-    """Materialize the worker's reference run from its shipped form:
-    ``("object", portable_result)`` or a ``("trace", digest, cache_dir)``
-    reference into the shared on-disk store (missing/corrupt entries
-    degrade to ``None`` — full runs re-capture a reference)."""
-    if reference_spec is None:
-        return None
-    if reference_spec[0] == "object":
-        return reference_spec[1]
-    from ..api.design_ref import load_trace_from_ref
-
-    artifact = load_trace_from_ref(reference_spec)
-    return artifact.to_result() if artifact is not None else None
-
-
-def _init_worker(design_ref, base_depths, executor,
-                 reference_spec, batch_size: int = 0) -> None:
-    global _WORKER_EVALUATOR, _WORKER_BATCH_SIZE
-    _WORKER_EVALUATOR = Evaluator(
-        _load_reference(reference_spec), base_depths,
-        _make_compile_fn(design_ref), executor
+def _quarantined_point(base_depths, trace, config, detail) -> SweepPoint:
+    """A structured failure point for a configuration that exhausted
+    its retry budget (never dropped from the result)."""
+    depths = dict(base_depths)
+    depths.update(config)
+    return SweepPoint(
+        depths=depths,
+        cycles=None,
+        buffer_bits=(trace.buffer_bits(depths)
+                     if trace is not None else 0),
+        source=SOURCE_QUARANTINED,
+        seconds=0.0,
+        detail=(f"{detail['reason']}: {detail['message']} "
+                f"(quarantined after {detail['attempts']} attempts)"),
     )
-    _WORKER_BATCH_SIZE = batch_size
-
-
-def _evaluate_segment(configs) -> list:
-    """Evaluate a directive-free run of configs, batched when the
-    worker was initialized with a batch size."""
-    evaluator = _WORKER_EVALUATOR
-    if _WORKER_BATCH_SIZE > 1 and len(configs) > 1:
-        points = []
-        for lo in range(0, len(configs), _WORKER_BATCH_SIZE):
-            points.extend(evaluator.evaluate_batch(
-                configs[lo:lo + _WORKER_BATCH_SIZE]))
-        return points
-    return [evaluator.evaluate(config) for config in configs]
-
-
-def _evaluate_chunk(wire) -> list:
-    """Supervised wire format: ``[(config, fault_directive), ...]`` —
-    directives come from :class:`repro.exec.FaultPlan` and fire before
-    the evaluation they target.  Directive-free stretches evaluate as
-    one batch; a directive flushes the running batch first, so the
-    fault still fires immediately before its target config."""
-    from ..exec.faults import apply_fault
-
-    points = []
-    segment = []
-    for config, directive in wire:
-        if directive is not None:
-            points.extend(_evaluate_segment(segment))
-            segment = []
-            apply_fault(directive)
-        segment.append(config)
-    points.extend(_evaluate_segment(segment))
-    return points
-
-
-def _evaluate_chunk_bare(configs) -> list:
-    """Legacy unsupervised chunk runner (the ``pool.map`` baseline the
-    benchmark harness measures supervision overhead against)."""
-    return _evaluate_segment(list(configs))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +293,8 @@ def explore(design, space, *, params: dict | None = None,
             timeout: float | None = None, max_retries: int = 3,
             checkpoint=None, resume: bool = False, faults=None,
             vectorize: bool = True, batch_size: int | None = None,
-            strategy: str | None = None, max_evals: int | None = None,
-            _pool_mode: str = "supervised") -> SweepResult:
+            strategy: str | None = None,
+            max_evals: int | None = None) -> SweepResult:
     """Sweep ``design`` over ``space`` and aggregate a :class:`SweepResult`.
 
     ``design`` is anything :class:`repro.api.Session` opens — a registry
@@ -482,14 +305,14 @@ def explore(design, space, *, params: dict | None = None,
     ``space`` is a :class:`DepthSpace` or a list of axis specs
     (``"fifo=1:16"``).  ``samples`` draws a seeded random subset instead
     of the full grid; ``jobs`` shards configurations across a process
-    pool (ad-hoc compiled designs that cannot be pickled fall back to
-    in-process evaluation; the result's ``jobs`` field reports the
-    parallelism actually used).  ``trace_cache`` enables the on-disk
-    trace-artifact cache for the capture run (see
-    :class:`repro.api.Session`): warm sweeps skip recapture entirely,
-    pool workers load the baseline by content digest instead of
-    receiving it through pickle, and the result's ``capture`` field
-    reports ``"warm"`` or ``"cold"``.
+    pool, never wider than a round's pending configurations (ad-hoc
+    compiled designs that cannot be pickled fall back to in-process
+    evaluation; the result's ``jobs`` field reports the parallelism
+    actually used).  ``trace_cache`` enables the on-disk trace-artifact
+    cache for the capture run (see :class:`repro.api.Session`): warm
+    sweeps skip recapture entirely, pool workers load the baseline by
+    content digest instead of receiving it through pickle, and the
+    result's ``capture`` field reports ``"warm"`` or ``"cold"``.
 
     Resilience knobs (the supervised executor, :mod:`repro.exec`):
     ``timeout`` is the per-chunk wall-clock deadline in seconds (hung
@@ -499,7 +322,7 @@ def explore(design, space, *, params: dict | None = None,
     names an append-only JSONL journal of completed configurations, and
     ``resume=True`` reuses a prior journal so only unfinished
     configurations are re-evaluated (an identity mismatch — different
-    design, space, sampling or trace digest — raises
+    design, space, strategy, sampling or trace digest — raises
     :class:`~repro.errors.CheckpointError`); ``faults`` injects
     deterministic failures for testing (a spec string or
     :class:`repro.exec.FaultPlan`; default: the ``REPRO_FAULTS``
@@ -516,45 +339,50 @@ def explore(design, space, *, params: dict | None = None,
     ``mode`` field records the path that served it.  Without NumPy the
     sweep transparently degrades to the scalar path.
 
-    Adaptive search (:mod:`repro.dse.search`): ``strategy`` picks how
-    the space is covered — ``"exhaustive"`` (default; enumerate or
+    Search (:mod:`repro.dse.search`): ``strategy`` picks how the space
+    is covered — ``"exhaustive"`` (default; enumerate or
     ``samples``-sample the grid), ``"refine"`` (successive refinement
     with dominated-region pruning) or ``"random"`` (seeded restarts
     with a stagnation stop).  ``max_evals`` bounds the total number of
     configurations evaluated: adaptive strategies stop when the budget
-    is spent, and the exhaustive path degrades to a seeded sample of
+    is spent, and the exhaustive strategy degrades to a seeded sample of
     that many configurations.  Exhaustive sweeps refuse to enumerate
     spaces above :data:`repro.dse.ENUMERATE_LIMIT` configurations
     without a ``samples``/``max_evals`` cap — million-config products
-    are the adaptive strategies' job.  Adaptive runs fill the result's
-    ``search`` provenance block and checkpoint round-by-round: a
-    resumed search replays the same deterministic proposal sequence,
-    serving journaled configurations from disk, and lands on the exact
-    frontier of an uninterrupted run.
+    are the adaptive strategies' job.  Asking for a ``strategy`` or a
+    budget fills the result's ``search`` provenance block.  Every sweep
+    checkpoints round-by-round: a resumed search replays the same
+    deterministic proposal sequence, serving journaled configurations
+    from disk, and lands on the exact frontier of an uninterrupted run.
     """
     from ..api import Session
-    from ..exec import (
-        CheckpointJournal,
-        ExecPolicy,
-        Supervisor,
-        Unit,
-        resolve_plan,
-        run_serial,
-    )
-
+    from ..api.design_ref import shardable
+    from ..exec import ExecPolicy, JournaledRun, resolve_plan
     from ..trace.vectorized import DEFAULT_BATCH_SIZE
-    from .search import STRATEGIES
+    from .search import make_strategy
 
+    if not isinstance(space, DepthSpace):
+        space = DepthSpace.parse(space)
     strategy_name = "exhaustive" if strategy is None else strategy
-    if strategy_name not in STRATEGIES:
-        raise DseError(
-            f"unknown search strategy {strategy_name!r}; expected one "
-            f"of {', '.join(STRATEGIES)}"
-        )
-    adaptive = strategy_name != "exhaustive"
+    exhaustive = strategy_name == "exhaustive"
     if max_evals is not None and max_evals < 1:
         raise DseError(f"max_evals must be >= 1, got {max_evals}")
-    if adaptive and samples is not None:
+    # The exhaustive strategy's effective cap decides which
+    # configurations the sweep covers, so it is part of the journal's
+    # identity.  An adaptive max_evals deliberately is not: the proposal
+    # sequence is deterministic given (space, seed, strategy) and a
+    # budget only truncates it, so a budget-stopped search may be
+    # resumed with a bigger (or no) budget.
+    cap = None
+    if exhaustive:
+        cap = min((c for c in (samples, max_evals) if c is not None),
+                  default=None)
+        if cap is not None and cap >= space.size:
+            cap = None
+    # Built first: a bad strategy or space fails before any capture.
+    searcher = make_strategy(strategy_name, space, seed=seed,
+                             **({"cap": cap} if exhaustive else {}))
+    if samples is not None and not exhaustive:
         raise DseError(
             "samples applies to the exhaustive strategy only; bound an "
             "adaptive search with max_evals instead"
@@ -567,19 +395,7 @@ def explore(design, space, *, params: dict | None = None,
         batch_size = DEFAULT_BATCH_SIZE
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    effective_batch = batch_size if vectorize else 0
-    if _pool_mode not in ("supervised", "bare"):
-        raise ValueError(f"unknown _pool_mode {_pool_mode!r}")
-    if _pool_mode == "bare" and (checkpoint is not None
-                                 or fault_plan is not None
-                                 or timeout is not None
-                                 or adaptive):
-        raise TypeError("the bare pool path supports no checkpoint, "
-                        "fault, timeout or adaptive-strategy handling "
-                        "(benchmark use only)")
 
-    if not isinstance(space, DepthSpace):
-        space = DepthSpace.parse(space)
     if isinstance(design, Session):
         if params:
             raise TypeError(
@@ -597,7 +413,6 @@ def explore(design, space, *, params: dict | None = None,
     else:
         session = Session(design, trace_cache=trace_cache,
                           **(params or {}))
-    params = dict(session.params)
     design_ref = session.design_ref
 
     # When the baseline artifact is already on disk, the whole parent-
@@ -622,493 +437,145 @@ def explore(design, space, *, params: dict | None = None,
     base = session.baseline(executor=executor)
     capture_seconds = _time.perf_counter() - capture_start
 
-    from ..trace.columnar import replay_trace
-
     trace = replay_trace(base)
-    compile_free = trace is not None and session._compiled is None
+    design_name, base_depths = session.declared(base)
     if warm_possible:
-        space.validate_against(trace.depths if compile_free
-                               else session.compiled.design.streams)
-    if compile_free:
-        design_name = trace.design_name
-        base_depths = dict(trace.depths)
-    else:
-        design_name = session.compiled.name
-        base_depths = session.compiled.stream_depths()
+        space.validate_against(base_depths)
 
-    jobs = max(1, jobs)
-    if jobs > 1 and design_ref[0] == "compiled":
-        # Ad-hoc designs must cross the process boundary whole, and
-        # ``@hls.kernel``-wrapped functions don't pickle under the
-        # spawn/forkserver start methods (fork merely inherits them).
-        # Probe once and degrade to in-process evaluation instead of
-        # crashing platform-dependently; the result's ``jobs`` field
-        # reports what actually ran.
-        try:
-            pickle.dumps(session.compiled)
-        except Exception:
-            jobs = 1
-
-    if adaptive:
-        return _explore_adaptive(
-            session, space, strategy_name=strategy_name,
-            max_evals=max_evals, seed=seed, jobs=jobs, executor=executor,
-            policy=policy, fault_plan=fault_plan, checkpoint=checkpoint,
-            resume=resume, vectorize=vectorize,
-            effective_batch=effective_batch, params=params,
-            design_name=design_name, base=base, base_depths=base_depths,
-            trace=trace, capture_seconds=capture_seconds,
-        )
-
-    # Exhaustive path: enumerate the grid, or a seeded sample of it
-    # when ``samples``/``max_evals`` caps the evaluation count.
-    cap = samples
-    if max_evals is not None and (cap is None or cap > max_evals):
-        cap = max_evals
-    if cap is not None and cap < space.size:
-        configs = space.sample(cap, seed)
-    elif space.size > ENUMERATE_LIMIT:
-        raise DseError(
-            f"depth space has {space.size} configurations (more than "
-            f"the enumeration limit of {ENUMERATE_LIMIT}); cap the "
-            "exhaustive sweep with samples=/max_evals= or use an "
-            "adaptive strategy ('refine'/'random')"
-        )
-    else:
-        configs = list(space.configurations())
+    identity = None if checkpoint is None else {
+        "kind": "dse",
+        "design": design_name,
+        "digest": session.trace_digest(executor),
+        "space": [[axis.fifo, list(axis.values)] for axis in space.axes],
+        "strategy": strategy_name,
+        "cap": cap,
+        "seed": seed,
+        "executor": executor,
+    }
 
     sweep_start = _time.perf_counter()
-    jobs = min(jobs, len(configs) or 1)
-
-    # One unit per configuration; the key is the config's canonical JSON,
-    # so checkpoint journals are stable across invocations and shardings.
-    units = [Unit(i, _json.dumps(config, sort_keys=True), config)
-             for i, config in enumerate(configs)]
-
-    journal = None
-    restored = {}
-    if checkpoint is not None:
-        identity = {
-            "kind": "dse",
-            "design": design_name,
-            "digest": session.trace_digest(executor),
-            "space": [[axis.fifo, list(axis.values)]
-                      for axis in space.axes],
-            "samples": samples,
-            "seed": seed,
-            "executor": executor,
-        }
-        if max_evals is not None:
-            # The budget changes which configurations the sweep covers,
-            # so it is part of the journal's identity.  (Unbudgeted
-            # exhaustive journals keep the pre-budget identity shape
-            # and stay resumable across versions.)
-            identity["strategy"] = strategy_name
-            identity["max_evals"] = max_evals
-        journal, restored = CheckpointJournal.open(checkpoint, identity,
-                                                   resume=resume)
-
-    points_by_index: dict = {}
-    pending = []
-    for unit in units:
-        doc = restored.get(unit.key)
-        if doc is not None:
-            points_by_index[unit.index] = SweepPoint(**doc)
-        else:
-            pending.append(unit)
-    resumed = len(units) - len(pending)
-
-    def record(unit, status, value):
-        if journal is None:
-            return
-        point = (value if status == "ok"
-                 else _quarantined_point(base_depths, trace,
-                                         unit.payload, value))
-        journal.append(unit.key, point.to_json())
-
-    supervision = None
-    try:
-        if _pool_mode == "bare" and jobs > 1:
-            reference_spec = _reference_spec(session, base, executor)
-            from ..exec import chunk_contiguous
-
-            chunks = chunk_contiguous(configs, jobs * 4)
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_worker,
-                initargs=(design_ref, base_depths, executor,
-                          reference_spec, effective_batch),
-            ) as pool:
-                points = [point
-                          for chunk in pool.map(_evaluate_chunk_bare,
-                                                chunks)
-                          for point in chunk]
-            seconds = _time.perf_counter() - sweep_start
-            return SweepResult(
-                design=design_name, params=params,
-                base_depths=base_depths, base_cycles=base.cycles,
-                space_size=space.size, jobs=jobs, points=points,
-                capture_seconds=capture_seconds, seconds=seconds,
-                capture=base.phase_seconds.get("capture", "cold"),
-            )
-        if jobs == 1:
-            evaluator = Evaluator(base, base_depths,
-                                  lambda: session.compiled, executor)
-            results, report = run_serial(
-                pending, evaluator.evaluate, policy=policy,
-                fault_plan=fault_plan, record=record,
-                run_batch=(evaluator.evaluate_batch if vectorize
-                           else None),
-                batch_size=effective_batch,
-            )
-        else:
-            reference_spec = _reference_spec(session, base, executor)
-            def pool_factory():
-                return ProcessPoolExecutor(
-                    max_workers=jobs,
-                    initializer=_init_worker,
-                    initargs=(design_ref, base_depths, executor,
-                              reference_spec, effective_batch),
-                )
-            supervisor = Supervisor(
-                pool_factory, _evaluate_chunk, jobs=jobs, policy=policy,
-                fault_plan=fault_plan, record=record,
-            )
-            results, report = supervisor.run(pending)
-    finally:
-        if journal is not None:
-            journal.close()
-
-    for index, (status, value) in results.items():
-        points_by_index[index] = (
-            value if status == "ok"
-            else _quarantined_point(base_depths, trace,
-                                    configs[index], value))
-    points = [points_by_index[i] for i in range(len(configs))]
-    supervision = report.to_json()
-    supervision["resumed"] = resumed
-    supervision["checkpoint"] = (_os.fspath(checkpoint)
-                                 if checkpoint is not None else None)
-    seconds = _time.perf_counter() - sweep_start
-
-    search = None
-    if strategy is not None or max_evals is not None:
-        # The search provenance block is uniform across strategies; for
-        # an (explicitly requested or budget-capped) exhaustive sweep it
-        # records the single enumerate-everything round.
-        search = {
-            "strategy": "exhaustive",
-            "stopped": "complete",
-            "converged": True,
-            "rounds": [{
-                "round": 1,
-                "proposed": len(points),
-                "evaluated": len(points) - resumed,
-                "restored": resumed,
-                "frontier_size": len(pareto_front(points)),
-                "frontier_moved": None,
-            }],
-            "evals": {
-                "budget": max_evals,
-                "spent": len(points),
-                "restored": resumed,
-                "new": len(points) - resumed,
-            },
-        }
+    with JournaledRun(
+        Evaluator(base, base_depths, lambda: session.compiled, executor),
+        worker=((_worker_evaluator,
+                 (design_ref, base_depths, executor,
+                  ship_reference(session, base, executor)))
+                if jobs > 1 and shardable(design_ref) else None),
+        jobs=jobs, batch_size=batch_size if vectorize else 0,
+        policy=policy, fault_plan=fault_plan,
+        encode=SweepPoint.to_json, decode=lambda doc: SweepPoint(**doc),
+        quarantined=lambda unit, detail: _quarantined_point(
+            base_depths, trace, unit.payload, detail),
+        checkpoint=checkpoint, identity=identity, resume=resume,
+    ) as run:
+        points, search = _run_rounds(searcher, run, space.size, max_evals)
+        supervision = run.supervision()
+    supervision["rounds"] = len(search["rounds"])
 
     return SweepResult(
         design=design_name,
-        params=params,
+        params=dict(session.params),
         base_depths=base_depths,
         base_cycles=base.cycles,
         space_size=space.size,
-        jobs=jobs,
+        jobs=supervision["jobs"],
         points=points,
         capture_seconds=capture_seconds,
-        seconds=seconds,
+        seconds=_time.perf_counter() - sweep_start,
         capture=base.phase_seconds.get("capture", "cold"),
         supervision=supervision,
-        search=search,
+        search=(search if strategy is not None or max_evals is not None
+                else None),
     )
 
 
-def _quarantined_point(base_depths, trace, config, detail) -> SweepPoint:
-    """A structured failure point for a configuration that exhausted
-    its retry budget (never dropped from the result)."""
-    depths = dict(base_depths)
-    depths.update(config)
-    return SweepPoint(
-        depths=depths,
-        cycles=None,
-        buffer_bits=(trace.buffer_bits(depths)
-                     if trace is not None else 0),
-        source=SOURCE_QUARANTINED,
-        seconds=0.0,
-        detail=(f"{detail['reason']}: {detail['message']} "
-                f"(quarantined after {detail['attempts']} attempts)"),
-    )
-
-
-def _merge_supervision(acc: dict | None, report: dict) -> dict:
-    """Fold one round's supervision report into the running total (an
-    adaptive search runs the supervised executor once per round)."""
-    if acc is None:
-        acc = dict(report)
-        acc["quarantined"] = list(report["quarantined"])
-        return acc
-    for key in ("units", "retries", "respawns", "splits", "timeouts",
-                "crashes", "errors", "solo_runs"):
-        acc[key] += report[key]
-    acc["seconds"] = round(acc["seconds"] + report["seconds"], 6)
-    acc["quarantined"] = acc["quarantined"] + list(report["quarantined"])
-    return acc
-
-
-#: journal keys of adaptive round markers (never a config outcome —
-#: config keys are canonical JSON objects and start with ``{``)
-_ROUND_KEY_PREFIX = "round:"
-
-
-def _explore_adaptive(session, space, *, strategy_name, max_evals, seed,
-                      jobs, executor, policy, fault_plan, checkpoint,
-                      resume, vectorize, effective_batch, params,
-                      design_name, base, base_depths, trace,
-                      capture_seconds) -> SweepResult:
-    """The adaptive half of :func:`explore`: a round-structured loop
-    where the strategy proposes configuration batches, the supervised
-    executor evaluates them (vectorized where possible), and observed
-    outcomes steer the next round.
+def _run_rounds(strategy, run, space_size: int,
+                max_evals: int | None) -> tuple:
+    """The sweep driver: ``strategy`` proposes configuration batches,
+    ``run`` (a :class:`repro.exec.JournaledRun`) evaluates them, and the
+    observed outcomes steer the next round.  Returns ``(points,
+    search)`` — every evaluated point in proposal order and the
+    ``search`` provenance block.
 
     Checkpointing is round-structured: completed configurations journal
-    exactly as in the exhaustive path (the unit key is the config's
-    canonical JSON), and a ``round:N`` marker line is appended after
-    each round with its provenance summary.  Resume does not *rewind*
-    to a round boundary — it replays the deterministic proposal
-    sequence from the start, serving every journaled configuration from
-    the restored outcomes (including a partially journaled final
-    round), so the search continues mid-refinement exactly where the
-    killed run stopped paying for evaluations.
+    under their canonical JSON, and a ``round:N`` marker line with the
+    round's provenance follows each round that evaluated anything.
+    Resume does not *rewind* to a round boundary — it replays the
+    deterministic proposal sequence from the start, serving every
+    journaled configuration from the restored outcomes (including a
+    partially journaled final round), so the search continues exactly
+    where the killed run stopped paying for evaluations.
     """
-    from ..exec import CheckpointJournal, Supervisor, Unit, run_serial
-    from .search import config_key, make_strategy
-
-    strategy = make_strategy(strategy_name, space, seed=seed)
-    sweep_start = _time.perf_counter()
-
-    journal = None
-    restored = {}
-    if checkpoint is not None:
-        identity = {
-            "kind": "dse",
-            "design": design_name,
-            "digest": session.trace_digest(executor),
-            "space": [[axis.fifo, list(axis.values)]
-                      for axis in space.axes],
-            "samples": None,
-            "seed": seed,
-            "executor": executor,
-            # max_evals is deliberately NOT part of the identity: the
-            # proposal sequence is deterministic given (space, seed,
-            # strategy) and a budget only truncates it, so a
-            # budget-stopped search may be resumed with a bigger (or
-            # no) budget — the natural "give it more evals" workflow.
-            "strategy": strategy_name,
-        }
-        journal, restored = CheckpointJournal.open(checkpoint, identity,
-                                                   resume=resume)
-    restored_points = {key: doc for key, doc in restored.items()
-                       if not key.startswith(_ROUND_KEY_PREFIX)}
-
-    def record(unit, status, value):
-        if journal is None:
-            return
-        point = (value if status == "ok"
-                 else _quarantined_point(base_depths, trace,
-                                         unit.payload, value))
-        journal.append(unit.key, point.to_json())
-
-    evaluator = None
-    pool_factory = None
-    if jobs == 1:
-        evaluator = Evaluator(base, base_depths,
-                              lambda: session.compiled, executor)
-    else:
-        reference_spec = _reference_spec(session, base, executor)
-        design_ref = session.design_ref
-
-        def pool_factory():
-            return ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_worker,
-                initargs=(design_ref, base_depths, executor,
-                          reference_spec, effective_batch),
-            )
+    from ..exec import Unit
+    from .search import config_key
 
     points: list = []
-    outcomes: dict = {}
-    rounds_prov: list = []
-    supervision = None
+    proposed: set = set()
+    rounds: list = []
     prev_frontier = None
-    restored_used = 0
-    next_index = 0
-    round_no = 0
     stalls = 0
-    stopped = "converged"
-    try:
-        while True:
-            remaining = (max_evals - len(points)
-                         if max_evals is not None else space.size + 1)
-            if remaining <= 0:
-                stopped = "budget"
+    stopped = strategy.stop_label
+    while not strategy.done:
+        remaining = (max_evals - len(points)
+                     if max_evals is not None else space_size + 1)
+        if remaining <= 0:
+            stopped = "budget"
+            break
+        batch = strategy.next_batch(remaining)[:remaining]
+        if not batch:
+            break
+        units = []
+        for config in batch:
+            key = config_key(config)
+            if key not in proposed:
+                proposed.add(key)
+                units.append(Unit(len(proposed) - 1, key, config))
+        if not units:
+            # A strategy re-proposing only known configs is a bug;
+            # fail safe rather than spinning forever.
+            stalls += 1
+            if stalls >= 2:
+                stopped = "stalled"
                 break
-            batch = strategy.next_batch(remaining)[:remaining]
-            if not batch:
-                break
-            round_units = []
-            for config in batch:
-                key = config_key(config)
-                if key in outcomes or any(u.key == key
-                                          for u in round_units):
-                    continue
-                round_units.append(Unit(next_index, key, config))
-                next_index += 1
-            if not round_units:
-                # A strategy re-proposing only known configs is a bug;
-                # fail safe rather than spinning forever.
-                stalls += 1
-                if stalls >= 2:
-                    stopped = "stalled"
-                    break
-                continue
-            stalls = 0
-            round_no += 1
-            pending = []
-            round_restored = 0
-            for unit in round_units:
-                doc = restored_points.get(unit.key)
-                if doc is not None:
-                    outcomes[unit.key] = SweepPoint(**doc)
-                    round_restored += 1
-                else:
-                    pending.append(unit)
-            restored_used += round_restored
-            if pending:
-                if jobs == 1:
-                    results, report = run_serial(
-                        pending, evaluator.evaluate, policy=policy,
-                        fault_plan=fault_plan, record=record,
-                        run_batch=(evaluator.evaluate_batch if vectorize
-                                   else None),
-                        batch_size=effective_batch,
-                    )
-                else:
-                    supervisor = Supervisor(
-                        pool_factory, _evaluate_chunk, jobs=jobs,
-                        policy=policy, fault_plan=fault_plan,
-                        record=record,
-                    )
-                    results, report = supervisor.run(pending)
-                for unit in pending:
-                    status, value = results[unit.index]
-                    outcomes[unit.key] = (
-                        value if status == "ok"
-                        else _quarantined_point(base_depths, trace,
-                                                unit.payload, value))
-                supervision = _merge_supervision(supervision,
-                                                 report.to_json())
-            points.extend(outcomes[unit.key] for unit in round_units)
-            strategy.observe([(unit.payload, outcomes[unit.key])
-                              for unit in round_units])
-            frontier = [(p.cycles, p.buffer_bits)
-                        for p in pareto_front(points)]
-            moved = None
-            if prev_frontier is not None:
-                distance = frontier_distance(frontier, prev_frontier)
-                if distance != float("inf"):
-                    moved = round(distance, 6)
-            round_doc = {
-                "round": round_no,
-                "proposed": len(round_units),
-                "evaluated": len(pending),
-                "restored": round_restored,
-                "frontier_size": len(frontier),
-                "frontier_moved": moved,
-            }
-            rounds_prov.append(round_doc)
-            if journal is not None:
-                journal.append(f"{_ROUND_KEY_PREFIX}{round_no}",
-                               round_doc)
-            prev_frontier = frontier
-    finally:
-        if journal is not None:
-            journal.close()
+            continue
+        stalls = 0
+        outcomes, restored = run.run(units)
+        points.extend(outcomes)
+        strategy.observe([(unit.payload, point)
+                          for unit, point in zip(units, outcomes)])
+        frontier = [(p.cycles, p.buffer_bits)
+                    for p in pareto_front(points)]
+        moved = None
+        if prev_frontier is not None:
+            distance = frontier_distance(frontier, prev_frontier)
+            if distance != float("inf"):
+                moved = round(distance, 6)
+        round_doc = {
+            "round": len(rounds) + 1,
+            "proposed": len(units),
+            "evaluated": len(units) - restored,
+            "restored": restored,
+            "frontier_size": len(frontier),
+            "frontier_moved": moved,
+        }
+        rounds.append(round_doc)
+        if restored < len(units):
+            run.mark(f"round:{round_doc['round']}", round_doc)
+        prev_frontier = frontier
 
-    seconds = _time.perf_counter() - sweep_start
     search = {
-        "strategy": strategy_name,
+        "strategy": strategy.name,
         "stopped": stopped,
-        "converged": stopped == "converged",
-        "rounds": rounds_prov,
+        "converged": stopped == strategy.stop_label,
+        "rounds": rounds,
         "evals": {
             "budget": max_evals,
             "spent": len(points),
-            "restored": restored_used,
-            "new": len(points) - restored_used,
+            "restored": run.resumed,
+            "new": len(points) - run.resumed,
         },
     }
     search.update(strategy.provenance())
-    if supervision is None:
-        # Every proposed configuration came from the journal: nothing
-        # was executed this run, but the provenance shape stays stable.
-        from ..exec import SupervisionReport
-
-        supervision = SupervisionReport(
-            mode="serial" if jobs == 1 else "pool", jobs=jobs).to_json()
-    if fault_plan is not None:
-        # Per-round reports each carry the plan's cumulative counter;
-        # the total is the plan's, not the per-round sum.
-        supervision["faults_injected"] = fault_plan.injected
-    supervision["resumed"] = restored_used
-    supervision["checkpoint"] = (_os.fspath(checkpoint)
-                                 if checkpoint is not None else None)
-    supervision["rounds"] = round_no
-
-    return SweepResult(
-        design=design_name,
-        params=params,
-        base_depths=base_depths,
-        base_cycles=base.cycles,
-        space_size=space.size,
-        jobs=jobs,
-        points=points,
-        capture_seconds=capture_seconds,
-        seconds=seconds,
-        capture=base.phase_seconds.get("capture", "cold"),
-        supervision=supervision,
-        search=search,
-    )
-
-
-def _reference_spec(session, base, executor):
-    """The shipped form of the reference run for pool workers: a
-    ``("trace", digest, cache_dir)`` reference when the baseline
-    artifact sits in the session's on-disk store (workers then load it
-    from disk — the initializer payload is a digest, not a pickled
-    graph), else the portable trace-carrying object."""
-    store = session.trace_store
-    if store is not None:
-        digest = session.trace_digest(executor)
-        if digest is not None and store.contains(digest):
-            from ..api.design_ref import trace_ref
-
-            return trace_ref(digest, store.root)
-    reference = portable_reference(base)
-    trace = reference.trace
-    if trace is not None:
-        # Ship the static-edge columns with the artifact so no worker
-        # rebuilds them (the whole point of the columnar layer).
-        trace.ensure_static()
-    return ("object", reference)
+    return points, search
 
 
 def iter_spec_files(directory) -> list:

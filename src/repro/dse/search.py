@@ -1,13 +1,19 @@
 """Adaptive Pareto-guided search strategies over a depth space.
 
-The exhaustive sweep evaluates every configuration and extracts the
-Pareto frontier afterwards; on the million-config products a real
-6-FIFO design describes that is not a plan.  The strategies here use
-the frontier *during* the sweep to decide what is worth evaluating
-next, emitting configurations in rounds of batches so the vectorized
+A strategy decides *which* configurations of a depth space are worth
+evaluating, emitting them in rounds of batches so the vectorized
 retiming kernel and the supervised executor do the actual evaluation
 (:func:`repro.dse.explore` owns that loop; strategies only propose and
-observe).
+observe).  Evaluating every configuration and extracting the Pareto
+frontier afterwards is the degenerate case; on the million-config
+products a real 6-FIFO design describes that is not a plan, and the
+adaptive strategies use the frontier *during* the sweep to decide what
+to evaluate next.
+
+``exhaustive`` — everything, in round one
+    The whole grid in :meth:`DepthSpace.configurations` order, or a
+    seeded sample of it when a ``cap`` bounds the evaluation count.
+    Nothing is steered, so nothing is observed.
 
 ``refine`` — successive refinement with dominated-region pruning
     A coarse seeded grid over the full space establishes an initial
@@ -59,7 +65,7 @@ observe).
     soundness obligations — and the baseline the benchmarks compare
     ``refine`` against.
 
-Both strategies are **deterministic** given ``(space, seed)`` and the
+Every strategy is **deterministic** given ``(space, seed)`` and the
 sequence of observed outcomes.  That is what makes ``--resume`` work
 mid-search: the explorer replays the same proposal sequence and serves
 previously journaled configurations from the checkpoint instead of
@@ -76,10 +82,7 @@ from collections import deque
 
 from ..errors import DseError
 from .pareto import weakly_dominates
-
-#: strategy names accepted by ``explore(strategy=...)`` and the CLI's
-#: ``--strategy`` flag ("exhaustive" is handled by the explorer itself)
-STRATEGIES = ("exhaustive", "refine", "random")
+from .space import ENUMERATE_LIMIT
 
 #: largest seeded coarse grid the refine strategy opens with
 DEFAULT_GRID_CAP = 64
@@ -129,6 +132,11 @@ class SearchStrategy:
     """
 
     name = "base"
+    #: the ``search["stopped"]`` label of a run this strategy finished
+    stop_label = "converged"
+    #: True once the strategy knows it will propose nothing more (the
+    #: driver then stops without charging the budget for the question)
+    done = False
 
     def __init__(self, space, seed: int = 0):
         self.space = space
@@ -183,6 +191,37 @@ class SearchStrategy:
         """Index tuple (one sorted-value index per axis) -> config dict."""
         return {fifo: values[i]
                 for (fifo, values), i in zip(self._axes, idxs)}
+
+
+class ExhaustiveStrategy(SearchStrategy):
+    """The whole grid — or a seeded ``cap``-sized sample of it — in one
+    round."""
+
+    name = "exhaustive"
+    stop_label = "complete"
+
+    def __init__(self, space, seed: int = 0, cap: int | None = None):
+        super().__init__(space, seed)
+        if ((cap is None or cap >= space.size)
+                and space.size > ENUMERATE_LIMIT):
+            raise DseError(
+                f"depth space has {space.size} configurations (more than "
+                f"the enumeration limit of {ENUMERATE_LIMIT}); cap the "
+                "exhaustive sweep with samples=/max_evals= or use an "
+                "adaptive strategy ('refine'/'random')"
+            )
+        self._cap = cap
+
+    def next_batch(self, remaining: int) -> list:
+        if self.done:
+            return []
+        self.done = True
+        if self._cap is not None:
+            return self.space.sample(self._cap, self.seed)
+        return list(self.space.configurations())
+
+    def observe(self, evaluations) -> None:
+        """Nothing steers an exhaustive sweep: skip the bookkeeping."""
 
 
 class RefineStrategy(SearchStrategy):
@@ -463,19 +502,21 @@ class RandomStrategy(SearchStrategy):
         }
 
 
+_STRATEGY_CLASSES = {cls.name: cls for cls in (
+    ExhaustiveStrategy, RefineStrategy, RandomStrategy)}
+
+#: strategy names accepted by ``explore(strategy=...)`` and the CLI's
+#: ``--strategy`` flag
+STRATEGIES = tuple(_STRATEGY_CLASSES)
+
+
 def make_strategy(name: str, space, *, seed: int = 0,
                   **options) -> SearchStrategy:
-    """Build the named adaptive strategy over ``space``.
-
-    ``"exhaustive"`` is deliberately rejected here: it is not a
-    proposal/observe strategy but the explorer's enumerate-everything
-    baseline path.
-    """
-    if name == "refine":
-        return RefineStrategy(space, seed=seed, **options)
-    if name == "random":
-        return RandomStrategy(space, seed=seed, **options)
-    raise DseError(
-        f"unknown search strategy {name!r}; expected one of "
-        f"{', '.join(STRATEGIES)} (exhaustive is the default sweep path)"
-    )
+    """Build the named strategy over ``space`` (``options`` are the
+    strategy's own constructor keywords, e.g. the exhaustive ``cap``)."""
+    if name not in _STRATEGY_CLASSES:
+        raise DseError(
+            f"unknown search strategy {name!r}; expected one of "
+            f"{', '.join(STRATEGIES)}"
+        )
+    return _STRATEGY_CLASSES[name](space, seed=seed, **options)

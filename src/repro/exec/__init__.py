@@ -11,6 +11,11 @@ and :func:`repro.api.run_many`:
   :func:`~repro.exec.supervisor.run_serial`.
 * :mod:`~repro.exec.journal` — append-only JSONL checkpoint journals
   behind ``--checkpoint``/``--resume``.
+* :mod:`~repro.exec.replay` — the replay policy every depth-override
+  evaluation goes through (incremental first, full run + re-capture on
+  divergence, deadlock as an outcome).
+* :mod:`~repro.exec.worker` — the pool-worker protocol and the journal
+  + supervisor plumbing (``JournaledRun``) sweeps and batches share.
 * :mod:`~repro.exec.faults` — the deterministic fault-injection
   harness (``REPRO_FAULTS``) that makes every resilience path
   testable in CI.
@@ -28,6 +33,7 @@ from .faults import (
     resolve_plan,
 )
 from .journal import CheckpointJournal, close_active_journals, read_journal
+from .replay import ReplayOutcome, Replayer
 from .supervisor import (
     ExecPolicy,
     SupervisionReport,
@@ -36,6 +42,7 @@ from .supervisor import (
     chunk_contiguous,
     run_serial,
 )
+from .worker import JournaledRun
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -46,6 +53,9 @@ __all__ = [
     "ExecPolicy",
     "FaultPlan",
     "FaultRule",
+    "JournaledRun",
+    "ReplayOutcome",
+    "Replayer",
     "SupervisionReport",
     "Supervisor",
     "Unit",

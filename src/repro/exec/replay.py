@@ -1,0 +1,254 @@
+"""The replay policy: one implementation of paper section 7.2 at sweep scale.
+
+Evaluating a depth configuration against a captured run is the same
+four steps whoever asks (``repro.dse``, ``Session.run_many``,
+``/v1/run``, ``repro run --depth``):
+
+1. **Overlay** the configuration on the design's *declared* depths —
+   never the reference's, which after a re-capture was recorded at some
+   other configuration's depths — so results do not depend on
+   evaluation order.
+2. **Replay incrementally**: retime the reference's recorded graph under
+   the new depths and re-validate its recorded query constraints, per
+   configuration (:func:`replay_one`) or a slice at a time through the
+   NumPy batch kernel (:func:`kernel_rows`).
+3. **Fall back on divergence**: a flipped constraint, or a graph made
+   cyclic by the new depths, invalidates the recorded execution there —
+   run a full OmniSim simulation at those depths and **re-capture** it
+   as the reference, so the neighbourhood returns to the fast path.
+4. **A true deadlock is an outcome**, not an exception.
+
+:class:`Replayer` carries the mutable reference through a stream of
+configurations; callers adapt its :class:`ReplayOutcome` to their own
+result shape (:class:`repro.dse.SweepPoint`, a served
+:class:`~repro.sim.result.SimulationResult`).
+"""
+
+from __future__ import annotations
+
+import time as _time
+from dataclasses import dataclass
+
+from ..errors import ConstraintViolation, DeadlockError, SimulationError
+from ..sim.incremental import IncrementalResult, resimulate
+from ..sim.registry import run_engine
+from ..sim.result import SimulationResult
+from ..trace.columnar import replay_trace
+from ..trace.vectorized import batch_supported, resimulate_batch
+
+#: which path produced an outcome's number
+SOURCE_INCREMENTAL = "incremental"
+SOURCE_FULL = "full"
+SOURCE_DEADLOCK = "deadlock"
+
+#: *how* that path ran (orthogonal to source): served by the batched
+#: NumPy kernel, by the scalar replay loop, by the scalar loop after the
+#: kernel declined the row, or by a full run
+MODE_VECTORIZED = "vectorized"
+MODE_SCALAR = "scalar"
+MODE_SCALAR_FALLBACK = "scalar-fallback"
+MODE_FULL = "full"
+
+
+@dataclass(slots=True)
+class ReplayOutcome:
+    """What the policy found at one depth configuration."""
+
+    #: full resolved depth map (every FIFO, not just the overridden ones)
+    depths: dict
+    source: str
+    mode: str
+    #: total simulated cycles; ``None`` when the configuration deadlocks
+    cycles: int | None
+    seconds: float
+    #: why the incremental path was abandoned, or the deadlock diagnosis
+    detail: str | None = None
+    #: the validated replay, on :data:`SOURCE_INCREMENTAL` outcomes
+    incremental: IncrementalResult | None = None
+    #: the run behind the number: the reference that was replayed
+    #: (incremental) or the fresh re-captured run (full)
+    run: SimulationResult | None = None
+    #: the diagnosis, on :data:`SOURCE_DEADLOCK` outcomes
+    error: DeadlockError | None = None
+
+
+def replay_one(reference, depths: dict):
+    """Scalar incremental replay of ``reference`` under ``depths``.
+
+    Returns ``(IncrementalResult, None)``, or ``(None, why)`` when the
+    recorded execution does not hold there and a real run must decide.
+    """
+    try:
+        return resimulate(reference, depths), None
+    except ConstraintViolation as exc:
+        query = exc.query
+        return None, (f"constraint {query.kind} on '{query.fifo}' flipped"
+                      if query is not None else str(exc))
+    except SimulationError as exc:
+        # Unknown/invalid depths, or the recorded graph went cyclic.
+        return None, str(exc)
+
+
+def kernel_rows(reference, depth_maps: list,
+                batch_size: int | None = None) -> list | None:
+    """Batched incremental replay of many depth maps against one
+    reference, ``batch_size`` rows per kernel call (default: all at
+    once).  Returns one ``IncrementalResult | None`` per map (``None``:
+    the row needs the scalar path or a full run), or ``None`` when the
+    kernel cannot serve this reference at all (no artifact, no NumPy,
+    no all-depth replay order)."""
+    trace = replay_trace(reference)
+    if trace is None or not batch_supported(trace):
+        return None
+    size = batch_size or len(depth_maps) or 1
+    rows: list = []
+    for lo in range(0, len(depth_maps), size):
+        rows.extend(resimulate_batch(trace, depth_maps[lo:lo + size]))
+    return rows
+
+
+class Replayer:
+    """The policy against a mutable reference run."""
+
+    def __init__(self, reference, base_depths: dict, compile_fn,
+                 executor: str | None = None):
+        """Args:
+            reference: a captured OmniSim run (artifact/graph +
+                constraints), or ``None`` — every configuration then
+                runs full until the first successful run re-captures
+                one.
+            base_depths: the design's declared depths; each evaluated
+                config overlays these.
+            compile_fn: zero-arg callable producing the compiled design,
+                invoked lazily on the first full-simulation fallback.
+            executor: default Func Sim executor for fallback runs.
+        """
+        #: most recent captured run; replaced on every successful fallback
+        self.reference = reference
+        self.base_depths = dict(base_depths)
+        self._compile_fn = compile_fn
+        self._compiled = None
+        self.executor = executor
+
+    @property
+    def compiled(self):
+        """The compiled design, built on first use (fallbacks only)."""
+        if self._compiled is None:
+            self._compiled = self._compile_fn()
+        return self._compiled
+
+    def replay(self, config: dict, executor: str | None = None,
+               _mode: str = MODE_SCALAR) -> ReplayOutcome:
+        """One configuration: scalar replay, full run on divergence."""
+        depths = dict(self.base_depths)
+        depths.update(config)
+        start = _time.perf_counter()
+        reference = self.reference
+        if reference is None:
+            detail = "reference unavailable"
+        else:
+            inc, detail = replay_one(reference, depths)
+            if inc is not None:
+                return ReplayOutcome(
+                    depths, SOURCE_INCREMENTAL, _mode, inc.cycles,
+                    _time.perf_counter() - start, incremental=inc,
+                    run=reference)
+        try:
+            fresh = run_engine(
+                "omnisim", self.compiled, depths=depths,
+                executor=executor if executor is not None
+                else self.executor)
+        except DeadlockError as exc:
+            return ReplayOutcome(
+                depths, SOURCE_DEADLOCK, MODE_FULL, None,
+                _time.perf_counter() - start, detail=str(exc), error=exc)
+        # Re-capture: the divergent run's graph serves the neighbourhood.
+        self.reference = fresh
+        return ReplayOutcome(
+            depths, SOURCE_FULL, MODE_FULL, fresh.cycles,
+            _time.perf_counter() - start, detail=detail, run=fresh)
+
+    def replay_batch(self, configs, executors=None):
+        """One slice of configurations through a single kernel call:
+        rows whose recorded queries re-validate are served from the
+        reference as it stood at the start of the slice; declined rows
+        re-run in order through :meth:`replay` (identical values,
+        re-capturing as they go).  ``executors`` optionally names a
+        fallback executor per config.  Without a usable kernel every
+        config takes :meth:`replay`.
+
+        Yields one outcome per config, in order — lazily, so a caller
+        that adapts each outcome as it arrives never holds more than
+        one superseded full run alive."""
+        configs = list(configs)
+        if executors is None:
+            executors = [None] * len(configs)
+        reference = self.reference
+        rows = [None] * len(configs)
+        mode = MODE_SCALAR
+        if len(configs) > 1 and reference is not None:
+            kernel = kernel_rows(
+                reference, [dict(self.base_depths, **c) for c in configs])
+            if kernel is not None:
+                rows, mode = kernel, MODE_SCALAR_FALLBACK
+        for config, executor, inc in zip(configs, executors, rows):
+            if inc is None:
+                yield self.replay(config, executor, mode)
+            else:
+                yield ReplayOutcome(
+                    inc.depths, SOURCE_INCREMENTAL, MODE_VECTORIZED,
+                    inc.cycles, inc.seconds, incremental=inc,
+                    run=reference)
+
+
+# ---------------------------------------------------------------------------
+# crossing a process boundary
+
+
+def ship_reference(session, reference, executor=None, *,
+                   whole: bool = False):
+    """The form ``reference`` (``session``'s baseline under
+    ``executor``) takes on its way to pool workers:
+
+    * ``("trace", digest, cache_dir)`` when the artifact sits in the
+      session's on-disk store — the initializer payload is a digest and
+      every worker loads the artifact from disk;
+    * else ``("artifact", trace)`` — the columnar artifact alone, which
+      carries the capture's functional outputs too;
+    * ``("object", run)`` when ``whole`` (the caller wants the object
+      graph back on served results) or there is no artifact to ship.
+
+    Static-edge columns are built before pickling, so no worker
+    rebuilds them.
+    """
+    if reference is None:
+        return None
+    trace = replay_trace(reference)
+    if trace is not None and not whole:
+        store = session.trace_store
+        digest = (session.trace_digest(executor) if store is not None
+                  else None)
+        if digest is not None and store.contains(digest):
+            from ..api.design_ref import trace_ref
+
+            return trace_ref(digest, store.root)
+    if trace is not None:
+        trace.ensure_static()
+    return (("object", reference) if whole or trace is None
+            else ("artifact", trace))
+
+
+def load_reference(shipped):
+    """Worker-side inverse of :func:`ship_reference` (a vanished or
+    corrupt store entry degrades to ``None``: full runs re-capture)."""
+    if shipped is None:
+        return None
+    if shipped[0] == "object":
+        return shipped[1]
+    if shipped[0] == "artifact":
+        artifact = shipped[1]
+    else:
+        from ..api.design_ref import load_trace_from_ref
+
+        artifact = load_trace_from_ref(shipped)
+    return artifact.to_result() if artifact is not None else None

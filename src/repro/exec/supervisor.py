@@ -478,42 +478,17 @@ def run_serial(units, run_unit, *, policy=None, fault_plan=None,
     """
     policy = policy if policy is not None else ExecPolicy()
     units = list(units)
-    if (run_batch is not None and batch_size > 1 and fault_plan is None
-            and len(units) > 1):
-        report = SupervisionReport(mode="serial", jobs=1,
-                                   units=len(units))
-        results: dict = {}
-        started = time.monotonic()
-        for lo in range(0, len(units), batch_size):
-            group = units[lo:lo + batch_size]
-            try:
-                values = run_batch([u.payload for u in group])
-            except ReproError:
-                # The batched path is an optimization, never a verdict:
-                # demote the slice to the per-unit loop, which owns
-                # retry/backoff/quarantine.
-                report.errors += 1
-                report.retries += 1
-                sub_results, sub = run_serial(group, run_unit,
-                                              policy=policy,
-                                              record=record)
-                results.update(sub_results)
-                report.retries += sub.retries
-                report.errors += sub.errors
-                report.crashes += sub.crashes
-                report.quarantined.extend(sub.quarantined)
-                continue
-            for unit, value in zip(group, values):
-                results[unit.index] = ("ok", value)
-                if record is not None:
-                    record(unit, "ok", value)
-        report.seconds = round(time.monotonic() - started, 6)
-        return results, report
     rng = random.Random(policy.seed)
     report = SupervisionReport(mode="serial", jobs=1, units=len(units))
     results: dict = {}
     started = time.monotonic()
-    for unit in units:
+
+    def finish(unit, status, value):
+        results[unit.index] = (status, value)
+        if record is not None:
+            record(unit, status, value)
+
+    def run_alone(unit):
         attempts = 0
         while True:
             directive = (fault_plan.take(unit.index)
@@ -531,20 +506,35 @@ def run_serial(units, run_unit, *, policy=None, fault_plan=None,
                 if attempts > policy.max_retries:
                     detail = _quarantine_detail(unit, exc, attempts)
                     report.quarantined.append(detail)
-                    results[unit.index] = ("quarantined", detail)
-                    if record is not None:
-                        record(unit, "quarantined", detail)
-                    break
+                    return finish(unit, "quarantined", detail)
                 report.retries += 1
                 delay = min(policy.backoff_cap,
                             policy.backoff_base
                             * (2 ** max(0, attempts - 1)))
                 time.sleep(delay * (0.5 + rng.random()))
             else:
-                results[unit.index] = ("ok", value)
-                if record is not None:
-                    record(unit, "ok", value)
-                break
+                return finish(unit, "ok", value)
+
+    batching = (run_batch is not None and batch_size > 1
+                and fault_plan is None and len(units) > 1)
+    step = batch_size if batching else 1
+    for lo in range(0, len(units), step):
+        group = units[lo:lo + step]
+        if batching:
+            try:
+                values = run_batch([u.payload for u in group])
+            except ReproError:
+                # The batched path is an optimization, never a verdict:
+                # demote the slice to the per-unit path, which owns
+                # retry/backoff/quarantine.
+                report.errors += 1
+                report.retries += 1
+            else:
+                for unit, value in zip(group, values):
+                    finish(unit, "ok", value)
+                continue
+        for unit in group:
+            run_alone(unit)
     if fault_plan is not None:
         report.faults_injected = fault_plan.injected
     report.seconds = round(time.monotonic() - started, 6)

@@ -1,0 +1,205 @@
+"""One worker protocol and one journaled, supervised run over it.
+
+``repro.dse`` sweeps and ``Session.run_many`` batches are the same
+execution problem: a list of :class:`~repro.exec.supervisor.Unit`\\ s,
+an *evaluator* with ``evaluate(payload)`` / ``evaluate_batch(payloads)``
+(a shape adapter over :class:`repro.exec.replay.Replayer`), an optional
+checkpoint journal, and ``jobs`` worker processes.  :class:`JournaledRun`
+owns everything between the units and their outcomes: it serves
+journaled units from the (resumed) journal, runs the rest in-process
+(:func:`~repro.exec.supervisor.run_serial`, when no worker factory was
+given) or over a pool (:class:`~repro.exec.supervisor.Supervisor`)
+never wider than the work at hand, journals each outcome the moment it
+completes, synthesizes a structured outcome for units that exhaust
+their retries, and folds every call's report into one ``supervision``
+block.
+
+Pool workers build their evaluator once, in :func:`init_worker`, from a
+picklable factory; :func:`run_chunk` evaluates the supervisor's wire
+format against it.  Module-level state because pool tasks can only
+reach module globals.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+
+from .faults import apply_fault
+from .journal import CheckpointJournal
+from .supervisor import SupervisionReport, Supervisor, run_serial
+
+_EVALUATOR = None
+_BATCH_SIZE = 0
+
+
+def init_worker(factory, args: tuple, batch_size: int) -> None:
+    """Pool initializer: ``factory(*args)`` builds this worker's
+    evaluator (``factory`` must be importable by path)."""
+    global _EVALUATOR, _BATCH_SIZE
+    _EVALUATOR = factory(*args)
+    _BATCH_SIZE = batch_size
+
+
+def _run_segment(payloads: list) -> list:
+    """Evaluate a directive-free run of payloads, ``batch_size`` at a
+    time when the worker batches."""
+    if _BATCH_SIZE > 1 and len(payloads) > 1:
+        values: list = []
+        for lo in range(0, len(payloads), _BATCH_SIZE):
+            values.extend(_EVALUATOR.evaluate_batch(
+                payloads[lo:lo + _BATCH_SIZE]))
+        return values
+    return [_EVALUATOR.evaluate(payload) for payload in payloads]
+
+
+def run_chunk(wire) -> list:
+    """Supervised wire format: ``[(payload, fault_directive), ...]`` —
+    directives come from :class:`repro.exec.FaultPlan` and fire before
+    the evaluation they target, so a directive flushes the running
+    segment first and lands exactly where sequential evaluation would
+    put it."""
+    values: list = []
+    segment: list = []
+    for payload, directive in wire:
+        if directive is not None:
+            values.extend(_run_segment(segment))
+            segment = []
+            apply_fault(directive)
+        segment.append(payload)
+    values.extend(_run_segment(segment))
+    return values
+
+
+def _merge(acc: dict | None, report: dict) -> dict:
+    """Fold one call's supervision report into the running total."""
+    if acc is None:
+        return report
+    for key in ("units", "retries", "respawns", "splits", "timeouts",
+                "crashes", "errors", "solo_runs"):
+        acc[key] += report[key]
+    if report["mode"] == "pool":
+        acc["mode"] = "pool"
+    acc["jobs"] = max(acc["jobs"], report["jobs"])
+    acc["seconds"] = round(acc["seconds"] + report["seconds"], 6)
+    acc["quarantined"] += report["quarantined"]
+    return acc
+
+
+class JournaledRun:
+    """A supervised execution of units against one evaluator, across
+    any number of :meth:`run` calls (a search calls it once per round)
+    sharing one checkpoint journal, which leaving the context closes."""
+
+    def __init__(self, evaluator, *, jobs: int, batch_size: int, policy,
+                 fault_plan, encode, decode, quarantined,
+                 worker: tuple | None = None, checkpoint=None,
+                 identity: dict | None = None, resume: bool = False):
+        """Args:
+            evaluator: in-process evaluator, used without ``worker``.
+            jobs: widest pool to spawn (1 without ``worker``).
+            batch_size: payloads per ``evaluate_batch`` call (<= 1:
+                never batch).
+            encode / decode: outcome <-> journal document.
+            quarantined: ``(unit, detail) -> outcome`` for a unit that
+                exhausted its retries.
+            worker: ``(factory, args)`` building the same evaluator in
+                a pool worker; ``None`` keeps everything in-process.
+            checkpoint / identity / resume: the journal file, the
+                identity it must carry, and whether completed entries
+                may be reused.
+        """
+        self._evaluator = evaluator
+        self._worker = worker
+        self.jobs = max(1, jobs) if worker is not None else 1
+        self._batch_size = batch_size
+        self._policy = policy
+        self._fault_plan = fault_plan
+        self._encode = encode
+        self._decode = decode
+        self._quarantined = quarantined
+        self._checkpoint = checkpoint
+        self._journal = None
+        self._restored: dict = {}
+        if checkpoint is not None:
+            self._journal, self._restored = CheckpointJournal.open(
+                checkpoint, identity, resume=resume)
+        self._report: dict | None = None
+        #: units served from the journal so far
+        self.resumed = 0
+
+    def __enter__(self) -> "JournaledRun":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._journal is not None:
+            self._journal.close()
+
+    def mark(self, key: str, doc: dict) -> None:
+        """Journal a non-unit line (round markers)."""
+        if self._journal is not None:
+            self._journal.append(key, doc)
+
+    def _outcome(self, unit, status, value):
+        return value if status == "ok" else self._quarantined(unit, value)
+
+    def _record(self, unit, status, value) -> None:
+        self._journal.append(
+            unit.key, self._encode(self._outcome(unit, status, value)))
+
+    def run(self, units) -> tuple:
+        """``(outcomes, restored)``: one outcome per unit, in order —
+        decoded from the journal where it has the unit's key, evaluated
+        otherwise — and how many came from the journal."""
+        pending = [u for u in units if u.key not in self._restored]
+        restored = len(units) - len(pending)
+        self.resumed += restored
+        results: dict = {}
+        if pending:
+            record = self._record if self._journal is not None else None
+            if self._worker is None:
+                evaluator = self._evaluator
+                results, report = run_serial(
+                    pending, evaluator.evaluate, policy=self._policy,
+                    fault_plan=self._fault_plan, record=record,
+                    run_batch=(evaluator.evaluate_batch
+                               if self._batch_size > 1 else None),
+                    batch_size=self._batch_size)
+            else:
+                # A pool even for one pending unit: only a second
+                # process enforces the deadline and survives a crash.
+                width = min(self.jobs, len(pending))
+                results, report = Supervisor(
+                    lambda: ProcessPoolExecutor(
+                        max_workers=width, initializer=init_worker,
+                        initargs=(*self._worker, self._batch_size)),
+                    run_chunk, jobs=width, policy=self._policy,
+                    fault_plan=self._fault_plan, record=record,
+                ).run(pending)
+            self._report = _merge(self._report, report.to_json())
+        return [
+            self._outcome(unit, *results[unit.index])
+            if unit.index in results
+            else self._decode(self._restored[unit.key])
+            for unit in units
+        ], restored
+
+    def supervision(self) -> dict:
+        """The provenance block: the merged
+        :class:`~repro.exec.supervisor.SupervisionReport` JSON plus
+        ``resumed`` / ``checkpoint``."""
+        doc = self._report
+        if doc is None:
+            # Everything came from the journal: nothing ran, but the
+            # provenance shape stays stable.
+            doc = SupervisionReport(
+                mode="serial" if self._worker is None else "pool",
+                jobs=self.jobs).to_json()
+        if self._fault_plan is not None:
+            # Each call's report carries the plan's cumulative counter;
+            # the total is the plan's, not the per-call sum.
+            doc["faults_injected"] = self._fault_plan.injected
+        doc["resumed"] = self.resumed
+        doc["checkpoint"] = (os.fspath(self._checkpoint)
+                             if self._checkpoint is not None else None)
+        return doc

@@ -47,6 +47,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from ..api.batch import serve_depths
 from ..errors import (
     DeadlineError,
     DeadlockError,
@@ -485,16 +486,13 @@ class ReproService:
                     raise
                 # The declared depths deadlock; the requested override
                 # may not — a full run at those depths decides.
+                base, capture = None, "none"
+            if depths:
                 result = await self._in_worker(
-                    session.run, engine="omnisim", executor=executor,
-                    depths=depths)
-                capture, serving = "none", "full"
+                    serve_depths, session, base, depths, executor)
+                serving = result.phase_seconds["serving"]
             else:
-                if depths:
-                    result, serving = await self._in_worker(
-                        _serve_depths, session, executor, depths)
-                else:
-                    result, serving = base, "baseline"
+                result, serving = base, "baseline"
         else:
             result = await self._in_worker(
                 session.run, engine=req.engine, executor=executor,
@@ -619,34 +617,6 @@ class ReproService:
             design=session.name, digest=digest, modules=modules,
             seconds=round(time.perf_counter() - t0, 6),
         ))
-
-
-def _serve_depths(session, executor, depths):
-    """Serve an OmniSim run at depth overrides from the warm baseline:
-    incremental replay first, one full re-simulation on divergence
-    (worker thread; mirrors ``cli._run_from_trace``)."""
-    from ..errors import ConstraintViolation, SimulationError
-
-    base = session.baseline(executor=executor)
-    try:
-        inc = session.resimulate(depths, executor=executor)
-    except ConstraintViolation:
-        return (session.run(engine="omnisim", executor=executor,
-                            depths=depths), "full")
-    except DeadlockError:
-        raise  # a true deadlock at the requested depths IS the answer
-    except SimulationError:
-        # replay went cyclic/invalid: let a real run diagnose it
-        return (session.run(engine="omnisim", executor=executor,
-                            depths=depths), "full")
-    return dataclasses.replace(
-        base,
-        cycles=inc.cycles,
-        module_end_times=dict(inc.module_end_times),
-        execute_seconds=inc.seconds,
-        frontend_seconds=0.0,
-        phase_seconds=dict(base.phase_seconds, serving="incremental"),
-    ), "incremental"
 
 
 # ---------------------------------------------------------------------------

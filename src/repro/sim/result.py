@@ -97,30 +97,3 @@ class SimulationResult:
         for name, value in sorted(self.scalars.items()):
             parts.append(f"{name}={value}")
         return "  ".join(parts)
-
-
-def portable_reference(result: SimulationResult) -> SimulationResult:
-    """Strip a captured run down to what incremental replay needs.
-
-    The columnar trace artifact is all a replay needs, so it ships
-    alone (built here from the graph if no replay has derived it yet;
-    its CSR static-edge columns travel with it, so pool workers never
-    rebuild them).  Results with no replay state ship the object graph
-    + constraints + FIFO channels as before.  Functional outputs and
-    stats are dropped either way so the pickle shipped to ``repro.dse``
-    pool workers stays small.  (``Session.run_many`` workers
-    intentionally ship the *full* baseline instead: incrementally served
-    batch results inherit its scalars/buffers, which this strips.)
-    """
-    from ..trace.columnar import replay_trace
-
-    has_trace = replay_trace(result) is not None
-    return SimulationResult(
-        design_name=result.design_name,
-        simulator=result.simulator,
-        cycles=result.cycles,
-        graph=None if has_trace else result.graph,
-        constraints=[] if has_trace else result.constraints,
-        fifo_channels={} if has_trace else result.fifo_channels,
-        trace=result.trace,
-    )

@@ -315,7 +315,8 @@ class TestCheckpointResume:
                                            tmp_path, jobs):
         full = tmp_path / "full.jsonl"
         session.sweep(SPACE, checkpoint=str(full))
-        assert len(full.read_bytes().splitlines()) == 1 + 6
+        # header + six configs + the round:1 marker
+        assert len(full.read_bytes().splitlines()) == 1 + 6 + 1
 
         part = tmp_path / f"part{jobs}.jsonl"
         truncate_journal(full, part, completed_lines=3)
@@ -326,8 +327,8 @@ class TestCheckpointResume:
         assert sup["resumed"] == 3
         assert sup["units"] == 3            # only pending configs ran
         assert sup["checkpoint"] == str(part)
-        # journal now holds header + all six configs
-        assert len(part.read_bytes().splitlines()) == 1 + 6
+        # journal now holds header + all six configs + the round marker
+        assert len(part.read_bytes().splitlines()) == 1 + 6 + 1
 
     def test_resume_of_complete_journal_runs_nothing(self, session,
                                                      clean_points,
@@ -340,6 +341,25 @@ class TestCheckpointResume:
         assert result.supervision["resumed"] == 6
         assert result.supervision["units"] == 0
         assert path.read_bytes() == before   # nothing re-journaled
+
+    def test_one_pending_unit_keeps_the_deadline(self, session,
+                                                 clean_points, tmp_path):
+        # jobs > 1 promises a deadline and crash isolation; a resume
+        # (or a polish round) with a single pending config must not
+        # quietly fall back to in-process evaluation, which has neither.
+        full = tmp_path / "full.jsonl"
+        session.sweep(SPACE, checkpoint=str(full))
+        part = tmp_path / "part.jsonl"
+        truncate_journal(full, part, completed_lines=5)
+        result = session.sweep(SPACE, jobs=2, timeout=1.0,
+                               faults="hang@5:1:30", checkpoint=str(part),
+                               resume=True)
+        assert semantic(result.points) == clean_points
+        sup = result.supervision
+        assert sup["mode"] == "pool" and sup["jobs"] == 1
+        assert sup["units"] == 1 and sup["resumed"] == 5
+        assert sup["timeouts"] == 1 and sup["respawns"] >= 1
+        assert sup["seconds"] < 15
 
     def test_identity_guard(self, session, tmp_path):
         path = tmp_path / "ck.jsonl"
@@ -422,7 +442,7 @@ class TestKillAndResume:
         assert resumed.quarantined_count == 0
         clean = Session.open("fig4_ex5").sweep(SPACE)
         assert semantic(resumed.points) == semantic(clean.points)
-        assert len(journal.read_bytes().splitlines()) == 1 + 6
+        assert len(journal.read_bytes().splitlines()) == 1 + 6 + 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 
 from repro import compile_design
 from repro.api import Session
-from repro.api.batch import chunk_contiguous, normalize_config
+from repro.api.batch import normalize_config
 from repro.errors import UnknownEngineError, UnknownFifoError
+from repro.exec import chunk_contiguous
 from tests.conftest import make_nb_design
 
 #: fig4_ex5 depth variations chosen to exercise *both* serving paths:
@@ -58,6 +59,18 @@ class TestDifferential:
         batch = session.run_many(STRESS_CONFIGS, jobs=1)
         servings = {r.phase_seconds["serving"] for r in batch}
         assert servings == {"incremental", "full"}
+
+    def test_phase_seconds_keys_same_serial_and_pool(self, session):
+        # pool workers rebuild the baseline from the shipped artifact;
+        # what a served result reports must not depend on that
+        def keys(batch):
+            return {r.phase_seconds["serving"]: sorted(r.phase_seconds)
+                    for r in batch}
+
+        serial = keys(session.run_many(STRESS_CONFIGS, jobs=1))
+        assert serial == keys(session.run_many(STRESS_CONFIGS, jobs=2))
+        assert serial["incremental"] == ["mode", "replay_seconds",
+                                         "serving"]
 
     def test_mixed_engines(self, session):
         configs = [{"engine": "omnisim"}, {"engine": "cosim"},

@@ -25,15 +25,18 @@ from repro.api import Session
 from repro.cli import main as cli_main
 from repro.designs import registry
 from repro.dse import (
+    STRATEGIES,
     DepthSpace,
     RandomStrategy,
     RefineStrategy,
+    SearchStrategy,
     explore,
     make_strategy,
     pareto_vectors,
     parse_axis,
 )
-from repro.errors import DseError
+from repro.dse.explorer import _run_rounds
+from repro.errors import CheckpointError, DseError
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +183,78 @@ class TestRandomSynthetic:
         strategy.observe([(c, _Point(10, 1)) for c in batch])
         assert strategy.next_batch(100) == []
 
-    def test_make_strategy_rejects_unknown_and_exhaustive(self):
+    def test_make_strategy_builds_every_name_rejects_unknown(self):
         space = DepthSpace.parse(["a=1:4"])
+        for name in STRATEGIES:
+            assert make_strategy(name, space).name == name
         assert isinstance(make_strategy("refine", space), RefineStrategy)
         with pytest.raises(DseError):
-            make_strategy("exhaustive", space)
-        with pytest.raises(DseError):
             make_strategy("anneal", space)
+
+
+# ---------------------------------------------------------------------------
+# the round driver, against a stub executor
+
+
+class _StubRun:
+    """What ``_run_rounds`` needs of a ``JournaledRun``."""
+
+    resumed = 0
+
+    def __init__(self):
+        self.units: list = []
+
+    def run(self, units):
+        self.units.extend(units)
+        return [_Point(100 - sum(u.payload.values()), 1)
+                for u in units], 0
+
+    def mark(self, key, doc):
+        pass
+
+
+class _EchoStrategy(SearchStrategy):
+    """Proposes the whole grid forwards then backwards in one round."""
+
+    name = "echo"
+
+    def next_batch(self, remaining):
+        if self.done:
+            return []
+        self.done = True
+        configs = list(self.space.configurations())
+        return configs + configs[::-1]
+
+
+class TestRoundDriver:
+    def test_duplicates_within_a_round_evaluate_once(self):
+        space = DepthSpace.parse(["a=1:40", "b=1:40"])
+        run = _StubRun()
+        points, search = _run_rounds(_EchoStrategy(space), run,
+                                     space.size, None)
+        assert len(points) == space.size == len(run.units)
+        assert len({u.key for u in run.units}) == space.size
+        assert [u.index for u in run.units] == list(range(space.size))
+        assert search["rounds"][0]["proposed"] == space.size
+        assert search["evals"]["spent"] == space.size
+
+    def test_exhaustive_strategy_is_one_round_in_grid_order(self):
+        space = DepthSpace.parse(["a=1:3", "b=2,5"])
+        run = _StubRun()
+        _points, search = _run_rounds(
+            make_strategy("exhaustive", space), run, space.size, None)
+        assert ([u.payload for u in run.units]
+                == list(space.configurations()))
+        assert len(search["rounds"]) == 1
+        assert (search["stopped"], search["converged"]) == (
+            "complete", True)
+
+    def test_capped_exhaustive_is_the_seeded_sample(self):
+        space = DepthSpace.parse(["a=1:8", "b=1:8"])
+        run = _StubRun()
+        _run_rounds(make_strategy("exhaustive", space, seed=3, cap=5),
+                    run, space.size, 5)
+        assert [u.payload for u in run.units] == space.sample(5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +339,32 @@ class TestExploreAdaptive:
             session.sweep(DepthSpace.parse(["fifo2=1:8"]),
                           strategy="anneal")
 
+    def test_pool_never_wider_than_the_round(self, monkeypatch):
+        # refine on fifo2=1:6 opens with a 3-config grid and follows
+        # with smaller rounds: jobs=8 must not spawn 8 workers that
+        # each load the baseline.
+        from repro.exec import worker
+
+        widths = []
+        real = worker.ProcessPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            widths.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(worker, "ProcessPoolExecutor", recording)
+        session = Session.open("fig4_ex5", n=100)
+        space = DepthSpace.parse(["fifo2=1:6"])
+        sweep = session.sweep(space, strategy="refine", jobs=8)
+        rounds = sweep.search["rounds"]
+        assert widths and max(widths) <= max(r["evaluated"]
+                                             for r in rounds) <= 3
+        assert sweep.supervision["jobs"] == max(widths) == sweep.jobs
+        assert sweep.supervision["rounds"] == len(rounds)
+        clean = session.sweep(space, strategy="refine")
+        assert ([p.cycles for p in sweep.points]
+                == [p.cycles for p in clean.points])
+
     def test_million_config_space_stays_lazy(self):
         session = Session.open("fig4_ex5", n=100)
         space = DepthSpace.parse(["fifo1=1:1024", "fifo2=1:1024"])
@@ -333,9 +427,31 @@ class TestAdaptiveResume:
         session.sweep(space, strategy="refine", checkpoint=journal)
         # Resuming the same journal with a different strategy must be
         # rejected as an identity mismatch, not silently reused.
-        with pytest.raises(Exception, match="ident|match|differ"):
+        with pytest.raises(CheckpointError, match="identity"):
             session.sweep(space, strategy="random", checkpoint=journal,
                           resume=True)
+        # exhaustive <-> refine, in both directions
+        with pytest.raises(CheckpointError, match="identity"):
+            session.sweep(space, checkpoint=journal, resume=True)
+        plain = tmp_path / "plain.jsonl"
+        session.sweep(space, checkpoint=plain)
+        with pytest.raises(CheckpointError, match="identity"):
+            session.sweep(space, strategy="refine", checkpoint=plain,
+                          resume=True)
+        # a capped exhaustive sweep covers other configs than the grid
+        with pytest.raises(CheckpointError, match="identity"):
+            session.sweep(space, max_evals=3, checkpoint=plain,
+                          resume=True)
+        capped = tmp_path / "capped.jsonl"
+        session.sweep(space, samples=3, checkpoint=capped)
+        with pytest.raises(CheckpointError, match="identity"):
+            session.sweep(space, checkpoint=capped, resume=True)
+        # ... while a cap that covers the space is the uncapped sweep,
+        # and an adaptive budget is not part of the identity at all
+        session.sweep(space, max_evals=space.size, checkpoint=plain,
+                      resume=True)
+        session.sweep(space, strategy="refine", max_evals=4,
+                      checkpoint=journal, resume=True)
 
     def test_sigkill_mid_round_then_resume_matches_clean(self, tmp_path,
                                                          monkeypatch):

@@ -21,10 +21,10 @@ import pytest
 from repro import compile_design, designs
 from repro.api import Session
 from repro.errors import ConstraintViolation, DeadlockError, SimulationError
+from repro.exec.replay import load_reference, ship_reference
 from repro.sim.graph import SimulationGraph
 from repro.sim.incremental import resimulate, resimulate_object
 from repro.sim.registry import run_engine
-from repro.sim.result import portable_reference
 from repro.trace import (
     TraceArtifact,
     artifact_digest,
@@ -179,11 +179,11 @@ class TestWorkerNoRebuild:
 
     def _shipped_clone(self):
         session = Session.open("fig4_ex5", n=120)
-        base = session.baseline()
-        reference = portable_reference(base)
-        assert reference.graph is None, "trace replaces the graph"
-        reference.trace.ensure_static()  # what explore/run_many do
-        return pickle.loads(pickle.dumps(reference))
+        shipped = ship_reference(session, session.baseline())
+        assert shipped[0] == "artifact", "the trace ships alone"
+        clone = load_reference(pickle.loads(pickle.dumps(shipped)))
+        assert clone.graph is None, "trace replaces the graph"
+        return clone
 
     def test_pool_reference_never_rebuilds_static_edges(self, monkeypatch):
         clone = self._shipped_clone()
