@@ -118,10 +118,6 @@ def main() -> None:
           f"({sweep['configs']} configurations):")
     print(f"  per-config retime, cached static edges : "
           f"{fmt_seconds(sweep['retime_sec_per_config_cached'])}")
-    print(f"  per-config retime, edges rebuilt       : "
-          f"{fmt_seconds(sweep['retime_sec_per_config_uncached'])}")
-    print(f"  cache speedup                          : "
-          f"{sweep['retime_cache_speedup']:.1f}x")
     print(f"  incremental re-simulations             : "
           f"{sweep['resimulations_per_sec']:,.0f} configs/s "
           f"({sweep['sweeps_per_sec']:,.1f} full sweeps/s)")

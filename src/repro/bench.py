@@ -10,8 +10,7 @@ repository's performance trajectory file.  Three headline metrics:
 * **cycles simulated/sec** — simulated hardware cycles per wall-clock
   second;
 * **retime sweeps/sec** — incremental re-simulations per second across a
-  FIFO depth sweep (paper Table 6), with the cached static-edge build
-  compared against a from-scratch rebuild per configuration;
+  FIFO depth sweep (paper Table 6);
 * **DSE configs/sec** — end-to-end depth-space exploration throughput
   through ``repro.dse.explore`` (incremental-first with fallback),
   including the incremental-vs-full split, Pareto frontier size, and
@@ -24,9 +23,8 @@ repository's performance trajectory file.  Three headline metrics:
   worker once; the "api" section records the jobs>1 speedup);
 * **trace artifact** — cold (compile + capture + serialize) vs warm
   (content-addressed load) baseline acquisition through the
-  ``repro.trace`` cache, plus flat-column vs object-graph retime
-  throughput (the "trace" section; warm must be >= 5x cold and the
-  columnar retime must not regress the PR 1 edge-cached baseline);
+  ``repro.trace`` cache, plus the artifact's retime throughput (the
+  "trace" section; warm must be >= 5x cold);
 * **service latency** — a live ``repro serve`` instance hit over real
   HTTP from persistent-connection clients: cold (compile + capture)
   request latency vs warm (pooled in-memory baseline) p50/p99 at
@@ -152,8 +150,7 @@ SMOKE_API_BATCHES = [
 ]
 
 #: (design, params, swept fifo, depth range) for the trace-artifact
-#: benchmark: cold vs warm baseline acquisition and flat vs object
-#: retime throughput.
+#: benchmark: cold vs warm baseline acquisition and retime throughput.
 TRACE_BENCHES = [
     ("fig4_ex5", {"n": 800}, "fifo2", range(3, 35)),
 ]
@@ -232,24 +229,19 @@ def bench_design(name: str, params: dict, repeats: int = 3) -> dict:
 
 
 def bench_retime(name: str, params: dict, fifo: str, depth_range) -> dict:
-    """Per-configuration retime cost across a depth sweep, cached static
-    edges vs a from-scratch edge rebuild per configuration."""
+    """Per-configuration retime and resimulate cost across a depth
+    sweep (static edges built once, outside the timed loops)."""
     result = Session.open(name, trace_cache=False,
                           **params).baseline(executor="compiled")
     graph = result.graph
     base_depths = {n: ch.depth for n, ch in result.fifo_channels.items()}
     configs = [dict(base_depths, **{fifo: d}) for d in depth_range]
 
-    graph.retime(configs[0])  # warm the static-edge cache
+    graph.retime(configs[0])  # build the static edges once
     start = time.perf_counter()
     for depths in configs:
         graph.retime(depths)
     cached = (time.perf_counter() - start) / len(configs)
-
-    start = time.perf_counter()
-    for depths in configs:
-        graph.retime(depths, use_cache=False)
-    uncached = (time.perf_counter() - start) / len(configs)
 
     # Full incremental re-simulations (retime + constraint revalidation).
     violations = 0
@@ -267,8 +259,6 @@ def bench_retime(name: str, params: dict, fifo: str, depth_range) -> dict:
         "configs": len(configs),
         "constraint_violations": violations,
         "retime_sec_per_config_cached": round(cached, 6),
-        "retime_sec_per_config_uncached": round(uncached, 6),
-        "retime_cache_speedup": round(uncached / cached, 2),
         "resimulate_sec_per_config": round(resim, 6),
         #: single-configuration incremental re-simulations per second
         "resimulations_per_sec": round(1.0 / resim, 1),
@@ -562,17 +552,12 @@ def bench_trace(name: str, params: dict, fifo: str, depth_range,
                 repeats: int = 3) -> dict:
     """Trace-artifact layer throughput (the ``repro.trace`` story).
 
-    Two comparisons:
-
-    * **cold vs warm capture** — a cold ``Session.baseline()`` pays
-      compile + capture + serialize-to-cache; a warm one in a fresh
-      session loads the columnar artifact by content digest (no
-      compile, no capture, no static-edge build).  The acceptance bar
-      is warm >= 5x cold.
-    * **flat vs object retime** — the columnar
-      ``TraceArtifact.retime`` against the PR 1 edge-cached
-      ``SimulationGraph.retime`` over the same depth sweep (both
-      warmed); the flat path must not regress the object baseline.
+    **Cold vs warm capture** — a cold ``Session.baseline()`` pays
+    compile + capture + serialize-to-cache; a warm one in a fresh
+    session loads the columnar artifact by content digest (no compile,
+    no capture, no static-edge build).  The acceptance bar is warm >=
+    5x cold.  Also records ``TraceArtifact.retime``/``resimulate``
+    throughput over a depth sweep of the captured artifact.
     """
     import tempfile
 
@@ -605,25 +590,12 @@ def bench_trace(name: str, params: dict, fifo: str, depth_range,
             cold_session.trace_store.path(cold_session.trace_digest())
         )
 
-    graph = base.graph
     trace = base.trace
     base_depths = {n: ch.depth for n, ch in base.fifo_channels.items()}
     configs = [dict(base_depths, **{fifo: d}) for d in depth_range]
-    graph.retime(configs[0])    # warm the object static-edge cache
-    trace.retime(configs[0])    # warm the columnar iteration view
-    check(graph.retime(configs[-1]) == trace.retime(configs[-1]),
-          "flat and object retimes diverged")
-
-    # Interleaved best-of with more rounds than the capture timings:
-    # the two loops run the same algorithm over the same sweep, so the
-    # ratio sits near 1 and needs low-noise floors to be meaningful.
-    object_sec = flat_sec = float("inf")
+    trace.retime(configs[0])    # warm the iteration view
+    flat_sec = float("inf")
     for _ in range(max(repeats, 7)):
-        start = time.perf_counter()
-        for depths in configs:
-            graph.retime(depths)
-        object_sec = min(object_sec,
-                         (time.perf_counter() - start) / len(configs))
         start = time.perf_counter()
         for depths in configs:
             trace.retime(depths)
@@ -652,9 +624,7 @@ def bench_trace(name: str, params: dict, fifo: str, depth_range,
         "cache_misses": 1,
         "hit_rate": round(repeats / (repeats + 1), 4),
         "artifact_bytes": artifact_bytes,
-        "retime_sec_per_config_object": round(object_sec, 6),
         "retime_sec_per_config_flat": round(flat_sec, 6),
-        "flat_vs_object_retime": round(object_sec / flat_sec, 2),
         "flat_resimulations_per_sec": round(1.0 / resim, 1),
     }
 
@@ -896,9 +866,7 @@ def run_bench(smoke: bool = False, echo=print) -> dict:
         report["retime"][name] = entry
         echo(
             f"  {entry['resimulations_per_sec']:,.0f} re-simulations/s"
-            f" ({entry['sweeps_per_sec']:,.1f} full sweeps/s), cached"
-            f" retime {entry['retime_cache_speedup']:.1f}x faster than"
-            f" rebuild"
+            f" ({entry['sweeps_per_sec']:,.1f} full sweeps/s)"
         )
     for label, name, params, specs in dse_sweeps:
         echo(f"dse sweep {label} ({', '.join(specs)}) ...")
@@ -984,8 +952,8 @@ def run_bench(smoke: bool = False, echo=print) -> dict:
             f" cold ({entry['capture_warm_seconds'] * 1000:.1f} ms vs"
             f" {entry['capture_cold_seconds'] * 1000:.1f} ms,"
             f" {entry['artifact_bytes'] / 1024:.0f} KiB on disk),"
-            f" flat retime {entry['flat_vs_object_retime']:.2f}x the"
-            f" object path"
+            f" retime"
+            f" {entry['retime_sec_per_config_flat'] * 1e6:,.0f} us/config"
         )
     for name, params, levels, n_requests in service_benches:
         echo(f"service {name} (concurrency {'/'.join(map(str, levels))})"

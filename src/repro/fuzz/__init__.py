@@ -9,8 +9,9 @@ into an adversary:
 * :mod:`~repro.fuzz.coverage` — line-arc coverage over the engine hot
   paths (``sys.monitoring`` / ``settrace``), the novelty signal;
 * :mod:`~repro.fuzz.differential` — three-way agreement checks:
-  engines (compiled / interpreted / cosim), retiming (columnar vs
-  object oracle), batch (vectorized rows vs scalar);
+  engines (compiled / interpreted / cosim), retiming (accepted
+  replays vs a full run at the new depths), batch (vectorized rows vs
+  scalar);
 * :mod:`~repro.fuzz.minimize` — greedy, deterministic shrinking of a
   diverging spec;
 * :mod:`~repro.fuzz.campaign` — the AFL-shaped loop gluing it all

@@ -30,11 +30,10 @@ import sys
 
 #: engine modules whose internal control flow guides the fuzzer — the
 #: hot paths the tentpole names: query resolution, commit edges,
-#:  deadlock diagnosis, incremental/vectorized retiming.
+#:  deadlock diagnosis, scalar (columnar) and vectorized retiming.
 TARGET_MODULES = (
     "repro.sim.omnisim",
     "repro.sim.cosim",
-    "repro.sim.incremental",
     "repro.sim.ledger",
     "repro.runtime.fifo",
     "repro.trace.columnar",

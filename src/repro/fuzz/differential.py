@@ -9,10 +9,12 @@ observable behaviour:
   cycle count, scalar outputs, buffer contents and AXI memory images
   (or all report the same failure kind — "every engine deadlocks" is
   agreement; *divergent* deadlocks are findings);
-* **retiming legs** — the columnar trace artifact's ``resimulate`` and
-  the object-graph oracle :func:`repro.sim.incremental.
-  resimulate_object` must agree, per depth configuration, on cycles /
-  ``ConstraintViolation`` / error kind;
+* **retiming legs** — per depth configuration, every replay the trace
+  artifact's ``resimulate`` *accepts* must equal a full OmniSim run at
+  those depths on cycles and per-module end times (the paper's Table 6
+  identity); a declined replay (``ConstraintViolation`` / deadlocking
+  configuration) is the contract, a full-run deadlock where replay said
+  "ok" is a finding;
 * **batch legs** — every non-``None`` row of
   :func:`repro.trace.vectorized.resimulate_batch` must be bit-for-bit
   the scalar columnar answer for that row; a declined row or a
@@ -37,7 +39,6 @@ from ..errors import (
     SimulationError,
     UnsupportedDesignError,
 )
-from ..sim.incremental import resimulate_object
 from ..sim.registry import run_engine
 from ..trace.columnar import replay_trace
 from ..trace.vectorized import batch_supported, resimulate_batch
@@ -126,12 +127,14 @@ def _retime_configs(depths: dict) -> list:
     return unique
 
 
-def _incremental_outcome(thunk):
+def _timing_outcome(thunk):
+    """:func:`_outcome` of a replay or a full run, reduced to what both
+    must share at the same depths: cycles and per-module end times."""
     out = _outcome(thunk)
     if out[0] != "ok":
         return out
-    inc = out[1]
-    return ("ok", inc.cycles, tuple(sorted(inc.depths.items())))
+    return ("ok", out[1].cycles,
+            tuple(sorted(out[1].module_end_times.items())))
 
 
 def run_differential(spec, *, max_cycles: int = DEFAULT_MAX_CYCLES
@@ -188,27 +191,27 @@ def run_differential(spec, *, max_cycles: int = DEFAULT_MAX_CYCLES
         # (possibly on a shared deadlock) is the whole verdict.
         return DifferentialReport(divergence=None, legs=legs)
 
-    # -- retiming legs: columnar vs object-graph oracle -----------------
+    # -- retiming legs: accepted replays vs a full run at the depths ----
     art = replay_trace(baseline)
-    depths = {name: ch.depth
-              for name, ch in baseline.fifo_channels.items()}
-    configs = _retime_configs(depths)
+    configs = _retime_configs(art.depths)
     scalar_outcomes = []
     for i, config in enumerate(configs):
-        col = _incremental_outcome(lambda: art.resimulate(config))
-        obj = _incremental_outcome(
-            lambda: resimulate_object(baseline, config))
-        scalar_outcomes.append(col)
-        if col != obj:
-            legs[f"retime[{i}].columnar"] = col
-            legs[f"retime[{i}].object"] = obj
+        replay = _timing_outcome(lambda: art.resimulate(config))
+        scalar_outcomes.append(replay)
+        if replay[0] in ("constraint", "failure"):
+            continue  # replay declined -> full re-simulation, by contract
+        full = _timing_outcome(
+            lambda: run_engine("omnisim", compiled, depths=config))
+        if replay != full:
+            found = {f"retime[{i}].replay": replay,
+                     f"retime[{i}].full": full}
+            legs.update(found)
             return DifferentialReport(
                 divergence=Divergence(
                     kind="retiming",
-                    detail=(f"columnar vs object resimulate disagree "
+                    detail=(f"accepted replay != full OmniSim run "
                             f"on config {config!r}"),
-                    legs={f"retime[{i}].columnar": col,
-                          f"retime[{i}].object": obj}),
+                    legs=found),
                 legs=legs, configs_checked=i + 1)
 
     # -- batch legs: vectorized rows vs the scalar columnar answers -----
@@ -226,7 +229,7 @@ def run_differential(spec, *, max_cycles: int = DEFAULT_MAX_CYCLES
         for i, row in enumerate(rows[1]):
             if row is None:
                 continue  # declined row -> scalar fallback, by contract
-            got = ("ok", row.cycles, tuple(sorted(row.depths.items())))
+            got = _timing_outcome(lambda: row)
             if got != scalar_outcomes[i]:
                 return DifferentialReport(
                     divergence=Divergence(

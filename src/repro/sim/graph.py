@@ -1,43 +1,23 @@
-"""Partial simulation graph: adjacency-list event graph (paper 7.3.1).
+"""Partial simulation graph: the append-only event recorder (paper 7.3.1).
 
-Nodes are committed hardware events carrying their timing-segment metadata
-(segment serial, segment base, nominal cycle).  Retiming derives edges
-from structure rather than storing them per node:
+Nodes are committed hardware events carrying their timing-segment
+metadata (segment serial, segment base, nominal cycle); the FIFO / AXI
+node tables register which nodes are the N-th access of each channel
+port.  The engines write into this structure while they execute — during
+an OmniSim run node times are assigned eagerly (the engine *is* the
+incremental longest-path computation).
 
-* **intra-segment chains**: consecutive events of one segment, weight =
-  offset difference (in-order pipeline within an iteration);
-* **segment propagation**: a virtual "segment end" node per segment
-  collects ``commit - offset`` of its members (the iteration's *effective
-  start*), and feeds the next segment's events with weight
-  ``base_next - base_prev + offset`` — elastic pipelined-iteration timing;
-* **RAW** (write #r -> read #r, weight 1) and **WAR**
-  (read #(w-S) -> write #w, weight 1) FIFO edges, re-derived per depth
-  configuration — non-blocking accesses never stall, so they receive no
-  incoming FIFO edges (their consistency is checked via constraints);
-* **port serialization**: consecutive accesses on one FIFO port (or AXI
-  channel) are one cycle apart minimum — including failed NB attempts;
-* **AXI latency** edges: request -> beat (latency + beat offset), last
-  beat -> write response (write latency).
-
-During OmniSim execution node times are assigned eagerly (the engine *is*
-the incremental longest-path computation); ``retime`` recomputes them from
-scratch for new FIFO depths — the core of incremental re-simulation
-(paper 7.2).
-
-Of the edge classes above, only **WAR** depends on the FIFO depths; every
-other edge is a function of the recorded execution alone.  ``retime``
-therefore builds the depth-independent edges exactly once per graph
-(flattened CSR arrays, cached until nodes are appended) and overlays the
-per-depth WAR edges on each call, so a depth sweep pays O(WAR edges)
-construction per configuration instead of O(graph).
+Recomputing the times under new FIFO depths — the core of incremental
+re-simulation (paper 7.2) — is not done here: edges are derived from the
+recorded structure by the one scalar retiming kernel,
+:class:`repro.trace.columnar.TraceArtifact` (edge classes, static/overlay
+split and the all-depth order are documented there and in DESIGN section
+14).  :meth:`SimulationGraph.retime` is a delegation to that kernel.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-
-from ..errors import SimulationError
 
 #: Node kinds relevant to retiming.
 K_OTHER = 0      # start/end/trace and failed queries (never stall)
@@ -77,29 +57,8 @@ class AxiNodeTable:
     write_latency: int = 6
 
 
-@dataclass
-class _StaticEdges:
-    """Depth-independent half of the retiming graph.
-
-    ``total`` counts real plus virtual (segment-end) nodes;
-    ``succ_pairs[u]`` is the flattened ``((succ, weight), ...)``
-    adjacency of node ``u`` (built via a CSR pass, which is construction
-    scratch and not retained); ``indegree`` and ``base`` are the Kahn
-    seed values before the per-depth WAR overlay is applied.
-    """
-
-    node_count: int              # real nodes covered by this build
-    total: int                   # real + virtual
-    succ_pairs: list
-    indegree: list
-    base: list
-    #: topological order valid for *every* depth configuration >= 1, or
-    #: None when the depth-1 ordering graph is cyclic (see _build_order)
-    order: list | None = None
-
-
 class SimulationGraph:
-    """Append-only event graph with recomputable timing."""
+    """Append-only event graph: what the engines record into."""
 
     def __init__(self):
         # Parallel arrays per node (adjacency-list style, 7.3.1).
@@ -120,26 +79,9 @@ class SimulationGraph:
         #: fifo name -> element width in bits (for buffer-cost estimates);
         #: populated by the engine from the design's stream declarations
         self.fifo_widths: dict[str, int] = {}
-        #: cached depth-independent edges (rebuilt when nodes are added)
-        self._static_edges: _StaticEdges | None = None
-
-    # ------------------------------------------------------------------
-    # cross-process reuse
-    #
-    # Cross-process shipping goes through the columnar trace artifact
-    # (repro.trace), which carries its CSR static-edge columns with it —
-    # pool workers never rebuild them.  The object graph itself is no
-    # longer shipped on the hot paths; when it is pickled (tests, ad-hoc
-    # tooling) the static-edge cache is still dropped: it is pure
-    # derived state, by far the largest attachment, and the receiving
-    # process rebuilds a consistent cache on first retime.
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_static_edges"] = None
-        return state
-
-    # ------------------------------------------------------------------
+        #: columnar view :meth:`retime` delegates to (rebuilt when nodes
+        #: are appended)
+        self._retime_view = None
 
     def module_id(self, name: str) -> int:
         mid = self._module_ids.get(name)
@@ -182,261 +124,20 @@ class SimulationGraph:
     def node_count(self) -> int:
         return len(self.time)
 
-    # ------------------------------------------------------------------
-    # retiming under new FIFO depths (incremental simulation core)
-
-    def _build_static_edges(self, build_order: bool = True) -> _StaticEdges:
-        """Build every depth-independent edge once.
-
-        Covers the intra-segment chains, segment propagation via virtual
-        segment-end nodes, RAW FIFO edges, port-serialization chains and
-        all AXI edges; only the WAR edges (the one depth-dependent class)
-        are left to the per-call overlay in :meth:`retime`.
-        ``build_order=False`` skips the all-depth topological-order
-        precomputation — used by the uncached benchmarking path so it
-        measures exactly the pre-caching per-call work.
-        """
-        n = self.node_count
-        edges: list[tuple[int, int, int]] = []
-        add_edge = edges.append
-        # Virtual segment-end nodes are appended past the real nodes.
-        base_value: list[int] = [0] * n
-        next_virtual = n
-
-        # --- structural edges per module -------------------------------
-        nominal = self.nominal
-        seg_serial = self.seg_serial
-        seg_base = self.seg_base
-        for mid, nodes in self.module_nodes.items():
-            prev_node = None
-            prev_offset = 0
-            prev_serial = None
-            prev_base = 0
-            segend = None       # virtual node id of the current segment
-            for v in nodes:
-                offset = nominal[v] - seg_base[v]
-                if prev_serial is None:
-                    base_value[v] = nominal[v]
-                    segend = next_virtual
-                    next_virtual += 1
-                    base_value.append(seg_base[v])
-                elif seg_serial[v] != prev_serial:
-                    delta = seg_base[v] - prev_base
-                    new_segend = next_virtual
-                    next_virtual += 1
-                    base_value.append(-(1 << 62))
-                    # effective start propagates: E_next = E_prev + delta
-                    add_edge((segend, new_segend, delta))
-                    add_edge((segend, v, delta + offset))
-                    segend = new_segend
-                else:
-                    add_edge((prev_node, v, offset - prev_offset))
-                # every event raises its segment's effective start
-                add_edge((v, segend, -offset))
-                prev_node, prev_offset = v, offset
-                prev_serial = seg_serial[v]
-                prev_base = seg_base[v]
-
-        # --- depth-independent FIFO edges ------------------------------
-        kind = self.kind
-        for table in self.fifo_tables.values():
-            writes = table.write_nodes
-            for r, read_node in enumerate(table.read_nodes, start=1):
-                # NB accesses never stall; validated via constraints.
-                if kind[read_node] == K_READ:
-                    add_edge((writes[r - 1], read_node, 1))  # RAW
-            for chain in (table.write_port_nodes, table.read_port_nodes):
-                for a, b in zip(chain, chain[1:]):
-                    add_edge((a, b, 1))  # one access per port per cycle
-
-        # --- AXI edges --------------------------------------------------
-        for table in self.axi_tables.values():
-            for req_node, first_beat, length in table.read_bursts:
-                for i in range(length):
-                    beat_index = first_beat + i
-                    if beat_index < len(table.read_beat_nodes):
-                        add_edge((req_node,
-                                  table.read_beat_nodes[beat_index],
-                                  table.read_latency + i))
-            for resp_node, last_beat in table.resp_nodes:
-                add_edge((table.write_beat_nodes[last_beat], resp_node,
-                          table.write_latency))
-            for chain in (table.read_beat_nodes, table.write_beat_nodes,
-                          table.read_req_nodes, table.write_req_nodes):
-                for a, b in zip(chain, chain[1:]):
-                    add_edge((a, b, 1))
-
-        # --- flatten to CSR, then per-node adjacency tuples -------------
-        # (the flat arrays are construction scratch; only the per-node
-        # tuples — the iteration-friendly view — are retained)
-        total = next_virtual
-        counts = [0] * (total + 1)
-        indegree = [0] * total
-        for u, v, _w in edges:
-            counts[u + 1] += 1
-            indegree[v] += 1
-        succ_ptr = counts
-        for i in range(1, total + 1):
-            succ_ptr[i] += succ_ptr[i - 1]
-        succ_node = [0] * len(edges)
-        succ_weight = [0] * len(edges)
-        cursor = succ_ptr[:-1].copy()
-        for u, v, w in edges:
-            k = cursor[u]
-            succ_node[k] = v
-            succ_weight[k] = w
-            cursor[u] = k + 1
-        succ_pairs = [
-            tuple(zip(succ_node[succ_ptr[u]:succ_ptr[u + 1]],
-                      succ_weight[succ_ptr[u]:succ_ptr[u + 1]]))
-            for u in range(total)
-        ]
-        static = _StaticEdges(
-            node_count=n, total=total, succ_pairs=succ_pairs,
-            indegree=indegree, base=base_value,
-        )
-        if build_order:
-            static.order = self._build_order(static)
-        return static
-
-    def _build_order(self, static: _StaticEdges) -> list | None:
-        """Topological order covering every depth configuration at once.
-
-        A WAR edge ``read #(w-S) -> write #w`` is order-implied by the
-        depth-1 WAR pair ``read #(w-S) -> write #(w-S+1)`` followed by the
-        (static) write-port serialization chain up to write ``#w``.  So a
-        topological order of the static graph augmented with *all* depth-1
-        WAR ordering pairs is a valid relaxation order for every
-        ``depths >= 1`` — and its existence proves no such configuration
-        can deadlock the graph.  The augmentation deliberately ignores
-        the ``K_WRITE`` filter that real WAR overlays apply: the chain
-        through write #(w-S+1) must hold even when that write is a
-        non-stalling NB access, otherwise the implication breaks.  The
-        cost is conservatism — a cycle through such a pair forces the
-        per-call Kahn fallback (returns None) even though no real
-        overlay may ever be cyclic, e.g. for recorded runs whose depth-1
-        variant would deadlock.
-        """
-        total = static.total
-        indegree = static.indegree[:]
-        aug: dict[int, list[int]] = {}
-        for table in self.fifo_tables.values():
-            writes = table.write_nodes
-            for r, read_node in enumerate(table.read_nodes, start=1):
-                if r < len(writes):
-                    aug.setdefault(read_node, []).append(writes[r])
-                    indegree[writes[r]] += 1
-        succ_pairs = static.succ_pairs
-        aug_get = aug.get
-        order: list[int] = []
-        queue = deque(v for v in range(total) if indegree[v] == 0)
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v, _w in succ_pairs[u]:
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    queue.append(v)
-            extra = aug_get(u)
-            if extra is not None:
-                for v in extra:
-                    indegree[v] -= 1
-                    if indegree[v] == 0:
-                        queue.append(v)
-        return order if len(order) == total else None
-
-    def _static(self) -> _StaticEdges:
-        """The cached CSR build, invalidated when nodes were appended."""
-        static = self._static_edges
-        if static is None or static.node_count != self.node_count:
-            static = self._build_static_edges()
-            self._static_edges = static
-        return static
-
-    def retime(self, depths: dict[str, int],
-               use_cache: bool = True) -> list[int]:
+    def retime(self, depths: dict[str, int]) -> list[int]:
         """Recompute all node times under new FIFO ``depths``.
 
-        Returns the new time array (real nodes only).  Assumes the
-        functional execution is unchanged; the caller re-validates the
-        recorded query constraints.  ``use_cache=False`` forces a full
-        edge rebuild (the pre-caching behaviour, kept for benchmarking
-        and differential testing).
+        Returns the new time list; assumes the functional execution is
+        unchanged (the caller re-validates recorded query constraints).
+        Delegates to :meth:`repro.trace.columnar.TraceArtifact.retime`
+        on a columnar view of this graph, cached until nodes are added.
         """
-        static = (self._static() if use_cache
-                  else self._build_static_edges(build_order=False))
+        view = self._retime_view
+        if view is None or view.node_count != self.node_count:
+            from ..trace.columnar import TraceArtifact
 
-        # --- per-depth WAR overlay: the only depth-dependent edges ------
-        kind = self.kind
-        overlay: dict[int, list[int]] = {}
-        sane_depths = True
-        for fifo, table in self.fifo_tables.items():
-            depth = depths[fifo]
-            if depth < 1:
-                sane_depths = False  # order precomputation assumes >= 1
-            writes, reads = table.write_nodes, table.read_nodes
-            for w in range(depth + 1, len(writes) + 1):
-                write_node = writes[w - 1]
-                if kind[write_node] == K_WRITE:
-                    read_node = reads[w - depth - 1]  # frees the slot
-                    overlay.setdefault(read_node, []).append(write_node)
-
-        succ_pairs = static.succ_pairs
-        overlay_get = overlay.get
-        new_time = static.base[:]
-
-        if static.order is not None and sane_depths:
-            # Fast path: one relaxation sweep in the precomputed order —
-            # no indegree bookkeeping, no queue, no cycle check needed
-            # (the order's existence proves every configuration acyclic).
-            for u in static.order:
-                time_u = new_time[u]
-                for v, w in succ_pairs[u]:
-                    cand = time_u + w
-                    if cand > new_time[v]:
-                        new_time[v] = cand
-                extra = overlay_get(u)
-                if extra is not None:
-                    cand = time_u + 1  # WAR edges always have weight 1
-                    for v in extra:
-                        if cand > new_time[v]:
-                            new_time[v] = cand
-            return new_time[:static.node_count]
-
-        # --- Kahn longest path fallback (order-graph was cyclic) --------
-        total = static.total
-        indegree = static.indegree[:]
-        for u, targets in overlay.items():
-            for v in targets:
-                indegree[v] += 1
-        queue = deque(v for v in range(total) if indegree[v] == 0)
-        visited = 0
-        while queue:
-            u = queue.popleft()
-            visited += 1
-            time_u = new_time[u]
-            for v, w in succ_pairs[u]:
-                cand = time_u + w
-                if cand > new_time[v]:
-                    new_time[v] = cand
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    queue.append(v)
-            extra = overlay_get(u)
-            if extra is not None:
-                cand = time_u + 1
-                for v in extra:
-                    if cand > new_time[v]:
-                        new_time[v] = cand
-                    indegree[v] -= 1
-                    if indegree[v] == 0:
-                        queue.append(v)
-        if visited != total:
-            raise SimulationError(
-                "simulation graph became cyclic under the new FIFO depths "
-                "(the configuration deadlocks); full re-simulation required"
-            )
-        return new_time[:static.node_count]
+            view = self._retime_view = TraceArtifact.from_graph(self)
+        return view.retime(depths)
 
     def total_cycles(self, times: list[int] | None = None) -> int:
         times = times if times is not None else self.time

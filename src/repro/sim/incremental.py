@@ -19,21 +19,16 @@ Depth sweeps are cheap: the depth-independent edges live in CSR form on
 the result's columnar :class:`~repro.trace.TraceArtifact` (built once
 per capture, shipped with the artifact across processes), so each
 additional configuration pays only the WAR-edge overlay, one relaxation
-sweep, and constraint re-validation.
-
-:func:`resimulate` prefers the columnar artifact; the original
-per-object path is kept as :func:`resimulate_object` — the differential
-oracle the columnar path is tested bit-for-bit against
-(``tests/test_trace_artifact.py``), mirroring how the interpreter backs
-the closure-compiled executor.
+sweep, and constraint re-validation.  That kernel lives on the artifact
+(:mod:`repro.trace.columnar`); :func:`resimulate` is its result-level
+entry point.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 
-from ..errors import ConstraintViolation, SimulationError
+from ..errors import SimulationError
 from .result import SimulationResult
 
 
@@ -71,84 +66,14 @@ def resimulate(result: SimulationResult, new_depths: dict
 
     Served by the columnar trace artifact — built lazily from the
     recorded graph on first replay and cached on the result
-    (cache-loaded baselines carry *only* the artifact).  Results with no
-    replay state at all fall through to the object path's diagnostics.
+    (cache-loaded baselines carry *only* the artifact).
     """
     from ..trace.columnar import replay_trace
 
     trace = replay_trace(result)
-    if trace is not None:
-        return trace.resimulate(new_depths)
-    return resimulate_object(result, new_depths)
-
-
-def resimulate_object(result: SimulationResult, new_depths: dict
-                      ) -> IncrementalResult:
-    """The pre-columnar object-graph implementation of
-    :func:`resimulate`, kept as the differential oracle for
-    :meth:`repro.trace.TraceArtifact.resimulate`."""
-    if result.graph is None or result.fifo_channels is None:
+    if trace is None:
         raise SimulationError(
             "incremental re-simulation requires an OmniSim result (with "
             "graph and constraints)"
         )
-    start = _time.perf_counter()
-    depths = {name: ch.depth for name, ch in result.fifo_channels.items()}
-    unknown = set(new_depths) - set(depths)
-    if unknown:
-        raise SimulationError(f"unknown FIFO name(s): {sorted(unknown)}")
-    depths.update(new_depths)
-    for name, depth in depths.items():
-        if depth < 1:
-            raise SimulationError(f"fifo {name}: depth must be >= 1")
-
-    graph = result.graph
-    times = graph.retime(depths)
-    _validate_constraints(result, graph, times, depths)
-    seconds = _time.perf_counter() - start
-    return IncrementalResult(
-        cycles=graph.total_cycles(times),
-        seconds=seconds,
-        depths=depths,
-        constraints_checked=len(result.constraints),
-        module_end_times=graph.end_times(times),
-        buffer_bits=graph.buffer_bits(depths),
-    )
-
-
-def _validate_constraints(result: SimulationResult, graph, times: list,
-                          depths: dict) -> None:
-    for constraint in result.constraints:
-        table = graph.fifo_table(constraint.fifo)
-        depth = depths[constraint.fifo]
-        source_time = times[constraint.node_id]
-
-        if constraint.kind in ("fifo_nb_write", "fifo_can_write"):
-            w = constraint.index
-            if w <= depth:
-                outcome = True
-            else:
-                target = w - depth
-                if target <= len(table.read_nodes):
-                    target_time = times[table.read_nodes[target - 1]]
-                    outcome = source_time > target_time
-                else:
-                    outcome = False  # the freeing read never happened
-        else:  # fifo_nb_read / fifo_can_read
-            r = constraint.index
-            if r <= len(table.write_nodes):
-                target_time = times[table.write_nodes[r - 1]]
-                outcome = source_time > target_time
-            else:
-                outcome = False  # the awaited write never happened
-
-        if outcome != constraint.outcome:
-            raise ConstraintViolation(
-                f"query {constraint.kind} on '{constraint.fifo}' "
-                f"(access #{constraint.index}) resolved "
-                f"{constraint.outcome} in the recorded run but would "
-                f"resolve {outcome} with depths {depths}; full "
-                "re-simulation required",
-                query=constraint,
-                depths=depths,
-            )
+    return trace.resimulate(new_depths)

@@ -7,8 +7,7 @@ makes it a first-class object shared by every producer and consumer:
 * :class:`TraceArtifact` (:mod:`.columnar`) — flat struct-of-arrays
   trace with CSR static edges and the all-depth topological order built
   once and shipped with the artifact (pool workers never rebuild them),
-  plus columnar ``retime``/``resimulate`` that are bit-for-bit equal to
-  the object-graph path;
+  plus ``retime``/``resimulate`` — the one scalar retiming kernel;
 * :mod:`.vectorized` — the NumPy batch-retiming kernel: whole depth
   matrices (configs x FIFOs) retimed and constraint-checked as matrix
   sweeps, with per-row scalar fallback (``REPRO_NO_NUMPY`` forces the

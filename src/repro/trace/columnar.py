@@ -2,16 +2,11 @@
 
 OmniSim's premise is "capture at C speed, resimulate at RTL accuracy" —
 which makes the captured trace the central artifact of the whole system.
-Before this module it was an ad-hoc object graph
-(:class:`~repro.sim.graph.SimulationGraph` + a list of
-:class:`~repro.sim.result.Constraint` dataclasses + the FIFO channel
-tables) whose derived CSR static-edge cache was dropped on every pickle
-and rebuilt per pool-worker chunk, and every process recaptured from
-scratch.
-
-:class:`TraceArtifact` promotes the trace to a first-class, flat,
-struct-of-arrays object (the LightningSimV2/GSIM move: dense packed
-state instead of per-node Python objects):
+The engines record into the append-only
+:class:`~repro.sim.graph.SimulationGraph`; :class:`TraceArtifact` is its
+flat, struct-of-arrays form (the LightningSimV2/GSIM move: dense packed
+state instead of per-node Python objects) and the home of the one scalar
+retiming kernel:
 
 * **node columns** — ``module_of``/``nominal``/``time``/``kind``/
   ``seg_serial``/``seg_base`` as ``array('q')``, plus a CSR view of the
@@ -24,18 +19,35 @@ state instead of per-node Python objects):
 * **static columns** — the depth-independent retiming edges in CSR form
   (``succ_ptr``/``succ_node``/``succ_weight``) plus the all-depth
   topological order, built once and *kept through pickling and
-  serialization* (unlike the graph's cache), so pool workers and
-  cache-warm processes never rebuild them;
+  serialization*, so pool workers and cache-warm processes never
+  rebuild them;
 * **functional payload** — scalars/buffers/AXI memories/stats of the
   capture run, so a cache-loaded artifact can stand in for the full
   baseline :class:`~repro.sim.result.SimulationResult`.
 
-The columnar ``retime``/``resimulate`` here are bit-for-bit equivalent
-to the object-graph path (``SimulationGraph.retime`` +
-``repro.sim.incremental.resimulate_object``), which is kept as the
-differential oracle — the same pattern PR 1 used for the interpreter vs
-the closure-compiled executor.  ``tests/test_trace_artifact.py`` asserts
-the equivalence on every registry design under both executors.
+Retiming derives edges from the recorded structure rather than storing
+them per node:
+
+* **intra-segment chains**: consecutive events of one segment, weight =
+  offset difference (in-order pipeline within an iteration);
+* **segment propagation**: a virtual "segment end" node per segment
+  collects ``commit - offset`` of its members (the iteration's *effective
+  start*), and feeds the next segment's events with weight
+  ``base_next - base_prev + offset`` — elastic pipelined-iteration timing;
+* **RAW** (write #r -> read #r, weight 1) and **WAR**
+  (read #(w-S) -> write #w, weight 1) FIFO edges — non-blocking accesses
+  never stall, so they receive no incoming FIFO edges (their consistency
+  is checked via constraints);
+* **port serialization**: consecutive accesses on one FIFO port (or AXI
+  channel) are one cycle apart minimum — including failed NB attempts;
+* **AXI latency** edges: request -> beat (latency + beat offset), last
+  beat -> write response (write latency).
+
+Only **WAR** depends on the FIFO depths, so ``retime`` overlays those
+per call on the static columns: a depth sweep pays O(WAR edges)
+construction per configuration instead of O(graph).  This is the only
+scalar implementation; :mod:`repro.trace.vectorized` is the batched one,
+and both are tested against full OmniSim runs at the new depths.
 
 Serialization (schema-versioned binary format, checksum, on-disk
 content-addressed cache) lives in :mod:`repro.trace.store`.
@@ -167,17 +179,14 @@ class TraceArtifact:
     # construction
 
     @classmethod
-    def from_result(cls, result: SimulationResult,
-                    executor: str = "compiled") -> "TraceArtifact":
-        """Build the columnar artifact from a captured OmniSim result
-        (graph + constraints + FIFO channels + functional outputs)."""
-        graph = result.graph
-        if graph is None or result.fifo_channels is None:
-            raise SimulationError(
-                "a trace artifact requires an OmniSim result (with graph "
-                "and FIFO channels)"
-            )
-        art = cls(result.design_name, executor)
+    def from_graph(cls, graph, design_name: str = "",
+                   executor: str = "compiled",
+                   depths: dict | None = None) -> "TraceArtifact":
+        """Node + channel columns of a recorded
+        :class:`~repro.sim.graph.SimulationGraph` — everything
+        :meth:`retime` needs.  ``depths`` is the capture run's base
+        depth map (absent for hand-built graphs)."""
+        art = cls(design_name, executor)
         art.module_of = _qarray(graph.module_of)
         art.nominal = _qarray(graph.nominal)
         art.time = _qarray(graph.time)
@@ -195,12 +204,9 @@ class TraceArtifact:
         for mid, node in graph.end_nodes.items():
             art.end_mids.append(mid)
             art.end_node_ids.append(node)
-        art.depths = {name: ch.depth
-                      for name, ch in result.fifo_channels.items()}
+        art.depths = dict(depths or {})
         art.widths = dict(graph.fifo_widths)
-        fifo_index: dict[str, int] = {}
         for name, table in graph.fifo_tables.items():
-            fifo_index[name] = len(art.fifos)
             art.fifos.append(FifoColumns(
                 name=name,
                 depth=art.depths.get(name, 1),
@@ -228,6 +234,23 @@ class TraceArtifact:
                 read_req_nodes=_qarray(table.read_req_nodes),
                 write_req_nodes=_qarray(table.write_req_nodes),
             ))
+        return art
+
+    @classmethod
+    def from_result(cls, result: SimulationResult,
+                    executor: str = "compiled") -> "TraceArtifact":
+        """Build the columnar artifact from a captured OmniSim result:
+        :meth:`from_graph` plus the constraint columns and the
+        functional payload."""
+        if result.graph is None or result.fifo_channels is None:
+            raise SimulationError(
+                "a trace artifact requires an OmniSim result (with graph "
+                "and FIFO channels)"
+            )
+        art = cls.from_graph(
+            result.graph, result.design_name, executor,
+            {name: ch.depth for name, ch in result.fifo_channels.items()})
+        fifo_index = {fc.name: i for i, fc in enumerate(art.fifos)}
         for c in result.constraints:
             art.c_kind.append(_KIND_CODE[c.kind])
             art.c_fifo.append(fifo_index[c.fifo])
@@ -252,8 +275,7 @@ class TraceArtifact:
         return art
 
     # ------------------------------------------------------------------
-    # cross-process shipping: static columns travel WITH the artifact
-    # (the fix for SimulationGraph.__getstate__ dropping its cache);
+    # cross-process shipping: static columns travel WITH the artifact;
     # only the cheap derived iteration view is rebuilt per process.
 
     def __getstate__(self):
@@ -279,8 +301,7 @@ class TraceArtifact:
         return total
 
     # ------------------------------------------------------------------
-    # static edge build (columnar mirror of
-    # SimulationGraph._build_static_edges / _build_order)
+    # static edge build: every depth-independent edge, once
 
     def ensure_static(self) -> None:
         """Build the depth-independent CSR columns once (idempotent)."""
@@ -288,9 +309,14 @@ class TraceArtifact:
             self._build_static_columns()
 
     def _build_static_columns(self) -> None:
+        """Intra-segment chains, segment propagation via virtual
+        segment-end nodes, RAW FIFO edges, port-serialization chains and
+        all AXI edges, flattened to CSR; only the WAR edges are left to
+        the per-call overlay in :meth:`retime`."""
         n = self.node_count
         edges: list[tuple[int, int, int]] = []
         add_edge = edges.append
+        # Virtual segment-end nodes are appended past the real nodes.
         base_value: list[int] = [0] * n
         next_virtual = n
 
@@ -319,11 +345,13 @@ class TraceArtifact:
                     new_segend = next_virtual
                     next_virtual += 1
                     base_value.append(_NEG_INF)
+                    # effective start propagates: E_next = E_prev + delta
                     add_edge((segend, new_segend, delta))
                     add_edge((segend, v, delta + offset))
                     segend = new_segend
                 else:
                     add_edge((prev_node, v, offset - prev_offset))
+                # every event raises its segment's effective start
                 add_edge((v, segend, -offset))
                 prev_node, prev_offset = v, offset
                 prev_serial = seg_serial[v]
@@ -334,11 +362,12 @@ class TraceArtifact:
         for fc in self.fifos:
             writes = fc.write_nodes
             for r, read_node in enumerate(fc.read_nodes, start=1):
+                # NB accesses never stall; validated via constraints.
                 if kind[read_node] == K_READ:
                     add_edge((writes[r - 1], read_node, 1))  # RAW
             for chain in (fc.write_port_nodes, fc.read_port_nodes):
                 for a, b in zip(chain, chain[1:]):
-                    add_edge((a, b, 1))
+                    add_edge((a, b, 1))  # one access per port per cycle
 
         # --- AXI edges --------------------------------------------------
         for ax in self.axis:
@@ -393,8 +422,23 @@ class TraceArtifact:
         self._view = None
 
     def _build_order_column(self) -> list | None:
-        """All-depth topological order (see
-        ``SimulationGraph._build_order`` for the soundness argument)."""
+        """Topological order covering every depth configuration at once.
+
+        A WAR edge ``read #(w-S) -> write #w`` is order-implied by the
+        depth-1 WAR pair ``read #(w-S) -> write #(w-S+1)`` followed by the
+        (static) write-port serialization chain up to write ``#w``.  So a
+        topological order of the static graph augmented with *all* depth-1
+        WAR ordering pairs is a valid relaxation order for every
+        ``depths >= 1`` — and its existence proves no such configuration
+        can deadlock the graph.  The augmentation deliberately ignores
+        the ``K_WRITE`` filter that real WAR overlays apply: the chain
+        through write #(w-S+1) must hold even when that write is a
+        non-stalling NB access, otherwise the implication breaks.  The
+        cost is conservatism — a cycle through such a pair forces the
+        per-call Kahn fallback (returns None) even though no real
+        overlay may ever be cyclic, e.g. for recorded runs whose depth-1
+        variant would deadlock.
+        """
         total = self.s_total
         indegree = list(self.s_indegree)
         aug: dict[int, list[int]] = {}
@@ -475,16 +519,30 @@ class TraceArtifact:
         return view
 
     # ------------------------------------------------------------------
-    # retiming (columnar mirror of SimulationGraph.retime)
+    # retiming
+
+    def _check_depths(self, depths: dict) -> None:
+        """Every recorded FIFO needs a depth and every depth is >= 1 —
+        what the all-depth order (and a physical FIFO) assumes."""
+        missing = sorted(fc.name for fc in self.fifos
+                         if fc.name not in depths)
+        if missing:
+            raise SimulationError(f"no depth given for FIFO(s): {missing}")
+        for name, depth in depths.items():
+            if depth < 1:
+                raise SimulationError(f"fifo {name}: depth must be >= 1")
 
     def retime(self, depths: dict) -> list[int]:
         """Recompute all node times under new FIFO ``depths``.
 
         ``depths`` must be the fully resolved map (every FIFO with
-        recorded accesses present).  Bit-for-bit equal to
-        :meth:`repro.sim.graph.SimulationGraph.retime` on the same
-        capture; returns the new time list for real nodes.
+        recorded accesses present, every depth >= 1 — anything else is
+        a :class:`~repro.errors.SimulationError`).  Assumes the
+        functional execution is unchanged; the caller re-validates the
+        recorded query constraints.  Returns the new time list for real
+        nodes.
         """
+        self._check_depths(depths)
         (sweep, succ_pairs, base, indegree_base, kind,
          fifo_views) = self._iter_view()
         total = self.s_total
@@ -494,11 +552,8 @@ class TraceArtifact:
         # node, and a BINARY_SUBSCR beats a dict.get call on that path.
         overlay: list = [None] * total
         overlay_sources: list[int] = []
-        sane_depths = True
         for name, writes, reads in fifo_views:
             depth = depths[name]
-            if depth < 1:
-                sane_depths = False
             for w in range(depth + 1, len(writes) + 1):
                 write_node = writes[w - 1]
                 if kind[write_node] == K_WRITE:
@@ -512,7 +567,7 @@ class TraceArtifact:
 
         new_time = base[:]
 
-        if sweep is not None and sane_depths:
+        if sweep is not None:
             # Fast path: one relaxation sweep over the precomputed
             # (node, adjacency) pairs — no indegree bookkeeping, no
             # queue, no cycle check (the order's existence proves every
@@ -566,14 +621,12 @@ class TraceArtifact:
         return new_time[:self.node_count]
 
     # ------------------------------------------------------------------
-    # incremental re-simulation (columnar mirror of
-    # repro.sim.incremental.resimulate_object)
+    # incremental re-simulation
 
     def resimulate(self, new_depths: dict) -> IncrementalResult:
         """Re-derive the capture's cycle count under new FIFO depths.
 
-        Semantics identical to the object path: unmentioned FIFOs keep
-        the capture depth; raises
+        Unmentioned FIFOs keep the capture depth; raises
         :class:`~repro.errors.ConstraintViolation` when a recorded query
         flips, :class:`~repro.errors.SimulationError` on unknown names,
         depths < 1, or a configuration that deadlocks the recording.
@@ -586,11 +639,6 @@ class TraceArtifact:
                 f"unknown FIFO name(s): {sorted(unknown)}"
             )
         depths.update(new_depths)
-        for name, depth in depths.items():
-            if depth < 1:
-                raise SimulationError(
-                    f"fifo {name}: depth must be >= 1"
-                )
         times = self.retime(depths)
         self._validate_constraints(times, depths)
         seconds = _time.perf_counter() - start
@@ -604,8 +652,8 @@ class TraceArtifact:
         )
 
     def _validate_constraints(self, times: list, depths: dict) -> None:
-        """Columnar Table 2 re-validation (iterates the constraint
-        arrays instead of per-constraint dataclasses)."""
+        """Table 2 re-validation of every recorded query under the new
+        times and depths (iterates the constraint columns)."""
         kinds = self.c_kind
         fifo_ids = self.c_fifo
         indices = self.c_index

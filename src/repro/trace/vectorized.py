@@ -41,9 +41,8 @@ How the plan is laid out (DESIGN.md section 16):
 depth, an unknown FIFO name, or a whole-batch downgrade (NumPy missing,
 no all-depth order).  Callers re-run ``None`` rows through the scalar
 ``TraceArtifact.resimulate`` path, which produces the *identical*
-result or exception — the scalar path stays in the tree as the
-bit-for-bit differential oracle (``tests/test_vectorized.py``), exactly
-as ``resimulate_object`` backs the columnar path.
+result or exception — the scalar path is also this kernel's
+bit-for-bit differential oracle (``tests/test_vectorized.py``).
 
 NumPy is optional: without it every batch degrades to the scalar path
 (``numpy_available()`` reports which mode is active, and the

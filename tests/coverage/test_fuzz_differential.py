@@ -65,17 +65,40 @@ def test_engine_crash_is_reported_as_crash(monkeypatch):
 
 
 def test_retiming_oracle_disagreement_detected(monkeypatch):
-    from repro.sim.incremental import resimulate_object as real
+    """The retiming oracle is a full OmniSim run at the probed depths
+    (the only ``run_engine`` calls that pass ``depths=``): skew it and
+    every accepted replay is a ``retiming`` divergence."""
+    from repro.sim.registry import run_engine as real
 
-    def skewed(result, new_depths):
-        inc = real(result, new_depths)
-        return dataclasses.replace(inc, cycles=inc.cycles + 1)
+    def skewed(engine, compiled, **kw):
+        result = real(engine, compiled, **kw)
+        if "depths" in kw:
+            result.cycles += 1
+        return result
 
-    monkeypatch.setattr(diff_mod, "resimulate_object", skewed)
+    monkeypatch.setattr(diff_mod, "run_engine", skewed)
     spec = dsl.generate("A", modules=3, seed=0, count=8)
     report = run_differential(spec)
     assert report.divergence is not None
     assert report.divergence.kind == "retiming"
+    assert set(report.divergence.legs) == {"retime[0].replay",
+                                           "retime[0].full"}
+
+
+def test_full_run_deadlock_under_accepted_replay_is_retiming(monkeypatch):
+    from repro.errors import DeadlockError
+    from repro.sim.registry import run_engine as real
+
+    def deadlocking(engine, compiled, **kw):
+        if "depths" in kw:
+            raise DeadlockError(0, {"m": "full run hung"})
+        return real(engine, compiled, **kw)
+
+    monkeypatch.setattr(diff_mod, "run_engine", deadlocking)
+    report = run_differential(dsl.generate("A", modules=3, seed=0, count=8))
+    assert report.divergence is not None
+    assert report.divergence.kind == "retiming"
+    assert report.divergence.legs["retime[0].full"] == ("deadlock",)
 
 
 def test_wrong_batch_row_detected(monkeypatch):

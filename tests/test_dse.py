@@ -323,19 +323,6 @@ class TestExplorerSharded:
         assert sweep.evaluated == 4
         assert sweep.incremental_fraction == 1.0
 
-    def test_graph_pickle_drops_static_cache(self):
-        import pickle
-
-        compiled = compile_design(make_pipeline_design())
-        result = OmniSimulator(compiled).run()
-        depths = {n: ch.depth for n, ch in result.fifo_channels.items()}
-        result.graph.retime(depths)  # populate the cache
-        assert result.graph._static_edges is not None
-        clone = pickle.loads(pickle.dumps(result.graph))
-        assert clone._static_edges is None
-        assert clone.retime(depths) == result.graph.retime(depths)
-        assert clone.fifo_widths == result.graph.fifo_widths
-
 
 class TestSweepResultJson:
     def test_round_trip_fields(self):

@@ -1,4 +1,11 @@
-"""Unit + property tests for the simulation graph and retiming."""
+"""Unit + property tests for the simulation graph and retiming.
+
+The hand-built graphs here are unit tests of the one scalar retiming
+kernel (``TraceArtifact.retime``), reached through the recorder's
+``SimulationGraph.retime`` delegation.
+"""
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +16,7 @@ from repro.errors import SimulationError
 from repro.sim import OmniSimulator
 from repro.sim.graph import K_READ, K_WRITE, SimulationGraph
 from repro.runtime.requests import StartTask
+from repro.trace import TraceArtifact
 from tests.conftest import make_pipeline_design
 
 
@@ -124,21 +132,25 @@ class TestRetimeInvariant:
         assert result.graph.retime(depths) == result.graph.time
 
 
-class TestStaticEdgeCache:
-    """The CSR static-edge cache must die when the graph grows."""
+class TestRetimeDelegation:
+    """``SimulationGraph.retime`` is a view onto the one scalar kernel
+    (``TraceArtifact.retime``), rebuilt when the graph grows."""
 
-    def test_add_node_invalidates_and_matches_uncached(self):
+    def _captured(self):
         compiled = compile_design(make_pipeline_design())
         result = OmniSimulator(compiled).run()
-        graph = result.graph
         depths = {n: ch.depth for n, ch in result.fifo_channels.items()}
+        return result.graph, depths
 
+    def test_add_node_invalidates_the_delegated_view(self):
+        graph, depths = self._captured()
         graph.retime(depths)
-        cached = graph._static_edges
-        assert cached is not None
-        assert cached.node_count == graph.node_count
+        view = graph._retime_view
+        assert view.node_count == graph.node_count
+        graph.retime({"s1": 9, "s2": 1})
+        assert graph._retime_view is view, "unchanged graph reuses it"
 
-        # Appending a node must invalidate: a stale cache would retime
+        # Appending a node must invalidate: a stale view would retime
         # with the new node missing from every edge class.
         last = graph.node_count - 1
         request = _request(graph.nominal[last] + 7,
@@ -146,19 +158,61 @@ class TestStaticEdgeCache:
                            base=graph.seg_base[last])
         graph.add_node("late_module", request, graph.time[last] + 7)
         times = graph.retime(depths)
-        rebuilt = graph._static_edges
-        assert rebuilt is not cached
-        assert rebuilt.node_count == graph.node_count
+        assert graph._retime_view is not view
         assert len(times) == graph.node_count
-        assert times == graph.retime(depths, use_cache=False)
+        assert times == TraceArtifact.from_graph(graph).retime(depths)
 
-    def test_unchanged_graph_reuses_cache(self):
-        compiled = compile_design(make_pipeline_design())
-        graph = OmniSimulator(compiled).run().graph
-        graph.retime({"s1": 4, "s2": 4})
-        first = graph._static_edges
-        graph.retime({"s1": 9, "s2": 1})
-        assert graph._static_edges is first
+    def test_pickled_graph_retimes_identically(self):
+        graph, depths = self._captured()
+        graph.retime(depths)  # pickles with a live view attached
+        clone = pickle.loads(pickle.dumps(graph))
+        shallow = {"s1": 1, "s2": 1}
+        assert clone.retime(shallow) == graph.retime(shallow)
+        assert clone.fifo_widths == graph.fifo_widths
+
+    def test_retime_calls_the_artifact_kernel(self, monkeypatch):
+        graph, depths = self._captured()
+        calls = []
+        real = TraceArtifact.retime
+        monkeypatch.setattr(
+            TraceArtifact, "retime",
+            lambda self, d: calls.append(d) or real(self, d))
+        assert graph.retime(depths) == graph.time
+        assert calls == [depths]
+
+
+class TestRetimeDepthValidation:
+    """Invalid depth maps are typed errors, not IndexError/KeyError or
+    a misleading "became cyclic"."""
+
+    def _graph(self):
+        graph = SimulationGraph()
+        table = graph.fifo_table("f")
+        writes = [graph.add_node("p", _request(i), i, K_WRITE)
+                  for i in range(3)]
+        reads = [graph.add_node("c", _request(10 + i), 10 + i, K_READ)
+                 for i in range(3)]
+        table.write_nodes.extend(writes)
+        table.read_nodes.extend(reads)
+        return graph
+
+    def test_negative_depth(self):
+        with pytest.raises(SimulationError, match="depth must be >= 1"):
+            self._graph().retime({"f": -2})
+
+    def test_zero_depth(self):
+        with pytest.raises(SimulationError, match="depth must be >= 1"):
+            self._graph().retime({"f": 0})
+
+    def test_missing_fifo(self):
+        with pytest.raises(SimulationError, match=r"no depth given.*'f'"):
+            self._graph().retime({})
+
+    def test_artifact_retime_raises_the_same(self):
+        art = TraceArtifact.from_graph(self._graph())
+        for bad in ({"f": -2}, {"f": 0}, {}):
+            with pytest.raises(SimulationError):
+                art.retime(bad)
 
 
 class TestGraphHelpers:

@@ -1,15 +1,15 @@
-"""Differential suite for the columnar trace artifact (repro.trace).
+"""Ground-truth suite for the columnar trace artifact (repro.trace).
 
-The columnar ``TraceArtifact.retime``/``resimulate`` must be bit-for-bit
-equivalent to the object-graph path (``SimulationGraph.retime`` +
-``resimulate_object``) — on every registered design, under both Func Sim
-executors, before and after a serialization round-trip.  The object path
-stays in the tree exactly as this suite's differential oracle, the same
-way the interpreter backs the closure-compiled executor.
+``TraceArtifact.resimulate`` is the one scalar retiming kernel, so its
+oracle is independent of it: every replay it *accepts* must equal a full
+OmniSim run at the new depths (the paper's Table 6 identity) — on every
+registered design, under both Func Sim executors, before and after a
+serialization round-trip.  Declined replays (constraint flips, depth
+configurations that deadlock the recording) must classify identically
+in memory and after the round-trip.
 
 Also here: content-digest stability/invalidation, and the regression
-test that pool workers never rebuild the static-edge columns (the
-``SimulationGraph.__getstate__`` cache-drop bug this layer supersedes).
+test that pool workers never rebuild the static-edge columns.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from repro import compile_design, designs
 from repro.api import Session
 from repro.errors import ConstraintViolation, DeadlockError, SimulationError
 from repro.exec.replay import load_reference, ship_reference
-from repro.sim.graph import SimulationGraph
-from repro.sim.incremental import resimulate, resimulate_object
-from repro.sim.registry import run_engine
+from repro.sim.incremental import resimulate
 from repro.trace import (
     TraceArtifact,
     artifact_digest,
@@ -35,22 +33,23 @@ from repro.trace import (
 
 from test_compiled_executor import SMALL_PARAMS
 
-_CACHE: dict = {}
+_SESSIONS: dict = {}
+
+
+def _session(name: str) -> Session:
+    if name not in _SESSIONS:
+        _SESSIONS[name] = Session.open(name, trace_cache=False,
+                                       **SMALL_PARAMS.get(name, {}))
+    return _SESSIONS[name]
 
 
 def _baseline(name: str, executor: str):
     """Captured OmniSim run of a registry design (None if it deadlocks
     at its declared depths — e.g. the ``deadlock`` design)."""
-    key = (name, executor)
-    if key not in _CACHE:
-        params = SMALL_PARAMS.get(name, {})
-        compiled = compile_design(designs.get(name).make(**params))
-        try:
-            _CACHE[key] = run_engine("omnisim", compiled,
-                                     executor=executor)
-        except DeadlockError:
-            _CACHE[key] = None
-    return _CACHE[key]
+    try:
+        return _session(name).baseline(executor=executor)
+    except DeadlockError:
+        return None
 
 
 def _depth_variations(result):
@@ -71,7 +70,7 @@ def _depth_variations(result):
 
 def _outcome(fn):
     """Normalized outcome of one resimulation attempt, comparable
-    across the object and columnar paths."""
+    across artifacts of the same capture."""
     try:
         inc = fn()
         return ("ok", inc.cycles, inc.depths, inc.module_end_times,
@@ -82,19 +81,38 @@ def _outcome(fn):
         return ("error", str(exc))
 
 
-def assert_resim_parity(result, artifact, new_depths, context):
-    obj = _outcome(lambda: resimulate_object(result, new_depths))
-    col = _outcome(lambda: artifact.resimulate(new_depths))
-    assert obj == col, (context, new_depths, obj, col)
-    return obj[0]
+_TRUTH: dict = {}
+
+
+def _full_run_truth(session, executor, new_depths):
+    """What an accepted replay must report, from a full OmniSim run at
+    ``new_depths`` (memoized: the round-trip tests re-ask)."""
+    key = (session.name, executor, tuple(sorted(new_depths.items())))
+    if key not in _TRUTH:
+        full = session.run(executor=executor, depths=new_depths)
+        depths = {n: ch.depth for n, ch in full.fifo_channels.items()}
+        _TRUTH[key] = (
+            "ok", full.cycles, depths, full.module_end_times,
+            full.graph.buffer_bits(depths),
+            len(session.baseline(executor=executor).constraints))
+    return _TRUTH[key]
+
+
+def assert_resim_parity(session, executor, artifact, new_depths, context):
+    """An accepted replay equals the full run at ``new_depths``; returns
+    the normalized outcome (so callers can also compare artifacts)."""
+    out = _outcome(lambda: artifact.resimulate(new_depths))
+    if out[0] == "ok":
+        truth = _full_run_truth(session, executor, new_depths)
+        assert out == truth, (context, new_depths, out, truth)
+    return out
 
 
 @pytest.mark.parametrize("executor", ["compiled", "interp"])
 @pytest.mark.parametrize("name", designs.names())
-def test_columnar_resimulate_matches_object_path(name, executor):
-    """Columnar vs object-graph resimulation on every registry design:
-    identical cycles / end times / buffer bits on success, identical
-    flipped query and error classification on divergence."""
+def test_accepted_replays_match_full_runs(name, executor):
+    """Replay vs full OmniSim run on every registry design: identical
+    cycles / end times / buffer bits whenever the replay is accepted."""
     result = _baseline(name, executor)
     if result is None:
         pytest.skip("design deadlocks at its declared depths")
@@ -103,25 +121,25 @@ def test_columnar_resimulate_matches_object_path(name, executor):
     assert result.trace is artifact, "derived once, cached on the result"
     assert artifact.executor == executor
     for depths in _depth_variations(result):
-        assert_resim_parity(result, artifact, depths, (name, executor))
+        assert_resim_parity(_session(name), executor, artifact, depths,
+                            (name, executor))
 
 
 @pytest.mark.parametrize("name", designs.names())
 def test_serialized_artifact_round_trips(name):
-    """build -> serialize -> load -> retime equality vs the in-memory
-    artifact AND the object path, plus functional-payload fidelity."""
+    """build -> serialize -> load -> resimulate: the loaded artifact
+    matches the full run where accepted AND the in-memory artifact on
+    every outcome (flipped query, error text), plus functional-payload
+    fidelity."""
     result = _baseline(name, "compiled")
     if result is None:
         pytest.skip("design deadlocks at its declared depths")
-    loaded = loads_artifact(dumps_artifact(replay_trace(result)))
+    fresh = replay_trace(result)
+    loaded = loads_artifact(dumps_artifact(fresh))
     for depths in _depth_variations(result):
-        kind = assert_resim_parity(result, loaded, depths,
-                                   (name, "round-trip"))
-        if kind == "ok":
-            a = loaded.resimulate(depths)
-            b = replay_trace(result).resimulate(depths)
-            assert a.cycles == b.cycles
-            assert a.module_end_times == b.module_end_times
+        out = assert_resim_parity(_session(name), "compiled", loaded,
+                                  depths, (name, "round-trip"))
+        assert out == _outcome(lambda: fresh.resimulate(depths))
     clone = loaded.to_result()
     assert clone.cycles == result.cycles
     assert clone.scalars == result.scalars
@@ -144,15 +162,16 @@ def _example_specs():
 
 @pytest.mark.parametrize("path", _example_specs(),
                          ids=lambda p: p.rsplit("/", 1)[-1])
-def test_example_specs_columnar_parity(path):
-    """The checked-in example specs round-trip through the columnar
-    path identically too (the ISSUE 5 'and examples' clause)."""
-    result = Session.open(path).baseline()
+def test_example_specs_replay_parity(path):
+    """The checked-in example specs hold the same identity, in memory
+    and round-tripped (the ISSUE 5 'and examples' clause)."""
+    session = Session.open(path, trace_cache=False)
+    result = session.baseline()
     artifact = replay_trace(result)
     loaded = loads_artifact(dumps_artifact(artifact))
     for depths in _depth_variations(result):
-        assert_resim_parity(result, artifact, depths, path)
-        assert_resim_parity(result, loaded, depths, (path, "loaded"))
+        out = assert_resim_parity(session, None, artifact, depths, path)
+        assert out == _outcome(lambda: loaded.resimulate(depths))
 
 
 def test_serialization_preserves_static_columns():
@@ -167,15 +186,15 @@ def test_serialization_preserves_static_columns():
     assert list(loaded.s_order) == list(art.s_order)
     assert loaded.s_has_order == art.s_has_order
     # and one serialized pre-static: loads lazily, still correct
-    fresh = replay_trace(_baseline("fig4_ex3", "compiled"))
+    fresh = TraceArtifact.from_result(_baseline("fig4_ex3", "compiled"))
+    assert fresh.s_succ_ptr is None
     lazy = loads_artifact(dumps_artifact(fresh))
     assert lazy.resimulate({}).cycles == fresh.resimulate({}).cycles
 
 
 class TestWorkerNoRebuild:
-    """Regression for the superseded ``SimulationGraph.__getstate__``
-    cache drop: what ships to pool workers must carry the static edges,
-    and a worker-side resimulation must touch NEITHER edge builder."""
+    """What ships to pool workers must carry the static edges: a
+    worker-side resimulation never runs the edge builder."""
 
     def _shipped_clone(self):
         session = Session.open("fig4_ex5", n=120)
@@ -192,10 +211,6 @@ class TestWorkerNoRebuild:
         monkeypatch.setattr(
             TraceArtifact, "_build_static_columns",
             lambda self: calls.append("columnar") or orig(self),
-        )
-        monkeypatch.setattr(
-            SimulationGraph, "_build_static_edges",
-            lambda self, build_order=True: calls.append("graph") or None,
         )
         inc = resimulate(clone, {"fifo2": 5})
         assert inc.cycles > 0
