@@ -6,7 +6,7 @@ repository's performance trajectory file.  Three headline metrics:
 
 * **events/sec** — Perf Sim request throughput of a full OmniSim run
   (the paper's Fig. 8(b) axis), for the interpreter and the
-  closure-compiled executor;
+  generated executor;
 * **cycles simulated/sec** — simulated hardware cycles per wall-clock
   second;
 * **retime sweeps/sec** — incremental re-simulations per second across a
@@ -211,7 +211,7 @@ def bench_design(name: str, params: dict, repeats: int = 3) -> dict:
     # must measure real captures regardless of REPRO_TRACE_CACHE in the
     # caller's environment (bench_trace manages its own temp store).
     session = Session.open(name, trace_cache=False, **params)
-    # Warm both paths: the first compiled run pays the closure lowering.
+    # Warm both paths: the first compiled run pays the code generation.
     session.run(executor="interp")
     session.run(executor="compiled")
     interp = _timed_run(session, "interp", repeats)
@@ -658,7 +658,7 @@ def bench_huge(modules: int, seed: int, count: int, n_configs: int,
     build_start = time.perf_counter()
     spec = dsl.generate("D", modules=modules, seed=seed, count=count)
     session = Session.open(dsl.build_design(spec), trace_cache=False)
-    session.run(executor="compiled")  # warm: compile + closure lowering
+    session.run(executor="compiled")  # warm: compile + code generation
     build_seconds = time.perf_counter() - build_start
 
     timed = _timed_run(session, "compiled", repeats)

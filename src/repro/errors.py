@@ -46,6 +46,10 @@ class VerificationError(ReproError):
 class SimulationError(ReproError):
     """Generic simulation failure."""
 
+    #: instance name of the module whose Func Sim raised, when known
+    #: (the generated executor tags every error that leaves its code)
+    module: str | None = None
+
 
 class UnsupportedDesignError(SimulationError):
     """A simulator was asked to run a design class it cannot handle.

@@ -2,9 +2,9 @@
 
 Two executors share one generator protocol: the tree-walking
 :class:`ModuleInterpreter` (the differential oracle) and the
-closure-compiled :class:`CompiledModuleExecutor` (the fast path, paper
-section 6.1).  Engines select between them through
-:func:`repro.sim.context.make_executor`.
+generated :class:`CompiledModuleExecutor` (one specialised Python
+generator per module shape; the fast path, paper section 6.1).  Engines
+select between them through :func:`repro.sim.context.make_executor`.
 """
 
 from .compiled import CompiledModuleExecutor, compile_program

@@ -1,22 +1,33 @@
-"""Closure-compiled Func Sim executor: the reproduction's AOT binary.
+"""Generated Func Sim executor: the reproduction's AOT binary.
 
 The tree-walking :class:`~repro.interp.interpreter.ModuleInterpreter`
 re-dispatches every instruction through ``isinstance`` chains, dict-based
 environments and schedule lookups on every execution.  This module is the
 analogue of OmniSim's ahead-of-time *compiled, instrumented binary* (paper
-section 6.1): once per compiled module it lowers each basic block into a
-flat list of specialized Python closures —
+section 6.1): once per compiled module it emits the source of **one
+Python generator function** that *is* the module —
 
-* operand fetches resolved to dense environment-list slots or captured
-  constants;
-* binop/cmp/unop/cast callables specialized per (op, type) with the
-  two's-complement masks inlined (:func:`repro.interp.ops.binop_fn` and
-  friends);
-* schedule stage offsets, FIFO/AXI names and request constructors baked
-  into per-event factory closures;
-* a block-level fast path: blocks without hardware events execute as a
-  straight ``for fn in fns: fn(env, mem)`` run with no per-instruction
-  dispatch at all.
+* SSA values and scalar allocas are locals (``v12``, ``m3``); array
+  allocas and bound buffers are local list references;
+* every binop/cmp/unop/cast/select/load/store is one inlined statement
+  with its two's-complement mask as a literal;
+* every hardware event is ``yield Request(...)`` spelled at its site,
+  with the stage offset and the segment fields passed positionally;
+* control flow is an integer state loop over the blocks that have more
+  than one predecessor; single-predecessor blocks are inlined at their
+  predecessor's branch, and a transfer back to the enclosing state is a
+  plain ``continue``;
+* pipeline-frame bookkeeping is resolved statically wherever a forward
+  data-flow pass over the CFG proves which pipelined loop (if any) is
+  active at a block, and stays a one-compare check elsewhere.
+
+The source is *shape-only*: module name, channel names, bound buffers,
+constants, block labels and message strings are arguments of the
+generated factory, never text.  Factories are cached in-process under
+their source, so modules of one shape (the generated Type D families
+have ~20 shapes per 1000 modules) share one ``compile()``; the source is
+registered in :mod:`linecache` as ``<repro-codegen:DIGEST>`` so a
+traceback through generated code shows the failing statement.
 
 The executor exposes exactly the interpreter's generator protocol (yields
 :class:`~repro.runtime.requests.Request` objects, ``send()`` delivers
@@ -24,516 +35,672 @@ responses) and the same timing-segment bookkeeping, so every engine can
 swap it in through the executor-selection seam in
 :mod:`repro.sim.context`.  The interpreter remains the differential
 oracle: ``tests/test_compiled_executor.py`` asserts bit-for-bit identical
-cycles, outputs, constraints and deadlock diagnoses.
+cycles, outputs, constraints and deadlock diagnoses.  When the step limit
+falls *inside* a block the generated code hands that block to the oracle
+itself (:meth:`CompiledModuleExecutor._replay_to_limit`), so the emitted
+event prefix and the raise point cannot drift.
 
-Programs are cached on the :class:`~repro.compile.CompiledModule` (keyed
-by out-of-bounds mode), so repeated simulator runs of one compiled design
-pay the lowering cost exactly once.
-
-One deliberate semantic difference from the interpreter: lowering is
-*eager*, so IR the module could never execute (an unsupported op or a
-malformed operand in a dead block) fails at executor construction
-rather than when — if ever — the instruction is reached.  That is the
-ahead-of-time compiler contract: the verifier-checked IR emitted by the
-frontend never trips it.
+One deliberate semantic difference from the interpreter: a malformed
+*operand* (not an instruction or a constant) fails at executor
+construction rather than when — if ever — the instruction is reached.
+The verifier-checked IR emitted by the frontend never trips it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import linecache
+import math
+from dataclasses import dataclass
+
 from ..errors import SimulatedCrash, SimulationError
 from ..ir import instructions as ins
 from ..ir import types as ty
-from ..ir.function import BasicBlock, LoopMeta
 from ..ir.values import Argument, Constant
 from ..runtime import requests as req
 from . import ops
 from .interpreter import (
+    _NO_VALUE,
     DEFAULT_STEP_LIMIT,
     ModuleInterpreter,
     step_limit_error,
 )
 
 #: attribute used to memoize programs on a CompiledModule instance
-_CACHE_ATTR = "_closure_programs"
+_CACHE_ATTR = "_generated_programs"
 
-#: event step marker: steps are (None, fn, None) for pure closures and
-#: (stage, make_request, apply_response) for hardware events.
-_PURE = None
+#: source text -> factory function; bounded so a long-lived process that
+#: keeps meeting new shapes (``repro serve``, fuzz campaigns) cannot grow
+#: it without limit
+_FACTORIES: dict = {}
+_FACTORY_CACHE_LIMIT = 1024
+
+#: single-predecessor blocks are inlined under their predecessor's
+#: branch; this bounds the resulting ``if`` nesting (CPython refuses
+#: more than 100 indentation levels)
+_MAX_INLINE_DEPTH = 40
+
+_INDENT = tuple("    " * depth for depth in range(100))
 
 
-class _CompiledBlock:
-    """One basic block lowered to closures plus its control metadata."""
-
-    __slots__ = (
-        "bb", "latency", "n_instr", "steps", "pure_fns", "has_events",
-        "pipelined_loop", "enters_pipeline", "term",
+def _oob_crash(what: str, label: str, index, size: int,
+               module: str) -> SimulatedCrash:
+    return SimulatedCrash(
+        f"out-of-bounds {what}: {label}[{index}] (size {size})",
+        module=module,
     )
 
-    def __init__(self, bb: BasicBlock):
-        self.bb = bb
-        self.latency = 1
-        self.n_instr = len(bb.instructions)
-        self.steps: list = []        # mixed pure/event entries, in order
-        self.pure_fns: list = []     # fast path for event-free blocks
-        self.has_events = False
-        self.pipelined_loop: LoopMeta | None = None
-        self.enters_pipeline = False
-        #: ("jump", target) | ("branch", fetch, if_true, if_false) | ("ret",)
-        self.term: tuple = ("ret",)
+
+#: globals of every generated factory
+_GLOBALS = {
+    "SimulationError": SimulationError,
+    "SimulatedCrash": SimulatedCrash,
+    "oob_crash": _oob_crash,
+    "cdiv": ops._cdiv,
+    "crem": ops._crem,
+    "f32": ty.f32.wrap,
+    "floor": math.floor,
+    **{cls.__name__: cls for cls in req.ALL_REQUEST_TYPES},
+}
+
+_INT_EXPR = {
+    "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}",
+    "and": "{a} & {b}", "or": "{a} | {b}", "xor": "{a} ^ {b}",
+    "shl": "{a} << ({b} % {w})",
+    "lshr": "({a} & {m:#x}) >> ({b} % {w})",
+    "ashr": "{a} >> ({b} % {w})",
+    "div": "cdiv({a}, {b})", "rem": "crem({a}, {b})",
+}
+_FLOAT_EXPR = {"add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}",
+               "div": "{a} / {b}"}
+_CMP_EXPR = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
+             "ge": ">="}
+
+_EVENT_CLASS = {
+    ins.FifoRead: "FifoRead", ins.FifoWrite: "FifoWrite",
+    ins.FifoNbRead: "FifoNbRead", ins.FifoNbWrite: "FifoNbWrite",
+    ins.FifoCanRead: "FifoCanRead", ins.FifoCanWrite: "FifoCanWrite",
+    ins.AxiReadReq: "AxiReadReq", ins.AxiRead: "AxiRead",
+    ins.AxiWriteReq: "AxiWriteReq", ins.AxiWrite: "AxiWrite",
+    ins.AxiWriteResp: "AxiWriteResp",
+}
 
 
+def _wrap(expr: str, type_: ty.Type) -> str:
+    """``type_.wrap(expr)`` (``wrap_raw`` for fixed point) as one
+    branch-free expression; ``expr`` is int-valued unless ``type_`` is a
+    float."""
+    if isinstance(type_, ty.FloatType):
+        return f"f32({expr})" if type_.width == 32 else f"float({expr})"
+    mask = (1 << type_.width) - 1
+    if not type_.signed:
+        return f"({expr}) & {mask:#x}"
+    half = 1 << (type_.width - 1)
+    return f"(({expr}) + {half:#x} & {mask:#x}) - {half:#x}"
+
+
+@dataclass(frozen=True, slots=True)
 class ModuleProgram:
-    """The compile-once artifact: all blocks of one module, lowered."""
+    """The compile-once artifact of one module: the (shape-shared)
+    factory plus the module-unique values it is called with."""
 
-    __slots__ = ("name", "entry", "n_slots", "n_mem", "arg_slots",
-                 "port_names", "oob_mode")
+    factory: object
+    #: constant operand values, one per use site
+    consts: tuple
+    #: parameter names whose run-time bindings the factory receives
+    arg_names: tuple
+    #: block labels, crash labels and message strings
+    extras: tuple
 
-    def __init__(self, name: str):
-        self.name = name
-        self.entry: _CompiledBlock | None = None
-        self.n_slots = 0
-        self.n_mem = 0
-        #: [(mem slot, parameter name)] for buffer/scalar arguments
-        self.arg_slots: list = []
-        #: stream/AXI parameter name -> bound design-level channel name
-        self.port_names: dict = {}
-        self.oob_mode = "wrap"
+    @property
+    def source(self) -> str:
+        return self.factory.source
 
 
-class _Compiler:
-    """Lowers one CompiledModule into a :class:`ModuleProgram`."""
+class _Generator:
+    """Emits the factory source of one CompiledModule."""
 
-    def __init__(self, compiled_module, bindings: dict, oob_mode: str):
-        self.module = compiled_module
+    def __init__(self, compiled_module, oob_mode: str, trace_blocks: bool):
         self.name = compiled_module.name
+        self.function = compiled_module.function
         self.schedule = compiled_module.schedule
-        self.bindings = bindings
-        self.oob_mode = oob_mode
-        self._slots: dict[int, int] = {}      # value vid -> env slot
-        self._mem_slots: dict[int, int] = {}  # alloca/argument vid -> slot
-        self._arg_slots: list = []
-        self._port_names: dict = {}
+        self.crash_oob = oob_mode == "crash"
+        self.trace_blocks = trace_blocks
+        self.consts: list = []
+        #: referenced parameter name -> its local, in first-use order
+        self.arg_locals: dict = {}
+        self._sized_args: list = []
+        self.extras: list = []
+        #: instruction vid -> the local of its value: ``v<position in
+        #: function order>`` (an alloca's storage is ``m<position>``);
+        #: _replay_to_limit recomputes the same numbering
+        self.local = {instr.vid: f"v{i}" for i, instr in
+                      enumerate(self.function.iter_instructions())}
+        #: appends one source line to the tree being emitted
+        self.add = None
 
-    # --- slot allocation ------------------------------------------------
+    # --- names ----------------------------------------------------------
 
-    def _slot(self, value) -> int:
-        slot = self._slots.get(value.vid)
-        if slot is None:
-            slot = len(self._slots)
-            self._slots[value.vid] = slot
-        return slot
-
-    def _mem_slot(self, value) -> int:
-        slot = self._mem_slots.get(value.vid)
-        if slot is None:
-            slot = len(self._mem_slots)
-            self._mem_slots[value.vid] = slot
-            if isinstance(value, Argument):
-                self._arg_slots.append((slot, value.name))
-        return slot
-
-    def _port(self, arg) -> str:
-        """Resolve a stream/AXI argument to its design-level name."""
-        name = self.bindings[arg.name]
-        self._port_names[arg.name] = name
-        return name
-
-    # --- operand fetches ------------------------------------------------
-
-    def _fetch(self, value):
-        """Compile an operand into a ``fetch(env) -> value`` closure."""
+    def _operand(self, value) -> str:
+        local = self.local.get(value.vid)
+        if local is not None:
+            return local
         if isinstance(value, Constant):
-            const = value.value
-            return lambda env, _c=const: _c
-        if isinstance(value, ins.Instruction):
-            slot = self._slot(value)
-            return lambda env, _s=slot: env[_s]
+            self.consts.append(value.value)
+            return f"k{len(self.consts) - 1}"
         raise SimulationError(
             f"module {self.name}: cannot evaluate operand {value!r}"
         )
 
-    # --- top level ------------------------------------------------------
+    def _arg(self, arg) -> str:
+        """Local holding the run-time binding of a parameter (a channel
+        name or a buffer list)."""
+        local = self.arg_locals.get(arg.name)
+        if local is None:
+            local = self.arg_locals[arg.name] = f"a{len(self.arg_locals)}"
+        return local
 
-    def compile(self) -> ModuleProgram:
-        function = self.module.function
-        program = ModuleProgram(self.name)
-        program.oob_mode = self.oob_mode
-        compiled: dict[str, _CompiledBlock] = {}
-        for block in function.blocks:
-            compiled[block.label] = self._compile_block(block)
-        # Second pass: resolve branch targets to compiled blocks and the
-        # pipeline metadata the driver consults on block entry.
-        for block in function.blocks:
-            cb = compiled[block.label]
-            cb.pipelined_loop = self._innermost_pipelined(block.loop)
-            cb.enters_pipeline = (
-                block.is_loop_header and cb.pipelined_loop is not None
-                and block is cb.pipelined_loop.header
-            )
-            term = block.terminator
-            if isinstance(term, ins.Jump):
-                cb.term = ("jump", compiled[term.target.label])
-            elif isinstance(term, ins.Branch):
-                cb.term = ("branch", self._fetch(term.cond),
-                           compiled[term.if_true.label],
-                           compiled[term.if_false.label])
-            else:  # Ret, or an unterminated block (treated as return)
-                cb.term = ("ret",)
-        program.entry = compiled[function.entry.label]
-        program.n_slots = len(self._slots)
-        program.n_mem = len(self._mem_slots)
-        program.arg_slots = self._arg_slots
-        program.port_names = self._port_names
-        return program
+    def _extra(self, value) -> str:
+        self.extras.append(value)
+        return f"x{len(self.extras) - 1}"
 
-    #: pipeline-nesting resolution shared with the oracle — both
-    #: executors must agree on which loop a header issues into
-    _innermost_pipelined = staticmethod(
-        ModuleInterpreter._innermost_pipelined
-    )
+    def _slot(self, alloca) -> str:
+        return "m" + self.local[alloca.vid][1:]
 
-    # --- block lowering -------------------------------------------------
-
-    def _compile_block(self, block: BasicBlock) -> _CompiledBlock:
-        cb = _CompiledBlock(block)
-        block_schedule = self.schedule.for_block(block)
-        cb.latency = block_schedule.latency
-        stages = block_schedule.stages
-        for instr in block.instructions:
-            if instr.is_terminator:
-                continue  # handled via cb.term
-            if isinstance(instr, ins.EVENT_OPS):
-                stage = stages.get(instr.vid, 0)
-                make, apply = self._compile_event(instr)
-                cb.steps.append((stage, make, apply))
-                cb.has_events = True
-            else:
-                fn = self._compile_pure(instr)
-                cb.steps.append((_PURE, fn, None))
-                cb.pure_fns.append(fn)
-        return cb
-
-    # --- event ops ------------------------------------------------------
-
-    def _compile_event(self, instr):
-        """Returns ``(make_request, apply_response)``: the request factory
-        (called with env, mem, nominal, seq) and the optional closure that
-        stores the engine's answer back into the environment."""
-        name = self.name
-        if isinstance(instr, ins.FifoRead):
-            fifo = self._port(instr.stream)
-            dst = self._slot(instr)
-
-            def make(env, mem, nominal, seq, _f=fifo):
-                return req.FifoRead(name, seq, nominal, fifo=_f)
-
-            def apply(env, resp, _d=dst):
-                env[_d] = resp
-            return make, apply
-        if isinstance(instr, ins.FifoWrite):
-            fifo = self._port(instr.stream)
-            value = self._fetch(instr.value)
-
-            def make(env, mem, nominal, seq, _f=fifo, _v=value):
-                return req.FifoWrite(name, seq, nominal, fifo=_f,
-                                     value=_v(env))
-            return make, None
-        if isinstance(instr, ins.FifoNbRead):
-            fifo = self._port(instr.stream)
-            dst = self._slot(instr)
-            default = ty.default_value(instr.type.elements[1])
-
-            def make(env, mem, nominal, seq, _f=fifo):
-                return req.FifoNbRead(name, seq, nominal, fifo=_f)
-
-            def apply(env, resp, _d=dst, _default=default):
-                ok, value = resp
-                env[_d] = (int(ok), _default if value is None else value)
-            return make, apply
-        if isinstance(instr, ins.FifoNbWrite):
-            fifo = self._port(instr.stream)
-            value = self._fetch(instr.value)
-            dst = self._slot(instr)
-
-            def make(env, mem, nominal, seq, _f=fifo, _v=value):
-                return req.FifoNbWrite(name, seq, nominal, fifo=_f,
-                                       value=_v(env))
-
-            def apply(env, resp, _d=dst):
-                env[_d] = int(resp)
-            return make, apply
-        if isinstance(instr, (ins.FifoCanRead, ins.FifoCanWrite)):
-            fifo = self._port(instr.stream)
-            dst = self._slot(instr)
-            cls = (req.FifoCanRead if isinstance(instr, ins.FifoCanRead)
-                   else req.FifoCanWrite)
-
-            def make(env, mem, nominal, seq, _f=fifo, _cls=cls):
-                return _cls(name, seq, nominal, fifo=_f)
-
-            def apply(env, resp, _d=dst):
-                env[_d] = int(resp)
-            return make, apply
-        if isinstance(instr, (ins.AxiReadReq, ins.AxiWriteReq)):
-            port = self._port(instr.port)
-            offset = self._fetch(instr.offset)
-            length = self._fetch(instr.length)
-            cls = (req.AxiReadReq if isinstance(instr, ins.AxiReadReq)
-                   else req.AxiWriteReq)
-
-            def make(env, mem, nominal, seq, _p=port, _o=offset,
-                     _l=length, _cls=cls):
-                return _cls(name, seq, nominal, port=_p, offset=_o(env),
-                            length=_l(env))
-            return make, None
-        if isinstance(instr, ins.AxiRead):
-            port = self._port(instr.port)
-            dst = self._slot(instr)
-
-            def make(env, mem, nominal, seq, _p=port):
-                return req.AxiRead(name, seq, nominal, port=_p)
-
-            def apply(env, resp, _d=dst):
-                env[_d] = resp
-            return make, apply
-        if isinstance(instr, ins.AxiWrite):
-            port = self._port(instr.port)
-            value = self._fetch(instr.value)
-
-            def make(env, mem, nominal, seq, _p=port, _v=value):
-                return req.AxiWrite(name, seq, nominal, port=_p,
-                                    value=_v(env))
-            return make, None
-        if isinstance(instr, ins.AxiWriteResp):
-            port = self._port(instr.port)
-
-            def make(env, mem, nominal, seq, _p=port):
-                return req.AxiWriteResp(name, seq, nominal, port=_p)
-            return make, None
-        raise SimulationError(f"unknown event op {instr.opname}")
-
-    # --- pure ops -------------------------------------------------------
-
-    def _compile_pure(self, instr):
-        if isinstance(instr, ins.Alloca):
-            slot = self._mem_slot(instr)
-            if isinstance(instr.allocated, ty.ArrayType):
-                default = ty.default_value(instr.allocated.element)
-                size = instr.allocated.size
-
-                def fn(env, mem, _s=slot, _d=default, _n=size):
-                    mem[_s] = [_d] * _n
-                return fn
-            default = ty.default_value(instr.allocated)
-
-            def fn(env, mem, _s=slot, _d=default):
-                mem[_s] = _d
-            return fn
-        if isinstance(instr, ins.Load):
-            return self._compile_load(instr)
-        if isinstance(instr, ins.Store):
-            return self._compile_store(instr)
-        if isinstance(instr, ins.BinOp):
-            op = ops.binop_fn(instr.op, instr.type)
-            return self._compile_apply2(instr, op)
-        if isinstance(instr, ins.Cmp):
-            op = ops.cmp_fn(instr.op)
-            return self._compile_apply2(instr, op)
-        if isinstance(instr, ins.UnOp):
-            op = ops.unop_fn(instr.op, instr.operands[0].type)
-            a = self._fetch(instr.operands[0])
-            dst = self._slot(instr)
-
-            def fn(env, mem, _op=op, _a=a, _d=dst):
-                env[_d] = _op(_a(env))
-            return fn
-        if isinstance(instr, ins.Cast):
-            op = ops.cast_fn(instr.operands[0].type, instr.type)
-            a = self._fetch(instr.operands[0])
-            dst = self._slot(instr)
-
-            def fn(env, mem, _op=op, _a=a, _d=dst):
-                env[_d] = _op(_a(env))
-            return fn
-        if isinstance(instr, ins.Select):
-            cond = self._fetch(instr.operands[0])
-            a = self._fetch(instr.operands[1])
-            b = self._fetch(instr.operands[2])
-            dst = self._slot(instr)
-
-            def fn(env, mem, _c=cond, _a=a, _b=b, _d=dst):
-                env[_d] = _a(env) if _c(env) else _b(env)
-            return fn
-        if isinstance(instr, ins.TupleGet):
-            a = self._fetch(instr.operands[0])
-            index = instr.index
-            dst = self._slot(instr)
-
-            def fn(env, mem, _a=a, _i=index, _d=dst):
-                env[_d] = _a(env)[_i]
-            return fn
-        if isinstance(instr, ins.Assert):
-            cond = self._fetch(instr.operands[0])
-            message = f"assertion failed: {instr.message}"
-            module = self.name
-
-            def fn(env, mem, _c=cond, _m=message, _mod=module):
-                if not _c(env):
-                    raise SimulatedCrash(_m, module=_mod)
-            return fn
-        raise SimulationError(
-            f"module {self.name}: cannot execute {instr.opname}"
-        )
-
-    def _compile_apply2(self, instr, op):
-        """dst = op(a, b) with both operand fetches specialized."""
-        a_val, b_val = instr.operands[0], instr.operands[1]
-        dst = self._slot(instr)
-        # Inline the common operand shapes to skip the fetch-closure call.
-        a_const = isinstance(a_val, Constant)
-        b_const = isinstance(b_val, Constant)
-        if not a_const and not b_const:
-            sa, sb = self._slot(a_val), self._slot(b_val)
-
-            def fn(env, mem, _op=op, _a=sa, _b=sb, _d=dst):
-                env[_d] = _op(env[_a], env[_b])
-            return fn
-        if a_const and not b_const:
-            ca, sb = a_val.value, self._slot(b_val)
-
-            def fn(env, mem, _op=op, _a=ca, _b=sb, _d=dst):
-                env[_d] = _op(_a, env[_b])
-            return fn
-        if not a_const and b_const:
-            sa, cb = self._slot(a_val), b_val.value
-
-            def fn(env, mem, _op=op, _a=sa, _b=cb, _d=dst):
-                env[_d] = _op(env[_a], _b)
-            return fn
-        try:
-            value = op(a_val.value, b_val.value)  # folded at compile time
-        except SimulationError:
-            # e.g. a constant division by zero in a block that may never
-            # execute: defer to run time like the interpreter does.
-            ca, cb = a_val.value, b_val.value
-
-            def fn(env, mem, _op=op, _a=ca, _b=cb, _d=dst):
-                env[_d] = _op(_a, _b)
-            return fn
-
-        def fn(env, mem, _v=value, _d=dst):
-            env[_d] = _v
-        return fn
-
-    # --- memory ---------------------------------------------------------
-
-    def _storage_slot(self, target) -> int:
-        if isinstance(target, (Argument, ins.Alloca)):
-            return self._mem_slot(target)
+    def _storage(self, target) -> tuple:
+        """(list local, size expression) of an array storage operand."""
+        if isinstance(target, Argument):
+            local = self._arg(target)
+            if local not in self._sized_args:
+                self._sized_args.append(local)
+            return local, "n" + local
+        if isinstance(target, ins.Alloca):
+            return self._slot(target), str(target.allocated.size)
         raise SimulationError(f"bad storage operand {target!r}")
 
-    def _oob(self, target, what: str):
-        """Compile the out-of-bounds policy for one access site."""
-        if self.oob_mode == "crash":
-            label = target.name or target.short()
-            module = self.name
+    def _raise_simulation_error(self, ind: str, message: str) -> None:
+        """The oracle fails lazily, when the instruction executes."""
+        self.add(f"{ind}raise SimulationError({self._extra(message)})")
 
-            def handle(index, size, _l=label, _w=what, _m=module):
-                raise SimulatedCrash(
-                    f"out-of-bounds {_w}: {_l}[{index}] (size {size})",
-                    module=_m,
-                )
-            return handle
-        return None  # wrap mode: the caller applies index % size inline
+    # --- frame analysis ---------------------------------------------------
 
-    def _compile_load(self, instr: ins.Load):
-        dst = self._slot(instr)
-        target = instr.pointer
-        if instr.index is None:  # scalar alloca
-            slot = self._mem_slot(target)
+    def _analyze(self) -> None:
+        """Forward data-flow over the CFG: which pipelined loop can be
+        the active pipeline frame when a block is entered.
 
-            def fn(env, mem, _s=slot, _d=dst):
-                env[_d] = mem[_s]
-            return fn
-        index = self._fetch(instr.index)
-        slot = self._storage_slot(target)
-        crash = self._oob(target, "read")
-        if crash is None:
-            def fn(env, mem, _s=slot, _i=index, _d=dst):
-                storage = mem[_s]
-                i = _i(env)
-                env[_d] = (storage[i] if 0 <= i < len(storage)
-                           else storage[i % len(storage)])
-            return fn
+        Frame sets are bit masks: bit 0 = no frame, bit ``f`` = the
+        ``f``-th pipelined loop.  Mirrors the interpreter's block-entry
+        rules: the frame is dropped on entering a block outside its loop
+        and (re)set on entering the header of a pipelined loop.  Fills,
+        per reachable block, ``entry_frames`` = (frames dropped on
+        entry, frames possible after the drop), ``frames_out`` and
+        ``edges_in``."""
+        innermost = ModuleInterpreter._innermost_pipelined
+        blocks = self.function.blocks
+        self.loops: list = [None]   # pipelined loops, indexed by frame id
+        loop_ids: dict = {}
+        self.header_of: dict = {}   # block -> frame id it (re)issues
+        self.headed: dict = {}      # block -> frames whose loop it heads
+        for block in blocks:
+            loop = block.loop
+            while loop is not None:
+                if loop.pipelined and id(loop) not in loop_ids:
+                    loop_ids[id(loop)] = len(self.loops)
+                    self.loops.append(loop)
+                    self.headed[loop.header] = (
+                        self.headed.get(loop.header, 0)
+                        | 1 << loop_ids[id(loop)])
+                loop = loop.parent
+            pipelined = innermost(block.loop)
+            if (block.is_loop_header and pipelined is not None
+                    and block is pipelined.header):
+                self.header_of[block] = loop_ids[id(pipelined)]
 
-        def fn(env, mem, _s=slot, _i=index, _d=dst, _crash=crash):
-            storage = mem[_s]
-            i = _i(env)
-            if 0 <= i < len(storage):
-                env[_d] = storage[i]
+        entry = self.function.entry
+        frames_in = {entry: 1}
+        self.entry_frames: dict = {}
+        self.frames_out: dict = {}
+        work = [entry]
+        while work:
+            block = work.pop()
+            frames = frames_in[block]
+            inside = 1
+            for frame in range(1, len(self.loops)):
+                if block in self.loops[frame].blocks:
+                    inside |= 1 << frame
+            dropped = frames & ~inside
+            kept = frames & inside | (1 if dropped else 0)
+            self.entry_frames[block] = (dropped, kept)
+            header = self.header_of.get(block)
+            out = self.frames_out[block] = (
+                kept if header is None else 1 << header)
+            for succ in block.successors():
+                known = frames_in.get(succ)
+                if known is None or out & ~known:
+                    frames_in[succ] = out | (known or 0)
+                    work.append(succ)
+        self.edges_in: dict = {}
+        for block in self.entry_frames:
+            for succ in block.successors():
+                self.edges_in[succ] = self.edges_in.get(succ, 0) + 1
+
+    @staticmethod
+    def _frame_test(frames: int, negate: bool = False) -> str:
+        ids = [f for f in range(frames.bit_length()) if frames >> f & 1]
+        if ids == [0]:
+            return "fl" if negate else "not fl"
+        if len(ids) == 1:
+            return f"fl {'!=' if negate else '=='} {ids[0]}"
+        return f"fl {'not in' if negate else 'in'} {tuple(ids)}"
+
+    # --- whole module -----------------------------------------------------
+
+    def generate(self) -> str:
+        self._analyze()
+        entry = self.function.entry
+        self.block_index = {block: i for i, block in
+                            enumerate(self.function.blocks)}
+        # A state per block that is entered from more than one place;
+        # the entry block comes first in function order, so it is 0.
+        self.roots = roots = [
+            b for b in self.function.blocks if b in self.entry_frames
+            and (b is entry or self.edges_in.get(b, 0) != 1)]
+        self.root_ids = {block: i for i, block in enumerate(roots)}
+        trees = []
+        for root in roots:        # depth-capped inlining appends roots
+            tree = ["while True:"]
+            self.add = tree.append
+            self._emit_tree(root, _INDENT[1], root, 0)
+            trees.append(tree)
+
+        out = ["def factory(ex, K, A, X):",
+               "    name = ex.name",
+               "    limit = ex.step_limit"]
+        for prefix, count, source in (("k", len(self.consts), "K"),
+                                      ("a", len(self.arg_locals), "A"),
+                                      ("x", len(self.extras), "X")):
+            if count:
+                names = ", ".join([f"{prefix}{i}" for i in range(count)])
+                out.append(f"    {names}, = {source}")
+        for local in self._sized_args:
+            out.append(f"    n{local} = len({local})")
+        out += ["    def run():",
+                "        steps = seg = base = t = fl = fi = state = 0",
+                "        seq = 1",
+                "        pip = False",
+                "        try:",
+                "            yield StartTask(name, 1, 0)",
+                "            while True:"]
+        self._dispatch(out, trees, 0, len(trees), 4)
+        out += ["        except SimulationError as exc:",
+                "            if exc.module is None:",
+                "                exc.module = name",
+                "            raise",
+                "    return run",
+                ""]
+        return "\n".join(out)
+
+    def _dispatch(self, out: list, trees: list, lo: int, hi: int,
+                  depth: int) -> None:
+        """Binary decision tree over ``state`` down to one root each."""
+        ind = _INDENT[depth]
+        if hi - lo == 1:
+            out += [ind + line for line in trees[lo]]
+            return
+        mid = (lo + hi) // 2
+        out.append(f"{ind}if state < {mid}:")
+        self._dispatch(out, trees, lo, mid, depth + 1)
+        out.append(f"{ind}else:")
+        self._dispatch(out, trees, mid, hi, depth + 1)
+
+    # --- blocks -----------------------------------------------------------
+
+    def _emit_tree(self, block, ind: str, root, nesting: int) -> None:
+        """``block`` and everything inlined after it: jump targets at the
+        same indentation, branch arms one level deeper."""
+        while block is not None:
+            block = self._emit_block(block, ind, root, nesting)
+
+    def _emit_block(self, block, ind: str, root, nesting: int):
+        """One block; returns the block to inline right after it (its
+        single-predecessor jump target), if any."""
+        add = self.add
+        deeper = ind + "    "
+        # pipeline frame management on block entry
+        dropped, kept = self.entry_frames[block]
+        if dropped:
+            inner = ind
+            if kept != 1:      # some entries keep their frame
+                add(f"{ind}if {self._frame_test(dropped)}:")
+                inner = deeper
+            add(f"{inner}fl = 0")
+            add(f"{inner}seg += 1; base = t; pip = False")
+        header = self.header_of.get(block)
+        if header is not None:
+            ii = self.loops[header].ii
+            if kept == 1 << header:
+                add(f"{ind}fi += {ii}; t = fi")
+            elif not kept >> header & 1:
+                add(f"{ind}fl = {header}; fi = t")
             else:
-                _crash(i, len(storage))
-        return fn
+                # back edge: the next iteration issues II cycles later
+                add(f"{ind}if fl == {header}:")
+                add(f"{deeper}fi += {ii}; t = fi")
+                add(f"{ind}else:")
+                add(f"{deeper}fl = {header}; fi = t")
+            add(f"{ind}seg += 1; base = t; pip = True")
 
-    def _compile_store(self, instr: ins.Store):
-        target = instr.pointer
-        value = self._fetch(instr.value)
-        if instr.index is None:  # scalar alloca
-            slot = self._mem_slot(target)
+        if self.trace_blocks:
+            add(f"{ind}seq += 1")
+            add(f"{ind}yield TraceBlock(name, seq, t, seg, base, pip, "
+                f"{self._extra(block.label)})")
 
-            def fn(env, mem, _s=slot, _v=value):
-                mem[_s] = _v(env)
-            return fn
-        index = self._fetch(instr.index)
-        slot = self._storage_slot(target)
-        crash = self._oob(target, "write")
-        if crash is None:
-            def fn(env, mem, _s=slot, _i=index, _v=value):
-                storage = mem[_s]
-                i = _i(env)
-                if not 0 <= i < len(storage):
-                    i %= len(storage)
-                storage[i] = _v(env)
-            return fn
+        instructions = block.instructions
+        add(f"{ind}steps += {len(instructions)}")
+        add(f"{ind}if steps > limit: yield from ex._replay_to_limit("
+            f"{self.block_index[block]}, locals())")
 
-        def fn(env, mem, _s=slot, _i=index, _v=value, _crash=crash):
-            storage = mem[_s]
-            i = _i(env)
-            if not 0 <= i < len(storage):
-                _crash(i, len(storage))
-            storage[i] = _v(env)
-        return fn
-
-
-def compile_program(compiled_module, bindings: dict,
-                    oob_mode: str) -> ModuleProgram:
-    """Return the (cached) closure program for one compiled module.
-
-    Stream and AXI bindings are design-level channel *names* and therefore
-    identical across runs of one compiled design, so they are baked into
-    the request factories; buffer/scalar bindings are fresh Python lists
-    per run and are resolved through memory slots at executor creation.
-    The cache is verified against the current bindings and transparently
-    recompiled on a (never expected) mismatch.
-    """
-    cache = compiled_module.__dict__.setdefault(_CACHE_ATTR, {})
-    program = cache.get(oob_mode)
-    if program is not None:
-        for pname, channel in program.port_names.items():
-            if bindings.get(pname) != channel:
-                program = None
+        block_schedule = self.schedule.for_block(block)
+        stages = block_schedule.stages
+        latency = block_schedule.latency
+        for instr in instructions:
+            kind = type(instr)
+            if kind in _EVENT_CLASS:
+                stage = stages.get(instr.vid, 0)
+                self._emit_event(instr, ind,
+                                 f"t + {stage}" if stage else "t")
+            elif kind in _EMITTERS:
+                _EMITTERS[kind](self, instr, ind)
+            elif instr.is_terminator:
                 break
-        if program is not None:
-            return program
-    program = _Compiler(compiled_module, bindings, oob_mode).compile()
-    cache[oob_mode] = program
+            else:
+                self._raise_simulation_error(
+                    ind, f"module {self.name}: cannot execute "
+                         f"{instr.opname}")
+
+        term = block.terminator
+        if isinstance(term, ins.Jump):
+            return self._emit_goto(block, term.target, latency, ind, root,
+                                   nesting)
+        if isinstance(term, ins.Branch):
+            for keyword, target in ((f"if {self._operand(term.cond)}:",
+                                     term.if_true), ("else:", term.if_false)):
+                add(ind + keyword)
+                self._emit_tree(
+                    self._emit_goto(block, target, latency, deeper, root,
+                                    nesting + 1),
+                    deeper, root, nesting + 1)
+        else:  # Ret, or an unterminated block (treated as return)
+            frames = self.frames_out[block]
+            add(f"{ind}t += {latency}")
+            if frames != 1:
+                # Returning from inside a pipelined loop (break/ret):
+                # the end event belongs to post-loop straight-line time.
+                inner = ind
+                if frames & 1:
+                    add(f"{ind}if fl:")
+                    inner = deeper
+                add(f"{inner}seg += 1; base = t; pip = False")
+            add(f"{ind}seq += 1")
+            add(f"{ind}ex.steps = steps; ex.seq = seq; ex.end_nominal = t")
+            add(f"{ind}yield EndTask(name, seq, t, seg, base, pip)")
+            add(f"{ind}return")
+        return None
+
+    def _emit_goto(self, block, target, latency: int, ind: str, root,
+                   nesting: int):
+        """Control transfer ``block -> target``: advance time, then loop
+        back to the enclosing root or leave through the state dispatch —
+        or return ``target`` for the caller to inline here."""
+        # A back edge into the active pipelined loop's header takes no
+        # time here: the header entry sets ``t`` to the next issue slot.
+        frames = self.frames_out[block]
+        skips = frames & self.headed.get(target, 0)
+        if not skips:
+            self.add(f"{ind}t += {latency}")
+        elif skips != frames:
+            self.add(f"{ind}if {self._frame_test(skips, negate=True)}: "
+                     f"t += {latency}")
+        if target is root:
+            self.add(f"{ind}continue")
+            return None
+        if target not in self.root_ids:
+            if nesting < _MAX_INLINE_DEPTH:
+                return target
+            self.root_ids[target] = len(self.roots)
+            self.roots.append(target)
+        self.add(f"{ind}state = {self.root_ids[target]}; break")
+        return None
+
+    # --- hardware events --------------------------------------------------
+
+    def _emit_event(self, instr, ind: str, nominal: str) -> None:
+        fields = self._arg(instr.operands[0])
+        for operand in instr.operands[1:]:   # value | offset, length
+            fields += ", " + self._operand(operand)
+        request = (f"{_EVENT_CLASS[type(instr)]}(name, seq, {nominal}, "
+                   f"seg, base, pip, {fields})")
+        dst = self.local[instr.vid]
+        add = self.add
+        add(f"{ind}seq += 1")
+        if isinstance(instr, (ins.FifoRead, ins.AxiRead)):
+            add(f"{ind}{dst} = yield {request}")
+        elif isinstance(instr, ins.FifoNbRead):
+            default = ty.default_value(instr.type.elements[1])
+            add(f"{ind}ok, value = yield {request}")
+            add(f"{ind}{dst} = (int(ok), {default!r} if value is None "
+                "else value)")
+        elif isinstance(instr, (ins.FifoNbWrite, ins.FifoCanRead,
+                                ins.FifoCanWrite)):
+            add(f"{ind}{dst} = int((yield {request}))")
+        else:
+            add(f"{ind}yield {request}")
+
+    # --- pure ops ---------------------------------------------------------
+
+    def _emit_alloca(self, instr, ind: str) -> None:
+        allocated = instr.allocated
+        if isinstance(allocated, ty.ArrayType):
+            default = ty.default_value(allocated.element)
+            self.add(f"{ind}{self._slot(instr)} = [{default!r}] * "
+                     f"{allocated.size}")
+        else:
+            self.add(f"{ind}{self._slot(instr)} = "
+                     f"{ty.default_value(allocated)!r}")
+
+    def _emit_load(self, instr, ind: str) -> None:
+        dst = self.local[instr.vid]
+        operands = instr.operands
+        if len(operands) == 1:  # scalar alloca
+            self.add(f"{ind}{dst} = {self._slot(operands[0])}")
+            return
+        index = self._operand(operands[1])
+        storage, size = self._storage(operands[0])
+        self._emit_access(operands[0], "read", ind, index, size,
+                          f"{dst} = {storage}[%s]")
+
+    def _emit_store(self, instr, ind: str) -> None:
+        operands = instr.operands
+        value = self._operand(operands[1])
+        if len(operands) == 2:  # scalar alloca
+            self.add(f"{ind}{self._slot(operands[0])} = {value}")
+            return
+        index = self._operand(operands[2])
+        storage, size = self._storage(operands[0])
+        self._emit_access(operands[0], "write", ind, index, size,
+                          f"{storage}[%s] = {value}")
+
+    def _emit_access(self, target, what: str, ind: str, index: str,
+                     size: str, access: str) -> None:
+        add = self.add
+        if self.crash_oob:
+            label = self._extra(target.name or target.short())
+            add(f"{ind}if not 0 <= {index} < {size}:")
+            add(f"{ind}    raise oob_crash({what!r}, {label}, {index}, "
+                f"{size}, name)")
+            add(ind + access % index)
+            return
+        # Hardware semantics: the address truncates to the storage size.
+        # list[i] already equals list[i % size] for -size <= i < size.
+        add(f"{ind}try:")
+        add(f"{ind}    {access % index}")
+        add(f"{ind}except IndexError:")
+        add(f"{ind}    {access % f'{index} % {size}'}")
+
+    def _emit_binop(self, instr, ind: str) -> None:
+        a = self._operand(instr.operands[0])
+        b = self._operand(instr.operands[1])
+        type_, op = instr.type, instr.op
+        if isinstance(type_, ty.IntType):
+            template, zero, what = _INT_EXPR[op], "0", "integer"
+        elif isinstance(type_, ty.FixedType):
+            frac = type_.frac_bits
+            template, zero, what = _INT_EXPR[op], "0", "fixed-point"
+            if op == "mul":
+                template = f"({{a}} * {{b}}) >> {frac}"
+            elif op == "div":
+                template = f"cdiv({{a}} << {frac}, {{b}})"
+            elif op == "rem":
+                what = "integer"
+        elif isinstance(type_, ty.FloatType):
+            template, zero, what = _FLOAT_EXPR.get(op), "0.0", "floating-point"
+            if template is None:
+                self._raise_simulation_error(
+                    ind, f"float op {op} not supported")
+                return
+        else:
+            self._raise_simulation_error(
+                ind, f"binop on non-scalar type {type_}")
+            return
+        if op in ("div", "rem"):
+            noun = "remainder" if op == "rem" else "division"
+            self.add(f"{ind}if {b} == {zero}:")
+            self.add(f"{ind}    raise SimulationError("
+                     f"'{what} {noun} by zero')")
+        expr = template.format(a=a, b=b, w=type_.width,
+                               m=(1 << type_.width) - 1)
+        self.add(f"{ind}{self.local[instr.vid]} = {_wrap(expr, type_)}")
+
+    def _emit_cmp(self, instr, ind: str) -> None:
+        a = self._operand(instr.operands[0])
+        b = self._operand(instr.operands[1])
+        self.add(f"{ind}{self.local[instr.vid]} = "
+                 f"1 if {a} {_CMP_EXPR[instr.op]} {b} else 0")
+
+    def _emit_unop(self, instr, ind: str) -> None:
+        a = self._operand(instr.operands[0])
+        type_, op = instr.operands[0].type, instr.op
+        dst = self.local[instr.vid]
+        if op == "lnot":
+            self.add(f"{ind}{dst} = 0 if {a} else 1")
+        elif op == "not" and not isinstance(type_, ty.IntType):
+            self._raise_simulation_error(ind, "bitwise not on non-integer")
+        else:
+            sign = "-" if op == "neg" else "~"
+            self.add(f"{ind}{dst} = {_wrap(sign + a, type_)}")
+
+    def _emit_cast(self, instr, ind: str) -> None:
+        a = self._operand(instr.operands[0])
+        src, to = instr.operands[0].type, instr.type
+        if src == to:
+            expr = a
+        else:
+            # mirror ops.convert_scalar: through the "real" value
+            real = (f"{a} / {src.scale}" if isinstance(src, ty.FixedType)
+                    else a)
+            if isinstance(to, ty.IntType):
+                expr = _wrap(real if isinstance(src, ty.IntType)
+                             else f"int({real})", to)
+            elif isinstance(to, ty.FixedType):
+                if isinstance(src, ty.IntType):
+                    expr = _wrap(f"{a} << {max(to.frac_bits, 0)}", to)
+                else:
+                    expr = _wrap(f"floor(float({real}) * {to.scale})", to)
+            elif isinstance(to, ty.FloatType):
+                expr = _wrap(f"float({real})", to)
+            else:
+                self._raise_simulation_error(
+                    ind, f"cannot convert {src} to {to}")
+                return
+        self.add(f"{ind}{self.local[instr.vid]} = {expr}")
+
+    def _emit_select(self, instr, ind: str) -> None:
+        cond, a, b = [self._operand(o) for o in instr.operands]
+        self.add(f"{ind}{self.local[instr.vid]} = {a} if {cond} else {b}")
+
+    def _emit_tupleget(self, instr, ind: str) -> None:
+        agg = self._operand(instr.operands[0])
+        self.add(f"{ind}{self.local[instr.vid]} = {agg}[{instr.index}]")
+
+    def _emit_assert(self, instr, ind: str) -> None:
+        cond = self._operand(instr.operands[0])
+        message = self._extra(f"assertion failed: {instr.message}")
+        self.add(f"{ind}if not {cond}:")
+        self.add(f"{ind}    raise SimulatedCrash({message}, module=name)")
+
+
+_EMITTERS = {
+    ins.Alloca: _Generator._emit_alloca,
+    ins.Load: _Generator._emit_load,
+    ins.Store: _Generator._emit_store,
+    ins.BinOp: _Generator._emit_binop,
+    ins.Cmp: _Generator._emit_cmp,
+    ins.UnOp: _Generator._emit_unop,
+    ins.Cast: _Generator._emit_cast,
+    ins.Select: _Generator._emit_select,
+    ins.TupleGet: _Generator._emit_tupleget,
+    ins.Assert: _Generator._emit_assert,
+}
+
+
+def source_digest(source: str) -> str:
+    return hashlib.sha256(source.encode()).hexdigest()[:16]
+
+
+def _factory_for(source: str):
+    """The factory function of one generated source (kept on it as
+    ``factory.source``), compiled at most once per process and
+    registered with :mod:`linecache`."""
+    factory = _FACTORIES.get(source)
+    if factory is None:
+        filename = f"<repro-codegen:{source_digest(source)}>"
+        namespace: dict = {}
+        exec(compile(source, filename, "exec"), _GLOBALS, namespace)
+        factory = namespace["factory"]
+        factory.source = source
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        if len(_FACTORIES) >= _FACTORY_CACHE_LIMIT:
+            for stale in list(_FACTORIES.values()):
+                linecache.cache.pop(stale.__code__.co_filename, None)
+            _FACTORIES.clear()
+        _FACTORIES[source] = factory
+    return factory
+
+
+def compile_program(compiled_module, oob_mode: str = "wrap",
+                    trace_blocks: bool = False) -> ModuleProgram:
+    """Return the (cached) generated program of one compiled module.
+
+    Nothing run-specific is baked in: channel names and bound buffers
+    reach the factory as arguments at :meth:`CompiledModuleExecutor.run`,
+    so one program serves every run of the compiled design."""
+    cache = compiled_module.__dict__.setdefault(_CACHE_ATTR, {})
+    key = (oob_mode, trace_blocks)
+    program = cache.get(key)
+    if program is None:
+        generator = _Generator(compiled_module, oob_mode, trace_blocks)
+        factory = _factory_for(generator.generate())
+        program = cache[key] = ModuleProgram(
+            factory, tuple(generator.consts), tuple(generator.arg_locals),
+            tuple(generator.extras))
     return program
 
 
 class CompiledModuleExecutor:
     """Drop-in replacement for :class:`ModuleInterpreter` running the
-    closure program.  Constructor, attributes and generator protocol are
-    identical — see DESIGN.md for the architecture."""
+    generated program.  Constructor, attributes and generator protocol
+    are identical — see DESIGN.md for the architecture."""
 
     OOB_MODES = ("wrap", "crash")
 
@@ -551,152 +718,57 @@ class CompiledModuleExecutor:
         self.bindings = bindings
         self.step_limit = step_limit
         self.trace_blocks = trace_blocks
-        self.program = compile_program(compiled_module, bindings, oob_mode)
+        self.program = compile_program(compiled_module, oob_mode,
+                                       trace_blocks)
         self.seq = 0
         self.steps = 0
         self.end_nominal: int | None = None
 
-    # ------------------------------------------------------------------
-
-    def _next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
-
-    def _new_segment(self, base: int, pipelined: bool) -> None:
-        self._segment += 1
-        self._seg_base = base
-        self._seg_pipelined = pipelined
-
-    def _run_block_stepwise(self, cb: _CompiledBlock, env, mem, time):
-        """Replay one block with the interpreter's per-instruction step
-        accounting.  Only invoked when the step limit is known to fall
-        inside this block, so the emitted event prefix and the raise
-        point are bit-identical to the oracle; always raises."""
-        step_limit = self.step_limit
-        name = self.name
-        for stage, fn, apply in cb.steps:
-            self.steps += 1
-            if self.steps > step_limit:
-                raise step_limit_error(name, step_limit)
-            if stage is _PURE:
-                fn(env, mem)
-                continue
-            self.seq += 1
-            request = fn(env, mem, time + stage, self.seq)
-            request.segment = self._segment
-            request.seg_base = self._seg_base
-            request.pipelined = self._seg_pipelined
-            resp = yield request
-            if apply is not None:
-                apply(env, resp)
-        if cb.n_instr > len(cb.steps):  # the terminator counts as a step
-            self.steps += 1
-            if self.steps > step_limit:
-                raise step_limit_error(name, step_limit)
-
-    # ------------------------------------------------------------------
-
     def run(self):
         """Generator protocol: yields Requests; ``send()`` responses back."""
         program = self.program
-        env: list = [None] * program.n_slots
-        mem: list = [None] * program.n_mem
         bindings = self.bindings
-        for slot, pname in program.arg_slots:
-            mem[slot] = bindings[pname]
+        return program.factory(
+            self, program.consts,
+            tuple(bindings[name] for name in program.arg_names),
+            program.extras)()
 
-        self._segment = 0
-        self._seg_base = 0
-        self._seg_pipelined = False
-        name = self.name
-        step_limit = self.step_limit
-        trace_blocks = self.trace_blocks
-
-        yield req.StartTask(name, self._next_seq(), 0)
-
-        cb: _CompiledBlock = program.entry
-        time = 0
-        frame_loop: LoopMeta | None = None
-        frame_issue = 0
-
-        while True:
-            # --- pipeline frame management on block entry ---------------
-            if frame_loop is not None and cb.bb not in frame_loop.blocks:
-                frame_loop = None
-                self._new_segment(time, False)
-            if cb.enters_pipeline:
-                pipelined = cb.pipelined_loop
-                if frame_loop is pipelined:
-                    # back edge: next iteration issues II cycles later
-                    frame_issue += pipelined.ii
-                    time = frame_issue
-                    self._new_segment(time, True)
+    def _replay_to_limit(self, block_index: int, frame: dict):
+        """Finish the run in the oracle: called by generated code on
+        entering the block in which the step limit falls, with its
+        ``locals()``.  Executes that block with the interpreter's
+        per-instruction step accounting and always raises the step-limit
+        error, so the emitted event prefix and the raise point are the
+        oracle's own."""
+        oracle = ModuleInterpreter(self.module, self.bindings,
+                                   self.step_limit, oob_mode=self.oob_mode)
+        block = self.function.blocks[block_index]
+        oracle.seq = frame["seq"]
+        oracle.steps = frame["steps"] - len(block.instructions)
+        oracle._segment = frame["seg"]
+        oracle._seg_base = frame["base"]
+        oracle._seg_pipelined = frame["pip"]
+        env, memory = {}, {}
+        for i, instr in enumerate(self.function.iter_instructions()):
+            if f"v{i}" in frame:
+                env[instr.vid] = frame[f"v{i}"]
+            if f"m{i}" in frame:
+                memory[instr.vid] = frame[f"m{i}"]
+        stages = self.schedule.for_block(block).stages
+        time = frame["t"]
+        try:
+            for instr in block.instructions:
+                oracle.steps += 1
+                if oracle.steps > self.step_limit:
+                    raise step_limit_error(self.name, self.step_limit)
+                if isinstance(instr, ins.EVENT_OPS):
+                    result = yield from oracle._run_event(
+                        instr, env, time + stages.get(instr.vid, 0), None)
+                    if result is not _NO_VALUE:
+                        env[instr.vid] = result
                 else:
-                    frame_loop = pipelined
-                    frame_issue = time
-                    self._new_segment(time, True)
-
-            if trace_blocks:
-                trace = req.TraceBlock(name, self._next_seq(), time,
-                                       self._segment, self._seg_base,
-                                       self._seg_pipelined,
-                                       block_label=cb.bb.label)
-                yield trace
-
-            if self.steps + cb.n_instr > step_limit:
-                # The limit falls inside this block: replay it with the
-                # interpreter's per-instruction accounting so the emitted
-                # event prefix (and the raise point) stay bit-identical.
-                yield from self._run_block_stepwise(cb, env, mem, time)
-                # stepwise always raises; backstop for safety
-                raise step_limit_error(name, step_limit)  # pragma: no cover
-            self.steps += cb.n_instr
-
-            # --- block body ---------------------------------------------
-            if cb.has_events:
-                segment = self._segment
-                seg_base = self._seg_base
-                seg_pipelined = self._seg_pipelined
-                for stage, fn, apply in cb.steps:
-                    if stage is _PURE:
-                        fn(env, mem)
-                        continue
-                    self.seq += 1
-                    request = fn(env, mem, time + stage, self.seq)
-                    request.segment = segment
-                    request.seg_base = seg_base
-                    request.pipelined = seg_pipelined
-                    resp = yield request
-                    if apply is not None:
-                        apply(env, resp)
-            else:
-                for fn in cb.pure_fns:
-                    fn(env, mem)
-
-            # --- terminator ---------------------------------------------
-            term = cb.term
-            end_of_block = time + cb.latency
-            kind = term[0]
-            if kind == "jump":
-                next_cb = term[1]
-            elif kind == "branch":
-                next_cb = term[2] if term[1](env) else term[3]
-            else:  # "ret"
-                self.end_nominal = end_of_block
-                if frame_loop is not None:
-                    # Returning from inside a pipelined loop (break/ret):
-                    # the end event belongs to post-loop straight-line
-                    # time.
-                    self._new_segment(end_of_block, False)
-                end = req.EndTask(name, self._next_seq(), end_of_block,
-                                  self._segment, self._seg_base,
-                                  self._seg_pipelined)
-                yield end
-                return
-
-            # --- timing for the control transfer ------------------------
-            if not (frame_loop is not None
-                    and next_cb.bb is frame_loop.header):
-                # (back-edge issue advance is handled at header entry)
-                time = end_of_block
-            cb = next_cb
+                    oracle._run_pure(instr, env, memory)
+        finally:
+            self.seq, self.steps = oracle.seq, oracle.steps
+        # unreachable: the limit falls inside this block
+        raise step_limit_error(self.name, self.step_limit)  # pragma: no cover

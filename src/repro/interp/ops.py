@@ -156,184 +156,3 @@ def as_python_number(value, type_: ty.Type):
     if isinstance(type_, ty.FixedType):
         return type_.to_float(value)
     return value
-
-
-# ---------------------------------------------------------------------------
-# specialized callables for the closure compiler (repro.interp.compiled)
-#
-# ``eval_binop``/``eval_cmp``/... dispatch on (op, type) per call; the
-# factories below resolve that dispatch exactly once per instruction at
-# module-compile time and return a flat callable with the wrapping masks
-# inlined.  Semantics are identical by construction — the differential
-# executor tests assert it.
-
-
-def _int_wrap_fn(width: int, signed: bool):
-    """Inlined equivalent of ``IntType.wrap`` for one fixed width."""
-    mask = (1 << width) - 1
-    if not signed:
-        def wrap(v, _m=mask):
-            return int(v) & _m
-        return wrap
-    sign_bit = 1 << (width - 1)
-    excess = 1 << width
-
-    def wrap(v, _m=mask, _s=sign_bit, _e=excess):
-        v = int(v) & _m
-        return v - _e if v & _s else v
-    return wrap
-
-
-def _int_binop_fn(op: str, type_: ty.IntType):
-    wrap = _int_wrap_fn(type_.width, type_.signed)
-    width = type_.width
-    if op == "add":
-        return lambda a, b: wrap(a + b)
-    if op == "sub":
-        return lambda a, b: wrap(a - b)
-    if op == "mul":
-        return lambda a, b: wrap(a * b)
-    if op == "and":
-        return lambda a, b: wrap(a & b)
-    if op == "or":
-        return lambda a, b: wrap(a | b)
-    if op == "xor":
-        return lambda a, b: wrap(a ^ b)
-    if op == "shl":
-        return lambda a, b: wrap(a << (b % width))
-    if op == "lshr":
-        mask = (1 << width) - 1
-        return lambda a, b: wrap((a & mask) >> (b % width))
-    if op == "ashr":
-        return lambda a, b: wrap(a >> (b % width))
-    if op == "div":
-        def div(a, b):
-            if b == 0:
-                raise SimulationError("integer division by zero")
-            return wrap(_cdiv(a, b))
-        return div
-    if op == "rem":
-        def rem(a, b):
-            if b == 0:
-                raise SimulationError("integer remainder by zero")
-            return wrap(_crem(a, b))
-        return rem
-    raise SimulationError(f"unknown int op {op}")
-
-
-def _fixed_binop_fn(op: str, type_: ty.FixedType):
-    wrap = _int_wrap_fn(type_.width, type_.signed)
-    frac = type_.frac_bits
-    if op == "add":
-        return lambda a, b: wrap(a + b)
-    if op == "sub":
-        return lambda a, b: wrap(a - b)
-    if op == "mul":
-        return lambda a, b: wrap((a * b) >> frac)
-    if op == "div":
-        def div(a, b):
-            if b == 0:
-                raise SimulationError("fixed-point division by zero")
-            return wrap(_cdiv(a << frac, b))
-        return div
-    if op in ("and", "or", "xor", "shl", "lshr", "ashr", "rem"):
-        return _int_binop_fn(op, ty.IntType(type_.width, type_.signed))
-    raise SimulationError(f"unknown fixed op {op}")
-
-
-def _float_binop_fn(op: str, type_: ty.FloatType):
-    wrap = type_.wrap
-    if op == "add":
-        return lambda a, b: wrap(a + b)
-    if op == "sub":
-        return lambda a, b: wrap(a - b)
-    if op == "mul":
-        return lambda a, b: wrap(a * b)
-    if op == "div":
-        def div(a, b):
-            if b == 0.0:
-                raise SimulationError("floating-point division by zero")
-            return wrap(a / b)
-        return div
-    raise SimulationError(f"float op {op} not supported")
-
-
-def binop_fn(op: str, type_: ty.Type):
-    """Specialized ``(a, b) -> result`` callable for one (op, type) pair."""
-    if isinstance(type_, ty.FloatType):
-        return _float_binop_fn(op, type_)
-    if isinstance(type_, ty.FixedType):
-        return _fixed_binop_fn(op, type_)
-    if isinstance(type_, ty.IntType):
-        return _int_binop_fn(op, type_)
-    raise SimulationError(f"binop on non-scalar type {type_}")
-
-
-_CMP_FNS = {
-    "eq": lambda a, b: int(a == b),
-    "ne": lambda a, b: int(a != b),
-    "lt": lambda a, b: int(a < b),
-    "le": lambda a, b: int(a <= b),
-    "gt": lambda a, b: int(a > b),
-    "ge": lambda a, b: int(a >= b),
-}
-
-
-def cmp_fn(op: str):
-    """Specialized comparison callable (raw fixed-point compares are
-    order-preserving, so the operand type is irrelevant — as in
-    :func:`eval_cmp`)."""
-    try:
-        return _CMP_FNS[op]
-    except KeyError:
-        raise SimulationError(f"unknown compare op {op}") from None
-
-
-def unop_fn(op: str, type_: ty.Type):
-    """Specialized unary callable mirroring :func:`eval_unop`."""
-    if op == "neg":
-        if isinstance(type_, ty.FixedType):
-            wrap = type_.wrap_raw
-        else:
-            wrap = type_.wrap
-        return lambda a: wrap(-a)
-    if op == "not":
-        if not isinstance(type_, ty.IntType):
-            raise SimulationError("bitwise not on non-integer")
-        wrap = _int_wrap_fn(type_.width, type_.signed)
-        return lambda a: wrap(~a)
-    if op == "lnot":
-        return lambda a: int(not a)
-    raise SimulationError(f"unknown unary op {op}")
-
-
-def cast_fn(from_type: ty.Type, to_type: ty.Type):
-    """Specialized conversion callable mirroring :func:`convert_scalar`."""
-    if from_type == to_type:
-        return lambda v: v
-    if isinstance(from_type, ty.FixedType):
-        to_float = from_type.to_float
-        if isinstance(to_type, ty.IntType):
-            wrap = _int_wrap_fn(to_type.width, to_type.signed)
-            return lambda v: wrap(int(to_float(v)))
-        if isinstance(to_type, ty.FixedType):
-            from_float = to_type.from_float
-            return lambda v: from_float(float(to_float(v)))
-        if isinstance(to_type, ty.FloatType):
-            wrap = to_type.wrap
-            return lambda v: wrap(float(to_float(v)))
-    else:
-        if isinstance(to_type, ty.IntType):
-            wrap = _int_wrap_fn(to_type.width, to_type.signed)
-            return lambda v: wrap(int(v))
-        if isinstance(to_type, ty.FixedType):
-            if isinstance(from_type, ty.IntType):
-                wrap_raw = to_type.wrap_raw
-                shift = max(to_type.frac_bits, 0)
-                return lambda v: wrap_raw(int(v) << shift)
-            from_float = to_type.from_float
-            return lambda v: from_float(float(v))
-        if isinstance(to_type, ty.FloatType):
-            wrap = to_type.wrap
-            return lambda v: wrap(float(v))
-    raise SimulationError(f"cannot convert {from_type} to {to_type}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .instructions import Instruction
+from .instructions import Branch, Instruction, Jump
 
 _block_counter = itertools.count()
 
@@ -52,8 +52,6 @@ class BasicBlock:
         term = self.terminator
         if term is None:
             return []
-        from .instructions import Branch, Jump
-
         if isinstance(term, Jump):
             return [term.target]
         if isinstance(term, Branch):

@@ -17,7 +17,7 @@ from ..runtime.fifo import FifoChannel
 # executor selection seam
 #
 # Every engine builds its per-module Func Sim contexts through
-# ``make_executor``: the closure-compiled executor is the default, the
+# ``make_executor``: the generated executor is the default, the
 # tree-walking interpreter stays available as the differential oracle
 # (``executor="interp"``).
 
@@ -63,6 +63,10 @@ class RuntimeState:
     bindings: dict = field(default_factory=dict)
 
 
+#: attribute used to memoize the initial images on a CompiledDesign
+_IMAGES_ATTR = "_initial_images"
+
+
 def _initial_value(element: ty.Type, raw):
     """Convert a user-provided init value into interpreter representation."""
     if isinstance(element, ty.FixedType):
@@ -72,6 +76,31 @@ def _initial_value(element: ty.Type, raw):
     if isinstance(element, ty.FloatType):
         return element.wrap(float(raw))
     return element.wrap(int(raw))
+
+
+def _initial_images(compiled) -> tuple:
+    """(buffer name -> values, AXI port name -> memory) in interpreter
+    representation.  Converted once per CompiledDesign and memoized on
+    it; every run copies the images it mutates."""
+    images = compiled.__dict__.get(_IMAGES_ATTR)
+    if images is None:
+        design = compiled.design
+        buffers, memories = {}, {}
+        for name, buffer in design.buffers.items():
+            if buffer.init is not None:
+                buffers[name] = [_initial_value(buffer.element, v)
+                                 for v in buffer.init]
+            else:
+                buffers[name] = ([ty.default_value(buffer.element)]
+                                 * buffer.size)
+        for name, axi in design.axis.items():
+            memory = [ty.default_value(axi.element)] * axi.size
+            if axi.init is not None:
+                for i, raw in enumerate(axi.init):
+                    memory[i] = _initial_value(axi.element, raw)
+            memories[name] = memory
+        images = compiled.__dict__[_IMAGES_ATTR] = (buffers, memories)
+    return images
 
 
 def build_runtime_state(compiled, depths: dict | None = None,
@@ -92,23 +121,16 @@ def build_runtime_state(compiled, depths: dict | None = None,
             depth = 1 << 62
         state.fifos[name] = FifoChannel(name, depth)
 
-    for name, buffer in design.buffers.items():
-        if buffer.init is not None:
-            values = [_initial_value(buffer.element, v) for v in buffer.init]
-        else:
-            values = [ty.default_value(buffer.element)] * buffer.size
-        state.buffers[name] = values
+    buffers, memories = _initial_images(compiled)
+    for name, values in buffers.items():
+        state.buffers[name] = values.copy()
 
     for name, scalar in design.scalars.items():
         state.scalars[name] = [ty.default_value(scalar.element)]
 
     for name, axi in design.axis.items():
-        memory = [ty.default_value(axi.element)] * axi.size
-        if axi.init is not None:
-            for i, raw in enumerate(axi.init):
-                memory[i] = _initial_value(axi.element, raw)
-        state.axis[name] = AxiPort(name, memory, axi.read_latency,
-                                   axi.write_latency)
+        state.axis[name] = AxiPort(name, memories[name].copy(),
+                                   axi.read_latency, axi.write_latency)
 
     for module in compiled.modules:
         instance = module.instance

@@ -24,7 +24,7 @@ it exists for fidelity and as an ablation, not for speed.)
 
 The Func Sim contexts themselves come from the executor-selection seam
 inherited through :meth:`OmniSimulator._build`, so the worker threads run
-the closure-compiled executor by default (``executor="interp"`` selects
+the generated executor by default (``executor="interp"`` selects
 the tree-walking oracle).
 """
 

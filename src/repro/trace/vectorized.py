@@ -59,13 +59,23 @@ from ..sim.graph import K_WRITE
 from ..sim.incremental import IncrementalResult
 from .columnar import _NEG_INF, TraceArtifact
 
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    if _os.environ.get("REPRO_NO_NUMPY"):
+#: the numpy module once :func:`_numpy` has looked for it (None when it
+#: is missing or disabled); importing it is ~1/3 of a ``repro run``'s
+#: wall, so only the first batch-kernel use pays for it
+_PENDING = object()
+_np = _PENDING
+
+
+def _numpy():
+    global _np
+    if _np is _PENDING:
         _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+        if not _os.environ.get("REPRO_NO_NUMPY"):
+            try:
+                import numpy as _np
+            except ImportError:  # pragma: no cover - no-numpy CI job
+                pass
+    return _np
 
 #: default rows per vectorized kernel call.  Large enough that per-level
 #: NumPy call overhead amortizes across the batch (the sweep runs one
@@ -78,7 +88,7 @@ DEFAULT_BATCH_SIZE = 256
 def numpy_available() -> bool:
     """True when the vectorized kernel can run (NumPy importable and
     not disabled via ``REPRO_NO_NUMPY``)."""
-    return _np is not None
+    return _numpy() is not None
 
 
 class BatchPlan:
@@ -101,12 +111,12 @@ class BatchPlan:
 
     def __init__(self, art: TraceArtifact):
         self.supported = False
-        if _np is None:
+        np = _numpy()
+        if np is None:
             return
         art.ensure_static()
         if not art.s_has_order:
             return
-        np = _np
         total = art.s_total
         self.total = total
         self.node_count = art.node_count
@@ -421,7 +431,7 @@ def _plan_for(art: TraceArtifact) -> BatchPlan:
 
 def batch_supported(art: TraceArtifact) -> bool:
     """True when ``art`` can be served by the vectorized kernel."""
-    return _np is not None and _plan_for(art).supported
+    return _numpy() is not None and _plan_for(art).supported
 
 
 def resimulate_batch(art: TraceArtifact, configs,
@@ -448,12 +458,12 @@ def resimulate_batch(art: TraceArtifact, configs,
     configs = list(configs)
     if not configs:
         return []
-    if _np is None:
+    np = _numpy()
+    if np is None:
         return [None] * len(configs)
     plan = _plan_for(art)
     if not plan.supported:
         return [None] * len(configs)
-    np = _np
     start = _time.perf_counter()
 
     known = set(art.depths)
@@ -519,7 +529,8 @@ def retime_batch(art: TraceArtifact, depth_maps) -> list[list[int]]:
     kernel cannot serve the artifact (use :func:`batch_supported`).
     """
     depth_maps = list(depth_maps)
-    if _np is None:
+    np = _numpy()
+    if np is None:
         raise ValueError("NumPy unavailable: vectorized retime disabled")
     plan = _plan_for(art)
     if not plan.supported:
@@ -529,7 +540,6 @@ def retime_batch(art: TraceArtifact, depth_maps) -> list[list[int]]:
         )
     if not depth_maps:
         return []
-    np = _np
     D = np.empty((len(depth_maps), len(plan.fifo_names)), dtype=np.int64)
     for r, depths in enumerate(depth_maps):
         for c, name in enumerate(plan.fifo_names):

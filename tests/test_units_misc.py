@@ -292,3 +292,50 @@ class TestRequestSlots:
             assert hasattr(cls, "__slots__"), cls
             instance = cls("m", 1, 0)
             assert not hasattr(instance, "__dict__"), cls
+
+
+class TestRuntimeStateImages:
+    """``build_runtime_state`` converts buffer/AXI init values once per
+    CompiledDesign and hands every run its own copy."""
+
+    @staticmethod
+    def _in_place_design():
+        from repro.hls.kernel import kernel_from_source
+
+        d = hls.Design("in_place")
+        d.add(kernel_from_source("""
+def k(buf: hls.BufferOut(hls.fixed(16, 8), 4), mem: hls.AxiMaster(hls.i32)):
+    for i in range(4):
+        buf[i] = buf[i] + buf[i]
+    mem.write_req(0, 2)
+    mem.write(7)
+    mem.write(7)
+    mem.write_resp()
+"""), buf=d.buffer("buf", hls.fixed(16, 8), 4, init=[0.5, 1, -2, 3.25]),
+              mem=d.axi("mem", hls.i32, 8, init=[1, 2, 3]))
+        return compile_design(d)
+
+    def test_runs_do_not_alias_buffers_or_the_image(self):
+        from repro.sim.context import build_runtime_state
+        from repro.sim.registry import run_engine
+
+        compiled = self._in_place_design()
+        first = build_runtime_state(compiled)
+        second = build_runtime_state(compiled)
+        assert first.buffers["buf"] == second.buffers["buf"] \
+            == [128, 256, -512, 832]      # raw fixed<16,8>
+        assert first.buffers["buf"] is not second.buffers["buf"]
+        assert first.axis["mem"].memory is not second.axis["mem"].memory
+        assert first.bindings["k"]["buf"] is first.buffers["buf"]
+        first.buffers["buf"][0] = 999
+        first.axis["mem"].memory[0] = 999
+        assert second.buffers["buf"][0] == 128
+        assert second.axis["mem"].memory[:4] == [1, 2, 3, 0]
+        # a design that overwrites its own inputs gives the same answer
+        # on every run of one CompiledDesign
+        runs = [run_engine("omnisim", compiled) for _ in range(3)]
+        assert runs[0].buffers["buf"] == [1.0, 2.0, -4.0, 6.5]
+        assert runs[0].axi_memories["mem"][:3] == [7, 7, 3]
+        assert all(r.buffers == runs[0].buffers
+                   and r.axi_memories == runs[0].axi_memories
+                   for r in runs)

@@ -299,3 +299,41 @@ def test_batch_size_validation():
     compiled = compile_design(make_pipeline_design())
     with pytest.raises(ValueError):
         explore(compiled, ["s1=1:4"], batch_size=0)
+
+
+# ---------------------------------------------------------------------------
+# NumPy is a first-kernel-use import, not an import-time one
+
+_LAZY_NUMPY_PROG = """
+import sys
+from repro.cli import main
+assert main(["run", "fig4_ex5"]) == 0
+assert "numpy" not in sys.modules, "repro run imported numpy"
+from repro.api import Session
+from repro.trace import numpy_available
+result = Session.open("fig4_ex5", trace_cache=False, n=100).sweep(
+    ["fifo2=1:8"])
+modes = sorted({p.mode for p in result.points})
+print("MODES", numpy_available(), "numpy" in sys.modules, modes)
+"""
+
+
+def test_repro_run_does_not_import_numpy():
+    """A plain ``repro run`` never pays the NumPy import (~1/3 of its
+    wall); the first batched sweep in the same process still gets the
+    vectorized kernel."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_NUMPY_PROG],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    line = [ln for ln in proc.stdout.splitlines()
+            if ln.startswith("MODES")][-1]
+    if numpy_available():
+        assert line == "MODES True True ['vectorized']", line
+    else:
+        assert line.startswith("MODES False False"), line
