@@ -15,7 +15,10 @@ import pytest
 from repro import compile_design, designs
 from repro.analysis import fmt_seconds, render_table
 from repro.frontend import compiler as frontend_compiler
-from repro.sim import OmniSimulator, ThreadedOmniSimulator, resimulate
+from repro.sim import get_engine, resimulate
+
+OmniSimulator = get_engine("omnisim").cls
+ThreadedOmniSimulator = get_engine("omnisim-threads").cls
 
 
 def _dead_check_design(optimize: bool):

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from repro.analysis import render_table
 from repro.dse import explore
-from repro.sim import OmniSimulator
+from repro.sim import get_engine
+
+OmniSimulator = get_engine("omnisim").cls
 
 VADD_SPECS = ["sc=1:16"]
 EX5_PARAMS = {"n": 200}

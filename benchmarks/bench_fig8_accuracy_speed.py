@@ -19,7 +19,10 @@ except ImportError:  # executed directly: conftest sits alongside
 from repro import designs
 from repro.analysis import AccuracyRow, fmt_seconds, geomean, render_table
 from repro.errors import DeadlockError
-from repro.sim import CoSimulator, OmniSimulator
+from repro.sim import get_engine
+
+CoSimulator = get_engine("cosim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 FIG8_NAMES = [spec.name for spec in designs.table4_specs()
               if spec.name != "deadlock"]

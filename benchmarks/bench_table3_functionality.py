@@ -17,7 +17,11 @@ except ImportError:  # executed directly: conftest sits alongside
 from repro import designs
 from repro.analysis import render_table
 from repro.errors import DeadlockError
-from repro.sim import CoSimulator, CSimulator, OmniSimulator
+from repro.sim import get_engine
+
+CoSimulator = get_engine("cosim").cls
+CSimulator = get_engine("csim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 TABLE3_NAMES = [spec.name for spec in designs.table4_specs()]
 

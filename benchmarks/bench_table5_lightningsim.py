@@ -19,7 +19,10 @@ except ImportError:  # executed directly: conftest sits alongside
     from conftest import compiled_design
 from repro import designs
 from repro.analysis import fmt_seconds, geomean, render_table
-from repro.sim import LightningSimulator, OmniSimulator
+from repro.sim import get_engine
+
+LightningSimulator = get_engine("lightningsim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 TABLE5_NAMES = [spec.name for spec in designs.table5_specs()]
 LARGE = {"flowgnn_gin", "flowgnn_gcn", "flowgnn_gat", "flowgnn_pna",

@@ -11,7 +11,7 @@ Run:  python examples/network_router.py
 """
 
 from repro import compile_design, hls
-from repro.sim import CSimulator, OmniSimulator
+from repro.sim import run_engine
 
 PACKETS = 500
 
@@ -84,7 +84,7 @@ def build(fast_depth: int, slow_depth: int = 2) -> hls.Design:
 
 def main() -> None:
     compiled = compile_design(build(fast_depth=2))
-    csim = CSimulator(compiled).run()
+    csim = run_engine("csim", compiled)
     print("C-sim thinks every packet takes the fast path "
           f"(via_fast={csim.scalars['via_fast']}, "
           f"via_slow={csim.scalars['via_slow']}) - write_nb never fails "
@@ -94,7 +94,7 @@ def main() -> None:
     print(f"{'depth':>6} {'via fast':>9} {'via slow':>9} {'cycles':>8} "
           f"{'throughput':>11}")
     for depth in (1, 2, 4, 8, 16, 32, 64):
-        result = OmniSimulator(compile_design(build(depth))).run()
+        result = run_engine("omnisim", compile_design(build(depth)))
         throughput = PACKETS / result.cycles
         print(f"{depth:>6} {result.scalars['via_fast']:>9} "
               f"{result.scalars['via_slow']:>9} {result.cycles:>8} "

@@ -4,7 +4,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import compile_design, hls
-from repro.sim import CoSimulator, CSimulator, LightningSimulator, OmniSimulator
+from repro.sim import run_engine
 
 N = 256
 
@@ -51,9 +51,8 @@ def main() -> None:
     #    speed; the cycle-stepped co-simulator is the slow oracle; C-sim
     #    checks functionality only.
     expected = sum(3 * i for i in range(N))
-    for sim_class in (OmniSimulator, CoSimulator, LightningSimulator,
-                      CSimulator):
-        result = sim_class(compiled).run()
+    for engine in ("omnisim", "cosim", "lightningsim", "csim"):
+        result = run_engine(engine, compiled)
         cycles = result.cycles if result.cycles else "n/a"
         assert result.scalars["total"] == expected
         print(f"{result.simulator:>14}: total={result.scalars['total']}"

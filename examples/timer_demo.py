@@ -16,13 +16,7 @@ Run:  python examples/timer_demo.py
 """
 
 from repro import compile_design, designs
-from repro.sim import (
-    CoSimulator,
-    CSimulator,
-    NaiveThreadedSimulator,
-    OmniSimulator,
-    ThreadedOmniSimulator,
-)
+from repro.sim import run_engine
 
 N = 500
 
@@ -34,24 +28,24 @@ def main() -> None:
 
     naive_counts = []
     for attempt in range(3):
-        naive = NaiveThreadedSimulator(compiled, poll_yield=1e-6).run()
+        naive = run_engine("naive", compiled, poll_yield=1e-6)
         naive_counts.append(naive.scalars["cycles"])
     print(f"naive threads   : counts across 3 runs = {naive_counts}")
     print("                  (OS-scheduling noise, not hardware cycles)")
 
-    csim = CSimulator(compiled).run()
+    csim = run_engine("csim", compiled)
     print(f"C simulation    : count = {csim.scalars['cycles']} "
           "(sequential execution: the timer never waits)")
 
-    cosim = CoSimulator(compiled).run()
+    cosim = run_engine("cosim", compiled)
     print(f"co-simulation   : count = {cosim.scalars['cycles']} "
           f"(oracle, {cosim.execute_seconds * 1e3:.0f} ms)")
 
-    omni = OmniSimulator(compiled).run()
+    omni = run_engine("omnisim", compiled)
     print(f"OmniSim         : count = {omni.scalars['cycles']} "
           f"({omni.execute_seconds * 1e3:.0f} ms)")
 
-    threaded = ThreadedOmniSimulator(compiled).run()
+    threaded = run_engine("omnisim-threads", compiled)
     print(f"OmniSim/threads : count = {threaded.scalars['cycles']} "
           "(real OS threads + orchestration: still exact)")
 

@@ -17,7 +17,7 @@ Run:  python examples/video_pipeline.py
 
 from repro import compile_design, hls
 from repro.errors import ConstraintViolation
-from repro.sim import CSimulator, OmniSimulator, resimulate
+from repro.sim import resimulate, run_engine
 
 FRAMES = 400
 
@@ -67,8 +67,8 @@ def build(depth: int) -> hls.Design:
 def main() -> None:
     compiled = compile_design(build(depth=4))
 
-    csim = CSimulator(compiled).run()
-    omni = OmniSimulator(compiled).run()
+    csim = run_engine("csim", compiled)
+    omni = run_engine("omnisim", compiled)
     print(f"C-sim   : encoded={csim.scalars['encoded']} "
           f"dropped={csim.scalars['dropped']}   <- infinite FIFOs lie")
     print(f"OmniSim : encoded={omni.scalars['encoded']} "
@@ -86,7 +86,7 @@ def main() -> None:
                   f"[incremental, {incremental.seconds * 1e3:.2f} ms]")
         except ConstraintViolation:
             fresh_compiled = compile_design(build(depth))
-            fresh = OmniSimulator(fresh_compiled).run()
+            fresh = run_engine("omnisim", fresh_compiled)
             base = fresh
             print(f"  depth {depth:3d}: cycles={fresh.cycles}  "
                   f"dropped={fresh.scalars['dropped']}  "

@@ -11,8 +11,9 @@ Five checks (run one by name, or all by default):
 * ``api`` — extract the README's fenced ``python`` blocks (the
   ``repro.api`` quickstart) and execute them (so the programmatic
   quickstart can never drift from the API);
-* ``design`` — assert DESIGN.md documents the vectorized batch-retiming
-  kernel (section 16), the fuzzing harness (section 17), the
+* ``design`` — assert DESIGN.md documents trace recording (section
+  14), the vectorized batch-retiming kernel (section 16), the fuzzing
+  harness (section 17), the
   simulation service (section 18) and the adaptive search layer
   (section 19), and run any ``python -m repro`` lines in its fenced
   ``bash`` blocks;
@@ -109,14 +110,17 @@ def check_api() -> int:
 
 
 def check_design() -> int:
-    """DESIGN.md must document the vectorized kernel (section 16), the
+    """DESIGN.md must document how engines record into the trace
+    artifact (section 14), the vectorized kernel (section 16), the
     fuzzing harness (section 17), the service (section 18) and the
     adaptive search layer (section 19), and its ``python -m repro``
     command lines (if any) must run — same drift guard the README
     gets."""
     with open(os.path.join(ROOT, "DESIGN.md"), encoding="utf-8") as fh:
         design = fh.read()
-    required = ["## 16. Vectorized batch retiming",
+    required = ["## 14. Columnar trace artifacts", "**Recording.**",
+                "new_trace", "attach_payload", "add_constraint",
+                "## 16. Vectorized batch retiming",
                 "resimulate_batch", "--no-vectorize",
                 "## 17. Coverage-guided differential fuzzing",
                 "run_differential", "tests/regressions/",

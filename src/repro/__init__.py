@@ -26,7 +26,7 @@ from .compile import CompiledDesign, CompiledModule, compile_design
 
 # Set before the api import: repro.api -> trace.store reads the version
 # for cache-key derivation while this module is still initializing.
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 from . import api  # noqa: E402  (needs compile_design defined above)
 

@@ -3,8 +3,8 @@
 The paper pitches "C speed with RTL accuracy" as a *service* a designer
 iterates against; this package is that service's API.  One
 :class:`Session` per design owns the cached compiled artifact and the
-captured simulation graph, and every operation — single runs across all
-registered engines, incremental re-simulation, batched multi-run
+captured run's trace artifact, and every operation — single runs
+across all registered engines, incremental re-simulation, batched multi-run
 execution over a process pool, depth-space sweeps, taxonomy analysis —
 goes through it::
 
@@ -21,10 +21,6 @@ Engines are named through the formal registry re-exported here
 capability records replace hard-coded engine-name special cases.  The
 CLI, the benchmark harness and ``repro.dse`` are all built on this
 package; anything they can do, library callers can do directly.
-
-The legacy entry points (``from repro.sim import OmniSimulator`` +
-direct constructor calls) keep working but emit a ``DeprecationWarning``
-pointing here.
 """
 
 from ..sim.registry import (

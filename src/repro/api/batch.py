@@ -34,10 +34,11 @@ interactive debugging.
 Results come back **in config order**.  Each result's
 ``phase_seconds["serving"]`` records which path produced it
 (``"incremental"``, ``"full"``, or ``"quarantined"``).  By default the
-recorded simulation graph / constraints / FIFO channel tables are
-stripped from returned results (``keep_graphs=False``): they dominate
-pickle size (~250 KB per typea run) and batch callers want numbers, not
-replay state.
+replay handle (``result.trace``) and the engine's FIFO channel tables
+are stripped from returned results (``keep_graphs=False``): they
+dominate pickle size (~250 KB per typea run) and batch callers want
+numbers, not replay state.  ``keep_graphs=True`` means served results
+keep their replay handle.
 
 Execution is a :class:`repro.exec.JournaledRun`: worker crashes respawn
 the pool and retry with backoff, hung chunks die at the ``timeout``
@@ -149,30 +150,17 @@ class _BatchRunner(Replayer):
             return self._failed("omnisim", outcome.error)
         if outcome.source == SOURCE_FULL:
             return self._full(outcome.run)
-        base, inc = outcome.run, outcome.incremental
-        keep = self.keep_graphs
-        return SimulationResult(
-            design_name=base.design_name,
-            simulator="omnisim",
+        trace, inc = outcome.run.trace, outcome.incremental
+        # The replayed run's outputs (copies), at the retimed cycles.
+        return dataclasses.replace(
+            trace.to_result(),
             cycles=inc.cycles,
-            scalars=dict(base.scalars),
-            buffers={k: list(v) for k, v in base.buffers.items()},
-            axi_memories={k: list(v) for k, v in base.axi_memories.items()},
             module_end_times=dict(inc.module_end_times),
-            fifo_leftovers=dict(base.fifo_leftovers),
-            stats=dataclasses.replace(base.stats),
             execute_seconds=outcome.seconds,
-            frontend_seconds=0.0,
-            warnings=list(base.warnings),
             phase_seconds={"serving": "incremental",
                            "replay_seconds": inc.seconds,
                            "mode": outcome.mode},
-            # Attaching replay state costs a constraints-list copy per
-            # served config; skip it when the caller strips it anyway.
-            graph=base.graph if keep else None,
-            constraints=list(base.constraints) if keep else [],
-            fifo_channels=dict(base.fifo_channels) if keep else {},
-            trace=base.trace if keep else None,
+            trace=trace if self.keep_graphs else None,
         )
 
     def _run(self, config: dict) -> SimulationResult:
@@ -189,9 +177,8 @@ class _BatchRunner(Replayer):
         if self.keep_graphs:
             return result
         # The run may be the reference the shard still replays against:
-        # drop the heavy replay attachments from a copy.
-        return dataclasses.replace(result, graph=None, constraints=[],
-                                   fifo_channels={}, trace=None)
+        # drop the heavy attachments from a copy.
+        return dataclasses.replace(result, fifo_channels={}, trace=None)
 
     def _failed(self, engine: str, exc) -> SimulationResult:
         return SimulationResult(
@@ -241,14 +228,14 @@ def serve_depths(session, baseline, depths: dict,
 # heavy replay state never journals), so completed configs round-trip
 # through the append-only journal losslessly.
 
-_REPLAY_FIELDS = ("graph", "constraints", "fifo_channels", "trace")
+_STRIPPED_FIELDS = ("fifo_channels", "trace")
 
 
 def _result_to_json(result: SimulationResult) -> dict:
     doc = {
         f.name: getattr(result, f.name)
         for f in dataclasses.fields(result)
-        if f.name not in _REPLAY_FIELDS and f.name != "stats"
+        if f.name not in _STRIPPED_FIELDS and f.name != "stats"
     }
     doc["stats"] = dataclasses.asdict(result.stats)
     return doc
@@ -321,7 +308,7 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
     if checkpoint is not None and keep_graphs:
         raise ValueError(
             "run_many(checkpoint=...) requires keep_graphs=False: replay "
-            "state (graphs/constraints/traces) cannot be journaled"
+            "state (result.trace) cannot be journaled"
         )
     if batch_size is None:
         batch_size = DEFAULT_BATCH_SIZE
@@ -375,7 +362,7 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
     if jobs > 1 and shardable(session.design_ref):
         worker = (_worker_runner, (
             session.design_ref, base_depths,
-            ship_reference(session, runner.reference, whole=keep_graphs),
+            ship_reference(session, runner.reference),
             incremental, keep_graphs))
     with JournaledRun(
         runner, worker=worker, jobs=jobs,

@@ -1,9 +1,10 @@
 """The Session facade: one compiled artifact, many cheap runs.
 
 A :class:`Session` owns the cached :class:`~repro.compile.CompiledDesign`
-and the captured baseline simulation (graph + query constraints) for one
-design, and exposes every operation the CLI, the benchmark harness and
-the depth-space explorer previously wired up by hand:
+and the captured baseline simulation (its trace artifact: graph + query
+constraints) for one design, and exposes every operation the CLI, the
+benchmark harness and the depth-space explorer previously wired up by
+hand:
 
     from repro.api import Session
 
@@ -24,8 +25,8 @@ Lifecycle and caching rules (DESIGN.md section 13):
 * with a trace cache enabled (``trace_cache=`` / ``REPRO_TRACE_CACHE``),
   ``baseline()`` first consults the content-addressed on-disk store
   (:mod:`repro.trace.store`): a hit skips compilation *and* capture
-  entirely (the baseline then carries the columnar artifact but no
-  object graph); fresh captures are written back for the next process;
+  entirely (the baseline is rebuilt from the stored artifact); fresh
+  captures are written back for the next process;
 * a session assumes its design is immutable; re-open (or
   ``baseline(refresh=True)``) after mutating a design object in place;
 * sessions are **thread-safe for caching**: concurrent first-touch
@@ -125,8 +126,8 @@ class Session:
 
     def baseline(self, *, executor: str | None = None,
                  refresh: bool = False):
-        """The captured OmniSim reference run (trace artifact +
-        constraints; plus the object graph on fresh captures).
+        """The captured OmniSim reference run (``.trace`` is the
+        replay handle).
 
         Cached per Func Sim executor; ``refresh=True`` re-captures (the
         invalidation knob for mutated designs or fresh timing numbers)
@@ -170,39 +171,27 @@ class Session:
                                 executor=key)
             result.phase_seconds["capture"] = "cold"
             if digest is not None:
-                from ..trace.columnar import replay_trace
-
-                artifact = replay_trace(result, executor=key)
-                if artifact is not None:
-                    store.put(digest, artifact)
+                store.put(digest, result.trace)
         return result
 
     def declared(self, baseline) -> tuple:
         """``(design name, declared depth map)`` — read off
         ``baseline``'s artifact (which carries both) while the session
         has not compiled, so warm-cache paths stay compile-free."""
-        from ..trace.columnar import replay_trace
-
-        trace = replay_trace(baseline)
-        if trace is not None and self._compiled is None:
+        if baseline is not None and self._compiled is None:
+            trace = baseline.trace
             return trace.design_name, dict(trace.depths)
         return self.compiled.name, self.compiled.stream_depths()
 
     @property
-    def graph(self):
-        """The captured :class:`~repro.sim.graph.SimulationGraph` —
-        ``None`` for warm-cache baselines (which carry only the columnar
-        :attr:`trace`)."""
-        return self.baseline().graph
-
-    @property
     def trace(self):
-        """The captured :class:`~repro.trace.TraceArtifact` — the
-        preferred replay handle, derived from the baseline on first
-        access (and loaded directly on warm-cache baselines)."""
-        from ..trace.columnar import replay_trace
+        """The baseline's :class:`~repro.trace.TraceArtifact` — the
+        replay handle (recorded by the capture run, or loaded from the
+        store on warm-cache baselines)."""
+        return self.baseline().trace
 
-        return replay_trace(self.baseline())
+    # Kept only for benchmarks/perf (not editable here).
+    graph = trace
 
     # -- execution ------------------------------------------------------
 
@@ -237,12 +226,10 @@ class Session:
         artifact's declared FIFO map, so the whole replay stays
         compile-free.
         """
-        from ..sim.incremental import resimulate
-
         baseline = self.baseline(executor=executor)
         name, declared = self.declared(baseline)
-        return resimulate(baseline,
-                          validate_depth_names(depths, declared, name))
+        return baseline.trace.resimulate(
+            validate_depth_names(depths, declared, name))
 
     def resimulate_many(self, configs, *, executor: str | None = None,
                         batch_size: int | None = None) -> list:

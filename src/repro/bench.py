@@ -229,26 +229,20 @@ def bench_design(name: str, params: dict, repeats: int = 3) -> dict:
 
 
 def bench_retime(name: str, params: dict, fifo: str, depth_range) -> dict:
-    """Per-configuration retime and resimulate cost across a depth
-    sweep (static edges built once, outside the timed loops)."""
+    """Per-configuration incremental re-simulation cost (retime +
+    constraint revalidation) across a depth sweep, static edges built
+    once outside the timed loop.  The bare retime kernel is timed by
+    :func:`bench_trace`."""
     result = Session.open(name, trace_cache=False,
                           **params).baseline(executor="compiled")
-    graph = result.graph
-    base_depths = {n: ch.depth for n, ch in result.fifo_channels.items()}
-    configs = [dict(base_depths, **{fifo: d}) for d in depth_range]
+    configs = [{fifo: d} for d in depth_range]
 
-    graph.retime(configs[0])  # build the static edges once
-    start = time.perf_counter()
-    for depths in configs:
-        graph.retime(depths)
-    cached = (time.perf_counter() - start) / len(configs)
-
-    # Full incremental re-simulations (retime + constraint revalidation).
+    result.trace.retime(result.trace.depths)  # static edges + view, once
     violations = 0
     start = time.perf_counter()
-    for depths in configs:
+    for config in configs:
         try:
-            resimulate(result, {fifo: depths[fifo]})
+            resimulate(result, config)
         except ConstraintViolation:
             violations += 1
     resim = (time.perf_counter() - start) / len(configs)
@@ -258,7 +252,6 @@ def bench_retime(name: str, params: dict, fifo: str, depth_range) -> dict:
         "fifo": fifo,
         "configs": len(configs),
         "constraint_violations": violations,
-        "retime_sec_per_config_cached": round(cached, 6),
         "resimulate_sec_per_config": round(resim, 6),
         #: single-configuration incremental re-simulations per second
         "resimulations_per_sec": round(1.0 / resim, 1),
@@ -420,7 +413,6 @@ def bench_batch_retime(name: str, params: dict, fifo: str,
     import random as _random
 
     from .errors import SimulationError
-    from .trace.columnar import replay_trace
     from .trace.vectorized import (
         batch_supported,
         numpy_available,
@@ -433,8 +425,7 @@ def bench_batch_retime(name: str, params: dict, fifo: str,
             raise RuntimeError(f"batch_retime invariant failed: {what}")
 
     session = Session.open(name, trace_cache=False, **params)
-    trace = replay_trace(session.baseline())
-    check(trace is not None, f"{name} has no trace artifact")
+    trace = session.trace
     base = trace.depths[fifo]
     rng = _random.Random(0xB47C)
     configs = [{fifo: rng.randint(1, max(64, 4 * base))}
@@ -556,8 +547,9 @@ def bench_trace(name: str, params: dict, fifo: str, depth_range,
     compile + capture + serialize-to-cache; a warm one in a fresh
     session loads the columnar artifact by content digest (no compile,
     no capture, no static-edge build).  The acceptance bar is warm >=
-    5x cold.  Also records ``TraceArtifact.retime``/``resimulate``
-    throughput over a depth sweep of the captured artifact.
+    5x cold.  Also records ``TraceArtifact.retime`` throughput over a
+    depth sweep of the captured artifact (:func:`bench_retime` times
+    ``resimulate``).
     """
     import tempfile
 
@@ -591,8 +583,7 @@ def bench_trace(name: str, params: dict, fifo: str, depth_range,
         )
 
     trace = base.trace
-    base_depths = {n: ch.depth for n, ch in base.fifo_channels.items()}
-    configs = [dict(base_depths, **{fifo: d}) for d in depth_range]
+    configs = [dict(trace.depths, **{fifo: d}) for d in depth_range]
     trace.retime(configs[0])    # warm the iteration view
     flat_sec = float("inf")
     for _ in range(max(repeats, 7)):
@@ -601,15 +592,6 @@ def bench_trace(name: str, params: dict, fifo: str, depth_range,
             trace.retime(depths)
         flat_sec = min(flat_sec,
                        (time.perf_counter() - start) / len(configs))
-
-    # Full columnar incremental re-simulations (retime + validation).
-    resim_start = time.perf_counter()
-    for depths in configs:
-        try:
-            trace.resimulate({fifo: depths[fifo]})
-        except ConstraintViolation:
-            pass
-    resim = (time.perf_counter() - resim_start) / len(configs)
 
     return {
         "params": params,
@@ -625,7 +607,6 @@ def bench_trace(name: str, params: dict, fifo: str, depth_range,
         "hit_rate": round(repeats / (repeats + 1), 4),
         "artifact_bytes": artifact_bytes,
         "retime_sec_per_config_flat": round(flat_sec, 6),
-        "flat_resimulations_per_sec": round(1.0 / resim, 1),
     }
 
 
@@ -664,8 +645,7 @@ def bench_huge(modules: int, seed: int, count: int, n_configs: int,
     timed = _timed_run(session, "compiled", repeats)
 
     baseline = session.baseline(executor="compiled")
-    depths = {n: ch.depth for n, ch in baseline.fifo_channels.items()}
-    fifos = sorted(depths)
+    fifos = sorted(baseline.trace.depths)
     configs = [{fifos[i % len(fifos)]: 1 + (i % 7)}
                for i in range(n_configs)]
     start = time.perf_counter()
@@ -673,9 +653,6 @@ def bench_huge(modules: int, seed: int, count: int, n_configs: int,
     retime_seconds = time.perf_counter() - start
     declined = sum(1 for r in rows if r is None)
 
-    from .trace.columnar import replay_trace
-
-    art = replay_trace(baseline)
     return {
         "modules": modules,
         "seed": seed,
@@ -688,7 +665,7 @@ def bench_huge(modules: int, seed: int, count: int, n_configs: int,
         "cycles_per_sec": timed["cycles_per_sec"],
         "retime_configs": n_configs,
         "retime_declined": declined,
-        "batch_supported": (art is not None and batch_supported(art)),
+        "batch_supported": batch_supported(baseline.trace),
         "configs_per_sec": round(n_configs / retime_seconds, 1),
     }
 

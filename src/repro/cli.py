@@ -55,20 +55,7 @@ from .errors import (
     UnsupportedDesignError,
     exit_code_for,
 )
-from .sim import EXECUTORS, engine_names, get_engine
-
-
-def _cli_engines() -> list[str]:
-    """``--sim`` choices: every registered engine exposed to the CLI."""
-    return engine_names(cli_only=True)
-
-
-def __getattr__(name: str):
-    # Back-compat shim: ``cli.SIMULATORS`` was the pre-registry engine
-    # table; derive it from the registry so old importers keep working.
-    if name == "SIMULATORS":
-        return {n: get_engine(n).cls for n in _cli_engines()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .sim import EXECUTORS, engine_names
 
 
 def _parse_depths(pairs) -> dict:
@@ -579,7 +566,7 @@ def main(argv=None) -> int:
                "4 simulated failure",
     )
     run_parser.add_argument("design", help=_DESIGN_HELP)
-    run_parser.add_argument("--sim", choices=_cli_engines(),
+    run_parser.add_argument("--sim", choices=engine_names(cli_only=True),
                             default="omnisim",
                             help="simulation engine (default: omnisim)")
     run_parser.add_argument("--executor", choices=sorted(EXECUTORS),

@@ -42,7 +42,7 @@ from ..exec.replay import (  # noqa: F401  (the labels are dse API)
     load_reference,
     ship_reference,
 )
-from ..trace.columnar import DEFAULT_FIFO_WIDTH, replay_trace
+from ..trace.columnar import DEFAULT_FIFO_WIDTH
 from .pareto import frontier_distance, pareto_front
 from .space import DepthSpace
 
@@ -243,10 +243,8 @@ class Evaluator(Replayer):
         """FIFO storage cost of ``depths``: via the reference's replay
         trace when one exists, else from the design's stream
         declarations (no-reference workers)."""
-        trace = (replay_trace(self.reference)
-                 if self.reference is not None else None)
-        if trace is not None:
-            return trace.buffer_bits(depths)
+        if self.reference is not None:
+            return self.reference.trace.buffer_bits(depths)
         streams = self.compiled.design.streams
         return sum(
             depth * (getattr(streams[name].element, "width",
@@ -275,8 +273,7 @@ def _quarantined_point(base_depths, trace, config, detail) -> SweepPoint:
     return SweepPoint(
         depths=depths,
         cycles=None,
-        buffer_bits=(trace.buffer_bits(depths)
-                     if trace is not None else 0),
+        buffer_bits=trace.buffer_bits(depths),
         source=SOURCE_QUARANTINED,
         seconds=0.0,
         detail=(f"{detail['reason']}: {detail['message']} "
@@ -437,7 +434,7 @@ def explore(design, space, *, params: dict | None = None,
     base = session.baseline(executor=executor)
     capture_seconds = _time.perf_counter() - capture_start
 
-    trace = replay_trace(base)
+    trace = base.trace
     design_name, base_depths = session.declared(base)
     if warm_possible:
         space.validate_against(base_depths)

@@ -30,10 +30,9 @@ import time as _time
 from dataclasses import dataclass
 
 from ..errors import ConstraintViolation, DeadlockError, SimulationError
-from ..sim.incremental import IncrementalResult, resimulate
+from ..sim.incremental import IncrementalResult
 from ..sim.registry import run_engine
 from ..sim.result import SimulationResult
-from ..trace.columnar import replay_trace
 from ..trace.vectorized import batch_supported, resimulate_batch
 
 #: which path produced an outcome's number
@@ -79,7 +78,7 @@ def replay_one(reference, depths: dict):
     recorded execution does not hold there and a real run must decide.
     """
     try:
-        return resimulate(reference, depths), None
+        return reference.trace.resimulate(depths), None
     except ConstraintViolation as exc:
         query = exc.query
         return None, (f"constraint {query.kind} on '{query.fifo}' flipped"
@@ -95,10 +94,10 @@ def kernel_rows(reference, depth_maps: list,
     reference, ``batch_size`` rows per kernel call (default: all at
     once).  Returns one ``IncrementalResult | None`` per map (``None``:
     the row needs the scalar path or a full run), or ``None`` when the
-    kernel cannot serve this reference at all (no artifact, no NumPy,
-    no all-depth replay order)."""
-    trace = replay_trace(reference)
-    if trace is None or not batch_supported(trace):
+    kernel cannot serve this reference at all (no NumPy, no all-depth
+    replay order)."""
+    trace = reference.trace
+    if not batch_supported(trace):
         return None
     size = batch_size or len(depth_maps) or 1
     rows: list = []
@@ -113,8 +112,8 @@ class Replayer:
     def __init__(self, reference, base_depths: dict, compile_fn,
                  executor: str | None = None):
         """Args:
-            reference: a captured OmniSim run (artifact/graph +
-                constraints), or ``None`` — every configuration then
+            reference: a captured OmniSim run (its ``trace`` is what
+                replays), or ``None`` — every configuration then
                 runs full until the first successful run re-captures
                 one.
             base_depths: the design's declared depths; each evaluated
@@ -205,37 +204,28 @@ class Replayer:
 # crossing a process boundary
 
 
-def ship_reference(session, reference, executor=None, *,
-                   whole: bool = False):
+def ship_reference(session, reference, executor=None):
     """The form ``reference`` (``session``'s baseline under
     ``executor``) takes on its way to pool workers:
 
     * ``("trace", digest, cache_dir)`` when the artifact sits in the
       session's on-disk store — the initializer payload is a digest and
       every worker loads the artifact from disk;
-    * else ``("artifact", trace)`` — the columnar artifact alone, which
-      carries the capture's functional outputs too;
-    * ``("object", run)`` when ``whole`` (the caller wants the object
-      graph back on served results) or there is no artifact to ship.
-
-    Static-edge columns are built before pickling, so no worker
-    rebuilds them.
+    * else ``("artifact", trace)`` — the artifact itself, which carries
+      the capture's functional outputs too, with its static-edge
+      columns built before pickling so no worker rebuilds them.
     """
     if reference is None:
         return None
-    trace = replay_trace(reference)
-    if trace is not None and not whole:
-        store = session.trace_store
-        digest = (session.trace_digest(executor) if store is not None
-                  else None)
-        if digest is not None and store.contains(digest):
-            from ..api.design_ref import trace_ref
+    store = session.trace_store
+    digest = (session.trace_digest(executor) if store is not None
+              else None)
+    if digest is not None and store.contains(digest):
+        from ..api.design_ref import trace_ref
 
-            return trace_ref(digest, store.root)
-    if trace is not None:
-        trace.ensure_static()
-    return (("object", reference) if whole or trace is None
-            else ("artifact", trace))
+        return trace_ref(digest, store.root)
+    reference.trace.ensure_static()
+    return ("artifact", reference.trace)
 
 
 def load_reference(shipped):
@@ -243,8 +233,6 @@ def load_reference(shipped):
     corrupt store entry degrades to ``None``: full runs re-capture)."""
     if shipped is None:
         return None
-    if shipped[0] == "object":
-        return shipped[1]
     if shipped[0] == "artifact":
         artifact = shipped[1]
     else:

@@ -46,8 +46,9 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
+# BrokenExecutor is the cheap-to-import base of BrokenProcessPool
+# (concurrent.futures.process pulls in multiprocessing).
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
 
 from ..errors import ChunkTimeoutError, ReproError, WorkerCrashError
@@ -298,7 +299,7 @@ class Supervisor:
             wire.append((unit.payload, directive))
         try:
             future = self._pool.submit(self.chunk_fn, wire)
-        except (BrokenProcessPool, RuntimeError):
+        except (BrokenExecutor, RuntimeError):
             # The pool broke between harvests; recycle everything.
             self._queue.appendleft(chunk)
             self._requeue_inflight()
@@ -333,7 +334,7 @@ class Supervisor:
             chunk, _ = self._inflight.pop(future)
             try:
                 values = future.result()
-            except BrokenProcessPool:
+            except BrokenExecutor:
                 broken.append(chunk)
             except Exception as exc:
                 # An exception the chunk_fn let escape (injected

@@ -23,7 +23,6 @@ reach module globals.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .faults import apply_fault
 from .journal import CheckpointJournal
@@ -168,6 +167,10 @@ class JournaledRun:
             else:
                 # A pool even for one pending unit: only a second
                 # process enforces the deadline and survives a crash.
+                # Imported where a pool is actually built: the name
+                # drags in multiprocessing (~20 ms of every jobs=1 run).
+                from concurrent.futures import ProcessPoolExecutor
+
                 width = min(self.jobs, len(pending))
                 results, report = Supervisor(
                     lambda: ProcessPoolExecutor(

@@ -40,7 +40,6 @@ from ..errors import (
     UnsupportedDesignError,
 )
 from ..sim.registry import run_engine
-from ..trace.columnar import replay_trace
 from ..trace.vectorized import batch_supported, resimulate_batch
 
 #: cosim safety net — far above any generated design's real latency, so
@@ -192,7 +191,7 @@ def run_differential(spec, *, max_cycles: int = DEFAULT_MAX_CYCLES
         return DifferentialReport(divergence=None, legs=legs)
 
     # -- retiming legs: accepted replays vs a full run at the depths ----
-    art = replay_trace(baseline)
+    art = baseline.trace
     configs = _retime_configs(art.depths)
     scalar_outcomes = []
     for i, config in enumerate(configs):

@@ -63,6 +63,14 @@ from .pool import SessionPool, SingleFlight, canonical_spec, design_digest
 
 _PROTOCOL = "HTTP/1.1"
 
+#: After refusing an oversized body from its Content-Length, the server
+#: still swallows the upload in flight — a close with unread bytes in
+#: the socket buffer resets the connection, and the client dies on a
+#: broken pipe before it reads the 413.  Both bounds cut off a sender
+#: that never finishes (or lied about the length).
+_DISCARD_MAX_BYTES = 16 * 1024 * 1024
+_DISCARD_SECONDS = 2.0
+
 
 @dataclass
 class ServiceConfig:
@@ -187,6 +195,7 @@ class ReproService:
                 except (RequestTooLargeError, WireError) as exc:
                     await self._respond(writer, http_status_for(exc),
                                         self._error_doc(exc), close=True)
+                    await self._discard(reader, getattr(exc, "unread", 0))
                     break
                 if request is None:
                     break
@@ -237,13 +246,33 @@ class ReproService:
             except ValueError:
                 raise _HttpError(400, "bad Content-Length") from None
             if length > self.config.max_body:
-                raise RequestTooLargeError(
+                refusal = RequestTooLargeError(
                     f"request body of {length} bytes exceeds the "
                     f"server's max_body limit of "
                     f"{self.config.max_body} bytes"
                 )
+                refusal.unread = length  # still on the wire
+                raise refusal
             body = await reader.readexactly(length)
         return method.upper(), target, headers, body
+
+    async def _discard(self, reader, unread: int) -> None:
+        """Read and drop up to ``unread`` body bytes (see
+        :data:`_DISCARD_MAX_BYTES`), giving up at EOF or after
+        :data:`_DISCARD_SECONDS` in total."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _DISCARD_SECONDS
+        unread = min(unread, _DISCARD_MAX_BYTES)
+        while unread > 0:
+            try:
+                chunk = await asyncio.wait_for(
+                    reader.read(min(unread, 1 << 16)),
+                    deadline - loop.time())
+            except asyncio.TimeoutError:
+                return
+            if not chunk:
+                return
+            unread -= len(chunk)
 
     async def _respond(self, writer, status: int, doc: dict, *,
                        close: bool) -> None:

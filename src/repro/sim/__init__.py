@@ -14,17 +14,11 @@ naive              naive OS-thread strawman (Fig. 2; not a CLI engine)
 Engines are looked up through the formal registry (:mod:`.registry`):
 ``get_engine(name)`` returns the class plus its capability record,
 ``create_engine``/``run_engine`` are the single construction/validation
-point.  The high-level entry point is :class:`repro.api.Session`.
-
-Importing engine classes directly from this package
-(``from repro.sim import OmniSimulator``) still works but is deprecated
-in favour of ``repro.api`` / the registry; each class name warns once
-per process on first access.
+point; an engine class is ``get_engine(name).cls``.  The high-level
+entry point is :class:`repro.api.Session`.
 """
 
 from __future__ import annotations
-
-import warnings as _warnings
 
 from .context import DEFAULT_EXECUTOR, EXECUTORS, make_executor
 from .incremental import IncrementalResult, resimulate
@@ -42,20 +36,14 @@ from .registry import (
 from .result import Constraint, SimulationResult, SimulationStats
 
 __all__ = [
-    "CSimulator",
-    "CoSimulator",
     "Constraint",
     "DEFAULT_EXECUTOR",
     "EXECUTORS",
     "Engine",
     "EngineInfo",
     "IncrementalResult",
-    "LightningSimulator",
-    "NaiveThreadedSimulator",
-    "OmniSimulator",
     "SimulationResult",
     "SimulationStats",
-    "ThreadedOmniSimulator",
     "all_engines",
     "create_engine",
     "engine_names",
@@ -66,40 +54,3 @@ __all__ = [
     "run_engine",
     "validate_depths",
 ]
-
-#: pre-registry public class name -> registry engine name.  The classes
-#: are intentionally *not* imported into this namespace: access goes
-#: through ``__getattr__`` below so the legacy import path keeps working
-#: while steering callers to ``repro.api`` (one DeprecationWarning per
-#: name per process).
-_DEPRECATED_ENGINE_EXPORTS = {
-    "OmniSimulator": "omnisim",
-    "ThreadedOmniSimulator": "omnisim-threads",
-    "CoSimulator": "cosim",
-    "CSimulator": "csim",
-    "LightningSimulator": "lightningsim",
-    "NaiveThreadedSimulator": "naive",
-}
-
-_warned_engine_exports: set[str] = set()
-
-
-def __getattr__(name: str):
-    engine = _DEPRECATED_ENGINE_EXPORTS.get(name)
-    if engine is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    if name not in _warned_engine_exports:
-        _warned_engine_exports.add(name)
-        _warnings.warn(
-            f"importing {name} from repro.sim is deprecated; use "
-            f"repro.api.Session (or repro.sim.get_engine({engine!r}).cls "
-            "for direct engine construction)",
-            DeprecationWarning, stacklevel=2,
-        )
-    return get_engine(engine).cls
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_DEPRECATED_ENGINE_EXPORTS))

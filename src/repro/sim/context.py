@@ -12,6 +12,10 @@ from ..interp.ops import as_python_number
 from ..ir import types as ty
 from ..runtime.axi import AxiPort
 from ..runtime.fifo import FifoChannel
+# ``repro.sim`` loads before ``repro.trace`` (repro/__init__ imports the
+# api, whose first import is the engine registry), and the artifact
+# module only reaches back for the leaf result types.
+from ..trace.columnar import DEFAULT_FIFO_WIDTH, TraceArtifact
 
 # ---------------------------------------------------------------------------
 # executor selection seam
@@ -150,6 +154,25 @@ def build_runtime_state(compiled, depths: dict | None = None,
         state.bindings[instance.name] = bindings
 
     return state
+
+
+def new_trace(compiled, executor: str, depths: dict) -> TraceArtifact:
+    """The empty recorder an engine appends to while it runs, labelled
+    with what only the engine knows at capture time: design name, Func
+    Sim executor, the run's base ``depths`` (every declared FIFO), the
+    element widths and the AXI latencies."""
+    design = compiled.design
+    trace = TraceArtifact(compiled.name, executor)
+    trace.depths = depths
+    trace.widths = {
+        name: getattr(stream.element, "width", DEFAULT_FIFO_WIDTH)
+        for name, stream in design.streams.items()
+    }
+    for port, decl in design.axis.items():
+        table = trace.axi_table(port)
+        table.read_latency = decl.read_latency
+        table.write_latency = decl.write_latency
+    return trace
 
 
 def collect_outputs(compiled, state: RuntimeState, result) -> None:

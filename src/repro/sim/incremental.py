@@ -2,8 +2,8 @@
 
 OmniSim's simulation graph is built *dynamically*, driven by the specific
 FIFO depths of the run, so it cannot be blindly reused the way
-LightningSim's can.  Instead, every resolved timing query was recorded as a
-:class:`~repro.sim.result.Constraint`.  Re-simulation:
+LightningSim's can.  Instead, every resolved timing query was recorded in
+the trace artifact's constraint columns.  Re-simulation:
 
 1. re-runs the finalization step — recompute every event's cycle under the
    new depths via longest-path retiming of the recorded graph;
@@ -64,13 +64,10 @@ def resimulate(result: SimulationResult, new_depths: dict
     or :class:`~repro.errors.SimulationError` if the new depths deadlock
     the recorded execution.
 
-    Served by the columnar trace artifact — built lazily from the
-    recorded graph on first replay and cached on the result
-    (cache-loaded baselines carry *only* the artifact).
+    Served by the trace artifact the engine recorded
+    (``result.trace``).
     """
-    from ..trace.columnar import replay_trace
-
-    trace = replay_trace(result)
+    trace = result.trace
     if trace is None:
         raise SimulationError(
             "incremental re-simulation requires an OmniSim result (with "

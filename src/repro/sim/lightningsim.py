@@ -29,12 +29,19 @@ from collections import deque
 
 from ..errors import SimulationError, UnsupportedDesignError
 from ..ir import instructions as ins
-from . import graph as simgraph
+from ..trace.columnar import (
+    K_AXI_READ,
+    K_AXI_RESP,
+    K_READ,
+    K_WRITE,
+    TraceArtifact,
+)
 from .context import (
     RuntimeState,
     build_runtime_state,
     collect_outputs,
     make_executor,
+    new_trace,
     resolve_executor,
 )
 from .result import SimulationResult, SimulationStats
@@ -52,8 +59,8 @@ class LightningSimulator:
         self.depths = dict(depths or {})
         self.step_limit = step_limit
         self.executor = resolve_executor(executor)
-        self.graph: simgraph.SimulationGraph | None = None
-        self._traced = False
+        #: the phase-1 simulation graph (None until traced)
+        self.trace: TraceArtifact | None = None
 
     # ------------------------------------------------------------------
 
@@ -74,29 +81,24 @@ class LightningSimulator:
             stats=self.stats,
             execute_seconds=t2 - t0,
             frontend_seconds=self.compiled.frontend_seconds,
-            graph=self.graph,
+            module_end_times=self.trace.end_times(),
+            phase_seconds={"trace": t1 - t0, "analysis": t2 - t1},
+            trace=self.trace,
         )
-        result.phase_seconds = {"trace": t1 - t0, "analysis": t2 - t1}
-        module_ends = {}
-        for name, mid in self.graph._module_ids.items():
-            node = self.graph.end_nodes.get(mid)
-            if node is not None:
-                module_ends[name] = self.graph.time[node]
-        result.module_end_times = module_ends
         collect_outputs(self.compiled, self._state, result)
+        self.trace.attach_payload(result)
         return result
 
     def analyze(self, depths: dict | None = None) -> int:
         """Phase 2 (re-)analysis under new FIFO depths: the incremental
         path — milliseconds even for large designs."""
-        if not self._traced:
+        if self.trace is None:
             raise SimulationError("phase 1 trace has not been generated")
-        effective = self.compiled.stream_depths()
-        effective.update(self.depths)
+        effective = dict(self.trace.depths)
         effective.update(depths or {})
-        times = self.graph.retime(effective)
-        self.graph.time = times
-        return self.graph.total_cycles(times)
+        times = self.trace.retime(effective)
+        self.trace.time = times
+        return self.trace.total_cycles(times)
 
     # ------------------------------------------------------------------
     # capability check (paper Fig. 3: LightningSim supports Type A only)
@@ -145,12 +147,9 @@ class LightningSimulator:
             self.compiled, infinite_fifos=True
         )
         self.stats = SimulationStats()
-        self.graph = simgraph.SimulationGraph()
+        trace = new_trace(self.compiled, self.executor,
+                          {**self.compiled.stream_depths(), **self.depths})
         self._instructions = 0
-        for port, decl in self.compiled.design.axis.items():
-            table = self.graph.axi_table(port)
-            table.read_latency = decl.read_latency
-            table.write_latency = decl.write_latency
 
         queues: dict[str, deque] = {name: deque()
                                     for name in self._state.fifos}
@@ -165,8 +164,8 @@ class LightningSimulator:
             )
             events = self._run_module(interp, queues)
             self._instructions += interp.steps
-            self._add_module_to_graph(module.name, events)
-        self._traced = True
+            self._add_module_to_graph(trace, module.name, events)
+        self.trace = trace
 
     def _run_module(self, interp, queues: dict) -> list:
         gen = interp.run()
@@ -213,57 +212,42 @@ class LightningSimulator:
             events.append((request, aux))
         return events
 
-    def _add_module_to_graph(self, name: str, events: list) -> None:
+    def _add_module_to_graph(self, trace: TraceArtifact, name: str,
+                             events: list) -> None:
         """Convert the module's trace into graph nodes (the "dynamic
         stage" construction of phase 1).  Node times start at their
         nominal cycles; phase 2's retiming computes the real ones."""
-        graph = self.graph
-        state = self._state
+        axis = self._state.axis
         for request, aux in events:
             kind = request.kind
             nominal = request.nominal
             if kind == "fifo_write":
-                node = graph.add_node(name, request, nominal,
-                                      simgraph.K_WRITE)
-                table = graph.fifo_table(request.fifo)
-                table.write_nodes.append(node)
-                table.write_port_nodes.append(node)
+                node = trace.add_node(name, request, nominal, K_WRITE)
+                trace.fifo_table(request.fifo).add_write(node)
             elif kind == "fifo_read":
-                node = graph.add_node(name, request, nominal,
-                                      simgraph.K_READ)
-                table = graph.fifo_table(request.fifo)
-                table.read_nodes.append(node)
-                table.read_port_nodes.append(node)
+                node = trace.add_node(name, request, nominal, K_READ)
+                trace.fifo_table(request.fifo).add_read(node)
             elif kind == "axi_read_req":
-                node = graph.add_node(name, request, nominal)
-                port = state.axis[request.port]
-                table = graph.axi_table(request.port)
-                table.read_req_nodes.append(node)
-                burst = port.read_bursts[aux]
-                table.read_bursts.append(
-                    (node, burst.first_beat, burst.length)
-                )
+                node = trace.add_node(name, request, nominal)
+                burst = axis[request.port].read_bursts[aux]
+                trace.axi_table(request.port).add_read_req(
+                    node, burst.first_beat, burst.length)
             elif kind == "axi_read":
-                node = graph.add_node(name, request, nominal,
-                                      simgraph.K_AXI_READ)
-                graph.axi_table(request.port).read_beat_nodes.append(node)
+                node = trace.add_node(name, request, nominal, K_AXI_READ)
+                trace.axi_table(request.port).read_beat_nodes.append(node)
             elif kind == "axi_write_req":
-                node = graph.add_node(name, request, nominal)
-                graph.axi_table(request.port).write_req_nodes.append(node)
+                node = trace.add_node(name, request, nominal)
+                trace.axi_table(request.port).write_req_nodes.append(node)
             elif kind == "axi_write":
-                node = graph.add_node(name, request, nominal)
-                graph.axi_table(request.port).write_beat_nodes.append(node)
+                node = trace.add_node(name, request, nominal)
+                trace.axi_table(request.port).write_beat_nodes.append(node)
             elif kind == "axi_write_resp":
-                node = graph.add_node(name, request, nominal,
-                                      simgraph.K_AXI_RESP)
-                port = state.axis[request.port]
-                burst = port.write_bursts[aux]
-                last_beat = burst.first_beat + burst.length - 1
-                graph.axi_table(request.port).resp_nodes.append(
-                    (node, last_beat)
-                )
+                node = trace.add_node(name, request, nominal, K_AXI_RESP)
+                burst = axis[request.port].write_bursts[aux]
+                trace.axi_table(request.port).add_write_resp(
+                    node, burst.first_beat, burst.length)
             elif kind == "end_task":
-                node = graph.add_node(name, request, nominal)
-                graph.end_nodes[graph.module_id(name)] = node
+                trace.add_end_node(
+                    name, trace.add_node(name, request, nominal))
             else:  # start_task / trace_block
-                graph.add_node(name, request, nominal)
+                trace.add_node(name, request, nominal)

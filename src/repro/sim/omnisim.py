@@ -20,16 +20,29 @@ import time as _time
 from collections import deque
 
 from ..errors import DeadlockError, SimulationError
-from . import graph as simgraph
+from ..trace.columnar import (
+    K_AXI_READ,
+    K_AXI_RESP,
+    K_NB_READ,
+    K_NB_WRITE,
+    K_OTHER,
+    K_READ,
+    K_WRITE,
+)
 from .context import (
     RuntimeState,
     build_runtime_state,
     collect_outputs,
     make_executor,
+    new_trace,
     resolve_executor,
 )
 from .ledger import INFINITY, ModuleLedger
-from .result import Constraint, SimulationResult, SimulationStats
+from .result import SimulationResult, SimulationStats
+
+#: node kind of a *successful* NB access: it moves a value but never
+#: stalls (failed ones, and status checks, are plain K_OTHER events)
+_NB_SUCCESS_KIND = {"fifo_nb_write": K_NB_WRITE, "fifo_nb_read": K_NB_READ}
 
 # Module run states.
 RUNNABLE = 0
@@ -64,8 +77,9 @@ class OmniSimulator:
 
     ``OmniSimulator(compiled).run()`` returns a
     :class:`~repro.sim.result.SimulationResult` carrying RTL-accurate
-    cycles, functional outputs, and the recorded simulation graph +
-    query constraints that power incremental re-simulation.
+    cycles, functional outputs, and — as ``result.trace`` — the
+    recorded simulation graph + query constraints that power
+    incremental re-simulation.
     """
 
     name = "omnisim"
@@ -93,8 +107,11 @@ class OmniSimulator:
         self.state: RuntimeState = build_runtime_state(
             self.compiled, self.depths
         )
-        self.graph = simgraph.SimulationGraph()
-        self.constraints: list[Constraint] = []
+        #: the partial simulation graph (paper 7.3.1), appended to as
+        #: events commit — and the result's replay handle afterwards
+        self.trace = new_trace(
+            self.compiled, self.executor,
+            {name: fifo.depth for name, fifo in self.state.fifos.items()})
         self.stats = SimulationStats()
         self.runs: list[_ModuleRun] = []
         kwargs = {}
@@ -106,14 +123,6 @@ class OmniSimulator:
                 **kwargs
             )
             self.runs.append(_ModuleRun(module.name, interp))
-        for port, decl in self.compiled.design.axis.items():
-            table = self.graph.axi_table(port)
-            table.read_latency = decl.read_latency
-            table.write_latency = decl.write_latency
-        for name, stream in self.compiled.design.streams.items():
-            self.graph.fifo_widths[name] = getattr(
-                stream.element, "width", 32
-            )
         #: fifo name -> run waiting for a value on it (single reader)
         self._read_waiters: dict[str, _ModuleRun] = {}
         by_name = {run.name: run for run in self.runs}
@@ -276,12 +285,11 @@ class OmniSimulator:
         ready = run.ledger.ready_of(event)
         kind = event.kind
         if kind in ("start_task", "trace_block"):
-            self._commit(run, event, ready, simgraph.K_OTHER)
+            self._commit(run, event, ready, K_OTHER)
             return True
         if kind == "end_task":
-            node = self._commit(run, event, ready, simgraph.K_OTHER)
-            mid = self.graph.module_id(run.name)
-            self.graph.end_nodes[mid] = node
+            node = self._commit(run, event, ready, K_OTHER)
+            self.trace.add_end_node(run.name, node)
             return True
         if kind == "fifo_write":
             return self._commit_blocking_write(run, event, ready)
@@ -292,32 +300,31 @@ class OmniSimulator:
             return self._resolve_query(run, event, ready, forced=False)
         if kind == "axi_read_req":
             port = self.state.axis[event.request.port]
-            table = self.graph.axi_table(port.name)
             cycle = max(ready, port.req_channel_time + 1)
-            node = self._commit(run, event, cycle, simgraph.K_OTHER)
+            node = self._commit(run, event, cycle, K_OTHER)
             port.req_channel_time = cycle
             port.commit_read_req(event.aux, cycle)
-            table.read_req_nodes.append(node)
             burst = port.read_bursts[event.aux]
-            table.read_bursts.append((node, burst.first_beat, burst.length))
+            self.trace.axi_table(port.name).add_read_req(
+                node, burst.first_beat, burst.length)
             return True
         if kind == "axi_read":
             return self._commit_axi_read(run, event, ready)
         if kind == "axi_write_req":
             port = self.state.axis[event.request.port]
             cycle = max(ready, port.req_channel_time + 1)
-            node = self._commit(run, event, cycle, simgraph.K_OTHER)
+            node = self._commit(run, event, cycle, K_OTHER)
             port.req_channel_time = cycle
             port.commit_write_req(event.aux, cycle)
-            self.graph.axi_table(port.name).write_req_nodes.append(node)
+            self.trace.axi_table(port.name).write_req_nodes.append(node)
             return True
         if kind == "axi_write":
             port = self.state.axis[event.request.port]
             cycle = max(ready, port.write_channel_time + 1)
-            node = self._commit(run, event, cycle, simgraph.K_OTHER)
+            node = self._commit(run, event, cycle, K_OTHER)
             port.write_channel_time = cycle
             port.commit_write_beat(event.aux, cycle)
-            self.graph.axi_table(port.name).write_beat_nodes.append(node)
+            self.trace.axi_table(port.name).write_beat_nodes.append(node)
             return True
         if kind == "axi_write_resp":
             port = self.state.axis[event.request.port]
@@ -325,19 +332,17 @@ class OmniSimulator:
             if resp_ready is None:
                 raise SimulationError("write_resp before its burst")
             cycle = max(ready, resp_ready)
-            node = self._commit(run, event, cycle, simgraph.K_AXI_RESP)
+            node = self._commit(run, event, cycle, K_AXI_RESP)
             burst = port.write_bursts[event.aux]
-            last_beat = burst.first_beat + burst.length - 1
-            self.graph.axi_table(port.name).resp_nodes.append(
-                (node, last_beat)
-            )
+            self.trace.axi_table(port.name).add_write_resp(
+                node, burst.first_beat, burst.length)
             return True
         raise SimulationError(f"unknown event kind {kind}")
 
     def _commit(self, run: _ModuleRun, event, cycle: int,
                 node_kind: int) -> int:
         run.ledger.commit(event, cycle)
-        node = self.graph.add_node(run.name, event.request, cycle, node_kind)
+        node = self.trace.add_node(run.name, event.request, cycle, node_kind)
         event.node_id = node
         return node
 
@@ -353,12 +358,10 @@ class OmniSimulator:
             if freeing_read is None:
                 return False  # stalled on a full FIFO
             cycle = max(cycle, freeing_read + 1)
-        node = self._commit(run, event, cycle, simgraph.K_WRITE)
+        node = self._commit(run, event, cycle, K_WRITE)
         fifo.commit_write(w, cycle)
         fifo.write_port_time = cycle
-        table = self.graph.fifo_table(fifo.name)
-        table.write_nodes.append(node)
-        table.write_port_nodes.append(node)
+        self.trace.fifo_table(fifo.name).add_write(node)
         self._wake(self._fifo_reader[fifo.name])
         return True
 
@@ -369,12 +372,10 @@ class OmniSimulator:
         if written is None:
             return False  # stalled on an empty FIFO
         cycle = max(ready, written + 1, fifo.read_port_time + 1)
-        node = self._commit(run, event, cycle, simgraph.K_READ)
+        node = self._commit(run, event, cycle, K_READ)
         fifo.commit_read(r, cycle)
         fifo.read_port_time = cycle
-        table = self.graph.fifo_table(fifo.name)
-        table.read_nodes.append(node)
-        table.read_port_nodes.append(node)
+        self.trace.fifo_table(fifo.name).add_read(node)
         self._wake(self._fifo_writer[fifo.name])
         return True
 
@@ -418,10 +419,10 @@ class OmniSimulator:
             index = r
 
         event.outcome = success
-        node = self._commit(run, event, ready, simgraph.K_OTHER)
-        self.constraints.append(
-            Constraint(kind, fifo.name, index, success, node)
-        )
+        node = self._commit(
+            run, event, ready,
+            _NB_SUCCESS_KIND.get(kind, K_OTHER) if success else K_OTHER)
+        self.trace.add_constraint(kind, fifo.name, index, success, node)
         self._apply_query_effects(run, event, fifo, success, ready, node)
         return True
 
@@ -429,15 +430,12 @@ class OmniSimulator:
                              ready: int, node: int) -> None:
         """Post-resolution side effects + answering the paused thread."""
         kind = event.kind
-        table = self.graph.fifo_table(fifo.name)
         if kind == "fifo_nb_write":
             fifo.write_port_time = ready
-            table.write_port_nodes.append(node)
+            self.trace.fifo_table(fifo.name).add_write(node, success)
             if success:
                 w = fifo.push_value(event.request.value)
                 fifo.commit_write(w, ready)
-                self.graph.kind[node] = simgraph.K_NB_WRITE
-                table.write_nodes.append(node)
                 waiter = self._read_waiters.get(fifo.name)
                 if waiter is not None:
                     self._try_answer_waiting_read(waiter)
@@ -445,13 +443,11 @@ class OmniSimulator:
             answer = bool(success)
         elif kind == "fifo_nb_read":
             fifo.read_port_time = ready
-            table.read_port_nodes.append(node)
+            self.trace.fifo_table(fifo.name).add_read(node, success)
             if success:
                 r = fifo.assign_read_index()
                 value = fifo.value_for(r)
                 fifo.commit_read(r, ready)
-                self.graph.kind[node] = simgraph.K_NB_READ
-                table.read_nodes.append(node)
                 self._wake(self._fifo_writer[fifo.name])
                 answer = (True, value)
             else:
@@ -473,10 +469,10 @@ class OmniSimulator:
         if data_ready is None:  # request not committed: impossible in order
             raise SimulationError("axi read beat before its request")
         cycle = max(ready, data_ready, port.read_channel_time + 1)
-        node = self._commit(run, event, cycle, simgraph.K_AXI_READ)
+        node = self._commit(run, event, cycle, K_AXI_READ)
         port.commit_read_beat(beat, cycle)
         port.read_channel_time = cycle
-        self.graph.axi_table(port.name).read_beat_nodes.append(node)
+        self.trace.axi_table(port.name).read_beat_nodes.append(node)
         return True
 
     # ------------------------------------------------------------------
@@ -617,30 +613,25 @@ class OmniSimulator:
     # ------------------------------------------------------------------
 
     def _make_result(self) -> SimulationResult:
-        module_ends = {}
-        for run in self.runs:
-            mid = self.graph._module_ids.get(run.name)
-            node = self.graph.end_nodes.get(mid) if mid is not None else None
-            if node is not None:
-                module_ends[run.name] = self.graph.time[node]
+        trace = self.trace
+        ends = trace.end_times()
         self.stats.instructions = sum(r.interp.steps for r in self.runs)
         result = SimulationResult(
             design_name=self.compiled.name,
             simulator=self.name,
-            cycles=self.graph.total_cycles(),
-            module_end_times=module_ends,
+            cycles=trace.total_cycles(),
+            module_end_times={run.name: ends[run.name]
+                              for run in self.runs if run.name in ends},
             stats=self.stats,
             execute_seconds=self._execute_seconds,
             frontend_seconds=self.compiled.frontend_seconds,
-            graph=self.graph,
-            constraints=self.constraints,
             fifo_channels=self.state.fifos,
+            trace=trace,
         )
         collect_outputs(self.compiled, self.state, result)
-        # The columnar trace artifact (repro.trace) — the flat,
-        # picklable, cacheable form every downstream consumer replays
-        # against — is derived from this result lazily on first use
-        # (repro.trace.replay_trace), so runs that never replay (plain
-        # `repro run`, full-served batch configs) don't pay the column
-        # build.
+        # Finishing the record copies nothing: the outputs just
+        # collected become the artifact's payload by reference, and the
+        # per-module CSR / static edges stay unbuilt until something
+        # replays or serializes (a plain `repro run` never does).
+        trace.attach_payload(result)
         return result

@@ -66,16 +66,21 @@ class SimulationResult:
     #: ``"warm"``/``"cold"`` (trace cache) — so aggregate values by key,
     #: not by summing the dict
     phase_seconds: dict = field(default_factory=dict)
-    #: OmniSim only: the simulation graph and recorded constraints,
-    #: enabling incremental re-simulation
-    graph: object = None
-    constraints: list = field(default_factory=list)
-    #: OmniSim only: FIFO channels keyed by name (the R/W timing tables)
+    #: OmniSim only: FIFO channels keyed by name (the paper's R/W
+    #: timing tables — engine state, not replay state)
     fifo_channels: dict = field(default_factory=dict)
-    #: OmniSim only: the columnar :class:`~repro.trace.TraceArtifact` —
-    #: the flat, picklable, cacheable form of the capture (preferred
-    #: replay handle; carries its CSR static edges across processes)
+    #: OmniSim / LightningSim: the :class:`~repro.trace.TraceArtifact`
+    #: the engine recorded — the simulation graph, and on OmniSim runs
+    #: the query constraints and functional payload too.  The one
+    #: replay handle: picklable, cacheable, carries its CSR static
+    #: edges across processes.
     trace: object = None
+
+    # Kept only for benchmarks/perf (not editable here).
+    @property
+    def graph(self):
+        """Alias of :attr:`trace`."""
+        return self.trace
 
     @property
     def total_seconds(self) -> float:

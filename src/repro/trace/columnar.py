@@ -2,18 +2,18 @@
 
 OmniSim's premise is "capture at C speed, resimulate at RTL accuracy" —
 which makes the captured trace the central artifact of the whole system.
-The engines record into the append-only
-:class:`~repro.sim.graph.SimulationGraph`; :class:`TraceArtifact` is its
-flat, struct-of-arrays form (the LightningSimV2/GSIM move: dense packed
-state instead of per-node Python objects) and the home of the one scalar
-retiming kernel:
+:class:`TraceArtifact` is the paper's partial simulation graph (7.3.1):
+adjacency-list-style parallel columns the engines append to *while they
+run*, and the same object every consumer replays, pickles and stores —
+one structure, written once, read many times (the LightningSimV2/GSIM
+move: dense packed state instead of per-node Python objects).  It is
+also the home of the one scalar retiming kernel:
 
 * **node columns** — ``module_of``/``nominal``/``time``/``kind``/
-  ``seg_serial``/``seg_base`` as ``array('q')``, plus a CSR view of the
-  per-module node lists;
-* **FIFO / AXI columns** — the graph-node registries flattened to
-  integer arrays per channel, with the base depth and element width per
-  FIFO;
+  ``seg_serial``/``seg_base``, plus a CSR view of the per-module node
+  lists (derived from ``module_of`` on first use);
+* **FIFO / AXI columns** — per channel, which nodes are the N-th access
+  of each port, with the base depth and element width per FIFO;
 * **constraint columns** — every recorded timing query as five parallel
   arrays (kind code, FIFO index, access index, outcome, node id);
 * **static columns** — the depth-independent retiming edges in CSR form
@@ -24,6 +24,12 @@ retiming kernel:
 * **functional payload** — scalars/buffers/AXI memories/stats of the
   capture run, so a cache-loaded artifact can stand in for the full
   baseline :class:`~repro.sim.result.SimulationResult`.
+
+Columns are plain lists while an engine records (``list.append`` is the
+cheapest per-event write CPython has) and ``array('q')`` once loaded
+from the store or a pickle; :meth:`TraceArtifact.columns` packs to
+``array('q')`` where bytes are actually needed.  Every reader works on
+either.
 
 Retiming derives edges from the recorded structure rather than storing
 them per node:
@@ -55,15 +61,25 @@ content-addressed cache) lives in :mod:`repro.trace.store`.
 
 from __future__ import annotations
 
+import dataclasses
 import time as _time
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from ..errors import ConstraintViolation, SimulationError
-from ..sim.graph import K_READ, K_WRITE
 from ..sim.incremental import IncrementalResult
 from ..sim.result import Constraint, SimulationResult, SimulationStats
+
+#: Node kinds, as the retiming kernel interprets them.
+K_OTHER = 0      # start/end/trace and failed queries (never stall)
+K_READ = 1       # committed blocking read (stalls on RAW)
+K_WRITE = 2      # committed blocking write (stalls on WAR)
+K_AXI_READ = 3   # AXI read beat
+K_AXI_RESP = 4   # AXI write response
+K_NB_READ = 5    # successful NB read: consumes a value but never stalls
+K_NB_WRITE = 6   # successful NB write: produces a value but never stalls
 
 #: constraint kind <-> small-int code for the constraint columns.
 #: Codes 0-1 are the write-side queries (paper Table 2 left column);
@@ -75,7 +91,7 @@ _KIND_CODE = {kind: code for code, kind in enumerate(CONSTRAINT_KINDS)}
 _WRITE_QUERY_MAX_CODE = 1
 
 #: default element width (bits) for FIFOs absent from the width table
-#: (hand-built graphs) — must match ``SimulationGraph.buffer_bits``.
+#: (hand-built artifacts)
 DEFAULT_FIFO_WIDTH = 32
 
 _NEG_INF = -(1 << 62)
@@ -85,61 +101,96 @@ def _qarray(values=()) -> array:
     return array("q", values)
 
 
+def _packed(col) -> array:
+    """``col`` as ``array('q')`` (recorded columns are lists)."""
+    return col if isinstance(col, array) else array("q", col)
+
+
 @dataclass
 class FifoColumns:
-    """One FIFO's committed accesses, flattened to node-id arrays."""
+    """One FIFO's committed accesses, as node-id columns."""
 
     name: str
+    #: position in ``TraceArtifact.fifos`` (the constraint columns' id)
+    index: int
     #: base depth of the capture run (the reference configuration)
     depth: int
     #: element width in bits (buffer-cost estimates)
     width: int = DEFAULT_FIFO_WIDTH
     #: successful accesses in index order (RAW/WAR edges)
-    write_nodes: array = field(default_factory=_qarray)
-    read_nodes: array = field(default_factory=_qarray)
+    write_nodes: list = field(default_factory=list)
+    read_nodes: list = field(default_factory=list)
     #: every port access incl. failed NB attempts (+1 serialization)
-    write_port_nodes: array = field(default_factory=_qarray)
-    read_port_nodes: array = field(default_factory=_qarray)
+    write_port_nodes: list = field(default_factory=list)
+    read_port_nodes: list = field(default_factory=list)
+
+    def add_write(self, node: int, success: bool = True) -> None:
+        """Register a write-port access; a failed NB attempt occupies
+        the port for its cycle but is no write in the index order."""
+        self.write_port_nodes.append(node)
+        if success:
+            self.write_nodes.append(node)
+
+    def add_read(self, node: int, success: bool = True) -> None:
+        """Register a read-port access (see :meth:`add_write`)."""
+        self.read_port_nodes.append(node)
+        if success:
+            self.read_nodes.append(node)
 
 
 @dataclass
 class AxiColumns:
-    """One AXI port's committed events, flattened to node-id arrays."""
+    """One AXI port's committed events, as node-id columns."""
 
     name: str
     read_latency: int = 12
     write_latency: int = 6
     #: flattened ``(req_node, first_beat, length)`` triples
-    read_bursts: array = field(default_factory=_qarray)
+    read_bursts: list = field(default_factory=list)
     #: flattened ``(resp_node, last_beat)`` pairs
-    resp_nodes: array = field(default_factory=_qarray)
-    read_beat_nodes: array = field(default_factory=_qarray)
-    write_beat_nodes: array = field(default_factory=_qarray)
-    read_req_nodes: array = field(default_factory=_qarray)
-    write_req_nodes: array = field(default_factory=_qarray)
+    resp_nodes: list = field(default_factory=list)
+    read_beat_nodes: list = field(default_factory=list)
+    write_beat_nodes: list = field(default_factory=list)
+    read_req_nodes: list = field(default_factory=list)
+    write_req_nodes: list = field(default_factory=list)
+
+    def add_read_req(self, node: int, first_beat: int,
+                     length: int) -> None:
+        """Register a read request and the beats its burst covers."""
+        self.read_req_nodes.append(node)
+        self.read_bursts.extend((node, first_beat, length))
+
+    def add_write_resp(self, node: int, first_beat: int,
+                       length: int) -> None:
+        """Register the write response of the burst
+        ``[first_beat, first_beat + length)``: it waits on the last
+        beat."""
+        self.resp_nodes.extend((node, first_beat + length - 1))
 
 
 class TraceArtifact:
-    """Flat, picklable, serializable form of one captured OmniSim run."""
+    """One captured run: the recorder the engines append to and the
+    flat, picklable, serializable form everything replays."""
 
-    def __init__(self, design_name: str, executor: str):
+    def __init__(self, design_name: str = "", executor: str = "compiled"):
         self.design_name = design_name
         #: Func Sim executor of the capture run (part of the cache key)
         self.executor = executor
         # -- node columns ----------------------------------------------
-        self.module_of = _qarray()
-        self.nominal = _qarray()
-        self.time = _qarray()
-        self.kind = _qarray()
-        self.seg_serial = _qarray()
-        self.seg_base = _qarray()
+        self.module_of: list = []
+        self.nominal: list = []
+        self.time: list = []
+        self.kind: list = []
+        self.seg_serial: list = []
+        self.seg_base: list = []
         self.module_names: list[str] = []
-        #: CSR of per-module node lists (module id -> node ids)
-        self.mod_ptr = _qarray([0])
-        self.mod_nodes = _qarray()
+        #: CSR of per-module node lists (module id -> node ids),
+        #: derived from ``module_of`` by :meth:`_sync`
+        self.mod_ptr: list = [0]
+        self.mod_nodes: list = []
         #: end-task node per module, as parallel (mid, node) arrays
-        self.end_mids = _qarray()
-        self.end_node_ids = _qarray()
+        self.end_mids: list = []
+        self.end_node_ids: list = []
         # -- channel columns -------------------------------------------
         self.fifos: list[FifoColumns] = []
         self.axis: list[AxiColumns] = []
@@ -148,18 +199,18 @@ class TraceArtifact:
         self.depths: dict[str, int] = {}
         self.widths: dict[str, int] = {}
         # -- constraint columns ----------------------------------------
-        self.c_kind = _qarray()
-        self.c_fifo = _qarray()
-        self.c_index = _qarray()
-        self.c_outcome = _qarray()
-        self.c_node = _qarray()
+        self.c_kind: list = []
+        self.c_fifo: list = []
+        self.c_index: list = []
+        self.c_outcome: list = []
+        self.c_node: list = []
         # -- functional payload ----------------------------------------
         self.scalars: dict = {}
         self.buffers: dict = {}
         self.axi_memories: dict = {}
         self.fifo_leftovers: dict = {}
         self.warnings: list = []
-        self.stats: dict = {}
+        self.stats = SimulationStats()
         # -- static columns (depth-independent retiming edges) ---------
         #: real + virtual (segment-end) node count; None = not built
         self.s_total: int | None = None
@@ -172,119 +223,114 @@ class TraceArtifact:
         #: or None when the depth-1 ordering graph is cyclic
         self.s_order: array | None = None
         self.s_has_order = False
-        #: derived iteration view (lists/tuples) — never serialized
-        self._view = None
+        #: per-process derived caches, never serialized: the scalar
+        #: iteration view and :mod:`repro.trace.vectorized`'s batch plan
+        self._view = self._vplan = None
+        #: name -> module id / entry of ``fifos`` / entry of ``axis``
+        self._module_ids: dict[str, int] = {}
+        self._fifo_tables: dict[str, FifoColumns] = {}
+        self._axi_tables: dict[str, AxiColumns] = {}
 
     # ------------------------------------------------------------------
-    # construction
+    # recording: what the engines call while they execute
 
-    @classmethod
-    def from_graph(cls, graph, design_name: str = "",
-                   executor: str = "compiled",
-                   depths: dict | None = None) -> "TraceArtifact":
-        """Node + channel columns of a recorded
-        :class:`~repro.sim.graph.SimulationGraph` — everything
-        :meth:`retime` needs.  ``depths`` is the capture run's base
-        depth map (absent for hand-built graphs)."""
-        art = cls(design_name, executor)
-        art.module_of = _qarray(graph.module_of)
-        art.nominal = _qarray(graph.nominal)
-        art.time = _qarray(graph.time)
-        art.kind = _qarray(graph.kind)
-        art.seg_serial = _qarray(graph.seg_serial)
-        art.seg_base = _qarray(graph.seg_base)
-        art.module_names = list(graph.module_names)
-        mod_ptr = [0]
-        mod_nodes: list[int] = []
-        for mid in range(len(graph.module_names)):
-            mod_nodes.extend(graph.module_nodes.get(mid, ()))
-            mod_ptr.append(len(mod_nodes))
-        art.mod_ptr = _qarray(mod_ptr)
-        art.mod_nodes = _qarray(mod_nodes)
-        for mid, node in graph.end_nodes.items():
-            art.end_mids.append(mid)
-            art.end_node_ids.append(node)
-        art.depths = dict(depths or {})
-        art.widths = dict(graph.fifo_widths)
-        for name, table in graph.fifo_tables.items():
-            art.fifos.append(FifoColumns(
-                name=name,
-                depth=art.depths.get(name, 1),
-                width=art.widths.get(name, DEFAULT_FIFO_WIDTH),
-                write_nodes=_qarray(table.write_nodes),
-                read_nodes=_qarray(table.read_nodes),
-                write_port_nodes=_qarray(table.write_port_nodes),
-                read_port_nodes=_qarray(table.read_port_nodes),
-            ))
-        for name, table in graph.axi_tables.items():
-            bursts = _qarray()
-            for req, first, length in table.read_bursts:
-                bursts.extend((req, first, length))
-            resp = _qarray()
-            for node, last in table.resp_nodes:
-                resp.extend((node, last))
-            art.axis.append(AxiColumns(
-                name=name,
-                read_latency=table.read_latency,
-                write_latency=table.write_latency,
-                read_bursts=bursts,
-                resp_nodes=resp,
-                read_beat_nodes=_qarray(table.read_beat_nodes),
-                write_beat_nodes=_qarray(table.write_beat_nodes),
-                read_req_nodes=_qarray(table.read_req_nodes),
-                write_req_nodes=_qarray(table.write_req_nodes),
-            ))
-        return art
+    def module_id(self, name: str) -> int:
+        mid = self._module_ids.get(name)
+        if mid is None:
+            mid = self._module_ids[name] = len(self.module_names)
+            self.module_names.append(name)
+        return mid
 
-    @classmethod
-    def from_result(cls, result: SimulationResult,
-                    executor: str = "compiled") -> "TraceArtifact":
-        """Build the columnar artifact from a captured OmniSim result:
-        :meth:`from_graph` plus the constraint columns and the
-        functional payload."""
-        if result.graph is None or result.fifo_channels is None:
-            raise SimulationError(
-                "a trace artifact requires an OmniSim result (with graph "
-                "and FIFO channels)"
-            )
-        art = cls.from_graph(
-            result.graph, result.design_name, executor,
-            {name: ch.depth for name, ch in result.fifo_channels.items()})
-        fifo_index = {fc.name: i for i, fc in enumerate(art.fifos)}
-        for c in result.constraints:
-            art.c_kind.append(_KIND_CODE[c.kind])
-            art.c_fifo.append(fifo_index[c.fifo])
-            art.c_index.append(c.index)
-            art.c_outcome.append(1 if c.outcome else 0)
-            art.c_node.append(c.node_id)
-        art.scalars = dict(result.scalars)
-        art.buffers = {k: list(v) for k, v in result.buffers.items()}
-        art.axi_memories = {k: list(v)
-                            for k, v in result.axi_memories.items()}
-        art.fifo_leftovers = dict(result.fifo_leftovers)
-        art.warnings = list(result.warnings)
-        stats = result.stats
-        art.stats = {
-            "events": stats.events,
-            "queries": stats.queries,
-            "queries_resolved_false_by_rule":
-                stats.queries_resolved_false_by_rule,
-            "instructions": stats.instructions,
-            "blocks": stats.blocks,
-        }
-        return art
+    def fifo_table(self, name: str) -> FifoColumns:
+        table = self._fifo_tables.get(name)
+        if table is None:
+            table = self._fifo_tables[name] = FifoColumns(
+                name, len(self.fifos), self.depths.get(name, 1),
+                self.widths.get(name, DEFAULT_FIFO_WIDTH))
+            self.fifos.append(table)
+        return table
+
+    def axi_table(self, name: str) -> AxiColumns:
+        table = self._axi_tables.get(name)
+        if table is None:
+            table = self._axi_tables[name] = AxiColumns(name)
+            self.axis.append(table)
+        return table
+
+    def add_node(self, module: str, request, time: int,
+                 kind: int = K_OTHER) -> int:
+        """Append a committed event; returns its node id."""
+        mid = self._module_ids.get(module)
+        if mid is None:
+            mid = self.module_id(module)
+        node = len(self.time)
+        self.module_of.append(mid)
+        self.nominal.append(request.nominal)
+        self.time.append(time)
+        self.kind.append(kind)
+        self.seg_serial.append(request.segment)
+        self.seg_base.append(request.seg_base)
+        return node
+
+    def add_end_node(self, module: str, node: int) -> None:
+        """Register ``node`` as ``module``'s end-of-task event."""
+        self.end_mids.append(self.module_id(module))
+        self.end_node_ids.append(node)
+
+    def add_constraint(self, kind: str, fifo: str, index: int,
+                       outcome: bool, node: int) -> None:
+        """Record one resolved timing query (paper 7.2): ``index`` is
+        the FIFO access index it resolved against (the would-be w-th
+        write / r-th read), ``node`` the query's own event."""
+        self.c_kind.append(_KIND_CODE[kind])
+        self.c_fifo.append(self.fifo_table(fifo).index)
+        self.c_index.append(index)
+        self.c_outcome.append(1 if outcome else 0)
+        self.c_node.append(node)
+
+    def attach_payload(self, result: SimulationResult) -> None:
+        """Adopt the capture result's functional outputs — the objects
+        themselves, not copies: one run has one set of outputs, and
+        :meth:`to_result` copies on the way out."""
+        self.scalars = result.scalars
+        self.buffers = result.buffers
+        self.axi_memories = result.axi_memories
+        self.fifo_leftovers = result.fifo_leftovers
+        self.warnings = result.warnings
+        self.stats = result.stats
+
+    def _sync(self) -> None:
+        """Bring the derived columns up to date with the recorded nodes:
+        the per-module CSR is a stable sort of ``module_of`` (emission
+        order within a module), and static columns built before the
+        last append are dropped.  A no-op on anything already current —
+        loaded artifacts, and recorded ones nobody appended to since."""
+        n = len(self.time)
+        if (len(self.mod_nodes) == n
+                and len(self.mod_ptr) == len(self.module_names) + 1):
+            return
+        module_of = self.module_of
+        per_module = Counter(module_of)
+        self.mod_ptr = [0, *accumulate(
+            per_module[mid] for mid in range(len(self.module_names)))]
+        self.mod_nodes = sorted(range(n), key=module_of.__getitem__)
+        self.s_succ_ptr = None
+        self._view = self._vplan = None
+
+    # Kept only for benchmarks/perf (not editable here), which calls it
+    # on an OmniSim result: the engine already recorded the artifact.
+    @staticmethod
+    def from_result(result) -> "TraceArtifact":
+        return result.trace
 
     # ------------------------------------------------------------------
-    # cross-process shipping: static columns travel WITH the artifact;
+    # cross-process shipping: the store's own (meta, columns) form, so
+    # packed columns and built static columns travel WITH the artifact;
     # only the cheap derived iteration view is rebuilt per process.
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_view"] = None
-        # the vectorized batch plan (repro.trace.vectorized) holds NumPy
-        # arrays and rebuilds cheaply; never ship it across processes
-        state.pop("_vplan", None)
-        return state
+    def __reduce__(self):
+        return (TraceArtifact.from_serial,
+                (self.meta_dict(), dict(self.columns())))
 
     # ------------------------------------------------------------------
     # basic shape
@@ -294,17 +340,16 @@ class TraceArtifact:
         return len(self.time)
 
     def nbytes(self) -> int:
-        """Approximate in-memory size of the integer columns (bytes)."""
-        total = 0
-        for _name, col in self.columns():
-            total += len(col) * col.itemsize
-        return total
+        """Packed size of the integer columns (bytes)."""
+        return sum(len(col) * col.itemsize for _name, col in self.columns())
 
     # ------------------------------------------------------------------
     # static edge build: every depth-independent edge, once
 
     def ensure_static(self) -> None:
-        """Build the depth-independent CSR columns once (idempotent)."""
+        """Build the depth-independent CSR columns once (idempotent;
+        rebuilt when nodes were appended since)."""
+        self._sync()
         if self.s_succ_ptr is None:
             self._build_static_columns()
 
@@ -476,9 +521,9 @@ class TraceArtifact:
     # a zip + slicing pass, orders cheaper than the full edge build.
 
     def _iter_view(self):
+        self.ensure_static()
         view = self._view
         if view is None:
-            self.ensure_static()
             succ_ptr = self.s_succ_ptr
             # Box the columns into lists before zipping: the pair
             # tuples then hold compactly-allocated ints (boxing straight
@@ -723,30 +768,14 @@ class TraceArtifact:
         )
 
     # ------------------------------------------------------------------
-    # interop with the object world
-
-    def constraints_list(self) -> list[Constraint]:
-        """Materialize the constraint columns back into
-        :class:`~repro.sim.result.Constraint` objects."""
-        fifos = self.fifos
-        return [
-            Constraint(CONSTRAINT_KINDS[self.c_kind[i]],
-                       fifos[self.c_fifo[i]].name,
-                       self.c_index[i],
-                       bool(self.c_outcome[i]),
-                       self.c_node[i])
-            for i in range(len(self.c_node))
-        ]
+    # interop with the result world
 
     def to_result(self) -> SimulationResult:
         """Reconstruct a baseline-equivalent
-        :class:`~repro.sim.result.SimulationResult`: functional payload
-        plus this artifact as the replay state.  There is no object
-        graph, and ``fifo_channels`` holds depth-only stand-in channels
-        (the documented ``{name: ch.depth}`` consumer pattern works;
-        the per-access R/W timing tables live in the columns here)."""
-        from ..runtime.fifo import FifoChannel
-
+        :class:`~repro.sim.result.SimulationResult`: copies of the
+        functional payload plus this artifact as the replay state
+        (``fifo_channels``, the engine's R/W timing tables, are gone
+        with the engine; the base depths are :attr:`depths`)."""
         return SimulationResult(
             design_name=self.design_name,
             simulator="omnisim",
@@ -756,11 +785,8 @@ class TraceArtifact:
             axi_memories={k: list(v) for k, v in self.axi_memories.items()},
             module_end_times=self.end_times(),
             fifo_leftovers=dict(self.fifo_leftovers),
-            stats=SimulationStats(**self.stats),
+            stats=dataclasses.replace(self.stats),
             warnings=list(self.warnings),
-            constraints=self.constraints_list(),
-            fifo_channels={name: FifoChannel(name=name, depth=depth)
-                           for name, depth in self.depths.items()},
             trace=self,
         )
 
@@ -769,6 +795,7 @@ class TraceArtifact:
 
     def meta_dict(self) -> dict:
         """JSON-serializable scalar/str metadata (no integer columns)."""
+        self._sync()
         return {
             "design_name": self.design_name,
             "executor": self.executor,
@@ -790,7 +817,7 @@ class TraceArtifact:
                 "axi_memories": self.axi_memories,
                 "fifo_leftovers": self.fifo_leftovers,
                 "warnings": self.warnings,
-                "stats": self.stats,
+                "stats": dataclasses.asdict(self.stats),
             },
             "static": {
                 "built": self.s_succ_ptr is not None,
@@ -812,16 +839,17 @@ class TraceArtifact:
                        "s_succ_node", "s_succ_weight", "s_order")
 
     def columns(self):
-        """Yield ``(name, array)`` for every integer column, in schema
-        order (the store serializes exactly this sequence)."""
+        """Yield ``(name, array('q'))`` for every integer column, in
+        schema order (the store serializes exactly this sequence)."""
+        self._sync()
         for name in self._NODE_COLUMNS + self._CONSTRAINT_COLUMNS:
-            yield name, getattr(self, name)
+            yield name, _packed(getattr(self, name))
         for i, fc in enumerate(self.fifos):
             for col in self._FIFO_COLUMNS:
-                yield f"fifo{i}.{col}", getattr(fc, col)
+                yield f"fifo{i}.{col}", _packed(getattr(fc, col))
         for i, ax in enumerate(self.axis):
             for col in self._AXI_COLUMNS:
-                yield f"axi{i}.{col}", getattr(ax, col)
+                yield f"axi{i}.{col}", _packed(getattr(ax, col))
         if self.s_succ_ptr is not None:
             for name in self._STATIC_COLUMNS:
                 yield name, getattr(self, name)
@@ -830,26 +858,23 @@ class TraceArtifact:
     def from_serial(cls, meta: dict, columns: dict) -> "TraceArtifact":
         """Inverse of ``meta_dict``/``columns`` (store load side)."""
         art = cls(meta["design_name"], meta["executor"])
-        art.module_names = list(meta["module_names"])
+        for name in meta["module_names"]:
+            art.module_id(name)
         art.depths = {str(k): int(v) for k, v in meta["depths"].items()}
         art.widths = {str(k): int(v) for k, v in meta["widths"].items()}
         for name in cls._NODE_COLUMNS + cls._CONSTRAINT_COLUMNS:
             setattr(art, name, columns[name])
         for i, fd in enumerate(meta["fifos"]):
-            art.fifos.append(FifoColumns(
-                name=str(fd["name"]), depth=int(fd["depth"]),
-                width=int(fd["width"]),
-                **{col: columns[f"fifo{i}.{col}"]
-                   for col in cls._FIFO_COLUMNS},
-            ))
+            fc = art.fifo_table(str(fd["name"]))
+            fc.depth, fc.width = int(fd["depth"]), int(fd["width"])
+            for col in cls._FIFO_COLUMNS:
+                setattr(fc, col, columns[f"fifo{i}.{col}"])
         for i, ad in enumerate(meta["axis"]):
-            art.axis.append(AxiColumns(
-                name=str(ad["name"]),
-                read_latency=int(ad["read_latency"]),
-                write_latency=int(ad["write_latency"]),
-                **{col: columns[f"axi{i}.{col}"]
-                   for col in cls._AXI_COLUMNS},
-            ))
+            ax = art.axi_table(str(ad["name"]))
+            ax.read_latency = int(ad["read_latency"])
+            ax.write_latency = int(ad["write_latency"])
+            for col in cls._AXI_COLUMNS:
+                setattr(ax, col, columns[f"axi{i}.{col}"])
         fn = meta["functional"]
         art.scalars = dict(fn["scalars"])
         art.buffers = {k: list(v) for k, v in fn["buffers"].items()}
@@ -857,7 +882,7 @@ class TraceArtifact:
                             for k, v in fn["axi_memories"].items()}
         art.fifo_leftovers = dict(fn["fifo_leftovers"])
         art.warnings = list(fn["warnings"])
-        art.stats = dict(fn["stats"])
+        art.stats = SimulationStats(**fn["stats"])
         static = meta["static"]
         if static["built"]:
             art.s_total = int(static["total"])
@@ -876,25 +901,8 @@ class TraceArtifact:
                 f"static={'built' if self.s_succ_ptr is not None else 'lazy'})")
 
 
-def replay_trace(result, executor: str = "compiled"
-                 ) -> TraceArtifact | None:
-    """The columnar replay handle of a result.
-
-    Returns ``result.trace`` when present; otherwise builds (and
-    attaches) an artifact from the object graph when the result carries
-    one, or ``None`` when the result has no replay state at all.  This
-    lazy derivation is how capture "emits" the artifact: runs that never
-    replay never pay the column build.  ``executor`` labels a
-    newly-built artifact (cache-key relevant metadata; ignored when the
-    artifact already exists).
-    """
-    trace = getattr(result, "trace", None)
-    if trace is not None:
-        return trace
-    if getattr(result, "graph", None) is None:
-        return None
-    if getattr(result, "fifo_channels", None) is None:
-        return None  # base depths unknown: cannot build a replay handle
-    trace = TraceArtifact.from_result(result, executor=executor)
-    result.trace = trace
-    return trace
+# Kept only for benchmarks/perf (not editable here): a result's replay
+# handle is its ``trace`` field, ``None`` on engines that record none
+# and on stripped batch results.
+def replay_trace(result) -> TraceArtifact | None:
+    return getattr(result, "trace", None)

@@ -55,9 +55,8 @@ from __future__ import annotations
 import os as _os
 import time as _time
 
-from ..sim.graph import K_WRITE
 from ..sim.incremental import IncrementalResult
-from .columnar import _NEG_INF, TraceArtifact
+from .columnar import _NEG_INF, K_WRITE, TraceArtifact
 
 #: the numpy module once :func:`_numpy` has looked for it (None when it
 #: is missing or disabled); importing it is ~1/3 of a ``repro run``'s
@@ -419,13 +418,9 @@ def _plan_for(art: TraceArtifact) -> BatchPlan:
     """The artifact's cached batch plan (built on first use; the cache
     rides on the artifact object and is dropped by pickling, like the
     scalar iteration view)."""
-    plan = getattr(art, "_vplan", None)
+    plan = art._vplan
     if plan is None:
-        plan = BatchPlan(art)
-        try:
-            art._vplan = plan
-        except AttributeError:  # pragma: no cover - exotic artifacts
-            pass
+        plan = art._vplan = BatchPlan(art)
     return plan
 
 

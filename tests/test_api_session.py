@@ -92,7 +92,7 @@ class TestCaching:
         assert session.baseline() is base
         assert session.baseline(executor="interp") is not base
         assert session.baseline(refresh=True) is not base
-        assert session.graph is not None
+        assert session.graph is session.trace is session.baseline().trace
 
     def test_close_drops_caches(self):
         with Session.open("fig4_ex5", n=60) as session:
@@ -103,6 +103,27 @@ class TestCaching:
         # still usable after close: artifacts rebuild
         assert session.compiled is not compiled
         assert session.run().cycles > 0
+
+
+class TestPlainRunsReplay:
+    def test_identity_resimulate_needs_no_second_capture(
+            self, monkeypatch):
+        """Every OmniSim result carries its replay handle: replaying a
+        plain ``run()`` re-runs no engine and derives nothing."""
+        from repro.sim import get_engine, resimulate
+
+        session = Session.open("fig4_ex5", n=60)
+        result = session.run()
+        runs = []
+        cls = get_engine("omnisim").cls
+        real = cls.run
+        monkeypatch.setattr(
+            cls, "run", lambda self: runs.append(self) or real(self))
+        inc = resimulate(result, dict(result.trace.depths))
+        assert inc.cycles == result.cycles
+        assert inc.module_end_times == result.module_end_times
+        assert result.trace.resimulate({}).cycles == result.cycles
+        assert runs == []
 
 
 class TestRunValidation:

@@ -30,10 +30,15 @@ from repro.errors import DeadlockError, SimulatedCrash, SimulationError
 from repro.hls.kernel import kernel_from_source
 from repro.interp import compiled as codegen
 from repro.ir.instructions import EVENT_OPS as _EVENT_INSTRS
-from repro.sim import CSimulator, CoSimulator, OmniSimulator
+from repro.sim import get_engine
 from repro.sim.context import build_runtime_state, make_executor
+from repro.trace import TraceArtifact
 
 from test_property_differential import build_design, config
+
+CSimulator = get_engine("csim").cls
+CoSimulator = get_engine("cosim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 #: smaller instances for the heavyweight registry designs (mirrors the
 #: benchmark conftest's Table 3 params)
@@ -71,7 +76,9 @@ def assert_results_identical(a, b, context: str) -> None:
     assert a.buffers == b.buffers, context
     assert a.axi_memories == b.axi_memories, context
     assert a.fifo_leftovers == b.fifo_leftovers, context
-    assert a.constraints == b.constraints, context
+    for column in TraceArtifact._CONSTRAINT_COLUMNS:
+        assert (getattr(a.trace, column)
+                == getattr(b.trace, column)), (context, column)
     assert a.stats.events == b.stats.events, context
     assert a.stats.queries == b.stats.queries, context
     assert a.stats.instructions == b.stats.instructions, context
@@ -194,9 +201,8 @@ def test_retime_identical_across_executors():
     compiled = _compiled("fig4_ex5")
     a = OmniSimulator(compiled, executor="interp").run()
     b = OmniSimulator(compiled, executor="compiled").run()
-    depths = {name: ch.depth for name, ch in a.fifo_channels.items()}
-    depths["fifo2"] = 40
-    assert a.graph.retime(depths) == b.graph.retime(depths)
+    depths = dict(a.trace.depths, fifo2=40)
+    assert a.trace.retime(depths) == b.trace.retime(depths)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ from repro.dse import (
     weakly_dominates,
 )
 from repro.errors import DseError
-from repro.sim import OmniSimulator
+from repro.sim import get_engine
 from tests.conftest import make_nb_design, make_pipeline_design
+
+OmniSimulator = get_engine("omnisim").cls
 
 
 class TestDepthSpace:

@@ -19,7 +19,10 @@ import pytest
 from repro import compile_design, designs, hls
 from repro.designs import dsl
 from repro.errors import SpecError
-from repro.sim import CoSimulator, OmniSimulator
+from repro.sim import get_engine
+
+CoSimulator = get_engine("cosim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 

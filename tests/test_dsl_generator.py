@@ -21,7 +21,11 @@ from repro import compile_design
 from repro.analysis import classify
 from repro.designs import dsl
 from repro.errors import SpecError
-from repro.sim import CoSimulator, LightningSimulator, OmniSimulator
+from repro.sim import get_engine
+
+CoSimulator = get_engine("cosim").cls
+LightningSimulator = get_engine("lightningsim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 
 def build(design_type, modules=4, seed=0, count=40):

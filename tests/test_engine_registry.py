@@ -156,8 +156,13 @@ class TestEngineConformance:
                 assert result.cycles > 0
             else:
                 assert result.cycles == 0
+            # -- the recording engines attach the one replay handle
+            assert (result.trace is not None) == (
+                info.name in ("omnisim", "omnisim-threads",
+                              "lightningsim"))
+            assert result.graph is result.trace
             if info.records_graph:
-                assert result.graph is not None
+                assert result.trace.node_count == result.stats.events
                 assert result.fifo_channels
             if not info.deterministic:
                 continue

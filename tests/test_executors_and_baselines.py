@@ -6,12 +6,12 @@ from repro import compile_design, designs
 from repro.analysis import classify
 from repro.errors import DeadlockError
 from repro.runtime import requests as req
-from repro.sim import (
-    NaiveThreadedSimulator,
-    OmniSimulator,
-    ThreadedOmniSimulator,
-)
+from repro.sim import get_engine
 from tests.conftest import make_nb_design, make_pipeline_design
+
+NaiveThreadedSimulator = get_engine("naive").cls
+OmniSimulator = get_engine("omnisim").cls
+ThreadedOmniSimulator = get_engine("omnisim-threads").cls
 
 
 class TestThreadedExecutor:

@@ -9,7 +9,11 @@ from repro.errors import (
     SimulationError,
 )
 from repro.hls.kernel import kernel_from_source
-from repro.sim import CoSimulator, CSimulator, OmniSimulator
+from repro.sim import get_engine
+
+CoSimulator = get_engine("cosim").cls
+CSimulator = get_engine("csim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 
 def design_with(source: str, *, streams=(), scalars=(), consts=None,

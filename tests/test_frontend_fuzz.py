@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro import compile_design, hls
 from repro.hls.kernel import kernel_from_source
-from repro.sim import OmniSimulator
+from repro.sim import get_engine
+
+OmniSimulator = get_engine("omnisim").cls
 
 MASK = (1 << 32) - 1
 

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from repro import compile_design, hls
 from repro.errors import ConstraintViolation, DeadlockError
 from repro.hls.kernel import kernel_from_source
-from repro.sim import CoSimulator, OmniSimulator, resimulate
+from repro.sim import get_engine, resimulate
+
+CoSimulator = get_engine("cosim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 MAX_N = 20
 
@@ -137,10 +140,10 @@ def test_retime_reproduces_live_times(params):
     the eagerly computed commit times exactly (finalization invariant)."""
     compiled = compile_design(build_design(params))
     result = OmniSimulator(compiled).run()
-    depths = {name: ch.depth for name, ch in result.fifo_channels.items()}
-    times = result.graph.retime(depths)
-    assert times == result.graph.time
-    assert result.graph.total_cycles(times) == result.cycles
+    trace = result.trace
+    times = trace.retime(trace.depths)
+    assert times == trace.time
+    assert trace.total_cycles(times) == result.cycles
 
 
 @settings(max_examples=25, deadline=None,

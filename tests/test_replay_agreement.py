@@ -29,6 +29,7 @@ from repro.dse import (
     DepthSpace,
 )
 from repro.service import serve_in_thread
+from repro.trace import numpy_available
 
 CASES = [
     pytest.param("fig4_ex5", {"n": 100}, ["fifo1=1:6", "fifo2=1:6"],
@@ -82,6 +83,8 @@ def test_in_process_drivers_agree(design, params, specs, server):
         conn.close()
 
 
+@pytest.mark.skipif(not numpy_available(),
+                    reason="NumPy unavailable or disabled")
 def test_flip_space_exercises_every_mode():
     # the agreement above is only worth something if the flip space
     # really takes all three non-trivial paths

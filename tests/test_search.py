@@ -343,16 +343,17 @@ class TestExploreAdaptive:
         # refine on fifo2=1:6 opens with a 3-config grid and follows
         # with smaller rounds: jobs=8 must not spawn 8 workers that
         # each load the baseline.
-        from repro.exec import worker
+        # (repro.exec.worker imports the name where it builds a pool)
+        import concurrent.futures as futures
 
         widths = []
-        real = worker.ProcessPoolExecutor
+        real = futures.ProcessPoolExecutor
 
         def recording(max_workers, **kwargs):
             widths.append(max_workers)
             return real(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(worker, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", recording)
         session = Session.open("fig4_ex5", n=100)
         space = DepthSpace.parse(["fifo2=1:6"])
         sweep = session.sweep(space, strategy="refine", jobs=8)

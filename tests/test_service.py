@@ -14,7 +14,9 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -450,6 +452,38 @@ class TestServerErrors:
         status, doc = _post(server.port, "/v1/run", big)
         assert (status, doc["type"]) == (413, "RequestTooLargeError")
 
+    def test_oversized_body_from_a_stalled_sender_is_cut_off(
+            self, server, monkeypatch):
+        """The refusal goes out from the Content-Length alone, and the
+        discard of the in-flight body is bounded: a sender that stalls
+        short of its declared length is disconnected at the deadline,
+        not waited on."""
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "_DISCARD_SECONDS", 0.5)
+        declared = 3 * 1024 * 1024
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            start = time.monotonic()
+            sock.sendall(
+                b"POST /v1/run HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {declared}\r\n\r\n".encode()
+                + b"x" * 1024)  # ...and then nothing more
+            received = b""
+            while True:  # until the server closes on us
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+            elapsed = time.monotonic() - start
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert json.loads(payload)["type"] == "RequestTooLargeError"
+        assert 0.4 <= elapsed < 5.0, elapsed
+        # the server is still healthy afterwards
+        assert _get(server.port, "/healthz")[0] == 200
+
     def test_oversized_sweep_413(self, server):
         status, doc = _post(server.port, "/v1/sweep",
                             {"design": "fig4_ex5",
@@ -479,7 +513,6 @@ class TestServerErrors:
         """While one request is still in flight, a drain rejects new
         POSTs on open connections with 429, finishes the in-flight
         work, then the server thread exits cleanly."""
-        import time
 
         handle = serve_in_thread(workers=2)
         service = handle.service

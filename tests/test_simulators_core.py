@@ -4,18 +4,18 @@ import pytest
 
 from repro import compile_design
 from repro.errors import DeadlockError, UnsupportedDesignError
-from repro.sim import (
-    CoSimulator,
-    CSimulator,
-    LightningSimulator,
-    OmniSimulator,
-)
+from repro.sim import get_engine
 from tests.conftest import (
     N_SMALL,
     make_nb_design,
     make_pipeline_design,
     make_poll_design,
 )
+
+CoSimulator = get_engine("cosim").cls
+CSimulator = get_engine("csim").cls
+LightningSimulator = get_engine("lightningsim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 FULL_SUM = sum(range(1, N_SMALL + 1))
 

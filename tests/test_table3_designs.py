@@ -9,12 +9,12 @@ import pytest
 
 from repro import compile_design, designs
 from repro.errors import DeadlockError, UnsupportedDesignError
-from repro.sim import (
-    CoSimulator,
-    CSimulator,
-    LightningSimulator,
-    OmniSimulator,
-)
+from repro.sim import get_engine
+
+CoSimulator = get_engine("cosim").cls
+CSimulator = get_engine("csim").cls
+LightningSimulator = get_engine("lightningsim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 #: Smaller instances keep the full-suite runtime reasonable; behaviour
 #: classes are size-independent.

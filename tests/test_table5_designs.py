@@ -11,7 +11,10 @@ import math
 import pytest
 
 from repro import compile_design, designs
-from repro.sim import LightningSimulator, OmniSimulator
+from repro.sim import get_engine
+
+LightningSimulator = get_engine("lightningsim").cls
+OmniSimulator = get_engine("omnisim").cls
 
 ALL_TYPE_A = [s.name for s in designs.table5_specs()]
 

@@ -8,8 +8,9 @@ serialization round-trip.  Declined replays (constraint flips, depth
 configurations that deadlock the recording) must classify identically
 in memory and after the round-trip.
 
-Also here: content-digest stability/invalidation, and the regression
-test that pool workers never rebuild the static-edge columns.
+Also here: cold-captured vs store-round-tripped artifacts are the same
+record, content-digest stability/invalidation, and the regression test
+that pool workers never rebuild the static-edge columns.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from repro.exec.replay import load_reference, ship_reference
 from repro.sim.incremental import resimulate
 from repro.trace import (
     TraceArtifact,
+    TraceStore,
     artifact_digest,
     dumps_artifact,
     loads_artifact,
-    replay_trace,
 )
 
 from test_compiled_executor import SMALL_PARAMS
@@ -56,10 +57,10 @@ def _depth_variations(result):
     """A handful of depth configurations per design: identity, all-min,
     all-deepened, and a single-FIFO change — enough to hit the
     incremental-ok, constraint-flip and cyclic cases across the suite."""
-    names = sorted(result.fifo_channels)
+    base = result.trace.depths
+    names = sorted(base)
     if not names:
         return [{}]
-    base = {n: result.fifo_channels[n].depth for n in names}
     return [
         {},
         {n: 1 for n in names},
@@ -90,11 +91,11 @@ def _full_run_truth(session, executor, new_depths):
     key = (session.name, executor, tuple(sorted(new_depths.items())))
     if key not in _TRUTH:
         full = session.run(executor=executor, depths=new_depths)
-        depths = {n: ch.depth for n, ch in full.fifo_channels.items()}
+        depths = full.trace.depths
         _TRUTH[key] = (
             "ok", full.cycles, depths, full.module_end_times,
-            full.graph.buffer_bits(depths),
-            len(session.baseline(executor=executor).constraints))
+            full.trace.buffer_bits(depths),
+            len(session.baseline(executor=executor).trace.c_node))
     return _TRUTH[key]
 
 
@@ -116,10 +117,10 @@ def test_accepted_replays_match_full_runs(name, executor):
     result = _baseline(name, executor)
     if result is None:
         pytest.skip("design deadlocks at its declared depths")
-    artifact = replay_trace(result, executor=executor)
-    assert artifact is not None, "every OmniSim result derives a trace"
-    assert result.trace is artifact, "derived once, cached on the result"
+    artifact = result.trace
+    assert artifact is not None, "every OmniSim result records a trace"
     assert artifact.executor == executor
+    assert artifact.design_name == result.design_name
     for depths in _depth_variations(result):
         assert_resim_parity(_session(name), executor, artifact, depths,
                             (name, executor))
@@ -134,7 +135,7 @@ def test_serialized_artifact_round_trips(name):
     result = _baseline(name, "compiled")
     if result is None:
         pytest.skip("design deadlocks at its declared depths")
-    fresh = replay_trace(result)
+    fresh = result.trace
     loaded = loads_artifact(dumps_artifact(fresh))
     for depths in _depth_variations(result):
         out = assert_resim_parity(_session(name), "compiled", loaded,
@@ -147,9 +148,57 @@ def test_serialized_artifact_round_trips(name):
     assert clone.axi_memories == result.axi_memories
     assert clone.module_end_times == result.module_end_times
     assert clone.fifo_leftovers == result.fifo_leftovers
-    assert clone.constraints == result.constraints
-    assert clone.stats.events == result.stats.events
-    assert clone.graph is None and clone.trace is loaded
+    assert clone.stats == result.stats
+    assert clone.trace is loaded
+    assert len(loaded.c_node) == len(fresh.c_node)
+
+
+@pytest.mark.parametrize("executor", ["compiled", "interp"])
+@pytest.mark.parametrize("name", [
+    name for name in designs.names()
+    if not designs.get(name).expectations.get("deadlock")])
+def test_cold_and_stored_artifacts_are_one_record(name, executor,
+                                                  tmp_path):
+    """What the engine recorded and what ``TraceStore.put`` -> ``get``
+    hands back are the same record: equal metadata, equal column
+    sequences, and a ``to_result()`` equal to the captured result."""
+    result = _baseline(name, executor)
+    cold = result.trace
+    store = TraceStore(tmp_path)
+    assert store.put("k", cold)
+    warm = store.get("k")
+    assert warm.meta_dict() == cold.meta_dict()
+    assert list(warm.columns()) == list(cold.columns())
+    for art in (cold, warm):
+        served = art.to_result()
+        assert served.cycles == result.cycles
+        assert served.scalars == result.scalars
+        assert served.buffers == result.buffers
+        assert served.module_end_times == result.module_end_times
+        assert len(served.trace.c_node) == len(cold.c_node)
+
+
+def test_payload_by_reference_but_served_results_are_copies():
+    """The artifact adopts the capture's output objects (no copy at
+    record time); ``to_result()`` copies on the way out, so mutating a
+    served result leaves the baseline intact."""
+    base = _baseline("vector_add_stream", "compiled")
+    trace = base.trace
+    assert trace.scalars is base.scalars
+    assert trace.buffers is base.buffers
+    assert trace.axi_memories is base.axi_memories
+    assert trace.stats is base.stats
+    want = {k: list(v) for k, v in base.axi_memories.items()}
+    assert any(want.values())
+    served = trace.to_result()
+    assert served.axi_memories == want
+    for values in served.axi_memories.values():
+        values[:] = [-1] * len(values)
+    served.scalars["bogus"] = 1
+    served.stats.events = -1
+    assert base.axi_memories == want and "bogus" not in base.scalars
+    assert trace.to_result().axi_memories == want
+    assert trace.to_result().stats == base.stats
 
 
 def _example_specs():
@@ -167,7 +216,7 @@ def test_example_specs_replay_parity(path):
     and round-tripped (the ISSUE 5 'and examples' clause)."""
     session = Session.open(path, trace_cache=False)
     result = session.baseline()
-    artifact = replay_trace(result)
+    artifact = result.trace
     loaded = loads_artifact(dumps_artifact(artifact))
     for depths in _depth_variations(result):
         out = assert_resim_parity(session, None, artifact, depths, path)
@@ -178,7 +227,7 @@ def test_serialization_preserves_static_columns():
     """An artifact serialized after ``ensure_static`` loads with its
     CSR columns present — no rebuild on the other side."""
     result = _baseline("fig4_ex5", "compiled")
-    art = replay_trace(result)
+    art = result.trace
     art.ensure_static()
     loaded = loads_artifact(dumps_artifact(art))
     assert loaded.s_succ_ptr is not None
@@ -186,7 +235,7 @@ def test_serialization_preserves_static_columns():
     assert list(loaded.s_order) == list(art.s_order)
     assert loaded.s_has_order == art.s_has_order
     # and one serialized pre-static: loads lazily, still correct
-    fresh = TraceArtifact.from_result(_baseline("fig4_ex3", "compiled"))
+    fresh = _session("fig4_ex3").run().trace
     assert fresh.s_succ_ptr is None
     lazy = loads_artifact(dumps_artifact(fresh))
     assert lazy.resimulate({}).cycles == fresh.resimulate({}).cycles
@@ -201,7 +250,6 @@ class TestWorkerNoRebuild:
         shipped = ship_reference(session, session.baseline())
         assert shipped[0] == "artifact", "the trace ships alone"
         clone = load_reference(pickle.loads(pickle.dumps(shipped)))
-        assert clone.graph is None, "trace replaces the graph"
         return clone
 
     def test_pool_reference_never_rebuilds_static_edges(self, monkeypatch):

@@ -44,8 +44,8 @@ class TestWarmBaseline:
         warm = Session.open("fig4_ex5", n=120, trace_cache=tmp_path)
         base = warm.baseline()
         assert base.phase_seconds["capture"] == "warm"
-        # warm baselines carry the artifact, not the object graph
-        assert base.graph is None and base.trace is not None
+        # warm baselines are rebuilt around the stored artifact
+        assert base.trace is not None and warm.graph is base.trace
         cold_base = cold.baseline()
         assert base.cycles == cold_base.cycles
         assert base.scalars == cold_base.scalars
@@ -56,15 +56,15 @@ class TestWarmBaseline:
 
     def test_warm_baseline_surfaces_base_depths(self, warm_store,
                                                 tmp_path):
-        # The documented consumer pattern {n: ch.depth for ...} must
-        # work on warm baselines even though the timing tables live in
-        # the artifact columns.
+        # The base depth map travels on the artifact; the engine's R/W
+        # timing tables (fifo_channels) exist on fresh captures only.
         warm = Session.open("fig4_ex5", n=120, trace_cache=tmp_path)
         base = warm.baseline()
         cold_base = warm_store[2].baseline()
-        assert ({n: ch.depth for n, ch in base.fifo_channels.items()}
+        assert (base.trace.depths == cold_base.trace.depths
                 == {n: ch.depth
                     for n, ch in cold_base.fifo_channels.items()})
+        assert not base.fifo_channels
 
     def test_warm_paths_never_compile(self, warm_store, tmp_path,
                                       monkeypatch):
@@ -373,8 +373,7 @@ class TestDseWarmCapture:
 class TestBenchHermetic:
     def test_bench_ignores_env_trace_cache(self, tmp_path, monkeypatch):
         # The bench harness must measure real captures even when the
-        # caller's environment enables the cache (warm baselines carry
-        # no object graph, which bench_retime needs).
+        # caller's environment enables the cache.
         from repro import bench
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
@@ -392,7 +391,7 @@ class TestBatchStripping:
         session = Session.open("fig4_ex5", n=120)
         batch = session.run_many([{"depths": {"fifo2": d}}
                                   for d in (2, 3, 4, 5)], jobs=2)
-        assert all(r.trace is None and r.graph is None for r in batch)
+        assert all(r.trace is None for r in batch)
         # the session's own baseline keeps its replay state
         assert session.baseline().trace is not None
 
@@ -410,10 +409,7 @@ class TestAutoEviction:
 
     @staticmethod
     def _artifact():
-        from repro.trace.columnar import replay_trace
-
-        session = Session.open("fig4_ex5", n=100)
-        return replay_trace(session.baseline())
+        return Session.open("fig4_ex5", n=100).trace
 
     def test_parse_size(self):
         from repro.trace.store import parse_size

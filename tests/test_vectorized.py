@@ -58,7 +58,7 @@ def trace_for(key, build, executor):
         except DeadlockError:
             _TRACES[cache_key] = None
         else:
-            _TRACES[cache_key] = replay_trace(result)
+            _TRACES[cache_key] = result.trace
     return _TRACES[cache_key]
 
 
@@ -247,7 +247,7 @@ def test_mixed_batch_deadlock_rows_decline():
     # row (retiming below the burst depth goes cyclic and raises).
     compiled = compile_design(make_reorder_design())
     result = run_engine("omnisim", compiled)
-    trace = replay_trace(result)
+    trace = result.trace
     assert not batch_supported(trace)
     configs = [{"s1": d} for d in (4, 6, 8, 10)]
     assert resimulate_batch(trace, configs) == [None] * len(configs)
