@@ -47,10 +47,6 @@ class FifoChannel:
 
     # --- functional (value) view ------------------------------------------
 
-    @property
-    def emitted_writes(self) -> int:
-        return len(self.values)
-
     def push_value(self, value) -> int:
         """Record a successful write's value; returns its 1-based index."""
         self.values.append(value)

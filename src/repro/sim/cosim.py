@@ -28,32 +28,13 @@ from .context import (
     make_executor,
     resolve_executor,
 )
-from .ledger import INFINITY, ModuleLedger
+from .ledger import INFINITY, future_bounds
+# the per-module run record (generator, ledger, paused-on request) is
+# bookkeeping, not timing: the oracle shares it with the engine it checks
+from .omnisim import DONE, RUNNABLE, WAITING, _ModuleRun
 from .result import SimulationResult, SimulationStats
 
-RUNNABLE = 0
-WAITING = 1
-DONE = 2
-
 DEFAULT_MAX_CYCLES = 100_000_000
-
-
-class _ModuleRun:
-    __slots__ = ("name", "interp", "gen", "ledger", "state", "waiting",
-                 "response")
-
-    def __init__(self, name: str, interp):
-        self.name = name
-        self.interp = interp
-        self.gen = interp.run()
-        self.ledger = ModuleLedger(name)
-        self.state = RUNNABLE
-        self.waiting = None
-        self.response = None
-
-    @property
-    def drained(self) -> bool:
-        return self.state == DONE and self.ledger.pending_count == 0
 
 
 class CoSimulator:
@@ -128,7 +109,7 @@ class CoSimulator:
         event = run.waiting
         if event is None or event.kind != "fifo_read":
             return
-        fifo = self.state.fifos[event.request.fifo]
+        fifo = self.state.fifos[event.fifo]
         if fifo.value_available(event.index):
             run.response = fifo.value_for(event.index)
             run.state = RUNNABLE
@@ -142,57 +123,55 @@ class CoSimulator:
                 request = run.gen.send(run.response)
             except StopIteration:
                 run.state = DONE
-                run.ledger.mark_finished()
                 progress = True
                 break
             run.response = None
             progress = True
-            event = run.ledger.add(request)
+            run.ledger.add(request)
             self.stats.events += 1
             if request.is_query:
                 self.stats.queries += 1
-            self._on_emit(run, event)
+            self._on_emit(run, request)
         return progress
 
-    def _on_emit(self, run: _ModuleRun, event) -> None:
-        request = event.request
+    def _on_emit(self, run: _ModuleRun, request) -> None:
         kind = request.kind
         if kind == "fifo_write":
             fifo = self.state.fifos[request.fifo]
-            event.index = fifo.push_value(request.value)
+            request.index = fifo.push_value(request.value)
             waiter = self._read_waiters.get(fifo.name)
             if waiter is not None:
                 self._try_answer_waiting_read(waiter)
         elif kind == "fifo_read":
             fifo = self.state.fifos[request.fifo]
-            event.index = fifo.assign_read_index()
-            if fifo.value_available(event.index):
-                run.response = fifo.value_for(event.index)
+            request.index = fifo.assign_read_index()
+            if fifo.value_available(request.index):
+                run.response = fifo.value_for(request.index)
             else:
                 run.state = WAITING
-                run.waiting = event
+                run.waiting = request
                 self._read_waiters[fifo.name] = run
         elif kind in ("fifo_nb_read", "fifo_nb_write",
                       "fifo_can_read", "fifo_can_write"):
             run.state = WAITING
-            run.waiting = event
+            run.waiting = request
         elif kind == "axi_read_req":
             port = self.state.axis[request.port]
-            event.aux = port.emit_read_req(request.offset, request.length)
+            request.index = port.emit_read_req(request.offset, request.length)
         elif kind == "axi_read":
             port = self.state.axis[request.port]
             beat, value = port.emit_read_beat()
-            event.aux = beat
+            request.index = beat
             run.response = value
         elif kind == "axi_write_req":
             port = self.state.axis[request.port]
-            event.aux = port.emit_write_req(request.offset, request.length)
+            request.index = port.emit_write_req(request.offset, request.length)
         elif kind == "axi_write":
             port = self.state.axis[request.port]
-            event.aux = port.emit_write_beat(request.value)
+            request.index = port.emit_write_beat(request.value)
         elif kind == "axi_write_resp":
             port = self.state.axis[request.port]
-            event.aux = port.emit_write_resp()
+            request.index = port.emit_write_resp()
 
     # ------------------------------------------------------------------
     # the clock loop
@@ -240,27 +219,27 @@ class CoSimulator:
         ready = run.ledger.ready_of(event)
         kind = event.kind
         if kind in ("fifo_write", "fifo_nb_write", "fifo_can_write"):
-            fifo = self.state.fifos[event.request.fifo]
+            fifo = self.state.fifos[event.fifo]
             if kind != "fifo_can_write":
                 ready = max(ready, fifo.write_port_time + 1)
         elif kind in ("fifo_read", "fifo_nb_read", "fifo_can_read"):
-            fifo = self.state.fifos[event.request.fifo]
+            fifo = self.state.fifos[event.fifo]
             if kind != "fifo_can_read":
                 ready = max(ready, fifo.read_port_time + 1)
         elif kind == "axi_read":
-            port = self.state.axis[event.request.port]
-            data_ready = port.read_beat_ready(event.aux)
+            port = self.state.axis[event.port]
+            data_ready = port.read_beat_ready(event.index)
             ready = max(ready, data_ready or 0,
                         port.read_channel_time + 1)
         elif kind == "axi_write_resp":
-            port = self.state.axis[event.request.port]
-            resp_ready = port.write_resp_ready(event.aux)
+            port = self.state.axis[event.port]
+            resp_ready = port.write_resp_ready(event.index)
             ready = max(ready, resp_ready or 0)
         elif kind in ("axi_read_req", "axi_write_req"):
-            port = self.state.axis[event.request.port]
+            port = self.state.axis[event.port]
             ready = max(ready, port.req_channel_time + 1)
         elif kind == "axi_write":
-            port = self.state.axis[event.request.port]
+            port = self.state.axis[event.port]
             ready = max(ready, port.write_channel_time + 1)
         return ready
 
@@ -292,7 +271,7 @@ class CoSimulator:
             return True
 
         if kind == "fifo_write":
-            fifo = fifos[event.request.fifo]
+            fifo = fifos[event.fifo]
             cycle = max(ready, fifo.write_port_time + 1)
             if event.index > fifo.depth:
                 freeing_read = fifo.read_time(event.index - fifo.depth)
@@ -307,7 +286,7 @@ class CoSimulator:
             return True
 
         if kind == "fifo_read":
-            fifo = fifos[event.request.fifo]
+            fifo = fifos[event.fifo]
             written = fifo.write_time(event.index)
             if written is None:
                 return False  # stalled on an empty FIFO
@@ -324,49 +303,49 @@ class CoSimulator:
             return self._resolve_query_at(run, event, clock)
 
         if kind == "axi_read_req":
-            port = self.state.axis[event.request.port]
+            port = self.state.axis[event.port]
             cycle = max(ready, port.req_channel_time + 1)
             if cycle > clock:
                 return False
             self._commit(run, event, cycle)
             port.req_channel_time = cycle
-            port.commit_read_req(event.aux, cycle)
+            port.commit_read_req(event.index, cycle)
             return True
 
         if kind == "axi_write_req":
-            port = self.state.axis[event.request.port]
+            port = self.state.axis[event.port]
             cycle = max(ready, port.req_channel_time + 1)
             if cycle > clock:
                 return False
             self._commit(run, event, cycle)
             port.req_channel_time = cycle
-            port.commit_write_req(event.aux, cycle)
+            port.commit_write_req(event.index, cycle)
             return True
 
         if kind == "axi_write":
-            port = self.state.axis[event.request.port]
+            port = self.state.axis[event.port]
             cycle = max(ready, port.write_channel_time + 1)
             if cycle > clock:
                 return False
             self._commit(run, event, cycle)
             port.write_channel_time = cycle
-            port.commit_write_beat(event.aux, cycle)
+            port.commit_write_beat(event.index, cycle)
             return True
 
         if kind == "axi_read":
-            port = self.state.axis[event.request.port]
-            data_ready = port.read_beat_ready(event.aux)
+            port = self.state.axis[event.port]
+            data_ready = port.read_beat_ready(event.index)
             cycle = max(ready, data_ready, port.read_channel_time + 1)
             if cycle > clock:
                 return False
             self._commit(run, event, cycle)
-            port.commit_read_beat(event.aux, cycle)
+            port.commit_read_beat(event.index, cycle)
             port.read_channel_time = cycle
             return True
 
         if kind == "axi_write_resp":
-            port = self.state.axis[event.request.port]
-            resp_ready = port.write_resp_ready(event.aux)
+            port = self.state.axis[event.port]
+            resp_ready = port.write_resp_ready(event.index)
             cycle = max(ready, resp_ready)
             if cycle > clock:
                 return False
@@ -392,7 +371,7 @@ class CoSimulator:
         intra-iteration offset, found by differential fuzzing of
         generated Type C specs against OmniSim.
         """
-        fifo = self.state.fifos[event.request.fifo]
+        fifo = self.state.fifos[event.fifo]
         kind = event.kind
         ready = run.ledger.ready_of(event)
         if kind == "fifo_nb_write":
@@ -410,12 +389,11 @@ class CoSimulator:
                 and not self._occupancy_final_before(run, ready):
             return False
 
-        event.outcome = success
         self._commit(run, event, ready)
         if kind == "fifo_nb_write":
             fifo.write_port_time = ready
             if success:
-                w = fifo.push_value(event.request.value)
+                w = fifo.push_value(event.value)
                 fifo.commit_write(w, ready)
                 waiter = self._read_waiters.get(fifo.name)
                 if waiter is not None:
@@ -451,13 +429,13 @@ class CoSimulator:
 
     def _blocked_source(self, run, event) -> str | None:
         if event.kind == "fifo_write":
-            fifo = self.state.fifos[event.request.fifo]
+            fifo = self.state.fifos[event.fifo]
             if event.index > fifo.depth and (
                     fifo.read_time(event.index - fifo.depth) is None):
                 return self._fifo_reader[fifo.name].name
             return None
         if event.kind == "fifo_read":
-            fifo = self.state.fifos[event.request.fifo]
+            fifo = self.state.fifos[event.fifo]
             if fifo.write_time(event.index) is None:
                 return self._fifo_writer[fifo.name].name
             return None
@@ -472,33 +450,11 @@ class CoSimulator:
             if event is None:
                 continue
             ready = run.ledger.ready_of(event)
-            source = self._blocked_source(run, event)
-            heads[run.name] = (run, ready, source)
-
-        bounds: dict[str, int] = {}
-        visiting: set[str] = set()
-
-        def resolve(name: str) -> int:
-            if name in bounds:
-                return bounds[name]
-            if name not in heads:
-                return INFINITY
-            if name in visiting:
-                return INFINITY
-            visiting.add(name)
-            run, ready, source = heads[name]
-            if source is None:
-                raw = ready
-            else:
-                raw = max(ready, min(resolve(source) + 1, INFINITY))
-            bounds[name] = min(run.ledger.future_commit_bound(raw),
-                               INFINITY)
-            visiting.discard(name)
-            return bounds[name]
-
-        for name in heads:
-            resolve(name)
-        return bounds
+            # future_commit_bound is its argument minus the head's slack
+            slack = ready - run.ledger.future_commit_bound(ready)
+            heads[run.name] = (ready, slack,
+                               self._blocked_source(run, event))
+        return future_bounds(heads)
 
     def _resolve_stuck(self, clock: int) -> None:
         best = None
@@ -528,15 +484,14 @@ class CoSimulator:
                 continue
             event = run.ledger.head()
             if run.state == WAITING and run.waiting is not None:
-                request = run.waiting.request
+                request = run.waiting
                 blocked[run.name] = (
                     f"blocking read on empty FIFO '{request.fifo}'"
                     if run.waiting.kind == "fifo_read"
                     else f"unresolved {run.waiting.kind}"
                 )
             else:
-                detail = (getattr(event.request, "fifo", None)
-                          if event is not None else None)
+                detail = getattr(event, "fifo", None)
                 blocked[run.name] = (
                     f"blocking write on full FIFO '{detail}'"
                     if event is not None and event.kind == "fifo_write"

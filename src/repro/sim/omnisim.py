@@ -18,8 +18,23 @@ from __future__ import annotations
 
 import time as _time
 from collections import deque
+from operator import itemgetter
 
 from ..errors import DeadlockError, SimulationError
+from ..runtime.requests import (
+    AXI_READ,
+    AXI_READ_REQ,
+    AXI_WRITE,
+    AXI_WRITE_REQ,
+    AXI_WRITE_RESP,
+    CAN_READ,
+    END_TASK,
+    FIFO_READ,
+    FIFO_WRITE,
+    NB_READ,
+    NB_WRITE,
+    START_TASK,
+)
 from ..trace.columnar import (
     K_AXI_READ,
     K_AXI_RESP,
@@ -37,12 +52,8 @@ from .context import (
     new_trace,
     resolve_executor,
 )
-from .ledger import INFINITY, ModuleLedger
+from .ledger import INFINITY, ModuleLedger, future_bounds
 from .result import SimulationResult, SimulationStats
-
-#: node kind of a *successful* NB access: it moves a value but never
-#: stalls (failed ones, and status checks, are plain K_OTHER events)
-_NB_SUCCESS_KIND = {"fifo_nb_write": K_NB_WRITE, "fifo_nb_read": K_NB_READ}
 
 # Module run states.
 RUNNABLE = 0
@@ -53,23 +64,60 @@ DONE = 2
 class _ModuleRun:
     """Execution state of one Func Sim context (either executor)."""
 
-    __slots__ = ("name", "interp", "gen", "ledger", "state", "waiting",
-                 "response")
+    __slots__ = ("name", "interp", "gen", "ledger", "pending", "state",
+                 "waiting", "response", "queued", "mid")
 
     def __init__(self, name: str, interp):
         self.name = name
         self.interp = interp
         self.gen = interp.run()
         self.ledger = ModuleLedger(name)
+        #: emitted, not yet committed requests (the ledger's queue)
+        self.pending = self.ledger.queue
         self.state = RUNNABLE
-        #: the emitted TimedEvent the interpreter is suspended on
+        #: the emitted request the interpreter is suspended on
         self.waiting = None
         #: value to send into the generator on next resume
         self.response = None
+        #: already in the engine's work queue
+        self.queued = True
+        #: module id in the trace, assigned at the first commit
+        self.mid = -1
 
     @property
     def drained(self) -> bool:
-        return self.state == DONE and self.ledger.pending_count == 0
+        return self.state == DONE and not self.pending
+
+
+class _Fifo:
+    """Everything the engine needs about one FIFO, resolved once: the
+    channel state (paper Fig. 7 (D)) and its three lists, the two peer
+    runs, the run paused on a value, and — from the first recorded
+    access on, so the trace numbers FIFOs in first-access order — the
+    trace's node columns for it."""
+
+    __slots__ = ("channel", "depth", "values", "write_times", "read_times",
+                 "writer", "reader", "read_waiter", "cols",
+                 "add_write_port", "add_write", "add_read_port", "add_read")
+
+    def __init__(self, channel, writer: _ModuleRun, reader: _ModuleRun):
+        self.channel = channel
+        self.depth = channel.depth
+        self.values = channel.values
+        self.write_times = channel.write_times
+        self.read_times = channel.read_times
+        self.writer = writer
+        self.reader = reader
+        self.read_waiter = None
+        self.cols = None
+
+    def open_columns(self, trace):
+        cols = self.cols = trace.fifo_table(self.channel.name)
+        self.add_write_port = cols.write_port_nodes.append
+        self.add_write = cols.write_nodes.append
+        self.add_read_port = cols.read_port_nodes.append
+        self.add_read = cols.read_nodes.append
+        return cols
 
 
 class OmniSimulator:
@@ -109,9 +157,15 @@ class OmniSimulator:
         )
         #: the partial simulation graph (paper 7.3.1), appended to as
         #: events commit — and the result's replay handle afterwards
-        self.trace = new_trace(
+        trace = self.trace = new_trace(
             self.compiled, self.executor,
             {name: fifo.depth for name, fifo in self.state.fifos.items()})
+        #: ``list.append`` of the six node columns, in one tuple the
+        #: commit kernel unpacks into locals
+        self._node_appends = tuple(
+            col.append for col in (trace.module_of, trace.nominal,
+                                   trace.time, trace.kind,
+                                   trace.seg_serial, trace.seg_base))
         self.stats = SimulationStats()
         self.runs: list[_ModuleRun] = []
         kwargs = {}
@@ -123,17 +177,17 @@ class OmniSimulator:
                 **kwargs
             )
             self.runs.append(_ModuleRun(module.name, interp))
-        #: fifo name -> run waiting for a value on it (single reader)
-        self._read_waiters: dict[str, _ModuleRun] = {}
         by_name = {run.name: run for run in self.runs}
-        self._fifo_writer: dict[str, _ModuleRun] = {}
-        self._fifo_reader: dict[str, _ModuleRun] = {}
-        for stream in self.compiled.design.streams.values():
-            self._fifo_writer[stream.name] = by_name[stream.writer[0].name]
-            self._fifo_reader[stream.name] = by_name[stream.reader[0].name]
-        #: work queue of runs needing attention
+        #: fifo name -> channel handle; port name -> (port, trace columns)
+        self._fifos = {
+            name: _Fifo(self.state.fifos[name],
+                        by_name[stream.writer[0].name],
+                        by_name[stream.reader[0].name])
+            for name, stream in self.compiled.design.streams.items()}
+        self._axis = {name: (port, trace.axi_table(name))
+                      for name, port in self.state.axis.items()}
+        #: work queue of runs needing attention (``run.queued``)
         self._work: deque = deque(self.runs)
-        self._queued: set = {run.name for run in self.runs}
 
     # ------------------------------------------------------------------
     # public API
@@ -158,44 +212,42 @@ class OmniSimulator:
     # ------------------------------------------------------------------
     # main loop: work-queue driven pump + commit
 
-    def _wake(self, run: _ModuleRun) -> None:
-        if run.name not in self._queued and not run.drained:
-            self._queued.add(run.name)
-            self._work.append(run)
-
     def _main_loop(self) -> None:
+        work = self._work
         while True:
-            while self._work:
-                run = self._work.popleft()
-                self._queued.discard(run.name)
+            while work:
+                run = work.popleft()
+                run.queued = False
                 self._service(run)
             if all(run.drained for run in self.runs):
                 return
             self._resolve_stuck()
 
     def _service(self, run: _ModuleRun) -> None:
-        """Pump the module's interpreter and commit whatever it can."""
-        progress = True
-        while progress:
-            progress = False
+        """One module, run until blocked: pump its Func Sim context as
+        far as it goes, commit as far as that goes, and again while a
+        commit answered the query the context was paused on."""
+        while True:
             if run.state == WAITING:
                 self._try_answer_waiting_read(run)
             if run.state == RUNNABLE:
-                progress |= self._pump(run)
-            progress |= self._commit_ready(run)
+                self._pump(run)
+            self._commit_ready(run)
+            if run.state != RUNNABLE:
+                return
 
     # ------------------------------------------------------------------
     # pump phase: advance the Func Sim context, collect requests
 
     def _try_answer_waiting_read(self, run: _ModuleRun) -> None:
-        event = run.waiting
-        if event is None or event.kind != "fifo_read":
+        request = run.waiting
+        if request is None or request.code != FIFO_READ:
             return
-        fifo = self.state.fifos[event.request.fifo]
-        if fifo.value_available(event.index):
+        fifo = self._fifos[request.fifo]
+        if request.index <= len(fifo.values):
             run.waiting = None
-            self._read_waiters.pop(fifo.name, None)
-            self._deliver(run, fifo.value_for(event.index))
+            fifo.read_waiter = None
+            self._deliver(run, fifo.values[request.index - 1])
 
     def _deliver(self, run: _ModuleRun, answer) -> None:
         """Hand a response to a paused Func Sim context.  The coroutine
@@ -204,338 +256,309 @@ class OmniSimulator:
         run.response = answer
         run.state = RUNNABLE
 
-    def _pump(self, run: _ModuleRun) -> bool:
-        progress = False
+    def _pump(self, run: _ModuleRun) -> None:
+        """Run the Func Sim context until it needs an answer that is not
+        there yet (or finishes), queueing every request it emits."""
+        send = run.gen.send
+        queue = run.pending.append
+        on_emit = self._on_emit
         while run.state == RUNNABLE:
             try:
-                request = run.gen.send(run.response)
+                request = send(run.response)
             except StopIteration:
                 run.state = DONE
-                run.ledger.mark_finished()
-                progress = True
                 break
             run.response = None
-            progress = True
-            event = run.ledger.add(request)
-            self.stats.events += 1
-            if request.is_query:
-                self.stats.queries += 1
-            self._on_emit(run, event)
-        return progress
+            queue(request)
+            on_emit(run, request)
 
-    def _on_emit(self, run: _ModuleRun, event) -> None:
-        """Emission-time bookkeeping (the functional half of a request)."""
-        request = event.request
-        kind = request.kind
-        if kind == "fifo_write":
-            fifo = self.state.fifos[request.fifo]
-            event.index = fifo.push_value(request.value)
-            waiter = self._read_waiters.get(fifo.name)
+    def _on_emit(self, run: _ModuleRun, request) -> None:
+        """Emission-time bookkeeping (the functional half of a request):
+        values move and access indices are handed out in program order,
+        ahead of the cycle they will be assigned."""
+        code = request.code
+        if code == FIFO_WRITE:
+            fifo = self._fifos[request.fifo]
+            values = fifo.values
+            values.append(request.value)
+            request.index = len(values)
+            waiter = fifo.read_waiter
             if waiter is not None:
                 self._try_answer_waiting_read(waiter)
                 self._wake(waiter)
-        elif kind == "fifo_read":
-            fifo = self.state.fifos[request.fifo]
-            event.index = fifo.assign_read_index()
-            if fifo.value_available(event.index):
-                run.response = fifo.value_for(event.index)
+        elif code == FIFO_READ:
+            fifo = self._fifos[request.fifo]
+            channel = fifo.channel
+            index = request.index = channel.emitted_reads + 1
+            channel.emitted_reads = index
+            if index <= len(fifo.values):
+                self._deliver(run, fifo.values[index - 1])
             else:
                 run.state = WAITING
-                run.waiting = event
-                self._read_waiters[fifo.name] = run
-        elif kind in ("fifo_nb_read", "fifo_nb_write",
-                      "fifo_can_read", "fifo_can_write"):
+                run.waiting = request
+                fifo.read_waiter = run
+        elif code <= CAN_READ:  # the four queries pause until resolved
             run.state = WAITING
-            run.waiting = event
-        elif kind == "axi_read_req":
-            port = self.state.axis[request.port]
-            event.aux = port.emit_read_req(request.offset, request.length)
-        elif kind == "axi_read":
-            port = self.state.axis[request.port]
-            beat, value = port.emit_read_beat()
-            event.aux = beat
-            run.response = value
-        elif kind == "axi_write_req":
-            port = self.state.axis[request.port]
-            event.aux = port.emit_write_req(request.offset, request.length)
-        elif kind == "axi_write":
-            port = self.state.axis[request.port]
-            event.aux = port.emit_write_beat(request.value)
-        elif kind == "axi_write_resp":
-            port = self.state.axis[request.port]
-            event.aux = port.emit_write_resp()
+            run.waiting = request
+        elif code < START_TASK:  # AXI: beat / request / burst index
+            port = self._axis[request.port][0]
+            if code == AXI_READ:
+                request.index, value = port.emit_read_beat()
+                self._deliver(run, value)
+            elif code == AXI_WRITE:
+                request.index = port.emit_write_beat(request.value)
+            elif code == AXI_READ_REQ:
+                request.index = port.emit_read_req(request.offset,
+                                                   request.length)
+            elif code == AXI_WRITE_REQ:
+                request.index = port.emit_write_req(request.offset,
+                                                    request.length)
+            else:
+                request.index = port.emit_write_resp()
         # start_task / end_task / trace_block need no bookkeeping.
+
+    def _wake(self, run: _ModuleRun) -> None:
+        if not run.queued and (run.state != DONE or run.pending):
+            run.queued = True
+            self._work.append(run)
 
     # ------------------------------------------------------------------
     # commit phase: the Perf Sim thread's request processing
 
-    def _commit_ready(self, run: _ModuleRun) -> bool:
+    def _commit_ready(self, run: _ModuleRun, forced: bool = False) -> bool:
+        """The commit kernel: assign hardware cycles to ``run``'s pending
+        requests, in emission order, until one is blocked on a cycle
+        another module has yet to produce; True if any committed.
+
+        One loop executes the per-event contract of
+        :mod:`repro.sim.ledger` (on locals loaded from the ledger here
+        and stored back on exit), the FIFO/AXI port and Table 2 rules,
+        and the recording: six node-column appends plus the channel's
+        node lists.  ``forced`` applies the earliest-query-false rule to
+        the head: its target is known to lie in the future, so the query
+        resolves unsuccessfully; exactly that one request commits.
+        """
+        pending = run.pending
+        if not pending:
+            return False
+        ledger = run.ledger
+        start = ledger.effective_start
+        serial = ledger.cur_serial
+        base = ledger.cur_base
+        last = ledger.last_commit_time
+        fifos = self._fifos
+        trace = self.trace
+        times = trace.time
+        (add_module, add_nominal, add_time, add_kind, add_serial,
+         add_base) = self._node_appends
+        work = self._work
+        mid = run.mid
         progress = False
-        while True:
-            event = run.ledger.head()
-            if event is None:
-                break
-            if not self._try_commit(run, event):
-                break
+        while pending:
+            request = pending[0]
+            if request.segment != serial:
+                # Entering a new segment: the effective start advances
+                # by the nominal distance between the segment bases.
+                serial = request.segment
+                start += request.seg_base - base
+                base = request.seg_base
+            nominal = request.nominal
+            offset = nominal - base
+            cycle = start + offset  # the ready cycle; grows below
+            code = request.code
+            node = len(times)
+            woken = None
+            if code == FIFO_READ:
+                fifo = fifos[request.fifo]
+                r = request.index
+                write_times = fifo.write_times
+                if r > len(write_times):
+                    break  # stalled on an empty FIFO
+                channel = fifo.channel
+                busy = write_times[r - 1]  # data is readable the cycle after
+                if busy >= cycle:
+                    cycle = busy + 1
+                busy = channel.read_port_time  # one access per port per cycle
+                if busy >= cycle:
+                    cycle = busy + 1
+                if len(fifo.read_times) != r - 1:
+                    raise SimulationError(
+                        f"fifo {request.fifo}: out-of-order read commit")
+                fifo.read_times.append(cycle)
+                channel.read_port_time = cycle
+                if fifo.cols is None:
+                    fifo.open_columns(trace)
+                fifo.add_read_port(node)
+                fifo.add_read(node)
+                kind = K_READ
+                woken = fifo.writer
+            elif code == FIFO_WRITE:
+                fifo = fifos[request.fifo]
+                w = request.index
+                channel = fifo.channel
+                busy = channel.write_port_time
+                if busy >= cycle:
+                    cycle = busy + 1
+                freed_by = w - fifo.depth  # the read that makes room
+                if freed_by > 0:
+                    read_times = fifo.read_times
+                    if freed_by > len(read_times):
+                        break  # stalled on a full FIFO
+                    busy = read_times[freed_by - 1]
+                    if busy >= cycle:
+                        cycle = busy + 1
+                if len(fifo.write_times) != w - 1:
+                    raise SimulationError(
+                        f"fifo {request.fifo}: out-of-order write commit")
+                fifo.write_times.append(cycle)
+                channel.write_port_time = cycle
+                if fifo.cols is None:
+                    fifo.open_columns(trace)
+                fifo.add_write_port(node)
+                fifo.add_write(node)
+                kind = K_WRITE
+                woken = fifo.reader
+            elif code <= CAN_READ:
+                # --- queries (paper Table 2) ---------------------------
+                fifo = fifos[request.fifo]
+                channel = fifo.channel
+                if code < NB_READ:  # nb_write / can_write
+                    if code == NB_WRITE and channel.write_port_time >= cycle:
+                        cycle = channel.write_port_time + 1
+                    index = len(fifo.values) + 1
+                    freed_by = index - fifo.depth
+                    if freed_by <= 0:
+                        success = True
+                    elif freed_by <= len(fifo.read_times):
+                        success = cycle > fifo.read_times[freed_by - 1]
+                    elif forced:
+                        success = False
+                    else:
+                        break  # the freeing read has no cycle yet
+                else:  # nb_read / can_read
+                    if code == NB_READ and channel.read_port_time >= cycle:
+                        cycle = channel.read_port_time + 1
+                    index = channel.emitted_reads + 1
+                    if index <= len(fifo.write_times):
+                        success = cycle > fifo.write_times[index - 1]
+                    elif forced:
+                        success = False
+                    else:
+                        break  # the awaited write has no cycle yet
+                cols = fifo.cols or fifo.open_columns(trace)
+                trace.add_constraint(code - NB_WRITE, cols.index, index,
+                                     success, node)
+                # A successful NB access moves a value but never
+                # stalls; failed ones, and status checks, are plain
+                # events that touch no table (a failed NB attempt still
+                # occupies its port for the cycle).
+                kind = K_OTHER
+                answer = success
+                if code == NB_WRITE:
+                    channel.write_port_time = cycle
+                    fifo.add_write_port(node)
+                    if success:
+                        kind = K_NB_WRITE
+                        fifo.add_write(node)
+                        fifo.values.append(request.value)
+                        fifo.write_times.append(cycle)
+                        if fifo.read_waiter is not None:
+                            self._try_answer_waiting_read(fifo.read_waiter)
+                        woken = fifo.reader
+                elif code == NB_READ:
+                    channel.read_port_time = cycle
+                    fifo.add_read_port(node)
+                    if success:
+                        kind = K_NB_READ
+                        fifo.add_read(node)
+                        channel.emitted_reads = index
+                        fifo.read_times.append(cycle)
+                        woken = fifo.writer
+                        answer = (True, fifo.values[index - 1])
+                    else:
+                        answer = (False, None)
+                if woken is not None:
+                    self._wake(woken)
+                # answer the paused context; it runs on from here
+                run.waiting = None
+                self._deliver(run, answer)
+                woken = run
+            elif code >= START_TASK:
+                kind = K_OTHER
+                if code == END_TASK:
+                    trace.add_end_node(run.name, node)
+            else:
+                cycle, kind = self._commit_axi(request, code, cycle, node)
+
+            pending.popleft()
+            if mid < 0:
+                mid = run.mid = trace.module_id(run.name)
+            add_module(mid)
+            add_nominal(nominal)
+            add_time(cycle)
+            add_kind(kind)
+            add_serial(serial)
+            add_base(base)
+            # a stall freezes everything later in the segment
+            if cycle - offset > start:
+                start = cycle - offset
+            if cycle > last:
+                last = cycle
             progress = True
+            if woken is not None and not woken.queued and (
+                    woken.state != DONE or woken.pending):
+                woken.queued = True
+                work.append(woken)
+            if forced:
+                break
+        ledger.effective_start = start
+        ledger.cur_serial = serial
+        ledger.cur_base = base
+        ledger.last_commit_time = last
         return progress
 
-    def _try_commit(self, run: _ModuleRun, event) -> bool:
-        """Attempt to commit the module's next event; False if blocked."""
-        ready = run.ledger.ready_of(event)
-        kind = event.kind
-        if kind in ("start_task", "trace_block"):
-            self._commit(run, event, ready, K_OTHER)
-            return True
-        if kind == "end_task":
-            node = self._commit(run, event, ready, K_OTHER)
-            self.trace.add_end_node(run.name, node)
-            return True
-        if kind == "fifo_write":
-            return self._commit_blocking_write(run, event, ready)
-        if kind == "fifo_read":
-            return self._commit_blocking_read(run, event, ready)
-        if kind in ("fifo_nb_write", "fifo_nb_read",
-                    "fifo_can_read", "fifo_can_write"):
-            return self._resolve_query(run, event, ready, forced=False)
-        if kind == "axi_read_req":
-            port = self.state.axis[event.request.port]
-            cycle = max(ready, port.req_channel_time + 1)
-            node = self._commit(run, event, cycle, K_OTHER)
-            port.req_channel_time = cycle
-            port.commit_read_req(event.aux, cycle)
-            burst = port.read_bursts[event.aux]
-            self.trace.axi_table(port.name).add_read_req(
-                node, burst.first_beat, burst.length)
-            return True
-        if kind == "axi_read":
-            return self._commit_axi_read(run, event, ready)
-        if kind == "axi_write_req":
-            port = self.state.axis[event.request.port]
-            cycle = max(ready, port.req_channel_time + 1)
-            node = self._commit(run, event, cycle, K_OTHER)
-            port.req_channel_time = cycle
-            port.commit_write_req(event.aux, cycle)
-            self.trace.axi_table(port.name).write_req_nodes.append(node)
-            return True
-        if kind == "axi_write":
-            port = self.state.axis[event.request.port]
+    def _commit_axi(self, request, code: int, ready: int,
+                    node: int) -> tuple[int, int]:
+        """Commit cycle and node kind of an AXI event (never blocked:
+        what it waits for was committed earlier by the same module)."""
+        port, cols = self._axis[request.port]
+        index = request.index
+        if code == AXI_READ:
+            data_ready = port.read_beat_ready(index)
+            if data_ready is None:
+                raise SimulationError("axi read beat before its request")
+            cycle = max(ready, data_ready, port.read_channel_time + 1)
+            port.commit_read_beat(index, cycle)
+            port.read_channel_time = cycle
+            cols.read_beat_nodes.append(node)
+            return cycle, K_AXI_READ
+        if code == AXI_WRITE:
             cycle = max(ready, port.write_channel_time + 1)
-            node = self._commit(run, event, cycle, K_OTHER)
             port.write_channel_time = cycle
-            port.commit_write_beat(event.aux, cycle)
-            self.trace.axi_table(port.name).write_beat_nodes.append(node)
-            return True
-        if kind == "axi_write_resp":
-            port = self.state.axis[event.request.port]
-            resp_ready = port.write_resp_ready(event.aux)
+            port.commit_write_beat(index, cycle)
+            cols.write_beat_nodes.append(node)
+            return cycle, K_OTHER
+        if code == AXI_WRITE_RESP:
+            resp_ready = port.write_resp_ready(index)
             if resp_ready is None:
                 raise SimulationError("write_resp before its burst")
-            cycle = max(ready, resp_ready)
-            node = self._commit(run, event, cycle, K_AXI_RESP)
-            burst = port.write_bursts[event.aux]
-            self.trace.axi_table(port.name).add_write_resp(
-                node, burst.first_beat, burst.length)
-            return True
-        raise SimulationError(f"unknown event kind {kind}")
-
-    def _commit(self, run: _ModuleRun, event, cycle: int,
-                node_kind: int) -> int:
-        run.ledger.commit(event, cycle)
-        node = self.trace.add_node(run.name, event.request, cycle, node_kind)
-        event.node_id = node
-        return node
-
-    # --- blocking FIFO ops -------------------------------------------------
-
-    def _commit_blocking_write(self, run, event, ready: int) -> bool:
-        fifo = self.state.fifos[event.request.fifo]
-        w = event.index
-        depth = fifo.depth
-        cycle = max(ready, fifo.write_port_time + 1)
-        if w > depth:
-            freeing_read = fifo.read_time(w - depth)
-            if freeing_read is None:
-                return False  # stalled on a full FIFO
-            cycle = max(cycle, freeing_read + 1)
-        node = self._commit(run, event, cycle, K_WRITE)
-        fifo.commit_write(w, cycle)
-        fifo.write_port_time = cycle
-        self.trace.fifo_table(fifo.name).add_write(node)
-        self._wake(self._fifo_reader[fifo.name])
-        return True
-
-    def _commit_blocking_read(self, run, event, ready: int) -> bool:
-        fifo = self.state.fifos[event.request.fifo]
-        r = event.index
-        written = fifo.write_time(r)
-        if written is None:
-            return False  # stalled on an empty FIFO
-        cycle = max(ready, written + 1, fifo.read_port_time + 1)
-        node = self._commit(run, event, cycle, K_READ)
-        fifo.commit_read(r, cycle)
-        fifo.read_port_time = cycle
-        self.trace.fifo_table(fifo.name).add_read(node)
-        self._wake(self._fifo_writer[fifo.name])
-        return True
-
-    # --- queries (paper Table 2) ------------------------------------------
-
-    def _resolve_query(self, run, event, ready: int, forced: bool) -> bool:
-        """Resolve an NB access / status check.  ``forced`` applies the
-        earliest-query-false rule: the target is known to lie in the
-        future, so the query resolves unsuccessfully."""
-        fifo = self.state.fifos[event.request.fifo]
-        kind = event.kind
-        depth = fifo.depth
-
-        if kind == "fifo_nb_write":
-            ready = max(ready, fifo.write_port_time + 1)
-        elif kind == "fifo_nb_read":
-            ready = max(ready, fifo.read_port_time + 1)
-
-        if kind in ("fifo_nb_write", "fifo_can_write"):
-            w = fifo.emitted_writes + 1
-            if w <= depth:
-                success = True
-            else:
-                freeing_read = fifo.read_time(w - depth)
-                if freeing_read is None:
-                    if not forced:
-                        return False
-                    success = False
-                else:
-                    success = ready > freeing_read
-            index = w
-        else:  # fifo_nb_read / fifo_can_read
-            r = fifo.emitted_reads + 1
-            written = fifo.write_time(r)
-            if written is None:
-                if not forced:
-                    return False
-                success = False
-            else:
-                success = ready > written
-            index = r
-
-        event.outcome = success
-        node = self._commit(
-            run, event, ready,
-            _NB_SUCCESS_KIND.get(kind, K_OTHER) if success else K_OTHER)
-        self.trace.add_constraint(kind, fifo.name, index, success, node)
-        self._apply_query_effects(run, event, fifo, success, ready, node)
-        return True
-
-    def _apply_query_effects(self, run, event, fifo, success: bool,
-                             ready: int, node: int) -> None:
-        """Post-resolution side effects + answering the paused thread."""
-        kind = event.kind
-        if kind == "fifo_nb_write":
-            fifo.write_port_time = ready
-            self.trace.fifo_table(fifo.name).add_write(node, success)
-            if success:
-                w = fifo.push_value(event.request.value)
-                fifo.commit_write(w, ready)
-                waiter = self._read_waiters.get(fifo.name)
-                if waiter is not None:
-                    self._try_answer_waiting_read(waiter)
-                self._wake(self._fifo_reader[fifo.name])
-            answer = bool(success)
-        elif kind == "fifo_nb_read":
-            fifo.read_port_time = ready
-            self.trace.fifo_table(fifo.name).add_read(node, success)
-            if success:
-                r = fifo.assign_read_index()
-                value = fifo.value_for(r)
-                fifo.commit_read(r, ready)
-                self._wake(self._fifo_writer[fifo.name])
-                answer = (True, value)
-            else:
-                answer = (False, None)
-        else:  # status checks touch no port
-            answer = bool(success)
-
-        assert run.waiting is event, "query resolution out of order"
-        run.waiting = None
-        self._deliver(run, answer)
-        self._wake(run)
-
-    # --- AXI timing ------------------------------------------------------
-
-    def _commit_axi_read(self, run, event, ready: int) -> bool:
-        port = self.state.axis[event.request.port]
-        beat = event.aux
-        data_ready = port.read_beat_ready(beat)
-        if data_ready is None:  # request not committed: impossible in order
-            raise SimulationError("axi read beat before its request")
-        cycle = max(ready, data_ready, port.read_channel_time + 1)
-        node = self._commit(run, event, cycle, K_AXI_READ)
-        port.commit_read_beat(beat, cycle)
-        port.read_channel_time = cycle
-        self.trace.axi_table(port.name).read_beat_nodes.append(node)
-        return True
+            burst = port.write_bursts[index]
+            cols.add_write_resp(node, burst.first_beat, burst.length)
+            return max(ready, resp_ready), K_AXI_RESP
+        # the two burst requests share the request channel
+        cycle = max(ready, port.req_channel_time + 1)
+        port.req_channel_time = cycle
+        if code == AXI_READ_REQ:
+            port.commit_read_req(index, cycle)
+            burst = port.read_bursts[index]
+            cols.add_read_req(node, burst.first_beat, burst.length)
+        else:
+            port.commit_write_req(index, cycle)
+            cols.write_req_nodes.append(node)
+        return cycle, K_OTHER
 
     # ------------------------------------------------------------------
     # stuck resolution: earliest-query-false rule + deadlock (paper 7.1)
-
-    def _blocked_source(self, run: _ModuleRun, event) -> str | None:
-        """Module that must produce the missing constraint of a blocked
-        blocking op, or None if the head is not constraint-blocked."""
-        if event.kind == "fifo_write":
-            fifo = self.state.fifos[event.request.fifo]
-            if event.index > fifo.depth and (
-                    fifo.read_time(event.index - fifo.depth) is None):
-                return self._fifo_reader[fifo.name].name
-            return None
-        if event.kind == "fifo_read":
-            fifo = self.state.fifos[event.request.fifo]
-            if fifo.write_time(event.index) is None:
-                return self._fifo_writer[fifo.name].name
-            return None
-        return None
-
-    def _future_bounds(self) -> dict[str, int]:
-        """Fixpoint lower bound on each module's next possible commit time:
-        the guard that makes the earliest-query-false rule sound under
-        elastic pipeline timing."""
-        heads = {}
-        for run in self.runs:
-            if run.drained:
-                continue
-            event = run.ledger.head()
-            if event is None:
-                continue
-            ready = run.ledger.ready_of(event)
-            source = self._blocked_source(run, event)
-            heads[run.name] = (run, ready, source)
-
-        # Each blocked head waits on at most one source module, so the
-        # wait-for graph is functional: walk the chains, treating cycles
-        # (pure blocking deadlocks: they never commit) as unbounded.
-        bounds: dict[str, int] = {}
-        visiting: set[str] = set()
-
-        def resolve(name: str) -> int:
-            if name in bounds:
-                return bounds[name]
-            if name not in heads:
-                return INFINITY  # drained module: no future commits
-            if name in visiting:
-                return INFINITY  # blocking cycle
-            visiting.add(name)
-            run, ready, source = heads[name]
-            if source is None:
-                raw = ready
-            else:
-                raw = max(ready, min(resolve(source) + 1, INFINITY))
-            bounds[name] = min(run.ledger.future_commit_bound(raw),
-                               INFINITY)
-            visiting.discard(name)
-            return bounds[name]
-
-        for name in heads:
-            resolve(name)
-        return bounds
 
     def _resolve_stuck(self) -> None:
         """Apply the earliest-query-false rule (paper 7.1).
@@ -545,36 +568,60 @@ class OmniSimulator:
         resolving one query only moves other modules *forward*, so bounds
         are monotone and the batch is as sound as one-at-a-time
         resolution (and far cheaper on designs that poll constantly).
+
+        One pass over the modules computes every head's ready cycle,
+        what (if anything) it waits on, and the query candidates.
         """
+        fifos = self._fifos
+        heads = {}
         candidates = []
         for run in self.runs:
-            if run.drained:
-                continue
-            event = run.ledger.head()
-            if event is None or not event.is_query:
-                continue
-            candidates.append((run.ledger.ready_of(event), run, event))
+            if not run.pending:
+                continue  # drained: no future commits
+            request = run.pending[0]
+            ledger = run.ledger
+            start, base = ledger.effective_start, ledger.cur_base
+            if request.segment != ledger.cur_serial:
+                start += request.seg_base - base
+                base = request.seg_base
+            offset = request.nominal - base
+            ready = start + offset
+            # the module that must commit first, for a blocking access
+            # whose constraint is still missing
+            source = None
+            code = request.code
+            if code == FIFO_READ:
+                fifo = fifos[request.fifo]
+                if request.index > len(fifo.write_times):
+                    source = fifo.writer
+            elif code == FIFO_WRITE:
+                fifo = fifos[request.fifo]
+                if request.index - fifo.depth > len(fifo.read_times):
+                    source = fifo.reader
+            elif code <= CAN_READ:
+                candidates.append((ready, run))
+            slack = offset - 1 if request.pipelined and offset > 1 else 0
+            heads[run] = (ready, slack, source)
         if candidates:
-            bounds = self._future_bounds()
-            values = list(bounds.values())
-            lowest = min(values, default=INFINITY)
-            second = (sorted(values)[1] if len(values) > 1 else INFINITY)
+            bounds = future_bounds(heads)
+            lowest = second = INFINITY
+            for bound in bounds.values():
+                if bound < lowest:
+                    lowest, second = bound, lowest
+                elif bound < second:
+                    second = bound
             resolved_any = False
-            for ready, run, event in sorted(candidates,
-                                            key=lambda c: c[0]):
-                own = bounds.get(run.name, INFINITY)
-                guard = second if own == lowest else lowest
+            for ready, run in sorted(candidates, key=itemgetter(0)):
+                guard = second if bounds[run] == lowest else lowest
                 if ready <= guard:
                     self.stats.queries_resolved_false_by_rule += 1
                     # Not an assert: forced resolution must actually run
                     # (an ``assert fn()`` would strip the call, and the
                     # stuck-resolution loop with it, under ``python -O``).
-                    if not self._resolve_query(run, event, ready,
-                                               forced=True):
+                    if not self._commit_ready(run, forced=True):
                         raise SimulationError(
                             "forced query resolution failed to commit"
                         )
-                    self._wake(run)
                     resolved_any = True
             if resolved_any:
                 return
@@ -591,15 +638,14 @@ class OmniSimulator:
                 cycle = max(cycle, run.ledger.ready_of(event))
             cycle = max(cycle, run.ledger.last_commit_time)
             if run.state == WAITING and run.waiting is not None:
-                request = run.waiting.request
+                request = run.waiting
                 blocked[run.name] = (
                     f"blocking read on empty FIFO '{request.fifo}'"
-                    if run.waiting.kind == "fifo_read"
-                    else f"unresolved {run.waiting.kind} on "
-                         f"'{request.fifo}'"
+                    if request.code == FIFO_READ
+                    else f"unresolved {request.kind} on '{request.fifo}'"
                 )
             elif event is not None:
-                detail = getattr(event.request, "fifo", None)
+                detail = getattr(event, "fifo", None)
                 blocked[run.name] = (
                     f"blocking write on full FIFO '{detail}'"
                     if event.kind == "fifo_write"
@@ -615,6 +661,9 @@ class OmniSimulator:
     def _make_result(self) -> SimulationResult:
         trace = self.trace
         ends = trace.end_times()
+        # each request commits once, each query records one constraint
+        self.stats.events = len(trace.time)
+        self.stats.queries = len(trace.c_node)
         self.stats.instructions = sum(r.interp.steps for r in self.runs)
         result = SimulationResult(
             design_name=self.compiled.name,

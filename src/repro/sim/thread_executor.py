@@ -37,21 +37,6 @@ from ..errors import SimulationError
 from .omnisim import DONE, RUNNABLE, WAITING, OmniSimulator, _ModuleRun
 
 
-class _Channel:
-    """Single-slot answer channel for one Func Sim thread."""
-
-    __slots__ = ("_queue",)
-
-    def __init__(self):
-        self._queue = queue.Queue(maxsize=1)
-
-    def put(self, answer) -> None:
-        self._queue.put(answer)
-
-    def get(self):
-        return self._queue.get()
-
-
 class ThreadedOmniSimulator(OmniSimulator):
     """OmniSim with Func Sim contexts on real OS threads."""
 
@@ -62,7 +47,10 @@ class ThreadedOmniSimulator(OmniSimulator):
     def _build(self) -> None:
         super()._build()
         self._requests: queue.Queue = queue.Queue()
-        self._channels: dict[str, _Channel] = {}
+        #: one answer channel per Func Sim thread (at most one answer
+        #: is ever in flight: the thread is paused until it arrives)
+        self._channels = {run.name: queue.SimpleQueue()
+                          for run in self.runs}
         self._threads: list[threading.Thread] = []
         #: the task tracker (paper structure (F))
         self._active = len(self.runs)
@@ -82,37 +70,39 @@ class ThreadedOmniSimulator(OmniSimulator):
                 except StopIteration:
                     break
                 response = None
+                self._requests.put((run, request))
                 if request.needs_response:
-                    # Pause: publish the request, leave the active set,
-                    # and wait for the Perf Sim thread's answer.
-                    self._requests.put((run, request, True))
+                    # Pause: leave the active set and wait for the Perf
+                    # Sim thread's answer (which re-enters the active
+                    # set on this thread's behalf).
                     with self._active_lock:
                         self._active -= 1
                     response = channel.get()
-                    with self._active_lock:
-                        self._active += 1
-                else:
-                    self._requests.put((run, request, False))
         except BaseException as exc:  # propagate crashes to the engine
             self._crash = exc
         finally:
+            # sentinel first: the tracker must not read zero while this
+            # thread's completion is still unpublished
+            self._requests.put((run, self._SENTINEL_DONE))
             with self._active_lock:
                 self._active -= 1
-            self._requests.put((run, self._SENTINEL_DONE, False))
 
     # ------------------------------------------------------------------
     # response delivery goes through the thread's channel
 
     def _deliver(self, run: _ModuleRun, answer) -> None:
+        # The thread counts as active from the moment its answer exists,
+        # not from whenever the OS wakes it: otherwise the tracker could
+        # read zero while an answered thread has yet to run.
         run.state = RUNNABLE
+        with self._active_lock:
+            self._active += 1
         self._channels[run.name].put(answer)
 
     # ------------------------------------------------------------------
     # Perf Sim (engine) loop
 
     def _main_loop(self) -> None:
-        for run in self.runs:
-            self._channels[run.name] = _Channel()
         for run in self.runs:
             thread = threading.Thread(
                 target=self._worker, args=(run,),
@@ -121,49 +111,36 @@ class ThreadedOmniSimulator(OmniSimulator):
             self._threads.append(thread)
             thread.start()
 
-        pending_commits = set()
         while True:
             if self._crash is not None:
                 raise self._crash
             try:
-                run, request, needs_response = self._requests.get(
-                    timeout=0.005
-                )
+                item = self._requests.get_nowait()
             except queue.Empty:
                 with self._active_lock:
                     idle = self._active == 0 and self._requests.empty()
-                if not idle:
-                    continue
-                # All Func Sim threads are paused (task tracker at zero):
-                # commit what we can, then try query resolution (step 4).
-                progress = False
-                for other in self.runs:
-                    progress |= self._commit_ready(other)
-                    if other.state == WAITING:
-                        before = other.waiting
-                        self._try_answer_waiting_read(other)
-                        progress |= other.waiting is not before
-                if progress:
-                    continue
-                if all(r.state == DONE and r.ledger.pending_count == 0
-                       for r in self.runs):
+                if idle:
+                    if self._step_idle():
+                        continue
                     break
-                self._resolve_stuck()
-                continue
-
+                # a Func Sim thread is computing: wait for its request
+                try:
+                    item = self._requests.get(timeout=0.005)
+                except queue.Empty:
+                    continue
+            run, request = item
             if request is self._SENTINEL_DONE:
                 run.state = DONE
-                run.ledger.mark_finished()
                 self._commit_ready(run)
                 continue
 
-            event = run.ledger.add(request)
-            self.stats.events += 1
-            if request.is_query:
-                self.stats.queries += 1
-            if needs_response:
+            # The same emission bookkeeping and commit kernel as the
+            # coroutine executor; a paused thread is WAITING until
+            # ``_deliver`` posts its answer.
+            run.pending.append(request)
+            if request.needs_response:
                 run.state = WAITING
-            self._on_emit_threaded(run, event, needs_response)
+            self._on_emit(run, request)
             self._commit_ready(run)
 
         for thread in self._threads:
@@ -173,44 +150,19 @@ class ThreadedOmniSimulator(OmniSimulator):
                     f"Func Sim thread {thread.name} failed to terminate"
                 )
 
-    def _on_emit_threaded(self, run: _ModuleRun, event,
-                          needs_response: bool) -> None:
-        """Same emission bookkeeping as the coroutine executor, but
-        answers travel through thread channels."""
-        request = event.request
-        kind = request.kind
-        if kind == "fifo_read":
-            fifo = self.state.fifos[request.fifo]
-            event.index = fifo.assign_read_index()
-            if fifo.value_available(event.index):
-                self._deliver(run, fifo.value_for(event.index))
-            else:
-                run.waiting = event
-                self._read_waiters[fifo.name] = run
-            return
-        if kind == "axi_read":
-            port = self.state.axis[request.port]
-            beat, value = port.emit_read_beat()
-            event.aux = beat
-            self._deliver(run, value)
-            return
-        if kind in ("fifo_nb_read", "fifo_nb_write",
-                    "fifo_can_read", "fifo_can_write"):
-            run.waiting = event
-            return
-        # Fire-and-forget requests reuse the base bookkeeping (fifo_write
-        # value push, AXI emissions, ...).
-        saved_state = run.state
-        super()._on_emit(run, event)
-        run.state = saved_state
-
-    # The coroutine pump never runs in threaded mode.
-    def _pump(self, run: _ModuleRun) -> bool:  # pragma: no cover
-        raise SimulationError("threaded executor does not pump coroutines")
-
-    def _service(self, run: _ModuleRun) -> None:
-        # _wake() queues runs for service after commits; in threaded mode
-        # only the commit half applies (threads advance themselves).
-        if run.state == WAITING:
-            self._try_answer_waiting_read(run)
-        self._commit_ready(run)
+    def _step_idle(self) -> bool:
+        """All Func Sim threads are paused (task tracker at zero, request
+        queue empty): commit what we can, then try query resolution
+        (step 4).  False once every module has drained."""
+        progress = False
+        for run in self.runs:
+            progress |= self._commit_ready(run)
+            if run.state == WAITING:
+                before = run.waiting
+                self._try_answer_waiting_read(run)
+                progress |= run.waiting is not before
+        if not progress:
+            if all(run.drained for run in self.runs):
+                return False
+            self._resolve_stuck()
+        return True

@@ -36,7 +36,7 @@ def estimate_function_latency(schedule: ModuleSchedule) -> StaticLatency:
     function = schedule.function
     try:
         cycles = _region_latency(function, schedule, function.entry,
-                                 stop=None, loop=None)
+                                 stop=None, loop=None, memo={})
     except _Unknown:
         return StaticLatency(None)
     return StaticLatency(cycles)
@@ -55,55 +55,60 @@ def _loop_of_header(function: Function, block: BasicBlock) -> LoopMeta | None:
 
 def _region_latency(function: Function, schedule: ModuleSchedule,
                     start: BasicBlock, stop: BasicBlock | None,
-                    loop: LoopMeta | None, _depth: int = 0) -> int:
+                    loop: LoopMeta | None, memo: dict,
+                    _depth: int = 0) -> int:
     """Longest path latency from ``start`` until ``stop`` (exclusive),
-    collapsing loops into single super-nodes."""
+    collapsing loops into single super-nodes.
+
+    ``memo`` (one dict per estimate) caches the answer per
+    ``(start, stop, loop)``: both arms of an if/else reconverge on the
+    same join block, so without it a chain of N sequential diamonds
+    costs 2**N walks of the tail."""
     if _depth > 10000:
         raise _Unknown
     if start is stop or start is None:
         return 0
+    key = (start, stop, loop and loop.header)
+    if key in memo:
+        return memo[key]
     header_loop = _loop_of_header(function, start)
     if header_loop is not None and header_loop is not loop:
-        total = _loop_latency(function, schedule, header_loop)
-        return total + _region_latency(function, schedule, header_loop.exit,
-                                       stop, loop, _depth + 1)
-    block_latency = schedule.for_block(start).latency
-    successors = [s for s in start.successors()]
-    if not successors:
-        return block_latency
-    best = None
-    for succ in successors:
-        if loop is not None and succ is loop.header:
-            # Back edge inside a loop body path: path ends here.
-            cand = 0
-        elif loop is not None and succ not in loop.blocks:
-            # break out of the loop: treat as end of this iteration path.
-            cand = 0
-        else:
-            cand = _region_latency(function, schedule, succ, stop, loop,
-                                   _depth + 1)
-        best = cand if best is None else max(best, cand)
-    return block_latency + (best or 0)
+        latency = _loop_latency(function, schedule, header_loop, memo)
+        rest = _region_latency(function, schedule, header_loop.exit,
+                               stop, loop, memo, _depth + 1)
+    else:
+        latency = schedule.for_block(start).latency
+        rest = 0
+        for succ in start.successors():
+            # A back edge ends this iteration's path, and so does a
+            # break out of the loop.
+            if loop is None or (succ is not loop.header
+                                and succ in loop.blocks):
+                rest = max(rest, _region_latency(
+                    function, schedule, succ, stop, loop, memo,
+                    _depth + 1))
+    memo[key] = latency + rest
+    return latency + rest
 
 
 def _loop_latency(function: Function, schedule: ModuleSchedule,
-                  loop: LoopMeta) -> int:
+                  loop: LoopMeta, memo: dict) -> int:
     trips = loop.trip_hint
     if trips is None:
         raise _Unknown
     if trips == 0:
         return schedule.for_block(loop.header).latency
-    iteration = _iteration_latency(function, schedule, loop)
+    iteration = _iteration_latency(function, schedule, loop, memo)
     if loop.pipelined:
         return (trips - 1) * loop.ii + iteration
     return trips * iteration + schedule.for_block(loop.header).latency
 
 
 def _iteration_latency(function: Function, schedule: ModuleSchedule,
-                       loop: LoopMeta) -> int:
+                       loop: LoopMeta, memo: dict) -> int:
     """Longest path through one iteration (header included)."""
     return schedule.for_block(loop.header).latency + max(
-        (_region_latency(function, schedule, succ, None, loop)
+        (_region_latency(function, schedule, succ, None, loop, memo)
          for succ in loop.header.successors() if succ in loop.blocks),
         default=0,
     )

@@ -62,6 +62,7 @@ content-addressed cache) lives in :mod:`repro.trace.store`.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time as _time
 from array import array
 from collections import Counter, deque
@@ -83,11 +84,12 @@ K_NB_WRITE = 6   # successful NB write: produces a value but never stalls
 
 #: constraint kind <-> small-int code for the constraint columns.
 #: Codes 0-1 are the write-side queries (paper Table 2 left column);
-#: codes 2-3 the read-side ones.  Order is part of the on-disk schema.
+#: codes 2-3 the read-side ones.  Order is part of the on-disk schema,
+#: and the request codes of :mod:`repro.runtime.requests` follow it
+#: (a query's constraint code is ``request.code - NB_WRITE``).
 CONSTRAINT_KINDS = (
     "fifo_nb_write", "fifo_can_write", "fifo_nb_read", "fifo_can_read",
 )
-_KIND_CODE = {kind: code for code, kind in enumerate(CONSTRAINT_KINDS)}
 _WRITE_QUERY_MAX_CODE = 1
 
 #: default element width (bits) for FIFOs absent from the width table
@@ -226,6 +228,11 @@ class TraceArtifact:
         #: per-process derived caches, never serialized: the scalar
         #: iteration view and :mod:`repro.trace.vectorized`'s batch plan
         self._view = self._vplan = None
+        #: makes the lazy builds single-flight: sessions are shared by
+        #: the service's thread pool, and the first retimes of a cold
+        #: artifact arrive together.  Readers that find a build already
+        #: published never take it (and it never travels: see __reduce__).
+        self._build_lock = threading.RLock()
         #: name -> module id / entry of ``fifos`` / entry of ``axis``
         self._module_ids: dict[str, int] = {}
         self._fifo_tables: dict[str, FifoColumns] = {}
@@ -277,13 +284,15 @@ class TraceArtifact:
         self.end_mids.append(self.module_id(module))
         self.end_node_ids.append(node)
 
-    def add_constraint(self, kind: str, fifo: str, index: int,
+    def add_constraint(self, code: int, fifo: int, index: int,
                        outcome: bool, node: int) -> None:
-        """Record one resolved timing query (paper 7.2): ``index`` is
-        the FIFO access index it resolved against (the would-be w-th
-        write / r-th read), ``node`` the query's own event."""
-        self.c_kind.append(_KIND_CODE[kind])
-        self.c_fifo.append(self.fifo_table(fifo).index)
+        """Record one resolved timing query (paper 7.2): ``code`` indexes
+        :data:`CONSTRAINT_KINDS`, ``fifo`` is the channel's
+        :attr:`FifoColumns.index`, ``index`` the FIFO access index it
+        resolved against (the would-be w-th write / r-th read), ``node``
+        the query's own event."""
+        self.c_kind.append(code)
+        self.c_fifo.append(fifo)
         self.c_index.append(index)
         self.c_outcome.append(1 if outcome else 0)
         self.c_node.append(node)
@@ -305,17 +314,26 @@ class TraceArtifact:
         order within a module), and static columns built before the
         last append are dropped.  A no-op on anything already current —
         loaded artifacts, and recorded ones nobody appended to since."""
-        n = len(self.time)
-        if (len(self.mod_nodes) == n
-                and len(self.mod_ptr) == len(self.module_names) + 1):
+        if self._synced():
             return
-        module_of = self.module_of
-        per_module = Counter(module_of)
-        self.mod_ptr = [0, *accumulate(
-            per_module[mid] for mid in range(len(self.module_names)))]
-        self.mod_nodes = sorted(range(n), key=module_of.__getitem__)
-        self.s_succ_ptr = None
-        self._view = self._vplan = None
+        with self._build_lock:
+            if self._synced():
+                return  # another thread built it while we waited
+            module_of = self.module_of
+            per_module = Counter(module_of)
+            mod_ptr = [0, *accumulate(
+                per_module[mid] for mid in range(len(self.module_names)))]
+            self.s_succ_ptr = None
+            self._view = self._vplan = None
+            self.mod_ptr = mod_ptr
+            # published last: a reader that finds the node list current
+            # finds everything above current too
+            self.mod_nodes = sorted(range(len(module_of)),
+                                    key=module_of.__getitem__)
+
+    def _synced(self) -> bool:
+        return (len(self.mod_nodes) == len(self.time)
+                and len(self.mod_ptr) == len(self.module_names) + 1)
 
     # Kept only for benchmarks/perf (not editable here), which calls it
     # on an OmniSim result: the engine already recorded the artifact.
@@ -351,7 +369,9 @@ class TraceArtifact:
         rebuilt when nodes were appended since)."""
         self._sync()
         if self.s_succ_ptr is None:
-            self._build_static_columns()
+            with self._build_lock:
+                if self.s_succ_ptr is None:
+                    self._build_static_columns()
 
     def _build_static_columns(self) -> None:
         """Intra-segment chains, segment propagation via virtual
@@ -455,18 +475,21 @@ class TraceArtifact:
             succ_weight[k] = w
             cursor[u] = k + 1
 
+        order = self._build_order_column(total, indegree, succ_ptr,
+                                         succ_node)
         self.s_total = total
         self.s_base = _qarray(base_value)
         self.s_indegree = _qarray(indegree)
-        self.s_succ_ptr = _qarray(succ_ptr)
         self.s_succ_node = _qarray(succ_node)
         self.s_succ_weight = _qarray(succ_weight)
-        order = self._build_order_column()
         self.s_has_order = order is not None
         self.s_order = _qarray(order) if order is not None else _qarray()
         self._view = None
+        # published last: "built" is ``s_succ_ptr is not None``
+        self.s_succ_ptr = _qarray(succ_ptr)
 
-    def _build_order_column(self) -> list | None:
+    def _build_order_column(self, total: int, indegree: list,
+                            succ_ptr: list, succ_node: list) -> list | None:
         """Topological order covering every depth configuration at once.
 
         A WAR edge ``read #(w-S) -> write #w`` is order-implied by the
@@ -484,8 +507,7 @@ class TraceArtifact:
         overlay may ever be cyclic, e.g. for recorded runs whose depth-1
         variant would deadlock.
         """
-        total = self.s_total
-        indegree = list(self.s_indegree)
+        indegree = indegree.copy()
         aug: dict[int, list[int]] = {}
         for fc in self.fifos:
             writes = fc.write_nodes
@@ -493,8 +515,6 @@ class TraceArtifact:
                 if r < len(writes):
                     aug.setdefault(read_node, []).append(writes[r])
                     indegree[writes[r]] += 1
-        succ_ptr = self.s_succ_ptr
-        succ_node = self.s_succ_node
         aug_get = aug.get
         order: list[int] = []
         queue = deque(v for v in range(total) if indegree[v] == 0)
@@ -524,43 +544,47 @@ class TraceArtifact:
         self.ensure_static()
         view = self._view
         if view is None:
-            succ_ptr = self.s_succ_ptr
-            # Box the columns into lists before zipping: the pair
-            # tuples then hold compactly-allocated ints (boxing straight
-            # out of array('q') measurably hurts sweep locality).
-            pairs_flat = list(zip(list(self.s_succ_node),
-                                  list(self.s_succ_weight)))
-            succ_pairs = [
-                tuple(pairs_flat[succ_ptr[u]:succ_ptr[u + 1]])
-                for u in range(self.s_total)
+            with self._build_lock:
+                view = self._view or self._build_iter_view()
+        return view
+
+    def _build_iter_view(self):
+        succ_ptr = self.s_succ_ptr
+        # Box the columns into lists before zipping: the pair
+        # tuples then hold compactly-allocated ints (boxing straight
+        # out of array('q') measurably hurts sweep locality).
+        pairs_flat = list(zip(list(self.s_succ_node),
+                              list(self.s_succ_weight)))
+        succ_pairs = [
+            tuple(pairs_flat[succ_ptr[u]:succ_ptr[u + 1]])
+            for u in range(self.s_total)
+        ]
+        base = list(self.s_base)
+        indegree = list(self.s_indegree)
+        if self.s_has_order:
+            # Only overlay-eligible nodes (successful FIFO reads —
+            # the only possible WAR edge sources) must appear in the
+            # sweep even with no static successors; everything else
+            # with an empty adjacency relaxes nothing and is skipped.
+            may_overlay = set()
+            for fc in self.fifos:
+                may_overlay.update(fc.read_nodes)
+            sweep = [
+                (u, succ_pairs[u]) for u in self.s_order
+                if succ_pairs[u] or u in may_overlay
             ]
-            base = list(self.s_base)
-            indegree = list(self.s_indegree)
-            if self.s_has_order:
-                # Only overlay-eligible nodes (successful FIFO reads —
-                # the only possible WAR edge sources) must appear in the
-                # sweep even with no static successors; everything else
-                # with an empty adjacency relaxes nothing and is skipped.
-                may_overlay = set()
-                for fc in self.fifos:
-                    may_overlay.update(fc.read_nodes)
-                sweep = [
-                    (u, succ_pairs[u]) for u in self.s_order
-                    if succ_pairs[u] or u in may_overlay
-                ]
-            else:
-                sweep = None
-            # Hot-loop list views: indexing an array('q') boxes a fresh
-            # int per access; the WAR-overlay loop indexes the kind and
-            # FIFO node columns per write, so it iterates plain lists.
-            kind_list = list(self.kind)
-            fifo_views = [
-                (fc.name, list(fc.write_nodes), list(fc.read_nodes))
-                for fc in self.fifos
-            ]
-            view = (sweep, succ_pairs, base, indegree, kind_list,
-                    fifo_views)
-            self._view = view
+        else:
+            sweep = None
+        # Hot-loop list views: indexing an array('q') boxes a fresh
+        # int per access; the WAR-overlay loop indexes the kind and
+        # FIFO node columns per write, so it iterates plain lists.
+        kind_list = list(self.kind)
+        fifo_views = [
+            (fc.name, list(fc.write_nodes), list(fc.read_nodes))
+            for fc in self.fifos
+        ]
+        view = self._view = (sweep, succ_pairs, base, indegree, kind_list,
+                             fifo_views)
         return view
 
     # ------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.designs import fig4
 from repro.errors import DeadlockError
 from repro.sim import create_engine
 from tests.conftest import N_SMALL, consumer_k, producer_k
+from tests.test_compiled_executor import SMALL_PARAMS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden",
                        "run_cold_artifacts.json")
@@ -52,15 +53,6 @@ RUN_COLD_DESIGNS = [
 ]
 EXECUTORS = ("compiled", "interp")
 ENGINES = ("omnisim", "omnisim-threads")
-
-#: smaller instances for the registry-wide engine comparison
-SMALL = {"fig4_ex2": {"n": 200}, "fig4_ex3": {"n": 200},
-         "fig4_ex4a": {"n": 200}, "fig4_ex4b": {"n": 200},
-         "fig4_ex4a_d": {"polls": 300}, "fig4_ex4b_d": {"polls": 300},
-         "fig4_ex5": {"n": 200}, "fig2_timer": {"n": 200},
-         "deadlock": {"n": 50}, "branch": {"n": 200},
-         "multicore": {"n": 40}}
-
 
 def raw_digest(trace) -> str:
     digest = hashlib.sha256()
@@ -191,7 +183,7 @@ def test_golden_engines_and_executors_agree(golden):
 
 @pytest.mark.parametrize("name", designs.names())
 def test_threads_record_the_same_graph(name):
-    compiled = compile_design(designs.get(name).make(**SMALL.get(name, {})))
+    compiled = compile_design(designs.get(name).make(**SMALL_PARAMS.get(name, {})))
     outcomes = []
     for engine in ENGINES:
         try:

@@ -1,5 +1,7 @@
 """Static scheduling tests: stages, latencies, resource constraints."""
 
+import time
+
 from repro.hls.kernel import kernel_from_source
 from repro.ir import instructions as ins
 from repro.synthesis import (
@@ -117,7 +119,55 @@ def k(data: hls.BufferIn(hls.i32, 4), out: hls.ScalarOut(hls.i32)):
                                            for ld in loads) + 1
 
 
+def diamond_chain(count: int) -> str:
+    """``count`` sequential if/else diamonds on loaded (unfoldable)
+    data, the else arm one multiply longer; a loop in the middle."""
+    lines = ["def k(data: hls.BufferIn(hls.i32, 64), "
+             "out: hls.ScalarOut(hls.i32)):", "    acc = data[0]"]
+    for i in range(count):
+        if i == count // 2:
+            lines += ["    for j in range(4):", "        acc += data[j]"]
+        lines += [f"    if data[{i % 64}] > acc:", f"        acc += {i}",
+                  "    else:", f"        acc = acc * data[{(i + 1) % 64}]"]
+    return "\n".join(lines + ["    out.set(acc)"])
+
+
+def unmemoised_latency(sched) -> int:
+    """The longest-path walk as it was before it cached per
+    ``(start, stop, loop)`` (no unknown trip counts, no breaks)."""
+    loops = {loop.header: loop for loop in sched.function.loops}
+
+    def region(start, loop):
+        inner = loops.get(start)
+        if inner is not None and inner is not loop:
+            body = max(region(s, inner) for s in start.successors()
+                       if s in inner.blocks)
+            header = sched.for_block(start).latency
+            return (inner.trip_hint * (header + body) + header
+                    + region(inner.exit, loop))
+        return sched.for_block(start).latency + max(
+            (region(s, loop) for s in start.successors()
+             if loop is None or (s is not loop.header
+                                 and s in loop.blocks)), default=0)
+
+    return region(sched.function.entry, None)
+
+
 class TestStaticReport:
+    def test_diamond_chain_estimate_is_linear_not_exponential(self):
+        """Both arms of a diamond reconverge, so the unmemoised walk
+        doubles per diamond (20 took seconds, 40 never returned)."""
+        for count in (1, 5, 12):
+            _fn, sched = scheduled(diamond_chain(count))
+            estimate = estimate_function_latency(sched)
+            assert estimate.known
+            assert estimate.cycles == unmemoised_latency(sched)
+        start = time.perf_counter()
+        _fn, sched = scheduled(diamond_chain(60))
+        estimate = estimate_function_latency(sched)
+        assert time.perf_counter() - start < 1.0
+        assert estimate.known and estimate.cycles > 60
+
     def test_static_loop_latency_known(self):
         fn, sched = scheduled("""
 def k(data: hls.BufferIn(hls.i32, 8), out: hls.ScalarOut(hls.i32)):

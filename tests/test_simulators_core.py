@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import compile_design
+from repro import compile_design, hls
 from repro.errors import DeadlockError, UnsupportedDesignError
-from repro.sim import get_engine
+from repro.sim import create_engine, get_engine
 from tests.conftest import (
     N_SMALL,
     make_nb_design,
@@ -151,6 +151,56 @@ class TestDeadlockDetection:
 
         ok = compile_design(build_ex3(n=8, depth=2))
         OmniSimulator(ok).run()  # no deadlock
+
+
+@hls.kernel
+def ring_stage_k(inp: hls.StreamIn(hls.i32), out: hls.StreamOut(hls.i32)):
+    out.write(inp.read() + 1)
+
+
+@hls.kernel
+def ring_head_k(back: hls.StreamIn(hls.i32), out: hls.StreamOut(hls.i32),
+                early: hls.ScalarOut(hls.i32),
+                hops: hls.ScalarOut(hls.i32)):
+    ok, value = back.read_nb()  # nothing has entered the ring yet
+    early.set(ok)
+    out.write(0)
+    while True:
+        ok, value = back.read_nb()
+        if ok:
+            break
+    hops.set(value)
+
+
+class TestDeepWaitForChain:
+    """The earliest-query-false guard walks the modules' wait-for
+    chain; a long one must not recurse once per link."""
+
+    STAGES = 1200  # past the default recursion limit
+
+    def build_ring(self):
+        """head -> f0 -> s0 -> f1 -> ... -> s1199 -> f1200 -> head,
+        instantiated sink first so the walk starts at the far end of
+        the chain.  The head's first poll happens while every stage
+        waits on its predecessor, all the way back to the head."""
+        d = hls.Design("ring")
+        fifos = [d.stream(f"f{i}", hls.i32, depth=2)
+                 for i in range(self.STAGES + 1)]
+        for i in reversed(range(self.STAGES)):
+            d.add(ring_stage_k, f"s{i}", inp=fifos[i], out=fifos[i + 1])
+        d.add(ring_head_k, back=fifos[-1], out=fifos[0],
+              early=d.scalar("early", hls.i32),
+              hops=d.scalar("hops", hls.i32))
+        return d
+
+    def test_long_ring_runs_on_every_timing_engine(self):
+        compiled = compile_design(self.build_ring())
+        results = [create_engine(engine, compiled).run()
+                   for engine in ("omnisim", "omnisim-threads", "cosim")]
+        for result in results:
+            assert result.scalars == {"early": 0, "hops": self.STAGES}
+            assert result.cycles == results[0].cycles
+        assert results[0].stats.queries_resolved_false_by_rule == 1
 
 
 class TestStatsAndTimings:

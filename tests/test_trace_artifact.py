@@ -16,6 +16,8 @@ that pool workers never rebuild the static-edge columns.
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -239,6 +241,44 @@ def test_serialization_preserves_static_columns():
     assert fresh.s_succ_ptr is None
     lazy = loads_artifact(dumps_artifact(fresh))
     assert lazy.resimulate({}).cycles == fresh.resimulate({}).cycles
+
+
+def test_concurrent_first_retimes_build_once(monkeypatch):
+    """The service retimes on a thread pool over shared sessions: 16
+    threads hitting one cold artifact at once must trigger exactly one
+    CSR / static-edge / iteration-view build and agree on every time."""
+    art = Session.open("fig4_ex5", trace_cache=False, n=300).run().trace
+    assert art.s_succ_ptr is None and not art.mod_nodes, "cold"
+    builds = []
+    for name in ("_build_static_columns", "_build_iter_view"):
+        def counted(self, _orig=getattr(TraceArtifact, name), _name=name):
+            builds.append(_name)
+            return _orig(self)
+        monkeypatch.setattr(TraceArtifact, name, counted)
+    depths = dict(art.depths, fifo2=5)
+    barrier = threading.Barrier(16)
+    times = [None] * 16
+
+    def first_retime(i):
+        barrier.wait(timeout=30)
+        times[i] = art.retime(depths)
+
+    threads = [threading.Thread(target=first_retime, args=(i,))
+               for i in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-build
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(builds) == ["_build_iter_view", "_build_static_columns"]
+    assert all(t == times[0] for t in times) and times[0]
+    fresh = Session.open("fig4_ex5", trace_cache=False, n=300).run().trace
+    assert times[0] == fresh.retime(depths)
 
 
 class TestWorkerNoRebuild:
