@@ -49,6 +49,10 @@ class _Lowerer:
         self.constants.update(overrides)
         self.design = hls.Design(spec.name)
         self.decls: dict[str, object] = {}
+        #: kernel source text -> Kernel, for this one build: modules
+        #: whose text is equal share the kernel and everything compiled
+        #: from it (IR, schedule, generated program)
+        self.kernels: dict[str, hls.Kernel] = {}
 
     # -- declarations -----------------------------------------------------
 
@@ -102,23 +106,37 @@ class _Lowerer:
                           binds)
 
     def _instantiate(self, name: str, source: str, binds: dict) -> None:
-        try:
-            kernel = hls.kernel_from_source(source)
-        except SyntaxError as exc:
-            raise SpecError(
-                f"spec {self.spec.origin!r}: module {name!r}: kernel "
-                f"source does not parse: {exc}"
-            ) from None
+        kernel = self.kernels.get(source)
+        if kernel is None:
+            try:
+                kernel = hls.kernel_from_source(source)
+            except SyntaxError as exc:
+                raise SpecError(
+                    f"spec {self.spec.origin!r}: module {name!r}: kernel "
+                    f"source does not parse: {exc}"
+                ) from None
+            self.kernels[source] = kernel
         self.design.add(kernel, instance_name=name, **binds)
 
     # -- role templates ---------------------------------------------------
     #
-    # Each returns (kernel_source, binds).  Kernel function names embed the
-    # module name so compiled-IR diagnostics stay readable.
+    # Each returns (kernel_source, binds).  The text must not mention the
+    # module: the kernel function is named after the role, so modules of
+    # one shape render equal text and compile once (``_instantiate``).
+    # Diagnostics name the module through ``Instance.name``.  Declared
+    # types and sizes are read off ``self.decls`` (indexed by name), never
+    # by scanning the spec's lists.
 
     def _fifo_type(self, fifo_name: str) -> str:
-        element = parse_type(self.spec.fifo(fifo_name).type)
-        return _hls_type_expr(element)
+        return _hls_type_expr(self.decls[fifo_name].element)
+
+    def _total(self, p: dict, binds: dict) -> tuple:
+        """(port text, closing lines) of an optional ``total:`` scalar."""
+        if "total" not in p:
+            return "", []
+        scalar = binds["total"] = self.decls[p["total"]]
+        return (f", total: hls.ScalarOut({_hls_type_expr(scalar.element)})",
+                ["    total.set(acc)"])
 
     def producer(self, module):
         p = module.params
@@ -129,14 +147,14 @@ class _Lowerer:
         data = p.get("data")
         binds = {"out": self.decls[out]}
         if data is not None:
-            buf = next(b for b in self.spec.buffers if b.name == data)
+            buf = self.decls[data]
             # Done-driven producers free-run with an unbounded index, so
             # they must wrap; count-bounded loops that fit the buffer
             # index directly (modulo costs schedule latency).
             bounded = ("done" not in p
                        and self.const(p.get("count"), 0) <= buf.size)
             src_expr = "data[i]" if bounded else f"data[i % {buf.size}]"
-            data_port = (f"data: hls.BufferIn({_hls_type_expr(parse_type(buf.type))}, "
+            data_port = (f"data: hls.BufferIn({_hls_type_expr(buf.element)}, "
                          f"{buf.size}), ")
             binds["data"] = self.decls[data]
         else:
@@ -146,7 +164,7 @@ class _Lowerer:
         if "done" in p:
             binds["done"] = self.decls[p["done"]]
             body = [
-                f"def {module.name}_kernel({data_port}"
+                f"def producer_kernel({data_port}"
                 f"out: hls.StreamOut({fty}), done: hls.StreamIn(hls.i1)):",
                 "    i = 0",
                 "    while True:",
@@ -181,7 +199,7 @@ class _Lowerer:
 
         count = self.const(p["count"])
         binds["n"] = count
-        head = (f"def {module.name}_kernel({data_port}n: hls.Const(), "
+        head = (f"def producer_kernel({data_port}n: hls.Const(), "
                 f"out: hls.StreamOut({fty})")
         if write == "blocking":
             lines = [
@@ -222,7 +240,7 @@ class _Lowerer:
         binds = {"inp": self.decls[src], "out": self.decls[dst]}
         if p.get("mode", "count") == "sentinel":
             lines = [
-                f"def {module.name}_kernel(inp: hls.StreamIn({in_ty}), "
+                f"def worker_kernel(inp: hls.StreamIn({in_ty}), "
                 f"out: hls.StreamOut({out_ty})):",
                 "    while True:",
                 f"        hls.pipeline(ii={ii})",
@@ -235,7 +253,7 @@ class _Lowerer:
         else:
             binds["n"] = self.const(p["count"])
             lines = [
-                f"def {module.name}_kernel(inp: hls.StreamIn({in_ty}), "
+                f"def worker_kernel(inp: hls.StreamIn({in_ty}), "
                 f"n: hls.Const(), out: hls.StreamOut({out_ty})):",
                 "    for i in range(n):",
                 f"        hls.pipeline(ii={ii})",
@@ -258,7 +276,7 @@ class _Lowerer:
             writes.append(f"        out{k}.write(value)")
             binds[f"out{k}"] = self.decls[out]
         lines = [
-            f"def {module.name}_kernel({', '.join(ports)}):",
+            f"def splitter_kernel({', '.join(ports)}):",
             "    for i in range(n):",
             f"        hls.pipeline(ii={ii})",
             "        value = inp.read()",
@@ -283,7 +301,7 @@ class _Lowerer:
         ports += ["n: hls.Const()",
                   f"out: hls.StreamOut({self._fifo_type(dst)})"]
         lines = [
-            f"def {module.name}_kernel({', '.join(ports)}):",
+            f"def combiner_kernel({', '.join(ports)}):",
             "    for i in range(n):",
             f"        hls.pipeline(ii={ii})",
             *reads,
@@ -298,15 +316,7 @@ class _Lowerer:
         ii = self.const(p.get("ii"), DEFAULT_II)
         mode = p.get("mode", "count")
         binds = {"inp": self.decls[src]}
-        total_port = ""
-        total_lines = []
-        if "total" in p:
-            scalar = next(s for s in self.spec.scalars
-                          if s.name == p["total"])
-            total_port = (f", total: hls.ScalarOut("
-                          f"{_hls_type_expr(parse_type(scalar.type))})")
-            total_lines = ["    total.set(acc)"]
-            binds["total"] = self.decls[p["total"]]
+        total_port, total_lines = self._total(p, binds)
         done_port = ""
         done_lines = []
         if "done" in p:
@@ -317,7 +327,7 @@ class _Lowerer:
         if mode == "count":
             binds["n"] = self.const(p["count"])
             lines = [
-                f"def {module.name}_kernel(inp: hls.StreamIn({in_ty}), "
+                f"def sink_kernel(inp: hls.StreamIn({in_ty}), "
                 f"n: hls.Const(){total_port}{done_port}):",
                 "    acc = 0",
                 "    for i in range(n):",
@@ -326,7 +336,7 @@ class _Lowerer:
             ]
         elif mode == "sentinel":
             lines = [
-                f"def {module.name}_kernel(inp: hls.StreamIn({in_ty})"
+                f"def sink_kernel(inp: hls.StreamIn({in_ty})"
                 f"{total_port}{done_port}):",
                 "    acc = 0",
                 "    while True:",
@@ -339,7 +349,7 @@ class _Lowerer:
         else:  # poll: fixed non-blocking poll budget (fig4 collector shape)
             binds["polls"] = self.const(p["polls"])
             lines = [
-                f"def {module.name}_kernel(inp: hls.StreamIn({in_ty}), "
+                f"def sink_kernel(inp: hls.StreamIn({in_ty}), "
                 f"polls: hls.Const(){total_port}{done_port}):",
                 "    acc = 0",
                 "    count = 0",
@@ -356,29 +366,21 @@ class _Lowerer:
     def controller(self, module):
         p = module.params
         dst, src = p["out"], p["in"]
-        buf = next(b for b in self.spec.buffers if b.name == p["data"])
+        buf = self.decls[p["data"]]
         binds = {
             "out": self.decls[dst],
             "inp": self.decls[src],
             "data": self.decls[p["data"]],
             "n": self.const(p["count"]),
         }
-        total_port = ""
-        total_lines = []
-        if "total" in p:
-            scalar = next(s for s in self.spec.scalars
-                          if s.name == p["total"])
-            total_port = (f", total: hls.ScalarOut("
-                          f"{_hls_type_expr(parse_type(scalar.type))})")
-            total_lines = ["    total.set(acc)"]
-            binds["total"] = self.decls[p["total"]]
+        total_port, total_lines = self._total(p, binds)
         index = ("data[i]" if binds["n"] <= buf.size
                  else f"data[i % {buf.size}]")
         lines = [
-            f"def {module.name}_kernel(out: hls.StreamOut("
+            f"def controller_kernel(out: hls.StreamOut("
             f"{self._fifo_type(dst)}), inp: hls.StreamIn("
             f"{self._fifo_type(src)}), data: hls.BufferIn("
-            f"{_hls_type_expr(parse_type(buf.type))}, {buf.size}), "
+            f"{_hls_type_expr(buf.element)}, {buf.size}), "
             f"n: hls.Const(){total_port}):",
             "    acc = 0",
             "    for i in range(n):",

@@ -180,12 +180,6 @@ class DslSpec:
     fifo_writers: dict = field(default_factory=dict)
     fifo_readers: dict = field(default_factory=dict)
 
-    def fifo(self, name: str) -> FifoSpec:
-        for f in self.fifos:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
     @property
     def blocking(self) -> str:
         """Registry ``blocking`` label derived from the module stanzas.

@@ -95,6 +95,7 @@ class Design:
         self.axis: dict[str, AxiDecl] = {}
         self.instances: list[Instance] = []
         self._names: set[str] = set()
+        self._instance_names: set[str] = set()
 
     # --- declaration helpers ---------------------------------------------
 
@@ -170,13 +171,13 @@ class Design:
             bound = bindings[pname]
             self._bind(instance, pname, decl, bound)
         self.instances.append(instance)
+        self._instance_names.add(name)
         return instance
 
     def _unique_instance_name(self, base: str) -> str:
         name = base
         suffix = 1
-        existing = {inst.name for inst in self.instances}
-        while name in existing:
+        while name in self._instance_names:
             suffix += 1
             name = f"{base}_{suffix}"
         return name

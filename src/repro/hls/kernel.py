@@ -10,11 +10,18 @@ actually executed.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import textwrap
+import threading
 
 from ..errors import CompileError
 from . import ports as port_decls
+
+#: compiled functions kept per kernel (least recently used go first): a
+#: long-lived process that keeps meeting new constant bindings
+#: (``repro serve`` under ``n=401, 402, ...``) must not grow without limit
+_COMPILED_LIMIT = 64
 
 
 class Kernel:
@@ -33,8 +40,10 @@ class Kernel:
                 ) from exc
         self.source = textwrap.dedent(source)
         self.ports = self._parse_ports(fn)
-        #: cache: const-binding tuple -> compiled ir.Function
+        #: LRU memo: const-binding tuple -> compiled ir.Function (which
+        #: owns its schedules and generated programs)
         self._compiled: dict = {}
+        self._compile_lock = threading.Lock()
 
     @staticmethod
     def _evaluate_annotation(fn, decl):
@@ -95,22 +104,33 @@ class Kernel:
     def compile(self, const_bindings: dict | None = None):
         """Compile this kernel to IR, specialized for the given constants."""
         const_bindings = dict(const_bindings or {})
-        missing = [n for n in self.const_params if n not in const_bindings]
+        key = tuple(sorted(const_bindings.items()))
+        # One function per binding even when threads race: instances
+        # share it, and a key that is present was validated on the way in.
+        with self._compile_lock:
+            function = self._compiled.pop(key, None)
+            if function is None:
+                function = self._compile_checked(const_bindings)
+                if len(self._compiled) >= _COMPILED_LIMIT:
+                    del self._compiled[next(iter(self._compiled))]
+            self._compiled[key] = function
+        return function
+
+    def _compile_checked(self, const_bindings: dict):
+        const_params = self.const_params
+        missing = [n for n in const_params if n not in const_bindings]
         if missing:
             raise CompileError(
                 f"kernel {self.name}: missing const parameter(s) {missing}"
             )
-        extra = [n for n in const_bindings if n not in self.const_params]
+        extra = [n for n in const_bindings if n not in const_params]
         if extra:
             raise CompileError(
                 f"kernel {self.name}: {extra} are not const parameters"
             )
-        key = tuple(sorted(const_bindings.items()))
-        if key not in self._compiled:
-            from ..frontend.compiler import compile_kernel
+        from ..frontend.compiler import compile_kernel
 
-            self._compiled[key] = compile_kernel(self, const_bindings)
-        return self._compiled[key]
+        return compile_kernel(self, const_bindings)
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"<Kernel {self.name}({', '.join(self.ports)})>"
@@ -134,26 +154,16 @@ def kernel_from_source(source: str, name: str | None = None,
     env = {"hls": hls_module}
     env.update(namespace or {})
     code = textwrap.dedent(source)
-    exec(compile(code, "<kernel>", "exec"), env)  # noqa: S102 - test helper
-    functions = [v for v in env.values()
-                 if callable(v) and getattr(v, "__code__", None) is not None
-                 and v.__module__ is None or callable(v)
-                 and hasattr(v, "__code__")]
-    if name is not None:
-        fn = env[name]
-    else:
-        import ast as ast_module
-
-        tree = ast_module.parse(code)
-        defs = [n for n in tree.body
-                if isinstance(n, ast_module.FunctionDef)]
+    tree = ast.parse(code, "<kernel>")
+    if name is None:
+        defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
         if len(defs) != 1:
             raise CompileError(
                 "kernel_from_source expects exactly one function"
             )
-        fn = env[defs[0].name]
-    fn.__globals__.update(env)
-    return Kernel(fn, source=code)
+        name = defs[0].name
+    exec(compile(tree, "<kernel>", "exec"), env)  # noqa: S102 - test helper
+    return Kernel(env[name], source=code)
 
 
 # --- in-body helper markers --------------------------------------------------

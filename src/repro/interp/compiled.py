@@ -4,8 +4,9 @@ The tree-walking :class:`~repro.interp.interpreter.ModuleInterpreter`
 re-dispatches every instruction through ``isinstance`` chains, dict-based
 environments and schedule lookups on every execution.  This module is the
 analogue of OmniSim's ahead-of-time *compiled, instrumented binary* (paper
-section 6.1): once per compiled module it emits the source of **one
-Python generator function** that *is* the module —
+section 6.1): once per module schedule — which every instance of one
+(kernel, constant binding) shares — it emits the source of **one Python
+generator function** that *is* the module —
 
 * SSA values and scalar allocas are locals (``v12``, ``m3``); array
   allocas and bound buffers are local list references;
@@ -65,9 +66,6 @@ from .interpreter import (
     ModuleInterpreter,
     step_limit_error,
 )
-
-#: attribute used to memoize programs on a CompiledModule instance
-_CACHE_ATTR = "_generated_programs"
 
 #: source text -> factory function; bounded so a long-lived process that
 #: keeps meeting new shapes (``repro serve``, fuzz campaigns) cannot grow
@@ -141,8 +139,9 @@ def _wrap(expr: str, type_: ty.Type) -> str:
 
 @dataclass(frozen=True, slots=True)
 class ModuleProgram:
-    """The compile-once artifact of one module: the (shape-shared)
-    factory plus the module-unique values it is called with."""
+    """The compile-once artifact of one module schedule: the
+    (shape-shared) factory plus the function's own values it is called
+    with."""
 
     factory: object
     #: constant operand values, one per use site
@@ -158,12 +157,12 @@ class ModuleProgram:
 
 
 class _Generator:
-    """Emits the factory source of one CompiledModule."""
+    """Emits the factory source of one ModuleSchedule.  It is handed
+    no instance, so nothing instance-specific can become program text."""
 
-    def __init__(self, compiled_module, oob_mode: str, trace_blocks: bool):
-        self.name = compiled_module.name
-        self.function = compiled_module.function
-        self.schedule = compiled_module.schedule
+    def __init__(self, schedule, oob_mode: str, trace_blocks: bool):
+        self.schedule = schedule
+        self.function = schedule.function
         self.crash_oob = oob_mode == "crash"
         self.trace_blocks = trace_blocks
         self.consts: list = []
@@ -189,7 +188,8 @@ class _Generator:
             self.consts.append(value.value)
             return f"k{len(self.consts) - 1}"
         raise SimulationError(
-            f"module {self.name}: cannot evaluate operand {value!r}"
+            f"function {self.function.name}: cannot evaluate operand "
+            f"{value!r}"
         )
 
     def _arg(self, arg) -> str:
@@ -414,9 +414,8 @@ class _Generator:
             elif instr.is_terminator:
                 break
             else:
-                self._raise_simulation_error(
-                    ind, f"module {self.name}: cannot execute "
-                         f"{instr.opname}")
+                add(f"{ind}raise SimulationError('module ' + name + "
+                    f"{self._extra(f': cannot execute {instr.opname}')})")
 
         term = block.terminator
         if isinstance(term, ins.Jump):
@@ -680,16 +679,19 @@ def _factory_for(source: str):
 
 def compile_program(compiled_module, oob_mode: str = "wrap",
                     trace_blocks: bool = False) -> ModuleProgram:
-    """Return the (cached) generated program of one compiled module.
+    """Return the generated program of one compiled module, generated
+    once per schedule and kept on it.
 
-    Nothing run-specific is baked in: channel names and bound buffers
-    reach the factory as arguments at :meth:`CompiledModuleExecutor.run`,
-    so one program serves every run of the compiled design."""
-    cache = compiled_module.__dict__.setdefault(_CACHE_ATTR, {})
+    Nothing run- or instance-specific is baked in: the module name,
+    channel names and bound buffers reach the factory as arguments at
+    :meth:`CompiledModuleExecutor.run`, so one program serves every run
+    of every instance that shares the schedule."""
+    schedule = compiled_module.schedule
+    cache = schedule.programs
     key = (oob_mode, trace_blocks)
     program = cache.get(key)
     if program is None:
-        generator = _Generator(compiled_module, oob_mode, trace_blocks)
+        generator = _Generator(schedule, oob_mode, trace_blocks)
         factory = _factory_for(generator.generate())
         program = cache[key] = ModuleProgram(
             factory, tuple(generator.consts), tuple(generator.arg_locals),

@@ -91,13 +91,21 @@ class LoopMeta:
 
 
 class Function:
-    """A compiled hardware module body."""
+    """A compiled hardware module body.
+
+    Immutable once the front-end returns it (every pass has run by
+    then): all instances of one (kernel, constant binding) share it, and
+    it owns what is derived from it alone.
+    """
 
     def __init__(self, name: str, params):
         self.name = name
         self.params = list(params)
         self.blocks: list[BasicBlock] = []
         self.loops: list[LoopMeta] = []
+        #: SynthesisConfig -> ModuleSchedule; filled and answered by
+        #: :func:`repro.synthesis.schedule_function`
+        self.schedules: dict = {}
         #: Names of dataflow sub-task functions launched by this function
         #: (top-level dataflow regions only; populated by the Design layer).
         self.attributes: dict = {}

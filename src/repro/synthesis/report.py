@@ -17,7 +17,7 @@ from ..ir.function import BasicBlock, Function, LoopMeta
 from .scheduler import ModuleSchedule
 
 
-@dataclass
+@dataclass(frozen=True)
 class StaticLatency:
     """Result of the static estimate: cycles, or unknown."""
 
@@ -32,14 +32,17 @@ class StaticLatency:
 
 
 def estimate_function_latency(schedule: ModuleSchedule) -> StaticLatency:
-    """Best-effort static latency of one module."""
-    function = schedule.function
-    try:
-        cycles = _region_latency(function, schedule, function.entry,
-                                 stop=None, loop=None, memo={})
-    except _Unknown:
-        return StaticLatency(None)
-    return StaticLatency(cycles)
+    """Best-effort static latency of one module, computed once per
+    schedule and kept on it."""
+    if schedule.static_latency is None:
+        function = schedule.function
+        try:
+            cycles = _region_latency(function, schedule, function.entry,
+                                     stop=None, loop=None, memo={})
+        except _Unknown:
+            cycles = None
+        schedule.static_latency = StaticLatency(cycles)
+    return schedule.static_latency
 
 
 class _Unknown(Exception):

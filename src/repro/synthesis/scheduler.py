@@ -41,10 +41,21 @@ class BlockSchedule:
 
 @dataclass
 class ModuleSchedule:
-    """Static schedule for a whole module function."""
+    """Static schedule for a whole module function.
+
+    One per (function, config), shared by every instance and read-only
+    once :func:`schedule_function` returns it; it owns what is derived
+    from it alone.
+    """
 
     function: Function
     blocks: dict = field(default_factory=dict)  # label -> BlockSchedule
+    #: filled and answered by :func:`estimate_function_latency`
+    static_latency: "StaticLatency | None" = field(
+        default=None, repr=False, compare=False)
+    #: (oob_mode, trace_blocks) -> generated ModuleProgram; filled and
+    #: answered by :func:`repro.interp.compiled.compile_program`
+    programs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def for_block(self, block: BasicBlock) -> BlockSchedule:
         return self.blocks[block.label]
@@ -59,10 +70,15 @@ class ModuleSchedule:
 def schedule_function(function: Function,
                       config: SynthesisConfig = DEFAULT_CONFIG
                       ) -> ModuleSchedule:
-    """Compute the static schedule of every block of ``function``."""
-    module_schedule = ModuleSchedule(function)
-    for block in function.blocks:
-        module_schedule.blocks[block.label] = _schedule_block(block, config)
+    """The static schedule of every block of ``function``, computed
+    once per ``config`` and kept on the function."""
+    module_schedule = function.schedules.get(config)
+    if module_schedule is None:
+        module_schedule = ModuleSchedule(function)
+        for block in function.blocks:
+            module_schedule.blocks[block.label] = _schedule_block(
+                block, config)
+        function.schedules[config] = module_schedule
     return module_schedule
 
 

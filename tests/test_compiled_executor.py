@@ -445,37 +445,61 @@ def k(data: hls.BufferIn(hls.i32, 8), small: hls.BufferIn(hls.i32, 8),
 
 
 def test_modules_of_one_shape_share_one_code_object(monkeypatch):
-    """Type D's generated families differ in names, constants and
-    channel wiring only, so 300 modules compile a few dozen sources;
-    a second executor pass compiles (and generates) nothing."""
-    compiles = []
-    real = codegen._factory_for
+    """Type D's generated families differ in names and channel wiring
+    only, so the front-end, the scheduler and the generator each run
+    once per distinct (kernel text, constants) — sub-linear in modules —
+    and ``compile()`` once per distinct generated text; a second
+    executor pass generates nothing."""
+    from repro.frontend import compiler
+    from repro.synthesis import scheduler
 
-    def counting(source):
-        compiles.append(source)
-        return real(source)
+    calls = {"compile_kernel": 0, "schedule": 0, "generate": 0,
+             "factory": 0}
 
-    monkeypatch.setattr(codegen, "_FACTORIES", {})
-    monkeypatch.setattr(codegen, "_factory_for", counting)
-    compiled = compile_design(
-        dsl.build_design(dsl.generate("D", modules=300, seed=0)))
-    assert len(compiled.modules) == 300
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    def build():
+    for owner, attr, key in (
+            (compiler, "compile_kernel", "compile_kernel"),
+            (scheduler, "ModuleSchedule", "schedule"),
+            (codegen._Generator, "generate", "generate"),
+            (codegen, "_factory_for", "factory")):
+        monkeypatch.setattr(owner, attr,
+                            counting(key, getattr(owner, attr)))
+
+    def build(compiled):
         state = build_runtime_state(compiled)
         return [make_executor(m, state.bindings[m.name])
                 for m in compiled.modules]
 
-    first = build()
-    assert len(compiles) == 300
-    assert len(codegen._FACTORIES) <= 32
-    assert len({ex.program.factory for ex in first}) <= 32
-    build()
-    assert len(compiles) == 300
-    # shape-only: no module name, channel name or constant is text
-    for module in compiled.modules[:20]:
-        source = module.__dict__[codegen._CACHE_ATTR][("wrap", False)].source
-        assert module.name not in source
+    # the benchmark's D300 has exactly 112 distinct shapes; D1000 has
+    # 3.3x the modules and barely more shapes
+    for modules, seed, low, high in ((300, 0, 112, 112),
+                                     (1000, 4, 113, 120)):
+        monkeypatch.setattr(codegen, "_FACTORIES", {})
+        calls.update(dict.fromkeys(calls, 0))
+        compiled = compile_design(dsl.build_design(
+            dsl.generate("D", modules=modules, seed=seed, count=16)))
+        assert len(compiled.modules) == modules
+        first = build(compiled)
+        assert (calls["compile_kernel"] == calls["schedule"]
+                == calls["generate"] == calls["factory"])
+        assert low <= calls["generate"] <= high
+        assert calls["generate"] == len(
+            {id(m.instance.kernel) for m in compiled.modules}) == len(
+            {id(ex.program) for ex in first})
+        assert len(codegen._FACTORIES) <= 32
+        assert len({ex.program.factory for ex in first}) <= 32
+        before = dict(calls)
+        build(compiled)
+        assert calls == before
+        # shape-only: no module name, channel name or constant is text
+        for module in compiled.modules[:20]:
+            source = module.schedule.programs[("wrap", False)].source
+            assert module.name not in source
 
 
 _DIGEST_SNIPPET = """

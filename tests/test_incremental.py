@@ -65,11 +65,16 @@ class TestOmniSimIncremental:
         with pytest.raises(SimulationError):
             resimulate(result, {"s1": 4})
 
-    def test_much_faster_than_full_run(self, pipeline_compiled):
-        result = OmniSimulator(pipeline_compiled).run()
-        incremental = resimulate(result, {"s1": 8})
+    def test_much_faster_than_full_run(self):
         # The paper reports four orders of magnitude; we only assert the
-        # direction robustly (CI machines are noisy).
+        # direction, on a capture long enough (~2k events, ~10x the
+        # retime) that neither executor construction nor a noisy CI
+        # machine decides it.  The first resimulate also pays the
+        # one-time static build, so the second one is the comparison.
+        compiled = compile_design(designs.get("fig4_ex5").make(n=1000))
+        result = OmniSimulator(compiled).run()
+        resimulate(result, {"fifo2": 8})
+        incremental = resimulate(result, {"fifo2": 16})
         assert incremental.seconds < result.execute_seconds
 
     def test_deadlocking_config_detected(self):
