@@ -218,9 +218,9 @@ class Session:
 
         Returns an :class:`~repro.sim.incremental.IncrementalResult`;
         raises :class:`~repro.errors.ConstraintViolation` when a
-        recorded query flips under the new depths (fall back to
-        ``run(depths=...)`` — or use :meth:`sweep`, which automates
-        exactly that).
+        recorded query flips under the new depths, or a plain
+        :class:`~repro.errors.SimulationError` when they deadlock the
+        recording (fall back to ``run(depths=...)``, as :meth:`sweep` does).
 
         A warm-cache baseline validates the depth names against the
         artifact's declared FIFO map, so the whole replay stays

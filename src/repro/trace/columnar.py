@@ -34,12 +34,19 @@ either.
 Retiming derives edges from the recorded structure rather than storing
 them per node:
 
-* **intra-segment chains**: consecutive events of one segment, weight =
-  offset difference (in-order pipeline within an iteration);
-* **segment propagation**: a virtual "segment end" node per segment
-  collects ``commit - offset`` of its members (the iteration's *effective
-  start*), and feeds the next segment's events with weight
-  ``base_next - base_prev + offset`` — elastic pipelined-iteration timing;
+* **module chains**: consecutive events of one module in emission
+  order, weight = nominal distance ``nominal[v] - nominal[prev]`` — the
+  offset difference inside a segment, and across a segment boundary the
+  ledger's elastic rule ``E_next = E_prev + (base_next - base_prev)``
+  with no node for the *effective start* E.  A node ``S = max_i(t(v_i)
+  - o_i)`` per segment (events ``v_i`` at offsets ``o_i``) adds nothing:
+  (i) the chain makes ``t(v_i) - o_i`` non-decreasing, so ``t(S) =
+  t(v_m) - o_m``, its last event's; (ii) the carried-in start reaches
+  ``S`` through ``v_1`` at the same weight, and the module's first start
+  is below ``t(v_1) - o_1`` because ``t(v_1) >= nominal_1``; (iii) so
+  all ``S`` tells the next segment is ``t(v_1') >= t(v_m) - o_m + delta
+  + o_1' = t(v_m) + nominal(v_1') - nominal(v_m)`` — the chain edge,
+  negative where pipelined iterations overlap (no sign is assumed);
 * **RAW** (write #r -> read #r, weight 1) and **WAR**
   (read #(w-S) -> write #w, weight 1) FIFO edges — non-blocking accesses
   never stall, so they receive no incoming FIFO edges (their consistency
@@ -95,8 +102,6 @@ _WRITE_QUERY_MAX_CODE = 1
 #: default element width (bits) for FIFOs absent from the width table
 #: (hand-built artifacts)
 DEFAULT_FIFO_WIDTH = 32
-
-_NEG_INF = -(1 << 62)
 
 
 def _qarray(values=()) -> array:
@@ -214,7 +219,10 @@ class TraceArtifact:
         self.warnings: list = []
         self.stats = SimulationStats()
         # -- static columns (depth-independent retiming edges) ---------
-        #: real + virtual (segment-end) node count; None = not built
+        #: nodes of the static graph; None = not built.  ``node_count``
+        #: when built here — store entries written by older builds also
+        #: count a virtual segment-end node per segment, which is why
+        #: readers size by this and not by ``node_count``
         self.s_total: int | None = None
         self.s_base: array | None = None
         self.s_indegree: array | None = None
@@ -374,53 +382,32 @@ class TraceArtifact:
                     self._build_static_columns()
 
     def _build_static_columns(self) -> None:
-        """Intra-segment chains, segment propagation via virtual
-        segment-end nodes, RAW FIFO edges, port-serialization chains and
-        all AXI edges, flattened to CSR; only the WAR edges are left to
-        the per-call overlay in :meth:`retime`."""
-        n = self.node_count
+        """One nominal-distance chain per module, RAW FIFO edges,
+        port-serialization chains and all AXI edges, flattened to CSR;
+        only the WAR edges are left to the per-call overlay in
+        :meth:`retime`.
+
+        A chain links consecutive events of a module whether or not a
+        segment boundary lies between (the module docstring proves a
+        per-segment "effective start" node would add nothing).
+        ``s_base`` is ``nominal`` for a module's first event and 0
+        elsewhere; every static node is a recorded one, so
+        ``s_total == node_count``."""
+        total = self.node_count
         edges: list[tuple[int, int, int]] = []
         add_edge = edges.append
-        # Virtual segment-end nodes are appended past the real nodes.
-        base_value: list[int] = [0] * n
-        next_virtual = n
+        base_value: list[int] = [0] * total
 
         # --- structural edges per module -------------------------------
         nominal = self.nominal
-        seg_serial = self.seg_serial
-        seg_base = self.seg_base
         mod_ptr = self.mod_ptr
         mod_nodes = self.mod_nodes
         for mid in range(len(self.module_names)):
-            prev_node = None
-            prev_offset = 0
-            prev_serial = None
-            prev_base = 0
-            segend = None
-            for k in range(mod_ptr[mid], mod_ptr[mid + 1]):
-                v = mod_nodes[k]
-                offset = nominal[v] - seg_base[v]
-                if prev_serial is None:
-                    base_value[v] = nominal[v]
-                    segend = next_virtual
-                    next_virtual += 1
-                    base_value.append(seg_base[v])
-                elif seg_serial[v] != prev_serial:
-                    delta = seg_base[v] - prev_base
-                    new_segend = next_virtual
-                    next_virtual += 1
-                    base_value.append(_NEG_INF)
-                    # effective start propagates: E_next = E_prev + delta
-                    add_edge((segend, new_segend, delta))
-                    add_edge((segend, v, delta + offset))
-                    segend = new_segend
-                else:
-                    add_edge((prev_node, v, offset - prev_offset))
-                # every event raises its segment's effective start
-                add_edge((v, segend, -offset))
-                prev_node, prev_offset = v, offset
-                prev_serial = seg_serial[v]
-                prev_base = seg_base[v]
+            chain = mod_nodes[mod_ptr[mid]:mod_ptr[mid + 1]]
+            if chain:
+                base_value[chain[0]] = nominal[chain[0]]
+            for a, b in zip(chain, chain[1:]):
+                add_edge((a, b, nominal[b] - nominal[a]))
 
         # --- depth-independent FIFO edges ------------------------------
         kind = self.kind
@@ -457,7 +444,6 @@ class TraceArtifact:
                     add_edge((a, b, 1))
 
         # --- flatten to CSR columns ------------------------------------
-        total = next_virtual
         counts = [0] * (total + 1)
         indegree = [0] * total
         for u, v, _w in edges:
@@ -508,31 +494,32 @@ class TraceArtifact:
         variant would deadlock.
         """
         indegree = indegree.copy()
-        aug: dict[int, list[int]] = {}
-        for fc in self.fifos:
-            writes = fc.write_nodes
-            for r, read_node in enumerate(fc.read_nodes, start=1):
-                if r < len(writes):
-                    aug.setdefault(read_node, []).append(writes[r])
-                    indegree[writes[r]] += 1
+        aug = self._depth1_war_pairs()
+        for v in aug.values():
+            indegree[v] += 1
         aug_get = aug.get
-        order: list[int] = []
-        queue = deque(v for v in range(total) if indegree[v] == 0)
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for k in range(succ_ptr[u], succ_ptr[u + 1]):
-                v = succ_node[k]
+        # Kahn, with the order doubling as its own FIFO queue
+        order = [v for v in range(total) if indegree[v] == 0]
+        ready = order.append
+        for u in order:
+            for v in succ_node[succ_ptr[u]:succ_ptr[u + 1]]:
                 indegree[v] -= 1
                 if indegree[v] == 0:
-                    queue.append(v)
-            extra = aug_get(u)
-            if extra is not None:
-                for v in extra:
-                    indegree[v] -= 1
-                    if indegree[v] == 0:
-                        queue.append(v)
+                    ready(v)
+            v = aug_get(u)
+            if v is not None:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    ready(v)
         return order if len(order) == total else None
+
+    def _depth1_war_pairs(self) -> dict[int, int]:
+        """``read #r -> write #(r+1)`` per FIFO (a node is one access of
+        one FIFO): the depth-1 WAR ordering pairs that make one order
+        (:meth:`_build_order_column`) and one leveling (the batch plan)
+        valid for every depth >= 1."""
+        return {read: write for fc in self.fifos
+                for read, write in zip(fc.read_nodes, fc.write_nodes[1:])}
 
     # ------------------------------------------------------------------
     # derived iteration view: the CSR columns are the persistent form;
@@ -580,7 +567,8 @@ class TraceArtifact:
         # FIFO node columns per write, so it iterates plain lists.
         kind_list = list(self.kind)
         fifo_views = [
-            (fc.name, list(fc.write_nodes), list(fc.read_nodes))
+            (fc.name, list(fc.write_nodes), list(fc.read_nodes),
+             self._min_replay_depth(fc))
             for fc in self.fifos
         ]
         view = self._view = (sweep, succ_pairs, base, indegree, kind_list,
@@ -601,6 +589,18 @@ class TraceArtifact:
             if depth < 1:
                 raise SimulationError(f"fifo {name}: depth must be >= 1")
 
+    def _min_replay_depth(self, fc: FifoColumns) -> int:
+        """Smallest depth of ``fc`` the recording can be replayed at.
+        Blocking write #w waits on read #(w - depth); when the run
+        recorded fewer reads than that (it ended with values left in
+        the FIFO), a shallower FIFO stalls that write forever."""
+        kind = self.kind
+        writes = fc.write_nodes
+        for w in range(len(writes), 0, -1):
+            if kind[writes[w - 1]] == K_WRITE:
+                return max(1, w - len(fc.read_nodes))
+        return 1
+
     def retime(self, depths: dict) -> list[int]:
         """Recompute all node times under new FIFO ``depths``.
 
@@ -619,20 +619,21 @@ class TraceArtifact:
         # --- per-depth WAR overlay: the only depth-dependent edges ------
         # A node-indexed list, not a dict: the sweep probes it once per
         # node, and a BINARY_SUBSCR beats a dict.get call on that path.
+        # One target at most: a read frees the slot of exactly one write.
         overlay: list = [None] * total
-        overlay_sources: list[int] = []
-        for name, writes, reads in fifo_views:
+        for name, writes, reads, min_depth in fifo_views:
             depth = depths[name]
-            for w in range(depth + 1, len(writes) + 1):
-                write_node = writes[w - 1]
+            if depth < min_depth:
+                raise SimulationError(
+                    f"fifo {name}: at depth {depth} a blocking write waits "
+                    "on a read the recorded run never performs (the "
+                    "configuration deadlocks the recording); full "
+                    "re-simulation required"
+                )
+            # write #w waits on read #(w - depth)
+            for write_node, read_node in zip(writes[depth:], reads):
                 if kind[write_node] == K_WRITE:
-                    read_node = reads[w - depth - 1]  # frees the slot
-                    targets = overlay[read_node]
-                    if targets is None:
-                        overlay[read_node] = [write_node]
-                        overlay_sources.append(read_node)
-                    else:
-                        targets.append(write_node)
+                    overlay[read_node] = write_node
 
         new_time = base[:]
 
@@ -647,18 +648,15 @@ class TraceArtifact:
                     cand = time_u + w
                     if cand > new_time[v]:
                         new_time[v] = cand
-                extra = overlay[u]
-                if extra is not None:
-                    cand = time_u + 1  # WAR edges always have weight 1
-                    for v in extra:
-                        if cand > new_time[v]:
-                            new_time[v] = cand
+                v = overlay[u]
+                if v is not None and time_u >= new_time[v]:
+                    new_time[v] = time_u + 1  # WAR edges have weight 1
             return new_time[:self.node_count]
 
         # --- Kahn longest-path fallback (order graph was cyclic) --------
         indegree = indegree_base[:]
-        for u in overlay_sources:
-            for v in overlay[u]:
+        for v in overlay:
+            if v is not None:
                 indegree[v] += 1
         queue = deque(v for v in range(total) if indegree[v] == 0)
         visited = 0
@@ -673,15 +671,13 @@ class TraceArtifact:
                 indegree[v] -= 1
                 if indegree[v] == 0:
                     queue.append(v)
-            extra = overlay[u]
-            if extra is not None:
-                cand = time_u + 1
-                for v in extra:
-                    if cand > new_time[v]:
-                        new_time[v] = cand
-                    indegree[v] -= 1
-                    if indegree[v] == 0:
-                        queue.append(v)
+            v = overlay[u]
+            if v is not None:
+                if time_u >= new_time[v]:
+                    new_time[v] = time_u + 1
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    queue.append(v)
         if visited != total:
             raise SimulationError(
                 "simulation graph became cyclic under the new FIFO depths "

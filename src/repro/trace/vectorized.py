@@ -18,18 +18,26 @@ How the plan is laid out (DESIGN.md section 16):
   the write port chain — so one leveling is valid for *every* depth
   configuration >= 1, exactly like the artifact's all-depth topological
   order (whose existence the plan requires).
-* **Renumbering.**  Nodes are permuted level-major so each level's
-  destinations are contiguous rows of the time matrix ``T`` (shape
-  ``(total_nodes, batch)``): the static relaxation for one level is a
-  gather (``T[pred_src] + weight``), a segmented
-  ``np.maximum.reduceat`` per destination, and one scatter-max.
+* **Renumbering.**  Nodes are permuted level-major, each level's
+  WAR-eligible writes last, so a level's destinations are exactly rows
+  ``[lo, hi)`` of the time matrix ``T`` (shape ``(total_nodes + 1,
+  batch)``) and its WAR destinations a contiguous tail of them.  Every
+  node past level 0 also gets a weight-0 self-loop row, and a level's
+  predecessor rows are stored ``(rank, destination)``, padded with
+  sentinel rows to its widest destination (fan-in <= 4 in a chain-only
+  graph).  The static relaxation of a level is then three calls: gather
+  (``T.take``), ``+= weight``, and a dense ``maximum.reduce`` over the
+  rank axis written straight into ``T[lo:hi]`` — no segmented
+  ``reduceat`` (which pays per segment *and* config), no scatter.
 * **WAR overlay.**  The depth-dependent edges target only FIFO write
   nodes and always have weight 1, but their *source* read varies per
-  config (``reads[i - depth]``).  Per level and FIFO the plan stores the
-  write positions; the sweep computes the per-config source index
-  matrix, gathers ``T[reads[i - d], config]`` element-wise, and
-  scatter-maxes the candidates into the write rows — invalid positions
-  (``i < d``) contribute ``-inf``.
+  config (``reads[i - depth]``).  Once per batch the plan turns the
+  depth matrix into one ``(war_rows x batch)`` matrix of flat indices
+  into ``T`` — rows in plan order of their write, all FIFOs together,
+  invalid positions (``i < d``) clamped onto a per-FIFO sentinel slot
+  that reads ``-inf``.  A level with WAR rows then costs three more
+  calls whatever the number of FIFOs: gather, ``+= 1``, ``maximum``
+  into the level's tail.
 * **Constraints.**  The recorded Table 2 queries re-validate as matrix
   ops per FIFO: write-side queries gather the per-config freeing read
   (index ``i - d`` again), read-side queries have a fixed target write.
@@ -56,7 +64,7 @@ import os as _os
 import time as _time
 
 from ..sim.incremental import IncrementalResult
-from .columnar import _NEG_INF, K_WRITE, TraceArtifact
+from .columnar import K_WRITE, TraceArtifact
 
 #: the numpy module once :func:`_numpy` has looked for it (None when it
 #: is missing or disabled); importing it is ~1/3 of a ``repro run``'s
@@ -68,20 +76,31 @@ _np = _PENDING
 def _numpy():
     global _np
     if _np is _PENDING:
-        _np = None
+        found = None
         if not _os.environ.get("REPRO_NO_NUMPY"):
             try:
-                import numpy as _np
+                import numpy as found
             except ImportError:  # pragma: no cover - no-numpy CI job
                 pass
+        # published only once known: a thread arriving mid-import must
+        # not read "missing" (the import lock serializes the imports)
+        _np = found
     return _np
 
 #: default rows per vectorized kernel call.  Large enough that per-level
 #: NumPy call overhead amortizes across the batch (the sweep runs one
-#: gather/reduceat/scatter trio per topological level regardless of
-#: batch width), small enough that the (nodes x batch) int64 time
-#: matrix stays cache-friendly.
+#: gather/add/reduce trio per topological level regardless of batch
+#: width), small enough that the (nodes x batch) time matrix stays
+#: cache-friendly.
 DEFAULT_BATCH_SIZE = 256
+
+#: rows of the WAR source-index matrix filled per step: bounds the
+#: temporaries of :meth:`BatchPlan._war_sources` to ~2 MiB at the
+#: default batch width
+WAR_BLOCK_ROWS = 1024
+
+#: "never": loses every ``max`` (the sentinel row's value in int64 plans)
+_NEG_INF = -(1 << 62)
 
 
 def numpy_available() -> bool:
@@ -102,10 +121,10 @@ class BatchPlan:
 
     __slots__ = (
         "supported", "total", "node_count", "perm", "dtype", "neg",
-        "base", "levels", "war_levels", "fifo_names", "fifo_index",
-        "reads_new", "reads_ext", "writes_len", "reads_len",
-        "min_safe_depth", "max_ke", "max_kd", "max_kw", "real_new",
-        "w_queries", "r_queries", "end_new", "end_names", "n_constraints",
+        "base", "levels", "fifo_names", "reads_cat", "reads_new",
+        "reads_len", "war_fifo", "war_slot", "war_top", "min_safe_depth",
+        "max_ke", "max_kw", "real_new", "w_queries", "r_queries",
+        "end_new", "end_names", "n_constraints",
     )
 
     def __init__(self, art: TraceArtifact):
@@ -122,44 +141,69 @@ class BatchPlan:
 
         # --- levels: longest path over static + depth-1 WAR edges ------
         level = [0] * total
-        aug: dict[int, list[int]] = {}
-        for fc in art.fifos:
-            writes = fc.write_nodes
-            for r, read_node in enumerate(fc.read_nodes, start=1):
-                if r < len(writes):
-                    aug.setdefault(read_node, []).append(writes[r])
         succ_ptr = art.s_succ_ptr
         succ_node = art.s_succ_node
-        aug_get = aug.get
+        aug_get = art._depth1_war_pairs().get
         for u in art.s_order:
             nxt = level[u] + 1
             for k in range(succ_ptr[u], succ_ptr[u + 1]):
                 v = succ_node[k]
                 if level[v] < nxt:
                     level[v] = nxt
-            extra = aug_get(u)
-            if extra is not None:
-                for v in extra:
-                    if level[v] < nxt:
-                        level[v] = nxt
+            v = aug_get(u)
+            if v is not None and level[v] < nxt:
+                level[v] = nxt
 
-        # --- level-major renumbering ------------------------------------
+        # --- WAR rows: every blocking write a WAR edge can target -------
+        # (write #1 never waits on a read, so positions start at 1 —
+        # which also puts every row past level 0, behind its port chain)
+        kind = art.kind
+        self.fifo_names = [fc.name for fc in art.fifos]
+        war_node, war_fifo, war_pos = np.asarray([
+            (writes[pos], fi, pos)
+            for fi, fc in enumerate(art.fifos)
+            for writes in (fc.write_nodes,)
+            for pos in range(1, len(writes)) if kind[writes[pos]] == K_WRITE
+        ], dtype=np.int64).reshape(-1, 3).T
+        # Shallower rows deadlock the recording (the scalar path raises):
+        # they are screened out to it, so every source index is in range.
+        self.min_safe_depth = np.asarray(
+            [art._min_replay_depth(fc) for fc in art.fifos], dtype=np.int64)
+
+        # --- plan levels, level-major renumbering ------------------------
+        # A plan level is the nodes of one topological level and one
+        # fan-in class, WAR rows last (nodes of a level never feed each
+        # other, so its classes may run in turn).  Class 0 is a fan-in
+        # (static in-edges + the self-loop row) of at most 4: every node
+        # of a chain-only graph.  The virtual segment-end nodes of older
+        # store entries fall into doubling classes, which keeps the
+        # dense layout's padding below 2x whatever the graph.
         level_arr = np.asarray(level, dtype=np.int64)
-        order_new = np.argsort(level_arr, kind="stable")
+        fan_in = np.asarray(art.s_indegree, dtype=np.int64) + 1
+        fan_class = np.maximum(
+            np.ceil(np.log2(fan_in)).astype(np.int64) - 2, 0)
+        group = level_arr * (int(fan_class.max(initial=0)) + 1) + fan_class
+        sort_key = 2 * group
+        sort_key[war_node] += 1
+        order_new = np.argsort(sort_key, kind="stable")
         perm = np.empty(total, dtype=np.int64)
         perm[order_new] = np.arange(total, dtype=np.int64)
         self.perm = perm
         base_i64 = np.asarray(art.s_base, dtype=np.int64)[order_new]
         self.real_new = perm[:self.node_count] if self.node_count \
             else np.empty(0, dtype=np.int64)
+        #: group g owns rows ``[row_lo[g], row_lo[g + 1])`` of ``T``;
+        #: group 0 is level 0 (no in-edges: its rows keep their base)
+        row_lo = np.concatenate((
+            [0], np.flatnonzero(np.diff(group[order_new])) + 1, [total]))
+        first = int(row_lo[1])
 
         # --- value dtype: int32 when the longest possible path fits ----
         # Candidate values are bounded by max finite |base| plus the sum
         # of positive edge weights (every WAR edge contributes 1).  The
         # int32 layout halves the sweep's memory traffic; 2x headroom
         # keeps sentinel-derived candidates strictly below any real one
-        # (mirroring how ``_NEG_INF`` chains always lose in the scalar
-        # sweep).
+        # (older store entries carry ``_NEG_INF`` virtual-node bases).
         edge_w64 = np.asarray(art.s_succ_weight, dtype=np.int64)
         finite = base_i64 > _NEG_INF // 2
         bound = int(np.abs(base_i64[finite]).max(initial=0))
@@ -173,105 +217,68 @@ class BatchPlan:
             self.neg = _NEG_INF
         self.base = np.where(finite, base_i64, self.neg).astype(self.dtype)
 
-        # --- per-level static predecessor groups (new numbering) --------
-        # One self-loop of weight 0 per destination folds the node's
-        # base value into its segmented reduction, so the sweep's scatter
-        # can overwrite instead of read-max-write.
-        src = np.asarray(art.s_succ_node, dtype=np.int64)  # edge dsts
-        n_edges = len(src)
-        edge_src_old = np.empty(n_edges, dtype=np.int64)
-        ptr = list(art.s_succ_ptr)
-        for u in range(total):
-            edge_src_old[ptr[u]:ptr[u + 1]] = u
-        dst_all = np.unique(perm[src])
-        edge_dst_new = np.concatenate([perm[src], dst_all])
-        edge_src_new = np.concatenate([perm[edge_src_old], dst_all])
-        edge_w = np.concatenate(
-            [edge_w64, np.zeros(len(dst_all), dtype=np.int64)]
-        ).astype(self.dtype)
-        n_edges += len(dst_all)
-        # sort edges by destination (new ids are level-major, so one
-        # stable sort groups them level-by-level AND dst-by-dst)
-        e_order = np.argsort(edge_dst_new, kind="stable")
-        edge_dst_new = edge_dst_new[e_order]
-        edge_src_new = edge_src_new[e_order]
-        edge_w = edge_w[e_order][:, None]  # broadcast-ready column
-        dst_unique, seg_starts = np.unique(edge_dst_new,
-                                           return_index=True)
-        dst_level = level_arr[order_new][dst_unique]
-        n_levels = int(level_arr.max()) + 1 if total else 1
-        # slice the grouped-destination arrays by level
-        lvl_bounds = np.searchsorted(dst_level,
-                                     np.arange(1, n_levels + 1))
-        self.levels = []
-        self.max_ke = self.max_kd = 0
-        prev_d = int(np.searchsorted(dst_level, 1))
-        prev_e = int(seg_starts[prev_d]) if prev_d < len(dst_unique) else n_edges
-        for L in range(1, n_levels):
-            d_hi = int(lvl_bounds[L])
-            e_hi = (int(seg_starts[d_hi]) if d_hi < len(dst_unique)
-                    else n_edges)
-            if d_hi > prev_d:
-                self.levels.append((
-                    dst_unique[prev_d:d_hi],
-                    seg_starts[prev_d:d_hi] - prev_e,
-                    edge_src_new[prev_e:e_hi],
-                    edge_w[prev_e:e_hi],
-                ))
-                self.max_ke = max(self.max_ke, e_hi - prev_e)
-                self.max_kd = max(self.max_kd, d_hi - prev_d)
-            else:
-                self.levels.append(None)
-            prev_d, prev_e = d_hi, e_hi
+        # --- predecessor rows: dense, rank-major per plan level ----------
+        # One weight-0 self-loop row per node past level 0, then each
+        # level's rows laid out ``(rank, destination)`` and padded to
+        # its widest destination with rows that gather the sentinel.
+        loops = np.arange(first, total, dtype=np.int64)
+        edge_src_old = np.repeat(
+            np.arange(total, dtype=np.int64),
+            np.diff(np.asarray(art.s_succ_ptr, dtype=np.int64)))
+        edge_dst = np.concatenate(
+            [perm[np.asarray(art.s_succ_node, dtype=np.int64)], loops])
+        # new ids are level-major, so one stable sort groups the rows
+        # level-by-level AND dst-by-dst
+        e_order = np.argsort(edge_dst, kind="stable")
+        edge_dst = edge_dst[e_order]
+        width = np.diff(row_lo)[1:]  # destinations per plan level
+        rows_of = fan_in[order_new][first:]  # rows per destination
+        ranks = (np.maximum.reduceat(rows_of, row_lo[1:-1] - first)
+                 if len(width) else width)  # ranks per plan level
+        pad_lo = np.concatenate(([0], np.cumsum(ranks * width)))
+        edge_lo = np.concatenate(([0], np.cumsum(rows_of)))
+        e_level = np.searchsorted(row_lo, edge_dst, side="right") - 2
+        rank = np.arange(len(edge_dst)) - edge_lo[edge_dst - first]
+        slot_of = (pad_lo[e_level] + rank * width[e_level]
+                   + edge_dst - row_lo[e_level + 1])
+        pad_src = np.full(int(pad_lo[-1]), total, dtype=np.int64)
+        pad_src[slot_of] = np.concatenate(
+            [perm[edge_src_old], loops])[e_order]
+        pad_w = np.zeros((len(pad_src), 1), dtype=self.dtype)
+        pad_w[slot_of, 0] = np.concatenate(
+            [edge_w64, np.zeros(len(loops), dtype=np.int64)])[e_order]
 
-        # --- per-level WAR write groups ---------------------------------
-        kind = art.kind
-        self.fifo_names = [fc.name for fc in art.fifos]
-        self.fifo_index = {name: i for i, name in
-                           enumerate(self.fifo_names)}
-        self.reads_new = [perm[np.asarray(fc.read_nodes, dtype=np.int64)]
-                          if len(fc.read_nodes) else
-                          np.empty(0, dtype=np.int64)
-                          for fc in art.fifos]
-        # sentinel-padded variant: index -1 wraps to row ``total`` of the
-        # time matrix, which the sweep pins at ``neg`` — an invalid WAR
-        # source (``pos < depth``) then contributes a candidate that
-        # always loses, with no mask/where pass.
-        self.reads_ext = [
-            np.concatenate([r, np.asarray([total], dtype=np.int64)])
-            for r in self.reads_new
-        ]
-        self.writes_len = [len(fc.write_nodes) for fc in art.fifos]
+        # --- WAR rows in plan order of their destination ----------------
+        # ``reads_cat`` holds, per FIFO, one sentinel slot (row ``total``
+        # of ``T``, pinned at ``neg``) in front of its reads: the write
+        # at position ``pos`` under depth ``d`` waits on slot
+        # ``max(pos + 1 - d, 0)`` of its FIFO's block, so an invalid
+        # source (``pos < d``) always loses, with no mask/where pass.
+        slot = np.cumsum([0] + [len(fc.read_nodes) + 1 for fc in art.fifos])
+        self.reads_cat = np.full(int(slot[-1]), total, dtype=np.int64)
+        self.reads_new = []
         self.reads_len = [len(fc.read_nodes) for fc in art.fifos]
-        war_levels: dict[int, list] = {}
-        # Minimum depth per FIFO at which every WAR source index
-        # (``pos - depth``) stays inside the recorded read list — the
-        # scalar overlay indexes ``reads[w - depth - 1]`` unguarded, so
-        # rows below this are screened out to the scalar path rather
-        # than replicated here.
-        self.min_safe_depth = np.ones(len(art.fifos), dtype=np.int64)
         for fi, fc in enumerate(art.fifos):
-            pos_ok = [i for i, w in enumerate(fc.write_nodes)
-                      if kind[w] == K_WRITE]
-            if not pos_ok:
-                continue
-            self.min_safe_depth[fi] = max(
-                1, max(pos_ok) - len(fc.read_nodes) + 1
-            )
-            by_level: dict[int, list[int]] = {}
-            for i in pos_ok:
-                by_level.setdefault(level[fc.write_nodes[i]], []).append(i)
-            for L, positions in by_level.items():
-                pos_col = np.asarray(positions, dtype=np.int64)[:, None]
-                dst = perm[np.asarray(
-                    [fc.write_nodes[i] for i in positions],
-                    dtype=np.int64)]
-                war_levels.setdefault(L, []).append((fi, pos_col, dst))
-        self.war_levels = war_levels
-        self.max_kw = max(
-            (grp[1].shape[0] for groups in war_levels.values()
-             for grp in groups), default=0,
-        )
+            block = self.reads_cat[slot[fi] + 1:slot[fi + 1]]
+            block[:] = perm[np.asarray(fc.read_nodes, dtype=np.int64)]
+            self.reads_new.append(block)
+        war_dst = perm[war_node]
+        w_order = np.argsort(war_dst)
+        self.war_fifo = war_fifo[w_order]
+        self.war_slot = slot[self.war_fifo][:, None]
+        self.war_top = self.war_slot + 1 + war_pos[w_order][:, None]
+        war_lo = np.searchsorted(war_dst[w_order], row_lo)
+
+        # --- per-level slices -------------------------------------------
+        rows, wars, pads = row_lo.tolist(), war_lo.tolist(), pad_lo.tolist()
+        self.levels = [
+            (lo, hi, k, pad_src[p_lo:p_hi], pad_w[p_lo:p_hi],
+             hi - (r_hi - r_lo), r_lo, r_hi)
+            for lo, hi, k, p_lo, p_hi, r_lo, r_hi in zip(
+                rows[1:], rows[2:], ranks.tolist(), pads, pads[1:],
+                wars[1:], wars[2:])]
+        self.max_ke = int((ranks * width).max(initial=0))
+        self.max_kw = int(np.diff(war_lo).max(initial=0))
 
         # --- constraint groups (Table 2 re-validation) ------------------
         c_kind = np.asarray(art.c_kind, dtype=np.int64)
@@ -315,6 +322,38 @@ class BatchPlan:
 
     # ------------------------------------------------------------------
 
+    def depth_matrix(self, depth_maps):
+        """``(configs x fifos)`` int64 matrix of fully-resolved depth
+        maps, columns in :attr:`fifo_names` order."""
+        names = self.fifo_names
+        return _np.asarray(
+            [[depths[name] for name in names] for depths in depth_maps],
+            dtype=_np.int64).reshape(len(depth_maps), len(names))
+
+    def _war_sources(self, D):
+        """Flat index into the time matrix of every WAR row's freeing
+        read, per config: a ``(war_rows x batch)`` matrix in plan order
+        of the destination write, so a level's rows are one slice.
+        Filled in bounded row blocks — the per-row depth gather is the
+        only temporary, and it never exceeds one block."""
+        np = _np
+        batch = D.shape[0]
+        n_rows = len(self.war_fifo)
+        lin = np.empty((n_rows, batch), dtype=np.int64)
+        reads_lin = self.reads_cat * batch
+        cols = np.arange(batch, dtype=np.int64)
+        depth_of = D.T
+        for lo in range(0, n_rows, WAR_BLOCK_ROWS):
+            hi = lo + WAR_BLOCK_ROWS
+            idx = lin[lo:hi]
+            np.subtract(self.war_top[lo:hi], depth_of[self.war_fifo[lo:hi]],
+                        out=idx)
+            np.maximum(idx, self.war_slot[lo:hi], out=idx)
+            # in range: callers screen ``min_safe_depth``
+            np.take(reads_lin, idx, mode="clip", out=idx)
+            idx += cols
+        return lin
+
     def retime_matrix(self, depth_matrix):
         """Longest-path times for a ``(batch x n_fifos)`` depth matrix.
 
@@ -324,13 +363,14 @@ class BatchPlan:
         *plan* (level-major) numbering — index it through :attr:`perm`;
         the extra last row is the ``neg`` sentinel.
 
-        The sweep is overhead-bound on deep graphs (one short level per
-        chained FIFO access), so every per-level step writes into
-        preallocated scratch via ``out=``: gather static predecessors,
-        add weights, one segmented ``maximum.reduceat`` per destination
-        (the self-loop row carries the node's base), scatter; then for
-        WAR groups a flat-index gather through the sentinel-padded read
-        list and a scatter-max into the write rows.
+        The sweep is call-bound on deep graphs (one short level per
+        chained FIFO access), so a level costs three NumPy calls —
+        gather the predecessor rows, add weights, one dense
+        ``maximum.reduce`` over the rank axis straight into the level's
+        row range (the self-loop row carries each node's base) — plus
+        three when it has WAR rows, all FIFOs at once: gather the
+        freeing reads through the precomputed flat index, add 1,
+        ``maximum`` into the level's tail.
         """
         np = _np
         D = np.asarray(depth_matrix, dtype=np.int64)
@@ -339,39 +379,25 @@ class BatchPlan:
         T[:self.total] = self.base[:, None]
         T[self.total] = self.neg
         T_flat = T.reshape(-1)
-        cols = np.arange(batch, dtype=np.int64)
-        reads_lin = [r * batch for r in self.reads_ext]
+        lin = self._war_sources(D)
         cand_buf = np.empty((self.max_ke, batch), dtype=self.dtype)
-        red_buf = np.empty((self.max_kd, batch), dtype=self.dtype)
-        idx_buf = np.empty((self.max_kw, batch), dtype=np.int64)
         war_buf = np.empty((self.max_kw, batch), dtype=self.dtype)
-        old_buf = np.empty((self.max_kw, batch), dtype=self.dtype)
-        war_levels = self.war_levels
-        for L, static in enumerate(self.levels, start=1):
-            if static is not None:
-                dst, seg, src, w = static
-                cand = cand_buf[:len(src)]
-                np.take(T, src, axis=0, out=cand)
-                cand += w
-                red = red_buf[:len(dst)]
-                np.maximum.reduceat(cand, seg, axis=0, out=red)
-                T[dst] = red
-            war = war_levels.get(L)
-            if war is not None:
-                for fi, pos_col, dst in war:
-                    k = pos_col.shape[0]
-                    idx = idx_buf[:k]
-                    np.subtract(pos_col, D[:, fi], out=idx)
-                    np.maximum(idx, -1, out=idx)  # -1 wraps to sentinel
-                    np.take(reads_lin[fi], idx, mode="wrap", out=idx)
-                    idx += cols
-                    gathered = war_buf[:k]
-                    np.take(T_flat, idx, out=gathered)
-                    gathered += 1
-                    old = old_buf[:k]
-                    np.take(T, dst, axis=0, out=old)
-                    np.maximum(old, gathered, out=old)
-                    T[dst] = old
+        add, maximum, reduce = np.add, np.maximum, np.maximum.reduce
+        # (bound methods: np.take's Python wrapper costs as much as the
+        # gather itself; "clip" skips take's bounds-check copy of
+        # ``out`` — every index is in range by construction)
+        take, take_flat = T.take, T_flat.take
+        for lo, hi, ranks, src, w, w_lo, r_lo, r_hi in self.levels:
+            cand = cand_buf[:len(src)]
+            take(src, 0, cand, "clip")
+            add(cand, w, out=cand)
+            reduce(cand.reshape(ranks, hi - lo, batch), 0, None, T[lo:hi])
+            if r_hi > r_lo:
+                freed = war_buf[:r_hi - r_lo]
+                take_flat(lin[r_lo:r_hi], None, freed, "clip")
+                add(freed, 1, out=freed)
+                writes = T[w_lo:hi]
+                maximum(writes, freed, out=writes)
         return T
 
     def flipped_rows(self, T, depth_matrix):
@@ -420,7 +446,10 @@ def _plan_for(art: TraceArtifact) -> BatchPlan:
     scalar iteration view)."""
     plan = art._vplan
     if plan is None:
-        plan = art._vplan = BatchPlan(art)
+        with art._build_lock:  # single-flight, like ensure_static
+            plan = art._vplan
+            if plan is None:
+                plan = art._vplan = BatchPlan(art)
     return plan
 
 
@@ -479,11 +508,7 @@ def resimulate_batch(art: TraceArtifact, configs,
     if not rows:
         return results
 
-    D = np.empty((len(rows), len(plan.fifo_names)), dtype=np.int64)
-    for r, i in enumerate(rows):
-        depths = full_depths[i]
-        for c, name in enumerate(plan.fifo_names):
-            D[r, c] = depths[name]
+    D = plan.depth_matrix([full_depths[i] for i in rows])
 
     safe = (D >= plan.min_safe_depth[None, :]).all(axis=1)
     if not safe.all():
@@ -535,10 +560,7 @@ def retime_batch(art: TraceArtifact, depth_maps) -> list[list[int]]:
         )
     if not depth_maps:
         return []
-    D = np.empty((len(depth_maps), len(plan.fifo_names)), dtype=np.int64)
-    for r, depths in enumerate(depth_maps):
-        for c, name in enumerate(plan.fifo_names):
-            D[r, c] = depths[name]
+    D = plan.depth_matrix(depth_maps)
     if not (D >= plan.min_safe_depth[None, :]).all():
         raise ValueError(
             "depth map indexes past the recorded read list; "

@@ -83,6 +83,47 @@ class TestGraphConstruction:
         shallow = graph.retime({"f": 1})
         assert shallow[w2] == shallow[r1] + 1  # depth 1: WAR stall
 
+    def test_three_segment_module_is_one_nominal_chain(self):
+        """Hand-computed: a pipelined consumer (II = 2, read at offset
+        5 / 5 / 3 of iterations 0 / 1 / 2) behind a producer that is
+        slow in the middle.  The static graph is one chain per module
+        weighted by nominal distance — negative across the overlapped
+        iteration boundaries — and retimes to what the ledger computes:
+        ``cycle = E + offset; E = max(E, cycle - offset); E += II``."""
+        graph = TraceArtifact()
+        table = graph.fifo_table("f")
+        w1 = graph.add_node("p", _request(4), 4, K_WRITE)
+        w2 = graph.add_node("p", _request(14), 14, K_WRITE)
+        w3 = graph.add_node("p", _request(15), 15, K_WRITE)
+        a = graph.add_node("c", _request(0, 0, 0), 0)
+        b = graph.add_node("c", _request(5, 0, 0), 5, K_READ)
+        c = graph.add_node("c", _request(2, 1, 2), 2)
+        d = graph.add_node("c", _request(7, 1, 2), 15, K_READ)
+        e = graph.add_node("c", _request(4, 2, 4), 12)
+        g = graph.add_node("c", _request(7, 2, 4), 16, K_READ)
+        for node in (w1, w2, w3):
+            table.add_write(node)
+        for node in (b, d, g):
+            table.add_read(node)
+        graph.ensure_static()
+        assert graph.s_total == graph.node_count == 9
+        ptr, succ, weight = (graph.s_succ_ptr, graph.s_succ_node,
+                             graph.s_succ_weight)
+        edges = sorted((u, succ[k], weight[k]) for u in range(9)
+                       for k in range(ptr[u], ptr[u + 1]))
+        assert edges == sorted([
+            (a, b, 5), (b, c, -3), (c, d, 5), (d, e, -3), (e, g, 3),
+            (w1, w2, 10), (w2, w3, 1),          # module chains
+            (w1, b, 1), (w2, d, 1), (w3, g, 1),  # RAW
+            (w1, w2, 1), (w2, w3, 1), (b, d, 1), (d, g, 1),  # ports
+        ])
+        assert list(graph.s_base) == [4, 0, 0, 0, 0, 0, 0, 0, 0]
+        # depth 2: d waits for w2 (15), e issues II after d's effective
+        # start (15 - 5 + 2 = 12), g waits for w3 (16)
+        assert graph.retime({"f": 2}) == [4, 14, 15, 0, 5, 2, 15, 12, 16]
+        # depth 1: w3 also waits for read d (WAR), and drags g with it
+        assert graph.retime({"f": 1}) == [4, 14, 16, 0, 5, 2, 15, 12, 17]
+
     def test_retime_detects_cycle(self):
         # Each module reads the other's output before producing its
         # own: RAW demands both reads wait on writes that come after

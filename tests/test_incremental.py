@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro import compile_design, designs
-from repro.errors import ConstraintViolation, SimulationError
+from repro import compile_design, designs, hls
+from repro.api import Session
+from repro.errors import ConstraintViolation, DeadlockError, SimulationError
 from repro.sim import get_engine, resimulate
-from tests.conftest import make_nb_design, make_pipeline_design
+from repro.trace.vectorized import numpy_available, resimulate_batch
+from tests.conftest import (
+    N_SMALL,
+    consumer_k,
+    make_nb_design,
+    make_pipeline_design,
+    producer_k,
+)
 
 LightningSimulator = get_engine("lightningsim").cls
 OmniSimulator = get_engine("omnisim").cls
@@ -87,6 +95,59 @@ class TestOmniSimIncremental:
         fresh = OmniSimulator(compiled, depths={"fifo1": 1,
                                                 "fifo2": 1}).run()
         assert incremental.cycles == fresh.cycles
+
+
+class TestLeftoverValuesDeadlock:
+    """A run that ends with values left in a FIFO: 10 blocking writes,
+    2 reads, depth 16.  Below depth 8, write #10 waits on a read the
+    recording never performs — the scalar WAR overlay used to index
+    past the read list (a bare ``IndexError``); it is the same typed
+    "deadlocks the recording" error the cyclic case raises, so every
+    entry point falls through to the full run's diagnosis."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        d = hls.Design("leftover_values")
+        s1 = d.stream("s1", hls.i32, depth=16)
+        data = d.buffer("data", hls.i32, N_SMALL,
+                        init=list(range(N_SMALL)))
+        total = d.scalar("total", hls.i32)
+        d.add(producer_k, data=data, n=10, out=s1)
+        d.add(consumer_k, inp=s1, n=2, sum_out=total)
+        session = Session.open(d, trace_cache=False)
+        assert session.baseline().fifo_leftovers == {"s1": 8}
+        return session
+
+    def test_artifact_resimulate_raises_typed(self, session):
+        with pytest.raises(SimulationError,
+                           match="deadlocks the recording"):
+            session.trace.resimulate({"s1": 4})
+        assert session.trace.resimulate({"s1": 8}).cycles \
+            == session.baseline().cycles
+
+    def test_session_resimulate_raises_typed(self, session):
+        with pytest.raises(SimulationError,
+                           match="full re-simulation required"):
+            session.resimulate({"s1": 4})
+
+    def test_full_run_diagnoses_the_deadlock(self, session):
+        with pytest.raises(DeadlockError):
+            session.run(depths={"s1": 4})
+
+    def test_sweep_reports_deadlock_points(self, session):
+        points = session.sweep(["s1=3:9"]).points
+        assert [(p.depths["s1"], p.source, p.cycles) for p in points] == [
+            (3, "deadlock", None), (4, "deadlock", None),
+            (5, "deadlock", None), (6, "deadlock", None),
+            (7, "deadlock", None),
+            (8, "incremental", 13), (9, "incremental", 13)]
+
+    @pytest.mark.skipif(not numpy_available(), reason="NumPy unavailable")
+    def test_batch_rows_stay_none(self, session):
+        rows = resimulate_batch(session.trace,
+                                [{"s1": 4}, {"s1": 8}, {"s1": 7}])
+        assert [None if r is None else r.cycles for r in rows] \
+            == [None, 13, None]
 
 
 class TestTable6Pattern:

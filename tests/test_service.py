@@ -349,6 +349,33 @@ class TestServerEndpoints:
             assert point["cycles"] == session.run(
                 depths=point["depths"]).cycles
 
+    def test_sweep_over_leftover_values_reports_deadlock_points(self, server):
+        """A recording that ends with values left in its FIFO cannot be
+        replayed below the depth that holds them: the replay declines
+        with a typed error, the full run diagnoses the deadlock, and
+        the request answers 200 with that point (it used to be a 500
+        from a bare IndexError in the scalar WAR overlay)."""
+        spec = {
+            "design": "leftover_values", "type": "A",
+            "constants": {"n": 10, "m": 2},
+            "fifos": [{"name": "s1", "type": "i32", "depth": 16}],
+            "buffers": [{"name": "data", "type": "i32", "size": 16,
+                         "init": {"pattern": "range", "mul": 1, "add": 1}}],
+            "scalars": [{"name": "total", "type": "i32"}],
+            "modules": [
+                {"name": "producer", "role": "producer", "data": "data",
+                 "out": "s1", "count": "n", "ii": 1, "write": "blocking"},
+                {"name": "consumer", "role": "sink", "in": "s1",
+                 "count": "m", "total": "total", "ii": 1},
+            ],
+        }
+        status, doc = _post(server.port, "/v1/sweep",
+                            {"spec": spec, "space": ["s1=7:8"]})
+        assert status == 200, doc
+        assert [(p["depths"]["s1"], p["source"], p["cycles"])
+                for p in doc["points"]] == [
+            (7, "deadlock", None), (8, "incremental", 13)]
+
     def test_sweep_space_with_pareto(self, server):
         status, doc = _post(server.port, "/v1/sweep",
                             {"design": "fig4_ex5",

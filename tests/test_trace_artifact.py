@@ -246,7 +246,10 @@ def test_serialization_preserves_static_columns():
 def test_concurrent_first_retimes_build_once(monkeypatch):
     """The service retimes on a thread pool over shared sessions: 16
     threads hitting one cold artifact at once must trigger exactly one
-    CSR / static-edge / iteration-view build and agree on every time."""
+    CSR / static-edge / iteration-view / batch-plan build and agree on
+    every time and every batch row."""
+    from repro.trace import vectorized
+
     art = Session.open("fig4_ex5", trace_cache=False, n=300).run().trace
     assert art.s_succ_ptr is None and not art.mod_nodes, "cold"
     builds = []
@@ -255,13 +258,28 @@ def test_concurrent_first_retimes_build_once(monkeypatch):
             builds.append(_name)
             return _orig(self)
         monkeypatch.setattr(TraceArtifact, name, counted)
+
+    class CountedPlan(vectorized.BatchPlan):
+        __slots__ = ()
+
+        def __init__(self, art):
+            builds.append("BatchPlan")
+            super().__init__(art)
+
+    monkeypatch.setattr(vectorized, "BatchPlan", CountedPlan)
     depths = dict(art.depths, fifo2=5)
+    configs = [{"fifo2": d} for d in (2, 5, 9)]
     barrier = threading.Barrier(16)
     times = [None] * 16
+    rows = [None] * 16
 
     def first_retime(i):
         barrier.wait(timeout=30)
-        times[i] = art.retime(depths)
+        if i % 2:  # half arrive through the scalar kernel first ...
+            times[i] = art.retime(depths)
+        rows[i] = [row and (row.cycles, row.module_end_times) for row in
+                   vectorized.resimulate_batch(art, configs)]
+        times[i] = art.retime(depths)  # ... half through the batch one
 
     threads = [threading.Thread(target=first_retime, args=(i,))
                for i in range(16)]
@@ -275,10 +293,16 @@ def test_concurrent_first_retimes_build_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert sorted(builds) == ["_build_iter_view", "_build_static_columns"]
+    expected = ["_build_iter_view", "_build_static_columns"]
+    if vectorized.numpy_available():
+        expected.insert(0, "BatchPlan")
+    assert sorted(builds) == expected
     assert all(t == times[0] for t in times) and times[0]
+    assert all(r == rows[0] for r in rows)
     fresh = Session.open("fig4_ex5", trace_cache=False, n=300).run().trace
     assert times[0] == fresh.retime(depths)
+    assert rows[0] == [row and (row.cycles, row.module_end_times) for row
+                       in vectorized.resimulate_batch(fresh, configs)]
 
 
 class TestWorkerNoRebuild:

@@ -20,9 +20,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import compile_design, designs, hls
+from repro.designs import dsl
 from repro.errors import ConstraintViolation, DeadlockError, SimulationError
 from repro.sim.registry import run_engine
-from repro.trace.columnar import replay_trace
+from repro.trace import TraceArtifact, vectorized
+from repro.trace.columnar import K_READ, K_WRITE, replay_trace
 from repro.trace.vectorized import (
     batch_supported,
     numpy_available,
@@ -30,6 +32,7 @@ from repro.trace.vectorized import (
     retime_batch,
 )
 from tests.conftest import make_nb_design, make_pipeline_design
+from tests.test_graph_retime import _request
 
 EXECUTORS = ("compiled", "interp")
 
@@ -44,6 +47,7 @@ SMALL = {"fig4_ex2": {"n": 200}, "fig4_ex3": {"n": 200},
 
 needs_numpy = pytest.mark.skipif(not numpy_available(),
                                  reason="NumPy unavailable")
+np = vectorized._numpy()
 
 _TRACES: dict = {}
 
@@ -62,21 +66,21 @@ def trace_for(key, build, executor):
     return _TRACES[cache_key]
 
 
-def registry_trace(name, executor):
+def registry_trace(name, executor, sizes=SMALL):
     return trace_for(
-        name,
+        (name, *sizes.get(name, {}).values()),
         lambda: compile_design(
-            designs.get(name).make(**SMALL.get(name, {}))),
+            designs.get(name).make(**sizes.get(name, {}))),
         executor)
 
 
 def scalar_row(trace, config):
     """The scalar oracle for one row: the IncrementalResult, or None
-    when the scalar path raises (flip / invalid depths / out of the
-    safe depth range)."""
+    when the scalar path raises (flip / invalid depths / a depth that
+    deadlocks the recording)."""
     try:
         return trace.resimulate(dict(config))
-    except (ConstraintViolation, SimulationError, IndexError):
+    except (ConstraintViolation, SimulationError):
         return None
 
 
@@ -269,6 +273,251 @@ def test_sweep_with_deadlock_rows_batched_equals_scalar():
     sources = [p.source for p in batched.points]
     assert sources.count(SOURCE_DEADLOCK) == 4  # depths 4..7
     assert all(p.ok for p in batched.points[4:])
+
+
+# ---------------------------------------------------------------------------
+# the plan's layout: what lets a level cost three NumPy calls (+ three
+# with WAR rows) whatever the number of FIFOs
+
+#: generated Type D designs of the ``capture_scale`` / ``sweep_vectorized``
+#: workloads: hundreds of FIFOs, wide levels
+TYPE_D = {"D100": (100, 1), "D300": (300, 0)}
+
+#: The plan tests only: a 257-wide time matrix of the default
+#: ``inr_arch`` (n=768) is 41 MB, and its fresh pages alone cost ~35 s.
+#: The differentials above keep the registry default.
+PLAN_SIZES = {**SMALL, "inr_arch": {"n": 192}}
+
+
+def planned_trace(name):
+    if name in TYPE_D:
+        modules, seed = TYPE_D[name]
+        return trace_for(name, lambda: compile_design(dsl.build_design(
+            dsl.generate("D", modules=modules, seed=seed, count=16))),
+            "compiled")
+    return registry_trace(name, "compiled", PLAN_SIZES)
+
+
+def plan_or_skip(name):
+    trace = planned_trace(name)
+    if trace is None or not trace.fifos:
+        pytest.skip("nothing to sweep")
+    if not batch_supported(trace):
+        pytest.skip("artifact has no all-depth order (cyclic at depth 1)")
+    return trace, vectorized._plan_for(trace)
+
+
+def check_plan_layout(trace, plan, chain_only=True):
+    """The layout invariants of one plan; returns its widest fan-in.
+    ``chain_only=False`` is a store entry written with the old
+    virtual-node graph (tests/test_parent_static.py): more static nodes
+    than recorded ones, fan-in classes above 4."""
+    total, perm = plan.total, plan.perm
+    assert total == trace.s_total
+    assert (total == trace.node_count) == chain_only
+    # every blocking write a WAR edge can target, by its row of T
+    war_rows = {int(perm[fc.write_nodes[pos]]): (fi, pos)
+                for fi, fc in enumerate(trace.fifos)
+                for pos in range(1, len(fc.write_nodes))
+                if trace.kind[fc.write_nodes[pos]] == K_WRITE}
+    assert len(plan.war_fifo) == len(war_rows)
+    static = sorted(
+        (int(perm[u]), int(perm[trace.s_succ_node[k]]),
+         trace.s_succ_weight[k])
+        for u in range(total)
+        for k in range(trace.s_succ_ptr[u], trace.s_succ_ptr[u + 1]))
+    planned = []
+    next_row = plan.levels[0][0] if plan.levels else total
+    next_war = 0
+    for lo, hi, ranks, src, w, w_lo, r_lo, r_hi in plan.levels:
+        # destinations: exactly the next contiguous row range
+        assert lo == next_row and hi > lo
+        next_row = hi
+        width = hi - lo
+        assert len(src) == len(w) == ranks * width and ranks >= 1
+        assert ranks <= 4 or not chain_only
+        grid = src.reshape(ranks, width)
+        weights = w.reshape(ranks, width)
+        own = np.arange(lo, hi)
+        loops = (grid == own) & (weights == 0)
+        assert (loops.sum(axis=0) == 1).all(), "one self-loop row each"
+        pads = grid == total
+        assert (weights[pads] == 0).all()
+        assert (grid[~pads] < lo).sum() == (~pads & ~loops).sum(), \
+            "predecessors sit on earlier levels"
+        rank, dst = np.nonzero(~pads & ~loops)
+        planned += zip(grid[rank, dst].tolist(), (dst + lo).tolist(),
+                       weights[rank, dst].tolist())
+        # WAR rows: the level's tail, in the global index matrix's order
+        assert r_lo == next_war and hi - w_lo == r_hi - r_lo
+        next_war = r_hi
+        for k, row in zip(range(r_lo, r_hi), range(w_lo, hi)):
+            pos = int(plan.war_top[k, 0] - plan.war_slot[k, 0]) - 1
+            assert (int(plan.war_fifo[k]), pos) == war_rows.pop(row)
+        assert not any(row in war_rows for row in range(lo, w_lo))
+    assert next_row == total and not war_rows
+    assert sorted(planned) == static
+    # padding and scratch: bounded whatever the fan-in
+    padded = [len(src) for _, _, _, src, *_ in plan.levels]
+    self_loops = total - (plan.levels[0][0] if plan.levels else total)
+    assert sum(padded) < 2 * (len(static) + self_loops)
+    assert plan.max_ke == max(padded, default=0)
+    assert plan.max_kw == max(
+        (r_hi - r_lo for *_, r_lo, r_hi in plan.levels), default=0)
+    return max((ranks for _, _, ranks, *_ in plan.levels), default=0)
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", designs.names() + sorted(TYPE_D))
+def test_plan_layout_invariants(name):
+    check_plan_layout(*plan_or_skip(name))
+
+
+class CountingArray(np.ndarray if numpy_available() else object):
+    """Counts every ufunc call and ``take`` it takes part in."""
+
+    calls: dict = {}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        name = f"{ufunc.__name__}.{method}"
+        self.calls[name] = self.calls.get(name, 0) + 1
+        plain = [np.asarray(x) if isinstance(x, np.ndarray) else x
+                 for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+    def take(self, *args):
+        self.calls["take"] = self.calls.get("take", 0) + 1
+        return np.asarray(self).take(*args)
+
+
+class CountingNumpy:
+    """The numpy namespace, except that scratch comes back counting."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        return np.empty(*args, **kwargs).view(CountingArray)
+
+
+@needs_numpy
+@pytest.mark.parametrize("name,width", [("vector_add_stream", 256),
+                                        ("D300", 64)])
+def test_numpy_calls_per_level(name, width, monkeypatch):
+    """By count, not wall: three calls per level, three more where it
+    has WAR rows, a per-batch constant — 3 FIFOs or 300."""
+    trace, plan = plan_or_skip(name)
+    rng = random.Random(name)
+    D = np.asarray([[rng.randint(int(lo), int(lo) + 8)
+                     for lo in plan.min_safe_depth] for _ in range(width)])
+    expected = plan.retime_matrix(D)
+    monkeypatch.setattr(vectorized, "_np", CountingNumpy())
+    calls: dict = {}
+    monkeypatch.setattr(CountingArray, "calls", calls)
+    counted = plan.retime_matrix(D)
+    monkeypatch.undo()
+    assert (np.asarray(counted) == expected).all()
+    levels = len(plan.levels)
+    war_levels = sum(r_hi > r_lo for *_, r_lo, r_hi in plan.levels)
+    blocks = -(-len(plan.war_fifo) // vectorized.WAR_BLOCK_ROWS)
+    assert war_levels > levels // 4, "the WAR step must be on the path"
+    assert calls["take"] == levels + war_levels
+    assert calls["maximum.reduce"] == levels
+    assert sum(calls.values()) <= 3 * levels + 3 * war_levels + 4 * blocks
+    print(f"{name}: {len(trace.fifos)} FIFOs, {levels} levels, "
+          f"{war_levels} with WAR rows, {sum(calls.values())} NumPy calls")
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", designs.names() + sorted(TYPE_D))
+def test_batch_widths_match_scalar_bit_for_bit(name):
+    """Widths 1, 2, 64 and one past the default batch: the time matrix
+    is the scalar kernel's time list, column for column."""
+    trace, plan = plan_or_skip(name)
+    assert vectorized.DEFAULT_BATCH_SIZE == 256
+    rng = random.Random(f"widths:{name}")
+    names = [fc.name for fc in trace.fifos]
+    for width in (1, 2, 64, 257):
+        maps = []
+        for _ in range(width):
+            depths = dict(trace.depths)
+            for fifo in rng.sample(names, k=rng.randint(1, len(names))):
+                floor = int(plan.min_safe_depth[names.index(fifo)])
+                depths[fifo] = floor + rng.choice((0, 0, 1, 2, 5, 40))
+            maps.append(depths)
+        batched = retime_batch(trace, maps)
+        assert len(batched) == width
+        # scalar retime is the slow side: every column of the narrow
+        # batches, a seeded handful (and both ends) of the wide ones
+        picks = sorted({0, width - 1, *rng.sample(range(width),
+                                                  k=min(width, 4))})
+        for col in picks:
+            assert batched[col] == trace.retime(maps[col]), (width, col)
+
+
+@needs_numpy
+def test_war_index_block_seams_inside_levels(monkeypatch):
+    """D300 has 4,864 WAR rows; filled 7 at a time, the seams of the
+    source-index matrix fall inside levels and between FIFOs."""
+    trace, plan = plan_or_skip("D300")
+    assert len(plan.war_fifo) > 4000
+    assert max(r_hi - r_lo for *_, r_lo, r_hi in plan.levels) > 7
+    rng = random.Random(7)
+    names = [fc.name for fc in trace.fifos]
+    maps = [dict(trace.depths, **{rng.choice(names): rng.randint(1, 7)
+                                  for _ in range(3)}) for _ in range(5)]
+    whole = retime_batch(trace, maps)
+    monkeypatch.setattr(vectorized, "WAR_BLOCK_ROWS", 7)
+    assert retime_batch(trace, maps) == whole
+    for depths, times in zip(maps, whole):
+        assert times == trace.retime(depths)
+
+
+# ---------------------------------------------------------------------------
+# the numeric edge: int32 plans below a path bound of 2**29, int64 above
+
+
+def bounded_artifact(bound, rng):
+    """Producer/consumer pair whose longest-possible-path bound (max
+    base + positive weights + one per write) is exactly ``bound``: the
+    producer starts late enough to make up the difference."""
+    art = TraceArtifact()
+    table = art.fifo_table("f")
+    n = rng.randint(2, 6)
+    gaps = [rng.randint(1, 9) for _ in range(2 * (n - 1))]
+    # chains (the gaps), RAW (n), two port chains (n - 1 each), writes (n)
+    start = bound - (sum(gaps) + n + 2 * (n - 1) + n)
+    nominal = start
+    for gap in [0] + gaps[:n - 1]:
+        nominal += gap
+        table.add_write(art.add_node("p", _request(nominal), nominal, K_WRITE))
+    nominal = 0
+    for gap in [0] + gaps[n - 1:]:
+        nominal += gap
+        table.add_read(art.add_node("c", _request(nominal), nominal, K_READ))
+    art.depths = {"f": n}
+    return art, n
+
+
+@needs_numpy
+@pytest.mark.parametrize("bound", [(1 << 29) - 1, 1 << 29, (1 << 31) + 5])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_dtype_switch_at_the_path_bound(bound, seed):
+    art, n = bounded_artifact(bound, random.Random(seed))
+    plan = vectorized.BatchPlan(art)
+    assert plan.supported
+    assert plan.dtype == (np.int32 if bound < 1 << 29 else np.int64)
+    maps = [{"f": depth} for depth in range(1, n + 2)]
+    T = plan.retime_matrix([[m["f"]] for m in maps])
+    # sentinel candidates never win: no real row carries one
+    assert (T[:plan.total] >= 0).all() and (T[plan.total] == plan.neg).all()
+    assert int(T.max()) <= bound
+    for col, depths in enumerate(maps):
+        assert T[plan.perm, col].tolist() == art.retime(depths), depths
 
 
 # ---------------------------------------------------------------------------
