@@ -6,11 +6,14 @@
 * **dead FIFO-check elimination** (7.3.2) — compiling with the pass off
   forces the engine to resolve queries nobody reads;
 * **incremental vs full** re-simulation across a depth sweep (7.2).
+
+``tests/test_paper_tables.py`` checks each ablation's invariant (same
+cycles, fewer queries, incremental == full) in tier-1.
 """
 
 from __future__ import annotations
 
-import pytest
+import time
 
 from repro import compile_design, designs
 from repro.analysis import fmt_seconds, render_table
@@ -55,95 +58,64 @@ def c(inp: hls.StreamIn(hls.i32), n: hls.Const(),
         frontend_compiler.ENABLE_DEAD_CHECK_ELIMINATION = previous
 
 
-def fresh_compiled(name: str, optimize: bool = True, **params):
-    """Compile without the kernel cache so front-end flags apply."""
-    spec = designs.get(name)
-    design = spec.make(**params)
-    previous = frontend_compiler.ENABLE_DEAD_CHECK_ELIMINATION
-    frontend_compiler.ENABLE_DEAD_CHECK_ELIMINATION = optimize
-    try:
-        for instance in design.instances:
-            instance.kernel._compiled.clear()
-        compiled = compile_design(design)
-    finally:
-        frontend_compiler.ENABLE_DEAD_CHECK_ELIMINATION = previous
-        for instance in design.instances:
-            instance.kernel._compiled.clear()
-    return compiled
+SWEEP_DEPTHS = (1, 2, 4, 8, 16, 32)
 
 
-def test_executor_backends_agree(benchmark):
+def rows() -> dict:
+    """The raw outcome of each ablation: the two executor back ends'
+    results, the two dead-check results, and the depth sweep's cycles
+    and wall time down the incremental and the full path."""
     compiled = compile_design(designs.get("fig2_timer").make(n=300))
-    coroutine = OmniSimulator(compiled).run()
-    threaded = benchmark.pedantic(
-        lambda: ThreadedOmniSimulator(compiled).run(),
-        rounds=1, iterations=1,
-    )
-    assert threaded.cycles == coroutine.cycles
-    assert threaded.scalars == coroutine.scalars
+    data = {
+        "coroutine": OmniSimulator(compiled).run(),
+        "threaded": ThreadedOmniSimulator(compiled).run(),
+        # A consumer that calls empty() and discards the result every
+        # iteration (a common debugging left-over) creates pure query
+        # traffic when the pass is off.
+        "dead_check_on": OmniSimulator(_dead_check_design(True)).run(),
+        "dead_check_off": OmniSimulator(_dead_check_design(False)).run(),
+    }
 
-
-def test_incremental_sweep(benchmark):
     compiled = compile_design(designs.get("fig4_ex1").make(n=800))
-    result = OmniSimulator(compiled).run()
+    base = OmniSimulator(compiled).run()
+    t0 = time.perf_counter()
+    data["incremental_cycles"] = [resimulate(base, {"fifo": depth}).cycles
+                                  for depth in SWEEP_DEPTHS]
+    data["incremental_seconds"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    data["full_cycles"] = [
+        OmniSimulator(compiled, depths={"fifo": depth}).run().cycles
+        for depth in SWEEP_DEPTHS]
+    data["full_seconds"] = time.perf_counter() - t0
+    return data
 
-    def sweep():
-        return [resimulate(result, {"fifo": d}).cycles
-                for d in (1, 2, 4, 8, 16, 32)]
 
-    cycles = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert sorted(cycles, reverse=True) == cycles  # deeper is never slower
+def render(data) -> str:
+    coroutine, threaded = data["coroutine"], data["threaded"]
+    on, off = data["dead_check_on"], data["dead_check_off"]
+    same = "identical" if threaded.cycles == coroutine.cycles else "DIFFER"
+    points = len(SWEEP_DEPTHS)
+    speedup = data["full_seconds"] / data["incremental_seconds"]
+    return render_table(["configuration", "time", "notes"], [
+        ("executor: coroutines (default)",
+         fmt_seconds(coroutine.execute_seconds),
+         f"cycles={coroutine.cycles}"),
+        ("executor: OS threads (paper arch)",
+         fmt_seconds(threaded.execute_seconds),
+         f"cycles={threaded.cycles} ({same})"),
+        ("dead-check elimination: on", fmt_seconds(on.execute_seconds),
+         f"queries={on.stats.queries}"),
+        ("dead-check elimination: off", fmt_seconds(off.execute_seconds),
+         f"queries={off.stats.queries}"),
+        (f"{points}-point depth sweep: incremental",
+         fmt_seconds(data["incremental_seconds"]), f"{speedup:.0f}x faster"),
+        (f"{points}-point depth sweep: full re-sim",
+         fmt_seconds(data["full_seconds"]), "-"),
+    ], title="Ablations of OmniSim design choices")
 
 
 def main() -> None:
-    rows = []
-
-    # Executor backend ablation.
-    compiled = compile_design(designs.get("fig2_timer").make(n=300))
-    coroutine = OmniSimulator(compiled).run()
-    threaded = ThreadedOmniSimulator(compiled).run()
-    rows.append(("executor: coroutines (default)",
-                 fmt_seconds(coroutine.execute_seconds),
-                 f"cycles={coroutine.cycles}"))
-    rows.append(("executor: OS threads (paper arch)",
-                 fmt_seconds(threaded.execute_seconds),
-                 f"cycles={threaded.cycles} (identical)"))
-
-    # Dead-check elimination ablation: a consumer that calls empty() and
-    # discards the result every iteration (a common debugging left-over)
-    # creates pure query traffic when the pass is off.
-    with_pass = _dead_check_design(optimize=True)
-    without_pass = _dead_check_design(optimize=False)
-    result_on = OmniSimulator(with_pass).run()
-    result_off = OmniSimulator(without_pass).run()
-    rows.append(("dead-check elimination: on",
-                 fmt_seconds(result_on.execute_seconds),
-                 f"queries={result_on.stats.queries}"))
-    rows.append(("dead-check elimination: off",
-                 fmt_seconds(result_off.execute_seconds),
-                 f"queries={result_off.stats.queries}"))
-
-    # Incremental vs full sweep.
-    compiled = compile_design(designs.get("fig4_ex1").make(n=800))
-    base = OmniSimulator(compiled).run()
-    import time
-
-    t0 = time.perf_counter()
-    for depth in (1, 2, 4, 8, 16, 32):
-        resimulate(base, {"fifo": depth})
-    incremental_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for depth in (1, 2, 4, 8, 16, 32):
-        OmniSimulator(compiled, depths={"fifo": depth}).run()
-    full_time = time.perf_counter() - t0
-    rows.append(("6-point depth sweep: incremental",
-                 fmt_seconds(incremental_time),
-                 f"{full_time / incremental_time:.0f}x faster"))
-    rows.append(("6-point depth sweep: full re-sim",
-                 fmt_seconds(full_time), "-"))
-
-    print(render_table(["configuration", "time", "notes"], rows,
-                       title="Ablations of OmniSim design choices"))
+    print(render(rows()))
 
 
 if __name__ == "__main__":

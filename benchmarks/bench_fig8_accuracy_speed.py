@@ -6,11 +6,11 @@
     co-simulation (paper geomean: 30.7x);
 (c) runtime breakdown — front-end compilation vs core execution
     (compilation dominates for small designs, as in the paper).
+
+``tests/test_paper_tables.py`` checks panel (a)'s accuracy column in tier-1.
 """
 
 from __future__ import annotations
-
-import pytest
 
 try:
     from benchmarks.conftest import table3_compiled
@@ -28,64 +28,69 @@ FIG8_NAMES = [spec.name for spec in designs.table4_specs()
               if spec.name != "deadlock"]
 
 
-@pytest.mark.parametrize("name", FIG8_NAMES)
-def test_cosim_runtime(name, benchmark):
-    compiled = table3_compiled(name)
-    benchmark.pedantic(lambda: CoSimulator(compiled).run(),
-                       rounds=1, iterations=1)
+def _run_or_deadlock(sim_class, compiled):
+    try:
+        return sim_class(compiled).run()
+    except DeadlockError:
+        return None
 
 
-@pytest.mark.parametrize("name", FIG8_NAMES)
-def test_omnisim_runtime(name, benchmark):
-    compiled = table3_compiled(name)
-    benchmark.pedantic(lambda: OmniSimulator(compiled).run(),
-                       rounds=1, iterations=1)
-
-
-def main() -> None:
-    accuracy_rows = []
-    runtime_rows = []
-    breakdown_rows = []
-    speedups = []
+def rows() -> dict:
+    """The three panels, each a list of tuples in print order, plus the
+    raw co-sim/OmniSim ``speedups`` behind panel (b)'s geomean."""
+    accuracy, runtime, breakdown, speedups = [], [], [], []
     for name in FIG8_NAMES + ["deadlock"]:
         compiled = table3_compiled(name)
-        try:
-            cosim = CoSimulator(compiled).run()
-            omni = OmniSimulator(compiled).run()
-        except DeadlockError:
-            accuracy_rows.append((name, "deadlock", "deadlock",
-                                  "detected by both"))
+        cosim = _run_or_deadlock(CoSimulator, compiled)
+        omni = _run_or_deadlock(OmniSimulator, compiled)
+        if cosim is None or omni is None:
+            accuracy.append((
+                name,
+                "deadlock" if cosim is None else cosim.cycles,
+                "deadlock" if omni is None else omni.cycles,
+                ("detected by both" if cosim is None and omni is None
+                 else "detected by one!"),
+            ))
             continue
         acc = AccuracyRow(name, cosim.cycles, omni.cycles)
-        accuracy_rows.append((name, cosim.cycles, omni.cycles,
-                              acc.describe()))
+        accuracy.append((name, cosim.cycles, omni.cycles, acc.describe()))
         speedup = cosim.execute_seconds / omni.execute_seconds
         speedups.append(speedup)
-        runtime_rows.append((
+        runtime.append((
             name, fmt_seconds(cosim.execute_seconds),
             fmt_seconds(omni.execute_seconds), f"{speedup:.1f}x",
         ))
-        breakdown_rows.append((
+        breakdown.append((
             name, fmt_seconds(omni.frontend_seconds),
             fmt_seconds(omni.execute_seconds),
             f"{omni.frontend_seconds / omni.total_seconds:.0%}",
         ))
-    print(render_table(
-        ["design", "co-sim cycles", "OmniSim cycles", "accuracy"],
-        accuracy_rows, title="Fig 8(a): cycle accuracy vs co-simulation",
-    ))
-    print()
-    print(render_table(
-        ["design", "co-sim time", "OmniSim time", "speedup"],
-        runtime_rows,
-        title=f"Fig 8(b): runtime vs co-simulation "
-              f"(geomean speedup {geomean(speedups):.1f}x)",
-    ))
-    print()
-    print(render_table(
-        ["design", "front-end compile", "core execution", "FE share"],
-        breakdown_rows, title="Fig 8(c): OmniSim runtime breakdown",
-    ))
+    return {"accuracy": accuracy, "runtime": runtime,
+            "breakdown": breakdown, "speedups": speedups}
+
+
+def render(data) -> str:
+    return "\n\n".join([
+        render_table(
+            ["design", "co-sim cycles", "OmniSim cycles", "accuracy"],
+            data["accuracy"],
+            title="Fig 8(a): cycle accuracy vs co-simulation",
+        ),
+        render_table(
+            ["design", "co-sim time", "OmniSim time", "speedup"],
+            data["runtime"],
+            title=f"Fig 8(b): runtime vs co-simulation "
+                  f"(geomean speedup {geomean(data['speedups']):.1f}x)",
+        ),
+        render_table(
+            ["design", "front-end compile", "core execution", "FE share"],
+            data["breakdown"], title="Fig 8(c): OmniSim runtime breakdown",
+        ),
+    ])
+
+
+def main() -> None:
+    print(render(rows()))
 
 
 if __name__ == "__main__":

@@ -3,19 +3,20 @@
 Regenerates the table showing that C-sim fails on every Type B/C design
 (SIGSEGV, spurious warnings, silently wrong sums) while OmniSim matches
 the co-simulation oracle exactly.  Run directly to print the table;
-``pytest --benchmark-only`` times OmniSim on each design.
+``tests/test_paper_tables.py`` checks its ``match`` column in tier-1.
 """
 
 from __future__ import annotations
 
-import pytest
-
 try:
-    from benchmarks.conftest import TABLE3_PARAMS, table3_compiled
+    from benchmarks.conftest import (
+        TABLE3_PARAMS,
+        render_rows,
+        table3_compiled,
+    )
 except ImportError:  # executed directly: conftest sits alongside
-    from conftest import TABLE3_PARAMS, table3_compiled
+    from conftest import TABLE3_PARAMS, render_rows, table3_compiled
 from repro import designs
-from repro.analysis import render_table
 from repro.errors import DeadlockError
 from repro.sim import get_engine
 
@@ -54,33 +55,30 @@ def run_design(name: str):
     return row
 
 
-@pytest.mark.parametrize("name", [n for n in TABLE3_NAMES
-                                  if n != "deadlock"])
-def test_omnisim_functionality(name, benchmark):
-    """Benchmark OmniSim on each Table 3 design (and assert it matches
-    the co-simulation oracle)."""
-    compiled = table3_compiled(name)
-    reference = CoSimulator(compiled).run()
-    result = benchmark.pedantic(
-        lambda: OmniSimulator(compiled).run(), rounds=1, iterations=1
-    )
-    assert result.scalars == reference.scalars
-    assert result.cycles == reference.cycles
+def rows() -> list:
+    """One dict per Table 3 design, keyed by column header."""
+    table = []
+    for name in TABLE3_NAMES:
+        outputs = run_design(name)
+        table.append({
+            "design": name,
+            "C-sim": outputs["csim"],
+            "Co-sim": outputs["cosim"],
+            "OmniSim": outputs["omnisim"],
+            "match": ("YES" if outputs["omnisim"] == outputs["cosim"]
+                      else "NO!"),
+        })
+    return table
+
+
+def render(table) -> str:
+    return render_rows(
+        table, "Table 3: Func Sim comparison (C-sim vs Co-sim vs OmniSim)\n"
+               f"(instance sizes: {TABLE3_PARAMS})")
 
 
 def main() -> None:
-    rows = []
-    for name in TABLE3_NAMES:
-        outputs = run_design(name)
-        match = "YES" if outputs["omnisim"] == outputs["cosim"] else "NO!"
-        rows.append((name, outputs["csim"], outputs["cosim"],
-                     outputs["omnisim"], match))
-    print(render_table(
-        ["design", "C-sim", "Co-sim", "OmniSim", "match"],
-        rows,
-        title="Table 3: Func Sim comparison (C-sim vs Co-sim vs OmniSim)\n"
-              f"(instance sizes: {TABLE3_PARAMS})",
-    ))
+    print(render(rows()))
 
 
 if __name__ == "__main__":

@@ -8,23 +8,27 @@ The two rows to reproduce:
 * growing the *hot* FIFO (fifo1) would let previously failed NB writes
   succeed: constraints are violated and a full re-simulation is required
   (still cheaper than recompiling: the front-end result is reused).
+
+``tests/test_paper_tables.py`` checks the ``incr. OK?`` and ``cycles``
+columns and the depth sweep in tier-1.
 """
 
 from __future__ import annotations
 
-import pytest
+import time
 
 try:
-    from benchmarks.conftest import compiled_design
+    from benchmarks.conftest import compiled_design, render_rows
 except ImportError:  # executed directly: conftest sits alongside
-    from conftest import compiled_design
-from repro.analysis import fmt_seconds, render_table
+    from conftest import compiled_design, render_rows
+from repro.analysis import fmt_seconds
 from repro.errors import ConstraintViolation
 from repro.sim import get_engine, resimulate
 
 OmniSimulator = get_engine("omnisim").cls
 
 EX5_N = 800
+SWEEP_DEPTHS = range(3, 35)
 
 
 def base_result():
@@ -32,58 +36,30 @@ def base_result():
     return compiled, OmniSimulator(compiled).run()
 
 
-def test_incremental_resimulation(benchmark):
-    _compiled, result = base_result()
-    outcome = benchmark(lambda: resimulate(result, {"fifo2": 100}))
-    assert outcome.cycles > 0
-
-
-def test_depth_sweep_cached_edges(benchmark):
-    """A whole depth sweep per benchmark round: the static-edge cache
-    makes each configuration pay only the WAR overlay + relaxation."""
-    _compiled, result = base_result()
-    depths = list(range(3, 35))
-
-    def sweep():
-        return [resimulate(result, {"fifo2": d}).cycles for d in depths]
-
-    cycles = benchmark(sweep)
-    # fifo2 never congests, so every configuration must retime to
-    # exactly the recorded run's latency — a cache regression that
-    # mis-times any node breaks the equality.
-    assert cycles == [result.cycles] * len(depths)
-
-
-def test_full_resimulation_after_violation(benchmark):
+def rows() -> dict:
+    """``table``: the three Table 6 rows keyed by column header;
+    ``base``: the recorded run; ``sweep_cycles`` / ``sweep_seconds``:
+    one incremental re-simulation per ``SWEEP_DEPTHS`` of fifo2 (which
+    never congests, so each must retime to the recorded latency)."""
     compiled, result = base_result()
-    with pytest.raises(ConstraintViolation):
-        resimulate(result, {"fifo1": 100})
-    fresh = benchmark.pedantic(
-        lambda: OmniSimulator(compiled, depths={"fifo1": 100}).run(),
-        rounds=1, iterations=1,
-    )
-    assert fresh.cycles > 0
-
-
-def main() -> None:
-    compiled, result = base_result()
-    rows = [(
-        "initial run", "(2, 2)", "-", "-",
-        fmt_seconds(compiled.frontend_seconds),
-        fmt_seconds(result.execute_seconds),
-        fmt_seconds(compiled.frontend_seconds + result.execute_seconds),
-        "-",
-    )]
+    table = [{
+        "run": "initial run", "depths": "(2, 2)", "incr. check": "-",
+        "incr. OK?": "-",
+        "FE": fmt_seconds(compiled.frontend_seconds),
+        "MT": fmt_seconds(result.execute_seconds),
+        "total": fmt_seconds(compiled.frontend_seconds
+                             + result.execute_seconds),
+        "speedup vs full": "-", "cycles": result.cycles,
+    }]
 
     incremental = resimulate(result, {"fifo2": 100})
     speedup = result.execute_seconds / incremental.seconds
-    rows.append((
-        "incremental", "(2, 100)", fmt_seconds(incremental.seconds),
-        "yes", "-", "-", fmt_seconds(incremental.seconds),
-        f"{speedup:.0f}x",
-    ))
-
-    import time
+    table.append({
+        "run": "incremental", "depths": "(2, 100)",
+        "incr. check": fmt_seconds(incremental.seconds), "incr. OK?": "yes",
+        "FE": "-", "MT": "-", "total": fmt_seconds(incremental.seconds),
+        "speedup vs full": f"{speedup:.0f}x", "cycles": incremental.cycles,
+    })
 
     t0 = time.perf_counter()
     violated = False
@@ -96,31 +72,42 @@ def main() -> None:
     total = check_seconds + fresh.execute_seconds
     speedup_full = (compiled.frontend_seconds + fresh.execute_seconds) \
         / total
-    rows.append((
-        "non-incremental", "(100, 2)", fmt_seconds(check_seconds),
-        "no (violated)" if violated else "yes!", "-",
-        fmt_seconds(fresh.execute_seconds), fmt_seconds(total),
-        f"{speedup_full:.2f}x",
-    ))
-    print(render_table(
-        ["run", "depths", "incr. check", "incr. OK?", "FE", "MT",
-         "total", "speedup vs full"],
-        rows,
-        title=f"Table 6: fig4_ex5 (n={EX5_N}) under different FIFO depths",
-    ))
-    print(f"\nbase run: P1={result.scalars['processed_by_P1']}, "
-          f"P2={result.scalars['processed_by_P2']}, "
-          f"cycles={result.cycles}, "
-          f"constraints recorded={len(result.trace.c_node)}")
+    table.append({
+        "run": "non-incremental", "depths": "(100, 2)",
+        "incr. check": fmt_seconds(check_seconds),
+        "incr. OK?": "no (violated)" if violated else "yes!", "FE": "-",
+        "MT": fmt_seconds(fresh.execute_seconds),
+        "total": fmt_seconds(total),
+        "speedup vs full": f"{speedup_full:.2f}x", "cycles": fresh.cycles,
+    })
 
-    from repro.bench import bench_retime
+    t0 = time.perf_counter()
+    sweep_cycles = [resimulate(result, {"fifo2": depth}).cycles
+                    for depth in SWEEP_DEPTHS]
+    return {"table": table, "base": result, "sweep_cycles": sweep_cycles,
+            "sweep_seconds": time.perf_counter() - t0}
 
-    sweep = bench_retime("fig4_ex5", {"n": EX5_N}, "fifo2", range(3, 35))
-    print(f"\ndepth sweep over fifo2=3..34 "
-          f"({sweep['configs']} configurations):")
-    print(f"  incremental re-simulations : "
-          f"{sweep['resimulations_per_sec']:,.0f} configs/s "
-          f"({sweep['sweeps_per_sec']:,.1f} full sweeps/s)")
+
+def render(data) -> str:
+    table, result = data["table"], data["base"]
+    configs = len(data["sweep_cycles"])
+    return "\n".join([
+        render_rows(table, f"Table 6: fig4_ex5 (n={EX5_N}) under "
+                           f"different FIFO depths"),
+        f"\nbase run: P1={result.scalars['processed_by_P1']}, "
+        f"P2={result.scalars['processed_by_P2']}, "
+        f"cycles={result.cycles}, "
+        f"constraints recorded={len(result.trace.c_node)}",
+        f"\ndepth sweep over fifo2={SWEEP_DEPTHS[0]}..{SWEEP_DEPTHS[-1]} "
+        f"({configs} configurations):",
+        f"  incremental re-simulations : "
+        f"{configs / data['sweep_seconds']:,.0f} configs/s "
+        f"({1 / data['sweep_seconds']:,.1f} full sweeps/s)",
+    ])
+
+
+def main() -> None:
+    print(render(rows()))
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
-"""Shared fixtures for the benchmark harnesses.
+"""Shared design instances for the paper-table printers.
 
-Each ``bench_*``/``test_*`` module regenerates one table or figure of the
-paper; run with ``pytest benchmarks/ --benchmark-only`` for timed results,
-or execute a module directly (``python benchmarks/bench_table3.py``) to
-print the corresponding table.
+Each ``bench_*`` module regenerates one table or figure of the paper:
+execute it directly (``python benchmarks/bench_table3_functionality.py``)
+to print the table; ``tests/test_paper_tables.py`` runs every ``rows()``
+builder in tier-1 and checks its fidelity column.  Wall-clock claims are
+made with ``benchmarks/perf`` only.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro import compile_design, designs
+from repro.analysis import render_table
 
 _COMPILED_CACHE: dict = {}
 
@@ -38,6 +38,8 @@ def table3_compiled(name: str):
     return compiled_design(name, **TABLE3_PARAMS.get(name, {}))
 
 
-@pytest.fixture
-def compiled():
-    return compiled_design
+def render_rows(table: list, title: str) -> str:
+    """Render ``rows()`` output — one dict per row, keyed by column
+    header — as the printed table."""
+    return render_table(list(table[0]),
+                        [tuple(row.values()) for row in table], title=title)

@@ -46,7 +46,7 @@ setup(
     ],
     extras_require={
         "specs": ["pyyaml"],
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": ["omnisim=repro.cli:main"],

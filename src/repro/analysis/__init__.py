@@ -1,16 +1,14 @@
 """Analysis utilities: taxonomy classification, accuracy, table rendering."""
 
-from .accuracy import AccuracyRow, compare_outputs, geomean
-from .tables import fmt_seconds, fmt_speedup, render_table
+from .accuracy import AccuracyRow, geomean
+from .tables import fmt_seconds, render_table
 from .taxonomy import Classification, classify
 
 __all__ = [
     "AccuracyRow",
     "Classification",
     "classify",
-    "compare_outputs",
     "fmt_seconds",
-    "fmt_speedup",
     "geomean",
     "render_table",
 ]

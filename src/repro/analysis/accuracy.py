@@ -31,29 +31,6 @@ class AccuracyRow:
         return f"{self.error:+.2%}"
 
 
-def compare_outputs(reference, measured) -> list[str]:
-    """Differences between two SimulationResults' functional outputs."""
-    problems = []
-    for name, value in reference.scalars.items():
-        other = measured.scalars.get(name)
-        if other != value:
-            problems.append(f"scalar {name}: {value} != {other}")
-    for name, values in reference.buffers.items():
-        other = measured.buffers.get(name)
-        if other != values:
-            first_diff = next(
-                (i for i, (a, b) in enumerate(zip(values, other or []))
-                 if a != b), None,
-            )
-            problems.append(
-                f"buffer {name}: differs (first at index {first_diff})"
-            )
-    for name, values in reference.axi_memories.items():
-        if measured.axi_memories.get(name) != values:
-            problems.append(f"axi memory {name}: differs")
-    return problems
-
-
 def geomean(values) -> float:
     """Geometric mean of positive floats."""
     values = list(values)

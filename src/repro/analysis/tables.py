@@ -32,7 +32,3 @@ def fmt_seconds(value: float) -> str:
     if value >= 1e-3:
         return f"{value * 1e3:.2f} ms"
     return f"{value * 1e6:.0f} us"
-
-
-def fmt_speedup(value: float) -> str:
-    return f"{value:.2f}x"

@@ -42,7 +42,12 @@ def _nb_result_influences_behavior(function) -> bool:
     select, store, or FIFO payload?"""
     nb_results = set()
     for instr in function.iter_instructions():
-        if isinstance(instr, (ins.FifoNbRead, ins.FifoNbWrite,
+        if isinstance(instr, ins.FifoNbWrite):
+            # Whether it succeeds decides whether the value reaches the
+            # reader at all: an unchecked write_nb drops data when full
+            # (fig4_ex4a), with no def-use edge to show for it.
+            return True
+        if isinstance(instr, (ins.FifoNbRead,
                               ins.FifoCanRead, ins.FifoCanWrite)):
             nb_results.add(instr.vid)
     if not nb_results:
@@ -65,7 +70,7 @@ def _nb_result_influences_behavior(function) -> bool:
         if isinstance(instr, ins.Store):
             if instr.value.vid in tainted:
                 return True
-        if isinstance(instr, (ins.FifoWrite, ins.FifoNbWrite)):
+        if isinstance(instr, ins.FifoWrite):
             if instr.value.vid in tainted:
                 return True
     return False

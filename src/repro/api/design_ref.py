@@ -27,8 +27,7 @@ A fourth form references a *captured trace* rather than a design:
 :func:`compile_from_ref` is its worker-side inverse (trace references
 name a capture, not a design, so they are rejected there).  Before this
 module existed the same resolve→compile wiring was re-implemented by
-``cli.cmd_run``, ``bench.py`` and three near-copies inside
-``dse/explorer.py``.
+``cli.cmd_run`` and three near-copies inside ``dse/explorer.py``.
 """
 
 from __future__ import annotations

@@ -18,8 +18,6 @@ Commands:
   clean the on-disk trace-artifact cache (captured baselines reused
   across processes; see ``--trace-cache`` on ``run``/``dse`` and the
   ``REPRO_TRACE_CACHE`` environment variable);
-* ``bench [--smoke] [--out FILE]`` — run the performance benchmark
-  matrix and write ``BENCH_perf.json``;
 * ``serve [--host H] [--port P] [--workers N]`` — simulation as a
   service: an asyncio HTTP/JSON server multiplexing concurrent clients
   over pooled warm Session baselines (see ``repro.service`` and
@@ -42,7 +40,6 @@ import json
 import os
 import sys
 
-from . import bench as bench_module
 from . import designs
 from .analysis import render_table
 from .api import Session
@@ -155,10 +152,6 @@ def cmd_run(args) -> int:
     return EXIT_SIM_FAILURE if result.failure else 0
 
 
-def cmd_bench(args) -> int:
-    return bench_module.main(smoke=args.smoke, out=args.out)
-
-
 def cmd_dse(args) -> int:
     from .dse import DepthSpace, explore, explore_specs
 
@@ -176,6 +169,14 @@ def cmd_dse(args) -> int:
         raise SystemExit("dse --samples applies to the exhaustive "
                          "strategy; bound an adaptive search with "
                          "--max-evals instead")
+    if args.batch_size is not None and args.batch_size < 1:
+        raise SystemExit(f"dse --batch-size must be >= 1, "
+                         f"got {args.batch_size}")
+    if args.timeout is not None and args.timeout <= 0:
+        raise SystemExit(f"dse --timeout must be > 0, got {args.timeout}")
+    if args.max_retries < 0:
+        raise SystemExit(f"dse --max-retries must be >= 0, "
+                         f"got {args.max_retries}")
     kwargs = dict(samples=args.samples, seed=args.seed, jobs=args.jobs,
                   executor=args.executor, trace_cache=args.trace_cache,
                   timeout=args.timeout, max_retries=args.max_retries,
@@ -508,6 +509,12 @@ def cmd_serve(args) -> int:
     if args.max_inflight < 1:
         raise SystemExit(f"serve --max-inflight must be >= 1, "
                          f"got {args.max_inflight}")
+    if args.max_sessions < 1:
+        raise SystemExit(f"serve --max-sessions must be >= 1, "
+                         f"got {args.max_sessions}")
+    if not 0 <= args.port <= 65535:
+        raise SystemExit(f"serve --port must be in 0..65535, "
+                         f"got {args.port}")
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -579,17 +586,6 @@ def main(argv=None) -> int:
                                  "repeat omnisim runs reuse the captured "
                                  "baseline instead of recapturing "
                                  "(REPRO_TRACE_CACHE also enables it)")
-
-    bench_parser = sub.add_parser(
-        "bench", help="run the performance benchmarks", formatter_class=fmt,
-        epilog="example:\n"
-               "  omnisim bench --smoke --out bench_smoke.json   "
-               "# small CI-sized run",
-    )
-    bench_parser.add_argument("--smoke", action="store_true",
-                              help="small single-design run (for CI)")
-    bench_parser.add_argument("--out", default="BENCH_perf.json",
-                              help="output JSON path")
 
     gen_parser = sub.add_parser(
         "gen", help="generate a design spec (seeded, Type A/B/C/D)",
@@ -931,17 +927,18 @@ def main(argv=None) -> int:
         "fuzz": cmd_fuzz,
         "dse": cmd_dse,
         "trace": cmd_trace,
-        "bench": cmd_bench,
         "serve": cmd_serve,
     }[args.command]
     try:
         return handler(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         # Includes UnknownDesignError: registry lookups report a hint
         # listing every valid name and alias.  The exit code comes from
         # the same errors.STATUS_TABLE the HTTP service maps statuses
         # from (deadlock/unsupported are already handled inside cmd_run
-        # with their richer messages).
+        # with their richer messages).  An OSError (an unwritable
+        # --json / --checkpoint / --out path, a port in use) is unmapped
+        # there: exit 1, the same one line, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     except KeyboardInterrupt:

@@ -59,10 +59,6 @@ _PAYLOAD_TYPES = ("i16", "i32", "i32", "i48", "i64")
 
 MIN_MODULES = 2
 
-#: the Type-D backbone alone needs producer + sink; satellites are only
-#: drawn when the budget allows them, so 2 remains the global floor
-MIN_MODULES_D = MIN_MODULES
-
 
 def generate(design_type: str, modules: int = 4, seed: int = 0,
              count: int = 64) -> DslSpec:

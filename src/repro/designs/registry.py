@@ -43,8 +43,8 @@ class DesignSpec:
 _REGISTRY: dict[str, DesignSpec] = {}
 
 #: benchmark-group aliases accepted wherever a design name is (``repro
-#: run``, ``repro dse``, benchmark configs); each resolves to the group's
-#: representative design (mirrors ``bench.BENCH_GROUPS``).
+#: run``, ``repro dse``, service requests); each resolves to the group's
+#: representative design.
 ALIASES: dict[str, str] = {
     "typea_large": "vector_add_stream",
     "typebc": "fig4_ex5",

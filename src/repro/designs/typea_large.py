@@ -398,7 +398,6 @@ _register_a("inr_arch", build_inr_arch,
 IMG = 32          # input image is IMG x IMG
 C1 = 4            # conv1 output channels
 C2 = 8            # conv2 output channels
-POOLED = IMG // 2
 FC_OUT = 10
 
 

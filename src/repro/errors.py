@@ -35,10 +35,6 @@ class TypeCheckError(CompileError):
     """Operand/port type mismatch detected during lowering or verification."""
 
 
-class ScheduleError(ReproError):
-    """Operation scheduling failed (e.g. pipelined loop containing a loop)."""
-
-
 class VerificationError(ReproError):
     """IR verifier found a malformed function."""
 
@@ -190,16 +186,6 @@ class ChunkTimeoutError(ReproError):
     """
 
 
-class QuarantinedConfigError(ReproError):
-    """A configuration exhausted its retry budget and was quarantined.
-
-    Quarantined configurations are folded into results as structured
-    failures (``SweepPoint.source == "quarantined"`` /
-    ``SimulationResult.failure``) rather than raised mid-sweep; this
-    class exists for callers that want to re-raise them afterwards.
-    """
-
-
 class CheckpointError(ReproError):
     """A checkpoint journal could not be used (``repro.exec.journal``):
     not a journal file, identity mismatch with the current sweep (other
@@ -247,7 +233,6 @@ class DeadlineError(ServiceLimitError):
 # catch-all); a parity test asserts that ordering.
 
 #: conventional CLI exit codes (``repro run --help`` documents 0-4)
-EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DEADLOCK = 2
 EXIT_UNSUPPORTED = 3

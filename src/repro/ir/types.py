@@ -219,14 +219,6 @@ def fixed(width: int, int_bits: int, signed: bool = True) -> FixedType:
     return FixedType(width, int_bits, signed)
 
 
-def is_integer(t: Type) -> bool:
-    return isinstance(t, IntType)
-
-
-def is_numeric(t: Type) -> bool:
-    return isinstance(t, (IntType, FixedType, FloatType))
-
-
 def common_type(a: Type, b: Type) -> Type:
     """C-like usual arithmetic conversion between two scalar types."""
     if a == b:

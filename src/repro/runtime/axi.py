@@ -108,16 +108,6 @@ class AxiPort:
     def commit_write_req(self, req_index: int, cycle: int) -> None:
         self.write_bursts[req_index].commit_cycle = cycle
 
-    def read_beat_source(self, beat: int) -> tuple[int, int]:
-        """(burst request index, beat offset within the burst) for a beat."""
-        burst = self._burst_of(self.read_bursts, beat, "read")
-        for index, candidate in enumerate(self.read_bursts):
-            if candidate is burst:
-                return index, beat - burst.first_beat
-        raise SimulationError(
-            f"axi {self.name}: burst lookup failed for beat {beat}"
-        )
-
     def read_beat_ready(self, beat: int) -> int | None:
         """Earliest cycle beat ``beat`` can be consumed, or None if its
         burst request has not committed yet."""

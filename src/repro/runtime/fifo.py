@@ -94,14 +94,6 @@ class FifoChannel:
             return self.read_times[index - 1]
         return None
 
-    @property
-    def committed_writes(self) -> int:
-        return len(self.write_times)
-
-    @property
-    def committed_reads(self) -> int:
-        return len(self.read_times)
-
     # --- cycle-stepped occupancy view (used by the co-simulator) ----------
 
     def can_read_at(self, cycle: int) -> bool:

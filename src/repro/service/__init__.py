@@ -1,8 +1,8 @@
 """Simulation-as-a-service: async HTTP/JSON server over Session + the
 trace store (DESIGN.md section 18).
 
-Pure stdlib.  ``repro serve`` runs :func:`serve`; tests and the bench
-harness embed a server with :func:`serve_in_thread`.
+Pure stdlib.  ``repro serve`` runs :func:`serve`; tests embed a server
+with :func:`serve_in_thread`.
 """
 
 from .pool import SessionPool, SingleFlight, design_digest

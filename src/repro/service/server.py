@@ -167,13 +167,6 @@ class ReproService:
         if self._server is not None:
             await self._server.wait_closed()
 
-    async def aclose(self) -> None:
-        """Drain and release everything (used by tests/bench)."""
-        self.request_shutdown()
-        await self.wait_done()
-        self._threads.shutdown(wait=False)
-        self.pool.clear()
-
     # -- HTTP plumbing --------------------------------------------------
 
     async def _client_connected(self, reader, writer) -> None:
@@ -681,8 +674,8 @@ def serve(config: ServiceConfig | None = None, echo=print) -> int:
 
 
 class ServiceHandle:
-    """A running in-process server (own thread + event loop) for tests
-    and the benchmark harness."""
+    """A running in-process server (own thread + event loop) for
+    tests."""
 
     def __init__(self, service: ReproService, thread, loop):
         self.service = service
@@ -692,10 +685,6 @@ class ServiceHandle:
     @property
     def port(self) -> int:
         return self.service.port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.service.config.host}:{self.port}"
 
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful drain, then join the server thread."""

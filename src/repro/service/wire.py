@@ -10,8 +10,8 @@ incompatible change to a field bumps :data:`SCHEMA_VERSION`.
 Validation is strict on *requests* (unknown fields, wrong types and
 missing design references all raise :class:`~repro.errors.WireError`,
 which the server maps to HTTP 400 via ``errors.STATUS_TABLE``) and
-strict-enough on *responses* (``from_json`` is what clients, the bench
-client and the round-trip tests use).
+strict-enough on *responses* (``from_json`` is what clients, the
+``serve_sweep`` workload and the round-trip tests use).
 
 A design is referenced in one of two ways, exactly one of which must be
 present:

@@ -1,18 +1,12 @@
 """C-synthesis substrate: operation scheduling and static reporting."""
 
 from .report import StaticLatency, estimate_function_latency
-from .resources import (
-    DEFAULT_CONFIG,
-    DEFAULT_RESOURCE_MODEL,
-    ResourceModel,
-    SynthesisConfig,
-)
+from .resources import DEFAULT_CONFIG, ResourceModel, SynthesisConfig
 from .scheduler import BlockSchedule, ModuleSchedule, schedule_function
 
 __all__ = [
     "BlockSchedule",
     "DEFAULT_CONFIG",
-    "DEFAULT_RESOURCE_MODEL",
     "ModuleSchedule",
     "ResourceModel",
     "StaticLatency",

@@ -87,9 +87,6 @@ def _is_array_storage(value) -> bool:
     return False
 
 
-DEFAULT_RESOURCE_MODEL = ResourceModel()
-
-
 @dataclass(frozen=True)
 class SynthesisConfig:
     """Knobs for the C-synthesis stage."""

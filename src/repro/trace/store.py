@@ -376,9 +376,9 @@ class TraceStore:
                 RuntimeWarning, stacklevel=2,
             )
             return False
-        os.makedirs(self.root, exist_ok=True)
         tmp = self.path(digest) + f".tmp.{os.getpid()}"
         try:
+            os.makedirs(self.root, exist_ok=True)
             with open(tmp, "wb") as fh:
                 fh.write(blob)
             os.replace(tmp, self.path(digest))

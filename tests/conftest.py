@@ -7,9 +7,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro import compile_design, hls
+from repro import compile_design, designs, hls
 
 N_SMALL = 24
+
+#: Registry designs that declare a FIFO: what depth-sweep tests
+#: parametrise over, instead of skipping on every FIFO-less design
+#: (builds each design, no compile; test_vectorized.py holds the list
+#: to what a capture records).
+FIFO_DESIGNS = [name for name in designs.names()
+                if designs.get(name).make().streams]
 
 
 @hls.kernel

@@ -536,6 +536,19 @@ class TestServerErrors:
             assert (status, doc["type"]) == (504, "DeadlineError")
             assert doc["exit_code"] == errors.EXIT_ERROR
 
+    def test_uncreatable_trace_cache_still_serves_200(self, tmp_path):
+        # Regression: the store's makedirs sat outside its OSError
+        # guard, so every cold /v1/run answered 500 NotADirectoryError.
+        (tmp_path / "afile").write_text("not a directory")
+        cache = str(tmp_path / "afile" / "cache")
+        with pytest.warns(RuntimeWarning, match="trace cache"):
+            with serve_in_thread(workers=2, trace_cache=cache) as handle:
+                status, doc = _post(handle.port, "/v1/run",
+                                    {"design": "fig4_ex5"})
+        assert status == 200
+        assert doc["cycles"] == Session.open(
+            "fig4_ex5", trace_cache=False).run().cycles
+
     def test_draining_rejects_with_429_then_exits(self):
         """While one request is still in flight, a drain rejects new
         POSTs on open connections with 429, finishes the in-flight

@@ -169,6 +169,28 @@ class TestPoisoningSafety:
             assert store.get(digest) is None
         assert not os.path.exists(path)
 
+    def test_uncreatable_root_degrades_to_uncached(self, tmp_path,
+                                                   capsys):
+        # Regression: put() created its root outside the OSError guard,
+        # so a finished capture crashed on the way into the cache.
+        (tmp_path / "afile").write_text("not a directory")
+        root = str(tmp_path / "afile" / "cache")
+        reference = Session.open("fig4_ex5", n=120,
+                                 trace_cache=False).baseline()
+        with pytest.warns(RuntimeWarning, match="cannot write under"):
+            assert TraceStore(root).put("0" * 64, reference.trace) is False
+        # (the unreadable root warns on the lookup, then on the write)
+        with pytest.warns(RuntimeWarning, match="trace cache") as caught:
+            base = Session.open("fig4_ex5", n=120,
+                                trace_cache=root).baseline()
+            assert cli.main(["run", "fig4_ex3", "--trace-cache", root]) == 0
+        assert sum("cannot write under" in str(w.message)
+                   for w in caught) == 2
+        assert base.phase_seconds["capture"] == "cold"
+        assert base.cycles == reference.cycles
+        cycles = Session.open("fig4_ex3", trace_cache=False).run().cycles
+        assert f"cycles     : {cycles}\n" in capsys.readouterr().out
+
     def test_loads_artifact_raises_typed_error(self, warm_store):
         store, digest, _ = warm_store
         with open(store.path(digest), "rb") as fh:
@@ -368,22 +390,6 @@ class TestDseWarmCapture:
         session = Session.open("fig4_ex5", n=120)
         with pytest.raises(TypeError):
             explore(session, ["fifo2=1:2"], trace_cache=str(tmp_path))
-
-
-class TestBenchHermetic:
-    def test_bench_ignores_env_trace_cache(self, tmp_path, monkeypatch):
-        # The bench harness must measure real captures even when the
-        # caller's environment enables the cache.
-        from repro import bench
-
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        Session.open("fig4_ex5", n=100).baseline()  # pre-warm the dir
-        entry = bench.bench_retime("fig4_ex5", {"n": 100}, "fifo2",
-                                   range(3, 6))
-        assert entry["configs"] == 3
-        entry = bench.bench_trace("fig4_ex5", {"n": 100}, "fifo2",
-                                  range(3, 6), repeats=1)
-        assert entry["warm_speedup"] > 0
 
 
 class TestBatchStripping:

@@ -257,6 +257,33 @@ class TestCli:
         with pytest.raises(SystemExit, match="FIFO=N"):
             cli_main(["run", "fig4_ex1", "--depth", "fifo"])
 
+    @pytest.mark.parametrize("argv", [
+        ["dse", "fig4_ex5", "--range", "fifo2=1:4", "--batch-size", "0"],
+        ["dse", "fig4_ex5", "--range", "fifo2=1:4", "--timeout", "-1"],
+        ["dse", "fig4_ex5", "--range", "fifo2=1:4", "--max-retries", "-1"],
+        ["serve", "--max-sessions", "0"],
+        ["serve", "--port", "99999"],
+        ["dse", "fig4_ex5", "--range", "fifo2=1:4",
+         "--json", "MISSING/out.json"],
+        ["dse", "fig4_ex5", "--range", "fifo2=1:4",
+         "--checkpoint", "MISSING/x.jsonl"],
+    ], ids=lambda argv: argv[-2])
+    def test_bad_argument_is_one_line_never_a_traceback(self, argv,
+                                                        tmp_path, capsys):
+        # Regression: each of these escaped as a raw ValueError /
+        # OverflowError / FileNotFoundError traceback.
+        argv = [arg.replace("MISSING", str(tmp_path / "missing"))
+                for arg in argv]
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # what sys.exit(message) turns into 1
+            assert str(exc.code).startswith(f"{argv[0]} {argv[-2]} must")
+        else:
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     def test_run_failure_exit_code_and_cycles(self, capsys):
         # Regression: csim's simulated SIGSEGV returned exit code 0, and
         # its legitimate 0-cycle result was hidden by ``if result.cycles``.

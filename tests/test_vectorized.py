@@ -31,7 +31,11 @@ from repro.trace.vectorized import (
     resimulate_batch,
     retime_batch,
 )
-from tests.conftest import make_nb_design, make_pipeline_design
+from tests.conftest import (
+    FIFO_DESIGNS,
+    make_nb_design,
+    make_pipeline_design,
+)
 from tests.test_graph_retime import _request
 
 EXECUTORS = ("compiled", "interp")
@@ -105,18 +109,26 @@ def assert_rows_match(trace, configs):
 
 
 # ---------------------------------------------------------------------------
-# full differential matrix: every registry design x both executors
+# differential matrix: every registry design with FIFOs x both executors
+
+
+def test_fifo_designs_leaves_out_only_fifo_less():
+    """The collection-time filter agrees with what a capture records,
+    so a new FIFO design cannot fall out of the matrices silently."""
+    for name in designs.names():
+        trace = registry_trace(name, "compiled")
+        # a design that deadlocks as declared has a FIFO to block on
+        assert (name in FIFO_DESIGNS) == (trace is None
+                                          or bool(trace.depths)), name
 
 
 @needs_numpy
 @pytest.mark.parametrize("executor", EXECUTORS)
-@pytest.mark.parametrize("name", designs.names())
+@pytest.mark.parametrize("name", FIFO_DESIGNS)
 def test_registry_differential(name, executor):
     trace = registry_trace(name, executor)
     if trace is None:
         pytest.skip("design deadlocks at its declared depths")
-    if not trace.depths:
-        pytest.skip("design has no FIFOs to sweep")
     if not batch_supported(trace):
         pytest.skip("artifact has no all-depth order (cyclic at depth 1)")
     rng = random.Random(f"{name}:{executor}")
@@ -300,8 +312,8 @@ def planned_trace(name):
 
 def plan_or_skip(name):
     trace = planned_trace(name)
-    if trace is None or not trace.fifos:
-        pytest.skip("nothing to sweep")
+    if trace is None:
+        pytest.skip("design deadlocks at its declared depths")
     if not batch_supported(trace):
         pytest.skip("artifact has no all-depth order (cyclic at depth 1)")
     return trace, vectorized._plan_for(trace)
@@ -368,7 +380,7 @@ def check_plan_layout(trace, plan, chain_only=True):
 
 
 @needs_numpy
-@pytest.mark.parametrize("name", designs.names() + sorted(TYPE_D))
+@pytest.mark.parametrize("name", FIFO_DESIGNS + sorted(TYPE_D))
 def test_plan_layout_invariants(name):
     check_plan_layout(*plan_or_skip(name))
 
@@ -432,7 +444,7 @@ def test_numpy_calls_per_level(name, width, monkeypatch):
 
 
 @needs_numpy
-@pytest.mark.parametrize("name", designs.names() + sorted(TYPE_D))
+@pytest.mark.parametrize("name", FIFO_DESIGNS + sorted(TYPE_D))
 def test_batch_widths_match_scalar_bit_for_bit(name):
     """Widths 1, 2, 64 and one past the default batch: the time matrix
     is the scalar kernel's time list, column for column."""
