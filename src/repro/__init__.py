@@ -21,14 +21,26 @@ compiled designs themselves.  See README.md for the full walkthrough and
 DESIGN.md for the system map.
 """
 
+from importlib import import_module
+
 from . import errors, hls
 from .compile import CompiledDesign, CompiledModule, compile_design
 
-# Set before the api import: repro.api -> trace.store reads the version
-# for cache-key derivation while this module is still initializing.
 __version__ = "1.10.0"
 
-from . import api  # noqa: E402  (needs compile_design defined above)
+
+def __getattr__(name):
+    # PEP 562: ``repro.api`` (sessions, engines, batch runs) loads on
+    # first use; ``import repro`` alone is the HLS dialect and the
+    # front-end.  The import binds ``repro.api``: the hook runs once.
+    if name == "api":
+        return import_module(f"{__name__}.api")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "api"})
+
 
 __all__ = [
     "CompiledDesign",

@@ -23,6 +23,8 @@ CLI, the benchmark harness and ``repro.dse`` are all built on this
 package; anything they can do, library callers can do directly.
 """
 
+from importlib import import_module
+
 from ..sim.registry import (
     Engine,
     EngineInfo,
@@ -32,9 +34,25 @@ from ..sim.registry import (
     register_engine,
 )
 from ..sim.result import SimulationResult
-from .batch import BatchResult, run_many
 from .design_ref import compile_from_ref, resolve_design
 from .session import Session
+
+#: name -> the submodule that defines it, imported on first use (PEP
+#: 562): a single run never loads the batch layer or ``repro.exec``
+_LAZY = {"BatchResult": "batch", "run_many": "batch"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value  # the hook runs once per name
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 #: The stable public surface.  ``tests/test_engine_registry.py``
 #: snapshots this list (plus the registered engine names): additions are

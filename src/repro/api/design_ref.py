@@ -33,6 +33,7 @@ module existed the same resolve→compile wiring was re-implemented by
 from __future__ import annotations
 
 from ..compile import CompiledDesign, compile_design
+from ..designs import registry
 from ..designs.registry import DesignSpec
 from ..hls.design import Design
 
@@ -66,10 +67,8 @@ def resolve_design(design, params: dict | None = None):
     """
     params = dict(params or {})
     if isinstance(design, str):
-        from ..designs import dsl, registry
-
         spec = registry.resolve(design)  # eager: surface unknown names now
-        if dsl.looks_like_spec_path(design):
+        if registry.looks_like_spec_path(design):
             ref = ("specfile", design, params)
         else:
             ref = ("registry", design, params)
@@ -99,8 +98,6 @@ def compile_from_ref(ref) -> CompiledDesign:
     tag = ref[0]
     if tag == "registry":
         _tag, name, params = ref
-        from ..designs import registry
-
         return compile_design(registry.get(name).make(**params))
     if tag == "specfile":
         _tag, path, params = ref

@@ -39,11 +39,12 @@ Lifecycle and caching rules (DESIGN.md section 13):
 
 from __future__ import annotations
 
+import os
 import threading
 
 from ..sim.context import resolve_executor
 from ..sim.registry import run_engine, validate_depth_names
-from ..trace.store import artifact_digest, resolve_store
+from ..trace import ENV_VAR
 from .design_ref import resolve_design
 
 
@@ -61,8 +62,14 @@ class Session:
         self.params = dict(params)
         #: default Func Sim executor for every run (None -> "compiled")
         self.executor = executor
-        #: the on-disk trace store, or None when caching is disabled
-        self.trace_store = resolve_store(trace_cache)
+        #: the on-disk trace store (its module loads only when something
+        #: configures one), or None when caching is disabled
+        self.trace_store = None
+        if (ENV_VAR in os.environ if trace_cache is None
+                else trace_cache is not False):
+            from ..trace.store import resolve_store
+
+            self.trace_store = resolve_store(trace_cache)
         self._compiled = None
         #: executor name -> captured baseline OmniSim run
         self._baselines: dict = {}
@@ -120,6 +127,8 @@ class Session:
         ``executor`` (see :func:`repro.trace.artifact_digest`), or
         ``None`` when the design is not fingerprintable (ad-hoc compiled
         objects)."""
+        from ..trace.store import artifact_digest
+
         key = resolve_executor(executor if executor is not None
                                else self.executor)
         return artifact_digest(self.design_ref, key)

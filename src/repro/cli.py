@@ -41,9 +41,9 @@ import os
 import sys
 
 from . import designs
-from .analysis import render_table
 from .api import Session
 from .errors import (
+    EXIT_BROKEN_PIPE,
     EXIT_DIVERGENCE,
     EXIT_INTERRUPTED,
     EXIT_SIM_FAILURE,
@@ -76,6 +76,8 @@ def _parse_depths(pairs) -> dict:
 
 
 def cmd_list(_args) -> int:
+    from .analysis import render_table
+
     rows = [
         (spec.name, spec.design_type, spec.blocking,
          "cyclic" if spec.cyclic else "acyclic", spec.description)
@@ -153,6 +155,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_dse(args) -> int:
+    from .analysis import render_table
     from .dse import DepthSpace, explore, explore_specs
 
     specs = list(args.ranges or []) + list(args.grids or [])
@@ -267,6 +270,8 @@ def cmd_dse(args) -> int:
 
 def _dse_directory(args, space, explore_specs, kwargs) -> int:
     """Sweep every spec file in a directory; one summary row per spec."""
+    from .analysis import render_table
+
     outcomes = explore_specs(args.design, space, **kwargs)
     if not outcomes:
         raise SystemExit(f"no spec files (*.yaml, *.json) in {args.design}")
@@ -397,6 +402,7 @@ def _trace_store_for(args):
 def cmd_trace(args) -> int:
     import time as _time
 
+    from .analysis import render_table
     from .trace.store import read_header_file
 
     store = _trace_store_for(args)
@@ -485,6 +491,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .analysis import render_table
+
     session = Session.open(args.design)
     rows = [
         (row["module"], row["blocks"], row["fsm_states"],
@@ -930,7 +938,14 @@ def main(argv=None) -> int:
         "serve": cmd_serve,
     }[args.command]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader went away (`repro list | head -1`): say nothing, and
+        # point stdout at devnull so the exit flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ReproError, OSError) as exc:
         # Includes UnknownDesignError: registry lookups report a hint
         # listing every valid name and alias.  The exit code comes from

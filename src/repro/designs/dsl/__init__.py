@@ -26,6 +26,7 @@ path (``repro run examples/fig4_ex1.yaml``); ``repro gen`` emits spec
 files; ``repro dse <dir>`` sweeps a directory of generated specs.
 """
 
+from ..registry import SPEC_SUFFIXES, looks_like_spec_path
 from .export import (
     export_design,
     export_registry_design,
@@ -34,12 +35,7 @@ from .export import (
 )
 from .generator import generate
 from .lower import build_design, to_design_spec
-from .parser import (
-    SPEC_SUFFIXES,
-    load_spec,
-    looks_like_spec_path,
-    parse_spec,
-)
+from .parser import load_spec, parse_spec
 from .schema import (
     DESIGN_TYPES,
     ROLES,

@@ -1,9 +1,9 @@
 """Spec text -> validated :class:`DslSpec` (YAML or JSON).
 
-The parser is deliberately tolerant about the container format — YAML is
-a superset of JSON, so ``.json`` specs parse through the same path when
-PyYAML is available, and a pure-JSON fallback keeps ``.json`` specs
-working without it — and deliberately strict about content: every stanza
+The parser is deliberately tolerant about the container format — text
+that is JSON is read as JSON, anything else as YAML, and PyYAML is
+imported only then, so ``.json`` specs work (and stay cheap) without
+it — and deliberately strict about content: every stanza
 goes through :func:`repro.designs.dsl.schema.validate_spec`, and all
 errors are :class:`~repro.errors.SpecError` naming the file and stanza.
 """
@@ -25,14 +25,6 @@ from .schema import (
     validate_spec,
 )
 
-try:  # PyYAML ships with the toolchain image, but stay importable without
-    import yaml as _yaml
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _yaml = None
-
-#: file suffixes recognized as design specs (registry path detection)
-SPEC_SUFFIXES = (".yaml", ".yml", ".json")
-
 _TOP_KEYS_REQUIRED = {"design", "modules"}
 _TOP_KEYS_OPTIONAL = {"description", "type", "constants", "fifos",
                       "buffers", "scalars", "axi"}
@@ -46,19 +38,22 @@ _DECL_FIELDS = {
 }
 
 def _load_mapping(text: str, origin: str) -> dict:
-    if _yaml is not None:
+    try:
+        # JSON first: a ``.json`` file or an inline ``/v1/*`` spec never
+        # imports PyYAML (YAML text is not JSON and falls through)
+        data = json.loads(text)
+    except json.JSONDecodeError as json_exc:
         try:
-            data = _yaml.safe_load(text)
-        except _yaml.YAMLError as exc:
-            raise SpecError(f"spec {origin!r}: invalid YAML: {exc}") from None
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            import yaml
+        except ImportError:  # pragma: no cover - minimal installs only
             raise SpecError(
-                f"spec {origin!r}: invalid JSON: {exc} "
+                f"spec {origin!r}: invalid JSON: {json_exc} "
                 "(PyYAML not installed; only JSON specs are supported)"
             ) from None
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise SpecError(f"spec {origin!r}: invalid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise SpecError(
             f"spec {origin!r}: top level must be a mapping, got "
@@ -154,14 +149,3 @@ def load_spec(path) -> DslSpec:
     except OSError as exc:
         raise SpecError(f"cannot read spec {path!r}: {exc}") from None
     return parse_spec(text, origin=path)
-
-
-def looks_like_spec_path(name: str) -> bool:
-    """True when a CLI design argument denotes a spec file, not a registry
-    name (by suffix, or by being an existing file path)."""
-    import os
-
-    lowered = name.lower()
-    if lowered.endswith(SPEC_SUFFIXES):
-        return True
-    return (os.sep in name or "/" in name) and os.path.isfile(name)

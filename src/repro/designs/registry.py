@@ -12,7 +12,9 @@ so ``modules`` here is the paper's count minus one unless stated.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from importlib import import_module
 
 from ..errors import UnknownDesignError
 
@@ -50,6 +52,44 @@ ALIASES: dict[str, str] = {
     "typebc": "fig4_ex5",
 }
 
+#: file suffixes recognized as design specs
+SPEC_SUFFIXES = (".yaml", ".yml", ".json")
+
+#: design module -> the names it registers at import.  :func:`get`
+#: imports only the module that defines the name it is asked for; the
+#: listing functions (and the unknown-name hint) load all eight.  A name
+#: missing here loads everything — slow, never wrong — and
+#: ``tests/test_units_misc.py`` holds the table equal to what registers.
+_MODULES: dict[str, str] = {
+    "branch": "branch",
+    "deadlock": "deadlock",
+    "fig4": "fig4_ex1 fig4_ex2 fig4_ex3 fig4_ex4a fig4_ex4a_d fig4_ex4b "
+            "fig4_ex4b_d fig4_ex5",
+    "multicore": "multicore",
+    "timer": "fig2_timer",
+    "typea_basic": "fxp_sqrt fir_filter window_conv_fixed window_conv_float "
+                   "ap_alu parallel_loops imperfect_loops loop_max_bound "
+                   "perfect_nested pipelined_nested sequential_accumulators "
+                   "accumulators_asserts accumulators_dataflow static_memory "
+                   "pointer_casting double_pointer axi4_master "
+                   "axis_no_side_channel multiple_array_access "
+                   "resolved_array_access uram_ecc fixed_hamming",
+    "typea_kastner": "fft_unoptimized fft_multistage huffman_encoding "
+                     "matmul merge_sort_parallel",
+    "typea_large": "vector_add_stream flowgnn_gin flowgnn_gcn flowgnn_gat "
+                   "flowgnn_pna flowgnn_dgn inr_arch skynet",
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items()
+              for name in names.split()}
+
+
+def _load(modules=_MODULES) -> None:
+    """Import design modules (they self-register), all unless told which.
+    No "loaded" flag: an imported module is a dictionary lookup, and the
+    import locks make a concurrent first ``get`` wait for a whole module."""
+    for module in modules:
+        import_module(f"{__package__}.{module}")
+
 
 def register(spec: DesignSpec) -> DesignSpec:
     """Add ``spec`` to the registry (design modules call this at import).
@@ -72,9 +112,13 @@ def get(name: str) -> DesignSpec:
             exactly what ``repro run`` accepts.  (It subclasses
             ``KeyError``, so dict-style handling keeps working.)
     """
-    _ensure_loaded()
+    target = ALIASES.get(name, name)
+    if target in _MODULE_OF:
+        _load((_MODULE_OF[target],))
+    if target not in _REGISTRY:
+        _load()  # not in the index; the hint lists every design anyway
     try:
-        return _REGISTRY[ALIASES.get(name, name)]
+        return _REGISTRY[target]
     except KeyError:
         aliases = ", ".join(f"{a} (-> {t})" for a, t in sorted(ALIASES.items()))
         raise UnknownDesignError(
@@ -83,24 +127,31 @@ def get(name: str) -> DesignSpec:
         ) from None
 
 
+def looks_like_spec_path(name: str) -> bool:
+    """True when a CLI design argument denotes a spec file, not a registry
+    name (by suffix, or by being an existing file path)."""
+    return name.lower().endswith(SPEC_SUFFIXES) or (
+        (os.sep in name or "/" in name) and os.path.isfile(name))
+
+
 def resolve(name_or_path: str) -> DesignSpec:
     """Resolve a CLI design argument: registry name, alias, or spec file.
 
     Arguments ending in ``.yaml``/``.yml``/``.json`` (or naming an
     existing file) load through the declarative DSL
     (:func:`repro.designs.dsl.load_design_spec`); anything else goes
-    through :func:`get`.
+    through :func:`get` and never imports the DSL.
     """
-    from . import dsl
+    if looks_like_spec_path(name_or_path):
+        from . import dsl
 
-    if dsl.looks_like_spec_path(name_or_path):
         return dsl.load_design_spec(name_or_path)
     return get(name_or_path)
 
 
 def names(design_type: str | None = None) -> list[str]:
     """Sorted design names, optionally filtered by taxonomy type."""
-    _ensure_loaded()
+    _load()
     if design_type is None:
         return sorted(_REGISTRY)
     return sorted(n for n, s in _REGISTRY.items()
@@ -109,13 +160,13 @@ def names(design_type: str | None = None) -> list[str]:
 
 def all_specs() -> list[DesignSpec]:
     """Every registered design, sorted by name."""
-    _ensure_loaded()
+    _load()
     return [_REGISTRY[n] for n in sorted(_REGISTRY)]
 
 
 def table4_specs() -> list[DesignSpec]:
     """The eleven Type B/C designs of the paper's Table 4, in its order."""
-    _ensure_loaded()
+    _load()
     order = [
         "fig4_ex2", "fig4_ex3", "fig4_ex4a", "fig4_ex4a_d",
         "fig4_ex4b", "fig4_ex4b_d", "fig4_ex5", "fig2_timer",
@@ -126,27 +177,5 @@ def table4_specs() -> list[DesignSpec]:
 
 def table5_specs() -> list[DesignSpec]:
     """The Type A suite mirroring LightningSimV2's benchmarks (Table 5)."""
-    _ensure_loaded()
     return [s for s in all_specs()
             if s.design_type == "A" and s.source.startswith("table5")]
-
-
-_loaded = False
-
-
-def _ensure_loaded() -> None:
-    """Import all design modules exactly once (they self-register)."""
-    global _loaded
-    if _loaded:
-        return
-    _loaded = True
-    from . import (  # noqa: F401 - imported for registration side effects
-        branch,
-        deadlock,
-        fig4,
-        multicore,
-        timer,
-        typea_basic,
-        typea_kastner,
-        typea_large,
-    )

@@ -239,6 +239,7 @@ EXIT_UNSUPPORTED = 3
 EXIT_SIM_FAILURE = 4
 EXIT_DIVERGENCE = 5
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141   # like 130: 128 + the signal (SIGPIPE) a shell reports
 
 #: (exception class, CLI exit code, HTTP status) — first match wins
 STATUS_TABLE: tuple = (

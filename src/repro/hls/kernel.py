@@ -14,6 +14,7 @@ import ast
 import inspect
 import textwrap
 import threading
+from functools import cached_property
 
 from ..errors import CompileError
 from . import ports as port_decls
@@ -30,20 +31,26 @@ class Kernel:
     def __init__(self, fn, source: str | None = None):
         self.fn = fn
         self.name = fn.__name__
-        if source is None:
-            try:
-                source = inspect.getsource(fn)
-            except (OSError, TypeError) as exc:
-                raise CompileError(
-                    f"cannot retrieve source of kernel {self.name}; pass "
-                    "source= explicitly for dynamically created kernels"
-                ) from exc
-        self.source = textwrap.dedent(source)
+        if source is not None:
+            self.source = textwrap.dedent(source)
         self.ports = self._parse_ports(fn)
         #: LRU memo: const-binding tuple -> compiled ir.Function (which
         #: owns its schedules and generated programs)
         self._compiled: dict = {}
         self._compile_lock = threading.Lock()
+
+    @cached_property
+    def source(self) -> str:
+        """The kernel's dedented source text, read (a ``tokenize`` pass
+        over the defining file) when the front-end first asks: loading a
+        design module costs only the kernels a run compiles."""
+        try:
+            return textwrap.dedent(inspect.getsource(self.fn))
+        except (OSError, TypeError) as exc:
+            raise CompileError(
+                f"cannot retrieve source of kernel {self.name}; pass "
+                "source= explicitly for dynamically created kernels"
+            ) from exc
 
     @staticmethod
     def _evaluate_annotation(fn, decl):

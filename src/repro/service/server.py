@@ -414,7 +414,7 @@ class ReproService:
         """(kind, ident) for the digest: registry name or canonical
         inline spec text."""
         if req.design is not None:
-            from ..designs.dsl import looks_like_spec_path
+            from ..designs.registry import looks_like_spec_path
 
             if looks_like_spec_path(req.design):
                 raise WireError(

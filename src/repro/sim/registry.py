@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from importlib import import_module
 from typing import Protocol, runtime_checkable
 
 from ..errors import UnknownEngineError, UnknownFifoError
@@ -54,7 +56,9 @@ class EngineInfo:
     """Registry record: an engine class plus its declared capabilities."""
 
     name: str
-    cls: type
+    #: the engine class or its ``"module:Class"`` reference (how the
+    #: built-ins register); read the class through :attr:`cls`
+    target: type | str
     #: honours per-FIFO ``depths=`` overrides (csim models infinite
     #: streams, so depth overrides are meaningless there)
     supports_depths: bool = True
@@ -77,29 +81,49 @@ class EngineInfo:
     cli: bool = True
     description: str = ""
 
+    @cached_property
+    def cls(self) -> type:
+        """The engine class, imported on first read when registered by
+        reference (``ValueError`` if it has no ``run`` method)."""
+        return _engine_class(self.target)
+
 
 _ENGINES: dict[str, EngineInfo] = {}
 
 
-def register_engine(name: str, cls: type, *, replace: bool = False,
+def _engine_class(target) -> type:
+    """The class behind a registration target (a reference's leading dot
+    is relative to this package), checked for ``run``."""
+    if isinstance(target, str):
+        module, _sep, attr = target.partition(":")
+        target = getattr(import_module(module, __package__), attr)
+    if not callable(getattr(target, "run", None)):
+        raise ValueError(f"engine class {target!r} has no run() method")
+    return target
+
+
+def register_engine(name: str, cls: type | str, *, replace: bool = False,
                     **capabilities) -> EngineInfo:
     """Register an engine class under ``name`` with its capabilities.
 
-    ``capabilities`` are :class:`EngineInfo` fields (``supports_depths``,
-    ``cycle_accurate``, ``timed``, ...).  Third-party engines register
-    the same way the built-in six do; ``replace=True`` allows overriding
-    an existing entry (ablation studies substituting a variant engine).
+    ``cls`` is the class, or a ``"module:Class"`` reference imported
+    when ``EngineInfo.cls`` is first read.  ``capabilities`` are
+    :class:`EngineInfo` fields (``supports_depths``, ``cycle_accurate``,
+    ``timed``, ...).  Third-party engines register the same way the
+    built-in six do; ``replace=True`` allows overriding an existing
+    entry (ablation studies substituting a variant engine).
 
     Raises:
         ValueError: if ``name`` is already registered and ``replace`` is
-            false, or ``cls`` has no ``run`` method.
+            false, or ``cls`` has no ``run`` method (a reference is
+            checked when it is resolved).
     """
     if name in _ENGINES and not replace:
         raise ValueError(f"engine {name!r} is already registered "
                          "(pass replace=True to override)")
-    if not callable(getattr(cls, "run", None)):
-        raise ValueError(f"engine class {cls!r} has no run() method")
-    info = EngineInfo(name=name, cls=cls, **capabilities)
+    if not isinstance(cls, str):
+        _engine_class(cls)
+    info = EngineInfo(name=name, target=cls, **capabilities)
     _ENGINES[name] = info
     return info
 
@@ -231,43 +255,35 @@ def run_engine(name: str, compiled, *, depths: dict | None = None,
 
 
 # ---------------------------------------------------------------------------
-# built-in engine registrations (import order matters only in that
-# thread_executor subclasses omnisim; all six register eagerly so the
-# registry is complete after ``import repro.sim``)
-
-from .cosim import CoSimulator  # noqa: E402
-from .csim import CSimulator  # noqa: E402
-from .lightningsim import LightningSimulator  # noqa: E402
-from .naive import NaiveThreadedSimulator  # noqa: E402
-from .omnisim import OmniSimulator  # noqa: E402
-from .thread_executor import ThreadedOmniSimulator  # noqa: E402
+# built-in engine registrations, by reference: the registry is complete
+# after ``import repro.sim``, an engine module loads with its first use
 
 register_engine(
-    "omnisim", OmniSimulator,
+    "omnisim", ".omnisim:OmniSimulator",
     records_graph=True,
     description="coupled Func+Perf sim (the paper's contribution)",
 )
 register_engine(
-    "omnisim-threads", ThreadedOmniSimulator,
+    "omnisim-threads", ".thread_executor:ThreadedOmniSimulator",
     records_graph=True,
     description="same orchestration on real OS threads (fidelity ablation)",
 )
 register_engine(
-    "cosim", CoSimulator,
+    "cosim", ".cosim:CoSimulator",
     description="cycle-stepped oracle standing in for C/RTL co-simulation",
 )
 register_engine(
-    "csim", CSimulator,
+    "csim", ".csim:CSimulator",
     supports_depths=False, cycle_accurate=False, timed=False,
     description="Vitis-like sequential C simulation (no timing model)",
 )
 register_engine(
-    "lightningsim", LightningSimulator,
+    "lightningsim", ".lightningsim:LightningSimulator",
     supported_types=("A",),
     description="decoupled two-phase trace baseline (Type A only)",
 )
 register_engine(
-    "naive", NaiveThreadedSimulator,
+    "naive", ".naive:NaiveThreadedSimulator",
     cycle_accurate=False, timed=False, deterministic=False, cli=False,
     description="naive OS-thread strawman (scheduling-dependent, Fig. 2)",
 )

@@ -23,26 +23,40 @@ Every OmniSim run attaches an artifact (``result.trace``);
 info|verify|gc`` manage it.
 """
 
+from importlib import import_module
+
+# columnar and repro.sim import each other; through repro.sim is the
+# order that resolves (what ``import repro`` used to guarantee)
+from .. import sim  # noqa: F401
 from .columnar import CONSTRAINT_KINDS, TraceArtifact, replay_trace
-from .vectorized import (
-    DEFAULT_BATCH_SIZE,
-    batch_supported,
-    numpy_available,
-    resimulate_batch,
-    retime_batch,
-)
-from .store import (
-    ENV_VAR,
-    SCHEMA_VERSION,
-    CacheEntry,
-    TraceStore,
-    artifact_digest,
-    default_cache_dir,
-    design_fingerprint,
-    dumps_artifact,
-    loads_artifact,
-    resolve_store,
-)
+
+#: environment variable that turns the disk cache on, spelled here so
+#: ``Session`` can test it without loading :mod:`.store` (whose own copy
+#: ``tests/test_engine_registry.py`` holds equal to this one)
+ENV_VAR = "REPRO_TRACE_CACHE"
+
+#: name -> the submodule that defines it, imported on first use (PEP
+#: 562): a run that neither caches nor sweeps loads only ``columnar``
+_LAZY = {name: module for module, names in {
+    "store": ("SCHEMA_VERSION", "CacheEntry", "TraceStore",
+              "artifact_digest", "default_cache_dir", "design_fingerprint",
+              "dumps_artifact", "loads_artifact", "resolve_store"),
+    "vectorized": ("DEFAULT_BATCH_SIZE", "batch_supported",
+                   "numpy_available", "resimulate_batch", "retime_batch"),
+}.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value  # the hook runs once per name
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "CONSTRAINT_KINDS",

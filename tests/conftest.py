@@ -5,11 +5,26 @@ Kernels are defined here (a real file) so ``inspect.getsource`` works.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import compile_design, designs, hls
 
 N_SMALL = 24
+
+
+def fresh_interpreter(program: str, **env) -> str:
+    """Run ``program`` in a new interpreter that sees this one's
+    ``sys.path`` (what a process loads, and in which order, can only be
+    observed in one that has loaded nothing yet); returns its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+    proc = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
 
 #: Registry designs that declare a FIFO: what depth-sweep tests
 #: parametrise over, instead of skipping on every FIFO-less design

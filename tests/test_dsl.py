@@ -21,6 +21,8 @@ from repro.designs import dsl
 from repro.errors import SpecError
 from repro.sim import get_engine
 
+from tests.conftest import fresh_interpreter
+
 CoSimulator = get_engine("cosim").cls
 OmniSimulator = get_engine("omnisim").cls
 
@@ -89,6 +91,39 @@ class TestParser:
         entry = dsl.load_design_spec(str(path))
         r = OmniSimulator(compile_design(entry.make())).run()
         assert r.scalars["t"] == 36
+
+    def test_yaml_is_imported_to_read_yaml(self, tmp_path):
+        # generating, building and reading JSON specs never load
+        # PyYAML; the first YAML text does.  (Flow-style YAML starts
+        # like JSON and still parses.)
+        doc = dsl.spec_to_dict(dsl.generate("A", modules=3, seed=0))
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+        prog = f"""
+import sys
+from repro.designs import dsl
+dsl.build_design(dsl.generate("C", modules=4, seed=1))
+assert dsl.load_spec({str(tmp_path / "g.json")!r}).name == {doc["design"]!r}
+dsl.parse_spec({json.dumps(doc)!r}, origin="<inline>")
+assert "yaml" not in sys.modules, "a JSON spec imported yaml"
+flow = dsl.parse_spec("{{design: x, fifos: [{{name: f}}], "
+                      "buffers: [{{name: d, size: 4}}], modules: ["
+                      "{{name: p, role: producer, data: d, out: f, count: 4}}, "
+                      "{{name: s, role: sink, in: f, count: 4}}]}}")
+assert flow.name == "x"
+dsl.load_spec({os.path.join(EXAMPLES, "fig4_ex1.yaml")!r})
+assert "yaml" in sys.modules
+"""
+        fresh_interpreter(prog)
+
+    def test_one_spec_path_predicate(self):
+        from repro.api import design_ref
+        from repro.designs import registry
+
+        assert dsl.looks_like_spec_path is registry.looks_like_spec_path
+        assert dsl.SPEC_SUFFIXES is registry.SPEC_SUFFIXES
+        assert registry.looks_like_spec_path("corpus/A.YAML")
+        assert not registry.looks_like_spec_path("fig4_ex5")
+        assert design_ref.resolve_design("fig4_ex5")[0][0] == "registry"
 
     def test_registry_resolve_accepts_spec_paths(self):
         entry = designs.resolve(os.path.join(EXAMPLES, "fig4_ex1.yaml"))

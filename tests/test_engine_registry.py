@@ -31,7 +31,11 @@ from repro.sim import (
     validate_depths,
 )
 
-from tests.conftest import make_nb_design, make_pipeline_design
+from tests.conftest import (
+    fresh_interpreter,
+    make_nb_design,
+    make_pipeline_design,
+)
 
 #: small, deadlock-free registry designs covering all three taxonomy
 #: types (params keep the slow engines — cosim, naive — affordable)
@@ -240,6 +244,83 @@ class TestApiStability:
     def test_engine_registry_snapshot(self):
         assert engine_names() == EXPECTED_ENGINES
         for info in all_engines():
-            # instances satisfy the structural Engine protocol
+            # instances satisfy the structural Engine protocol; the
+            # class is a real one for everyone who looks (no run()
+            # needed to find out), resolved once
+            assert isinstance(info.cls, type)
             assert callable(getattr(info.cls, "run"))
-            assert isinstance(info.cls.name, str)
+            # the strawman's result label predates the registry
+            label = {"naive": "naive-threads"}.get(info.name, info.name)
+            assert info.cls.name == label
+            assert info.cls is info.cls is get_engine(info.name).cls
+
+    def test_engines_load_on_first_read_of_cls(self):
+        out = fresh_interpreter("""
+import sys
+import repro.sim as sim
+assert sim.engine_names() == %r, sim.engine_names()
+assert "cosim" in sim.engine_names(cli_only=True)
+engines = {"repro.sim." + m for m in (
+    "omnisim", "cosim", "csim", "lightningsim", "naive", "thread_executor")}
+assert not engines & set(sys.modules), engines & set(sys.modules)
+info = sim.get_engine("cosim")
+assert isinstance(info.target, str) and "cls" not in vars(info)
+assert info.cls.__name__ == "CoSimulator" and "cls" in vars(info)
+assert engines & set(sys.modules) == {
+    "repro.sim.cosim", "repro.sim.omnisim"}   # cosim builds on omnisim
+print("OK")
+""" % (EXPECTED_ENGINES,))
+        assert out.endswith("OK\n")
+
+    def test_reference_without_run_rejected_when_resolved(self):
+        from repro.sim import EngineInfo
+
+        with pytest.raises(ValueError, match="no run"):
+            EngineInfo(name="broken", target="json:dumps").cls
+
+    def test_lazy_package_surfaces(self):
+        # PEP 562: `import repro` is the dialect + front-end; every
+        # name of the three lazified packages still resolves, is
+        # listed by dir() before it does, and is stored on first use
+        out = fresh_interpreter("""
+import sys
+import repro
+assert not {"repro.api", "repro.sim"} & set(sys.modules)
+import repro.trace
+lazy = {"repro.api.batch", "repro.exec", "repro.trace.store",
+        "repro.trace.vectorized"}
+import repro.api
+assert not lazy & set(sys.modules), lazy & set(sys.modules)
+for pkg in (repro, repro.api, repro.trace):
+    assert set(dir(pkg)) >= set(pkg.__all__), pkg
+    pending = [n for n in pkg.__all__ if n not in vars(pkg)]
+    for name in pkg.__all__:
+        getattr(pkg, name)
+    assert not [n for n in pending if n not in vars(pkg)], pkg
+    try:
+        pkg.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError(pkg)
+assert lazy <= set(sys.modules)
+from repro.trace import ENV_VAR, store
+assert ENV_VAR == store.ENV_VAR == "REPRO_TRACE_CACHE"
+print("OK")
+""")
+        assert out.endswith("OK\n")
+
+    @pytest.mark.parametrize("module", [
+        "repro.analysis", "repro.api", "repro.cli", "repro.compile",
+        "repro.designs", "repro.designs.dsl", "repro.dse", "repro.exec",
+        "repro.frontend", "repro.fuzz", "repro.hls", "repro.interp",
+        "repro.ir", "repro.runtime", "repro.service", "repro.sim",
+        "repro.sim.cosim", "repro.synthesis", "repro.trace",
+        "repro.trace.store", "repro.trace.vectorized",
+    ])
+    def test_every_package_imports_first(self, module):
+        # `import repro` no longer imports everything, so no package
+        # may lean on another having been loaded before it (repro.trace
+        # and repro.sim import each other: either may come first)
+        fresh_interpreter(f"import {module}")
+

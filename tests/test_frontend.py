@@ -272,6 +272,22 @@ def k(x):
     pass
 """)
 
+    def test_ports_at_decoration_source_at_first_compile(self):
+        # a kernel with no file behind it: the signature is checked
+        # where the kernel is written, "cannot retrieve source" moves
+        # to the first compile (source is read when the front-end asks)
+        env = {"hls": hls}
+        exec("def k(out: hls.ScalarOut(hls.i32)):\n    out.set(1)\n"
+             "def bad(x):\n    pass\n", env)
+        kernel = hls.kernel(env["k"])
+        assert list(kernel.ports) == ["out"]
+        with pytest.raises(CompileError, match="cannot retrieve source"):
+            kernel.compile({})
+        with pytest.raises(CompileError, match="no port annotation"):
+            hls.kernel(env["bad"])
+        kernel.source = "def k(out: hls.ScalarOut(hls.i32)):\n    out.set(2)\n"
+        assert kernel.compile({}).name == "k"   # still assignable
+
     def test_return_value_from_top_level(self):
         with pytest.raises(CompileError):
             compile_src("""

@@ -1,4 +1,9 @@
-"""Unit tests: ledger, FIFO channel, AXI port, IR printer/verifier, CLI."""
+"""Unit tests: ledger, FIFO channel, AXI port, IR printer/verifier, CLI,
+the design registry's index."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +18,8 @@ from repro.runtime.axi import AxiPort
 from repro.runtime.fifo import FifoChannel
 from repro.runtime.requests import FifoWrite, StartTask
 from repro.sim.ledger import ModuleLedger
+
+from tests.conftest import fresh_interpreter
 
 
 class TestFifoChannel:
@@ -284,6 +291,30 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("unbuffered", [True, False],
+                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["list"], ["run", "fig4_ex5"]],
+                             ids=" ".join)
+    def test_closed_stdout_is_not_an_error(self, argv, unbuffered):
+        # Regression: `repro list | head -1`, when head wins the race,
+        # printed "error: [Errno 32] Broken pipe" and exited 1.  With a
+        # buffered stdout the write only fails at the flush, which must
+        # happen inside main() and not at interpreter shutdown.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""    # no error:, Traceback, Exception ignored
+        assert proc.returncode == 141           # 128 + SIGPIPE, as a shell
+
     def test_run_failure_exit_code_and_cycles(self, capsys):
         # Regression: csim's simulated SIGSEGV returned exit code 0, and
         # its legitimate 0-cycle result was hidden by ``if result.cycles``.
@@ -366,3 +397,82 @@ def k(buf: hls.BufferOut(hls.fixed(16, 8), 4), mem: hls.AxiMaster(hls.i32)):
         assert all(r.buffers == runs[0].buffers
                    and r.axi_memories == runs[0].axi_memories
                    for r in runs)
+
+
+_REGISTRY_RACE_PROG = """
+import sys, threading, time
+from repro.designs import registry
+
+names = ["branch", "deadlock", "fig4_ex5", "multicore", "fig2_timer",
+         "fxp_sqrt", "matmul", "skynet"]        # one per design module
+errors = []
+
+def worker(name, delay):
+    time.sleep(delay)
+    try:
+        if registry.get(name).name != name:
+            errors.append(name)
+    except BaseException as exc:
+        errors.append(f"{name}: {exc!r}")
+
+for _round in range(2):                         # first load, then loaded
+    threads = [threading.Thread(target=worker, args=(name, i * 0.02 / 7))
+               for i, name in enumerate(names)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    if any(thread.is_alive() for thread in threads):
+        errors.append("a lookup did not finish")
+print("ERRORS", errors)
+print("LOADED", sorted(m.rsplit(".", 1)[1] for m in sys.modules
+                       if m.startswith("repro.designs.")
+                       and m != "repro.designs.registry"))
+print("REGISTERED", len(registry._REGISTRY))
+"""
+
+
+class TestDesignRegistry:
+    def test_index_equals_what_the_modules_register(self):
+        import pkgutil
+
+        from repro import designs
+        from repro.designs import registry
+
+        designs.names()                         # load everything
+        observed: dict = {}
+        for name, spec in registry._REGISTRY.items():
+            module = spec.build.__module__.rsplit(".", 1)[1]
+            observed.setdefault(module, set()).add(name)
+        table = {module: names.split()
+                 for module, names in registry._MODULES.items()}
+        assert observed == {m: set(names) for m, names in table.items()}
+        assert sum(map(len, table.values())) == len(
+            registry._MODULE_OF) == 47          # no name listed twice
+        # a design module missing from the table would never load
+        on_disk = {info.name for info in pkgutil.iter_modules(
+            designs.__path__) if not info.ispkg} - {"registry"}
+        assert on_disk == set(registry._MODULES)
+        for alias, target in designs.ALIASES.items():
+            assert target in registry._MODULE_OF
+            assert designs.get(alias) is designs.get(target)
+
+    def test_unindexed_name_still_resolves(self, monkeypatch):
+        # slow, never wrong: a name the table does not know loads all
+        from repro.designs import registry
+
+        monkeypatch.setattr(registry, "_MODULE_OF", {})
+        assert registry.get("fig4_ex5").name == "fig4_ex5"
+        with pytest.raises(KeyError, match="known: accumulators_asserts"):
+            registry.get("nosuchdesign")
+
+    def test_concurrent_first_lookups(self):
+        # Regression: a `_loaded` flag set before the imports ran made
+        # designs that exist "unknown" to every thread but the first.
+        out = fresh_interpreter(_REGISTRY_RACE_PROG)
+        lines = dict(ln.split(" ", 1) for ln in out.splitlines())
+        assert lines["ERRORS"] == "[]"
+        assert lines["LOADED"] == str(sorted(
+            ["branch", "deadlock", "fig4", "multicore", "timer",
+             "typea_basic", "typea_kastner", "typea_large"]))
+        assert lines["REGISTERED"] == "47"

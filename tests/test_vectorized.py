@@ -33,6 +33,7 @@ from repro.trace.vectorized import (
 )
 from tests.conftest import (
     FIFO_DESIGNS,
+    fresh_interpreter,
     make_nb_design,
     make_pipeline_design,
 )
@@ -563,14 +564,68 @@ def test_batch_size_validation():
 
 
 # ---------------------------------------------------------------------------
-# NumPy is a first-kernel-use import, not an import-time one
+# What a plain run loads is a checked property: everything else is a
+# first-use import, not an import-time one
 
-_LAZY_NUMPY_PROG = """
-import sys
+#: modules a plain ``repro run <registry design>`` must not load (the CI
+#: differential-smoke step imports this list: there is one)
+RUN_DENY = (
+    "numpy", "yaml", "multiprocessing", "concurrent.futures", "logging",
+    "asyncio", "http",
+    "repro.service", "repro.dse", "repro.fuzz", "repro.exec",
+    "repro.api.batch", "repro.analysis",
+    "repro.trace.store", "repro.trace.vectorized",
+    "repro.sim.cosim", "repro.sim.csim", "repro.sim.lightningsim",
+    "repro.sim.naive", "repro.sim.thread_executor",
+    "repro.designs.dsl",
+)
+#: ceilings after ``repro run fig4_ex5`` (48 / 149 when they were set;
+#: 79 / 223 before the cold path was trimmed)
+RUN_MAX_REPRO_MODULES = 52
+RUN_MAX_MODULES = 160
+
+
+def run_import_report(modules) -> dict:
+    """Audit a ``sys.modules`` snapshot taken after a plain ``repro run
+    fig4_ex5``: the denied modules that were loaded anyway (any design
+    module but ``fig4`` is one), and the two counts."""
+    from repro.designs import registry
+
+    denied = {name for name in modules
+              if any(name == deny or name.startswith(deny + ".")
+                     for deny in RUN_DENY)}
+    denied |= {f"repro.designs.{module}" for module in registry._MODULES
+               if module != "fig4"
+               and f"repro.designs.{module}" in modules}
+    return {
+        "denied": sorted(denied),
+        "repro": sum(name == "repro" or name.startswith("repro.")
+                     for name in modules),
+        "all": len(modules),
+    }
+
+
+_RUN_BUDGET_PROG = """
+import os, sys, tempfile
+os.environ.pop("REPRO_TRACE_CACHE", None)   # a configured cache loads the store
 from repro.cli import main
 assert main(["run", "fig4_ex5"]) == 0
-assert "numpy" not in sys.modules, "repro run imported numpy"
+loaded = set(sys.modules)
+from tests.test_vectorized import (
+    RUN_MAX_MODULES, RUN_MAX_REPRO_MODULES, run_import_report)
+report = run_import_report(loaded)
+print("BUDGET", report)
+assert not report["denied"], report["denied"]
+assert report["repro"] <= RUN_MAX_REPRO_MODULES, report
+assert report["all"] <= RUN_MAX_MODULES, report
+
+# lazy means later, not never: the same process still reaches it all
 from repro.api import Session
+assert Session.open("skynet", trace_cache=False).run("cosim").cycles > 0
+with tempfile.TemporaryDirectory() as cache:
+    for capture in ("cold", "warm"):
+        assert main(["run", "fig4_ex5", "--trace-cache", cache]) == 0
+    assert os.listdir(cache)
 from repro.trace import numpy_available
 result = Session.open("fig4_ex5", trace_cache=False, n=100).sweep(
     ["fifo2=1:8"])
@@ -580,20 +635,13 @@ print("MODES", numpy_available(), "numpy" in sys.modules, modes)
 
 
 def test_repro_run_does_not_import_numpy():
-    """A plain ``repro run`` never pays the NumPy import (~1/3 of its
-    wall); the first batched sweep in the same process still gets the
-    vectorized kernel."""
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_NUMPY_PROG],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    line = [ln for ln in proc.stdout.splitlines()
-            if ln.startswith("MODES")][-1]
+    """A plain ``repro run`` loads what it runs — not NumPy (~1/3 of its
+    wall once), PyYAML, the pool/service/DSE/fuzz layers, the other
+    engines or the other 39 designs — and everything it skipped still
+    loads on first use in the same process: another engine, the trace
+    store, and the vectorized kernel on the first batched sweep."""
+    out = fresh_interpreter(_RUN_BUDGET_PROG)
+    line = [ln for ln in out.splitlines() if ln.startswith("MODES")][-1]
     if numpy_available():
         assert line == "MODES True True ['vectorized']", line
     else:
