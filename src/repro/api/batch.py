@@ -33,12 +33,11 @@ interactive debugging.
 
 Results come back **in config order**.  Each result's
 ``phase_seconds["serving"]`` records which path produced it
-(``"incremental"``, ``"full"``, or ``"quarantined"``).  By default the
-replay handle (``result.trace``) and the engine's FIFO channel tables
-are stripped from returned results (``keep_graphs=False``): they
-dominate pickle size (~250 KB per typea run) and batch callers want
-numbers, not replay state.  ``keep_graphs=True`` means served results
-keep their replay handle.
+(``"incremental"``, ``"full"``, or ``"quarantined"``).  The replay handle
+(``result.trace``) and the engine's FIFO channel tables are stripped
+from returned results: they dominate pickle size (~250 KB per typea
+run) and batch callers want numbers, not replay state —
+``session.baseline().trace`` is where a replay handle lives.
 
 Execution is a :class:`repro.exec.JournaledRun`: worker crashes respawn
 the pool and retry with backoff, hung chunks die at the ``timeout``
@@ -62,6 +61,7 @@ from ..exec.replay import (
     SOURCE_FULL,
     Replayer,
     load_reference,
+    resolve_batch_size,
     ship_reference,
 )
 from ..sim.registry import (
@@ -117,10 +117,9 @@ class _BatchRunner(Replayer):
     """
 
     def __init__(self, reference, base_depths: dict, compile_fn, *,
-                 incremental: bool = True, keep_graphs: bool = False):
+                 incremental: bool = True):
         super().__init__(reference, base_depths, compile_fn)
         self.incremental = incremental
-        self.keep_graphs = keep_graphs
 
     def _eligible(self, config: dict) -> bool:
         return (self.incremental and config["engine"] == "omnisim"
@@ -150,17 +149,17 @@ class _BatchRunner(Replayer):
             return self._failed("omnisim", outcome.error)
         if outcome.source == SOURCE_FULL:
             return self._full(outcome.run)
-        trace, inc = outcome.run.trace, outcome.incremental
+        inc = outcome.incremental
         # The replayed run's outputs (copies), at the retimed cycles.
         return dataclasses.replace(
-            trace.to_result(),
+            outcome.run.trace.to_result(),
             cycles=inc.cycles,
             module_end_times=dict(inc.module_end_times),
             execute_seconds=outcome.seconds,
             phase_seconds={"serving": "incremental",
                            "replay_seconds": inc.seconds,
                            "mode": outcome.mode},
-            trace=trace if self.keep_graphs else None,
+            trace=None,
         )
 
     def _run(self, config: dict) -> SimulationResult:
@@ -174,8 +173,6 @@ class _BatchRunner(Replayer):
 
     def _full(self, result: SimulationResult) -> SimulationResult:
         result.phase_seconds.update(serving="full", mode=MODE_FULL)
-        if self.keep_graphs:
-            return result
         # The run may be the reference the shard still replays against:
         # drop the heavy attachments from a copy.
         return dataclasses.replace(result, fifo_channels={}, trace=None)
@@ -190,13 +187,12 @@ class _BatchRunner(Replayer):
         )
 
 
-def _worker_runner(design_ref, base_depths, shipped, incremental,
-                   keep_graphs):
+def _worker_runner(design_ref, base_depths, shipped, incremental):
     """Pool-worker factory (:func:`repro.exec.worker.init_worker`)."""
     return _BatchRunner(
         load_reference(shipped), base_depths,
         functools.partial(compile_from_ref, design_ref),
-        incremental=incremental, keep_graphs=keep_graphs)
+        incremental=incremental)
 
 
 def serve_depths(session, baseline, depths: dict,
@@ -268,9 +264,9 @@ class BatchResult(list):
 
 
 def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
-             keep_graphs: bool = False, timeout: float | None = None,
-             max_retries: int = 3, checkpoint=None, resume: bool = False,
-             faults=None, vectorize: bool = True,
+             timeout: float | None = None, max_retries: int = 3,
+             checkpoint=None, resume: bool = False, faults=None,
+             vectorize: bool = True,
              batch_size: int | None = None) -> BatchResult:
     """Evaluate ``configs`` against ``session``'s design (see
     :meth:`repro.api.Session.run_many` for the config schema).
@@ -287,9 +283,9 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
     (per-chunk wall-clock deadline), ``max_retries`` (failures one
     config may accrue before being quarantined as a result with
     ``.failure`` set), ``checkpoint``/``resume`` (append-only journal of
-    completed configs; resuming re-runs only what is missing — requires
-    ``keep_graphs=False``, replay state never journals) and ``faults``
-    (deterministic injection; default: ``REPRO_FAULTS``).  Returns a
+    completed configs; resuming re-runs only what is missing) and
+    ``faults`` (deterministic injection; default: ``REPRO_FAULTS``).  A
+    refused knob is a :class:`~repro.errors.RequestError`.  Returns a
     :class:`BatchResult` whose ``supervision`` attribute is the
     provenance block.
 
@@ -303,17 +299,8 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
     path.  Checkpoint/journal granularity stays per config either way.
     """
     from ..exec import ExecPolicy, JournaledRun, Unit, resolve_plan
-    from ..trace.vectorized import DEFAULT_BATCH_SIZE
 
-    if checkpoint is not None and keep_graphs:
-        raise ValueError(
-            "run_many(checkpoint=...) requires keep_graphs=False: replay "
-            "state (result.trace) cannot be journaled"
-        )
-    if batch_size is None:
-        batch_size = DEFAULT_BATCH_SIZE
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = resolve_batch_size(batch_size)
     fault_plan = resolve_plan(faults)
     policy = ExecPolicy(timeout=timeout, max_retries=max_retries)
     compiled = session.compiled
@@ -322,8 +309,7 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
         return BatchResult()
     base_depths = compiled.stream_depths()
     runner = _BatchRunner(None, base_depths, lambda: compiled,
-                          incremental=incremental,
-                          keep_graphs=keep_graphs)
+                          incremental=incremental)
     # Capture (or reuse) the baseline only when some config can actually
     # be served from it.  A design that deadlocks at its declared depths
     # has no baseline to replay: full runs decide (and the first one
@@ -362,8 +348,7 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
     if jobs > 1 and shardable(session.design_ref):
         worker = (_worker_runner, (
             session.design_ref, base_depths,
-            ship_reference(session, runner.reference),
-            incremental, keep_graphs))
+            ship_reference(session, runner.reference), incremental))
     with JournaledRun(
         runner, worker=worker, jobs=jobs,
         batch_size=batch_size if (vectorize and incremental) else 0,

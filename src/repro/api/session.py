@@ -261,25 +261,21 @@ class Session:
         order) every row is evaluated by the scalar path instead —
         same values, just not batched.
         """
-        from ..exec.replay import kernel_rows, replay_one
-        from ..trace.vectorized import DEFAULT_BATCH_SIZE
+        from ..exec import replay
 
-        if batch_size is None:
-            batch_size = DEFAULT_BATCH_SIZE
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         configs = list(configs)
         baseline = self.baseline(executor=executor)
-        rows = kernel_rows(baseline, configs, batch_size)
+        rows = replay.kernel_rows(baseline, configs,
+                                  replay.resolve_batch_size(batch_size))
         if rows is None:
-            rows = [replay_one(baseline, dict(config))[0]
+            rows = [replay.replay_one(baseline, dict(config))[0]
                     for config in configs]
         return rows
 
     def run_many(self, configs, *, jobs: int = 1, incremental: bool = True,
-                 keep_graphs: bool = False, timeout: float | None = None,
-                 max_retries: int = 3, checkpoint=None,
-                 resume: bool = False, faults=None, vectorize: bool = True,
+                 timeout: float | None = None, max_retries: int = 3,
+                 checkpoint=None, resume: bool = False, faults=None,
+                 vectorize: bool = True,
                  batch_size: int | None = None) -> list:
         """Run a batch of configurations, optionally over a process pool.
 
@@ -311,10 +307,9 @@ class Session:
         from .batch import run_many
 
         return run_many(self, configs, jobs=jobs, incremental=incremental,
-                        keep_graphs=keep_graphs, timeout=timeout,
-                        max_retries=max_retries, checkpoint=checkpoint,
-                        resume=resume, faults=faults, vectorize=vectorize,
-                        batch_size=batch_size)
+                        timeout=timeout, max_retries=max_retries,
+                        checkpoint=checkpoint, resume=resume, faults=faults,
+                        vectorize=vectorize, batch_size=batch_size)
 
     def sweep(self, space, *, samples: int | None = None, seed: int = 0,
               jobs: int = 1, executor: str | None = None,

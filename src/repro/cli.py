@@ -30,7 +30,10 @@ to a declarative spec file (``examples/fig4_ex1.yaml``, see
 specs and sweeps each in turn.
 
 Exit codes for ``run``: 0 success, 2 deadlock, 3 unsupported design,
-4 simulated failure (e.g. the C-sim baseline's SIGSEGV).
+4 simulated failure (e.g. the C-sim baseline's SIGSEGV).  Any command: 1
+with one stderr line for a refused request.  This module owns argument
+*syntax* and *combinations* (its ``SystemExit`` sites); a value rule is
+the consuming library object's, a typed error here (DESIGN.md section 13).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import designs
@@ -56,23 +60,23 @@ from .sim import EXECUTORS, engine_names
 
 
 def _parse_depths(pairs) -> dict:
+    """``FIFO=N`` pairs as a depth map — syntax only: which names and
+    values a design accepts is the engine layer's to say."""
     depths = {}
     for pair in pairs or []:
-        name, _sep, value = pair.partition("=")
-        if not name or not value:
-            raise SystemExit(f"--depth expects FIFO=N, got {pair!r}")
-        try:
-            depth = int(value)
-        except ValueError:
-            raise SystemExit(
-                f"--depth expects an integer depth, got {pair!r}"
-            ) from None
-        if depth < 1:
-            raise SystemExit(
-                f"--depth {name}: depth must be >= 1, got {depth}"
-            )
-        depths[name] = depth
+        match = re.fullmatch(r"([^=]+)=([+-]?\d+)", pair)
+        if match is None:
+            raise SystemExit(f"--depth expects FIFO=N with an integer N, "
+                             f"got {pair!r}")
+        depths[match[1]] = int(match[2])
     return depths
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"\nwrote {path}")
 
 
 def cmd_list(_args) -> int:
@@ -167,19 +171,6 @@ def cmd_dse(args) -> int:
     if args.resume and not args.checkpoint:
         raise SystemExit("dse --resume requires --checkpoint FILE")
     space = DepthSpace.parse(specs)
-    if (args.samples is not None
-            and args.strategy in ("refine", "random")):
-        raise SystemExit("dse --samples applies to the exhaustive "
-                         "strategy; bound an adaptive search with "
-                         "--max-evals instead")
-    if args.batch_size is not None and args.batch_size < 1:
-        raise SystemExit(f"dse --batch-size must be >= 1, "
-                         f"got {args.batch_size}")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit(f"dse --timeout must be > 0, got {args.timeout}")
-    if args.max_retries < 0:
-        raise SystemExit(f"dse --max-retries must be >= 0, "
-                         f"got {args.max_retries}")
     kwargs = dict(samples=args.samples, seed=args.seed, jobs=args.jobs,
                   executor=args.executor, trace_cache=args.trace_cache,
                   timeout=args.timeout, max_retries=args.max_retries,
@@ -261,10 +252,7 @@ def cmd_dse(args) -> int:
         title="Pareto frontier (cycles vs FIFO buffer bits)",
     ))
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(sweep.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json_out}")
+        _write_json(args.json_out, sweep.to_json())
     return 0
 
 
@@ -294,11 +282,8 @@ def _dse_directory(args, space, explore_specs, kwargs) -> int:
         title=f"DSE over {len(outcomes)} specs in {args.design}",
     ))
     if args.json_out:
-        doc = {path: sweep.to_json() for path, sweep in reports}
-        with open(args.json_out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json_out}")
+        _write_json(args.json_out,
+                    {path: sweep.to_json() for path, sweep in reports})
     return 0
 
 
@@ -390,22 +375,15 @@ def cmd_fuzz(args) -> int:
     return EXIT_DIVERGENCE
 
 
-def _trace_store_for(args):
-    """The store a ``repro trace`` management command operates on:
-    ``--cache-dir`` wins, else ``REPRO_TRACE_CACHE``, else the default
-    directory (management commands never silently no-op)."""
-    from .trace.store import resolve_store
-
-    return resolve_store(args.cache_dir, fallback=True)
-
-
 def cmd_trace(args) -> int:
     import time as _time
 
     from .analysis import render_table
-    from .trace.store import read_header_file
+    from .trace.store import parse_size, read_header_file, resolve_store
 
-    store = _trace_store_for(args)
+    # ``--cache-dir`` wins, else ``REPRO_TRACE_CACHE``, else the default
+    # directory: a management command never silently no-ops.
+    store = resolve_store(args.cache_dir, fallback=True)
     if store is None:
         raise SystemExit("trace cache is disabled "
                          "(REPRO_TRACE_CACHE is off)")
@@ -447,7 +425,7 @@ def cmd_trace(args) -> int:
               + (" (removed)" if args.prune and corrupt else ""))
         return 1 if corrupt and not args.prune else 0
     # gc
-    max_bytes = (_parse_size(args.max_bytes)
+    max_bytes = (parse_size(args.max_bytes)
                  if args.max_bytes is not None else None)
     removed, reclaimed = store.gc(older_than_days=args.older_than,
                                   max_bytes=max_bytes)
@@ -460,18 +438,6 @@ def cmd_trace(args) -> int:
     print(f"trace cache {store.root}: removed {removed} artifact(s) "
           f"({reclaimed / 1024:.1f} KiB), {scope}")
     return 0
-
-
-def _parse_size(text: str, flag: str = "--max-bytes") -> int:
-    """Byte sizes with optional K/M/G suffix (binary units): ``64M``."""
-    from .trace.store import parse_size
-
-    try:
-        return parse_size(text)
-    except ValueError:
-        raise SystemExit(
-            f"{flag} expects N[K|M|G], got {text!r}"
-        ) from None
 
 
 def cmd_classify(args) -> int:
@@ -510,24 +476,13 @@ def cmd_report(args) -> int:
 
 def cmd_serve(args) -> int:
     from .service import ServiceConfig, serve
+    from .trace.store import parse_size
 
-    if args.workers < 1:
-        raise SystemExit(f"serve --workers must be >= 1, "
-                         f"got {args.workers}")
-    if args.max_inflight < 1:
-        raise SystemExit(f"serve --max-inflight must be >= 1, "
-                         f"got {args.max_inflight}")
-    if args.max_sessions < 1:
-        raise SystemExit(f"serve --max-sessions must be >= 1, "
-                         f"got {args.max_sessions}")
-    if not 0 <= args.port <= 65535:
-        raise SystemExit(f"serve --port must be in 0..65535, "
-                         f"got {args.port}")
     config = ServiceConfig(
         host=args.host,
         port=args.port,
         workers=args.workers,
-        max_body=_parse_size(args.max_body, flag="--max-body"),
+        max_body=parse_size(args.max_body),
         max_configs=args.max_configs,
         deadline=(None if args.deadline == 0 else args.deadline),
         max_inflight=args.max_inflight,
@@ -558,6 +513,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.RawDescriptionHelpFormatter
+    # declared once: run, dse and serve all open Sessions
+    executor_option = dict(choices=sorted(EXECUTORS), default=None,
+                           help="Func Sim executor (default: compiled)")
+    trace_cache_option = dict(
+        metavar="DIR", default=None,
+        help="enable the on-disk trace cache there: a captured baseline "
+             "is reused, across processes, instead of recaptured "
+             "(REPRO_TRACE_CACHE also enables it)")
 
     sub.add_parser(
         "list", help="list registered designs", formatter_class=fmt,
@@ -584,16 +547,10 @@ def main(argv=None) -> int:
     run_parser.add_argument("--sim", choices=engine_names(cli_only=True),
                             default="omnisim",
                             help="simulation engine (default: omnisim)")
-    run_parser.add_argument("--executor", choices=sorted(EXECUTORS),
-                            default=None,
-                            help="Func Sim executor (default: compiled)")
+    run_parser.add_argument("--executor", **executor_option)
     run_parser.add_argument("--depth", action="append", metavar="FIFO=N",
                             help="override a FIFO depth")
-    run_parser.add_argument("--trace-cache", metavar="DIR", default=None,
-                            help="enable the on-disk trace cache there: "
-                                 "repeat omnisim runs reuse the captured "
-                                 "baseline instead of recapturing "
-                                 "(REPRO_TRACE_CACHE also enables it)")
+    run_parser.add_argument("--trace-cache", **trace_cache_option)
 
     gen_parser = sub.add_parser(
         "gen", help="generate a design spec (seeded, Type A/B/C/D)",
@@ -682,18 +639,11 @@ def main(argv=None) -> int:
                             help="sampling seed (default 0)")
     dse_parser.add_argument("--jobs", type=int, default=1, metavar="J",
                             help="shard configurations over J processes")
-    dse_parser.add_argument("--executor", choices=sorted(EXECUTORS),
-                            default=None,
-                            help="Func Sim executor (default: compiled)")
+    dse_parser.add_argument("--executor", **executor_option)
     dse_parser.add_argument("--json", dest="json_out", metavar="FILE",
                             default=None,
                             help="write the full sweep result as JSON")
-    dse_parser.add_argument("--trace-cache", metavar="DIR", default=None,
-                            help="enable the on-disk trace cache there: "
-                                 "repeat sweeps reuse the captured "
-                                 "baseline (warm capture) and pool "
-                                 "workers load it by content digest "
-                                 "(REPRO_TRACE_CACHE also enables it)")
+    dse_parser.add_argument("--trace-cache", **trace_cache_option)
     dse_parser.add_argument("--checkpoint", metavar="FILE", default=None,
                             help="journal completed configurations to "
                                  "FILE (append-only JSONL) so an "
@@ -758,24 +708,21 @@ def main(argv=None) -> int:
     )
     trace_sub = trace_parser.add_subparsers(dest="trace_command",
                                             required=True)
-    cache_dir_help = ("cache directory (default: REPRO_TRACE_CACHE or "
-                      "~/.cache/repro-trace)")
-    trace_info = trace_sub.add_parser(
-        "info", help="list cached artifacts", formatter_class=fmt)
-    trace_info.add_argument("--cache-dir", metavar="DIR", default=None,
-                            help=cache_dir_help)
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument("--cache-dir", metavar="DIR", default=None,
+                           help="cache directory (default: "
+                                "REPRO_TRACE_CACHE or ~/.cache/repro-trace)")
+    trace_sub.add_parser("info", help="list cached artifacts",
+                         formatter_class=fmt, parents=[cache_dir])
     trace_verify = trace_sub.add_parser(
         "verify", help="checksum-validate every cached artifact",
-        formatter_class=fmt)
-    trace_verify.add_argument("--cache-dir", metavar="DIR", default=None,
-                              help=cache_dir_help)
+        formatter_class=fmt, parents=[cache_dir])
     trace_verify.add_argument("--prune", action="store_true",
                               help="delete artifacts that fail "
                                    "validation")
     trace_gc = trace_sub.add_parser(
-        "gc", help="delete cached artifacts", formatter_class=fmt)
-    trace_gc.add_argument("--cache-dir", metavar="DIR", default=None,
-                          help=cache_dir_help)
+        "gc", help="delete cached artifacts", formatter_class=fmt,
+        parents=[cache_dir])
     trace_gc.add_argument("--older-than", type=float, metavar="DAYS",
                           default=None,
                           help="only delete artifacts older than DAYS "
@@ -913,32 +860,12 @@ def main(argv=None) -> int:
                               metavar="N",
                               help="warm sessions kept pooled (LRU "
                                    "eviction beyond it; default 32)")
-    serve_parser.add_argument("--executor", choices=sorted(EXECUTORS),
-                              default=None,
-                              help="default Func Sim executor for "
-                                   "pooled sessions")
-    serve_parser.add_argument("--trace-cache", metavar="DIR",
-                              default=None,
-                              help="enable the on-disk trace cache "
-                                   "there: restarts reload captured "
-                                   "baselines warm instead of "
-                                   "recapturing (REPRO_TRACE_CACHE "
-                                   "also enables it)")
+    serve_parser.add_argument("--executor", **executor_option)
+    serve_parser.add_argument("--trace-cache", **trace_cache_option)
 
     args = parser.parse_args(argv)
-    handler = {
-        "list": cmd_list,
-        "run": cmd_run,
-        "classify": cmd_classify,
-        "report": cmd_report,
-        "gen": cmd_gen,
-        "fuzz": cmd_fuzz,
-        "dse": cmd_dse,
-        "trace": cmd_trace,
-        "serve": cmd_serve,
-    }[args.command]
     try:
-        status = handler(args)
+        status = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return status
     except BrokenPipeError:

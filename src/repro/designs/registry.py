@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from importlib import import_module
 
-from ..errors import UnknownDesignError
+from ..errors import DesignError, UnknownDesignError
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,20 @@ class DesignSpec:
         (e.g. ``spec.make(n=100)`` for a smaller run)."""
         params = dict(self.default_params)
         params.update(overrides)
-        return self.build(**params)
+        try:
+            return self.build(**params)
+        except TypeError:
+            import inspect
+
+            accepts = inspect.signature(self.build).parameters
+            unknown = sorted(set(params) - set(accepts))
+            if not unknown or any(p.kind is p.VAR_KEYWORD
+                                  for p in accepts.values()):
+                raise
+            raise DesignError(
+                f"design {self.name!r} has no parameter(s) "
+                f"{', '.join(unknown)}; it accepts: {', '.join(accepts)}"
+            ) from None
 
 
 _REGISTRY: dict[str, DesignSpec] = {}

@@ -40,6 +40,7 @@ from ..exec.replay import (  # noqa: F401  (the labels are dse API)
     SOURCE_INCREMENTAL,
     Replayer,
     load_reference,
+    resolve_batch_size,
     ship_reference,
 )
 from ..trace.columnar import DEFAULT_FIFO_WIDTH
@@ -355,7 +356,6 @@ def explore(design, space, *, params: dict | None = None,
     from ..api import Session
     from ..api.design_ref import shardable
     from ..exec import ExecPolicy, JournaledRun, resolve_plan
-    from ..trace.vectorized import DEFAULT_BATCH_SIZE
     from .search import make_strategy
 
     if not isinstance(space, DepthSpace):
@@ -388,10 +388,7 @@ def explore(design, space, *, params: dict | None = None,
     fault_plan = resolve_plan(faults)
     policy = ExecPolicy(timeout=timeout, max_retries=max_retries,
                         seed=seed)
-    if batch_size is None:
-        batch_size = DEFAULT_BATCH_SIZE
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    batch_size = resolve_batch_size(batch_size)
 
     if isinstance(design, Session):
         if params:

@@ -157,6 +157,13 @@ class TraceFormatError(ReproError):
     """
 
 
+class RequestError(ReproError, ValueError):
+    """A request value the library refuses: a depth below 1, an unknown
+    executor, a non-positive timeout, a malformed size or fault spec.
+    Raised by the object that consumes the value, so neither front door
+    pre-checks it; a :class:`ValueError` too, as these sites once raised."""
+
+
 class DseError(ReproError):
     """Invalid depth-space specification or exploration request
     (``repro.dse``): unknown FIFO names, empty/ill-formed ranges."""
@@ -249,6 +256,8 @@ STATUS_TABLE: tuple = (
     (UnknownEngineError, EXIT_ERROR, 400),
     (UnknownFifoError, EXIT_ERROR, 400),
     (SpecError, EXIT_ERROR, 400),
+    (DesignError, EXIT_ERROR, 400),
+    (RequestError, EXIT_ERROR, 400),
     (DseError, EXIT_ERROR, 400),
     (WireError, EXIT_ERROR, 400),
     (RequestTooLargeError, EXIT_ERROR, 413),

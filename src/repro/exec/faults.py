@@ -47,7 +47,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from ..errors import SimulationError, WorkerCrashError
+from ..errors import RequestError, SimulationError, WorkerCrashError
 
 #: environment variable carrying a fault spec (see module docstring)
 ENV_VAR = "REPRO_FAULTS"
@@ -81,7 +81,7 @@ class FaultPlan:
         self._rules: dict[int, FaultRule] = {}
         for rule in rules:
             if rule.index in self._rules:
-                raise ValueError(
+                raise RequestError(
                     f"duplicate fault rule for config index {rule.index}"
                 )
             self._rules[rule.index] = rule
@@ -104,7 +104,8 @@ class FaultPlan:
 
 
 def parse_faults(spec: str) -> FaultPlan:
-    """Parse a fault spec string (see module docstring) into a plan."""
+    """Parse a fault spec string (see module docstring) into a plan;
+    :class:`~repro.errors.RequestError` says what is wrong with it."""
     rules = []
     for entry in spec.replace(",", ";").split(";"):
         entry = entry.strip()
@@ -112,16 +113,11 @@ def parse_faults(spec: str) -> FaultPlan:
             continue
         kind, sep, rest = entry.partition("@")
         kind = kind.strip().lower()
-        if not sep or kind not in KINDS:
-            raise ValueError(
+        parts = rest.split(":")
+        if not sep or kind not in KINDS or len(parts) > 3:
+            raise RequestError(
                 f"bad fault entry {entry!r}: expected "
                 f"KIND@INDEX[:TIMES[:SECONDS]] with KIND in {KINDS}"
-            )
-        parts = rest.split(":")
-        if not 1 <= len(parts) <= 3:
-            raise ValueError(
-                f"bad fault entry {entry!r}: expected "
-                "KIND@INDEX[:TIMES[:SECONDS]]"
             )
         try:
             index = int(parts[0])
@@ -131,12 +127,12 @@ def parse_faults(spec: str) -> FaultPlan:
             seconds = (float(parts[2]) if len(parts) > 2
                        else DEFAULT_HANG_SECONDS)
         except ValueError:
-            raise ValueError(
+            raise RequestError(
                 f"bad fault entry {entry!r}: INDEX/TIMES/SECONDS must be "
                 "numbers"
             ) from None
         if index < 0 or times < 0 or seconds < 0:
-            raise ValueError(
+            raise RequestError(
                 f"bad fault entry {entry!r}: values must be >= 0"
             )
         rules.append(FaultRule(kind, index, times, seconds))

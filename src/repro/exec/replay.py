@@ -29,11 +29,20 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass
 
-from ..errors import ConstraintViolation, DeadlockError, SimulationError
+from ..errors import (
+    ConstraintViolation,
+    DeadlockError,
+    RequestError,
+    SimulationError,
+)
 from ..sim.incremental import IncrementalResult
 from ..sim.registry import run_engine
 from ..sim.result import SimulationResult
-from ..trace.vectorized import batch_supported, resimulate_batch
+from ..trace.vectorized import (
+    DEFAULT_BATCH_SIZE,
+    batch_supported,
+    resimulate_batch,
+)
 
 #: which path produced an outcome's number
 SOURCE_INCREMENTAL = "incremental"
@@ -86,6 +95,17 @@ def replay_one(reference, depths: dict):
     except SimulationError as exc:
         # Unknown/invalid depths, or the recorded graph went cyclic.
         return None, str(exc)
+
+
+def resolve_batch_size(batch_size: int | None) -> int:
+    """Rows per kernel call of a sweep: ``None`` means
+    :data:`~repro.trace.vectorized.DEFAULT_BATCH_SIZE`, below 1 is a
+    :class:`~repro.errors.RequestError`."""
+    if batch_size is None:
+        return DEFAULT_BATCH_SIZE
+    if batch_size < 1:
+        raise RequestError(f"batch_size must be >= 1, got {batch_size}")
+    return batch_size
 
 
 def kernel_rows(reference, depth_maps: list,

@@ -51,8 +51,17 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
 
-from ..errors import ChunkTimeoutError, ReproError, WorkerCrashError
+from ..errors import (
+    ChunkTimeoutError,
+    ReproError,
+    RequestError,
+    WorkerCrashError,
+)
 from .faults import apply_fault
+
+#: initial chunking granularity: a run starts as ``jobs *
+#: CHUNKS_PER_WORKER`` chunks (the old ``pool.map`` sizing)
+CHUNKS_PER_WORKER = 4
 
 
 def chunk_contiguous(items, pieces):
@@ -112,9 +121,6 @@ class ExecPolicy:
     ``seed``
         Seed for the jitter RNG — supervision is deterministic given
         the same failures.
-    ``chunks_per_worker``
-        Initial chunking granularity: ``jobs * chunks_per_worker``
-        chunks, matching the old ``pool.map`` sizing.
     """
 
     timeout: float | None = None
@@ -122,17 +128,16 @@ class ExecPolicy:
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     seed: int = 0
-    chunks_per_worker: int = 4
 
     def __post_init__(self):
         if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
+            raise RequestError(
+                f"timeout must be > 0 (or None), got {self.timeout}")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise RequestError(
+                f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff values must be >= 0")
-        if self.chunks_per_worker < 1:
-            raise ValueError("chunks_per_worker must be >= 1")
+            raise RequestError("backoff values must be >= 0")
 
 
 @dataclass
@@ -237,7 +242,7 @@ class Supervisor:
         units = list(units)
         self.report.units = len(units)
         started = time.monotonic()
-        pieces = self.jobs * self.policy.chunks_per_worker
+        pieces = self.jobs * CHUNKS_PER_WORKER
         for group in chunk_contiguous(units, pieces):
             self._queue.append(_Chunk(group))
         try:

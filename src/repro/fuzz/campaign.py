@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 from ..designs import dsl
 from ..designs.dsl.schema import FifoSpec, SpecError, validate_spec
+from ..errors import RequestError
 from ..exec import CheckpointJournal, ExecPolicy, Unit, run_serial
 from .coverage import CoverageHook, CoverageMap
 from .differential import (
@@ -80,6 +81,18 @@ class CampaignConfig:
     max_cycles: int = DEFAULT_MAX_CYCLES
     coverage_backend: str | None = None
     min_evals: int = 120  # minimization oracle budget per finding
+
+    def __post_init__(self):
+        # a livelock guard of 0 fails the cosim leg by construction: the
+        # campaign would pin a "finding" the engines never produced
+        for name in ("budget", "max_cycles"):
+            if getattr(self, name) < 1:
+                raise RequestError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.minutes is not None and self.minutes <= 0:
+            raise RequestError(f"minutes must be > 0, got {self.minutes}")
+        if self.resume and not self.checkpoint:
+            raise RequestError("resume needs the checkpoint to replay")
 
 
 @dataclass

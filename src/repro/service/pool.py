@@ -73,9 +73,6 @@ class SessionPool:
     """LRU-bounded map of design digest -> warm :class:`Session`."""
 
     def __init__(self, max_sessions: int = 32):
-        if max_sessions < 1:
-            raise ValueError(
-                f"max_sessions must be >= 1, got {max_sessions}")
         self.max_sessions = max_sessions
         self._sessions: OrderedDict = OrderedDict()
         self.stats = {"hits": 0, "misses": 0, "created": 0,

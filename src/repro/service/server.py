@@ -52,6 +52,7 @@ from ..errors import (
     DeadlineError,
     DeadlockError,
     ReproError,
+    RequestError,
     RequestTooLargeError,
     ServerBusyError,
     WireError,
@@ -98,6 +99,15 @@ class ServiceConfig:
     #: consult REPRO_TRACE_CACHE; a directory path enables it there)
     trace_cache: object = None
 
+    def __post_init__(self):
+        for name in ("workers", "max_inflight", "max_sessions"):
+            if getattr(self, name) < 1:
+                raise RequestError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.port <= 65535:
+            raise RequestError(
+                f"port must be in 0..65535, got {self.port}")
+
 
 class _HttpError(Exception):
     """Protocol-level failure (bad request line, unsupported method…);
@@ -116,7 +126,7 @@ class ReproService:
         self.pool = SessionPool(max_sessions=self.config.max_sessions)
         self._flight = SingleFlight()
         self._threads = ThreadPoolExecutor(
-            max_workers=max(1, self.config.workers),
+            max_workers=self.config.workers,
             thread_name_prefix="repro-serve",
         )
         #: how baselines were acquired, cumulative (exactly-one-cold
@@ -186,8 +196,8 @@ class ReproService:
                                         close=True)
                     break
                 except (RequestTooLargeError, WireError) as exc:
-                    await self._respond(writer, http_status_for(exc),
-                                        self._error_doc(exc), close=True)
+                    await self._respond(writer, *self._map_error(exc),
+                                        close=True)
                     await self._discard(reader, getattr(exc, "unread", 0))
                     break
                 if request is None:
@@ -320,12 +330,7 @@ class ReproService:
                     f"server is at its concurrent request limit "
                     f"({self.config.max_inflight}); retry later")
             req = wire.parse_request(req_cls, body)
-            handler = {
-                "/v1/run": self._handle_run,
-                "/v1/sweep": self._handle_sweep,
-                "/v1/classify": self._handle_classify,
-                "/v1/report": self._handle_report,
-            }[path]
+            handler = getattr(self, "_handle_" + path.rpartition("/")[2])
             deadline = self._effective_deadline(req)
             self._inflight += 1
             try:
@@ -370,10 +375,6 @@ class ReproService:
             error=str(exc) or name, type=name, status=status,
             exit_code=exit_code_for(exc),
         ))
-
-    def _error_doc(self, exc) -> dict:
-        _status, doc = self._map_error(exc)
-        return doc
 
     def _plain_error(self, status: int, message: str) -> dict:
         return wire.to_json(wire.ErrorResponse(

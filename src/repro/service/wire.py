@@ -24,6 +24,15 @@ present:
 
 ``params`` are builder parameter overrides (``{"n": 256}``), folded
 into the design's content digest.
+
+This module is the network gate, not a second policy: each value rule
+(a depth is an int >= 1, ``samples`` goes with the exhaustive strategy,
+``max_evals`` >= 1) is owned by the library object that consumes the
+value and raises a typed :class:`~repro.errors.RequestError` /
+:class:`~repro.errors.DseError` there; the copies here — the only ones
+outside the owner — refuse outside input before a session is built.
+Engine and executor names and builder parameters are only type-checked
+here; their registries refuse unknown ones.
 """
 
 from __future__ import annotations
@@ -36,9 +45,6 @@ from ..errors import WireError
 
 #: bump on ANY incompatible change to a request or response field
 SCHEMA_VERSION = 1
-
-#: engine names are validated by the engine registry server-side; the
-#: wire layer only checks the type.
 
 
 def to_json(obj) -> dict:
@@ -125,6 +131,10 @@ def _check_depths(depths, label: str = "depths") -> None:
 class _DesignRequest:
     """Validation shared by every request that names a design."""
 
+    @classmethod
+    def from_json(cls, doc):
+        return _load(cls, doc)
+
     def _validate_design(self) -> None:
         has_design = self.design is not None
         has_spec = self.spec is not None
@@ -170,10 +180,6 @@ class RunRequest(_DesignRequest):
         _check(isinstance(self.engine, str) and bool(self.engine),
                "engine must be a non-empty string")
         _check_depths(self.depths)
-
-    @classmethod
-    def from_json(cls, doc) -> "RunRequest":
-        return _load(cls, doc)
 
 
 @dataclass
@@ -252,10 +258,6 @@ class SweepRequest(_DesignRequest):
                and not isinstance(self.seed, bool),
                "seed must be an integer")
 
-    @classmethod
-    def from_json(cls, doc) -> "SweepRequest":
-        return _load(cls, doc)
-
 
 @dataclass
 class ClassifyRequest(_DesignRequest):
@@ -271,10 +273,6 @@ class ClassifyRequest(_DesignRequest):
     def _validate(self) -> None:
         self._validate_design()
 
-    @classmethod
-    def from_json(cls, doc) -> "ClassifyRequest":
-        return _load(cls, doc)
-
 
 @dataclass
 class ReportRequest(_DesignRequest):
@@ -289,10 +287,6 @@ class ReportRequest(_DesignRequest):
 
     def _validate(self) -> None:
         self._validate_design()
-
-    @classmethod
-    def from_json(cls, doc) -> "ReportRequest":
-        return _load(cls, doc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import RequestError
 from ..hls import ports as port_decls
 from ..interp.compiled import CompiledModuleExecutor
 from ..interp.interpreter import ModuleInterpreter
@@ -12,10 +13,6 @@ from ..interp.ops import as_python_number
 from ..ir import types as ty
 from ..runtime.axi import AxiPort
 from ..runtime.fifo import FifoChannel
-# ``repro.sim`` loads before ``repro.trace`` (repro/__init__ imports the
-# api, whose first import is the engine registry), and the artifact
-# module only reaches back for the leaf result types.
-from ..trace.columnar import DEFAULT_FIFO_WIDTH, TraceArtifact
 
 # ---------------------------------------------------------------------------
 # executor selection seam
@@ -39,7 +36,7 @@ def resolve_executor(name: str | None) -> str:
         return DEFAULT_EXECUTOR
     if name not in EXECUTORS:
         known = ", ".join(sorted(EXECUTORS))
-        raise ValueError(f"unknown executor {name!r}; known: {known}")
+        raise RequestError(f"unknown executor {name!r}; known: {known}")
     return name
 
 
@@ -156,11 +153,15 @@ def build_runtime_state(compiled, depths: dict | None = None,
     return state
 
 
-def new_trace(compiled, executor: str, depths: dict) -> TraceArtifact:
+def new_trace(compiled, executor: str, depths: dict) -> "TraceArtifact":
     """The empty recorder an engine appends to while it runs, labelled
     with what only the engine knows at capture time: design name, Func
     Sim executor, the run's base ``depths`` (every declared FIFO), the
     element widths and the AXI latencies."""
+    # imported per run: the artifact module reads this package's result
+    # types, so neither package may need the other at import time
+    from ..trace.columnar import DEFAULT_FIFO_WIDTH, TraceArtifact
+
     design = compiled.design
     trace = TraceArtifact(compiled.name, executor)
     trace.depths = depths

@@ -29,7 +29,7 @@ from functools import cached_property
 from importlib import import_module
 from typing import Protocol, runtime_checkable
 
-from ..errors import UnknownEngineError, UnknownFifoError
+from ..errors import RequestError, UnknownEngineError, UnknownFifoError
 from .result import SimulationResult
 
 
@@ -163,7 +163,7 @@ def validate_depths(compiled, depths: dict) -> dict:
 
     Raises:
         UnknownFifoError: for FIFO names the design does not declare.
-        ValueError: for non-integer or < 1 depths.
+        RequestError: for non-integer or < 1 depths.
     """
     return validate_depth_names(depths, compiled.stream_depths(),
                                 compiled.name)
@@ -185,11 +185,11 @@ def validate_depth_names(depths: dict, known, design_name: str) -> dict:
         )
     for fifo, depth in depths.items():
         if not isinstance(depth, int) or isinstance(depth, bool):
-            raise ValueError(
+            raise RequestError(
                 f"depth for {fifo!r} must be an int, got {depth!r}"
             )
         if depth < 1:
-            raise ValueError(
+            raise RequestError(
                 f"depth for {fifo!r} must be >= 1, got {depth}"
             )
     return depths

@@ -25,14 +25,10 @@ info|verify|gc`` manage it.
 
 from importlib import import_module
 
-# columnar and repro.sim import each other; through repro.sim is the
-# order that resolves (what ``import repro`` used to guarantee)
-from .. import sim  # noqa: F401
 from .columnar import CONSTRAINT_KINDS, TraceArtifact, replay_trace
 
-#: environment variable that turns the disk cache on, spelled here so
-#: ``Session`` can test it without loading :mod:`.store` (whose own copy
-#: ``tests/test_engine_registry.py`` holds equal to this one)
+#: environment variable controlling the disk cache (:mod:`.store` says
+#: how), spelled here so ``Session`` can test it without loading the store
 ENV_VAR = "REPRO_TRACE_CACHE"
 
 #: name -> the submodule that defines it, imported on first use (PEP

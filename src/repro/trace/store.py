@@ -43,7 +43,11 @@ import warnings
 from array import array
 from dataclasses import dataclass
 
-from ..errors import TraceFormatError
+from ..errors import RequestError, TraceFormatError
+# ``REPRO_TRACE_CACHE``: a directory path enables the cache there;
+# "1"/"on"/"true"/"yes" enables the default directory;
+# "0"/"off"/"false"/"no"/"" disables; unset = disabled.
+from . import ENV_VAR
 from .columnar import TraceArtifact
 
 #: bump on ANY change to the columnar layout or the header schema; old
@@ -52,11 +56,6 @@ SCHEMA_VERSION = 1
 
 MAGIC = b"RTRC"
 _HEAD = struct.Struct("<4sI32sQ")  # magic, version, sha256, header len
-
-#: environment variable controlling the cache: a directory path enables
-#: it there; "1"/"on"/"true"/"yes" enables the default directory;
-#: "0"/"off"/"false"/"no"/"" disables; unset = disabled.
-ENV_VAR = "REPRO_TRACE_CACHE"
 
 #: size bound for automatic LRU eviction on write (``N[K|M|G]``); unset
 #: or empty = unbounded (manual ``repro trace gc --max-bytes`` only).
@@ -69,17 +68,21 @@ _ENV_ON = ("1", "on", "true", "yes")
 def parse_size(text) -> int:
     """Byte sizes with an optional K/M/G suffix (binary units): ``64M``.
 
-    Raises ``ValueError`` on malformed or negative input (the CLI wraps
-    this into its usage error)."""
-    text = str(text).strip()
+    Raises :class:`~repro.errors.RequestError` on malformed or negative
+    input."""
+    digits = str(text).strip()
     scale = 1
     suffixes = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
-    if text and text[-1].lower() in suffixes:
-        scale = suffixes[text[-1].lower()]
-        text = text[:-1]
-    value = int(text)  # ValueError propagates with the usual message
+    if digits and digits[-1].lower() in suffixes:
+        scale = suffixes[digits[-1].lower()]
+        digits = digits[:-1]
+    try:
+        value = int(digits)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise ValueError(f"size must be >= 0, got {value}")
+        raise RequestError(
+            f"a byte size is N[K|M|G] with N >= 0, got {text!r}")
     return value * scale
 
 

@@ -5,6 +5,8 @@ Kernels are defined here (a real file) so ``inspect.getsource`` works.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -25,6 +27,34 @@ def fresh_interpreter(program: str, **env) -> str:
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout
+
+
+def shell(argv: list) -> tuple:
+    """``(status, stdout, stderr)`` as a shell sees ``python -m repro
+    ARGV``: ``sys.exit(main())`` turns ``SystemExit(message)`` — the
+    CLI's own syntax and combination rules — into the message on stderr
+    and status 1, the same as a library error ``main`` reports itself."""
+    from repro.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+            if isinstance(status, str):
+                err.write(status + "\n")
+                status = 1
+    return status, out.getvalue(), err.getvalue()
+
+
+def assert_cli_refuses(argv: list, names: str) -> None:
+    """Status 1 and exactly one stderr line, which names the value."""
+    status, _out, err = shell(argv)
+    assert status == 1, (status, err)
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert names in err, err
+
 
 #: Registry designs that declare a FIFO: what depth-sweep tests
 #: parametrise over, instead of skipping on every FIFO-less design

@@ -15,6 +15,7 @@ from repro.fuzz import (
     run_differential,
     seed_corpus,
 )
+from tests.conftest import assert_cli_refuses
 
 #: seeds + one deterministic stage reach the trigger well before this
 _BUDGET = 40
@@ -127,6 +128,20 @@ def test_checkpoint_without_resume_flag_refuses(tmp_path, injected):
         run_campaign(CampaignConfig(seed=0, budget=5,
                                     pin_dir=str(tmp_path / "p"),
                                     checkpoint=checkpoint))
+
+
+@pytest.mark.parametrize("flags, names", [
+    # a livelock guard of 0 fails the cosim leg by construction: this
+    # one "found" an engine divergence, exited 5 and wrote a pin file
+    (["--budget", "1", "--max-cycles", "0"], "max_cycles"),
+    (["--budget", "-1"], "budget"),         # evaluated nothing, exit 0
+    (["--minutes", "0"], "minutes"),
+    (["--resume"], "checkpoint"),           # silently ignored
+], ids=["max-cycles-0", "budget-negative", "minutes-0", "resume-alone"])
+def test_cli_refuses_nonsense_and_pins_nothing(flags, names, tmp_path):
+    pins = tmp_path / "pins"
+    assert_cli_refuses(["fuzz", "--pin-dir", str(pins), *flags], names)
+    assert not pins.exists()
 
 
 def test_corpus_dir_specs_are_fuzzed(tmp_path):

@@ -111,22 +111,6 @@ class TestSemantics:
         batch = session.run_many(STRESS_CONFIGS[:3], jobs=2)
         assert all(r.trace is None and not r.fifo_channels for r in batch)
 
-    def test_keep_graphs(self, session):
-        batch = session.run_many([{"depths": {"fifo2": 4}}],
-                                 keep_graphs=True)
-        assert batch[0].trace is session.trace
-
-    def test_keep_graphs_across_the_pool(self, session, loop_results):
-        """Results that crossed a process boundary keep a working
-        replay handle: the reference they were served from (or, on a
-        full run, their own recording) replays to their cycles."""
-        batch = session.run_many(STRESS_CONFIGS, jobs=2, keep_graphs=True)
-        assert [_key(r) for r in batch] == [_key(r) for r in loop_results]
-        declared = session.compiled.stream_depths()
-        for config, result in zip(STRESS_CONFIGS, batch):
-            depths = dict(declared, **config["depths"])
-            assert result.trace.resimulate(depths).cycles == result.cycles
-
     def test_session_baseline_survives_stripping(self, session):
         session.run_many(STRESS_CONFIGS[:4], jobs=1)
         base = session.baseline()

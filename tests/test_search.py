@@ -36,7 +36,7 @@ from repro.dse import (
 )
 from repro.dse.explorer import _run_rounds
 from repro.errors import CheckpointError, DseError
-from tests.conftest import FIFO_DESIGNS
+from tests.conftest import FIFO_DESIGNS, assert_cli_refuses
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +521,9 @@ class TestSearchCli:
         assert search["rounds"][0]["round"] == 1
 
     def test_samples_with_strategy_rejected(self):
-        with pytest.raises(SystemExit, match="max-evals"):
-            cli_main(["dse", "fig4_ex5", "--range", "fifo2=1:8",
-                      "--strategy", "refine", "--samples", "4"])
+        assert_cli_refuses(["dse", "fig4_ex5", "--range", "fifo2=1:8",
+                            "--strategy", "refine", "--samples", "4"],
+                           "max_evals")
 
     def test_max_evals_alone_caps_exhaustive(self, capsys):
         code = cli_main(["dse", "fig4_ex5", "--range", "fifo2=1:8",

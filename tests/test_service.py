@@ -40,6 +40,7 @@ from repro.service import (
     serve_in_thread,
 )
 from repro.service import wire
+from tests.conftest import assert_cli_refuses
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +465,27 @@ class TestServerErrors:
                             {"design": "fig4_ex5", "engine": "vcs"})
         assert (status, doc["type"]) == (400, "UnknownEngineError")
 
+    @pytest.mark.parametrize("mistake, error", [
+        ({"executor": "bogus"}, errors.RequestError),
+        ({"params": {"bogus": 1}}, errors.DesignError),
+        ({"params": {"n": "abc"}}, errors.DesignError),
+    ], ids=["unknown-executor", "unknown-param", "mistyped-param"])
+    def test_client_mistakes_are_400_not_500(self, server, capsys,
+                                             mistake, error):
+        # Regression: each answered 500 (ValueError / TypeError / the
+        # unmapped DesignError base) with a traceback in the server log.
+        status, doc = _post(server.port, "/v1/run",
+                            dict({"design": "fig4_ex5"}, **mistake))
+        refusal = error("x")
+        assert status == doc["status"] == http_status_for(refusal) == 400
+        assert doc["exit_code"] == exit_code_for(refusal)
+        assert doc["type"] == error.__name__
+        assert capsys.readouterr().err == ""    # nothing logged
+        with pytest.raises(error):
+            Session.open("fig4_ex5", trace_cache=False,
+                         executor=mistake.get("executor"),
+                         **mistake.get("params", {})).run()
+
     def test_unknown_endpoint_404_and_method_405(self, server):
         status, doc = _post(server.port, "/v1/nope", {})
         assert status == 404
@@ -699,11 +721,7 @@ class TestConcurrentFirstTouch:
 
 class TestServeCli:
     def test_bad_workers_rejected(self):
-        from repro.cli import main
-        with pytest.raises(SystemExit, match="workers"):
-            main(["serve", "--workers", "0"])
+        assert_cli_refuses(["serve", "--workers", "0"], "workers")
 
     def test_bad_max_body_rejected(self):
-        from repro.cli import main
-        with pytest.raises(SystemExit, match="max-body"):
-            main(["serve", "--max-body", "lots"])
+        assert_cli_refuses(["serve", "--max-body", "lots"], "lots")

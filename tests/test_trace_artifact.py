@@ -318,6 +318,7 @@ class TestWorkerNoRebuild:
 
     def test_pool_reference_never_rebuilds_static_edges(self, monkeypatch):
         clone = self._shipped_clone()
+        stayed = Session.open("fig4_ex5", n=120).resimulate({"fifo2": 5})
         calls = []
         orig = TraceArtifact._build_static_columns
         monkeypatch.setattr(
@@ -325,7 +326,8 @@ class TestWorkerNoRebuild:
             lambda self: calls.append("columnar") or orig(self),
         )
         inc = resimulate(clone, {"fifo2": 5})
-        assert inc.cycles > 0
+        # what crossed the pool's pickle replays like what stayed
+        assert inc.cycles == stayed.cycles > 0
         assert calls == [], "worker rebuilt static edges"
 
     def test_shipped_static_columns_survive_pickle(self):

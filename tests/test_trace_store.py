@@ -401,12 +401,6 @@ class TestBatchStripping:
         # the session's own baseline keeps its replay state
         assert session.baseline().trace is not None
 
-    def test_keep_graphs_attaches_trace(self):
-        session = Session.open("fig4_ex5", n=120)
-        batch = session.run_many([{"depths": {"fifo2": 4}}],
-                                 keep_graphs=True)
-        assert batch[0].trace is not None
-
 
 class TestAutoEviction:
     """ISSUE 9 satellite: ``TraceStore(max_bytes=...)`` /

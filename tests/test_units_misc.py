@@ -19,7 +19,7 @@ from repro.runtime.fifo import FifoChannel
 from repro.runtime.requests import FifoWrite, StartTask
 from repro.sim.ledger import ModuleLedger
 
-from tests.conftest import fresh_interpreter
+from tests.conftest import assert_cli_refuses, fresh_interpreter
 
 
 class TestFifoChannel:
@@ -247,22 +247,23 @@ class TestCli:
     def test_depth_override(self, capsys):
         assert cli_main(["run", "fig4_ex1", "--depth", "fifo=8"]) == 0
 
+    # What a shell sees — status 1, one stderr line naming the value —
+    # not which Python mechanism produced it (tests/test_request_contract
+    # drives the whole table of refused values through every door).
+
     def test_depth_non_integer_is_clean_exit(self):
         # Regression: used to escape as a raw ValueError traceback.
-        with pytest.raises(SystemExit, match="integer"):
-            cli_main(["run", "fig4_ex1", "--depth", "fifo=abc"])
+        assert_cli_refuses(["run", "fig4_ex1", "--depth", "fifo=abc"],
+                           "fifo=abc")
 
     def test_depth_below_one_rejected(self):
         # Regression: 0/negative depths were silently accepted and blew
         # up later inside the engine.
-        with pytest.raises(SystemExit, match=">= 1"):
-            cli_main(["run", "fig4_ex1", "--depth", "fifo=0"])
-        with pytest.raises(SystemExit, match=">= 1"):
-            cli_main(["run", "fig4_ex1", "--depth", "fifo=-3"])
+        assert_cli_refuses(["run", "fig4_ex1", "--depth", "fifo=0"], "0")
+        assert_cli_refuses(["run", "fig4_ex1", "--depth", "fifo=-3"], "-3")
 
     def test_depth_missing_value_rejected(self):
-        with pytest.raises(SystemExit, match="FIFO=N"):
-            cli_main(["run", "fig4_ex1", "--depth", "fifo"])
+        assert_cli_refuses(["run", "fig4_ex1", "--depth", "fifo"], "FIFO=N")
 
     @pytest.mark.parametrize("argv", [
         ["dse", "fig4_ex5", "--range", "fifo2=1:4", "--batch-size", "0"],
@@ -276,20 +277,12 @@ class TestCli:
          "--checkpoint", "MISSING/x.jsonl"],
     ], ids=lambda argv: argv[-2])
     def test_bad_argument_is_one_line_never_a_traceback(self, argv,
-                                                        tmp_path, capsys):
+                                                        tmp_path):
         # Regression: each of these escaped as a raw ValueError /
         # OverflowError / FileNotFoundError traceback.
         argv = [arg.replace("MISSING", str(tmp_path / "missing"))
                 for arg in argv]
-        try:
-            code = cli_main(argv)
-        except SystemExit as exc:  # what sys.exit(message) turns into 1
-            assert str(exc.code).startswith(f"{argv[0]} {argv[-2]} must")
-        else:
-            assert code == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert "Traceback" not in err
+        assert_cli_refuses(argv, "error: ")
 
     @pytest.mark.parametrize("unbuffered", [True, False],
                              ids=["unbuffered", "buffered"])
@@ -314,6 +307,23 @@ class TestCli:
             os.close(write_end)
         assert proc.stderr == ""    # no error:, Traceback, Exception ignored
         assert proc.returncode == 141           # 128 + SIGPIPE, as a shell
+
+    @pytest.mark.parametrize("argv, env", [
+        (["dse", "fig4_ex5", "--range", "fifo2=1:4"],
+         {"REPRO_FAULTS": "bogus"}),     # refused by the library: typed
+        (["run", "fig4_ex1", "--depth", "fifo=abc"], {}),  # CLI syntax
+    ], ids=["REPRO_FAULTS", "--depth"])
+    def test_a_real_shell_sees_status_1_and_one_line(self, argv, env):
+        # Regression: a malformed REPRO_FAULTS was a raw ValueError
+        # traceback.  Also holds conftest.shell's model of
+        # ``sys.exit(main())`` to what a process really does.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_run_failure_exit_code_and_cycles(self, capsys):
         # Regression: csim's simulated SIGSEGV returned exit code 0, and
