@@ -11,6 +11,18 @@ records, at the commit *before* the request-validation refactor (ISSUE
   already refused correctly (``WireError`` rows, unknown design /
   engine / FIFO, deadlock, unsupported design).
 
+and, at the commit before the replay-policy refactor (ISSUE 22), what
+the doors in front of :mod:`repro.exec.replay` answer (wall-clock and
+content-address fields masked):
+
+* ``dse_json`` — the ``repro dse --json`` document;
+* ``http_ok`` — ``/v1/run`` with ``depths`` and ``/v1/sweep`` in both
+  ``space`` and ``configs`` form, each posted twice (cold, then hot);
+* ``run_many`` — cycles, failure and the ``phase_seconds``
+  ``serving`` / ``mode`` / ``capture`` labels of mixed batches;
+* ``fuzz`` — a seed-0 campaign's report and checkpoint journal,
+  uninterrupted and stopped-then-resumed.
+
 A change that claims "same behaviour for every accepted request" leaves
 that file alone.  Regenerate (only for an intentional change of what a
 user sees) with ``PYTHONPATH=src python tests/test_request_contract.py``.
@@ -29,12 +41,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import tempfile
 
 import pytest
 
 from repro import errors
 from repro.api import Session
+from repro.fuzz import CampaignConfig, run_campaign
 from repro.service import ServiceConfig, serve_in_thread
 from repro.trace.store import parse_size
 from repro.trace.vectorized import numpy_available
@@ -64,6 +78,13 @@ CLI_CASES = {
         ["trace", "info", "--cache-dir", "DIR"],
         ["trace", "verify", "--cache-dir", "DIR"],
         ["trace", "gc", "--cache-dir", "DIR"],
+    ],
+    "run-depth-trace-cache": [
+        ["run", "fig4_ex5", "--depth", "fifo2=8", "--trace-cache", "DIR"],
+        ["run", "fig4_ex5", "--depth", "fifo2=8", "--trace-cache", "DIR"],
+        # a flipped query: full fallback, and no `trace :` line — only
+        # replayed results inherit the capture label
+        ["run", "fig4_ex5", "--depth", "fifo1=3", "--trace-cache", "DIR"],
     ],
     "classify": [["classify", "fig4_ex2"]],
     "report": [["report", "fig4_ex5"]],
@@ -105,6 +126,52 @@ HTTP_CASES = {
                                        "engine": "lightningsim"}),
 }
 
+#: id -> ``repro dse`` flags whose ``--json`` document is pinned
+DSE_JSON_CASES = {
+    "exhaustive": _DSE,
+    "refine": _DSE + ["--strategy", "refine", "--max-evals", "3"],
+    "jobs-2": _DSE + ["--jobs", "2"],
+    # fifo1 flips recorded queries: full fallbacks and re-captures
+    "fallback": ["dse", "fig4_ex5", "--range", "fifo1=1:4"],
+    "fallback-jobs-2": ["dse", "fig4_ex5", "--range", "fifo1=1:4",
+                        "--jobs", "2"],
+}
+
+_PARAMS = {"n": 60}
+
+#: id -> (endpoint, body) the service answers 200; posted twice
+HTTP_OK_CASES = {
+    "run-depths": ("/v1/run", {"design": "fig4_ex5", "params": {"n": 61},
+                               "depths": {"fifo2": 8}}),
+    "run-depths-flipped": ("/v1/run", {
+        "design": "fig4_ex5", "params": {"n": 62}, "depths": {"fifo1": 3}}),
+    "sweep-space": ("/v1/sweep", {
+        "design": "fig4_ex5", "params": {"n": 63},
+        "space": ["fifo1=1:3", "fifo2=2:3"]}),
+    "sweep-configs": ("/v1/sweep", {
+        "design": "fig4_ex5", "params": {"n": 64},
+        "configs": [{"fifo2": 8}, {"fifo1": 3}, {"fifo1": 3, "fifo2": 4}]}),
+}
+
+#: id -> (design, params, configs, jobs): one ``run_many`` batch mixing
+#: the serving paths (incremental, full fallback, engine kwargs, a
+#: non-omnisim engine; on `deadlock`, nothing to replay at all)
+RUN_MANY_CASES = {
+    "mixed": ("fig4_ex5", _PARAMS, [
+        {"depths": {"fifo2": 8}},
+        {"depths": {"fifo1": 3}},
+        {"depths": {"fifo1": 3, "fifo2": 4}},
+        {},
+        {"engine": "omnisim", "step_limit": 10**9},
+        {"engine": "cosim", "depths": {"fifo2": 4}},
+        {"engine": "csim"},
+    ], 1),
+    "deadlock": ("deadlock", {}, [{}, {"engine": "cosim"}], 1),
+}
+RUN_MANY_CASES["mixed-jobs-2"] = RUN_MANY_CASES["mixed"][:3] + (2,)
+
+_MASKED_KEYS = ("seconds", "capture_seconds", "configs_per_sec", "digest")
+
 _MASKS = (
     (re.compile(r"^(frontend|execution)( +): .*$", re.M), r"\1\2: <time>"),
     (re.compile(r"^throughput : .*$", re.M), "throughput : <time>"),
@@ -135,6 +202,74 @@ def run_cli_case(invocations: list) -> list:
     return records
 
 
+def _masked_doc(doc):
+    """``doc`` with every wall-clock / content-address field masked."""
+    if isinstance(doc, dict):
+        return {key: "<masked>" if key in _MASKED_KEYS else _masked_doc(v)
+                for key, v in doc.items()}
+    if isinstance(doc, list):
+        return [_masked_doc(item) for item in doc]
+    return doc
+
+
+def dse_json(case: str) -> dict:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "sweep.json")
+        status, _out, err = shell(DSE_JSON_CASES[case] + ["--json", path])
+        assert status == 0, err
+        with open(path, encoding="utf-8") as fh:
+            return _masked_doc(json.load(fh))
+
+
+def answered(port: int, case: str) -> list:
+    path, body = HTTP_OK_CASES[case]
+    records = []
+    for _ in range(2):
+        status, doc = _post(port, path, body)
+        records.append({"status": status, "doc": _masked_doc(doc)})
+    return records
+
+
+def run_many_labels(case: str) -> list:
+    design, params, configs, jobs = RUN_MANY_CASES[case]
+    with Session.open(design, trace_cache=False, **params) as session:
+        return [
+            {"simulator": result.simulator, "cycles": result.cycles,
+             "failure": result.failure,
+             "labels": {key: result.phase_seconds.get(key)
+                        for key in ("serving", "mode", "capture")}}
+            for result in session.run_many(configs, jobs=jobs)
+        ]
+
+
+def _fuzz_env() -> dict:
+    """What a campaign's coverage arcs (hence its corpus and candidate
+    order) depend on besides the seed."""
+    return {"python": list(sys.version_info[:2]),
+            "numpy": numpy_available(), "optimize": sys.flags.optimize}
+
+
+def fuzz_campaigns() -> dict:
+    """A seed-0 campaign of 16 candidates, uninterrupted and stopped at
+    8 then resumed: reports (seconds masked) and journal lines."""
+    def campaign(scratch, name, **kwargs):
+        checkpoint = os.path.join(scratch, f"{name}.jsonl")
+        report = run_campaign(CampaignConfig(
+            seed=0, pin_dir=os.path.join(scratch, "pins"),
+            checkpoint=checkpoint, **kwargs))
+        with open(checkpoint, encoding="utf-8") as fh:
+            journal = [json.loads(line) for line in fh]
+        return {"report": _masked_doc(report.to_json()),
+                "journal": journal}
+
+    with tempfile.TemporaryDirectory() as scratch:
+        return {
+            "uninterrupted": campaign(scratch, "whole", budget=16),
+            "stopped": campaign(scratch, "split", budget=8),
+            "resumed": campaign(scratch, "split", budget=16, resume=True),
+        }
+
+
 def refused(port: int, case: str) -> dict:
     path, body = HTTP_CASES[case]
     status, doc = _post(port, path, body)
@@ -159,10 +294,44 @@ def test_refused_request_documents_are_pinned(case, server):
     assert refused(server.port, case) == _fixture()["http"][case]
 
 
+@pytest.mark.parametrize("case", sorted(DSE_JSON_CASES))
+def test_dse_json_document_is_pinned(case, monkeypatch):
+    if not numpy_available():
+        pytest.skip("the `mode` fields name the NumPy kernel")
+    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+    assert dse_json(case) == _fixture()["dse_json"][case]
+
+
+@pytest.mark.parametrize("case", sorted(HTTP_OK_CASES))
+def test_answered_request_documents_are_pinned(case, server):
+    if case == "sweep-space" and not numpy_available():
+        # a kernel slice replays the reference it started with; the
+        # scalar loop re-captures as it goes: same cycles, other `source`
+        pytest.skip("the `source` fields follow the NumPy kernel's slices")
+    assert answered(server.port, case) == _fixture()["http_ok"][case]
+
+
+@pytest.mark.parametrize("case", sorted(RUN_MANY_CASES))
+def test_run_many_labels_are_pinned(case):
+    if not numpy_available():
+        pytest.skip("the `mode` labels name the NumPy kernel")
+    assert run_many_labels(case) == _fixture()["run_many"][case]
+
+
+def test_fuzz_campaign_report_and_journal_are_pinned():
+    pinned = _fixture()["fuzz"]
+    if pinned["env"] != _fuzz_env():
+        pytest.skip(f"coverage arcs were recorded under {pinned['env']}")
+    assert fuzz_campaigns() == pinned["campaigns"]
+
+
 def test_fixture_covers_exactly_the_cases():
     fixture = _fixture()
-    assert sorted(fixture["cli"]) == sorted(CLI_CASES)
-    assert sorted(fixture["http"]) == sorted(HTTP_CASES)
+    for section, cases in (("cli", CLI_CASES), ("http", HTTP_CASES),
+                           ("dse_json", DSE_JSON_CASES),
+                           ("http_ok", HTTP_OK_CASES),
+                           ("run_many", RUN_MANY_CASES)):
+        assert sorted(fixture[section]) == sorted(cases), section
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +442,12 @@ if __name__ == "__main__":
                     for case, invocations in CLI_CASES.items()},
             "http": {case: refused(handle.port, case)
                      for case in HTTP_CASES},
+            "dse_json": {case: dse_json(case) for case in DSE_JSON_CASES},
+            "http_ok": {case: answered(handle.port, case)
+                        for case in HTTP_OK_CASES},
+            "run_many": {case: run_many_labels(case)
+                         for case in RUN_MANY_CASES},
+            "fuzz": {"env": _fuzz_env(), "campaigns": fuzz_campaigns()},
         }
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=1, sort_keys=True)
