@@ -17,13 +17,11 @@ design.  Two mechanisms make a batch cheaper than a sequential
   run, is the unit of reuse) applied to batch execution; it is why
   ``run_many`` beats a ``.run()`` loop even on one core.
 * **Process-pool sharding.**  With ``jobs > 1`` the batch is split into
-  contiguous chunks over worker processes.  Each worker receives the
-  session's small picklable *design reference* and the captured baseline
-  once through the pool initializer — shipped as the columnar trace
-  artifact (CSR static-edge columns included, so no worker rebuilds
-  them) plus the functional outputs served results inherit; the design
-  is compiled in a worker only if one of its configurations actually
-  needs a full run.
+  contiguous chunks over worker processes, each of which rebuilds the
+  policy once, in the pool initializer
+  (:meth:`repro.exec.replay.Replayer.worker_spec`: a small picklable
+  *design reference* plus the captured baseline); the design is compiled
+  in a worker only if one of its configurations needs a full run.
 
 Failure semantics: a configuration that deadlocks or is unsupported by
 its engine produces a :class:`~repro.sim.result.SimulationResult` with
@@ -51,35 +49,29 @@ results) carries the ``supervision`` provenance block.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 
 from ..errors import DeadlockError, UnsupportedDesignError
+from ..exec import ExecPolicy, JournaledRun, Unit, resolve_plan
 from ..exec.replay import (
     MODE_FULL,
     SOURCE_FULL,
     Replayer,
-    load_reference,
     resolve_batch_size,
-    ship_reference,
 )
-from ..sim.registry import (
-    get_engine,
-    run_engine,
-    validate_depth_names,
-    validate_depths,
-)
+from ..sim.registry import get_engine, run_engine, validate_depth_names
 from ..sim.result import SimulationResult, SimulationStats
-from .design_ref import compile_from_ref, shardable
 
 #: config keys consumed by the batch layer itself; everything else in a
 #: config dict forwards to the engine constructor
 _CONFIG_KEYS = ("engine", "executor", "depths")
 
 
-def normalize_config(config: dict, compiled) -> dict:
-    """Validate one run configuration eagerly (before any pool spawns).
+def normalize_config(config: dict, name: str, declared: dict) -> dict:
+    """Validate one run configuration eagerly (before any pool spawns)
+    against the design's ``(name, declared depths)``
+    (:meth:`repro.api.Session.declared`).
 
     Returns a normalized ``{"engine", "executor", "depths", "kwargs"}``
     dict.  Unknown engines raise
@@ -92,7 +84,7 @@ def normalize_config(config: dict, compiled) -> dict:
         )
     engine = config.get("engine", "omnisim")
     get_engine(engine)  # raises UnknownEngineError with the known list
-    depths = validate_depths(compiled, config.get("depths"))
+    depths = validate_depth_names(config.get("depths"), declared, name)
     kwargs = {k: v for k, v in config.items() if k not in _CONFIG_KEYS}
     return {
         "engine": engine,
@@ -102,33 +94,29 @@ def normalize_config(config: dict, compiled) -> dict:
     }
 
 
+def _eligible(config: dict) -> bool:
+    """Whether the replay policy can serve a normalized config: OmniSim,
+    no engine kwargs (executor choice does not gate it — incremental
+    replay re-runs no Func Sim code at all)."""
+    return config["engine"] == "omnisim" and not config["kwargs"]
+
+
 class _BatchRunner(Replayer):
     """Serves one shard of a batch: :class:`repro.exec.replay.Replayer`
     outcomes as :class:`SimulationResult`\\ s.
 
-    Configs the policy can serve (OmniSim, no engine kwargs — executor
-    choice doesn't gate eligibility: incremental replay re-runs no Func
-    Sim code at all) go through it; everything else, and every config
-    when ``incremental`` is off, is a plain full run on its own engine.
-    Served results inherit the functional outputs of the run that was
+    Configs the policy can serve (:func:`_eligible`) go through it;
+    everything else is a plain full run on its own engine.  Served
+    results inherit the functional outputs of the run that was
     replayed: constraint validation proves the recorded execution —
     hence every value — is exactly what a fresh run at the served
     depths would produce (paper section 7.2).
     """
 
-    def __init__(self, reference, base_depths: dict, compile_fn, *,
-                 incremental: bool = True):
-        super().__init__(reference, base_depths, compile_fn)
-        self.incremental = incremental
-
-    def _eligible(self, config: dict) -> bool:
-        return (self.incremental and config["engine"] == "omnisim"
-                and not config["kwargs"])
-
     def evaluate(self, config: dict) -> SimulationResult:
         """Run one normalized config; simulation-level failures fold
         into the result instead of raising."""
-        if self._eligible(config):
+        if _eligible(config):
             return self.result_of(self.replay(config["depths"],
                                               config["executor"]))
         return self._run(config)
@@ -137,10 +125,10 @@ class _BatchRunner(Replayer):
         """Evaluate a slice of configs in order, the eligible ones
         through one call of the vectorized batch kernel (rows it
         declines take the scalar path, bit-for-bit identical)."""
-        eligible = [c for c in configs if self._eligible(c)]
+        eligible = [c for c in configs if _eligible(c)]
         served = self.replay_batch([c["depths"] for c in eligible],
                                    [c["executor"] for c in eligible])
-        return [self.result_of(next(served)) if self._eligible(c)
+        return [self.result_of(next(served)) if _eligible(c)
                 else self._run(c) for c in configs]
 
     def result_of(self, outcome) -> SimulationResult:
@@ -187,28 +175,20 @@ class _BatchRunner(Replayer):
         )
 
 
-def _worker_runner(design_ref, base_depths, shipped, incremental):
-    """Pool-worker factory (:func:`repro.exec.worker.init_worker`)."""
-    return _BatchRunner(
-        load_reference(shipped), base_depths,
-        functools.partial(compile_from_ref, design_ref),
-        incremental=incremental)
-
-
-def serve_depths(session, baseline, depths: dict,
+def serve_depths(session, depths: dict,
                  executor: str | None = None) -> SimulationResult:
-    """One OmniSim run of ``session``'s design at depth overrides,
-    served from ``baseline`` (its captured run, or ``None``):
-    incremental replay first, one full re-simulation on divergence —
-    what ``repro run --depth`` and ``/v1/run`` answer with.  The
-    result's ``phase_seconds["serving"]`` says which; a true deadlock
-    at the requested depths raises :class:`~repro.errors.DeadlockError`.
+    """One OmniSim run of ``session``'s design at depth overrides:
+    incremental replay of its reference first, one full re-simulation
+    on divergence (or when the declared depths deadlock and there is no
+    reference) — what ``repro run --depth`` and ``/v1/run`` answer
+    with.  The result's ``phase_seconds["serving"]`` says which; a true
+    deadlock at the requested depths raises
+    :class:`~repro.errors.DeadlockError`.
     """
-    name, declared = session.declared(baseline)
-    runner = _BatchRunner(baseline, declared, lambda: session.compiled)
-    outcome = runner.replay(
-        validate_depth_names(depths, declared, name),
-        executor if executor is not None else session.executor)
+    name, declared = session.declared(executor)
+    depths = validate_depth_names(depths, declared, name)
+    runner = _BatchRunner.for_session(session, executor)
+    outcome = runner.replay(depths)
     if outcome.error is not None:
         raise outcome.error
     result = runner.result_of(outcome)
@@ -263,62 +243,35 @@ class BatchResult(list):
 # ---------------------------------------------------------------------------
 
 
-def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
+def run_many(session, configs, *, jobs: int = 1,
              timeout: float | None = None, max_retries: int = 3,
              checkpoint=None, resume: bool = False, faults=None,
-             vectorize: bool = True,
              batch_size: int | None = None) -> BatchResult:
-    """Evaluate ``configs`` against ``session``'s design (see
-    :meth:`repro.api.Session.run_many` for the config schema).
+    """:meth:`repro.api.Session.run_many` (the config schema, the
+    serving paths and every knob are documented there).
 
-    ``incremental=False`` forces a full simulation per configuration
-    (differential testing of the serving path itself).  Every config is
-    validated up front, so a typo in config 37 of 200 fails before any
-    work starts.  Ad-hoc designs that cannot cross the process boundary
+    Every config is validated up front — against the session's
+    ``declared()`` depths, so a warm batch of depth-only configs never
+    compiles — and a typo in config 37 of 200 fails before any work
+    starts.  Ad-hoc designs that cannot cross the process boundary
     (unpicklable ``@hls.kernel`` closures under spawn-style start
     methods) degrade to in-process evaluation rather than crashing
-    platform-dependently.
-
-    Resilience knobs mirror :func:`repro.dse.explore`: ``timeout``
-    (per-chunk wall-clock deadline), ``max_retries`` (failures one
-    config may accrue before being quarantined as a result with
-    ``.failure`` set), ``checkpoint``/``resume`` (append-only journal of
-    completed configs; resuming re-runs only what is missing) and
-    ``faults`` (deterministic injection; default: ``REPRO_FAULTS``).  A
-    refused knob is a :class:`~repro.errors.RequestError`.  Returns a
-    :class:`BatchResult` whose ``supervision`` attribute is the
-    provenance block.
-
-    ``vectorize`` (default on) serves incremental-eligible configs in
-    ``batch_size``-row slices through the NumPy batch-retiming kernel
-    (:mod:`repro.trace.vectorized`); rows the kernel declines fall back
-    to the scalar path with bit-for-bit identical values.  Each result's
-    ``phase_seconds["mode"]`` records which path evaluated it
-    (``"vectorized"`` / ``"scalar"`` / ``"scalar-fallback"`` /
-    ``"full"``).  ``vectorize=False`` pins every config to the scalar
-    path.  Checkpoint/journal granularity stays per config either way.
+    platform-dependently.  A refused knob is a
+    :class:`~repro.errors.RequestError`; checkpoint/journal granularity
+    is per config, batched or not.
     """
-    from ..exec import ExecPolicy, JournaledRun, Unit, resolve_plan
-
     batch_size = resolve_batch_size(batch_size)
     fault_plan = resolve_plan(faults)
     policy = ExecPolicy(timeout=timeout, max_retries=max_retries)
-    compiled = session.compiled
-    normalized = [normalize_config(config, compiled) for config in configs]
+    name, declared = session.declared()
+    normalized = [normalize_config(config, name, declared)
+                  for config in configs]
     if not normalized:
         return BatchResult()
-    base_depths = compiled.stream_depths()
-    runner = _BatchRunner(None, base_depths, lambda: compiled,
-                          incremental=incremental)
     # Capture (or reuse) the baseline only when some config can actually
-    # be served from it.  A design that deadlocks at its declared depths
-    # has no baseline to replay: full runs decide (and the first one
-    # that completes is re-captured as the reference).
-    if any(runner._eligible(c) for c in normalized):
-        try:
-            runner.reference = session.baseline()
-        except DeadlockError:
-            pass
+    # be served from it.
+    runner = _BatchRunner.for_session(
+        session, capture=any(map(_eligible, normalized)))
 
     units = [Unit(i, _config_key(i, config), config)
              for i, config in enumerate(normalized)]
@@ -326,17 +279,19 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
     if checkpoint is not None:
         identity = {
             "kind": "run_many",
-            "design": compiled.name,
+            "design": name,
             "digest": session.trace_digest(),
             "configs": hashlib.sha256("\n".join(
                 u.key for u in units).encode("utf-8")).hexdigest()[:16],
             "count": len(units),
-            "incremental": incremental,
+            # constant: journals from when ``incremental=`` was a knob
+            # carry it, and still resume
+            "incremental": True,
         }
 
     def quarantined(unit, detail):
         return SimulationResult(
-            design_name=compiled.name,
+            design_name=name,
             simulator=unit.payload["engine"],
             cycles=0,
             failure=(f"quarantined after {detail['attempts']} attempts: "
@@ -344,15 +299,9 @@ def run_many(session, configs, *, jobs: int = 1, incremental: bool = True,
             phase_seconds={"serving": "quarantined"},
         )
 
-    worker = None
-    if jobs > 1 and shardable(session.design_ref):
-        worker = (_worker_runner, (
-            session.design_ref, base_depths,
-            ship_reference(session, runner.reference), incremental))
     with JournaledRun(
-        runner, worker=worker, jobs=jobs,
-        batch_size=batch_size if (vectorize and incremental) else 0,
-        policy=policy, fault_plan=fault_plan,
+        runner, worker=runner.worker_spec(session, jobs), jobs=jobs,
+        batch_size=batch_size, policy=policy, fault_plan=fault_plan,
         encode=_result_to_json, decode=_result_from_json,
         quarantined=quarantined, checkpoint=checkpoint,
         identity=identity, resume=resume,

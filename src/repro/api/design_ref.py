@@ -12,20 +12,9 @@ pool shards) without shipping the whole object graph:
 * ``("compiled", compiled)`` — ship the already-compiled design through
   pickle (ad-hoc designs built outside the registry).
 
-A fourth form references a *captured trace* rather than a design:
-
-* ``("trace", digest, cache_dir)`` — a baseline
-  :class:`~repro.trace.TraceArtifact` in the content-addressed on-disk
-  store.  ``repro.dse`` pool workers receive this instead of the pickled
-  baseline object when the artifact is cached: the initializer payload
-  shrinks to a digest and every worker loads the (static-edge-complete)
-  artifact straight from the shared store via
-  :func:`load_trace_from_ref`.
-
 :func:`resolve_design` turns anything a user may hand
 :class:`repro.api.Session` into ``(ref, compile_fn, spec)``;
-:func:`compile_from_ref` is its worker-side inverse (trace references
-name a capture, not a design, so they are rejected there).  Before this
+:func:`compile_from_ref` is its worker-side inverse.  Before this
 module existed the same resolve→compile wiring was re-implemented by
 ``cli.cmd_run`` and three near-copies inside ``dse/explorer.py``.
 """
@@ -106,11 +95,6 @@ def compile_from_ref(ref) -> CompiledDesign:
         return compile_design(dsl.load_design_spec(path).make(**params))
     if tag == "compiled":
         return ref[1]
-    if tag == "trace":
-        raise ValueError(
-            "a ('trace', digest) reference names a captured baseline, "
-            "not a design; load it with load_trace_from_ref"
-        )
     raise ValueError(f"unknown design reference tag {ref[0]!r}")
 
 
@@ -130,28 +114,3 @@ def shardable(ref) -> bool:
     except Exception:
         return False
     return True
-
-
-def trace_ref(digest: str, cache_dir) -> tuple:
-    """Build a ``("trace", digest, cache_dir)`` reference to a cached
-    baseline artifact (what ``repro.dse`` ships to pool workers)."""
-    import os
-
-    return ("trace", digest, os.fspath(cache_dir))
-
-
-def load_trace_from_ref(ref):
-    """Worker-side loader for a ``("trace", digest, cache_dir)``
-    reference.
-
-    Returns the :class:`~repro.trace.TraceArtifact`, or ``None`` when
-    the entry has vanished or fails validation (the store warns; the
-    worker then falls back to full re-simulation per configuration).
-    """
-    tag = ref[0]
-    if tag != "trace":
-        raise ValueError(f"expected a trace reference, got {tag!r}")
-    from ..trace.store import TraceStore
-
-    _tag, digest, cache_dir = ref
-    return TraceStore(cache_dir).get(digest)

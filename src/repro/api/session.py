@@ -22,6 +22,11 @@ Lifecycle and caching rules (DESIGN.md section 13):
   cached for the life of the session;
 * ``baseline()`` caches one captured OmniSim run per Func Sim executor —
   the reference that ``trace``/``resimulate`` replay against;
+  ``reference()`` is the same run, or ``None`` when the design deadlocks
+  at its *declared* depths (an override may not: a full run decides),
+  and ``declared()`` the depth map overrides overlay — what every
+  depth-override door asks, through
+  :meth:`repro.exec.replay.Replayer.for_session`;
 * with a trace cache enabled (``trace_cache=`` / ``REPRO_TRACE_CACHE``),
   ``baseline()`` first consults the content-addressed on-disk store
   (:mod:`repro.trace.store`): a hit skips compilation *and* capture
@@ -42,6 +47,7 @@ from __future__ import annotations
 import os
 import threading
 
+from ..errors import DeadlockError
 from ..sim.context import resolve_executor
 from ..sim.registry import run_engine, validate_depth_names
 from ..trace import ENV_VAR
@@ -122,6 +128,12 @@ class Session:
             return self.spec.name
         return self.compiled.name
 
+    def _key(self, executor: str | None) -> str:
+        """The Func Sim executor a call means: its own, else the
+        session's, else the default (validated)."""
+        return resolve_executor(executor if executor is not None
+                                else self.executor)
+
     def trace_digest(self, executor: str | None = None) -> str | None:
         """The content-address of this session's baseline capture under
         ``executor`` (see :func:`repro.trace.artifact_digest`), or
@@ -129,9 +141,7 @@ class Session:
         objects)."""
         from ..trace.store import artifact_digest
 
-        key = resolve_executor(executor if executor is not None
-                               else self.executor)
-        return artifact_digest(self.design_ref, key)
+        return artifact_digest(self.design_ref, self._key(executor))
 
     def baseline(self, *, executor: str | None = None,
                  refresh: bool = False):
@@ -145,8 +155,7 @@ class Session:
         compiling + capturing; the result's
         ``phase_seconds["capture"]`` reports ``"warm"`` or ``"cold"``.
         """
-        key = resolve_executor(executor if executor is not None
-                               else self.executor)
+        key = self._key(executor)
         if refresh or key not in self._baselines:
             with self._lock:
                 if refresh or key not in self._baselines:
@@ -159,9 +168,7 @@ class Session:
         in-memory (no compile, capture or disk I/O is triggered) —
         what the simulation service consults to label a request
         ``hot`` before dispatching a capture."""
-        key = resolve_executor(executor if executor is not None
-                               else self.executor)
-        return key in self._baselines
+        return self._key(executor) in self._baselines
 
     def _capture_baseline(self, key: str, refresh: bool):
         """The baseline cache fill (store lookup, else capture +
@@ -183,13 +190,32 @@ class Session:
                 store.put(digest, result.trace)
         return result
 
-    def declared(self, baseline) -> tuple:
-        """``(design name, declared depth map)`` — read off
-        ``baseline``'s artifact (which carries both) while the session
-        has not compiled, so warm-cache paths stay compile-free."""
-        if baseline is not None and self._compiled is None:
-            trace = baseline.trace
-            return trace.design_name, dict(trace.depths)
+    def reference(self, executor: str | None = None):
+        """What depth overrides replay against: :meth:`baseline`, or
+        ``None`` when the design deadlocks at its declared depths —
+        the override decides then, by a full run (nothing is cached
+        for such a design: each call pays the short capture again)."""
+        try:
+            return self.baseline(executor=executor)
+        except DeadlockError:
+            return None
+
+    def declared(self, executor: str | None = None) -> tuple:
+        """``(design name, declared depth map)`` — what a depth
+        override names and overlays.  While the session has not
+        compiled, both are read off the baseline artifact when it is
+        cached here or sits in the trace store, so warm paths stay
+        compile-free (a corrupt store entry re-captures, which
+        compiles)."""
+        if self._compiled is None:
+            key = self._key(executor)
+            store = self.trace_store
+            if key in self._baselines or (
+                    store is not None
+                    and store.contains(self.trace_digest(key) or "")):
+                trace = self.baseline(executor=key).trace
+                if self._compiled is None:  # else: the entry was corrupt
+                    return trace.design_name, dict(trace.depths)
         return self.compiled.name, self.compiled.stream_depths()
 
     @property
@@ -229,15 +255,12 @@ class Session:
         raises :class:`~repro.errors.ConstraintViolation` when a
         recorded query flips under the new depths, or a plain
         :class:`~repro.errors.SimulationError` when they deadlock the
-        recording (fall back to ``run(depths=...)``, as :meth:`sweep` does).
-
-        A warm-cache baseline validates the depth names against the
-        artifact's declared FIFO map, so the whole replay stays
-        compile-free.
+        recording (fall back to ``run(depths=...)``, as :meth:`sweep`
+        does).  Depth names are checked against :meth:`declared`, so a
+        warm-cache replay stays compile-free.
         """
-        baseline = self.baseline(executor=executor)
-        name, declared = self.declared(baseline)
-        return baseline.trace.resimulate(
+        name, declared = self.declared(executor)
+        return self.baseline(executor=executor).trace.resimulate(
             validate_depth_names(depths, declared, name))
 
     def resimulate_many(self, configs, *, executor: str | None = None,
@@ -272,10 +295,9 @@ class Session:
                     for config in configs]
         return rows
 
-    def run_many(self, configs, *, jobs: int = 1, incremental: bool = True,
+    def run_many(self, configs, *, jobs: int = 1,
                  timeout: float | None = None, max_retries: int = 3,
                  checkpoint=None, resume: bool = False, faults=None,
-                 vectorize: bool = True,
                  batch_size: int | None = None) -> list:
         """Run a batch of configurations, optionally over a process pool.
 
@@ -283,39 +305,39 @@ class Session:
         ``"omnisim"``), ``executor``, ``depths``, plus any engine
         constructor kwargs.  OmniSim configs that differ only in depths
         are served by constraint-checked incremental replay of the
-        cached baseline (full-run fallback; ``incremental=False`` forces
-        full simulations).  With ``jobs > 1`` the batch is sharded over
-        worker processes that receive the design reference and baseline
-        once and compile locally — the compiled artifact is the unit of
-        reuse, not the individual run.  Results come back in config
-        order; simulation-level failures (deadlock, unsupported design)
-        are returned as results with ``.failure`` set instead of
-        aborting the batch.
+        cached baseline (full-run fallback).  With ``jobs > 1`` the
+        batch is sharded over worker processes that receive the design
+        reference and baseline once and compile locally — the compiled
+        artifact is the unit of reuse, not the individual run.  Results
+        come back in config order; simulation-level failures (deadlock,
+        unsupported design) are returned as results with ``.failure``
+        set instead of aborting the batch.
 
         Execution is supervised (:mod:`repro.exec`): ``timeout`` bounds
         each chunk's wall-clock, crashed workers are respawned and their
         configs retried up to ``max_retries`` times before quarantine,
-        and ``checkpoint``/``resume`` journal completed configs across
-        interruptions.  The returned list's ``supervision`` attribute
-        carries the provenance block.  ``vectorize`` (default on) serves
-        incremental-eligible configs in ``batch_size``-row slices
-        through the NumPy batch-retiming kernel, with per-row scalar
-        fallback — identical values, each result's
-        ``phase_seconds["mode"]`` records the path.  See
-        :func:`repro.api.batch.run_many`.
+        ``checkpoint``/``resume`` journal completed configs across
+        interruptions, and ``faults`` injects deterministic failures
+        (default: ``REPRO_FAULTS``).  The returned list's
+        ``supervision`` attribute carries the provenance block.
+        Replay-eligible configs go through the NumPy batch-retiming
+        kernel in ``batch_size``-row slices (``batch_size=1``: the
+        scalar path only), with per-row scalar fallback — identical
+        values, each result's ``phase_seconds["mode"]`` records the
+        path (``"vectorized"`` / ``"scalar"`` / ``"scalar-fallback"`` /
+        ``"full"``).
         """
         from .batch import run_many
 
-        return run_many(self, configs, jobs=jobs, incremental=incremental,
-                        timeout=timeout, max_retries=max_retries,
-                        checkpoint=checkpoint, resume=resume, faults=faults,
-                        vectorize=vectorize, batch_size=batch_size)
+        return run_many(self, configs, jobs=jobs, timeout=timeout,
+                        max_retries=max_retries, checkpoint=checkpoint,
+                        resume=resume, faults=faults, batch_size=batch_size)
 
     def sweep(self, space, *, samples: int | None = None, seed: int = 0,
               jobs: int = 1, executor: str | None = None,
               timeout: float | None = None, max_retries: int = 3,
               checkpoint=None, resume: bool = False, faults=None,
-              vectorize: bool = True, batch_size: int | None = None,
+              batch_size: int | None = None,
               strategy: str | None = None, max_evals: int | None = None):
         """Depth-space exploration over this session's design.
 
@@ -326,12 +348,12 @@ class Session:
         :class:`~repro.dse.SweepResult`.  The resilience knobs
         (``timeout``, ``max_retries``, ``checkpoint``/``resume``,
         ``faults``) pass through to the supervised executor, and
-        ``vectorize``/``batch_size`` control the batched retiming kernel
-        — see :func:`repro.dse.explore`.  ``strategy`` selects how the
-        space is covered (``"exhaustive"`` default, ``"refine"``,
-        ``"random"``) and ``max_evals`` bounds the total number of
-        evaluated configurations — the adaptive seam for spaces too
-        large to enumerate.
+        ``batch_size`` bounds the rows per call of the batched retiming
+        kernel (1: scalar path only) — see :func:`repro.dse.explore`.
+        ``strategy`` selects how the space is covered (``"exhaustive"``
+        default, ``"refine"``, ``"random"``) and ``max_evals`` bounds
+        the total number of evaluated configurations — the adaptive
+        seam for spaces too large to enumerate.
         """
         from ..dse import explore
 
@@ -340,9 +362,8 @@ class Session:
                                  else self.executor),
                        timeout=timeout, max_retries=max_retries,
                        checkpoint=checkpoint, resume=resume,
-                       faults=faults, vectorize=vectorize,
-                       batch_size=batch_size, strategy=strategy,
-                       max_evals=max_evals)
+                       faults=faults, batch_size=batch_size,
+                       strategy=strategy, max_evals=max_evals)
 
     # -- analysis -------------------------------------------------------
 

@@ -93,25 +93,6 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def _run_from_trace(session, args, depths):
-    """Serve an omnisim run from the session's (possibly warm-cached)
-    baseline: directly at base depths, via the replay policy
-    (:func:`repro.api.batch.serve_depths`) for depth overrides."""
-    from .api.batch import serve_depths
-
-    try:
-        base = session.baseline(executor=args.executor)
-    except DeadlockError:
-        if not depths:
-            raise
-        # The *declared* depths deadlock; the requested override may
-        # not — the full run at those depths decides.
-        base = None
-    if not depths:
-        return base
-    return serve_depths(session, base, depths, args.executor)
-
-
 def cmd_run(args) -> int:
     # All resolve/compile/validate wiring lives in the Session + engine
     # registry: unknown FIFO names raise a clean UnknownFifoError (exit
@@ -123,8 +104,14 @@ def cmd_run(args) -> int:
         if session.trace_store is not None and args.sim == "omnisim":
             # Repeat runs skip recapture: the baseline loads from the
             # content-addressed cache and depth overrides replay
-            # incrementally (full-run fallback on divergence).
-            result = _run_from_trace(session, args, depths)
+            # incrementally (full-run fallback on divergence, or when
+            # the declared depths deadlock).
+            if depths:
+                from .api.batch import serve_depths
+
+                result = serve_depths(session, depths, args.executor)
+            else:
+                result = session.baseline(executor=args.executor)
         else:
             result = session.run(engine=args.sim, executor=args.executor,
                                  depths=depths)
@@ -172,11 +159,10 @@ def cmd_dse(args) -> int:
         raise SystemExit("dse --resume requires --checkpoint FILE")
     space = DepthSpace.parse(specs)
     kwargs = dict(samples=args.samples, seed=args.seed, jobs=args.jobs,
-                  executor=args.executor, trace_cache=args.trace_cache,
-                  timeout=args.timeout, max_retries=args.max_retries,
-                  vectorize=not args.no_vectorize,
-                  batch_size=args.batch_size, strategy=args.strategy,
-                  max_evals=args.max_evals)
+                  executor=args.executor, timeout=args.timeout,
+                  max_retries=args.max_retries,
+                  batch_size=1 if args.no_vectorize else args.batch_size,
+                  strategy=args.strategy, max_evals=args.max_evals)
     # Directory-sweep mode only when the argument cannot mean a registry
     # design — a stray local directory must not shadow a design name.
     known_name = (args.design in designs.ALIASES
@@ -188,8 +174,9 @@ def cmd_dse(args) -> int:
             raise SystemExit("dse --checkpoint applies to a single "
                              "design sweep, not a spec directory")
         return _dse_directory(args, space, explore_specs, kwargs)
-    sweep = explore(args.design, space, checkpoint=args.checkpoint,
-                    resume=args.resume, **kwargs)
+    with Session.open(args.design, trace_cache=args.trace_cache) as session:
+        sweep = explore(session, space, checkpoint=args.checkpoint,
+                        resume=args.resume, **kwargs)
 
     print(f"design     : {sweep.design}")
     print(f"space      : {', '.join(space.fifos)}"
@@ -260,7 +247,8 @@ def _dse_directory(args, space, explore_specs, kwargs) -> int:
     """Sweep every spec file in a directory; one summary row per spec."""
     from .analysis import render_table
 
-    outcomes = explore_specs(args.design, space, **kwargs)
+    outcomes = explore_specs(args.design, space,
+                             trace_cache=args.trace_cache, **kwargs)
     if not outcomes:
         raise SystemExit(f"no spec files (*.yaml, *.json) in {args.design}")
     rows = []
@@ -670,7 +658,8 @@ def main(argv=None) -> int:
     dse_parser.add_argument("--no-vectorize", action="store_true",
                             help="evaluate every configuration on the "
                                  "scalar incremental path (disable the "
-                                 "NumPy batch-retiming kernel)")
+                                 "NumPy kernel): --batch-size 1, and it "
+                                 "wins over --batch-size")
     dse_parser.add_argument("--strategy", default=None,
                             choices=("exhaustive", "refine", "random"),
                             help="how to cover the space: exhaustive "
@@ -737,10 +726,12 @@ def main(argv=None) -> int:
                      "engines",
         formatter_class=fmt,
         description="Mutate generated design specs and run each "
-                    "candidate as a three-way differential: OmniSim "
-                    "compiled vs interpreted vs the cosim oracle, the "
-                    "columnar vs object retiming paths, and vectorized "
-                    "batch rows vs scalar answers.  Candidates that "
+                    "candidate through the differential legs of "
+                    "repro.fuzz.differential: engine (OmniSim compiled "
+                    "vs interpreted vs the cosim oracle), retiming "
+                    "(incremental re-simulation vs a full run, per "
+                    "depth configuration) and batch (vectorized rows vs "
+                    "scalar answers).  Candidates that "
                     "exercise new engine code arcs join the corpus; "
                     "divergences are auto-minimized and pinned as "
                     "replayable regression specs.",

@@ -17,10 +17,10 @@ re-runs.  This package drives that primitive at scale:
   the frontier of million-config spaces with a fraction of the
   evaluations, under an explicit ``max_evals`` budget.
 
-Designs come from the registry (name or group alias), from a DSL spec
-file, or — via :func:`explore_specs` — from a whole directory of
-generated specs (``repro gen --batch``), enabling topology x depth
-sweeps over procedurally generated corpora.
+:func:`explore` sweeps an open :class:`repro.api.Session` (a registry
+name or group alias, a DSL spec file, a design object);
+:func:`explore_specs` a whole directory of generated specs (``repro gen
+--batch``), enabling topology x depth sweeps over generated corpora.
 
 CLI: ``repro dse <design|spec.yaml|spec-dir> --range fifo=LO:HI
 [--jobs J]``.

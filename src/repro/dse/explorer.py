@@ -25,11 +25,12 @@ respawns, quarantines, rounds and resumed counts.
 
 from __future__ import annotations
 
-import functools
+import os
 import time as _time
 from dataclasses import dataclass, field
 
-from ..errors import DseError
+from ..errors import DseError, ReproError
+from ..exec import ExecPolicy, JournaledRun, Unit, resolve_plan
 from ..exec.replay import (  # noqa: F401  (the labels are dse API)
     MODE_FULL,
     MODE_SCALAR,
@@ -39,12 +40,11 @@ from ..exec.replay import (  # noqa: F401  (the labels are dse API)
     SOURCE_FULL,
     SOURCE_INCREMENTAL,
     Replayer,
-    load_reference,
     resolve_batch_size,
-    ship_reference,
 )
 from ..trace.columnar import DEFAULT_FIFO_WIDTH
 from .pareto import frontier_distance, pareto_front
+from .search import config_key, make_strategy
 from .space import DepthSpace
 
 #: a configuration that exhausted its retry budget (never an evaluation
@@ -100,16 +100,19 @@ class SweepResult:
     design: str
     params: dict
     base_depths: dict
-    base_cycles: int
+    #: cycles at the declared depths; None when they deadlock
+    base_cycles: int | None
     space_size: int
     jobs: int
     points: list = field(default_factory=list)
-    #: wall-clock seconds of the initial graph-capturing run
+    #: wall-clock seconds of obtaining the reference (compile + capture
+    #: run, or the warm load)
     capture_seconds: float = 0.0
     #: wall-clock seconds of the sweep itself
     seconds: float = 0.0
-    #: where the reference capture came from: "cold" (fresh simulation)
-    #: or "warm" (loaded from the on-disk trace cache)
+    #: where the reference capture came from: "cold" (fresh simulation),
+    #: "warm" (loaded from the on-disk trace cache) or "none" (the
+    #: declared depths deadlock: the sweep started without a reference)
     capture: str = "cold"
     #: provenance of the supervised execution (retries, respawns,
     #: quarantines, resumed count, checkpoint path) — see
@@ -255,62 +258,49 @@ class Evaluator(Replayer):
         )
 
 
-def _worker_evaluator(design_ref, base_depths, executor, shipped):
-    """Pool-worker factory (:func:`repro.exec.worker.init_worker`): the
-    reference arrives in its shipped form and the design compiles
-    lazily, only if a configuration needs a full re-simulation."""
-    from ..api.design_ref import compile_from_ref
-
-    return Evaluator(load_reference(shipped), base_depths,
-                     functools.partial(compile_from_ref, design_ref),
-                     executor)
-
-
-def _quarantined_point(base_depths, trace, config, detail) -> SweepPoint:
-    """A structured failure point for a configuration that exhausted
-    its retry budget (never dropped from the result)."""
-    depths = dict(base_depths)
-    depths.update(config)
-    return SweepPoint(
-        depths=depths,
-        cycles=None,
-        buffer_bits=trace.buffer_bits(depths),
-        source=SOURCE_QUARANTINED,
-        seconds=0.0,
-        detail=(f"{detail['reason']}: {detail['message']} "
-                f"(quarantined after {detail['attempts']} attempts)"),
-    )
+    def quarantined(self, config: dict, detail: dict) -> SweepPoint:
+        """A structured failure point for a configuration that
+        exhausted its retry budget (never dropped from the result)."""
+        depths = dict(self.base_depths, **config)
+        return SweepPoint(
+            depths=depths,
+            cycles=None,
+            buffer_bits=self._buffer_bits(depths),
+            source=SOURCE_QUARANTINED,
+            seconds=0.0,
+            detail=(f"{detail['reason']}: {detail['message']} "
+                    f"(quarantined after {detail['attempts']} attempts)"),
+        )
 
 
 # ---------------------------------------------------------------------------
 
 
-def explore(design, space, *, params: dict | None = None,
-            samples: int | None = None, seed: int = 0, jobs: int = 1,
-            executor: str | None = None, trace_cache=None,
+def explore(session, space, *, samples: int | None = None, seed: int = 0,
+            jobs: int = 1, executor: str | None = None,
             timeout: float | None = None, max_retries: int = 3,
             checkpoint=None, resume: bool = False, faults=None,
-            vectorize: bool = True, batch_size: int | None = None,
-            strategy: str | None = None,
+            batch_size: int | None = None, strategy: str | None = None,
             max_evals: int | None = None) -> SweepResult:
-    """Sweep ``design`` over ``space`` and aggregate a :class:`SweepResult`.
+    """Sweep ``session``'s design over ``space`` and aggregate a
+    :class:`SweepResult`.
 
-    ``design`` is anything :class:`repro.api.Session` opens — a registry
-    name (group aliases accepted), a DSL spec file path
-    (``*.yaml``/``*.json``, see :mod:`repro.designs.dsl`), an
-    ``hls.Design`` / compiled design, or an already-open ``Session``
-    (whose cached compiled artifact and captured baseline are reused);
-    ``space`` is a :class:`DepthSpace` or a list of axis specs
-    (``"fifo=1:16"``).  ``samples`` draws a seeded random subset instead
-    of the full grid; ``jobs`` shards configurations across a process
-    pool, never wider than a round's pending configurations (ad-hoc
-    compiled designs that cannot be pickled fall back to in-process
-    evaluation; the result's ``jobs`` field reports the parallelism
-    actually used).  ``trace_cache`` enables the on-disk trace-artifact
-    cache for the capture run (see :class:`repro.api.Session`): warm
-    sweeps skip recapture entirely, pool workers load the baseline by
-    content digest instead of receiving it through pickle, and the
-    result's ``capture`` field reports ``"warm"`` or ``"cold"``.
+    ``session`` is an open :class:`repro.api.Session`: its cached
+    compiled artifact and captured baseline are reused, and under its
+    ``trace_cache`` a warm sweep skips recapture (and compilation)
+    entirely — the result's ``capture`` field reports ``"warm"`` or
+    ``"cold"``.  ``space`` is a :class:`DepthSpace` or a list of axis
+    specs (``"fifo=1:16"``).  ``samples`` draws a seeded random subset
+    instead of the full grid; ``jobs`` shards configurations across a
+    process pool, never wider than a round's pending configurations
+    (the result's ``jobs`` field reports the parallelism actually
+    used; see :meth:`repro.exec.replay.Replayer.worker_spec`).
+
+    A design that deadlocks at its *declared* depths is swept all the
+    same (sizing the FIFOs behind a deadlock is the question, paper
+    sections 7.1-7.2): the sweep starts without a reference
+    (``base_cycles`` ``None``, ``capture`` ``"none"``), full runs decide,
+    and the first to complete is re-captured for its neighbourhood.
 
     Resilience knobs (the supervised executor, :mod:`repro.exec`):
     ``timeout`` is the per-chunk wall-clock deadline in seconds (hung
@@ -327,15 +317,14 @@ def explore(design, space, *, params: dict | None = None,
     environment variable).  The result's ``supervision`` block reports
     what the executor actually did.
 
-    ``vectorize`` (default True) evaluates configurations in batches
-    through the NumPy retiming kernel
-    (:mod:`repro.trace.vectorized`); rows the kernel declines fall
-    back to the scalar path one by one, so every point is bit-for-bit
-    what ``vectorize=False`` computes.  ``batch_size`` bounds rows per
-    kernel call (default
-    :data:`repro.trace.vectorized.DEFAULT_BATCH_SIZE`).  Each point's
-    ``mode`` field records the path that served it.  Without NumPy the
-    sweep transparently degrades to the scalar path.
+    Configurations are evaluated in batches through the NumPy retiming
+    kernel (:mod:`repro.trace.vectorized`), ``batch_size`` rows per
+    call (default :data:`repro.trace.vectorized.DEFAULT_BATCH_SIZE`);
+    rows the kernel declines fall back to the scalar path one by one,
+    so every point is bit-for-bit what ``batch_size=1`` — the scalar
+    path only — computes.  Each point's ``mode`` field records the path
+    that served it.  Without NumPy the sweep transparently degrades to
+    the scalar path.
 
     Search (:mod:`repro.dse.search`): ``strategy`` picks how the space
     is covered — ``"exhaustive"`` (default; enumerate or
@@ -353,11 +342,6 @@ def explore(design, space, *, params: dict | None = None,
     deterministic proposal sequence, serving journaled configurations
     from disk, and lands on the exact frontier of an uninterrupted run.
     """
-    from ..api import Session
-    from ..api.design_ref import shardable
-    from ..exec import ExecPolicy, JournaledRun, resolve_plan
-    from .search import make_strategy
-
     if not isinstance(space, DepthSpace):
         space = DepthSpace.parse(space)
     strategy_name = "exhaustive" if strategy is None else strategy
@@ -390,51 +374,15 @@ def explore(design, space, *, params: dict | None = None,
                         seed=seed)
     batch_size = resolve_batch_size(batch_size)
 
-    if isinstance(design, Session):
-        if params:
-            raise TypeError(
-                "params cannot be combined with an already-open Session "
-                "(its design was built at open time); open the Session "
-                "with the desired params instead"
-            )
-        if trace_cache is not None:
-            raise TypeError(
-                "trace_cache cannot be combined with an already-open "
-                "Session (its cache setting was fixed at open time); "
-                "open the Session with trace_cache=... instead"
-            )
-        session = design
-    else:
-        session = Session(design, trace_cache=trace_cache,
-                          **(params or {}))
-    design_ref = session.design_ref
-
-    # When the baseline artifact is already on disk, the whole parent-
-    # side sweep setup is compile-free: the artifact carries the design
-    # name and the full declared depth map, and workers compile lazily
-    # from the design reference only on full-run fallbacks.  (If the
-    # cache entry turns out corrupt, baseline() falls back to a fresh
-    # capture — which compiles — and the non-warm setup below applies.)
-    store = session.trace_store
-    warm_possible = (
-        store is not None and session._compiled is None
-        and design_ref[0] != "compiled"
-        and store.contains(session.trace_digest(executor) or "")
-    )
-    if not warm_possible:
-        space.validate_against(session.compiled.design.streams)
-
     # The session's cached baseline is the capture run: a pre-warmed
-    # session (or a warm cache hit) makes this (nearly) free, which is
-    # the point of the facade.
+    # session (or a warm cache hit, compile-free) makes this (nearly)
+    # free, which is the point of the facade.
     capture_start = _time.perf_counter()
-    base = session.baseline(executor=executor)
+    design_name, base_depths = session.declared(executor)
+    space.validate_against(base_depths)
+    evaluator = Evaluator.for_session(session, executor)
     capture_seconds = _time.perf_counter() - capture_start
-
-    trace = base.trace
-    design_name, base_depths = session.declared(base)
-    if warm_possible:
-        space.validate_against(base_depths)
+    base = evaluator.reference
 
     identity = None if checkpoint is None else {
         "kind": "dse",
@@ -449,16 +397,11 @@ def explore(design, space, *, params: dict | None = None,
 
     sweep_start = _time.perf_counter()
     with JournaledRun(
-        Evaluator(base, base_depths, lambda: session.compiled, executor),
-        worker=((_worker_evaluator,
-                 (design_ref, base_depths, executor,
-                  ship_reference(session, base, executor)))
-                if jobs > 1 and shardable(design_ref) else None),
-        jobs=jobs, batch_size=batch_size if vectorize else 0,
-        policy=policy, fault_plan=fault_plan,
+        evaluator, worker=evaluator.worker_spec(session, jobs), jobs=jobs,
+        batch_size=batch_size, policy=policy, fault_plan=fault_plan,
         encode=SweepPoint.to_json, decode=lambda doc: SweepPoint(**doc),
-        quarantined=lambda unit, detail: _quarantined_point(
-            base_depths, trace, unit.payload, detail),
+        quarantined=lambda unit, detail: evaluator.quarantined(
+            unit.payload, detail),
         checkpoint=checkpoint, identity=identity, resume=resume,
     ) as run:
         points, search = _run_rounds(searcher, run, space.size, max_evals)
@@ -469,13 +412,14 @@ def explore(design, space, *, params: dict | None = None,
         design=design_name,
         params=dict(session.params),
         base_depths=base_depths,
-        base_cycles=base.cycles,
+        base_cycles=None if base is None else base.cycles,
         space_size=space.size,
         jobs=supervision["jobs"],
         points=points,
         capture_seconds=capture_seconds,
         seconds=_time.perf_counter() - sweep_start,
-        capture=base.phase_seconds.get("capture", "cold"),
+        capture=("none" if base is None
+                 else base.phase_seconds.get("capture", "cold")),
         supervision=supervision,
         search=(search if strategy is not None or max_evals is not None
                 else None),
@@ -499,9 +443,6 @@ def _run_rounds(strategy, run, space_size: int,
     partially journaled final round), so the search continues exactly
     where the killed run stopped paying for evaluations.
     """
-    from ..exec import Unit
-    from .search import config_key
-
     points: list = []
     proposed: set = set()
     rounds: list = []
@@ -575,8 +516,6 @@ def _run_rounds(strategy, run, space_size: int,
 def iter_spec_files(directory) -> list:
     """Sorted DSL spec files (``*.yaml``/``*.yml``/``*.json``) under
     ``directory`` (non-recursive)."""
-    import os
-
     from ..designs.dsl import SPEC_SUFFIXES
 
     return sorted(
@@ -586,23 +525,22 @@ def iter_spec_files(directory) -> list:
     )
 
 
-def explore_specs(spec_paths, space, **explore_kwargs) -> list:
+def explore_specs(spec_paths, space, *, trace_cache=None,
+                  **explore_kwargs) -> list:
     """Sweep one depth space over many spec files (generated corpora).
 
     ``spec_paths`` is a directory (all specs inside are swept) or an
-    iterable of spec file paths; remaining keyword arguments pass
-    through to :func:`explore`.  Specs that cannot be swept — missing
-    the swept FIFO axis, malformed, or deadlocking at their base
-    configuration; mixed corpora contain all three — are skipped rather
-    than aborting the batch.
+    iterable of spec file paths; each is opened as a
+    :class:`repro.api.Session` (under ``trace_cache``) and the remaining
+    keyword arguments pass through to :func:`explore`.  Specs that
+    cannot be swept — missing the swept FIFO axis or malformed; mixed
+    corpora contain both — are skipped rather than aborting the batch.
 
     Returns:
         List of ``(path, SweepResult | ReproError)`` pairs in sweep
         order (errors mark skipped specs).
     """
-    import os
-
-    from ..errors import ReproError
+    from ..api import Session
 
     if isinstance(spec_paths, (str, bytes)) or hasattr(spec_paths,
                                                        "__fspath__"):
@@ -611,7 +549,9 @@ def explore_specs(spec_paths, space, **explore_kwargs) -> list:
     outcomes = []
     for path in spec_paths:
         try:
-            outcomes.append((path, explore(path, space, **explore_kwargs)))
+            with Session(path, trace_cache=trace_cache) as session:
+                outcomes.append((path, explore(session, space,
+                                               **explore_kwargs)))
         except ReproError as exc:
             outcomes.append((path, exc))
     return outcomes

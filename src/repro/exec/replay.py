@@ -21,11 +21,17 @@ four steps whoever asks (``repro.dse``, ``Session.run_many``,
 :class:`Replayer` carries the mutable reference through a stream of
 configurations; callers adapt its :class:`ReplayOutcome` to their own
 result shape (:class:`repro.dse.SweepPoint`, a served
-:class:`~repro.sim.result.SimulationResult`).
+:class:`~repro.sim.result.SimulationResult`).  It is built in two
+places only: :meth:`Replayer.for_session` asks the
+:class:`~repro.api.Session` what to replay against (``reference()``,
+``None`` when the declared depths deadlock; ``declared()``), and
+:meth:`Replayer.in_worker` rebuilds the same policy in a pool worker
+from :meth:`Replayer.worker_spec`.
 """
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from dataclasses import dataclass
 
@@ -149,6 +155,70 @@ class Replayer:
         self._compiled = None
         self.executor = executor
 
+    @classmethod
+    def for_session(cls, session, executor: str | None = None, *,
+                    capture: bool = True):
+        """The policy over ``session``'s design: replays
+        ``session.reference(executor)``, overlays
+        ``session.declared(executor)``, compiles through the session.
+        ``capture=False`` starts without a reference (a batch with
+        nothing to serve from one does not pay for a capture)."""
+        if executor is None:
+            executor = session.executor
+        return cls(session.reference(executor) if capture else None,
+                   session.declared(executor)[1], lambda: session.compiled,
+                   executor)
+
+    def worker_spec(self, session, jobs: int) -> tuple | None:
+        """``(factory, args)`` rebuilding this policy in each of
+        ``jobs`` pool workers (:func:`repro.exec.worker.init_worker`),
+        or ``None`` when the run stays in-process: one job, or an
+        ad-hoc design that cannot cross the process boundary.
+
+        The reference ships as ``("stored", digest, cache_dir)`` when
+        its artifact sits in the session's on-disk store (every worker
+        loads it from disk), else as ``("artifact", trace)``: the
+        artifact itself, functional outputs included, its static-edge
+        columns built before pickling so no worker rebuilds them."""
+        from ..api.design_ref import shardable
+
+        if jobs <= 1 or not shardable(session.design_ref):
+            return None
+        shipped = None
+        if self.reference is not None:
+            store = session.trace_store
+            digest = (session.trace_digest(self.executor)
+                      if store is not None else None)
+            if digest is not None and store.contains(digest):
+                shipped = ("stored", digest, store.root)
+            else:
+                self.reference.trace.ensure_static()
+                shipped = ("artifact", self.reference.trace)
+        return type(self).in_worker, (
+            session.design_ref, self.base_depths, self.executor, shipped)
+
+    @classmethod
+    def in_worker(cls, design_ref, base_depths, executor, shipped):
+        """Pool-worker side of :meth:`worker_spec`: the design compiles
+        lazily, only if a configuration needs a full run; a store entry
+        that vanished or went corrupt degrades to no reference (with
+        the store's warning), and full runs re-capture."""
+        from ..api.design_ref import compile_from_ref
+
+        reference = None
+        if shipped is not None:
+            if shipped[0] == "stored":
+                from ..trace.store import TraceStore
+
+                artifact = TraceStore(shipped[2]).get(shipped[1])
+            else:
+                artifact = shipped[1]
+            if artifact is not None:
+                reference = artifact.to_result()
+        return cls(reference, base_depths,
+                   functools.partial(compile_from_ref, design_ref),
+                   executor)
+
     @property
     def compiled(self):
         """The compiled design, built on first use (fallbacks only)."""
@@ -218,45 +288,3 @@ class Replayer:
                     inc.depths, SOURCE_INCREMENTAL, MODE_VECTORIZED,
                     inc.cycles, inc.seconds, incremental=inc,
                     run=reference)
-
-
-# ---------------------------------------------------------------------------
-# crossing a process boundary
-
-
-def ship_reference(session, reference, executor=None):
-    """The form ``reference`` (``session``'s baseline under
-    ``executor``) takes on its way to pool workers:
-
-    * ``("trace", digest, cache_dir)`` when the artifact sits in the
-      session's on-disk store — the initializer payload is a digest and
-      every worker loads the artifact from disk;
-    * else ``("artifact", trace)`` — the artifact itself, which carries
-      the capture's functional outputs too, with its static-edge
-      columns built before pickling so no worker rebuilds them.
-    """
-    if reference is None:
-        return None
-    store = session.trace_store
-    digest = (session.trace_digest(executor) if store is not None
-              else None)
-    if digest is not None and store.contains(digest):
-        from ..api.design_ref import trace_ref
-
-        return trace_ref(digest, store.root)
-    reference.trace.ensure_static()
-    return ("artifact", reference.trace)
-
-
-def load_reference(shipped):
-    """Worker-side inverse of :func:`ship_reference` (a vanished or
-    corrupt store entry degrades to ``None``: full runs re-capture)."""
-    if shipped is None:
-        return None
-    if shipped[0] == "artifact":
-        artifact = shipped[1]
-    else:
-        from ..api.design_ref import load_trace_from_ref
-
-        artifact = load_trace_from_ref(shipped)
-    return artifact.to_result() if artifact is not None else None

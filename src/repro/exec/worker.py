@@ -1,9 +1,10 @@
 """One worker protocol and one journaled, supervised run over it.
 
-``repro.dse`` sweeps and ``Session.run_many`` batches are the same
-execution problem: a list of :class:`~repro.exec.supervisor.Unit`\\ s,
-an *evaluator* with ``evaluate(payload)`` / ``evaluate_batch(payloads)``
-(a shape adapter over :class:`repro.exec.replay.Replayer`), an optional
+``repro.dse`` sweeps, ``Session.run_many`` batches and ``repro fuzz``
+campaigns are the same execution problem: a list of
+:class:`~repro.exec.supervisor.Unit`\\ s, an *evaluator* with
+``evaluate(payload)`` / ``evaluate_batch(payloads)`` (for the first two
+a shape adapter over :class:`repro.exec.replay.Replayer`), an optional
 checkpoint journal, and ``jobs`` worker processes.  :class:`JournaledRun`
 owns everything between the units and their outcomes: it serves
 journaled units from the (resumed) journal, runs the rest in-process

@@ -23,11 +23,11 @@ AFL-shaped, sized for a simulator test harness:
 
 Determinism: candidate order and every mutation draw derive from
 ``random.Random(("fuzz", seed, round).__repr__())`` — string seeding,
-stable across processes and ``PYTHONHASHSEED``.  Evaluation runs under
-the PR 6 supervisor (:func:`repro.exec.run_serial`: retry, backoff,
-quarantine) with an optional checkpoint journal; ``--resume`` replays
-journalled verdicts (adoption and divergence decisions) without
-re-simulating, then continues the remaining budget live.
+stable across processes and ``PYTHONHASHSEED``.  Evaluation is a
+:class:`repro.exec.JournaledRun` (retry, backoff, quarantine, optional
+checkpoint journal): ``--resume`` serves journalled verdicts (adoption
+and divergence decisions) without re-simulating, then continues the
+remaining budget live.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from ..designs import dsl
 from ..designs.dsl.schema import FifoSpec, SpecError, validate_spec
 from ..errors import RequestError
-from ..exec import CheckpointJournal, ExecPolicy, Unit, run_serial
+from ..exec import ExecPolicy, JournaledRun, Unit
 from .coverage import CoverageHook, CoverageMap
 from .differential import (
     DEFAULT_MAX_CYCLES,
@@ -290,19 +291,15 @@ def run_campaign(config: CampaignConfig, *, log=None) -> CampaignReport:
         for desc, mutant in deterministic_mutants(spec):
             pending.append((f"{label}/{desc}", mutant))
 
-    journal, restored = None, {}
-    if config.checkpoint:
-        # budget is deliberately not part of the identity: resuming
-        # with a larger --budget is how a campaign is continued.
-        identity = {
-            "kind": "fuzz",
-            "seed": config.seed,
-            "corpus": hashlib.sha256("\n".join(
-                label for label, _ in corpus).encode("utf-8")
-            ).hexdigest()[:16],
-        }
-        journal, restored = CheckpointJournal.open(
-            config.checkpoint, identity, resume=config.resume)
+    # budget is deliberately not part of the identity: resuming with a
+    # larger --budget is how a campaign is continued.
+    identity = {
+        "kind": "fuzz",
+        "seed": config.seed,
+        "corpus": hashlib.sha256("\n".join(
+            label for label, _ in corpus).encode("utf-8")
+        ).hexdigest()[:16],
+    }
 
     pinned_kinds: set = set()
 
@@ -352,104 +349,70 @@ def run_campaign(config: CampaignConfig, *, log=None) -> CampaignReport:
             outcome["divergence"] = diff.divergence.to_dict()
         return outcome
 
+    def apply(desc, spec, key, verdict):
+        """Act on one verdict, fresh or journalled: adopt into the
+        corpus (queueing the newcomer's deterministic stage), minimize
+        and pin a divergence."""
+        if verdict.get("kept"):
+            corpus.append((f"adopted:{desc}", spec))
+            for det_desc, mutant in deterministic_mutants(spec):
+                pending.append((f"adopted:{desc}/{det_desc}", mutant))
+        divergence_doc = verdict.get("divergence")
+        if divergence_doc is not None:
+            handle_divergence(
+                spec,
+                Divergence(kind=divergence_doc["kind"],
+                           detail=divergence_doc["detail"],
+                           legs={k: tuple(v) for k, v in
+                                 divergence_doc["legs"].items()}),
+                desc, key)
+
     havoc_round = 0
-    policy = ExecPolicy(max_retries=2, seed=config.seed)
-
-    while report.evaluated < config.budget:
-        if deadline is not None and time.monotonic() >= deadline:
-            say("time budget exhausted")
-            break
-        if not pending:
-            rng = _round_rng(config.seed, havoc_round)
-            havoc_round += 1
-            for _ in range(_HAVOC_ROUND):
-                label, parent = corpus[rng.randrange(len(corpus))]
-                drawn = mutate(parent, rng)
-                if drawn is None:
-                    continue
-                mutant, op_name = drawn
-                pending.append(
-                    (f"havoc{havoc_round - 1}:{label}/{op_name}",
-                     mutant))
+    with JournaledRun(
+        SimpleNamespace(evaluate=evaluate), jobs=1, batch_size=1,
+        policy=ExecPolicy(max_retries=2, seed=config.seed),
+        fault_plan=None, encode=dict, decode=dict,
+        quarantined=lambda unit, detail: {
+            "desc": unit.payload[0], "quarantined": detail, "kept": False},
+        checkpoint=config.checkpoint, identity=identity,
+        resume=config.resume,
+    ) as run:
+        while report.evaluated < config.budget:
+            if deadline is not None and time.monotonic() >= deadline:
+                say("time budget exhausted")
+                break
             if not pending:
-                continue
-
-        batch = []
-        while pending and len(batch) < 8 \
-                and report.evaluated + len(batch) < config.budget:
-            desc, spec = pending.popleft()
-            yaml_text = dsl.spec_to_yaml(spec)
-            batch.append((desc, yaml_text, spec))
-
-        units, reused = [], []
-        for desc, yaml_text, spec in batch:
-            key = _candidate_key(desc, yaml_text)
-            doc = restored.get(key)
-            if doc is not None:
-                reused.append((key, desc, spec, doc))
-            else:
-                units.append(Unit(len(units), key, (desc, yaml_text)))
-
-        for key, desc, spec, doc in reused:
-            report.evaluated += 1
-            report.resumed += 1
-            if doc.get("kept"):
-                corpus.append((f"adopted:{desc}", spec))
-                for det_desc, mutant in deterministic_mutants(spec):
-                    pending.append((f"adopted:{desc}/{det_desc}",
-                                    mutant))
-            divergence_doc = doc.get("divergence")
-            if divergence_doc is not None:
-                handle_divergence(
-                    spec,
-                    Divergence(kind=divergence_doc["kind"],
-                               detail=divergence_doc["detail"],
-                               legs={k: tuple(v) for k, v in
-                                     divergence_doc["legs"].items()}),
-                    desc, key)
-
-        if not units:
-            continue
-
-        def record(unit, status, value):
-            if journal is None:
-                return
-            doc = (value if status == "ok"
-                   else {"desc": unit.payload[0], "quarantined": value,
-                         "kept": False})
-            journal.append(unit.key, doc)
-
-        results, sup = run_serial(units, evaluate, policy=policy,
-                                  record=record)
-        report.quarantined += len(sup.quarantined)
-        spec_by_index = {
-            unit.index: next(s for d, y, s in batch
-                             if _candidate_key(d, y) == unit.key)
-            for unit in units
-        }
-        for unit in units:
-            report.evaluated += 1
-            status, value = results[unit.index]
-            if status != "ok":
-                continue
-            if value.get("kept"):
-                spec = spec_by_index[unit.index]
-                corpus.append((f"adopted:{value['desc']}", spec))
-                for det_desc, mutant in deterministic_mutants(spec):
+                rng = _round_rng(config.seed, havoc_round)
+                havoc_round += 1
+                for _ in range(_HAVOC_ROUND):
+                    label, parent = corpus[rng.randrange(len(corpus))]
+                    drawn = mutate(parent, rng)
+                    if drawn is None:
+                        continue
+                    mutant, op_name = drawn
                     pending.append(
-                        (f"adopted:{value['desc']}/{det_desc}", mutant))
-            divergence_doc = value.get("divergence")
-            if divergence_doc is not None:
-                handle_divergence(
-                    spec_by_index[unit.index],
-                    Divergence(kind=divergence_doc["kind"],
-                               detail=divergence_doc["detail"],
-                               legs={k: tuple(v) for k, v in
-                                     divergence_doc["legs"].items()}),
-                    value["desc"], unit.key)
+                        (f"havoc{havoc_round - 1}:{label}/{op_name}",
+                         mutant))
+                if not pending:
+                    continue
 
-    if journal is not None:
-        journal.close()
+            batch, units = [], []
+            while pending and len(batch) < 8 \
+                    and report.evaluated + len(batch) < config.budget:
+                desc, spec = pending.popleft()
+                yaml_text = dsl.spec_to_yaml(spec)
+                units.append(Unit(len(units),
+                                  _candidate_key(desc, yaml_text),
+                                  (desc, yaml_text)))
+                batch.append((desc, spec))
+
+            verdicts, restored = run.run(units)
+            report.evaluated += len(units)
+            report.resumed += restored
+            for (desc, spec), unit, verdict in zip(batch, units, verdicts):
+                apply(desc, spec, unit.key, verdict)
+        report.quarantined = len(run.supervision()["quarantined"])
+
     report.corpus = len(corpus)
     report.coverage_edges = len(coverage)
     report.seconds = time.monotonic() - started

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from ..api.batch import serve_depths
 from ..errors import (
     DeadlineError,
-    DeadlockError,
     ReproError,
     RequestError,
     RequestTooLargeError,
@@ -466,8 +465,12 @@ class ReproService:
                                                 _create)
         return session, digest
 
-    async def _baseline_for(self, session, digest, executor):
-        """The (possibly coalesced) captured baseline + its label."""
+    async def _baseline_for(self, session, digest, executor, *,
+                            required: bool = True):
+        """The (possibly coalesced) captured baseline + its label.
+        With ``required=False`` — the request overrides depths — a
+        design that deadlocks as declared answers ``(None, "none")``
+        (``Session.reference``) instead of raising."""
         from ..sim.context import resolve_executor
 
         key = ("baseline", digest, resolve_executor(
@@ -482,14 +485,18 @@ class ReproService:
             if session.has_baseline(executor):
                 return session.baseline(executor=executor), "hot"
             result = await self._in_worker(
-                functools.partial(session.baseline, executor=executor))
+                session.baseline if required else session.reference,
+                executor=executor)
+            if result is None:
+                return None, "none"
             label = result.phase_seconds.get("capture", "cold")
             return result, label if label in ("cold", "warm") else "cold"
 
         (result, label), owner = await self._flight.do(key, _capture)
-        if not owner:
-            label = "coalesced"
-        self.captures[label] += 1
+        if result is not None:
+            if not owner:
+                label = "coalesced"
+            self.captures[label] += 1
         return result, label
 
     # -- endpoint handlers ---------------------------------------------
@@ -501,18 +508,11 @@ class ReproService:
         depths = dict(req.depths)
         capture = None
         if req.engine == "omnisim":
-            try:
-                base, capture = await self._baseline_for(
-                    session, digest, executor)
-            except DeadlockError:
-                if not depths:
-                    raise
-                # The declared depths deadlock; the requested override
-                # may not — a full run at those depths decides.
-                base, capture = None, "none"
+            base, capture = await self._baseline_for(
+                session, digest, executor, required=not depths)
             if depths:
                 result = await self._in_worker(
-                    serve_depths, session, base, depths, executor)
+                    serve_depths, session, depths, executor)
                 serving = result.phase_seconds["serving"]
             else:
                 result, serving = base, "baseline"
@@ -545,8 +545,8 @@ class ReproService:
                     f"sweep names {len(req.configs)} configurations; "
                     f"the server's max_configs limit is "
                     f"{self.config.max_configs}")
-            base, capture = await self._baseline_for(session, digest,
-                                                     executor)
+            base, capture = await self._baseline_for(
+                session, digest, executor, required=False)
             run_configs = [
                 dict({"depths": dict(c)},
                      **({"executor": executor} if executor else {}))
@@ -567,7 +567,8 @@ class ReproService:
             return wire.to_json(wire.SweepResponse(
                 design=session.name, digest=digest, executor=executor,
                 capture=capture, evaluated=len(points), points=points,
-                pareto=None, base_depths={}, base_cycles=base.cycles,
+                pareto=None, base_depths={},
+                base_cycles=None if base is None else base.cycles,
                 seconds=round(time.perf_counter() - t0, 6),
             ))
         from ..dse import DepthSpace
@@ -591,8 +592,8 @@ class ReproService:
                 f"sweep would evaluate up to {effective} configurations; "
                 f"the server's max_configs limit is "
                 f"{self.config.max_configs} ({hint})")
-        _base, capture = await self._baseline_for(session, digest,
-                                                  executor)
+        _base, capture = await self._baseline_for(
+            session, digest, executor, required=False)
         sweep = await self._in_worker(
             functools.partial(session.sweep, space,
                               samples=req.samples, seed=req.seed,

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro import compile_design, designs
+from repro.api import Session
 from repro.cli import main as cli_main
 from repro.dse import (
     ENUMERATE_LIMIT,
@@ -201,7 +202,7 @@ class TestExplorerTypeA:
 
     def test_all_incremental_and_matches_fresh(self):
         compiled = compile_design(make_pipeline_design())
-        sweep = explore(compiled, ["s1=1:6", "s2=1,4"])
+        sweep = explore(Session(compiled), ["s1=1:6", "s2=1,4"])
         assert sweep.evaluated == 12
         assert sweep.incremental_fraction == 1.0
         for point in sweep.points:
@@ -213,7 +214,7 @@ class TestExplorerTypeA:
 
     def test_pareto_nonempty_and_nondominated(self):
         compiled = compile_design(make_pipeline_design())
-        sweep = explore(compiled, ["s1=1:6", "s2=1:6"])
+        sweep = explore(Session(compiled), ["s1=1:6", "s2=1:6"])
         front = sweep.pareto()
         assert front
         vectors = [(p.cycles, p.buffer_bits) for p in front]
@@ -222,7 +223,7 @@ class TestExplorerTypeA:
 
     def test_samples_subset(self):
         compiled = compile_design(make_pipeline_design())
-        sweep = explore(compiled, ["s1=1:8", "s2=1:8"], samples=10, seed=3)
+        sweep = explore(Session(compiled), ["s1=1:8", "s2=1:8"], samples=10, seed=3)
         assert sweep.evaluated == 10
         assert sweep.space_size == 64
 
@@ -230,10 +231,10 @@ class TestExplorerTypeA:
         compiled = compile_design(make_pipeline_design())
         space = ["s1=1:2048", "s2=1:2048"]  # 4M configs > the guard
         with pytest.raises(DseError, match="max_evals"):
-            explore(compiled, space)
+            explore(Session(compiled), space)
         # ... but a sampled sweep of the same space is fine: sampling
         # never materializes the product.
-        sweep = explore(compiled, space, samples=3, seed=1)
+        sweep = explore(Session(compiled), space, samples=3, seed=1)
         assert sweep.evaluated == 3
         assert sweep.space_size == 2048 * 2048 > ENUMERATE_LIMIT
 
@@ -250,9 +251,9 @@ class TestExplorerFallback:
         # Against the original depth-2 capture, all of those would have
         # violated — the tail of incremental points IS the re-capture.
         # The monotone source tail is a property of strictly sequential
-        # evaluation, so pin vectorize=False here.
+        # evaluation, so pin batch_size=1 here.
         compiled = compile_design(make_nb_design(depth=2))
-        sweep = explore(compiled, ["s1=1:32"], vectorize=False)
+        sweep = explore(Session(compiled), ["s1=1:32"], batch_size=1)
         sources = [p.source for p in sweep.points]
         assert SOURCE_FULL in sources
         assert sources[-1] == SOURCE_INCREMENTAL
@@ -266,8 +267,8 @@ class TestExplorerFallback:
         # source/mode labels can legitimately differ — but every value
         # (cycles, buffer bits) must be bit-for-bit identical.
         compiled = compile_design(make_nb_design(depth=2))
-        batched = explore(compiled, ["s1=1:32"])
-        scalar = explore(compiled, ["s1=1:32"], vectorize=False)
+        batched = explore(Session(compiled), ["s1=1:32"])
+        scalar = explore(Session(compiled), ["s1=1:32"], batch_size=1)
         assert [(p.depths, p.cycles, p.buffer_bits) for p in batched.points] \
             == [(p.depths, p.cycles, p.buffer_bits) for p in scalar.points]
         assert all(p.source in (SOURCE_FULL, SOURCE_INCREMENTAL)
@@ -276,7 +277,7 @@ class TestExplorerFallback:
 
     def test_every_point_matches_fresh_run(self):
         compiled = compile_design(make_nb_design(depth=2))
-        sweep = explore(compiled, ["s1=1:8"])
+        sweep = explore(Session(compiled), ["s1=1:8"])
         for point in sweep.points:
             assert point.ok
             fresh = OmniSimulator(compiled, depths=point.depths).run()
@@ -284,27 +285,26 @@ class TestExplorerFallback:
 
     def test_fallback_detail_names_the_constraint(self):
         compiled = compile_design(make_nb_design(depth=2))
-        sweep = explore(compiled, ["s1=1:8"])
+        sweep = explore(Session(compiled), ["s1=1:8"])
         details = [p.detail for p in sweep.points
                    if p.source == SOURCE_FULL]
         assert any(d and "s1" in d for d in details)
 
     def test_registry_design_by_name(self):
-        sweep = explore("fig4_ex5", ["fifo2=2:5"], params={"n": 100})
+        sweep = explore(Session("fig4_ex5", n=100), ["fifo2=2:5"])
         assert sweep.design == "fig4_ex5"
         assert sweep.evaluated == 4
         assert sweep.incremental_fraction == 1.0  # fifo2 is uncongested
 
     def test_unknown_fifo_rejected(self):
         with pytest.raises(DseError):
-            explore("fig4_ex5", ["nope=1:4"], params={"n": 100})
+            explore(Session("fig4_ex5", n=100), ["nope=1:4"])
 
 
 class TestExplorerSharded:
     def test_jobs_match_serial_cycles(self):
-        serial = explore("fig4_ex5", ["fifo1=1:6"], params={"n": 100},
-                         jobs=1)
-        sharded = explore("fig4_ex5", ["fifo1=1:6"], params={"n": 100},
+        serial = explore(Session("fig4_ex5", n=100), ["fifo1=1:6"], jobs=1)
+        sharded = explore(Session("fig4_ex5", n=100), ["fifo1=1:6"],
                           jobs=2)
         assert sharded.jobs == 2
         as_pairs = lambda sweep: [  # noqa: E731
@@ -320,7 +320,7 @@ class TestExplorerSharded:
         # evaluation (reporting jobs=1) instead of crashing on
         # platforms whose multiprocessing start method is not fork.
         compiled = compile_design(make_pipeline_design())
-        sweep = explore(compiled, ["s1=1:4"], jobs=2)
+        sweep = explore(Session(compiled), ["s1=1:4"], jobs=2)
         assert sweep.jobs == 1
         assert sweep.evaluated == 4
         assert sweep.incremental_fraction == 1.0
@@ -329,7 +329,7 @@ class TestExplorerSharded:
 class TestSweepResultJson:
     def test_round_trip_fields(self):
         compiled = compile_design(make_pipeline_design())
-        sweep = explore(compiled, ["s1=1:4"])
+        sweep = explore(Session(compiled), ["s1=1:4"])
         blob = json.loads(json.dumps(sweep.to_json()))
         assert blob["evaluated"] == 4
         assert blob["incremental"] == 4

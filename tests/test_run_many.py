@@ -10,7 +10,7 @@ import pytest
 from repro import compile_design
 from repro.api import Session
 from repro.api.batch import normalize_config
-from repro.errors import UnknownEngineError, UnknownFifoError
+from repro.errors import DeadlockError, UnknownEngineError, UnknownFifoError
 from repro.exec import chunk_contiguous
 from tests.conftest import make_nb_design
 
@@ -50,10 +50,15 @@ class TestDifferential:
         batch = session.run_many(STRESS_CONFIGS, jobs=2)
         assert [_key(r) for r in batch] == [_key(r) for r in loop_results]
 
-    def test_incremental_off_vs_run_loop(self, session, loop_results):
-        batch = session.run_many(STRESS_CONFIGS, incremental=False)
-        assert [_key(r) for r in batch] == [_key(r) for r in loop_results]
-        assert all(r.phase_seconds["serving"] == "full" for r in batch)
+    def test_incremental_off_vs_run_loop(self, session):
+        # the replay policy serves OmniSim only: on any other engine
+        # every config is a full run, in-process and in pool workers
+        configs = [dict(config, engine="cosim") for config in STRESS_CONFIGS]
+        loop = [_key(session.run(**config)) for config in configs]
+        for jobs in (1, 2):
+            batch = session.run_many(configs, jobs=jobs)
+            assert [_key(r) for r in batch] == loop
+            assert all(r.phase_seconds["serving"] == "full" for r in batch)
 
     def test_both_serving_paths_exercised(self, session):
         batch = session.run_many(STRESS_CONFIGS, jobs=1)
@@ -98,9 +103,12 @@ class TestSemantics:
     def test_deadlock_folded_into_result(self):
         # deadlock design: cyclic blocking ring that starves
         session = Session.open("deadlock")
-        batch = session.run_many([{"engine": "omnisim"},
-                                  {"engine": "omnisim"}], incremental=False)
+        configs = [{"engine": "omnisim"}, {"engine": "cosim"}]
+        batch = session.run_many(configs)
         assert all(r.failure and "deadlock" in r.failure for r in batch)
+        for config in configs:
+            with pytest.raises(DeadlockError):
+                session.run(**config)
 
     def test_unsupported_folded_into_result(self, session):
         batch = session.run_many([{"engine": "lightningsim"}])
@@ -132,10 +140,10 @@ class TestSemantics:
         compiled = compile_design(make_nb_design())
         session = Session.open(compiled)
         configs = [{"depths": {"s1": d}} for d in (1, 2, 4, 8)]
-        batch = session.run_many(configs, jobs=4, incremental=False)
-        expected = [session.run(depths=c["depths"]).cycles
-                    for c in configs]
+        batch = session.run_many(configs, jobs=4)
+        expected = [session.run(**config).cycles for config in configs]
         assert [r.cycles for r in batch] == expected
+        assert batch.supervision["mode"] == "serial"
 
 
 class TestChunking:
@@ -150,10 +158,11 @@ class TestChunking:
         assert chunk_contiguous([1, 2], 8) == [[1], [2]]
 
     def test_normalize_config_defaults(self, session):
-        normalized = normalize_config({}, session.compiled)
+        declared = session.declared()
+        normalized = normalize_config({}, *declared)
         assert normalized == {"engine": "omnisim", "executor": None,
                               "depths": {}, "kwargs": {}}
         with_kwargs = normalize_config(
-            {"engine": "omnisim", "step_limit": 10}, session.compiled
+            {"engine": "omnisim", "step_limit": 10}, *declared
         )
         assert with_kwargs["kwargs"] == {"step_limit": 10}

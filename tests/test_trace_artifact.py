@@ -24,7 +24,7 @@ import pytest
 from repro import compile_design, designs
 from repro.api import Session
 from repro.errors import ConstraintViolation, DeadlockError, SimulationError
-from repro.exec.replay import load_reference, ship_reference
+from repro.exec.replay import Replayer
 from repro.sim.incremental import resimulate
 from repro.trace import (
     TraceArtifact,
@@ -311,10 +311,9 @@ class TestWorkerNoRebuild:
 
     def _shipped_clone(self):
         session = Session.open("fig4_ex5", n=120)
-        shipped = ship_reference(session, session.baseline())
-        assert shipped[0] == "artifact", "the trace ships alone"
-        clone = load_reference(pickle.loads(pickle.dumps(shipped)))
-        return clone
+        factory, args = Replayer.for_session(session).worker_spec(session, 2)
+        assert args[-1][0] == "artifact", "the trace ships alone"
+        return factory(*pickle.loads(pickle.dumps(args))).reference
 
     def test_pool_reference_never_rebuilds_static_edges(self, monkeypatch):
         clone = self._shipped_clone()

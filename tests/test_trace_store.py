@@ -84,11 +84,21 @@ class TestWarmBaseline:
         with pytest.raises(UnknownFifoError):
             session.resimulate({"bogus": 5})
         assert session._compiled is None
-        sweep = explore("fig4_ex5", ["fifo2=2:4"],
-                        params={"n": 120}, trace_cache=tmp_path)
+        sweep = explore(
+            Session.open("fig4_ex5", n=120, trace_cache=tmp_path),
+            ["fifo2=2:4"])
         assert sweep.capture == "warm"
         assert sweep.incremental_count == sweep.evaluated
         assert sweep.base_depths  # from the artifact's declared map
+        # ... and a batch of depth-only configs, typo check included
+        batch = Session.open("fig4_ex5", n=120, trace_cache=tmp_path)
+        results = batch.run_many([{"depths": {"fifo2": d}}
+                                  for d in (3, 5)])
+        assert [r.phase_seconds["serving"] for r in results] \
+            == ["incremental"] * 2
+        with pytest.raises(UnknownFifoError):
+            batch.run_many([{"depths": {"bogus": 5}}])
+        assert batch._compiled is None
 
     def test_param_change_misses(self, warm_store, tmp_path):
         other = Session.open("fig4_ex5", n=121, trace_cache=tmp_path)
@@ -372,10 +382,13 @@ class TestDseWarmCapture:
     def test_sweep_warm_second_run_and_digest_shipping(self, tmp_path):
         from repro.dse import explore
 
-        kwargs = dict(params={"n": 64}, jobs=2,
-                      trace_cache=str(tmp_path))
-        cold = explore("vector_add_stream", ["sc=1:4"], **kwargs)
-        warm = explore("vector_add_stream", ["sc=1:4"], **kwargs)
+        def sweep():
+            with Session.open("vector_add_stream", n=64,
+                              trace_cache=str(tmp_path)) as session:
+                return explore(session, ["sc=1:4"], jobs=2)
+
+        cold = sweep()
+        warm = sweep()
         assert cold.capture == "cold"
         assert warm.capture == "warm"
         assert ([p.cycles for p in cold.points]

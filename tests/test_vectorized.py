@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import compile_design, designs, hls
+from repro.api import Session
 from repro.designs import dsl
 from repro.errors import ConstraintViolation, DeadlockError, SimulationError
 from repro.sim.registry import run_engine
@@ -279,8 +280,8 @@ def test_sweep_with_deadlock_rows_batched_equals_scalar():
     from repro.dse import SOURCE_DEADLOCK, explore
 
     compiled = compile_design(make_reorder_design())
-    batched = explore(compiled, ["s1=4:12"])
-    scalar = explore(compiled, ["s1=4:12"], vectorize=False)
+    batched = explore(Session(compiled), ["s1=4:12"])
+    scalar = explore(Session(compiled), ["s1=4:12"], batch_size=1)
     key = lambda p: (p.depths, p.cycles, p.buffer_bits, p.ok)
     assert [key(p) for p in batched.points] == [key(p) for p in scalar.points]
     sources = [p.source for p in batched.points]
@@ -549,8 +550,8 @@ def test_without_numpy_whole_batch_degrades(monkeypatch):
         == [None, None]
     # the explorer still sweeps — scalar path, identical values
     compiled = compile_design(make_pipeline_design())
-    batched = explore(compiled, ["s1=1:6"])
-    scalar = explore(compiled, ["s1=1:6"], vectorize=False)
+    batched = explore(Session(compiled), ["s1=1:6"])
+    scalar = explore(Session(compiled), ["s1=1:6"], batch_size=1)
     assert [(p.depths, p.cycles, p.buffer_bits) for p in batched.points] \
         == [(p.depths, p.cycles, p.buffer_bits) for p in scalar.points]
 
@@ -560,7 +561,7 @@ def test_batch_size_validation():
 
     compiled = compile_design(make_pipeline_design())
     with pytest.raises(ValueError):
-        explore(compiled, ["s1=1:4"], batch_size=0)
+        explore(Session(compiled), ["s1=1:4"], batch_size=0)
 
 
 # ---------------------------------------------------------------------------
