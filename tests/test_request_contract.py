@@ -13,13 +13,17 @@ records, at the commit *before* the request-validation refactor (ISSUE
 
 and, at the commit before the replay-policy refactor (ISSUE 22), what
 the doors in front of :mod:`repro.exec.replay` answer (wall-clock and
-content-address fields masked):
+content-address fields masked) — extended, at the commit before the
+policy took over batching (ISSUE 24), with the labels that depend on
+where a kernel slice ends and where a fault cuts a worker's chunk:
 
 * ``dse_json`` — the ``repro dse --json`` document;
 * ``http_ok`` — ``/v1/run`` with ``depths`` and ``/v1/sweep`` in both
   ``space`` and ``configs`` form, each posted twice (cold, then hot);
 * ``run_many`` — cycles, failure and the ``phase_seconds``
   ``serving`` / ``mode`` / ``capture`` labels of mixed batches;
+* ``resimulate_many`` — ``Session.resimulate_many`` rows (cycles,
+  buffer bits, ``None`` positions) per ``batch_size``;
 * ``fuzz`` — a seed-0 campaign's report and checkpoint journal,
   uninterrupted and stopped-then-resumed.
 
@@ -43,6 +47,7 @@ import os
 import re
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -137,6 +142,30 @@ DSE_JSON_CASES = {
                         "--jobs", "2"],
 }
 
+# fifo1 re-captures *inside* a 3-row kernel slice and *between* slices
+_SLICES = ["dse", "fig4_ex5", "--range", "fifo1=1:4", "--range",
+           "fifo2=2:4", "--batch-size", "3"]
+# depth-only (nothing re-captures, so a pool's labels do not follow its
+# scheduling): 8 chunks of 4, each cut into slices of 3 + 1
+_POOL_SLICES = ["dse", "fig4_ex5", "--range", "fifo2=1:32",
+                "--batch-size", "3", "--jobs", "2"]
+DSE_JSON_CASES.update({
+    "slices": _SLICES,
+    "slices-jobs-2": _SLICES + ["--jobs", "2"],
+    "slices-faults": _SLICES,
+    "slices-faults-jobs-2": _SLICES + ["--jobs", "2"],
+    "pool-slices": _POOL_SLICES,
+    "pool-slices-faults": _POOL_SLICES,
+})
+#: id -> the ``REPRO_FAULTS`` plan the case runs under
+DSE_FAULTS = {"slices-faults": "error@3:1",
+              "slices-faults-jobs-2": "error@3:1",
+              "pool-slices-faults": "error@5:1"}
+#: cases whose two workers each re-capture a reference of their own:
+#: which path served a point follows the pool's scheduling, so only
+#: the values and the supervision counters are pinned
+_SCHEDULING_DEPENDENT = ("slices-jobs-2", "slices-faults-jobs-2")
+
 _PARAMS = {"n": 60}
 
 #: id -> (endpoint, body) the service answers 200; posted twice
@@ -169,6 +198,19 @@ RUN_MANY_CASES = {
     "deadlock": ("deadlock", {}, [{}, {"engine": "cosim"}], 1),
 }
 RUN_MANY_CASES["mixed-jobs-2"] = RUN_MANY_CASES["mixed"][:3] + (2,)
+#: seven depth-only configs in slices of 3 + 3 + 1 (a trailing fifth
+#: element is the batch's ``batch_size``)
+RUN_MANY_CASES["slices"] = ("fig4_ex5", _PARAMS, [
+    {"depths": depths} for depths in (
+        {"fifo2": 8}, {"fifo1": 3}, {"fifo1": 3, "fifo2": 4}, {"fifo2": 2},
+        {"fifo1": 1}, {"fifo2": 3}, {"fifo1": 1, "fifo2": 3})
+], 1, 3)
+
+#: ``Session.resimulate_many`` configs (fifo1 flips recorded queries)
+#: and the ``batch_size`` values they are asked under
+RESIMULATE_CONFIGS = [{"fifo2": 8}, {"fifo1": 3}, {"fifo2": 2}, {},
+                      {"fifo1": 1, "fifo2": 3}, {"fifo2": 5}, {"fifo2": 1}]
+RESIMULATE_BATCH_SIZES = (1, 3, None)
 
 _MASKED_KEYS = ("seconds", "capture_seconds", "configs_per_sec", "digest")
 
@@ -213,12 +255,27 @@ def _masked_doc(doc):
 
 
 def dse_json(case: str) -> dict:
-    with tempfile.TemporaryDirectory() as scratch:
+    faults = DSE_FAULTS.get(case)
+    with tempfile.TemporaryDirectory() as scratch, mock.patch.dict(
+            os.environ, {"REPRO_FAULTS": faults} if faults else {}):
         path = os.path.join(scratch, "sweep.json")
         status, _out, err = shell(DSE_JSON_CASES[case] + ["--json", path])
         assert status == 0, err
         with open(path, encoding="utf-8") as fh:
-            return _masked_doc(json.load(fh))
+            doc = _masked_doc(json.load(fh))
+    if case not in _SCHEDULING_DEPENDENT:
+        return doc
+    return {
+        "evaluated": doc["evaluated"], "deadlocked": doc["deadlocked"],
+        "quarantined": doc["quarantined"], "jobs": doc["jobs"],
+        "points": [[p["depths"], p["cycles"], p["buffer_bits"]]
+                   for p in doc["points"]],
+        "pareto": [[p["depths"], p["cycles"], p["buffer_bits"]]
+                   for p in doc["pareto"]],
+        "supervision": {key: doc["supervision"][key] for key in (
+            "mode", "units", "retries", "errors", "splits", "crashes",
+            "timeouts", "quarantined", "faults_injected")},
+    }
 
 
 def answered(port: int, case: str) -> list:
@@ -231,15 +288,27 @@ def answered(port: int, case: str) -> list:
 
 
 def run_many_labels(case: str) -> list:
-    design, params, configs, jobs = RUN_MANY_CASES[case]
+    design, params, configs, jobs, *batch = RUN_MANY_CASES[case]
+    kwargs = {"batch_size": batch[0]} if batch else {}
     with Session.open(design, trace_cache=False, **params) as session:
         return [
             {"simulator": result.simulator, "cycles": result.cycles,
              "failure": result.failure,
              "labels": {key: result.phase_seconds.get(key)
                         for key in ("serving", "mode", "capture")}}
-            for result in session.run_many(configs, jobs=jobs)
+            for result in session.run_many(configs, jobs=jobs, **kwargs)
         ]
+
+
+def resimulate_many_rows() -> dict:
+    with Session.open("fig4_ex5", trace_cache=False, **_PARAMS) as session:
+        return {
+            str(batch_size): [
+                row and [row.cycles, row.buffer_bits]
+                for row in session.resimulate_many(RESIMULATE_CONFIGS,
+                                                   batch_size=batch_size)]
+            for batch_size in RESIMULATE_BATCH_SIZES
+        }
 
 
 def _fuzz_env() -> dict:
@@ -316,6 +385,12 @@ def test_run_many_labels_are_pinned(case):
     if not numpy_available():
         pytest.skip("the `mode` labels name the NumPy kernel")
     assert run_many_labels(case) == _fixture()["run_many"][case]
+
+
+def test_resimulate_many_rows_are_pinned():
+    # NumPy or not: a row the kernel declines is a row the scalar
+    # replay refuses
+    assert resimulate_many_rows() == _fixture()["resimulate_many"]
 
 
 def test_fuzz_campaign_report_and_journal_are_pinned():
@@ -447,6 +522,7 @@ if __name__ == "__main__":
                         for case in HTTP_OK_CASES},
             "run_many": {case: run_many_labels(case)
                          for case in RUN_MANY_CASES},
+            "resimulate_many": resimulate_many_rows(),
             "fuzz": {"env": _fuzz_env(), "campaigns": fuzz_campaigns()},
         }
     with open(FIXTURE, "w", encoding="utf-8") as fh:
