@@ -207,6 +207,20 @@ def check_service() -> int:
         check("sweep (8 evaluated, pareto reported)",
               status == 200 and doc["evaluated"] == 8
               and doc["pareto"])
+
+        def rows(points):
+            return {p["depths"]["fifo2"]: (p["cycles"], p["buffer_bits"],
+                                           p["source"], p["failure"])
+                    for p in points}
+        space = rows(doc.get("points", ()))
+        status, doc = post(handle.port, "/v1/sweep",
+                           {"design": "fig4_ex5",
+                            "configs": [{"fifo2": 4}, {"fifo2": 8}]})
+        named = rows(doc.get("points", ()))
+        check("sweep by configs (the space form's points)",
+              status == 200 and len(named) == 2
+              and all(space.get(depth) == row
+                      for depth, row in named.items()))
         status, doc = post(handle.port, "/v1/run",
                            {"design": "deadlock"})
         check("deadlock maps to 422 / exit 2",
@@ -216,7 +230,7 @@ def check_service() -> int:
         handle.stop()
     check("graceful drain (server thread exited)",
           not handle._thread.is_alive())
-    total = 6
+    total = 7
     print(f"service: {total - failures}/{total} checks ok")
     return 1 if failures else 0
 

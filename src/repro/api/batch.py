@@ -54,12 +54,7 @@ import json
 
 from ..errors import DeadlockError, UnsupportedDesignError
 from ..exec import ExecPolicy, JournaledRun, Unit, resolve_plan
-from ..exec.replay import (
-    MODE_FULL,
-    SOURCE_FULL,
-    Replayer,
-    resolve_batch_size,
-)
+from ..exec.replay import MODE_FULL, SOURCE_FULL, Replayer
 from ..sim.registry import get_engine, run_engine, validate_depth_names
 from ..sim.result import SimulationResult, SimulationStats
 
@@ -113,57 +108,30 @@ class _BatchRunner(Replayer):
     depths would produce (paper section 7.2).
     """
 
-    def evaluate(self, config: dict) -> SimulationResult:
-        """Run one normalized config; simulation-level failures fold
-        into the result instead of raising."""
-        if _eligible(config):
-            return self.result_of(self.replay(config["depths"],
-                                              config["executor"]))
-        return self._run(config)
-
-    def evaluate_batch(self, configs: list) -> list:
-        """Evaluate a slice of configs in order, the eligible ones
-        through one call of the vectorized batch kernel (rows it
-        declines take the scalar path, bit-for-bit identical)."""
+    def evaluate(self, configs: list):
+        """One :class:`SimulationResult` per normalized config, in
+        order — the eligible ones through the policy's stream (see
+        :meth:`Replayer.evaluate`); simulation-level failures fold into
+        the result instead of raising."""
         eligible = [c for c in configs if _eligible(c)]
-        served = self.replay_batch([c["depths"] for c in eligible],
-                                   [c["executor"] for c in eligible])
-        return [self.result_of(next(served)) if _eligible(c)
-                else self._run(c) for c in configs]
-
-    def result_of(self, outcome) -> SimulationResult:
-        """The served :class:`SimulationResult` for one replay outcome."""
-        if outcome.error is not None:
-            return self._failed("omnisim", outcome.error)
-        if outcome.source == SOURCE_FULL:
-            return self._full(outcome.run)
-        inc = outcome.incremental
-        # The replayed run's outputs (copies), at the retimed cycles.
-        return dataclasses.replace(
-            outcome.run.trace.to_result(),
-            cycles=inc.cycles,
-            module_end_times=dict(inc.module_end_times),
-            execute_seconds=outcome.seconds,
-            phase_seconds={"serving": "incremental",
-                           "replay_seconds": inc.seconds,
-                           "mode": outcome.mode},
-            trace=None,
-        )
+        served = super().evaluate([c["depths"] for c in eligible],
+                                  [c["executor"] for c in eligible])
+        for config in configs:
+            if not _eligible(config):
+                yield self._run(config)
+                continue
+            outcome = next(served)
+            yield (_served(outcome) if outcome.error is None
+                   else self._failed("omnisim", outcome.error))
 
     def _run(self, config: dict) -> SimulationResult:
         try:
-            return self._full(run_engine(
+            return _full(run_engine(
                 config["engine"], self.compiled,
                 depths=config["depths"] or None,
                 executor=config["executor"], **config["kwargs"]))
         except (DeadlockError, UnsupportedDesignError) as exc:
             return self._failed(config["engine"], exc)
-
-    def _full(self, result: SimulationResult) -> SimulationResult:
-        result.phase_seconds.update(serving="full", mode=MODE_FULL)
-        # The run may be the reference the shard still replays against:
-        # drop the heavy attachments from a copy.
-        return dataclasses.replace(result, fifo_channels={}, trace=None)
 
     def _failed(self, engine: str, exc) -> SimulationResult:
         return SimulationResult(
@@ -173,6 +141,32 @@ class _BatchRunner(Replayer):
             failure=str(exc),
             phase_seconds={"serving": "full", "mode": MODE_FULL},
         )
+
+
+def _full(result: SimulationResult) -> SimulationResult:
+    result.phase_seconds.update(serving="full", mode=MODE_FULL)
+    # The run may be the reference the shard still replays against:
+    # drop the heavy attachments from a copy.
+    return dataclasses.replace(result, fifo_channels={}, trace=None)
+
+
+def _served(outcome) -> SimulationResult:
+    """The :class:`SimulationResult` of a replay outcome that completed."""
+    point = outcome.point
+    if point.source == SOURCE_FULL:
+        return _full(outcome.run)
+    inc = outcome.incremental
+    # The replayed run's outputs (copies), at the retimed cycles.
+    return dataclasses.replace(
+        outcome.run.trace.to_result(),
+        cycles=inc.cycles,
+        module_end_times=dict(inc.module_end_times),
+        execute_seconds=point.seconds,
+        phase_seconds={"serving": "incremental",
+                       "replay_seconds": inc.seconds,
+                       "mode": point.mode},
+        trace=None,
+    )
 
 
 def serve_depths(session, depths: dict,
@@ -187,11 +181,10 @@ def serve_depths(session, depths: dict,
     """
     name, declared = session.declared(executor)
     depths = validate_depth_names(depths, declared, name)
-    runner = _BatchRunner.for_session(session, executor)
-    outcome = runner.replay(depths)
+    outcome, = Replayer.for_session(session, executor).evaluate([depths])
     if outcome.error is not None:
         raise outcome.error
-    result = runner.result_of(outcome)
+    result = _served(outcome)
     if outcome.incremental is not None:
         # ``repro run`` prints the replayed capture's label.
         result.phase_seconds = dict(outcome.run.phase_seconds,
@@ -260,18 +253,18 @@ def run_many(session, configs, *, jobs: int = 1,
     :class:`~repro.errors.RequestError`; checkpoint/journal granularity
     is per config, batched or not.
     """
-    batch_size = resolve_batch_size(batch_size)
     fault_plan = resolve_plan(faults)
-    policy = ExecPolicy(timeout=timeout, max_retries=max_retries)
+    policy = ExecPolicy(timeout=timeout, max_retries=max_retries, jobs=jobs)
     name, declared = session.declared()
     normalized = [normalize_config(config, name, declared)
                   for config in configs]
-    if not normalized:
-        return BatchResult()
     # Capture (or reuse) the baseline only when some config can actually
     # be served from it.
     runner = _BatchRunner.for_session(
-        session, capture=any(map(_eligible, normalized)))
+        session, capture=any(map(_eligible, normalized)),
+        batch_size=batch_size)
+    if not normalized:
+        return BatchResult()
 
     units = [Unit(i, _config_key(i, config), config)
              for i, config in enumerate(normalized)]
@@ -300,8 +293,8 @@ def run_many(session, configs, *, jobs: int = 1,
         )
 
     with JournaledRun(
-        runner, worker=runner.worker_spec(session, jobs), jobs=jobs,
-        batch_size=batch_size, policy=policy, fault_plan=fault_plan,
+        runner, worker=runner.worker_spec(session, jobs),
+        policy=policy, fault_plan=fault_plan,
         encode=_result_to_json, decode=_result_from_json,
         quarantined=quarantined, checkpoint=checkpoint,
         identity=identity, resume=resume,

@@ -286,14 +286,9 @@ class Session:
         """
         from ..exec import replay
 
-        configs = list(configs)
-        baseline = self.baseline(executor=executor)
-        rows = replay.kernel_rows(baseline, configs,
-                                  replay.resolve_batch_size(batch_size))
-        if rows is None:
-            rows = [replay.replay_one(baseline, dict(config))[0]
-                    for config in configs]
-        return rows
+        return replay.incremental_rows(
+            self.baseline(executor=executor), list(configs),
+            replay.resolve_batch_size(batch_size))
 
     def run_many(self, configs, *, jobs: int = 1,
                  timeout: float | None = None, max_retries: int = 3,

@@ -8,7 +8,7 @@ flips pay for a full OmniSim run, whose own graph is re-captured as the
 new reference so the neighbourhood (sweeps enumerate neighbours
 consecutively) returns to the incremental path.  True deadlocks are
 recorded as points without a cycle count rather than aborting the sweep.
-:class:`Evaluator` is that policy shaped as :class:`SweepPoint`\\ s.
+:class:`Evaluator` is that policy; the :class:`SweepPoint`\\ s are its.
 
 *Which* configurations are evaluated is a :mod:`repro.dse.search`
 strategy's call — the exhaustive grid (or a seeded sample of it) is the
@@ -40,9 +40,8 @@ from ..exec.replay import (  # noqa: F401  (the labels are dse API)
     SOURCE_FULL,
     SOURCE_INCREMENTAL,
     Replayer,
-    resolve_batch_size,
+    SweepPoint,
 )
-from ..trace.columnar import DEFAULT_FIFO_WIDTH
 from .pareto import frontier_distance, pareto_front
 from .search import config_key, make_strategy
 from .space import DepthSpace
@@ -50,47 +49,6 @@ from .space import DepthSpace
 #: a configuration that exhausted its retry budget (never an evaluation
 #: path: the supervised executor synthesizes these points)
 SOURCE_QUARANTINED = "quarantined"
-
-
-@dataclass
-class SweepPoint:
-    """One evaluated depth configuration."""
-
-    #: full resolved depth map (every FIFO, not just the swept axes) —
-    #: replayable via ``repro run --depth``
-    depths: dict
-    #: total simulated cycles, or None when the configuration deadlocks
-    cycles: int | None
-    #: total FIFO storage (sum of depth x element width), in bits
-    buffer_bits: int
-    #: which path produced the number (incremental / full / deadlock)
-    source: str
-    seconds: float
-    #: why the incremental path was abandoned, when it was
-    detail: str | None = None
-    #: how the point was evaluated: :data:`MODE_VECTORIZED` (batched
-    #: NumPy kernel), :data:`MODE_SCALAR` (scalar replay),
-    #: :data:`MODE_SCALAR_FALLBACK` (kernel declined the row, scalar
-    #: replay re-ran it) or :data:`MODE_FULL`; None for quarantined
-    #: points and journals from before the field existed
-    mode: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        """True when the configuration completed (did not deadlock)."""
-        return self.cycles is not None
-
-    def to_json(self) -> dict:
-        """Plain-dict form for ``repro dse --json`` reports."""
-        return {
-            "depths": dict(self.depths),
-            "cycles": self.cycles,
-            "buffer_bits": self.buffer_bits,
-            "source": self.source,
-            "seconds": round(self.seconds, 6),
-            "detail": self.detail,
-            "mode": self.mode,
-        }
 
 
 @dataclass
@@ -213,50 +171,13 @@ class SweepResult:
 
 
 class Evaluator(Replayer):
-    """Incremental-first evaluation against a mutable reference run:
-    :class:`repro.exec.replay.Replayer` outcomes as
-    :class:`SweepPoint`\\ s."""
+    """The replay policy (:class:`repro.exec.replay.Replayer`) as the
+    sweep's evaluator: its points, without the handles behind them."""
 
-    def evaluate(self, config: dict) -> SweepPoint:
-        """Evaluate one depth configuration: incremental first, full
-        OmniSim re-simulation (with graph re-capture) on divergence."""
-        return self._point(self.replay(config))
-
-    def evaluate_batch(self, configs) -> list:
-        """Evaluate a slice of configurations through one call of the
-        batched NumPy kernel; rows it declines re-run one by one
-        through the scalar path, which produces the identical point or
-        fallback.  One :class:`SweepPoint` per config, in order."""
-        return [self._point(outcome)
-                for outcome in self.replay_batch(configs)]
-
-    def _point(self, outcome) -> SweepPoint:
-        inc = outcome.incremental
-        return SweepPoint(
-            depths=outcome.depths,
-            cycles=outcome.cycles,
-            buffer_bits=(inc.buffer_bits if inc is not None
-                         else self._buffer_bits(outcome.depths)),
-            source=outcome.source,
-            seconds=outcome.seconds,
-            detail=outcome.detail,
-            mode=outcome.mode,
-        )
-
-    def _buffer_bits(self, depths: dict) -> int:
-        """FIFO storage cost of ``depths``: via the reference's replay
-        trace when one exists, else from the design's stream
-        declarations (no-reference workers)."""
-        if self.reference is not None:
-            return self.reference.trace.buffer_bits(depths)
-        streams = self.compiled.design.streams
-        return sum(
-            depth * (getattr(streams[name].element, "width",
-                             DEFAULT_FIFO_WIDTH)
-                     if name in streams else DEFAULT_FIFO_WIDTH)
-            for name, depth in depths.items()
-        )
-
+    def evaluate(self, configs):
+        """One :class:`SweepPoint` per depth configuration, in order
+        (lazily: see :meth:`Replayer.evaluate`)."""
+        return (outcome.point for outcome in super().evaluate(configs))
 
     def quarantined(self, config: dict, detail: dict) -> SweepPoint:
         """A structured failure point for a configuration that
@@ -265,7 +186,7 @@ class Evaluator(Replayer):
         return SweepPoint(
             depths=depths,
             cycles=None,
-            buffer_bits=self._buffer_bits(depths),
+            buffer_bits=self._storage_bits(depths),
             source=SOURCE_QUARANTINED,
             seconds=0.0,
             detail=(f"{detail['reason']}: {detail['message']} "
@@ -371,8 +292,7 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
 
     fault_plan = resolve_plan(faults)
     policy = ExecPolicy(timeout=timeout, max_retries=max_retries,
-                        seed=seed)
-    batch_size = resolve_batch_size(batch_size)
+                        seed=seed, jobs=jobs)
 
     # The session's cached baseline is the capture run: a pre-warmed
     # session (or a warm cache hit, compile-free) makes this (nearly)
@@ -380,7 +300,8 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
     capture_start = _time.perf_counter()
     design_name, base_depths = session.declared(executor)
     space.validate_against(base_depths)
-    evaluator = Evaluator.for_session(session, executor)
+    evaluator = Evaluator.for_session(session, executor,
+                                      batch_size=batch_size)
     capture_seconds = _time.perf_counter() - capture_start
     base = evaluator.reference
 
@@ -397,8 +318,8 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
 
     sweep_start = _time.perf_counter()
     with JournaledRun(
-        evaluator, worker=evaluator.worker_spec(session, jobs), jobs=jobs,
-        batch_size=batch_size, policy=policy, fault_plan=fault_plan,
+        evaluator, worker=evaluator.worker_spec(session, jobs),
+        policy=policy, fault_plan=fault_plan,
         encode=SweepPoint.to_json, decode=lambda doc: SweepPoint(**doc),
         quarantined=lambda unit, detail: evaluator.quarantined(
             unit.payload, detail),

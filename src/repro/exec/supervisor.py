@@ -39,10 +39,14 @@ quarantine policy and the same report shape, no pool.  (A serial run
 cannot outlive a hang — there is no second process to enforce a
 deadline — which is exactly what the SIGKILL-and-resume CI smoke
 exploits.)
+
+Neither knows how an evaluator groups its work: both hand it a list of
+payloads and take back one value per payload, in order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from collections import deque
@@ -104,6 +108,10 @@ class Unit:
 class ExecPolicy:
     """Knobs governing supervised execution.
 
+    ``jobs``
+        Worker processes a run may use (a run with nothing to shard,
+        or a design that cannot cross the process boundary, stays
+        in-process whatever it says).
     ``timeout``
         Per-chunk wall-clock deadline in seconds (``None`` = no hang
         protection).  When set, at most ``jobs`` chunks are in flight
@@ -128,8 +136,11 @@ class ExecPolicy:
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     seed: int = 0
+    jobs: int = 1
 
     def __post_init__(self):
+        if self.jobs < 1:
+            raise RequestError(f"jobs must be >= 1, got {self.jobs}")
         if self.timeout is not None and self.timeout <= 0:
             raise RequestError(
                 f"timeout must be > 0 (or None), got {self.timeout}")
@@ -160,21 +171,18 @@ class SupervisionReport:
     quarantined: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "jobs": self.jobs,
-            "units": self.units,
-            "retries": self.retries,
-            "respawns": self.respawns,
-            "splits": self.splits,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "errors": self.errors,
-            "solo_runs": self.solo_runs,
-            "faults_injected": self.faults_injected,
-            "quarantined": [dict(q) for q in self.quarantined],
-            "seconds": self.seconds,
-        }
+        return dataclasses.asdict(self)
+
+    def absorb(self, later: "SupervisionReport") -> None:
+        """Fold a later call's report into this running total."""
+        for name in ("units", "retries", "respawns", "splits", "timeouts",
+                     "crashes", "errors", "solo_runs"):
+            setattr(self, name, getattr(self, name) + getattr(later, name))
+        if later.mode == "pool":
+            self.mode = "pool"
+        self.jobs = max(self.jobs, later.jobs)
+        self.seconds = round(self.seconds + later.seconds, 6)
+        self.quarantined += later.quarantined
 
 
 class _Chunk:
@@ -460,27 +468,25 @@ class Supervisor:
                 pass
 
 
-def run_serial(units, run_unit, *, policy=None, fault_plan=None,
-               record=None, run_batch=None, batch_size=0):
+def run_serial(units, evaluate, *, policy=None, fault_plan=None,
+               record=None):
     """The ``jobs=1`` twin of :class:`Supervisor`: same retry, backoff
     and quarantine policy, same ``(results, report)`` shape, no pool.
 
-    ``run_unit(payload)`` evaluates one unit in-process.  Fault
-    directives are applied in-process too (``crash`` raises
-    :class:`~repro.errors.WorkerCrashError` instead of killing the
-    interpreter); any :class:`~repro.errors.ReproError` escaping the
-    evaluation is treated as transient and retried up to
-    ``max_retries`` times before the unit is quarantined.
+    ``evaluate(payloads)`` yields one value per payload, in order; the
+    units go through it in one call and each value is recorded as the
+    stream yields it, so checkpoint granularity is per unit however
+    the evaluator groups its work.  Any
+    :class:`~repro.errors.ReproError` escaping the stream is treated as
+    transient: it is charged to the first unit not yet yielded, and
+    that unit and the rest are evaluated one call each, every unit
+    retried up to ``max_retries`` times before it is quarantined.
 
-    ``run_batch(payloads) -> [value, ...]`` is the optional batched
-    evaluator (the vectorized retiming path): when provided with
-    ``batch_size > 1`` and no fault plan, units are evaluated in
-    ``batch_size`` slices — ``record`` still fires once per unit, so
-    checkpoint granularity is unchanged.  A :class:`ReproError` escaping
-    a batch demotes that slice to the per-unit path above, which retries
-    and quarantines exactly as without batching.  Fault injection
-    always uses the per-unit path: directives target individual unit
-    indices and must fire immediately before their target's evaluation.
+    Fault injection always takes the per-unit path: directives target
+    individual unit indices, fire immediately before their target's
+    evaluation, and are applied in-process (``crash`` raises
+    :class:`~repro.errors.WorkerCrashError` instead of killing the
+    interpreter).
     """
     policy = policy if policy is not None else ExecPolicy()
     units = list(units)
@@ -494,16 +500,12 @@ def run_serial(units, run_unit, *, policy=None, fault_plan=None,
         if record is not None:
             record(unit, status, value)
 
-    def run_alone(unit):
+    def run_alone(unit, exc=None):
+        """Evaluate ``unit`` to a verdict; ``exc`` is a failure it has
+        already had."""
         attempts = 0
         while True:
-            directive = (fault_plan.take(unit.index)
-                         if fault_plan is not None else None)
-            try:
-                if directive is not None:
-                    apply_fault(directive, in_process=True)
-                value = run_unit(unit.payload)
-            except ReproError as exc:
+            if exc is not None:
                 attempts += 1
                 if isinstance(exc, WorkerCrashError):
                     report.crashes += 1
@@ -518,29 +520,28 @@ def run_serial(units, run_unit, *, policy=None, fault_plan=None,
                             policy.backoff_base
                             * (2 ** max(0, attempts - 1)))
                 time.sleep(delay * (0.5 + rng.random()))
+            directive = (fault_plan.take(unit.index)
+                         if fault_plan is not None else None)
+            try:
+                if directive is not None:
+                    apply_fault(directive, in_process=True)
+                value, = evaluate([unit.payload])
+            except ReproError as again:
+                exc = again
             else:
                 return finish(unit, "ok", value)
 
-    batching = (run_batch is not None and batch_size > 1
-                and fault_plan is None and len(units) > 1)
-    step = batch_size if batching else 1
-    for lo in range(0, len(units), step):
-        group = units[lo:lo + step]
-        if batching:
-            try:
-                values = run_batch([u.payload for u in group])
-            except ReproError:
-                # The batched path is an optimization, never a verdict:
-                # demote the slice to the per-unit path, which owns
-                # retry/backoff/quarantine.
-                report.errors += 1
-                report.retries += 1
-            else:
-                for unit, value in zip(group, values):
-                    finish(unit, "ok", value)
-                continue
-        for unit in group:
-            run_alone(unit)
+    failure = None
+    if fault_plan is None:
+        try:
+            for unit, value in zip(units, evaluate([u.payload
+                                                    for u in units])):
+                finish(unit, "ok", value)
+        except ReproError as exc:
+            failure = exc
+    for unit in units[len(results):]:
+        run_alone(unit, failure)
+        failure = None
     if fault_plan is not None:
         report.faults_injected = fault_plan.injected
     report.seconds = round(time.monotonic() - started, 6)

@@ -2,10 +2,12 @@
 
 ``repro.dse`` sweeps, ``Session.run_many`` batches and ``repro fuzz``
 campaigns are the same execution problem: a list of
-:class:`~repro.exec.supervisor.Unit`\\ s, an *evaluator* with
-``evaluate(payload)`` / ``evaluate_batch(payloads)`` (for the first two
-a shape adapter over :class:`repro.exec.replay.Replayer`), an optional
-checkpoint journal, and ``jobs`` worker processes.  :class:`JournaledRun`
+:class:`~repro.exec.supervisor.Unit`\\ s, an *evaluator* — any object
+with ``evaluate(payloads)``, yielding one outcome per payload in order
+(for the first two a shape adapter over
+:class:`repro.exec.replay.Replayer`, which alone decides how payloads
+group into kernel calls) — an optional checkpoint journal, and
+``policy.jobs`` worker processes.  :class:`JournaledRun`
 owns everything between the units and their outcomes: it serves
 journaled units from the (resumed) journal, runs the rest in-process
 (:func:`~repro.exec.supervisor.run_serial`, when no worker factory was
@@ -30,27 +32,13 @@ from .journal import CheckpointJournal
 from .supervisor import SupervisionReport, Supervisor, run_serial
 
 _EVALUATOR = None
-_BATCH_SIZE = 0
 
 
-def init_worker(factory, args: tuple, batch_size: int) -> None:
+def init_worker(factory, args: tuple) -> None:
     """Pool initializer: ``factory(*args)`` builds this worker's
     evaluator (``factory`` must be importable by path)."""
-    global _EVALUATOR, _BATCH_SIZE
+    global _EVALUATOR
     _EVALUATOR = factory(*args)
-    _BATCH_SIZE = batch_size
-
-
-def _run_segment(payloads: list) -> list:
-    """Evaluate a directive-free run of payloads, ``batch_size`` at a
-    time when the worker batches."""
-    if _BATCH_SIZE > 1 and len(payloads) > 1:
-        values: list = []
-        for lo in range(0, len(payloads), _BATCH_SIZE):
-            values.extend(_EVALUATOR.evaluate_batch(
-                payloads[lo:lo + _BATCH_SIZE]))
-        return values
-    return [_EVALUATOR.evaluate(payload) for payload in payloads]
 
 
 def run_chunk(wire) -> list:
@@ -63,27 +51,12 @@ def run_chunk(wire) -> list:
     segment: list = []
     for payload, directive in wire:
         if directive is not None:
-            values.extend(_run_segment(segment))
+            values.extend(_EVALUATOR.evaluate(segment))
             segment = []
             apply_fault(directive)
         segment.append(payload)
-    values.extend(_run_segment(segment))
+    values.extend(_EVALUATOR.evaluate(segment))
     return values
-
-
-def _merge(acc: dict | None, report: dict) -> dict:
-    """Fold one call's supervision report into the running total."""
-    if acc is None:
-        return report
-    for key in ("units", "retries", "respawns", "splits", "timeouts",
-                "crashes", "errors", "solo_runs"):
-        acc[key] += report[key]
-    if report["mode"] == "pool":
-        acc["mode"] = "pool"
-    acc["jobs"] = max(acc["jobs"], report["jobs"])
-    acc["seconds"] = round(acc["seconds"] + report["seconds"], 6)
-    acc["quarantined"] += report["quarantined"]
-    return acc
 
 
 class JournaledRun:
@@ -91,15 +64,13 @@ class JournaledRun:
     any number of :meth:`run` calls (a search calls it once per round)
     sharing one checkpoint journal, which leaving the context closes."""
 
-    def __init__(self, evaluator, *, jobs: int, batch_size: int, policy,
-                 fault_plan, encode, decode, quarantined,
-                 worker: tuple | None = None, checkpoint=None,
+    def __init__(self, evaluator, *, policy, fault_plan, encode, decode,
+                 quarantined, worker: tuple | None = None, checkpoint=None,
                  identity: dict | None = None, resume: bool = False):
         """Args:
             evaluator: in-process evaluator, used without ``worker``.
-            jobs: widest pool to spawn (1 without ``worker``).
-            batch_size: payloads per ``evaluate_batch`` call (<= 1:
-                never batch).
+            policy: the :class:`~repro.exec.supervisor.ExecPolicy`;
+                its ``jobs`` is the widest pool to spawn.
             encode / decode: outcome <-> journal document.
             quarantined: ``(unit, detail) -> outcome`` for a unit that
                 exhausted its retries.
@@ -111,8 +82,7 @@ class JournaledRun:
         """
         self._evaluator = evaluator
         self._worker = worker
-        self.jobs = max(1, jobs) if worker is not None else 1
-        self._batch_size = batch_size
+        self.jobs = policy.jobs if worker is not None else 1
         self._policy = policy
         self._fault_plan = fault_plan
         self._encode = encode
@@ -124,7 +94,7 @@ class JournaledRun:
         if checkpoint is not None:
             self._journal, self._restored = CheckpointJournal.open(
                 checkpoint, identity, resume=resume)
-        self._report: dict | None = None
+        self._report: SupervisionReport | None = None
         #: units served from the journal so far
         self.resumed = 0
 
@@ -158,13 +128,9 @@ class JournaledRun:
         if pending:
             record = self._record if self._journal is not None else None
             if self._worker is None:
-                evaluator = self._evaluator
                 results, report = run_serial(
-                    pending, evaluator.evaluate, policy=self._policy,
-                    fault_plan=self._fault_plan, record=record,
-                    run_batch=(evaluator.evaluate_batch
-                               if self._batch_size > 1 else None),
-                    batch_size=self._batch_size)
+                    pending, self._evaluator.evaluate, policy=self._policy,
+                    fault_plan=self._fault_plan, record=record)
             else:
                 # A pool even for one pending unit: only a second
                 # process enforces the deadline and survives a crash.
@@ -176,11 +142,14 @@ class JournaledRun:
                 results, report = Supervisor(
                     lambda: ProcessPoolExecutor(
                         max_workers=width, initializer=init_worker,
-                        initargs=(*self._worker, self._batch_size)),
+                        initargs=self._worker),
                     run_chunk, jobs=width, policy=self._policy,
                     fault_plan=self._fault_plan, record=record,
                 ).run(pending)
-            self._report = _merge(self._report, report.to_json())
+            if self._report is None:
+                self._report = report
+            else:
+                self._report.absorb(report)
         return [
             self._outcome(unit, *results[unit.index])
             if unit.index in results
@@ -192,13 +161,11 @@ class JournaledRun:
         """The provenance block: the merged
         :class:`~repro.exec.supervisor.SupervisionReport` JSON plus
         ``resumed`` / ``checkpoint``."""
-        doc = self._report
-        if doc is None:
-            # Everything came from the journal: nothing ran, but the
-            # provenance shape stays stable.
-            doc = SupervisionReport(
-                mode="serial" if self._worker is None else "pool",
-                jobs=self.jobs).to_json()
+        # Everything came from the journal: nothing ran, but the
+        # provenance shape stays stable.
+        doc = (self._report or SupervisionReport(
+            mode="serial" if self._worker is None else "pool",
+            jobs=self.jobs)).to_json()
         if self._fault_plan is not None:
             # Each call's report carries the plan's cumulative counter;
             # the total is the plan's, not the per-call sum.

@@ -334,20 +334,20 @@ def run_campaign(config: CampaignConfig, *, log=None) -> CampaignReport:
             pinned_kinds.add((finding.name, kind))
             report.findings.append(finding)
 
-    def evaluate(payload):
-        desc, yaml_text = payload
-        spec = dsl.parse_spec(yaml_text, origin=desc)
-        with CoverageHook(backend=config.coverage_backend) as hook:
-            diff = run_differential(spec, max_cycles=config.max_cycles)
-        new_edges = coverage.merge(hook.edges)
-        outcome = {
-            "desc": desc,
-            "new_edges": new_edges,
-            "kept": new_edges > 0 and diff.divergence is None,
-        }
-        if diff.divergence is not None:
-            outcome["divergence"] = diff.divergence.to_dict()
-        return outcome
+    def evaluate(payloads):
+        for desc, yaml_text in payloads:
+            spec = dsl.parse_spec(yaml_text, origin=desc)
+            with CoverageHook(backend=config.coverage_backend) as hook:
+                diff = run_differential(spec, max_cycles=config.max_cycles)
+            new_edges = coverage.merge(hook.edges)
+            outcome = {
+                "desc": desc,
+                "new_edges": new_edges,
+                "kept": new_edges > 0 and diff.divergence is None,
+            }
+            if diff.divergence is not None:
+                outcome["divergence"] = diff.divergence.to_dict()
+            yield outcome
 
     def apply(desc, spec, key, verdict):
         """Act on one verdict, fresh or journalled: adopt into the
@@ -369,7 +369,7 @@ def run_campaign(config: CampaignConfig, *, log=None) -> CampaignReport:
 
     havoc_round = 0
     with JournaledRun(
-        SimpleNamespace(evaluate=evaluate), jobs=1, batch_size=1,
+        SimpleNamespace(evaluate=evaluate),
         policy=ExecPolicy(max_retries=2, seed=config.seed),
         fault_plan=None, encode=dict, decode=dict,
         quarantined=lambda unit, detail: {

@@ -62,6 +62,12 @@ from . import wire
 from .pool import SessionPool, SingleFlight, canonical_spec, design_digest
 
 _PROTOCOL = "HTTP/1.1"
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed", 409: "Conflict",
+            411: "Length Required", 413: "Payload Too Large",
+            422: "Unprocessable Entity", 429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error", 504: "Gateway Timeout"}
 
 #: After refusing an oversized body from its Content-Length, the server
 #: still swallows the upload in flight — a close with unread bytes in
@@ -148,6 +154,15 @@ class ReproService:
         self._server = await asyncio.start_server(
             self._client_connected, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
+
+    async def _run(self, on_start) -> None:
+        """The whole life of a server: accept, call ``on_start()``,
+        serve until a requested shutdown has drained, release the
+        worker threads."""
+        await self.start()
+        on_start()
+        await self.wait_done()
+        self._threads.shutdown(wait=True)
 
     def request_shutdown(self) -> None:
         """Begin graceful drain: stop accepting, reject new POSTs with
@@ -279,15 +294,8 @@ class ReproService:
     async def _respond(self, writer, status: int, doc: dict, *,
                        close: bool) -> None:
         payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 409: "Conflict",
-                  411: "Length Required", 413: "Payload Too Large",
-                  422: "Unprocessable Entity", 429: "Too Many Requests",
-                  431: "Request Header Fields Too Large",
-                  500: "Internal Server Error",
-                  504: "Gateway Timeout"}.get(status, "Unknown")
         head = (
-            f"{_PROTOCOL} {status} {reason}\r\n"
+            f"{_PROTOCOL} {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: {'close' if close else 'keep-alive'}\r\n"
@@ -547,27 +555,14 @@ class ReproService:
                     f"{self.config.max_configs}")
             base, capture = await self._baseline_for(
                 session, digest, executor, required=False)
-            run_configs = [
-                dict({"depths": dict(c)},
-                     **({"executor": executor} if executor else {}))
-                for c in req.configs
-            ]
-            results = await self._in_worker(session.run_many,
-                                            run_configs)
-            points = [
-                wire.to_json(wire.SweepPointWire(
-                    depths=dict(config),
-                    cycles=result.cycles if not result.failure else None,
-                    buffer_bits=None,
-                    source=result.phase_seconds.get("serving", "full"),
-                    failure=result.failure,
-                ))
-                for config, result in zip(req.configs, results)
-            ]
+            points = await self._in_worker(_config_points, session,
+                                           req.configs, executor)
             return wire.to_json(wire.SweepResponse(
                 design=session.name, digest=digest, executor=executor,
-                capture=capture, evaluated=len(points), points=points,
-                pareto=None, base_depths={},
+                capture=capture, evaluated=len(points),
+                # the requested overrides are echoed, not the resolved maps
+                points=[_point_doc(point, config)
+                        for point, config in zip(points, req.configs)],
                 base_cycles=None if base is None else base.cycles,
                 seconds=round(time.perf_counter() - t0, 6),
             ))
@@ -600,17 +595,11 @@ class ReproService:
                               executor=executor,
                               strategy=req.strategy,
                               max_evals=req.max_evals))
-        def point_doc(p):
-            return wire.to_json(wire.SweepPointWire(
-                depths=dict(p.depths), cycles=p.cycles,
-                buffer_bits=p.buffer_bits, source=p.source,
-                failure=p.detail,
-            ))
         return wire.to_json(wire.SweepResponse(
             design=session.name, digest=digest, executor=executor,
             capture=capture, evaluated=sweep.evaluated,
-            points=[point_doc(p) for p in sweep.points],
-            pareto=[point_doc(p) for p in sweep.pareto()],
+            points=[_point_doc(p) for p in sweep.points],
+            pareto=[_point_doc(p) for p in sweep.pareto()],
             search=sweep.search,
             base_depths=dict(sweep.base_depths),
             base_cycles=sweep.base_cycles,
@@ -643,6 +632,29 @@ class ReproService:
         ))
 
 
+def _config_points(session, configs, executor) -> list:
+    """The replay policy's points for explicit depth overrides, in
+    order (worker thread)."""
+    from ..exec.replay import Replayer
+    from ..sim.registry import validate_depth_names
+
+    name, declared = session.declared(executor)
+    for config in configs:
+        validate_depth_names(config, declared, name)
+    replayer = Replayer.for_session(session, executor)
+    return [outcome.point for outcome in replayer.evaluate(configs)]
+
+
+def _point_doc(point, depths: dict | None = None) -> dict:
+    """One :class:`repro.dse.SweepPoint` on the wire: ``failure``
+    exactly where there are no ``cycles``."""
+    return wire.to_json(wire.SweepPointWire(
+        depths=dict(point.depths if depths is None else depths),
+        cycles=point.cycles, buffer_bits=point.buffer_bits,
+        source=point.source,
+        failure=None if point.ok else point.detail))
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -654,21 +666,22 @@ def serve(config: ServiceConfig | None = None, echo=print) -> int:
 
     async def _main() -> None:
         service = ReproService(config)
-        await service.start()
-        echo(f"repro-serve listening on http://{config.host}:"
-             f"{service.port} (schema v{wire.SCHEMA_VERSION}, "
-             f"workers={config.workers})", flush=True)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum,
-                                        service.request_shutdown)
-            except (NotImplementedError, RuntimeError):
-                # Platform without loop signal support: the
-                # KeyboardInterrupt path in the CLI still drains.
-                pass
-        await service.wait_done()
-        service._threads.shutdown(wait=True)
+
+        def announce() -> None:
+            echo(f"repro-serve listening on http://{config.host}:"
+                 f"{service.port} (schema v{wire.SCHEMA_VERSION}, "
+                 f"workers={config.workers})", flush=True)
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(signum,
+                                            service.request_shutdown)
+                except (NotImplementedError, RuntimeError):
+                    # Platform without loop signal support: the
+                    # KeyboardInterrupt path in the CLI still drains.
+                    pass
+
+        await service._run(announce)
         echo("repro-serve drained cleanly", flush=True)
 
     asyncio.run(_main())
@@ -719,12 +732,13 @@ def serve_in_thread(config: ServiceConfig | None = None,
     def _runner() -> None:
         async def _main() -> None:
             service = ReproService(config)
-            await service.start()
-            holder["service"] = service
-            holder["loop"] = asyncio.get_running_loop()
-            started.set()
-            await service.wait_done()
-            service._threads.shutdown(wait=True)
+
+            def announce() -> None:
+                holder["service"] = service
+                holder["loop"] = asyncio.get_running_loop()
+                started.set()
+
+            await service._run(announce)
 
         try:
             asyncio.run(_main())

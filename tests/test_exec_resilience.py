@@ -34,6 +34,7 @@ from repro.exec import (
     ExecPolicy,
     FaultPlan,
     FaultRule,
+    JournaledRun,
     Unit,
     chunk_contiguous,
     parse_faults,
@@ -223,7 +224,7 @@ class TestSerialSupervision:
         plan = parse_faults("error@1:2")
         seen = []
         results, report = run_serial(
-            self.UNITS, lambda payload: payload * 10,
+            self.UNITS, lambda payloads: [p * 10 for p in payloads],
             policy=ExecPolicy(**FAST), fault_plan=plan,
             record=lambda unit, status, value: seen.append(
                 (unit.index, status)),
@@ -237,7 +238,7 @@ class TestSerialSupervision:
     def test_poison_is_quarantined(self):
         plan = parse_faults("crash@2:inf")
         results, report = run_serial(
-            self.UNITS, lambda payload: payload,
+            self.UNITS, list,
             policy=ExecPolicy(max_retries=1, **FAST), fault_plan=plan,
         )
         status, detail = results[2]
@@ -246,6 +247,87 @@ class TestSerialSupervision:
         assert detail["attempts"] == 2           # initial + 1 retry
         assert report.crashes == 2 and len(report.quarantined) == 1
         assert all(results[i] == ("ok", i) for i in (0, 1, 3))
+
+
+# ---------------------------------------------------------------------------
+# the one evaluator protocol: ``evaluate(payloads)``, a stream
+
+
+class _FlakyStream:
+    """An evaluator with *only* ``evaluate(payloads)``: doubles each
+    payload, lazily, and dies with a ``ReproError`` on reaching
+    ``poison`` — every time, or only until ``marker`` (a file, so pool
+    workers share it) exists."""
+
+    def __init__(self, poison, marker=None):
+        self.poison, self.marker = poison, marker
+        self.calls: list = []
+
+    def evaluate(self, payloads):
+        self.calls.append(list(payloads))
+        for payload in payloads:
+            if payload == self.poison and not (
+                    self.marker and os.path.exists(self.marker)):
+                if self.marker:
+                    open(self.marker, "w").close()
+                raise SimulationError(f"no verdict at {payload}")
+            yield payload * 2
+
+
+class TestStreamedEvaluator:
+    """A stream that dies after yielding *k* of *n* outcomes: the *k*
+    are journalled exactly once, the rest evaluated one call each; the
+    supervision counters are the ones ``request_contract.json`` pins
+    for an injected error (``slices-faults``: 1 error, 1 retry, no
+    split; ``pool-slices-faults``: one split more)."""
+
+    def _run(self, tmp_path, evaluator, n, **kwargs):
+        journal = tmp_path / "ck.jsonl"
+        units = [Unit(i, f"u{i}", i) for i in range(n)]
+        with JournaledRun(
+            evaluator, fault_plan=None,
+            encode=lambda value: {"v": value}, decode=lambda doc: doc["v"],
+            quarantined=lambda unit, detail: detail["reason"],
+            checkpoint=str(journal), identity={"kind": "test"}, **kwargs,
+        ) as run:
+            outcomes, restored = run.run(units)
+            supervision = run.supervision()
+        assert restored == 0
+        keys = [json.loads(line)["k"]
+                for line in journal.read_text().splitlines()[1:]]
+        assert sorted(keys) == sorted(u.key for u in units)  # once each
+        return outcomes, supervision, keys
+
+    def test_in_process_rest_is_retried_per_unit(self, tmp_path):
+        stream = _FlakyStream(3, str(tmp_path / "seen"))
+        outcomes, sup, keys = self._run(tmp_path, stream, 6,
+                                        policy=ExecPolicy(**FAST))
+        assert outcomes == [0, 2, 4, 6, 8, 10]
+        assert stream.calls == [[0, 1, 2, 3, 4, 5], [3], [4], [5]]
+        assert keys == [f"u{i}" for i in range(6)]
+        assert (sup["mode"], sup["errors"], sup["retries"],
+                sup["splits"], sup["quarantined"]) == ("serial", 1, 1, 0, [])
+
+    def test_in_process_poison_is_quarantined_alone(self, tmp_path):
+        stream = _FlakyStream(3)
+        outcomes, sup, _keys = self._run(
+            tmp_path, stream, 6, policy=ExecPolicy(max_retries=2, **FAST))
+        assert outcomes == [0, 2, 4, "SimulationError", 8, 10]
+        # the stream's death was the poison's first attempt of three
+        assert stream.calls == [[0, 1, 2, 3, 4, 5], [3], [3], [4], [5]]
+        assert sup["errors"] == 3 and sup["retries"] == 2
+        assert [q["attempts"] for q in sup["quarantined"]] == [3]
+
+    def test_pool_chunk_is_split_and_rerun(self, tmp_path):
+        # 12 units at jobs=2 start as chunks of 2,2,2,2,1,1,1,1: the
+        # stream dies in [2, 3] after yielding one value, which is
+        # dropped with the chunk; both halves re-run
+        outcomes, sup, _keys = self._run(
+            tmp_path, None, 12, policy=ExecPolicy(jobs=2, **FAST),
+            worker=(_FlakyStream, (3, str(tmp_path / "seen"))))
+        assert outcomes == [2 * i for i in range(12)]
+        assert (sup["mode"], sup["errors"], sup["retries"],
+                sup["splits"], sup["quarantined"]) == ("pool", 1, 1, 1, [])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ door's own: exit status 2 and a ``DEADLOCK DETECTED`` line, a result
 with ``failure`` set, a point without cycles, a 422 ``DeadlockError``
 document for ``/v1/run``, whose contract is one run), 80 cycles from 8
 up — never a refusal because the depths nobody asked about deadlock.
+The four sweep doors also label the path alike (``source``: a
+``"deadlock"`` below 8, the ``"full"`` run at 8 that everything later
+replays), and over HTTP a point has a ``failure`` exactly when it has no
+``cycles`` — both ``/v1/sweep`` forms answer from the policy's points.
 
 One place decides that (``Session.reference`` / ``Session.declared`` in
 front of ``Replayer.for_session``, DESIGN.md section 15); before it
@@ -49,11 +53,23 @@ def _spec_text() -> str:
         return fh.read()
 
 
-def _points(points, cycles_of) -> dict:
+#: depth of ``a`` -> the ``source`` label of a one-job sweep: nothing
+#: replays before a=8 completes; a=9 replays that run (in a pool, only
+#: if the same worker evaluates both)
+SOURCES = {2: "deadlock", 7: "deadlock", 8: "full", 9: "incremental"}
+
+
+def _points(points, jobs) -> dict:
     """Sweep points carry cycles, not outputs: ``o`` is reported as
     the expected value wherever the cycles are."""
-    return {p["depths"]["a"]: None if cycles_of(p) is None
-            else (cycles_of(p), 56) for p in points}
+    for p in points:
+        a = p["depths"]["a"]
+        assert p["source"] == SOURCES[a] or (
+            jobs > 1 and (a, p["source"]) == (9, "full")), p
+        if "failure" in p:      # the wire form
+            assert (p["failure"] is None) == (p["cycles"] is not None), p
+    return {p["depths"]["a"]: None if p["cycles"] is None
+            else (p["cycles"], 56) for p in points}
 
 
 def cli_run(cache, _jobs, _port) -> dict:
@@ -83,7 +99,7 @@ def cli_dse(cache, jobs, _port, tmp_path) -> dict:
     with open(report, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["base_cycles"] is None and doc["capture"] == "none"
-    return _points(doc["points"], lambda p: p["cycles"])
+    return _points(doc["points"], jobs)
 
 
 def session_run_many(cache, jobs, _port) -> dict:
@@ -100,7 +116,7 @@ def session_sweep(cache, jobs, _port) -> dict:
         sweep = session.sweep([GRID], jobs=jobs)
     assert sweep.base_cycles is None and sweep.capture == "none"
     assert sweep.deadlock_count == 2
-    return _points(sweep.to_json()["points"], lambda p: p["cycles"])
+    return _points(sweep.to_json()["points"], jobs)
 
 
 def http_run(_cache, _jobs, port) -> dict:
@@ -123,7 +139,7 @@ def http_sweep_space(_cache, _jobs, port) -> dict:
     assert status == 200, doc
     assert doc["base_cycles"] is None and doc["capture"] == "none"
     assert [p["depths"]["a"] for p in doc["pareto"]] == [8]
-    return _points(doc["points"], lambda p: p["cycles"])
+    return _points(doc["points"] + doc["pareto"], 1)
 
 
 def http_sweep_configs(_cache, _jobs, port) -> dict:
@@ -131,9 +147,8 @@ def http_sweep_configs(_cache, _jobs, port) -> dict:
         "spec": _spec_text(), "configs": [{"a": d} for d in DEPTHS]})
     assert status == 200, doc
     assert doc["base_cycles"] is None and doc["capture"] == "none"
-    assert all((p["failure"] is None) == (p["cycles"] is not None)
-               for p in doc["points"])
-    return _points(doc["points"], lambda p: p["cycles"])
+    assert all(p["buffer_bits"] is not None for p in doc["points"])
+    return _points(doc["points"], 1)
 
 
 #: the doors that take ``--trace-cache`` / ``--jobs``, asked under every

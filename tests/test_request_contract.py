@@ -453,6 +453,10 @@ REFUSED = {
         call=lambda: _session().run_many([{}], batch_size=0)),
     "batch-size-0-resimulate-many": dict(
         call=lambda: _session().resimulate_many([{}], batch_size=0)),
+    "jobs-0": _sweep_knob("--jobs", 0, jobs=0),
+    "jobs-negative": _sweep_knob("--jobs", -3, jobs=-3),
+    "jobs-negative-run-many": dict(
+        call=lambda: _session().run_many([{}], jobs=-1)),
     "timeout-negative": _sweep_knob("--timeout", -1, timeout=-1),
     "max-retries-negative": _sweep_knob("--max-retries", -1,
                                         max_retries=-1),
