@@ -1,49 +1,32 @@
 """Batched multi-run execution: ship the artifact once, run everywhere.
 
 ``Session.run_many`` evaluates a list of run configurations against one
-design.  Two mechanisms make a batch cheaper than a sequential
-``session.run()`` loop:
+design, cheaper than a ``session.run()`` loop in two ways:
 
 * **Incremental serving.**  OmniSim configurations that differ only in
   FIFO depths go through the replay policy ``repro.dse`` sweeps use
-  (:mod:`repro.exec.replay`): retime the session's captured baseline and
-  re-check its recorded query constraints — microseconds instead of a
-  full Func+Perf re-simulation — with automatic fallback to a real run
-  (and reference re-capture) when a constraint flips.  A config that
-  passes constraint validation provably leaves the recorded execution —
-  and hence every functional output — unchanged, so the baseline's
-  scalars/buffers are the config's too.
-  This is the LightningSimV2/GSIM argument (the compiled model, not the
-  run, is the unit of reuse) applied to batch execution; it is why
-  ``run_many`` beats a ``.run()`` loop even on one core.
-* **Process-pool sharding.**  With ``jobs > 1`` the batch is split into
-  contiguous chunks over worker processes, each of which rebuilds the
-  policy once, in the pool initializer
-  (:meth:`repro.exec.replay.Replayer.worker_spec`: a small picklable
-  *design reference* plus the captured baseline); the design is compiled
-  in a worker only if one of its configurations needs a full run.
+  (:mod:`repro.exec.replay`): replay the session's captured baseline —
+  microseconds instead of a full Func+Perf re-simulation — else the
+  capture of the eligible config before it, else a real run.  A replay
+  that passes constraint validation provably leaves the recorded
+  execution, hence every functional output, unchanged (the
+  LightningSimV2/GSIM argument: the compiled model, not the run, is the
+  unit of reuse).
+* **Process-pool sharding.**  With ``jobs > 1`` contiguous chunks go to
+  worker processes that rebuild the policy once
+  (:meth:`repro.exec.replay.Replayer.worker_spec`) and compile the
+  design only if a configuration needs a full run.
 
-Failure semantics: a configuration that deadlocks or is unsupported by
-its engine produces a :class:`~repro.sim.result.SimulationResult` with
-``.failure`` set (and ``cycles`` at the deadlock point) instead of
-aborting the whole batch — batch callers are sweeps and services, not
-interactive debugging.
-
-Results come back **in config order**.  Each result's
-``phase_seconds["serving"]`` records which path produced it
-(``"incremental"``, ``"full"``, or ``"quarantined"``).  The replay handle
-(``result.trace``) and the engine's FIFO channel tables are stripped
-from returned results: they dominate pickle size (~250 KB per typea
-run) and batch callers want numbers, not replay state —
+A configuration that deadlocks or is unsupported by its engine yields a
+:class:`~repro.sim.result.SimulationResult` with ``.failure`` set
+instead of aborting the batch.  Results come back **in config order**,
+``phase_seconds["serving"]`` saying which path produced each
+(``"incremental"``, ``"full"``, ``"quarantined"``), with the replay
+handle and FIFO channel tables stripped (~250 KB per typea run):
 ``session.baseline().trace`` is where a replay handle lives.
-
-Execution is a :class:`repro.exec.JournaledRun`: worker crashes respawn
-the pool and retry with backoff, hung chunks die at the ``timeout``
-deadline, a config that keeps failing alone is quarantined as a result
-with ``.failure`` set, and ``checkpoint=``/``resume=`` journal
-completed configs so an interrupted batch re-runs only what is
-missing.  The returned :class:`BatchResult` (a plain ``list`` of
-results) carries the ``supervision`` provenance block.
+Execution is a :class:`repro.exec.JournaledRun` (retries, deadlines,
+quarantine, ``checkpoint=``/``resume=``); the returned
+:class:`BatchResult` carries its ``supervision`` block.
 """
 
 from __future__ import annotations
@@ -108,15 +91,17 @@ class _BatchRunner(Replayer):
     depths would produce (paper section 7.2).
     """
 
-    def evaluate(self, configs: list):
-        """One :class:`SimulationResult` per normalized config, in
-        order — the eligible ones through the policy's stream (see
-        :meth:`Replayer.evaluate`); simulation-level failures fold into
-        the result instead of raising."""
-        eligible = [c for c in configs if _eligible(c)]
-        served = super().evaluate([c["depths"] for c in eligible],
-                                  [c["executor"] for c in eligible])
-        for config in configs:
+    def evaluate(self, payloads: list):
+        """One :class:`SimulationResult` per ``(normalized config,
+        after)`` payload, in order — ``after`` is the depths of the
+        eligible config before it — the eligible ones through the
+        policy's stream (see :meth:`Replayer.evaluate`); simulation-level
+        failures fold into the result instead of raising."""
+        eligible = [(c, after) for c, after in payloads if _eligible(c)]
+        served = super().evaluate([(c["depths"], after)
+                                   for c, after in eligible],
+                                  [c["executor"] for c, _ in eligible])
+        for config, _after in payloads:
             if not _eligible(config):
                 yield self._run(config)
                 continue
@@ -181,7 +166,8 @@ def serve_depths(session, depths: dict,
     """
     name, declared = session.declared(executor)
     depths = validate_depth_names(depths, declared, name)
-    outcome, = Replayer.for_session(session, executor).evaluate([depths])
+    outcome, = Replayer.for_session(session, executor,
+                                    batch_size=1).evaluate([(depths, None)])
     if outcome.error is not None:
         raise outcome.error
     result = _served(outcome)
@@ -266,8 +252,12 @@ def run_many(session, configs, *, jobs: int = 1,
     if not normalized:
         return BatchResult()
 
-    units = [Unit(i, _config_key(i, config), config)
-             for i, config in enumerate(normalized)]
+    # each payload carries the depths of the eligible config before it
+    units, after = [], None
+    for i, config in enumerate(normalized):
+        units.append(Unit(i, _config_key(i, config), (config, after)))
+        if _eligible(config):
+            after = config["depths"]
     identity = None
     if checkpoint is not None:
         identity = {
@@ -285,7 +275,7 @@ def run_many(session, configs, *, jobs: int = 1,
     def quarantined(unit, detail):
         return SimulationResult(
             design_name=name,
-            simulator=unit.payload["engine"],
+            simulator=unit.payload[0]["engine"],
             cycles=0,
             failure=(f"quarantined after {detail['attempts']} attempts: "
                      f"{detail['reason']}: {detail['message']}"),

@@ -277,7 +277,7 @@ class Session:
         would raise :class:`~repro.errors.ConstraintViolation` — or the
         row falls outside the kernel's safe range).  Unlike
         :meth:`run_many` there is no full-simulation fallback: callers
-        that want automatic fallback + re-capture use :meth:`sweep` or
+        that want automatic fallback use :meth:`sweep` or
         :meth:`run_many`.
 
         Without NumPy (or on artifacts lacking the all-depth replay

@@ -592,11 +592,11 @@ def main(argv=None) -> int:
                     "the recorded query constraints in microseconds. "
                     "When a depth\nchange flips a constraint (or makes "
                     "the graph cyclic), the recorded execution is\n"
-                    "invalid there, so the explorer falls back to one "
-                    "full OmniSim re-simulation and\nre-captures that "
-                    "run's graph as the new reference for its "
-                    "neighbourhood. True\ndeadlocks are recorded as "
-                    "points without a cycle count. The report's\n"
+                    "invalid there, so the explorer replays the capture "
+                    "of the configuration\nbefore it, else falls back to "
+                    "one full OmniSim re-simulation. True\ndeadlocks are "
+                    "recorded as points without a cycle count. The "
+                    "report's\n"
                     "`incremental:` / `full resim:` lines show how often "
                     "each path ran.",
         epilog="examples:\n"

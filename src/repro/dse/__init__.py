@@ -8,8 +8,8 @@ re-runs.  This package drives that primitive at scale:
   grids, seeded random samples;
 * :mod:`repro.dse.explorer` — the sweep engine: one graph-capturing run,
   then incremental-first evaluation per configuration with automatic
-  full-simulation fallback + graph re-capture, optionally sharded across
-  a process pool;
+  neighbour-replay and full-simulation fallback, optionally sharded
+  across a process pool;
 * :mod:`repro.dse.pareto` — cycles-vs-buffer-area Pareto frontier plus
   the hypervolume / frontier-distance quality metrics;
 * :mod:`repro.dse.search` — adaptive strategies (successive refinement

@@ -1,26 +1,20 @@
 """Depth-space exploration engine: incremental-first, fallback-on-violation.
 
 Every configuration is evaluated by the replay policy of
-:mod:`repro.exec.replay` (paper section 7.2 at sweep scale): retime the
-captured graph under the configuration's depths and re-validate the
-recorded queries — microseconds per point — and only when a constraint
-flips pay for a full OmniSim run, whose own graph is re-captured as the
-new reference so the neighbourhood (sweeps enumerate neighbours
-consecutively) returns to the incremental path.  True deadlocks are
-recorded as points without a cycle count rather than aborting the sweep.
-:class:`Evaluator` is that policy; the :class:`SweepPoint`\\ s are its.
+:mod:`repro.exec.replay` (paper section 7.2 at sweep scale):
+microseconds to replay the declared capture, else the capture of the
+configuration before it in proposal order (sweeps enumerate neighbours
+consecutively), and a full OmniSim run only where both flip; a true
+deadlock is a point without a cycle count.  :class:`Evaluator` is that
+policy; the :class:`SweepPoint`\\ s are its.
 
 *Which* configurations are evaluated is a :mod:`repro.dse.search`
-strategy's call — the exhaustive grid (or a seeded sample of it) is the
-strategy that proposes everything in round one — and one round loop
-drives them all: the strategy proposes a batch, a
+strategy's call (the exhaustive grid proposes everything in round one),
+and one round loop drives them all: the strategy proposes a batch, a
 :class:`repro.exec.JournaledRun` evaluates it (journal-restored,
-in-process or sharded over supervised pool workers, vectorized where
-possible), and the observed outcomes steer the next round.  A
-configuration that keeps failing on its own is *quarantined* as a
-:data:`SOURCE_QUARANTINED` point (``cycles=None``) instead of aborting
-the sweep; the ``SweepResult.supervision`` block records retries,
-respawns, quarantines, rounds and resumed counts.
+in-process or over supervised pool workers), and the observed outcomes
+steer the next round.  A configuration that keeps failing on its own is
+*quarantined* as a :data:`SOURCE_QUARANTINED` point (``cycles=None``).
 """
 
 from __future__ import annotations
@@ -41,6 +35,7 @@ from ..exec.replay import (  # noqa: F401  (the labels are dse API)
     SOURCE_INCREMENTAL,
     Replayer,
     SweepPoint,
+    chain,
 )
 from .pareto import frontier_distance, pareto_front
 from .search import config_key, make_strategy
@@ -174,10 +169,10 @@ class Evaluator(Replayer):
     """The replay policy (:class:`repro.exec.replay.Replayer`) as the
     sweep's evaluator: its points, without the handles behind them."""
 
-    def evaluate(self, configs):
-        """One :class:`SweepPoint` per depth configuration, in order
-        (lazily: see :meth:`Replayer.evaluate`)."""
-        return (outcome.point for outcome in super().evaluate(configs))
+    def evaluate(self, requests):
+        """One :class:`SweepPoint` per ``(config, after)`` request, in
+        order (lazily: see :meth:`Replayer.evaluate`)."""
+        return (outcome.point for outcome in super().evaluate(requests))
 
     def quarantined(self, config: dict, detail: dict) -> SweepPoint:
         """A structured failure point for a configuration that
@@ -203,65 +198,41 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
             checkpoint=None, resume: bool = False, faults=None,
             batch_size: int | None = None, strategy: str | None = None,
             max_evals: int | None = None) -> SweepResult:
-    """Sweep ``session``'s design over ``space`` and aggregate a
-    :class:`SweepResult`.
+    """Sweep ``session``'s design — an open :class:`repro.api.Session`,
+    whose compiled design and baseline are reused (a warm trace cache
+    skips capture and compilation: ``capture`` reads ``"warm"``) — over
+    ``space`` (a :class:`DepthSpace` or axis specs like ``"fifo=1:16"``)
+    and aggregate a :class:`SweepResult`.
 
-    ``session`` is an open :class:`repro.api.Session`: its cached
-    compiled artifact and captured baseline are reused, and under its
-    ``trace_cache`` a warm sweep skips recapture (and compilation)
-    entirely — the result's ``capture`` field reports ``"warm"`` or
-    ``"cold"``.  ``space`` is a :class:`DepthSpace` or a list of axis
-    specs (``"fifo=1:16"``).  ``samples`` draws a seeded random subset
-    instead of the full grid; ``jobs`` shards configurations across a
-    process pool, never wider than a round's pending configurations
-    (the result's ``jobs`` field reports the parallelism actually
-    used; see :meth:`repro.exec.replay.Replayer.worker_spec`).
+    Every configuration goes through the replay policy
+    (:mod:`repro.exec.replay`), ``batch_size`` rows per NumPy kernel
+    call (1, or no NumPy: the scalar path; the values are bit-for-bit
+    the same).  Points, ``source`` / ``mode`` / ``detail`` included,
+    depend on the request and ``batch_size`` only — never on ``jobs``,
+    resumes or retries.  A design that deadlocks at its declared depths
+    is swept all the same (paper sections 7.1-7.2): ``base_cycles`` is
+    ``None``, ``capture`` ``"none"``, and neighbours and full runs decide.
 
-    A design that deadlocks at its *declared* depths is swept all the
-    same (sizing the FIFOs behind a deadlock is the question, paper
-    sections 7.1-7.2): the sweep starts without a reference
-    (``base_cycles`` ``None``, ``capture`` ``"none"``), full runs decide,
-    and the first to complete is re-captured for its neighbourhood.
+    Search (:mod:`repro.dse.search`): ``strategy`` is ``"exhaustive"``
+    (default: the grid, or a seeded sample of ``samples``), ``"refine"``
+    (successive refinement with dominated-region pruning) or
+    ``"random"`` (seeded restarts); ``max_evals`` bounds the evaluations
+    (an exhaustive sweep degrades to a seeded sample that size).
+    Exhaustive sweeps refuse spaces above
+    :data:`repro.dse.ENUMERATE_LIMIT` without such a cap.  Asking for a
+    strategy or a budget fills the ``search`` provenance block.
 
-    Resilience knobs (the supervised executor, :mod:`repro.exec`):
-    ``timeout`` is the per-chunk wall-clock deadline in seconds (hung
-    workers are killed and their chunks retried); ``max_retries`` bounds
-    how many failures one configuration may accrue before it is
-    quarantined as a :data:`SOURCE_QUARANTINED` point; ``checkpoint``
-    names an append-only JSONL journal of completed configurations, and
-    ``resume=True`` reuses a prior journal so only unfinished
-    configurations are re-evaluated (an identity mismatch — different
-    design, space, strategy, sampling or trace digest — raises
+    Execution (:mod:`repro.exec`): ``jobs`` shards over a process pool
+    never wider than a round's pending configurations (the result's
+    ``jobs`` is the width used); ``timeout`` is the per-chunk deadline;
+    a configuration that fails ``max_retries`` times is quarantined as
+    a :data:`SOURCE_QUARANTINED` point; ``checkpoint`` journals completed
+    configurations round by round, and ``resume=True`` replays the same
+    proposal sequence from it onto the exact frontier of an
+    uninterrupted run (an identity mismatch raises
     :class:`~repro.errors.CheckpointError`); ``faults`` injects
-    deterministic failures for testing (a spec string or
-    :class:`repro.exec.FaultPlan`; default: the ``REPRO_FAULTS``
-    environment variable).  The result's ``supervision`` block reports
-    what the executor actually did.
-
-    Configurations are evaluated in batches through the NumPy retiming
-    kernel (:mod:`repro.trace.vectorized`), ``batch_size`` rows per
-    call (default :data:`repro.trace.vectorized.DEFAULT_BATCH_SIZE`);
-    rows the kernel declines fall back to the scalar path one by one,
-    so every point is bit-for-bit what ``batch_size=1`` — the scalar
-    path only — computes.  Each point's ``mode`` field records the path
-    that served it.  Without NumPy the sweep transparently degrades to
-    the scalar path.
-
-    Search (:mod:`repro.dse.search`): ``strategy`` picks how the space
-    is covered — ``"exhaustive"`` (default; enumerate or
-    ``samples``-sample the grid), ``"refine"`` (successive refinement
-    with dominated-region pruning) or ``"random"`` (seeded restarts
-    with a stagnation stop).  ``max_evals`` bounds the total number of
-    configurations evaluated: adaptive strategies stop when the budget
-    is spent, and the exhaustive strategy degrades to a seeded sample of
-    that many configurations.  Exhaustive sweeps refuse to enumerate
-    spaces above :data:`repro.dse.ENUMERATE_LIMIT` configurations
-    without a ``samples``/``max_evals`` cap — million-config products
-    are the adaptive strategies' job.  Asking for a ``strategy`` or a
-    budget fills the result's ``search`` provenance block.  Every sweep
-    checkpoints round-by-round: a resumed search replays the same
-    deterministic proposal sequence, serving journaled configurations
-    from disk, and lands on the exact frontier of an uninterrupted run.
+    deterministic failures (default: ``REPRO_FAULTS``).  The
+    ``supervision`` block reports what the executor did.
     """
     if not isinstance(space, DepthSpace):
         space = DepthSpace.parse(space)
@@ -320,9 +291,9 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
     with JournaledRun(
         evaluator, worker=evaluator.worker_spec(session, jobs),
         policy=policy, fault_plan=fault_plan,
-        encode=SweepPoint.to_json, decode=lambda doc: SweepPoint(**doc),
+        encode=SweepPoint.to_json, decode=SweepPoint.from_json,
         quarantined=lambda unit, detail: evaluator.quarantined(
-            unit.payload, detail),
+            unit.payload[0], detail),
         checkpoint=checkpoint, identity=identity, resume=resume,
     ) as run:
         points, search = _run_rounds(searcher, run, space.size, max_evals)
@@ -362,9 +333,12 @@ def _run_rounds(strategy, run, space_size: int,
     deterministic proposal sequence from the start, serving every
     journaled configuration from the restored outcomes (including a
     partially journaled final round), so the search continues exactly
-    where the killed run stopped paying for evaluations.
+    where the killed run stopped paying for evaluations.  Each unit's
+    payload is a ``(config, after)`` request (:func:`chain`), chained
+    across rounds, so its neighbour is the same however it is resumed.
     """
     points: list = []
+    after = None
     proposed: set = set()
     rounds: list = []
     prev_frontier = None
@@ -379,12 +353,14 @@ def _run_rounds(strategy, run, space_size: int,
         batch = strategy.next_batch(remaining)[:remaining]
         if not batch:
             break
-        units = []
+        fresh: dict = {}
         for config in batch:
             key = config_key(config)
             if key not in proposed:
                 proposed.add(key)
-                units.append(Unit(len(proposed) - 1, key, config))
+                fresh[key] = config
+        units = [Unit(len(points) + i, key, request) for i, (key, request)
+                 in enumerate(zip(fresh, chain(fresh.values(), after)))]
         if not units:
             # A strategy re-proposing only known configs is a bug;
             # fail safe rather than spinning forever.
@@ -394,9 +370,10 @@ def _run_rounds(strategy, run, space_size: int,
                 break
             continue
         stalls = 0
+        after = units[-1].payload[0]
         outcomes, restored = run.run(units)
         points.extend(outcomes)
-        strategy.observe([(unit.payload, point)
+        strategy.observe([(unit.payload[0], point)
                           for unit, point in zip(units, outcomes)])
         frontier = [(p.cycles, p.buffer_bits)
                     for p in pareto_front(points)]

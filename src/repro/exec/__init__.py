@@ -12,8 +12,8 @@ and :func:`repro.api.run_many`:
 * :mod:`~repro.exec.journal` — append-only JSONL checkpoint journals
   behind ``--checkpoint``/``--resume``.
 * :mod:`~repro.exec.replay` — the replay policy every depth-override
-  evaluation goes through (incremental first, full run + re-capture on
-  divergence, deadlock as an outcome).
+  evaluation goes through (declared capture, then the previous
+  configuration's, then a full run; deadlock as an outcome).
 * :mod:`~repro.exec.worker` — the pool-worker protocol and the journal
   + supervisor plumbing (``JournaledRun``) sweeps and batches share.
 * :mod:`~repro.exec.faults` — the deterministic fault-injection

@@ -1,36 +1,38 @@
 """The replay policy: one implementation of paper section 7.2 at sweep scale.
 
-Evaluating a depth configuration against a captured run is the same
-four steps whoever asks (``repro.dse``, ``Session.run_many``,
-``/v1/run``, ``repro run --depth``):
+Every depth-override evaluation (``repro.dse``, ``Session.run_many``,
+``/v1/run``, ``repro run --depth``) overlays the configuration on the
+design's *declared* depths and replays a captured run — retimes its
+recorded graph and re-validates its recorded queries (:func:`replay_one`,
+or ``batch_size`` rows per NumPy kernel call) — or runs a full OmniSim
+simulation where no capture holds; a true deadlock is an outcome.
 
-1. **Overlay** the configuration on the design's *declared* depths —
-   never the reference's, which after a re-capture was recorded at some
-   other configuration's depths — so results do not depend on
-   evaluation order.
-2. **Replay incrementally**: retime the reference's recorded graph under
-   the new depths and re-validate its recorded query constraints, per
-   configuration (:func:`replay_one`) or ``batch_size`` rows at a time
-   through the NumPy batch kernel.
-3. **Fall back on divergence**: a flipped constraint, or a graph made
-   cyclic by the new depths, invalidates the recorded execution there —
-   run a full OmniSim simulation at those depths and **re-capture** it
-   as the reference, so the neighbourhood returns to the fast path.
-4. **A true deadlock is an outcome**, not an exception.
+Which capture serves configuration *k* reads only the request: the
+first of (1) the **declared capture** (``Session.reference()``,
+read-only for a :class:`Replayer`'s whole life), (2) a capture of *k-1*
+in the request's own order — the **neighbour**: the previous
+replay-eligible configuration, for a search round's first the previous
+round's last, none after a *k-1* that deadlocked — and (3) a full run.
+Captures that accept a configuration record one functional execution
+(a *class*) and serve it identically.  With ``batch_size > 1`` the
+kernel screens (1) for every slice; a declined row asks the neighbour,
+then a scalar replay of (1) (the kernel declines depths below its safe
+range, which scalar accepts), then runs full.  Without a kernel the
+neighbour is asked only when its class is not the declared one.
+``mode`` is ``vectorized`` (the kernel accepted), ``scalar-fallback``
+(the kernel ran, a scalar replay served), ``scalar`` (no kernel ran) or
+``full``; a full point's ``detail`` is the first scalar decline's
+reason.  Each request carries its predecessor (:func:`chain`): an
+evaluator that did not just evaluate it (a pool worker, a resume)
+rebuilds the neighbour from the declared or its held capture if either
+validates the predecessor's depths, else by one unreported full run —
+what it holds is a cache that cannot change an answer.
 
-:class:`Replayer` carries the mutable reference through a stream of
-configurations (:meth:`Replayer.evaluate`) and is the only code that
-knows what a batch is: it cuts the stream into kernel calls itself, so
-the layers that journal, retry and shard the work
-(:mod:`repro.exec.worker`) see one ``evaluate(payloads)`` and no batch
-size.  It builds each :class:`SweepPoint` once; a
-:class:`ReplayOutcome` is that point plus the handles ``run_many``
-turns into a served :class:`~repro.sim.result.SimulationResult`.  It is
-built in two places only: :meth:`Replayer.for_session` asks the
-:class:`~repro.api.Session` what to replay against (``reference()``,
-``None`` when the declared depths deadlock; ``declared()``), and
-:meth:`Replayer.in_worker` rebuilds the same policy in a pool worker
-from :meth:`Replayer.worker_spec`.
+:class:`Replayer` alone knows what a batch is and builds each
+:class:`SweepPoint` (a :class:`ReplayOutcome` adds the handles
+``run_many`` serves from); :meth:`Replayer.for_session` asks the
+:class:`~repro.api.Session` what to replay against, and
+:meth:`Replayer.in_worker` rebuilds the policy in a pool worker.
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ class SweepPoint:
         return self.cycles is not None
 
     def to_json(self) -> dict:
-        """Plain-dict form for ``repro dse --json`` reports."""
+        """The one point document (``repro dse --json``, journals,
+        ``/v1/sweep``): ``failure`` repeats ``detail`` where there are
+        no ``cycles``, as wire schema v1 always carried it."""
         return {
             "depths": dict(self.depths),
             "cycles": self.cycles,
@@ -108,7 +112,13 @@ class SweepPoint:
             "seconds": round(self.seconds, 6),
             "detail": self.detail,
             "mode": self.mode,
+            "failure": None if self.ok else self.detail,
         }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "SweepPoint":
+        """A journalled :meth:`to_json` (``failure`` is derived)."""
+        return cls(**{k: v for k, v in doc.items() if k != "failure"})
 
 
 @dataclass(slots=True)
@@ -120,8 +130,8 @@ class ReplayOutcome:
     point: SweepPoint
     #: the validated replay, on :data:`SOURCE_INCREMENTAL` outcomes
     incremental: IncrementalResult | None = None
-    #: the run behind the number: the reference that was replayed
-    #: (incremental) or the fresh re-captured run (full)
+    #: the run behind the number: the capture that was replayed
+    #: (incremental) or the fresh run (full)
     run: SimulationResult | None = None
     #: the diagnosis, on :data:`SOURCE_DEADLOCK` outcomes
     error: DeadlockError | None = None
@@ -165,9 +175,9 @@ def resolve_batch_size(batch_size: int | None) -> int:
 
 
 def incremental_rows(reference, depth_maps: list, batch_size: int) -> list:
-    """Steps 1-2 against a fixed reference
-    (:meth:`repro.api.Session.resimulate_many`: no full run, so nothing
-    re-captures): one ``IncrementalResult | None`` per depth map,
+    """Replays of one fixed capture
+    (:meth:`repro.api.Session.resimulate_many`: no full run, no
+    neighbour): one ``IncrementalResult | None`` per depth map,
     ``batch_size`` rows per kernel call — one scalar replay each where
     the kernel cannot serve this reference (no NumPy, no all-depth
     replay order); ``None`` marks a row only a full run can decide."""
@@ -180,32 +190,43 @@ def incremental_rows(reference, depth_maps: list, batch_size: int) -> list:
                                         depth_maps[lo:lo + batch_size])]
 
 
+def chain(configs, after=None) -> list:
+    """The ``(config, after)`` requests :meth:`Replayer.evaluate`
+    takes: each configuration with the one before it in the request's
+    own order — ``after`` (``None``, or the last configuration of an
+    earlier round) for the first."""
+    configs = list(configs)
+    return list(zip(configs, [after] + configs[:-1]))
+
+
 class Replayer:
-    """The policy against a mutable reference run."""
+    """The policy against the declared capture (see the module
+    docstring for which capture serves what)."""
 
     def __init__(self, reference, base_depths: dict, compile_fn,
                  executor: str | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE):
         """Args:
-            reference: a captured OmniSim run (its ``trace`` is what
-                replays), or ``None`` — every configuration then
-                runs full until the first successful run re-captures
-                one.
+            reference: the declared capture, an OmniSim run at
+                ``base_depths`` (its ``trace`` is what replays), or
+                ``None`` — neighbours and full runs then decide.
             base_depths: the design's declared depths; each evaluated
                 config overlays these.
             compile_fn: zero-arg callable producing the compiled design,
-                invoked lazily on the first full-simulation fallback.
-            executor: default Func Sim executor for fallback runs.
+                invoked lazily on the first full run.
+            executor: default Func Sim executor for full runs.
             batch_size: configurations per kernel call of
                 :meth:`evaluate` (1: the scalar path only).
         """
-        #: most recent captured run; replaced on every successful fallback
         self.reference = reference
         self.base_depths = dict(base_depths)
-        self._compile_fn = compile_fn
-        self._compiled = None
+        self._compile = functools.cache(compile_fn)
         self.executor = executor
         self.batch_size = batch_size
+        #: the cache behind neighbours: the depths last evaluated, the
+        #: ``run`` of their class (``None``: the declared class or a
+        #: deadlock), and the last such run that was not ``None``
+        self._held = {"depths": None, "run": None, "spare": None}
 
     @classmethod
     def for_session(cls, session, executor: str | None = None, *,
@@ -259,7 +280,7 @@ class Replayer:
         """Pool-worker side of :meth:`worker_spec`: the design compiles
         lazily, only if a configuration needs a full run; a store entry
         that vanished or went corrupt degrades to no reference (with
-        the store's warning), and full runs re-capture."""
+        the store's warning), and full runs decide."""
         from ..api.design_ref import compile_from_ref
 
         reference = None
@@ -278,81 +299,103 @@ class Replayer:
 
     @property
     def compiled(self):
-        """The compiled design, built on first use (fallbacks only)."""
-        if self._compiled is None:
-            self._compiled = self._compile_fn()
-        return self._compiled
+        """The compiled design, built on first use (full runs only)."""
+        return self._compile()
 
-    def evaluate(self, configs, executors=None):
-        """The policy over a run of configurations: one
-        :class:`ReplayOutcome` per config, in order, ``batch_size`` of
-        them per kernel call.  ``executors`` optionally names a
-        fallback executor per config.
-
-        Rows of a slice whose recorded queries re-validate are served
-        from the reference as it stood at the start of the slice;
-        declined rows re-run in order through the scalar path
-        (identical values, re-capturing as they go).  A slice of one,
-        or a reference the kernel cannot serve, is the scalar path
-        throughout.
-
-        Lazy — a slice's kernel call waits until the previous slice is
-        consumed, and a caller that adapts each outcome as it arrives
-        never holds more than one superseded full run alive."""
-        configs = list(configs)
+    def evaluate(self, requests, executors=None):
+        """One :class:`ReplayOutcome` per ``(config, after)`` request
+        (:func:`chain`), in order, ``batch_size`` per kernel call;
+        ``executors`` optionally names a full-run executor per request.
+        Lazy: a slice's kernel call waits until the previous slice is
+        consumed, so a caller can journal each outcome as it arrives."""
+        requests = list(requests)
         if executors is None:
-            executors = [None] * len(configs)
-        size = self.batch_size
-        for lo in range(0, len(configs), size):
-            chunk = configs[lo:lo + size]
-            reference = self.reference
-            rows, mode = [None] * len(chunk), MODE_SCALAR
-            if (len(chunk) > 1 and reference is not None
-                    and batch_supported(reference.trace)):
-                rows = resimulate_batch(
-                    reference.trace,
-                    [dict(self.base_depths, **c) for c in chunk])
-                mode = MODE_SCALAR_FALLBACK
-            for config, executor, inc in zip(chunk, executors[lo:lo + size],
-                                             rows):
+            executors = [None] * len(requests)
+        reference, size = self.reference, self.batch_size
+        kernel = (size > 1 and reference is not None
+                  and batch_supported(reference.trace))
+        mode = MODE_SCALAR_FALLBACK if kernel else MODE_SCALAR
+        for lo in range(0, len(requests), size):
+            chunk = requests[lo:lo + size]
+            depth_maps = [dict(self.base_depths, **config)
+                          for config, _after in chunk]
+            rows = (resimulate_batch(reference.trace, depth_maps) if kernel
+                    else [None] * len(chunk))
+            for (_config, after), executor, depths, inc in zip(
+                    chunk, executors[lo:lo + size], depth_maps, rows):
                 if inc is None:
-                    yield self._replay(config, executor, mode)
+                    outcome = self._replay(depths, after, executor, mode)
                 else:
-                    yield _replayed(inc.depths, inc, inc.seconds,
-                                    MODE_VECTORIZED, reference)
+                    outcome = _replayed(inc.depths, inc, inc.seconds,
+                                        MODE_VECTORIZED, reference)
+                self._hold(depths, outcome.run)
+                yield outcome
 
-    def _replay(self, config: dict, executor: str | None,
+    def _replay(self, depths: dict, after, executor: str | None,
                 mode: str) -> ReplayOutcome:
-        """One configuration: scalar replay, full run on divergence."""
-        depths = dict(self.base_depths)
-        depths.update(config)
+        """One configuration the kernel did not serve: scalar replays
+        of the neighbour, then of the declared capture, then a full
+        run."""
         start = _time.perf_counter()
-        reference = self.reference
-        if reference is None:
-            detail = "reference unavailable"
-        else:
-            inc, detail = replay_one(reference, depths)
-            if inc is not None:
-                return _replayed(depths, inc, _time.perf_counter() - start,
-                                 mode, reference)
+        detail = None
+        for capture in (self._neighbour(after), self.reference):
+            if capture is not None:
+                inc, why = replay_one(capture, depths)
+                if inc is not None:
+                    return _replayed(depths, inc,
+                                     _time.perf_counter() - start, mode,
+                                     capture)
+                detail = detail or why
         try:
-            fresh = run_engine(
-                "omnisim", self.compiled, depths=depths,
-                executor=executor if executor is not None
-                else self.executor)
+            fresh = self._full_run(depths, executor)
         except DeadlockError as exc:
             return ReplayOutcome(
                 SweepPoint(depths, None, self._storage_bits(depths),
                            SOURCE_DEADLOCK, _time.perf_counter() - start,
                            str(exc), MODE_FULL),
                 error=exc)
-        # Re-capture: the divergent run's graph serves the neighbourhood.
-        self.reference = fresh
         return ReplayOutcome(
             SweepPoint(depths, fresh.cycles, fresh.trace.buffer_bits(depths),
-                       SOURCE_FULL, _time.perf_counter() - start, detail,
-                       MODE_FULL),
+                       SOURCE_FULL, _time.perf_counter() - start,
+                       detail or "reference unavailable", MODE_FULL),
             run=fresh)
+
+    def _neighbour(self, after):
+        """The capture of the predecessor ``after``'s class — ``None``
+        without one, after a deadlock, or for the declared class —
+        known if this evaluator just evaluated it, else rebuilt."""
+        if after is None:
+            return None
+        depths = dict(self.base_depths, **after)
+        held = self._held
+        if held["depths"] == depths:
+            return held["run"]
+        capture = None
+        if (self.reference is None
+                or replay_one(self.reference, depths)[0] is None):
+            spare = held["spare"]
+            if spare is not None and replay_one(spare, depths)[0] is not None:
+                capture = spare
+            else:
+                try:
+                    capture = self._full_run(depths)
+                except DeadlockError:
+                    pass
+        self._hold(depths, capture)
+        return capture
+
+    def _hold(self, depths: dict, capture) -> None:
+        """Cache ``capture``, the run behind ``depths``' outcome."""
+        if capture is self.reference:
+            capture = None
+        self._held.update(depths=depths, run=capture)
+        if capture is not None:
+            self._held["spare"] = capture
+
+    def _full_run(self, depths: dict, executor: str | None = None):
+        return run_engine("omnisim", self.compiled, depths=depths,
+                          executor=executor if executor is not None
+                          else self.executor)
 
     def _storage_bits(self, depths: dict) -> int:
         """FIFO storage of ``depths`` where no run produced it (a

@@ -20,7 +20,9 @@ block.
 Pool workers build their evaluator once, in :func:`init_worker`, from a
 picklable factory; :func:`run_chunk` evaluates the supervisor's wire
 format against it.  Module-level state because pool tasks can only
-reach module globals.
+reach module globals; whatever the evaluator keeps between chunks is a
+cache, since each payload carries what its answer depends on (a replay
+request, its predecessor: :mod:`repro.exec.replay`).
 """
 
 from __future__ import annotations
@@ -124,11 +126,14 @@ class JournaledRun:
         pending = [u for u in units if u.key not in self._restored]
         restored = len(units) - len(pending)
         self.resumed += restored
-        results: dict = {}
+        # Decoded before anything runs: a decoder may restore state the
+        # pending units read (a fuzz campaign's coverage map).
+        results = {u.index: ("ok", self._decode(self._restored[u.key]))
+                   for u in units if u.key in self._restored}
         if pending:
             record = self._record if self._journal is not None else None
             if self._worker is None:
-                results, report = run_serial(
+                ran, report = run_serial(
                     pending, self._evaluator.evaluate, policy=self._policy,
                     fault_plan=self._fault_plan, record=record)
             else:
@@ -139,23 +144,20 @@ class JournaledRun:
                 from concurrent.futures import ProcessPoolExecutor
 
                 width = min(self.jobs, len(pending))
-                results, report = Supervisor(
+                ran, report = Supervisor(
                     lambda: ProcessPoolExecutor(
                         max_workers=width, initializer=init_worker,
                         initargs=self._worker),
                     run_chunk, jobs=width, policy=self._policy,
                     fault_plan=self._fault_plan, record=record,
                 ).run(pending)
+            results.update(ran)
             if self._report is None:
                 self._report = report
             else:
                 self._report.absorb(report)
-        return [
-            self._outcome(unit, *results[unit.index])
-            if unit.index in results
-            else self._decode(self._restored[unit.key])
-            for unit in units
-        ], restored
+        return [self._outcome(unit, *results[unit.index])
+                for unit in units], restored
 
     def supervision(self) -> dict:
         """The provenance block: the merged

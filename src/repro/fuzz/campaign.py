@@ -26,8 +26,9 @@ Determinism: candidate order and every mutation draw derive from
 stable across processes and ``PYTHONHASHSEED``.  Evaluation is a
 :class:`repro.exec.JournaledRun` (retry, backoff, quarantine, optional
 checkpoint journal): ``--resume`` serves journalled verdicts (adoption
-and divergence decisions) without re-simulating, then continues the
-remaining budget live.
+and divergence decisions, and the arcs each was first to cover) without
+re-simulating, then continues the remaining budget live along the
+trajectory of an uninterrupted campaign.
 """
 
 from __future__ import annotations
@@ -339,15 +340,24 @@ def run_campaign(config: CampaignConfig, *, log=None) -> CampaignReport:
             spec = dsl.parse_spec(yaml_text, origin=desc)
             with CoverageHook(backend=config.coverage_backend) as hook:
                 diff = run_differential(spec, max_cycles=config.max_cycles)
-            new_edges = coverage.merge(hook.edges)
+            fresh = sorted(set(hook.edges) - coverage.edges,
+                           key=lambda arc: (arc[0], arc[1] or 0, arc[2]))
+            coverage.merge(fresh)
             outcome = {
                 "desc": desc,
-                "new_edges": new_edges,
-                "kept": new_edges > 0 and diff.divergence is None,
+                "new_edges": len(fresh),
+                "arcs": [list(arc) for arc in fresh],
+                "kept": bool(fresh) and diff.divergence is None,
             }
             if diff.divergence is not None:
                 outcome["divergence"] = diff.divergence.to_dict()
             yield outcome
+
+    def restore(verdict):
+        """A journalled verdict: its arcs join the map — before any
+        live candidate of its batch runs, as they did when it ran."""
+        coverage.merge(tuple(arc) for arc in verdict.get("arcs", ()))
+        return verdict
 
     def apply(desc, spec, key, verdict):
         """Act on one verdict, fresh or journalled: adopt into the
@@ -371,7 +381,7 @@ def run_campaign(config: CampaignConfig, *, log=None) -> CampaignReport:
     with JournaledRun(
         SimpleNamespace(evaluate=evaluate),
         policy=ExecPolicy(max_retries=2, seed=config.seed),
-        fault_plan=None, encode=dict, decode=dict,
+        fault_plan=None, encode=dict, decode=restore,
         quarantined=lambda unit, detail: {
             "desc": unit.payload[0], "quarantined": detail, "kept": False},
         checkpoint=config.checkpoint, identity=identity,

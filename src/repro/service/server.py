@@ -561,7 +561,7 @@ class ReproService:
                 design=session.name, digest=digest, executor=executor,
                 capture=capture, evaluated=len(points),
                 # the requested overrides are echoed, not the resolved maps
-                points=[_point_doc(point, config)
+                points=[dict(point.to_json(), depths=dict(config))
                         for point, config in zip(points, req.configs)],
                 base_cycles=None if base is None else base.cycles,
                 seconds=round(time.perf_counter() - t0, 6),
@@ -598,8 +598,8 @@ class ReproService:
         return wire.to_json(wire.SweepResponse(
             design=session.name, digest=digest, executor=executor,
             capture=capture, evaluated=sweep.evaluated,
-            points=[_point_doc(p) for p in sweep.points],
-            pareto=[_point_doc(p) for p in sweep.pareto()],
+            points=[p.to_json() for p in sweep.points],
+            pareto=[p.to_json() for p in sweep.pareto()],
             search=sweep.search,
             base_depths=dict(sweep.base_depths),
             base_cycles=sweep.base_cycles,
@@ -635,24 +635,14 @@ class ReproService:
 def _config_points(session, configs, executor) -> list:
     """The replay policy's points for explicit depth overrides, in
     order (worker thread)."""
-    from ..exec.replay import Replayer
+    from ..exec.replay import Replayer, chain
     from ..sim.registry import validate_depth_names
 
     name, declared = session.declared(executor)
     for config in configs:
         validate_depth_names(config, declared, name)
     replayer = Replayer.for_session(session, executor)
-    return [outcome.point for outcome in replayer.evaluate(configs)]
-
-
-def _point_doc(point, depths: dict | None = None) -> dict:
-    """One :class:`repro.dse.SweepPoint` on the wire: ``failure``
-    exactly where there are no ``cycles``."""
-    return wire.to_json(wire.SweepPointWire(
-        depths=dict(point.depths if depths is None else depths),
-        cycles=point.cycles, buffer_bits=point.buffer_bits,
-        source=point.source,
-        failure=None if point.ok else point.detail))
+    return [outcome.point for outcome in replayer.evaluate(chain(configs))]
 
 
 # ---------------------------------------------------------------------------

@@ -329,19 +329,6 @@ class RunResponse(_Response):
 
 
 @dataclass
-class SweepPointWire(_Response):
-    """One evaluated configuration inside a :class:`SweepResponse`."""
-
-    depths: dict = field(default_factory=dict)
-    cycles: int | None = None
-    buffer_bits: int | None = None
-    #: evaluation provenance ("incremental", "full", "deadlock",
-    #: "quarantined", ... — mirrors ``SweepPoint.source``)
-    source: str = ""
-    failure: str | None = None
-
-
-@dataclass
 class SweepResponse(_Response):
     """``/v1/sweep`` result."""
 
@@ -350,6 +337,8 @@ class SweepResponse(_Response):
     executor: str | None = None
     capture: str | None = None
     evaluated: int = 0
+    #: ``repro.dse.SweepPoint.to_json`` documents (``configs`` form:
+    #: ``depths`` echoes the requested override)
     points: list = field(default_factory=list)
     #: Pareto frontier (cycles vs buffer bits) — space sweeps only
     pareto: list | None = None
@@ -420,7 +409,6 @@ __all__ = [
     "ClassifyRequest",
     "ReportRequest",
     "RunResponse",
-    "SweepPointWire",
     "SweepResponse",
     "ClassifyResponse",
     "ReportResponse",

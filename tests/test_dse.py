@@ -245,32 +245,32 @@ class TestExplorerFallback:
 
     def test_fallback_and_recapture(self):
         # Shallow depths each drop a different number of NB writes (every
-        # point falls back), but once the FIFO saturates the functional
-        # behaviour stops changing: the re-captured graph from the first
-        # saturated run serves every deeper configuration incrementally.
-        # Against the original depth-2 capture, all of those would have
-        # violated — the tail of incremental points IS the re-capture.
-        # The monotone source tail is a property of strictly sequential
-        # evaluation, so pin batch_size=1 here.
+        # point but the declared depth 2, which replays the declared
+        # capture, falls back), but once the FIFO saturates the
+        # functional behaviour stops changing: the graph of the first
+        # saturated run serves every deeper configuration incrementally,
+        # each as its predecessor's neighbour.  Against the declared
+        # depth-2 capture all of those would have violated — the tail of
+        # incremental points IS the neighbour capture.
         compiled = compile_design(make_nb_design(depth=2))
         sweep = explore(Session(compiled), ["s1=1:32"], batch_size=1)
         sources = [p.source for p in sweep.points]
-        assert SOURCE_FULL in sources
-        assert sources[-1] == SOURCE_INCREMENTAL
-        first_incremental = sources.index(SOURCE_INCREMENTAL)
-        assert all(s == SOURCE_INCREMENTAL
-                   for s in sources[first_incremental:])
+        assert sources[:3] == [SOURCE_FULL, SOURCE_INCREMENTAL, SOURCE_FULL]
+        last_full = len(sources) - 1 - sources[::-1].index(SOURCE_FULL)
+        tail = sources[last_full + 1:]
+        assert tail and all(s == SOURCE_INCREMENTAL for s in tail)
 
     def test_vectorized_default_matches_scalar_values(self):
-        # Batched evaluation may serve a row from the *original* capture
-        # that sequential evaluation only reaches after a re-capture, so
-        # source/mode labels can legitimately differ — but every value
-        # (cycles, buffer bits) must be bit-for-bit identical.
+        # The kernel and the scalar path ask the same captures (declared,
+        # then the predecessor's), so only `mode` may differ: every value
+        # and every `source` is identical.
         compiled = compile_design(make_nb_design(depth=2))
         batched = explore(Session(compiled), ["s1=1:32"])
         scalar = explore(Session(compiled), ["s1=1:32"], batch_size=1)
-        assert [(p.depths, p.cycles, p.buffer_bits) for p in batched.points] \
-            == [(p.depths, p.cycles, p.buffer_bits) for p in scalar.points]
+        assert [(p.depths, p.cycles, p.buffer_bits, p.source)
+                for p in batched.points] \
+            == [(p.depths, p.cycles, p.buffer_bits, p.source)
+                for p in scalar.points]
         assert all(p.source in (SOURCE_FULL, SOURCE_INCREMENTAL)
                    for p in batched.points)
         assert batched.mode_counts  # provenance recorded per point

@@ -31,6 +31,13 @@ A change that claims "same behaviour for every accepted request" leaves
 that file alone.  Regenerate (only for an intentional change of what a
 user sees) with ``PYTHONPATH=src python tests/test_request_contract.py``.
 
+**One answer per request.**  Every ``run_many`` and ``dse`` case gives
+the same document (wall clock, ``jobs``, ``supervision`` and a search's
+resume counters aside) at ``jobs`` 1, 2 and 4, resumed from every
+prefix of its checkpoint journal, and under a ``crash@1`` fault plan:
+which capture serves a configuration reads only the request
+(:mod:`repro.exec.replay`).
+
 **Refused values are refused once.**  :data:`REFUSED` lists the values
 the library will not act on and drives each through every door that can
 carry it: the CLI exits 1 with one ``error:`` line naming the value, the
@@ -42,6 +49,7 @@ rule in a front door.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -53,6 +61,8 @@ import pytest
 
 from repro import errors
 from repro.api import Session
+from repro.dse import Evaluator
+from repro.exec.replay import chain
 from repro.fuzz import CampaignConfig, run_campaign
 from repro.service import ServiceConfig, serve_in_thread
 from repro.trace.store import parse_size
@@ -161,10 +171,6 @@ DSE_JSON_CASES.update({
 DSE_FAULTS = {"slices-faults": "error@3:1",
               "slices-faults-jobs-2": "error@3:1",
               "pool-slices-faults": "error@5:1"}
-#: cases whose two workers each re-capture a reference of their own:
-#: which path served a point follows the pool's scheduling, so only
-#: the values and the supervision counters are pinned
-_SCHEDULING_DEPENDENT = ("slices-jobs-2", "slices-faults-jobs-2")
 
 _PARAMS = {"n": 60}
 
@@ -254,28 +260,18 @@ def _masked_doc(doc):
     return doc
 
 
-def dse_json(case: str) -> dict:
-    faults = DSE_FAULTS.get(case)
+def _dse_doc(argv: list, faults: str | None) -> dict:
     with tempfile.TemporaryDirectory() as scratch, mock.patch.dict(
             os.environ, {"REPRO_FAULTS": faults} if faults else {}):
         path = os.path.join(scratch, "sweep.json")
-        status, _out, err = shell(DSE_JSON_CASES[case] + ["--json", path])
+        status, _out, err = shell(argv + ["--json", path])
         assert status == 0, err
         with open(path, encoding="utf-8") as fh:
-            doc = _masked_doc(json.load(fh))
-    if case not in _SCHEDULING_DEPENDENT:
-        return doc
-    return {
-        "evaluated": doc["evaluated"], "deadlocked": doc["deadlocked"],
-        "quarantined": doc["quarantined"], "jobs": doc["jobs"],
-        "points": [[p["depths"], p["cycles"], p["buffer_bits"]]
-                   for p in doc["points"]],
-        "pareto": [[p["depths"], p["cycles"], p["buffer_bits"]]
-                   for p in doc["pareto"]],
-        "supervision": {key: doc["supervision"][key] for key in (
-            "mode", "units", "retries", "errors", "splits", "crashes",
-            "timeouts", "quarantined", "faults_injected")},
-    }
+            return _masked_doc(json.load(fh))
+
+
+def dse_json(case: str) -> dict:
+    return _dse_doc(DSE_JSON_CASES[case], DSE_FAULTS.get(case))
 
 
 def answered(port: int, case: str) -> list:
@@ -287,9 +283,13 @@ def answered(port: int, case: str) -> list:
     return records
 
 
-def run_many_labels(case: str) -> list:
+def run_many_labels(case: str, **overrides) -> list:
+    """The case's labels; ``overrides`` are further ``run_many``
+    keywords (``jobs`` replaces the case's)."""
     design, params, configs, jobs, *batch = RUN_MANY_CASES[case]
     kwargs = {"batch_size": batch[0]} if batch else {}
+    kwargs.update(overrides)
+    jobs = kwargs.pop("jobs", jobs)
     with Session.open(design, trace_cache=False, **params) as session:
         return [
             {"simulator": result.simulator, "cycles": result.cycles,
@@ -320,7 +320,8 @@ def _fuzz_env() -> dict:
 
 def fuzz_campaigns() -> dict:
     """A seed-0 campaign of 16 candidates, uninterrupted and stopped at
-    8 then resumed: reports (seconds masked) and journal lines."""
+    8 then resumed: reports (seconds masked) and journal lines (each
+    verdict's fresh arcs as a count)."""
     def campaign(scratch, name, **kwargs):
         checkpoint = os.path.join(scratch, f"{name}.jsonl")
         report = run_campaign(CampaignConfig(
@@ -328,6 +329,9 @@ def fuzz_campaigns() -> dict:
             checkpoint=checkpoint, **kwargs))
         with open(checkpoint, encoding="utf-8") as fh:
             journal = [json.loads(line) for line in fh]
+        for line in journal[1:]:
+            # the arcs themselves are source line numbers: pin how many
+            line["o"]["arcs"] = len(line["o"]["arcs"])
         return {"report": _masked_doc(report.to_json()),
                 "journal": journal}
 
@@ -373,10 +377,8 @@ def test_dse_json_document_is_pinned(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(HTTP_OK_CASES))
 def test_answered_request_documents_are_pinned(case, server):
-    if case == "sweep-space" and not numpy_available():
-        # a kernel slice replays the reference it started with; the
-        # scalar loop re-captures as it goes: same cycles, other `source`
-        pytest.skip("the `source` fields follow the NumPy kernel's slices")
+    if case.startswith("sweep") and not numpy_available():
+        pytest.skip("the `mode` fields name the NumPy kernel")
     assert answered(server.port, case) == _fixture()["http_ok"][case]
 
 
@@ -398,6 +400,120 @@ def test_fuzz_campaign_report_and_journal_are_pinned():
     if pinned["env"] != _fuzz_env():
         pytest.skip(f"coverage arcs were recorded under {pinned['env']}")
     assert fuzz_campaigns() == pinned["campaigns"]
+
+
+# ---------------------------------------------------------------------------
+# one answer per request, however the work was scheduled, resumed or
+# retried (DESIGN.md section 15)
+
+
+def _unscheduled(doc: dict) -> dict:
+    """A ``dse --json`` document without what a schedule may change:
+    wall clock (masked), the pool's width, the supervision block and
+    how much of a search a resume restored."""
+    doc = {k: v for k, v in doc.items() if k not in ("jobs", "supervision")}
+    if doc["search"] is not None:
+        search = doc["search"]
+        doc["search"] = dict(
+            search, evals=dict(search["evals"], restored=None, new=None),
+            rounds=[dict(r, evaluated=None, restored=None)
+                    for r in search["rounds"]])
+    return doc
+
+
+@functools.lru_cache(maxsize=None)
+def _scheduled(argv: tuple, faults: str | None) -> dict:
+    """:func:`_unscheduled` of one invocation (cases share some)."""
+    return _unscheduled(_dse_doc(list(argv), faults))
+
+
+def _with_jobs(argv: list, jobs: int) -> list:
+    argv = list(argv)
+    if "--jobs" in argv:
+        argv[argv.index("--jobs") + 1] = str(jobs)
+        return argv
+    return argv + ["--jobs", str(jobs)]
+
+
+def _resumed_at_every_boundary(journal, run):
+    """Run once journalled to ``journal``, then ``run(resume=True)``
+    from each prefix of its lines (the header alone to all of them),
+    yielding ``(boundary, answer)``."""
+    run(resume=False)
+    lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+    for boundary in range(1, len(lines) + 1):
+        journal.write_text("".join(lines[:boundary]), encoding="utf-8")
+        yield boundary, run(resume=True)
+
+
+@pytest.mark.parametrize("case", sorted(DSE_JSON_CASES))
+def test_dse_document_does_not_depend_on_the_schedule(case, monkeypatch,
+                                                      tmp_path):
+    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    argv, faults = DSE_JSON_CASES[case], DSE_FAULTS.get(case)
+    expected = _scheduled(tuple(_with_jobs(argv, 1)), None)
+    for jobs in (2, 4):
+        assert _scheduled(tuple(_with_jobs(argv, jobs)), faults) \
+            == expected, jobs
+    assert _scheduled(tuple(argv), "crash@1") == expected
+    journal = tmp_path / "sweep.ck.jsonl"
+
+    def run(resume: bool) -> dict:
+        return _unscheduled(_dse_doc(
+            argv + ["--checkpoint", str(journal)]
+            + (["--resume"] if resume else []), faults))
+
+    for boundary, doc in _resumed_at_every_boundary(journal, run):
+        assert doc == expected, boundary
+
+
+@pytest.mark.parametrize("case", sorted(RUN_MANY_CASES))
+def test_run_many_labels_do_not_depend_on_the_schedule(case, monkeypatch,
+                                                       tmp_path):
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    expected = run_many_labels(case, jobs=1)
+    for jobs in (2, 4):
+        assert run_many_labels(case, jobs=jobs) == expected, jobs
+    with monkeypatch.context() as env:
+        env.setenv("REPRO_FAULTS", "crash@1")
+        assert run_many_labels(case) == expected
+    journal = tmp_path / "batch.ck.jsonl"
+
+    def run(resume: bool) -> list:
+        return run_many_labels(case, checkpoint=journal, resume=resume)
+
+    for boundary, labels in _resumed_at_every_boundary(journal, run):
+        assert labels == expected, boundary
+
+
+def test_a_predecessor_the_evaluator_does_not_hold_is_rebuilt():
+    """Out of sequence — a fresh evaluator per request, or one holding
+    another class's capture — each request gets the labels it gets in
+    order: the evaluator rebuilds its neighbour from the predecessor
+    the request carries."""
+    configs = [{"fifo2": 8}, {"fifo1": 3}, {"fifo1": 3, "fifo2": 4}, {},
+               {"fifo1": 1}, {"fifo1": 1, "fifo2": 3}, {"fifo2": 1},
+               {"fifo1": 3, "fifo2": 2}]
+    requests = chain(configs)
+
+    def doc(point):
+        return dict(point.to_json(), seconds=None)
+
+    with Session.open("fig4_ex5", trace_cache=False, **_PARAMS) as session:
+        for batch_size in (1, 3):
+            def evaluator():
+                return Evaluator.for_session(session, batch_size=batch_size)
+
+            in_order = [doc(p) for p in evaluator().evaluate(requests)]
+            assert [p["source"] for p in in_order].count("full") >= 2
+            alone = [doc(p) for request in requests
+                     for p in evaluator().evaluate([request])]
+            backwards = evaluator()
+            reversed_order = [doc(p) for request in reversed(requests)
+                              for p in backwards.evaluate([request])]
+            assert alone == in_order, batch_size
+            assert reversed_order[::-1] == in_order, batch_size
 
 
 def test_fixture_covers_exactly_the_cases():

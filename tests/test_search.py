@@ -206,7 +206,7 @@ class _StubRun:
 
     def run(self, units):
         self.units.extend(units)
-        return [_Point(100 - sum(u.payload.values()), 1)
+        return [_Point(100 - sum(u.payload[0].values()), 1)
                 for u in units], 0
 
     def mark(self, key, doc):
@@ -243,18 +243,29 @@ class TestRoundDriver:
         run = _StubRun()
         _points, search = _run_rounds(
             make_strategy("exhaustive", space), run, space.size, None)
-        assert ([u.payload for u in run.units]
-                == list(space.configurations()))
+        configs = list(space.configurations())
+        # each payload is (config, the config before it in the request)
+        assert [u.payload for u in run.units] == list(
+            zip(configs, [None] + configs[:-1]))
         assert len(search["rounds"]) == 1
         assert (search["stopped"], search["converged"]) == (
             "complete", True)
+
+    def test_each_request_follows_the_one_before_it_across_rounds(self):
+        space = DepthSpace.parse(["a=1:16", "b=1:16"])
+        run = _StubRun()
+        _points, search = _run_rounds(make_strategy("refine", space), run,
+                                      space.size, None)
+        assert len(search["rounds"]) > 1
+        afters = [u.payload[1] for u in run.units]
+        assert afters == [None] + [u.payload[0] for u in run.units[:-1]]
 
     def test_capped_exhaustive_is_the_seeded_sample(self):
         space = DepthSpace.parse(["a=1:8", "b=1:8"])
         run = _StubRun()
         _run_rounds(make_strategy("exhaustive", space, seed=3, cap=5),
                     run, space.size, 5)
-        assert [u.payload for u in run.units] == space.sample(5, 3)
+        assert [u.payload[0] for u in run.units] == space.sample(5, 3)
 
 
 # ---------------------------------------------------------------------------
