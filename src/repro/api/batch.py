@@ -1,32 +1,49 @@
 """Batched multi-run execution: ship the artifact once, run everywhere.
 
 ``Session.run_many`` evaluates a list of run configurations against one
-design, cheaper than a ``session.run()`` loop in two ways:
+design.  Two mechanisms make a batch cheaper than a sequential
+``session.run()`` loop:
 
 * **Incremental serving.**  OmniSim configurations that differ only in
   FIFO depths go through the replay policy ``repro.dse`` sweeps use
-  (:mod:`repro.exec.replay`): replay the session's captured baseline —
-  microseconds instead of a full Func+Perf re-simulation — else the
-  capture of the eligible config before it, else a real run.  A replay
-  that passes constraint validation provably leaves the recorded
-  execution, hence every functional output, unchanged (the
-  LightningSimV2/GSIM argument: the compiled model, not the run, is the
-  unit of reuse).
-* **Process-pool sharding.**  With ``jobs > 1`` contiguous chunks go to
-  worker processes that rebuild the policy once
-  (:meth:`repro.exec.replay.Replayer.worker_spec`) and compile the
-  design only if a configuration needs a full run.
+  (:mod:`repro.exec.replay`): retime the session's captured baseline and
+  re-check its recorded query constraints — microseconds instead of a
+  full Func+Perf re-simulation — falling back, when a constraint flips,
+  to the capture of the eligible config before it, then to a real run.
+  A config that passes constraint validation provably leaves the
+  recorded execution — and hence every functional output — unchanged,
+  so the replayed run's scalars/buffers are the config's too.
+  This is the LightningSimV2/GSIM argument (the compiled model, not the
+  run, is the unit of reuse) applied to batch execution; it is why
+  ``run_many`` beats a ``.run()`` loop even on one core.
+* **Process-pool sharding.**  With ``jobs > 1`` the batch is split into
+  contiguous chunks over worker processes, each of which rebuilds the
+  policy once, in the pool initializer
+  (:meth:`repro.exec.replay.Replayer.worker_spec`: a small picklable
+  *design reference* plus the captured baseline); the design is compiled
+  in a worker only if one of its configurations needs a full run.
 
-A configuration that deadlocks or is unsupported by its engine yields a
-:class:`~repro.sim.result.SimulationResult` with ``.failure`` set
-instead of aborting the batch.  Results come back **in config order**,
-``phase_seconds["serving"]`` saying which path produced each
-(``"incremental"``, ``"full"``, ``"quarantined"``), with the replay
-handle and FIFO channel tables stripped (~250 KB per typea run):
+Failure semantics: a configuration that deadlocks or is unsupported by
+its engine produces a :class:`~repro.sim.result.SimulationResult` with
+``.failure`` set (and ``cycles`` at the deadlock point) instead of
+aborting the whole batch — batch callers are sweeps and services, not
+interactive debugging.
+
+Results come back **in config order**.  Each result's
+``phase_seconds["serving"]`` records which path produced it
+(``"incremental"``, ``"full"``, or ``"quarantined"``).  The replay handle
+(``result.trace``) and the engine's FIFO channel tables are stripped
+from returned results: they dominate pickle size (~250 KB per typea
+run) and batch callers want numbers, not replay state —
 ``session.baseline().trace`` is where a replay handle lives.
-Execution is a :class:`repro.exec.JournaledRun` (retries, deadlines,
-quarantine, ``checkpoint=``/``resume=``); the returned
-:class:`BatchResult` carries its ``supervision`` block.
+
+Execution is a :class:`repro.exec.JournaledRun`: worker crashes respawn
+the pool and retry with backoff, hung chunks die at the ``timeout``
+deadline, a config that keeps failing alone is quarantined as a result
+with ``.failure`` set, and ``checkpoint=``/``resume=`` journal
+completed configs so an interrupted batch re-runs only what is
+missing.  The returned :class:`BatchResult` (a plain ``list`` of
+results) carries the ``supervision`` provenance block.
 """
 
 from __future__ import annotations
@@ -277,8 +294,8 @@ def run_many(session, configs, *, jobs: int = 1,
             design_name=name,
             simulator=unit.payload[0]["engine"],
             cycles=0,
-            failure=(f"quarantined after {detail['attempts']} attempts: "
-                     f"{detail['reason']}: {detail['message']}"),
+            # how many attempts it took is the schedule's: supervision
+            failure=f"quarantined: {detail['reason']}: {detail['message']}",
             phase_seconds={"serving": "quarantined"},
         )
 

@@ -1,20 +1,27 @@
 """Depth-space exploration engine: incremental-first, fallback-on-violation.
 
 Every configuration is evaluated by the replay policy of
-:mod:`repro.exec.replay` (paper section 7.2 at sweep scale):
-microseconds to replay the declared capture, else the capture of the
-configuration before it in proposal order (sweeps enumerate neighbours
-consecutively), and a full OmniSim run only where both flip; a true
-deadlock is a point without a cycle count.  :class:`Evaluator` is that
-policy; the :class:`SweepPoint`\\ s are its.
+:mod:`repro.exec.replay` (paper section 7.2 at sweep scale): retime the
+captured graph under the configuration's depths and re-validate the
+recorded queries — microseconds per point — and when a constraint
+flips replay the capture of the configuration before it in proposal
+order instead (sweeps enumerate neighbours consecutively, so the
+neighbourhood of a full run stays on the incremental path), paying for
+a full OmniSim run only where both flip.  True deadlocks are
+recorded as points without a cycle count rather than aborting the sweep.
+:class:`Evaluator` is that policy; the :class:`SweepPoint`\\ s are its.
 
 *Which* configurations are evaluated is a :mod:`repro.dse.search`
-strategy's call (the exhaustive grid proposes everything in round one),
-and one round loop drives them all: the strategy proposes a batch, a
+strategy's call — the exhaustive grid (or a seeded sample of it) is the
+strategy that proposes everything in round one — and one round loop
+drives them all: the strategy proposes a batch, a
 :class:`repro.exec.JournaledRun` evaluates it (journal-restored,
-in-process or over supervised pool workers), and the observed outcomes
-steer the next round.  A configuration that keeps failing on its own is
-*quarantined* as a :data:`SOURCE_QUARANTINED` point (``cycles=None``).
+in-process or sharded over supervised pool workers, vectorized where
+possible), and the observed outcomes steer the next round.  A
+configuration that keeps failing on its own is *quarantined* as a
+:data:`SOURCE_QUARANTINED` point (``cycles=None``) instead of aborting
+the sweep; the ``SweepResult.supervision`` block records retries,
+respawns, quarantines, rounds and resumed counts.
 """
 
 from __future__ import annotations
@@ -176,7 +183,8 @@ class Evaluator(Replayer):
 
     def quarantined(self, config: dict, detail: dict) -> SweepPoint:
         """A structured failure point for a configuration that
-        exhausted its retry budget (never dropped from the result)."""
+        exhausted its retry budget (never dropped from the result); the
+        attempts it took are the schedule's, in ``supervision``."""
         depths = dict(self.base_depths, **config)
         return SweepPoint(
             depths=depths,
@@ -184,8 +192,7 @@ class Evaluator(Replayer):
             buffer_bits=self._storage_bits(depths),
             source=SOURCE_QUARANTINED,
             seconds=0.0,
-            detail=(f"{detail['reason']}: {detail['message']} "
-                    f"(quarantined after {detail['attempts']} attempts)"),
+            detail=f"{detail['reason']}: {detail['message']} (quarantined)",
         )
 
 
@@ -198,41 +205,67 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
             checkpoint=None, resume: bool = False, faults=None,
             batch_size: int | None = None, strategy: str | None = None,
             max_evals: int | None = None) -> SweepResult:
-    """Sweep ``session``'s design — an open :class:`repro.api.Session`,
-    whose compiled design and baseline are reused (a warm trace cache
-    skips capture and compilation: ``capture`` reads ``"warm"``) — over
-    ``space`` (a :class:`DepthSpace` or axis specs like ``"fifo=1:16"``)
-    and aggregate a :class:`SweepResult`.
+    """Sweep ``session``'s design over ``space`` and aggregate a
+    :class:`SweepResult`.
 
-    Every configuration goes through the replay policy
-    (:mod:`repro.exec.replay`), ``batch_size`` rows per NumPy kernel
-    call (1, or no NumPy: the scalar path; the values are bit-for-bit
-    the same).  Points, ``source`` / ``mode`` / ``detail`` included,
-    depend on the request and ``batch_size`` only — never on ``jobs``,
-    resumes or retries.  A design that deadlocks at its declared depths
-    is swept all the same (paper sections 7.1-7.2): ``base_cycles`` is
-    ``None``, ``capture`` ``"none"``, and neighbours and full runs decide.
+    ``session`` is an open :class:`repro.api.Session`: its cached
+    compiled artifact and captured baseline are reused, and under its
+    ``trace_cache`` a warm sweep skips recapture (and compilation)
+    entirely — the result's ``capture`` field reports ``"warm"`` or
+    ``"cold"``.  ``space`` is a :class:`DepthSpace` or a list of axis
+    specs (``"fifo=1:16"``).  ``samples`` draws a seeded random subset
+    instead of the full grid; ``jobs`` shards configurations across a
+    process pool, never wider than a round's pending configurations
+    (the result's ``jobs`` field reports the parallelism actually
+    used; see :meth:`repro.exec.replay.Replayer.worker_spec`).
 
-    Search (:mod:`repro.dse.search`): ``strategy`` is ``"exhaustive"``
-    (default: the grid, or a seeded sample of ``samples``), ``"refine"``
-    (successive refinement with dominated-region pruning) or
-    ``"random"`` (seeded restarts); ``max_evals`` bounds the evaluations
-    (an exhaustive sweep degrades to a seeded sample that size).
-    Exhaustive sweeps refuse spaces above
-    :data:`repro.dse.ENUMERATE_LIMIT` without such a cap.  Asking for a
-    strategy or a budget fills the ``search`` provenance block.
+    A design that deadlocks at its *declared* depths is swept all the
+    same (sizing the FIFOs behind a deadlock is the question, paper
+    sections 7.1-7.2): the sweep starts without a reference
+    (``base_cycles`` ``None``, ``capture`` ``"none"``), and full runs
+    decide, each serving its successor as its neighbour.
 
-    Execution (:mod:`repro.exec`): ``jobs`` shards over a process pool
-    never wider than a round's pending configurations (the result's
-    ``jobs`` is the width used); ``timeout`` is the per-chunk deadline;
-    a configuration that fails ``max_retries`` times is quarantined as
-    a :data:`SOURCE_QUARANTINED` point; ``checkpoint`` journals completed
-    configurations round by round, and ``resume=True`` replays the same
-    proposal sequence from it onto the exact frontier of an
-    uninterrupted run (an identity mismatch raises
+    Resilience knobs (the supervised executor, :mod:`repro.exec`):
+    ``timeout`` is the per-chunk wall-clock deadline in seconds (hung
+    workers are killed and their chunks retried); ``max_retries`` bounds
+    how many failures one configuration may accrue before it is
+    quarantined as a :data:`SOURCE_QUARANTINED` point; ``checkpoint``
+    names an append-only JSONL journal of completed configurations, and
+    ``resume=True`` reuses a prior journal so only unfinished
+    configurations are re-evaluated (an identity mismatch — different
+    design, space, strategy, sampling or trace digest — raises
     :class:`~repro.errors.CheckpointError`); ``faults`` injects
-    deterministic failures (default: ``REPRO_FAULTS``).  The
-    ``supervision`` block reports what the executor did.
+    deterministic failures for testing (a spec string or
+    :class:`repro.exec.FaultPlan`; default: the ``REPRO_FAULTS``
+    environment variable).  The result's ``supervision`` block reports
+    what the executor actually did.
+
+    Configurations are evaluated in batches through the NumPy retiming
+    kernel (:mod:`repro.trace.vectorized`), ``batch_size`` rows per
+    call (default :data:`repro.trace.vectorized.DEFAULT_BATCH_SIZE`);
+    rows the kernel declines fall back to the scalar path one by one,
+    so every point is bit-for-bit what ``batch_size=1`` — the scalar
+    path only — computes.  Each point's ``mode`` field records the path
+    that served it.  Points, ``source`` / ``mode`` / ``detail``
+    included, depend on the request and ``batch_size`` only — never on
+    ``jobs``, resumes or retries (:mod:`repro.exec.replay`).  Without
+    NumPy the sweep transparently degrades to the scalar path.
+
+    Search (:mod:`repro.dse.search`): ``strategy`` picks how the space
+    is covered — ``"exhaustive"`` (default; enumerate or
+    ``samples``-sample the grid), ``"refine"`` (successive refinement
+    with dominated-region pruning) or ``"random"`` (seeded restarts
+    with a stagnation stop).  ``max_evals`` bounds the total number of
+    configurations evaluated: adaptive strategies stop when the budget
+    is spent, and the exhaustive strategy degrades to a seeded sample of
+    that many configurations.  Exhaustive sweeps refuse to enumerate
+    spaces above :data:`repro.dse.ENUMERATE_LIMIT` configurations
+    without a ``samples``/``max_evals`` cap — million-config products
+    are the adaptive strategies' job.  Asking for a ``strategy`` or a
+    budget fills the result's ``search`` provenance block.  Every sweep
+    checkpoints round-by-round: a resumed search replays the same
+    deterministic proposal sequence, serving journaled configurations
+    from disk, and lands on the exact frontier of an uninterrupted run.
     """
     if not isinstance(space, DepthSpace):
         space = DepthSpace.parse(space)

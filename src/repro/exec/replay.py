@@ -12,21 +12,24 @@ first of (1) the **declared capture** (``Session.reference()``,
 read-only for a :class:`Replayer`'s whole life), (2) a capture of *k-1*
 in the request's own order — the **neighbour**: the previous
 replay-eligible configuration, for a search round's first the previous
-round's last, none after a *k-1* that deadlocked — and (3) a full run.
-Captures that accept a configuration record one functional execution
-(a *class*) and serve it identically.  With ``batch_size > 1`` the
-kernel screens (1) for every slice; a declined row asks the neighbour,
-then a scalar replay of (1) (the kernel declines depths below its safe
-range, which scalar accepts), then runs full.  Without a kernel the
-neighbour is asked only when its class is not the declared one.
-``mode`` is ``vectorized`` (the kernel accepted), ``scalar-fallback``
-(the kernel ran, a scalar replay served), ``scalar`` (no kernel ran) or
-``full``; a full point's ``detail`` is the first scalar decline's
-reason.  Each request carries its predecessor (:func:`chain`): an
-evaluator that did not just evaluate it (a pool worker, a resume)
-rebuilds the neighbour from the declared or its held capture if either
-validates the predecessor's depths, else by one unreported full run —
-what it holds is a cache that cannot change an answer.
+round's last, none after a *k-1* that deadlocked or failed — and (3) a
+full run.  Captures that accept a configuration record one functional
+execution (a *class*) and serve it identically; a neighbour is never
+of the declared class, so (1) and (2) never both accept.  With
+``batch_size > 1`` the kernel screens (1) for every slice (a one-row
+slice: a scalar replay of (1), which accepts exactly what the kernel
+does, without a kernel call); a declined row gets a scalar replay of
+(2), then one of (1) for its decline reason, then a full run.  ``mode``
+is ``vectorized`` (the kernel accepted), ``scalar-fallback`` (the
+kernel ran, a scalar replay served), ``scalar`` (no kernel ran) or
+``full``; a full point's ``detail`` is (1)'s decline reason
+(``reference unavailable`` without one).  Each request carries its predecessor (:func:`chain`).  An
+evaluator that did not just evaluate it (a pool worker, a resume, a
+retry) holds no capture of it, and needs none: where (1) declines *k*,
+*k* runs full, and if that run accepts *k-1*'s depths the two share a
+class (a class is symmetric), so *k-1*'s capture serves *k* — labelled
+so.  Nothing runs at *k-1* on *k*'s behalf; what an evaluator holds is
+a cache that cannot change an answer.
 
 :class:`Replayer` alone knows what a batch is and builds each
 :class:`SweepPoint` (a :class:`ReplayOutcome` adds the handles
@@ -223,10 +226,10 @@ class Replayer:
         self._compile = functools.cache(compile_fn)
         self.executor = executor
         self.batch_size = batch_size
-        #: the cache behind neighbours: the depths last evaluated, the
-        #: ``run`` of their class (``None``: the declared class or a
-        #: deadlock), and the last such run that was not ``None``
-        self._held = {"depths": None, "run": None, "spare": None}
+        #: the cache behind neighbours: the depths last evaluated and
+        #: the ``run`` of their class (``None``: the declared class or
+        #: a deadlock)
+        self._held = {"depths": None, "run": None}
 
     @classmethod
     def for_session(cls, session, executor: str | None = None, *,
@@ -319,83 +322,68 @@ class Replayer:
             chunk = requests[lo:lo + size]
             depth_maps = [dict(self.base_depths, **config)
                           for config, _after in chunk]
-            rows = (resimulate_batch(reference.trace, depth_maps) if kernel
-                    else [None] * len(chunk))
+            # a one-row slice: a scalar replay labels it as a call would
+            one_row = kernel and len(chunk) == 1
+            rows = (resimulate_batch(reference.trace, depth_maps)
+                    if kernel and not one_row else [None] * len(chunk))
             for (_config, after), executor, depths, inc in zip(
                     chunk, executors[lo:lo + size], depth_maps, rows):
                 if inc is None:
-                    outcome = self._replay(depths, after, executor, mode)
+                    outcome = self._replay(depths, after, executor, mode,
+                                           one_row)
                 else:
                     outcome = _replayed(inc.depths, inc, inc.seconds,
                                         MODE_VECTORIZED, reference)
-                self._hold(depths, outcome.run)
+                run = None if outcome.run is reference else outcome.run
+                self._held.update(depths=depths, run=run)
                 yield outcome
 
     def _replay(self, depths: dict, after, executor: str | None,
-                mode: str) -> ReplayOutcome:
-        """One configuration the kernel did not serve: scalar replays
-        of the neighbour, then of the declared capture, then a full
-        run."""
+                mode: str, one_row: bool) -> ReplayOutcome:
+        """One configuration no kernel call served: scalar replays of
+        the neighbour this evaluator holds, then of the declared capture
+        (a neighbour is never of the declared class, so the order
+        changes no answer), then a full run.  ``one_row``: a one-row
+        slice, ``vectorized`` where the declared capture serves it — the
+        kernel accepts exactly the rows a scalar replay accepts, and a
+        one-row call costs seven scalar replays."""
         start = _time.perf_counter()
-        detail = None
-        for capture in (self._neighbour(after), self.reference):
-            if capture is not None:
-                inc, why = replay_one(capture, depths)
-                if inc is not None:
-                    return _replayed(depths, inc,
-                                     _time.perf_counter() - start, mode,
-                                     capture)
-                detail = detail or why
+        before = None if after is None else dict(self.base_depths, **after)
+        held = before is not None and self._held["depths"] == before
+        detail = "reference unavailable"
+        for capture in (self._held["run"] if held else None, self.reference):
+            if capture is None:
+                continue
+            inc, why = replay_one(capture, depths)
+            if inc is not None:
+                if one_row and capture is self.reference:
+                    mode = MODE_VECTORIZED
+                return _replayed(depths, inc, _time.perf_counter() - start,
+                                 mode, capture)
+            if capture is self.reference:
+                detail = why
         try:
-            fresh = self._full_run(depths, executor)
+            fresh = run_engine("omnisim", self.compiled, depths=depths,
+                               executor=executor if executor is not None
+                               else self.executor)
         except DeadlockError as exc:
             return ReplayOutcome(
                 SweepPoint(depths, None, self._storage_bits(depths),
                            SOURCE_DEADLOCK, _time.perf_counter() - start,
                            str(exc), MODE_FULL),
                 error=exc)
+        if (before is not None and not held
+                and replay_one(fresh, before)[0] is not None):
+            # k-1 is of k's class (a class is symmetric): its capture,
+            # which this evaluator does not hold, serves k
+            inc, _ = replay_one(fresh, depths)
+            return _replayed(depths, inc, _time.perf_counter() - start,
+                             mode, fresh)
         return ReplayOutcome(
             SweepPoint(depths, fresh.cycles, fresh.trace.buffer_bits(depths),
-                       SOURCE_FULL, _time.perf_counter() - start,
-                       detail or "reference unavailable", MODE_FULL),
+                       SOURCE_FULL, _time.perf_counter() - start, detail,
+                       MODE_FULL),
             run=fresh)
-
-    def _neighbour(self, after):
-        """The capture of the predecessor ``after``'s class — ``None``
-        without one, after a deadlock, or for the declared class —
-        known if this evaluator just evaluated it, else rebuilt."""
-        if after is None:
-            return None
-        depths = dict(self.base_depths, **after)
-        held = self._held
-        if held["depths"] == depths:
-            return held["run"]
-        capture = None
-        if (self.reference is None
-                or replay_one(self.reference, depths)[0] is None):
-            spare = held["spare"]
-            if spare is not None and replay_one(spare, depths)[0] is not None:
-                capture = spare
-            else:
-                try:
-                    capture = self._full_run(depths)
-                except DeadlockError:
-                    pass
-        self._hold(depths, capture)
-        return capture
-
-    def _hold(self, depths: dict, capture) -> None:
-        """Cache ``capture``, the run behind ``depths``' outcome."""
-        if capture is self.reference:
-            capture = None
-        self._held.update(depths=depths, run=capture)
-        if capture is not None:
-            self._held["spare"] = capture
-
-    def _full_run(self, depths: dict, executor: str | None = None):
-        return run_engine("omnisim", self.compiled, depths=depths,
-                          executor=executor if executor is not None
-                          else self.executor)
 
     def _storage_bits(self, depths: dict) -> int:
         """FIFO storage of ``depths`` where no run produced it (a
