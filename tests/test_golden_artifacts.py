@@ -54,9 +54,17 @@ RUN_COLD_DESIGNS = [
 EXECUTORS = ("compiled", "interp")
 ENGINES = ("omnisim", "omnisim-threads")
 
+#: node columns the retiming graph never read (a capture's segment
+#: serial and base), left out of both digests so that dropping them from
+#: the record leaves the pins in place
+UNREAD_COLUMNS = ("seg_serial", "seg_base")
+
+
 def raw_digest(trace) -> str:
     digest = hashlib.sha256()
     for name, column in trace.columns():
+        if name in UNREAD_COLUMNS:
+            continue
         digest.update(name.encode())
         digest.update(column.tobytes())
     return digest.hexdigest()
@@ -79,7 +87,7 @@ def canonical_columns(trace) -> list:
 
     out = [("modules", [(names[mid], mod_ptr[mid + 1] - mod_ptr[mid])
                         for mid in by_name])]
-    for col in ("nominal", "time", "kind", "seg_serial", "seg_base"):
+    for col in ("nominal", "time", "kind"):
         out.append((col, [cols[col][node] for node in nodes]))
     out.append(("ends", sorted(
         (names[mid], canon[node])
@@ -90,7 +98,8 @@ def canonical_columns(trace) -> list:
             cols["c_kind"], cols["c_fifo"], cols["c_index"],
             cols["c_outcome"], cols["c_node"]))))
     for fc in sorted(trace.fifos, key=lambda fc: fc.name):
-        out.append((f"fifo:{fc.name}", fc.depth, fc.width,
+        out.append((f"fifo:{fc.name}", trace.depths[fc.name],
+                    trace.widths[fc.name],
                     renumber(fc.write_nodes), renumber(fc.read_nodes),
                     renumber(fc.write_port_nodes),
                     renumber(fc.read_port_nodes)))

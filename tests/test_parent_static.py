@@ -2,24 +2,35 @@
 
 ``tests/golden/parent_static/*.trace`` are store entries written by
 ``TraceStore.put`` at commit 2d145d6 — the last one whose static build
-gave every segment a virtual segment-end node.  They are read here
-through today's reader, so this file is two tests in one:
+gave every segment a virtual segment-end node.  What that old graph
+answers is pinned in ``tests/golden/parent_static_answers.json``: per
+fixture, a digest of its recording (node and constraint columns, the
+segment columns left out) and, for each of 60 seeded depth
+configurations, the sha256 of the ``retime`` times (or the error), the
+``resimulate`` tuple (or the error) and whether the batch kernel serves
+it.  So this file is three tests in one:
 
+* **the pins are the old graph's answers** — the fixtures, read through
+  today's reader, still give exactly the pinned answers;
 * **the differential for the chain-only graph** — a fresh capture of the
   same design (no virtual nodes, fewer edges) must retime, resimulate
-  and batch-resimulate to exactly what the old graph gives, on every
-  seeded depth configuration, error messages included;
+  and batch-resimulate to the pinned answers, error messages included;
 * **store back-compat** — an entry written before the change still
   loads and replays, static columns and all, without a rebuild.
 
-Never regenerate the fixtures from a newer commit: their point is that
-they hold the *old* static columns.
+Never regenerate the fixtures or the answers from a newer commit: their
+point is that they hold the *old* graph's static columns and answers.
+``PYTHONPATH=src:. python tests/test_parent_static.py`` writes the
+answers file from the fixtures.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
+from array import array
 
 import pytest
 
@@ -34,7 +45,9 @@ from repro.trace.vectorized import (
 )
 from tests.test_vectorized import check_plan_layout
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "golden", "parent_static")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+FIXTURES = os.path.join(GOLDEN, "parent_static")
+ANSWERS = os.path.join(GOLDEN, "parent_static_answers.json")
 
 #: fixture key -> how to capture the same design again
 CAPTURES = {
@@ -50,18 +63,33 @@ CAPTURES = {
 CONFIGS = 60
 DEPTH_CHOICES = (1, 2, 3, 4, 7, 16, 64, 1024)
 
+#: the recording a replay reads: node and constraint columns, without
+#: the segment columns no retiming graph reads
+RECORDING_COLUMNS = ("module_of", "nominal", "time", "kind", "mod_ptr",
+                     "mod_nodes", "end_mids", "end_node_ids", "c_kind",
+                     "c_fifo", "c_index", "c_outcome", "c_node")
+
 _PAIRS: dict = {}
+
+
+def _old(key):
+    # the store's reader, without the store's side effects (get()
+    # refreshes atimes and unlinks entries it cannot read)
+    with open(os.path.join(FIXTURES, key + ".trace"), "rb") as fh:
+        return loads_artifact(fh.read())
 
 
 def _pair(key):
     """(parent-written artifact, fresh capture) of one fixture."""
     if key not in _PAIRS:
-        # the store's reader, without the store's side effects (get()
-        # refreshes atimes and unlinks entries it cannot read)
-        with open(os.path.join(FIXTURES, key + ".trace"), "rb") as fh:
-            old = loads_artifact(fh.read())
-        _PAIRS[key] = old, CAPTURES[key]().baseline().trace
+        _PAIRS[key] = _old(key), CAPTURES[key]().baseline().trace
     return _PAIRS[key]
+
+
+@pytest.fixture(scope="module")
+def answers() -> dict:
+    with open(ANSWERS, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _configs(key, art):
@@ -76,23 +104,76 @@ def _configs(key, art):
     return configs
 
 
+def recording_digest(art) -> str:
+    digest = hashlib.sha256()
+    for name in RECORDING_COLUMNS:
+        digest.update(name.encode())
+        digest.update(array("q", getattr(art, name)).tobytes())
+    return digest.hexdigest()
+
+
 def _outcome(fn):
     try:
-        return "ok", fn()
+        return ["ok", fn()]
     except (ConstraintViolation, SimulationError) as exc:
-        return type(exc).__name__, str(exc)
+        return [type(exc).__name__, str(exc)]
 
 
-def _resimulated(art, config):
-    kind, value = _outcome(lambda: art.resimulate(config))
+def retimed(art, config) -> list:
+    """``retime`` at ``config``: the times' sha256, or the error."""
+    kind, value = _outcome(lambda: art.retime(dict(art.depths, **config)))
     if kind == "ok":
-        value = (value.cycles, value.depths, value.module_end_times,
-                 value.buffer_bits, value.constraints_checked)
-    return kind, value
+        value = hashlib.sha256(json.dumps(value).encode()).hexdigest()
+    return [kind, value]
+
+
+def _row(result) -> list:
+    return [result.cycles, result.depths, result.module_end_times,
+            result.buffer_bits, result.constraints_checked]
+
+
+def resimulated(art, config) -> list:
+    kind, value = _outcome(lambda: art.resimulate(config))
+    return [kind, _row(value) if kind == "ok" else value]
+
+
+def batched(art, configs) -> list:
+    return [None if row is None else _row(row)
+            for row in resimulate_batch(art, configs)]
+
+
+def answers_of(key, art) -> dict:
+    """Everything the file pins for one artifact: one row per config,
+    ``[config, retime, resimulate, served by the batch kernel]`` (a
+    served batch row is the ``resimulate`` value; needs NumPy)."""
+    configs = _configs(key, art)
+    return {
+        "recording": recording_digest(art),
+        "has_order": art.s_has_order,
+        "rows": [[config, retimed(art, config), resimulated(art, config),
+                  row is not None]
+                 for config, row in zip(configs, batched(art, configs))],
+    }
+
+
+def dump_answers(pinned, fh) -> None:
+    """``json.dump`` with one line per config row (diffable)."""
+    fh.write("{\n")
+    for i, key in enumerate(sorted(pinned)):
+        entry = pinned[key]
+        fh.write(f" {json.dumps(key)}: {{\n")
+        fh.write(f'  "has_order": {json.dumps(entry["has_order"])},\n')
+        fh.write(f'  "recording": {json.dumps(entry["recording"])},\n')
+        rows = ",\n".join("   " + json.dumps(row, sort_keys=True)
+                          for row in entry["rows"])
+        fh.write(f'  "rows": [\n{rows}\n  ]\n')
+        fh.write(" }" + ("," if i < len(pinned) - 1 else "") + "\n")
+    fh.write("}\n")
 
 
 @pytest.mark.parametrize("key", sorted(CAPTURES))
-def test_fixture_holds_the_old_graph_and_a_capture_the_new(key, monkeypatch):
+def test_fixture_holds_the_old_graph_and_a_capture_the_new(key, answers,
+                                                           monkeypatch):
     old, new = _pair(key)
     monkeypatch.setattr(
         TraceArtifact, "_build_static_columns",
@@ -100,52 +181,44 @@ def test_fixture_holds_the_old_graph_and_a_capture_the_new(key, monkeypatch):
     old.ensure_static()
     monkeypatch.undo()
     new.ensure_static()
-    # the same recording ...
-    assert old.node_count == new.node_count
-    for name in TraceArtifact._NODE_COLUMNS + TraceArtifact._CONSTRAINT_COLUMNS:
-        assert list(getattr(old, name)) == list(getattr(new, name)), name
+    # the same recording, the pinned one ...
+    pinned = answers[key]
+    assert recording_digest(old) == recording_digest(new) \
+        == pinned["recording"]
+    assert _configs(key, new) == [row[0] for row in pinned["rows"]]
     # ... under the two graphs
     assert old.s_total > old.node_count, "fixture lost its virtual nodes"
     assert new.s_total == new.node_count
     assert len(new.s_succ_node) < len(old.s_succ_node)
-    assert new.s_has_order == old.s_has_order
+    assert new.s_has_order == old.s_has_order == pinned["has_order"]
     assert min(new.s_base) >= 0, "no -inf base without virtual nodes"
 
 
 @pytest.mark.parametrize("key", sorted(CAPTURES))
-def test_old_and_new_graph_replay_identically(key):
-    old, new = _pair(key)
-    configs = _configs(key, old)
-    served = 0
-    for config in configs:
-        depths = dict(old.depths, **config)
-        got = _outcome(lambda: new.retime(depths))
-        assert got == _outcome(lambda: old.retime(depths)), config
-        assert _resimulated(new, config) == _resimulated(old, config), config
-        served += got[0] == "ok"
+def test_old_and_new_graph_replay_identically(key, answers):
+    rows = answers[key]["rows"]
+    for art in _pair(key):
+        for config, retime, resim, _batch in rows:
+            assert retimed(art, config) == retime, config
+            assert resimulated(art, config) == resim, config
+    served = sum(retime[0] == "ok" for _, retime, _, _ in rows)
     assert served >= CONFIGS // 2, "the differential must not be vacuous"
 
 
 @pytest.mark.skipif(not numpy_available(), reason="NumPy unavailable")
 @pytest.mark.parametrize("key", sorted(CAPTURES))
-def test_old_and_new_graph_batch_identically(key):
-    old, new = _pair(key)
-    configs = _configs(key, old)
-    rows_old = resimulate_batch(old, configs)
-    rows_new = resimulate_batch(new, configs)
-    for config, a, b in zip(configs, rows_old, rows_new):
-        assert (a is None) == (b is None), config
-        if a is not None:
-            assert (a.cycles, a.module_end_times) == (
-                b.cycles, b.module_end_times), config
-            # and the batch row is the scalar row, on both graphs
-            assert ("ok", (b.cycles, b.depths, b.module_end_times,
-                           b.buffer_bits, b.constraints_checked)) \
-                == _resimulated(new, config), config
-    if old.s_has_order:
-        assert any(row is not None for row in rows_new)
+def test_old_and_new_graph_batch_identically(key, answers):
+    pinned = answers[key]
+    configs = [row[0] for row in pinned["rows"]]
+    # a served batch row is the scalar row
+    expect = [resim[1] if batch else None
+              for _, _, resim, batch in pinned["rows"]]
+    for art in _pair(key):
+        assert batched(art, configs) == expect
+    if pinned["has_order"]:
+        assert any(row is not None for row in expect)
     else:
-        assert rows_old == rows_new == [None] * CONFIGS
+        assert expect == [None] * CONFIGS
 
 
 @pytest.mark.skipif(not numpy_available(), reason="NumPy unavailable")
@@ -161,3 +234,10 @@ def test_old_graph_plan_layout():
                                             chain_only=False)
             assert check_plan_layout(new, _plan_for(new)) <= 4
     assert len(widest) == 3 and max(widest.values()) > 4, widest
+
+
+if __name__ == "__main__":
+    assert numpy_available(), "the batch rows are pinned with NumPy"
+    pinned = {key: answers_of(key, _old(key)) for key in sorted(CAPTURES)}
+    with open(ANSWERS, "w", encoding="utf-8") as fh:
+        dump_answers(pinned, fh)
