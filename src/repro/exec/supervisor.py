@@ -463,7 +463,10 @@ class Supervisor:
         pool, self._pool = self._pool, None
         if pool is not None:
             try:
-                pool.shutdown(wait=False, cancel_futures=True)
+                # An idle pool is joined: left to wind down on its own,
+                # its manager thread can still be closing the wakeup
+                # pipe that interpreter exit writes to (EBADF).
+                pool.shutdown(wait=not self._inflight, cancel_futures=True)
             except Exception:  # pragma: no cover
                 pass
 

@@ -160,12 +160,11 @@ class OmniSimulator:
         trace = self.trace = new_trace(
             self.compiled, self.executor,
             {name: fifo.depth for name, fifo in self.state.fifos.items()})
-        #: ``list.append`` of the six node columns, in one tuple the
+        #: ``list.append`` of the four node columns, in one tuple the
         #: commit kernel unpacks into locals
         self._node_appends = tuple(
             col.append for col in (trace.module_of, trace.nominal,
-                                   trace.time, trace.kind,
-                                   trace.seg_serial, trace.seg_base))
+                                   trace.time, trace.kind))
         self.stats = SimulationStats()
         self.runs: list[_ModuleRun] = []
         kwargs = {}
@@ -333,7 +332,7 @@ class OmniSimulator:
         One loop executes the per-event contract of
         :mod:`repro.sim.ledger` (on locals loaded from the ledger here
         and stored back on exit), the FIFO/AXI port and Table 2 rules,
-        and the recording: six node-column appends plus the channel's
+        and the recording: four node-column appends plus the channel's
         node lists.  ``forced`` applies the earliest-query-false rule to
         the head: its target is known to lie in the future, so the query
         resolves unsuccessfully; exactly that one request commits.
@@ -349,8 +348,7 @@ class OmniSimulator:
         fifos = self._fifos
         trace = self.trace
         times = trace.time
-        (add_module, add_nominal, add_time, add_kind, add_serial,
-         add_base) = self._node_appends
+        add_module, add_nominal, add_time, add_kind = self._node_appends
         work = self._work
         mid = run.mid
         progress = False
@@ -497,8 +495,6 @@ class OmniSimulator:
             add_nominal(nominal)
             add_time(cycle)
             add_kind(kind)
-            add_serial(serial)
-            add_base(base)
             # a stall freezes everything later in the segment
             if cycle - offset > start:
                 start = cycle - offset

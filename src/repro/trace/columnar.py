@@ -9,11 +9,12 @@ one structure, written once, read many times (the LightningSimV2/GSIM
 move: dense packed state instead of per-node Python objects).  It is
 also the home of the one scalar retiming kernel:
 
-* **node columns** — ``module_of``/``nominal``/``time``/``kind``/
-  ``seg_serial``/``seg_base``, plus a CSR view of the per-module node
-  lists (derived from ``module_of`` on first use);
+* **node columns** — ``module_of``/``nominal``/``time``/``kind``, plus
+  a CSR view of the per-module node lists (derived from ``module_of`` on
+  first use);
 * **FIFO / AXI columns** — per channel, which nodes are the N-th access
-  of each port, with the base depth and element width per FIFO;
+  of each port (base depths and element widths are the artifact-wide
+  ``depths``/``widths`` maps);
 * **constraint columns** — every recorded timing query as five parallel
   arrays (kind code, FIFO index, access index, outcome, node id);
 * **static columns** — the depth-independent retiming edges in CSR form
@@ -120,10 +121,6 @@ class FifoColumns:
     name: str
     #: position in ``TraceArtifact.fifos`` (the constraint columns' id)
     index: int
-    #: base depth of the capture run (the reference configuration)
-    depth: int
-    #: element width in bits (buffer-cost estimates)
-    width: int = DEFAULT_FIFO_WIDTH
     #: successful accesses in index order (RAW/WAR edges)
     write_nodes: list = field(default_factory=list)
     read_nodes: list = field(default_factory=list)
@@ -188,8 +185,6 @@ class TraceArtifact:
         self.nominal: list = []
         self.time: list = []
         self.kind: list = []
-        self.seg_serial: list = []
-        self.seg_base: list = []
         self.module_names: list[str] = []
         #: CSR of per-module node lists (module id -> node ids),
         #: derived from ``module_of`` by :meth:`_sync`
@@ -219,11 +214,7 @@ class TraceArtifact:
         self.warnings: list = []
         self.stats = SimulationStats()
         # -- static columns (depth-independent retiming edges) ---------
-        #: nodes of the static graph; None = not built.  ``node_count``
-        #: when built here — store entries written by older builds also
-        #: count a virtual segment-end node per segment, which is why
-        #: readers size by this and not by ``node_count``
-        self.s_total: int | None = None
+        #: one entry per recorded node; None = not built
         self.s_base: array | None = None
         self.s_indegree: array | None = None
         self.s_succ_ptr: array | None = None
@@ -260,8 +251,7 @@ class TraceArtifact:
         table = self._fifo_tables.get(name)
         if table is None:
             table = self._fifo_tables[name] = FifoColumns(
-                name, len(self.fifos), self.depths.get(name, 1),
-                self.widths.get(name, DEFAULT_FIFO_WIDTH))
+                name, len(self.fifos))
             self.fifos.append(table)
         return table
 
@@ -283,8 +273,6 @@ class TraceArtifact:
         self.nominal.append(request.nominal)
         self.time.append(time)
         self.kind.append(kind)
-        self.seg_serial.append(request.segment)
-        self.seg_base.append(request.seg_base)
         return node
 
     def add_end_node(self, module: str, node: int) -> None:
@@ -391,8 +379,7 @@ class TraceArtifact:
         segment boundary lies between (the module docstring proves a
         per-segment "effective start" node would add nothing).
         ``s_base`` is ``nominal`` for a module's first event and 0
-        elsewhere; every static node is a recorded one, so
-        ``s_total == node_count``."""
+        elsewhere."""
         total = self.node_count
         edges: list[tuple[int, int, int]] = []
         add_edge = edges.append
@@ -463,7 +450,6 @@ class TraceArtifact:
 
         order = self._build_order_column(total, indegree, succ_ptr,
                                          succ_node)
-        self.s_total = total
         self.s_base = _qarray(base_value)
         self.s_indegree = _qarray(indegree)
         self.s_succ_node = _qarray(succ_node)
@@ -544,7 +530,7 @@ class TraceArtifact:
                               list(self.s_succ_weight)))
         succ_pairs = [
             tuple(pairs_flat[succ_ptr[u]:succ_ptr[u + 1]])
-            for u in range(self.s_total)
+            for u in range(self.node_count)
         ]
         base = list(self.s_base)
         indegree = list(self.s_indegree)
@@ -608,13 +594,12 @@ class TraceArtifact:
         recorded accesses present, every depth >= 1 — anything else is
         a :class:`~repro.errors.SimulationError`).  Assumes the
         functional execution is unchanged; the caller re-validates the
-        recorded query constraints.  Returns the new time list for real
-        nodes.
+        recorded query constraints.  Returns the new time list.
         """
         self._check_depths(depths)
         (sweep, succ_pairs, base, indegree_base, kind,
          fifo_views) = self._iter_view()
-        total = self.s_total
+        total = self.node_count
 
         # --- per-depth WAR overlay: the only depth-dependent edges ------
         # A node-indexed list, not a dict: the sweep probes it once per
@@ -651,7 +636,7 @@ class TraceArtifact:
                 v = overlay[u]
                 if v is not None and time_u >= new_time[v]:
                     new_time[v] = time_u + 1  # WAR edges have weight 1
-            return new_time[:self.node_count]
+            return new_time
 
         # --- Kahn longest-path fallback (order graph was cyclic) --------
         indegree = indegree_base[:]
@@ -683,7 +668,7 @@ class TraceArtifact:
                 "simulation graph became cyclic under the new FIFO depths "
                 "(the configuration deadlocks); full re-simulation required"
             )
-        return new_time[:self.node_count]
+        return new_time
 
     # ------------------------------------------------------------------
     # incremental re-simulation
@@ -822,10 +807,7 @@ class TraceArtifact:
             "module_names": list(self.module_names),
             "depths": dict(self.depths),
             "widths": dict(self.widths),
-            "fifos": [
-                {"name": fc.name, "depth": fc.depth, "width": fc.width}
-                for fc in self.fifos
-            ],
+            "fifos": [fc.name for fc in self.fifos],
             "axis": [
                 {"name": ax.name, "read_latency": ax.read_latency,
                  "write_latency": ax.write_latency}
@@ -841,7 +823,6 @@ class TraceArtifact:
             },
             "static": {
                 "built": self.s_succ_ptr is not None,
-                "total": self.s_total,
                 "has_order": self.s_has_order,
             },
         }
@@ -850,9 +831,8 @@ class TraceArtifact:
                      "write_port_nodes", "read_port_nodes")
     _AXI_COLUMNS = ("read_bursts", "resp_nodes", "read_beat_nodes",
                     "write_beat_nodes", "read_req_nodes", "write_req_nodes")
-    _NODE_COLUMNS = ("module_of", "nominal", "time", "kind",
-                     "seg_serial", "seg_base", "mod_ptr", "mod_nodes",
-                     "end_mids", "end_node_ids")
+    _NODE_COLUMNS = ("module_of", "nominal", "time", "kind", "mod_ptr",
+                     "mod_nodes", "end_mids", "end_node_ids")
     _CONSTRAINT_COLUMNS = ("c_kind", "c_fifo", "c_index",
                            "c_outcome", "c_node")
     _STATIC_COLUMNS = ("s_base", "s_indegree", "s_succ_ptr",
@@ -884,9 +864,8 @@ class TraceArtifact:
         art.widths = {str(k): int(v) for k, v in meta["widths"].items()}
         for name in cls._NODE_COLUMNS + cls._CONSTRAINT_COLUMNS:
             setattr(art, name, columns[name])
-        for i, fd in enumerate(meta["fifos"]):
-            fc = art.fifo_table(str(fd["name"]))
-            fc.depth, fc.width = int(fd["depth"]), int(fd["width"])
+        for i, name in enumerate(meta["fifos"]):
+            fc = art.fifo_table(str(name))
             for col in cls._FIFO_COLUMNS:
                 setattr(fc, col, columns[f"fifo{i}.{col}"])
         for i, ad in enumerate(meta["axis"]):
@@ -905,7 +884,6 @@ class TraceArtifact:
         art.stats = SimulationStats(**fn["stats"])
         static = meta["static"]
         if static["built"]:
-            art.s_total = int(static["total"])
             art.s_has_order = bool(static["has_order"])
             for name in cls._STATIC_COLUMNS:
                 setattr(art, name, columns[name])

@@ -50,9 +50,11 @@ from ..errors import RequestError, TraceFormatError
 from . import ENV_VAR
 from .columnar import TraceArtifact
 
-#: bump on ANY change to the columnar layout or the header schema; old
-#: files then fail the version check and fall back to fresh capture.
-SCHEMA_VERSION = 1
+#: bump on ANY change to the columnar layout, the header schema or the
+#: static graph's shape (tests/test_trace_store.py pins one stored
+#: artifact's digest per version); old files then land on other keys and
+#: fail the version check, so they fall back to fresh capture.
+SCHEMA_VERSION = 2
 
 MAGIC = b"RTRC"
 _HEAD = struct.Struct("<4sI32sQ")  # magic, version, sha256, header len

@@ -24,10 +24,10 @@ How the plan is laid out (DESIGN.md section 16):
   batch)``) and its WAR destinations a contiguous tail of them.  Every
   node past level 0 also gets a weight-0 self-loop row, and a level's
   predecessor rows are stored ``(rank, destination)``, padded with
-  sentinel rows to its widest destination (fan-in <= 4 in a chain-only
-  graph).  The static relaxation of a level is then three calls: gather
-  (``T.take``), ``+= weight``, and a dense ``maximum.reduce`` over the
-  rank axis written straight into ``T[lo:hi]`` — no segmented
+  sentinel rows to its widest destination (fan-in <= 4).  The static
+  relaxation of a level is then three calls: gather (``T.take``),
+  ``+= weight``, and a dense ``maximum.reduce`` over the rank axis
+  written straight into ``T[lo:hi]`` — no segmented
   ``reduceat`` (which pays per segment *and* config), no scatter.
 * **WAR overlay.**  The depth-dependent edges target only FIFO write
   nodes and always have weight 1, but their *source* read varies per
@@ -120,10 +120,10 @@ class BatchPlan:
     """
 
     __slots__ = (
-        "supported", "total", "node_count", "perm", "dtype", "neg",
+        "supported", "total", "perm", "dtype", "neg",
         "base", "levels", "fifo_names", "reads_cat", "reads_new",
         "reads_len", "war_fifo", "war_slot", "war_top", "min_safe_depth",
-        "max_ke", "max_kw", "real_new", "w_queries", "r_queries",
+        "max_ke", "max_kw", "w_queries", "r_queries",
         "end_new", "end_names", "n_constraints",
     )
 
@@ -135,9 +135,7 @@ class BatchPlan:
         art.ensure_static()
         if not art.s_has_order:
             return
-        total = art.s_total
-        self.total = total
-        self.node_count = art.node_count
+        total = self.total = art.node_count
 
         # --- levels: longest path over static + depth-1 WAR edges ------
         level = [0] * total
@@ -170,43 +168,28 @@ class BatchPlan:
         self.min_safe_depth = np.asarray(
             [art._min_replay_depth(fc) for fc in art.fifos], dtype=np.int64)
 
-        # --- plan levels, level-major renumbering ------------------------
-        # A plan level is the nodes of one topological level and one
-        # fan-in class, WAR rows last (nodes of a level never feed each
-        # other, so its classes may run in turn).  Class 0 is a fan-in
-        # (static in-edges + the self-loop row) of at most 4: every node
-        # of a chain-only graph.  The virtual segment-end nodes of older
-        # store entries fall into doubling classes, which keeps the
-        # dense layout's padding below 2x whatever the graph.
+        # --- level-major renumbering, WAR rows last in their level -------
         level_arr = np.asarray(level, dtype=np.int64)
-        fan_in = np.asarray(art.s_indegree, dtype=np.int64) + 1
-        fan_class = np.maximum(
-            np.ceil(np.log2(fan_in)).astype(np.int64) - 2, 0)
-        group = level_arr * (int(fan_class.max(initial=0)) + 1) + fan_class
-        sort_key = 2 * group
+        sort_key = 2 * level_arr
         sort_key[war_node] += 1
         order_new = np.argsort(sort_key, kind="stable")
         perm = np.empty(total, dtype=np.int64)
         perm[order_new] = np.arange(total, dtype=np.int64)
         self.perm = perm
         base_i64 = np.asarray(art.s_base, dtype=np.int64)[order_new]
-        self.real_new = perm[:self.node_count] if self.node_count \
-            else np.empty(0, dtype=np.int64)
-        #: group g owns rows ``[row_lo[g], row_lo[g + 1])`` of ``T``;
-        #: group 0 is level 0 (no in-edges: its rows keep their base)
-        row_lo = np.concatenate((
-            [0], np.flatnonzero(np.diff(group[order_new])) + 1, [total]))
+        #: level l owns rows ``[row_lo[l], row_lo[l + 1])`` of ``T``;
+        #: level 0 has no in-edges: its rows keep their base
+        row_lo = np.concatenate(
+            ([0], np.flatnonzero(np.diff(level_arr[order_new])) + 1, [total]))
         first = int(row_lo[1])
 
         # --- value dtype: int32 when the longest possible path fits ----
-        # Candidate values are bounded by max finite |base| plus the sum
+        # Candidate values are bounded by max |base| plus the sum
         # of positive edge weights (every WAR edge contributes 1).  The
         # int32 layout halves the sweep's memory traffic; 2x headroom
-        # keeps sentinel-derived candidates strictly below any real one
-        # (older store entries carry ``_NEG_INF`` virtual-node bases).
+        # keeps sentinel-derived candidates strictly below any real one.
         edge_w64 = np.asarray(art.s_succ_weight, dtype=np.int64)
-        finite = base_i64 > _NEG_INF // 2
-        bound = int(np.abs(base_i64[finite]).max(initial=0))
+        bound = int(np.abs(base_i64).max(initial=0))
         bound += int(edge_w64[edge_w64 > 0].sum())
         bound += sum(len(fc.write_nodes) for fc in art.fifos)
         if bound < (1 << 29):
@@ -215,9 +198,9 @@ class BatchPlan:
         else:
             self.dtype = np.int64
             self.neg = _NEG_INF
-        self.base = np.where(finite, base_i64, self.neg).astype(self.dtype)
+        self.base = base_i64.astype(self.dtype)
 
-        # --- predecessor rows: dense, rank-major per plan level ----------
+        # --- predecessor rows: dense, rank-major per level ---------------
         # One weight-0 self-loop row per node past level 0, then each
         # level's rows laid out ``(rank, destination)`` and padded to
         # its widest destination with rows that gather the sentinel.
@@ -231,10 +214,11 @@ class BatchPlan:
         # level-by-level AND dst-by-dst
         e_order = np.argsort(edge_dst, kind="stable")
         edge_dst = edge_dst[e_order]
-        width = np.diff(row_lo)[1:]  # destinations per plan level
+        width = np.diff(row_lo)[1:]  # destinations per level
+        fan_in = np.asarray(art.s_indegree, dtype=np.int64) + 1
         rows_of = fan_in[order_new][first:]  # rows per destination
         ranks = (np.maximum.reduceat(rows_of, row_lo[1:-1] - first)
-                 if len(width) else width)  # ranks per plan level
+                 if len(width) else width)  # ranks per level
         pad_lo = np.concatenate(([0], np.cumsum(ranks * width)))
         edge_lo = np.concatenate(([0], np.cumsum(rows_of)))
         e_level = np.searchsorted(row_lo, edge_dst, side="right") - 2
@@ -434,9 +418,9 @@ class BatchPlan:
         np = _np
         if len(self.end_new):
             return T[self.end_new].max(axis=0)
-        if self.node_count:
-            # mirror total_cycles(): max over *real* nodes only
-            return T[self.real_new].max(axis=0)
+        if self.total:
+            # mirror total_cycles(): max over every node, not the sentinel
+            return T[:self.total].max(axis=0)
         return np.zeros(T.shape[1], dtype=np.int64)
 
 
@@ -542,7 +526,7 @@ def resimulate_batch(art: TraceArtifact, configs,
 
 def retime_batch(art: TraceArtifact, depth_maps) -> list[list[int]]:
     """Batched :meth:`TraceArtifact.retime`: per-config node time lists
-    (real nodes, artifact numbering) for fully-resolved depth maps.
+    (artifact numbering) for fully-resolved depth maps.
 
     Exposed for differential tests and benchmarks; sweeps should prefer
     :func:`resimulate_batch`.  Raises :class:`ValueError` when the
@@ -567,5 +551,5 @@ def retime_batch(art: TraceArtifact, depth_maps) -> list[list[int]]:
             "use the scalar TraceArtifact.retime path"
         )
     T = plan.retime_matrix(D)
-    back = T[plan.perm[:plan.node_count]]  # artifact numbering
+    back = T[plan.perm]  # artifact numbering
     return [back[:, r].tolist() for r in range(len(depth_maps))]

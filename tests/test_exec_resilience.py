@@ -334,6 +334,21 @@ class TestStreamedEvaluator:
 # pool fault matrix
 
 
+class TestPoolTeardown:
+    def test_clean_sweep_joins_its_pool(self, session, clean_points):
+        # A pool left to wind down on its own keeps a manager thread
+        # that may still be closing the wakeup pipe CPython's exit hook
+        # writes to ("Exception ignored ... Bad file descriptor").
+        from concurrent.futures import process
+
+        before = set(process._threads_wakeups)
+        result = session.sweep(SPACE, jobs=2)
+        assert semantic(result.points) == clean_points
+        assert result.supervision["mode"] == "pool"
+        assert not [thread for thread in process._threads_wakeups
+                    if thread not in before and thread.is_alive()]
+
+
 class TestPoolFaultMatrix:
     def test_crash_mid_sweep_recovers(self, session, clean_points):
         result = session.sweep(SPACE, jobs=2, faults="crash@2")

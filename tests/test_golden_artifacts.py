@@ -54,17 +54,9 @@ RUN_COLD_DESIGNS = [
 EXECUTORS = ("compiled", "interp")
 ENGINES = ("omnisim", "omnisim-threads")
 
-#: node columns the retiming graph never read (a capture's segment
-#: serial and base), left out of both digests so that dropping them from
-#: the record leaves the pins in place
-UNREAD_COLUMNS = ("seg_serial", "seg_base")
-
-
 def raw_digest(trace) -> str:
     digest = hashlib.sha256()
     for name, column in trace.columns():
-        if name in UNREAD_COLUMNS:
-            continue
         digest.update(name.encode())
         digest.update(column.tobytes())
     return digest.hexdigest()

@@ -22,11 +22,8 @@ from tests.conftest import make_pipeline_design
 OmniSimulator = get_engine("omnisim").cls
 
 
-def _request(nominal, segment=0, base=0):
-    request = StartTask("m", 1, nominal)
-    request.segment = segment
-    request.seg_base = base
-    return request
+def _request(nominal):
+    return StartTask("m", 1, nominal)
 
 
 class TestGraphConstruction:
@@ -95,18 +92,19 @@ class TestGraphConstruction:
         w1 = graph.add_node("p", _request(4), 4, K_WRITE)
         w2 = graph.add_node("p", _request(14), 14, K_WRITE)
         w3 = graph.add_node("p", _request(15), 15, K_WRITE)
-        a = graph.add_node("c", _request(0, 0, 0), 0)
-        b = graph.add_node("c", _request(5, 0, 0), 5, K_READ)
-        c = graph.add_node("c", _request(2, 1, 2), 2)
-        d = graph.add_node("c", _request(7, 1, 2), 15, K_READ)
-        e = graph.add_node("c", _request(4, 2, 4), 12)
-        g = graph.add_node("c", _request(7, 2, 4), 16, K_READ)
+        # nominal = segment base (0 / 2 / 4) + offset
+        a = graph.add_node("c", _request(0), 0)
+        b = graph.add_node("c", _request(5), 5, K_READ)
+        c = graph.add_node("c", _request(2), 2)
+        d = graph.add_node("c", _request(7), 15, K_READ)
+        e = graph.add_node("c", _request(4), 12)
+        g = graph.add_node("c", _request(7), 16, K_READ)
         for node in (w1, w2, w3):
             table.add_write(node)
         for node in (b, d, g):
             table.add_read(node)
         graph.ensure_static()
-        assert graph.s_total == graph.node_count == 9
+        assert len(graph.s_base) == graph.node_count == 9
         ptr, succ, weight = (graph.s_succ_ptr, graph.s_succ_node,
                              graph.s_succ_weight)
         edges = sorted((u, succ[k], weight[k]) for u in range(9)
@@ -189,11 +187,9 @@ class TestRecorderIsTheKernelInput:
         # derived (CSR, static edges, iteration view): a stale build
         # would retime with it missing from every edge class.
         last = graph.node_count - 1
-        request = _request(graph.nominal[last] + 7,
-                           segment=graph.seg_serial[last],
-                           base=graph.seg_base[last])
         late = graph.add_node(graph.module_names[graph.module_of[last]],
-                              request, graph.time[last] + 7)
+                              _request(graph.nominal[last] + 7),
+                              graph.time[last] + 7)
         times = graph.retime(depths)
         assert len(times) == graph.node_count
         assert times[:late] == before

@@ -1,27 +1,22 @@
-"""Old retiming graph vs new, from data.
+"""Old retiming graph vs new, from pinned answers.
 
-``tests/golden/parent_static/*.trace`` are store entries written by
-``TraceStore.put`` at commit 2d145d6 — the last one whose static build
-gave every segment a virtual segment-end node.  What that old graph
-answers is pinned in ``tests/golden/parent_static_answers.json``: per
-fixture, a digest of its recording (node and constraint columns, the
-segment columns left out) and, for each of 60 seeded depth
-configurations, the sha256 of the ``retime`` times (or the error), the
-``resimulate`` tuple (or the error) and whether the batch kernel serves
-it.  So this file is three tests in one:
+``tests/golden/parent_static_answers.json`` holds what four store
+entries written by ``TraceStore.put`` at commit 2d145d6 — the last one
+whose static build gave every segment a virtual segment-end node —
+answered when read back at commit faa8a4d (the entries themselves, and
+the reader for their schema, are gone since).  Per entry: a digest of
+its recording (node and constraint columns, without the segment columns
+no graph reads), whether it had an all-depth order, and for each of 60
+seeded depth configurations ``[config, retime, resimulate, batch]`` —
+the sha256 of the ``retime`` times or the error, the ``resimulate``
+tuple or the error, and whether the batch kernel serves the row (a
+served row is the ``resimulate`` tuple).
 
-* **the pins are the old graph's answers** — the fixtures, read through
-  today's reader, still give exactly the pinned answers;
-* **the differential for the chain-only graph** — a fresh capture of the
-  same design (no virtual nodes, fewer edges) must retime, resimulate
-  and batch-resimulate to the pinned answers, error messages included;
-* **store back-compat** — an entry written before the change still
-  loads and replays, static columns and all, without a rebuild.
-
-Never regenerate the fixtures or the answers from a newer commit: their
-point is that they hold the *old* graph's static columns and answers.
-``PYTHONPATH=src:. python tests/test_parent_static.py`` writes the
-answers file from the fixtures.
+This is the differential for the chain-only graph: a fresh capture of
+the same design (no virtual nodes, fewer edges) must record the same
+run and retime, resimulate and batch-resimulate to exactly those
+answers, error messages included.  Never regenerate the answers from a
+newer commit: their point is that they are the *old* graph's.
 """
 
 from __future__ import annotations
@@ -37,19 +32,12 @@ import pytest
 from repro.api import Session
 from repro.designs import dsl
 from repro.errors import ConstraintViolation, SimulationError
-from repro.trace import TraceArtifact, loads_artifact
-from repro.trace.vectorized import (
-    _plan_for,
-    numpy_available,
-    resimulate_batch,
-)
-from tests.test_vectorized import check_plan_layout
+from repro.trace.vectorized import numpy_available, resimulate_batch
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-FIXTURES = os.path.join(GOLDEN, "parent_static")
-ANSWERS = os.path.join(GOLDEN, "parent_static_answers.json")
+ANSWERS = os.path.join(os.path.dirname(__file__), "golden",
+                       "parent_static_answers.json")
 
-#: fixture key -> how to capture the same design again
+#: entry key -> how to capture the same design again
 CAPTURES = {
     "fig4_ex5_n50": lambda: Session.open("fig4_ex5", trace_cache=False, n=50),
     "multicore_n8_cores4": lambda: Session.open(
@@ -63,27 +51,18 @@ CAPTURES = {
 CONFIGS = 60
 DEPTH_CHOICES = (1, 2, 3, 4, 7, 16, 64, 1024)
 
-#: the recording a replay reads: node and constraint columns, without
-#: the segment columns no retiming graph reads
+#: the recording a replay reads: node and constraint columns
 RECORDING_COLUMNS = ("module_of", "nominal", "time", "kind", "mod_ptr",
                      "mod_nodes", "end_mids", "end_node_ids", "c_kind",
                      "c_fifo", "c_index", "c_outcome", "c_node")
 
-_PAIRS: dict = {}
+_CAPTURED: dict = {}
 
 
-def _old(key):
-    # the store's reader, without the store's side effects (get()
-    # refreshes atimes and unlinks entries it cannot read)
-    with open(os.path.join(FIXTURES, key + ".trace"), "rb") as fh:
-        return loads_artifact(fh.read())
-
-
-def _pair(key):
-    """(parent-written artifact, fresh capture) of one fixture."""
-    if key not in _PAIRS:
-        _PAIRS[key] = _old(key), CAPTURES[key]().baseline().trace
-    return _PAIRS[key]
+def _captured(key):
+    if key not in _CAPTURED:
+        _CAPTURED[key] = CAPTURES[key]().baseline().trace
+    return _CAPTURED[key]
 
 
 @pytest.fixture(scope="module")
@@ -137,70 +116,27 @@ def resimulated(art, config) -> list:
     return [kind, _row(value) if kind == "ok" else value]
 
 
-def batched(art, configs) -> list:
-    return [None if row is None else _row(row)
-            for row in resimulate_batch(art, configs)]
-
-
-def answers_of(key, art) -> dict:
-    """Everything the file pins for one artifact: one row per config,
-    ``[config, retime, resimulate, served by the batch kernel]`` (a
-    served batch row is the ``resimulate`` value; needs NumPy)."""
-    configs = _configs(key, art)
-    return {
-        "recording": recording_digest(art),
-        "has_order": art.s_has_order,
-        "rows": [[config, retimed(art, config), resimulated(art, config),
-                  row is not None]
-                 for config, row in zip(configs, batched(art, configs))],
-    }
-
-
-def dump_answers(pinned, fh) -> None:
-    """``json.dump`` with one line per config row (diffable)."""
-    fh.write("{\n")
-    for i, key in enumerate(sorted(pinned)):
-        entry = pinned[key]
-        fh.write(f" {json.dumps(key)}: {{\n")
-        fh.write(f'  "has_order": {json.dumps(entry["has_order"])},\n')
-        fh.write(f'  "recording": {json.dumps(entry["recording"])},\n')
-        rows = ",\n".join("   " + json.dumps(row, sort_keys=True)
-                          for row in entry["rows"])
-        fh.write(f'  "rows": [\n{rows}\n  ]\n')
-        fh.write(" }" + ("," if i < len(pinned) - 1 else "") + "\n")
-    fh.write("}\n")
-
-
 @pytest.mark.parametrize("key", sorted(CAPTURES))
-def test_fixture_holds_the_old_graph_and_a_capture_the_new(key, answers,
-                                                           monkeypatch):
-    old, new = _pair(key)
-    monkeypatch.setattr(
-        TraceArtifact, "_build_static_columns",
-        lambda self: pytest.fail("a stored static graph was rebuilt"))
-    old.ensure_static()
-    monkeypatch.undo()
+def test_fixture_holds_the_old_graph_and_a_capture_the_new(key, answers):
+    new = _captured(key)
     new.ensure_static()
-    # the same recording, the pinned one ...
     pinned = answers[key]
-    assert recording_digest(old) == recording_digest(new) \
-        == pinned["recording"]
+    # the pinned recording ...
+    assert recording_digest(new) == pinned["recording"]
     assert _configs(key, new) == [row[0] for row in pinned["rows"]]
-    # ... under the two graphs
-    assert old.s_total > old.node_count, "fixture lost its virtual nodes"
-    assert new.s_total == new.node_count
-    assert len(new.s_succ_node) < len(old.s_succ_node)
-    assert new.s_has_order == old.s_has_order == pinned["has_order"]
+    # ... under the chain-only graph: one static node per recorded one
+    assert len(new.s_base) == new.node_count
+    assert new.s_has_order == pinned["has_order"]
     assert min(new.s_base) >= 0, "no -inf base without virtual nodes"
 
 
 @pytest.mark.parametrize("key", sorted(CAPTURES))
 def test_old_and_new_graph_replay_identically(key, answers):
     rows = answers[key]["rows"]
-    for art in _pair(key):
-        for config, retime, resim, _batch in rows:
-            assert retimed(art, config) == retime, config
-            assert resimulated(art, config) == resim, config
+    new = _captured(key)
+    for config, retime, resim, _batch in rows:
+        assert retimed(new, config) == retime, config
+        assert resimulated(new, config) == resim, config
     served = sum(retime[0] == "ok" for _, retime, _, _ in rows)
     assert served >= CONFIGS // 2, "the differential must not be vacuous"
 
@@ -213,31 +149,10 @@ def test_old_and_new_graph_batch_identically(key, answers):
     # a served batch row is the scalar row
     expect = [resim[1] if batch else None
               for _, _, resim, batch in pinned["rows"]]
-    for art in _pair(key):
-        assert batched(art, configs) == expect
+    got = [None if row is None else _row(row)
+           for row in resimulate_batch(_captured(key), configs)]
+    assert got == expect
     if pinned["has_order"]:
         assert any(row is not None for row in expect)
     else:
         assert expect == [None] * CONFIGS
-
-
-@pytest.mark.skipif(not numpy_available(), reason="NumPy unavailable")
-def test_old_graph_plan_layout():
-    """The plan's fan-in classes exist for these entries only (a fresh
-    graph never exceeds fan-in 4), so this is where their layout,
-    padding bound and scratch size are checked."""
-    widest = {}
-    for key in sorted(CAPTURES):
-        old, new = _pair(key)
-        if old.s_has_order:
-            widest[key] = check_plan_layout(old, _plan_for(old),
-                                            chain_only=False)
-            assert check_plan_layout(new, _plan_for(new)) <= 4
-    assert len(widest) == 3 and max(widest.values()) > 4, widest
-
-
-if __name__ == "__main__":
-    assert numpy_available(), "the batch rows are pinned with NumPy"
-    pinned = {key: answers_of(key, _old(key)) for key in sorted(CAPTURES)}
-    with open(ANSWERS, "w", encoding="utf-8") as fh:
-        dump_answers(pinned, fh)

@@ -7,6 +7,7 @@ with a warning — never crash, never serve stale results.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -17,12 +18,21 @@ from repro import cli
 from repro.api import Session
 from repro.errors import TraceFormatError
 from repro.trace import (
+    TraceArtifact,
     TraceStore,
     dumps_artifact,
     loads_artifact,
     resolve_store,
 )
+from repro.trace import store as store_module
 from repro.trace.store import MAGIC, SCHEMA_VERSION
+
+#: sha256 of ``dumps_artifact`` for fig4_ex5 n=50 with its static
+#: columns built, per schema version: a change to the stored form that
+#: keeps the version fails here, and a bump needs its own entry
+SCHEMA_DIGESTS = {
+    2: "61ad6cb182d1dc582d47f3dfe909e1272490aac11e6655acfd43eca2591d1559",
+}
 
 
 @pytest.fixture
@@ -283,6 +293,53 @@ class TestStoreManagement:
         store, digest, session = warm_store
         art = session.baseline().trace
         assert loads_artifact(dumps_artifact(art)).depths == art.depths
+
+
+class TestSchemaVersion:
+    def test_stored_form_is_pinned_per_version(self):
+        art = Session.open("fig4_ex5", n=50,
+                           trace_cache=False).baseline().trace
+        art.ensure_static()
+        digest = hashlib.sha256(dumps_artifact(art)).hexdigest()
+        assert SCHEMA_DIGESTS.get(SCHEMA_VERSION) == digest, (
+            f"the stored form changed: bump SCHEMA_VERSION and pin "
+            f"{{{SCHEMA_VERSION + 1}: {digest!r}}}")
+
+    def test_stored_static_graph_is_never_rebuilt(self, warm_store,
+                                                  monkeypatch):
+        store, digest, session = warm_store
+        session.baseline().trace.ensure_static()
+        assert store.put(digest, session.baseline().trace)
+        monkeypatch.setattr(
+            TraceArtifact, "_build_static_columns",
+            lambda self: pytest.fail("a stored static graph was rebuilt"))
+        warm = store.get(digest)
+        assert warm.s_succ_ptr is not None
+        warm.ensure_static()
+        assert (warm.resimulate({"fifo2": 5}).cycles
+                == session.resimulate({"fifo2": 5}).cycles)
+
+    def test_older_schema_entry_is_never_read(self, tmp_path, monkeypatch,
+                                              capsys):
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "SCHEMA_VERSION", SCHEMA_VERSION - 1)
+            old = Session.open("fig4_ex5", n=120, trace_cache=tmp_path)
+            assert old.baseline().phase_seconds["capture"] == "cold"
+            old_path = old.trace_store.path(old.trace_digest())
+        asked = []
+        get = TraceStore.get
+        monkeypatch.setattr(TraceStore, "get", lambda self, digest: (
+            asked.append(self.path(digest)) or get(self, digest)))
+        session = Session.open("fig4_ex5", n=120, trace_cache=tmp_path)
+        assert session.baseline().phase_seconds["capture"] == "cold"
+        assert old_path not in asked and os.path.exists(old_path)
+        d = str(tmp_path)
+        assert cli.main(["trace", "verify", "--cache-dir", d,
+                         "--prune"]) == 0
+        assert "1 ok, 1 corrupt" in capsys.readouterr().out
+        assert not os.path.exists(old_path)
+        assert [e.digest for e in session.trace_store.entries()] \
+            == [session.trace_digest()]
 
 
 #: a design that deadlocks at its *declared* depths (the writer bursts

@@ -321,14 +321,10 @@ def plan_or_skip(name):
     return trace, vectorized._plan_for(trace)
 
 
-def check_plan_layout(trace, plan, chain_only=True):
-    """The layout invariants of one plan; returns its widest fan-in.
-    ``chain_only=False`` is a store entry written with the old
-    virtual-node graph (tests/test_parent_static.py): more static nodes
-    than recorded ones, fan-in classes above 4."""
+def check_plan_layout(trace, plan):
+    """The layout invariants of one plan; returns its widest fan-in."""
     total, perm = plan.total, plan.perm
-    assert total == trace.s_total
-    assert (total == trace.node_count) == chain_only
+    assert total == trace.node_count
     # every blocking write a WAR edge can target, by its row of T
     war_rows = {int(perm[fc.write_nodes[pos]]): (fi, pos)
                 for fi, fc in enumerate(trace.fifos)
@@ -349,7 +345,7 @@ def check_plan_layout(trace, plan, chain_only=True):
         next_row = hi
         width = hi - lo
         assert len(src) == len(w) == ranks * width and ranks >= 1
-        assert ranks <= 4 or not chain_only
+        assert ranks <= 4
         grid = src.reshape(ranks, width)
         weights = w.reshape(ranks, width)
         own = np.arange(lo, hi)
@@ -371,7 +367,7 @@ def check_plan_layout(trace, plan, chain_only=True):
         assert not any(row in war_rows for row in range(lo, w_lo))
     assert next_row == total and not war_rows
     assert sorted(planned) == static
-    # padding and scratch: bounded whatever the fan-in
+    # padding and scratch: below 2x (past level 0 a fan-in is 2 to 4)
     padded = [len(src) for _, _, _, src, *_ in plan.levels]
     self_loops = total - (plan.levels[0][0] if plan.levels else total)
     assert sum(padded) < 2 * (len(static) + self_loops)
