@@ -18,7 +18,7 @@ import time
 from repro import compile_design, designs
 from repro.analysis import fmt_seconds, render_table
 from repro.frontend import compiler as frontend_compiler
-from repro.sim import get_engine, resimulate
+from repro.sim import get_engine
 
 OmniSimulator = get_engine("omnisim").cls
 ThreadedOmniSimulator = get_engine("omnisim-threads").cls
@@ -79,8 +79,9 @@ def rows() -> dict:
     compiled = compile_design(designs.get("fig4_ex1").make(n=800))
     base = OmniSimulator(compiled).run()
     t0 = time.perf_counter()
-    data["incremental_cycles"] = [resimulate(base, {"fifo": depth}).cycles
-                                  for depth in SWEEP_DEPTHS]
+    data["incremental_cycles"] = [
+        base.trace.resimulate({"fifo": depth}).cycles
+        for depth in SWEEP_DEPTHS]
     data["incremental_seconds"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     data["full_cycles"] = [

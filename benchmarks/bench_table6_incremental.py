@@ -23,7 +23,7 @@ except ImportError:  # executed directly: conftest sits alongside
     from conftest import compiled_design, render_rows
 from repro.analysis import fmt_seconds
 from repro.errors import ConstraintViolation
-from repro.sim import get_engine, resimulate
+from repro.sim import get_engine
 
 OmniSimulator = get_engine("omnisim").cls
 
@@ -52,7 +52,7 @@ def rows() -> dict:
         "speedup vs full": "-", "cycles": result.cycles,
     }]
 
-    incremental = resimulate(result, {"fifo2": 100})
+    incremental = result.trace.resimulate({"fifo2": 100})
     speedup = result.execute_seconds / incremental.seconds
     table.append({
         "run": "incremental", "depths": "(2, 100)",
@@ -64,7 +64,7 @@ def rows() -> dict:
     t0 = time.perf_counter()
     violated = False
     try:
-        resimulate(result, {"fifo1": 100})
+        result.trace.resimulate({"fifo1": 100})
     except ConstraintViolation:
         violated = True
     check_seconds = time.perf_counter() - t0
@@ -82,7 +82,7 @@ def rows() -> dict:
     })
 
     t0 = time.perf_counter()
-    sweep_cycles = [resimulate(result, {"fifo2": depth}).cycles
+    sweep_cycles = [result.trace.resimulate({"fifo2": depth}).cycles
                     for depth in SWEEP_DEPTHS]
     return {"table": table, "base": result, "sweep_cycles": sweep_cycles,
             "sweep_seconds": time.perf_counter() - t0}

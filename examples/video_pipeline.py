@@ -17,7 +17,7 @@ Run:  python examples/video_pipeline.py
 
 from repro import compile_design, hls
 from repro.errors import ConstraintViolation
-from repro.sim import resimulate, run_engine
+from repro.sim import run_engine
 
 FRAMES = 400
 
@@ -81,7 +81,7 @@ def main() -> None:
     base = omni
     for depth in (4, 6, 8, 12, 16, 32, 64, 128):
         try:
-            incremental = resimulate(base, {"queue": depth})
+            incremental = base.trace.resimulate({"queue": depth})
             print(f"  depth {depth:3d}: cycles={incremental.cycles}  "
                   f"[incremental, {incremental.seconds * 1e3:.2f} ms]")
         except ConstraintViolation:

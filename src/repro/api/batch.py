@@ -59,8 +59,8 @@ from ..sim.registry import get_engine, run_engine, validate_depth_names
 from ..sim.result import SimulationResult, SimulationStats
 
 #: config keys consumed by the batch layer itself; everything else in a
-#: config dict forwards to the engine constructor
-_CONFIG_KEYS = ("engine", "executor", "depths")
+#: config dict (``executor`` too) forwards to the engine constructor
+_CONFIG_KEYS = ("engine", "depths")
 
 
 def normalize_config(config: dict, name: str, declared: dict) -> dict:
@@ -68,10 +68,10 @@ def normalize_config(config: dict, name: str, declared: dict) -> dict:
     against the design's ``(name, declared depths)``
     (:meth:`repro.api.Session.declared`).
 
-    Returns a normalized ``{"engine", "executor", "depths", "kwargs"}``
-    dict.  Unknown engines raise
-    :class:`~repro.errors.UnknownEngineError`; depth overrides are
-    validated against the design exactly as ``Session.run`` would.
+    Returns a normalized ``{"engine", "depths", "kwargs"}`` dict.
+    Unknown engines raise :class:`~repro.errors.UnknownEngineError`;
+    depth overrides are validated against the design exactly as
+    ``Session.run`` would.
     """
     if not isinstance(config, dict):
         raise TypeError(
@@ -81,18 +81,13 @@ def normalize_config(config: dict, name: str, declared: dict) -> dict:
     get_engine(engine)  # raises UnknownEngineError with the known list
     depths = validate_depth_names(config.get("depths"), declared, name)
     kwargs = {k: v for k, v in config.items() if k not in _CONFIG_KEYS}
-    return {
-        "engine": engine,
-        "executor": config.get("executor"),
-        "depths": depths,
-        "kwargs": kwargs,
-    }
+    return {"engine": engine, "depths": depths, "kwargs": kwargs}
 
 
 def _eligible(config: dict) -> bool:
     """Whether the replay policy can serve a normalized config: OmniSim,
-    no engine kwargs (executor choice does not gate it — incremental
-    replay re-runs no Func Sim code at all)."""
+    no engine kwargs (a config that names an executor is a plain run
+    on it)."""
     return config["engine"] == "omnisim" and not config["kwargs"]
 
 
@@ -101,7 +96,8 @@ class _BatchRunner(Replayer):
     outcomes as :class:`SimulationResult`\\ s.
 
     Configs the policy can serve (:func:`_eligible`) go through it;
-    everything else is a plain full run on its own engine.  Served
+    everything else is a plain full run on its own engine, on the
+    session's executor unless the config names one.  Served
     results inherit the functional outputs of the run that was
     replayed: constraint validation proves the recorded execution —
     hence every value — is exactly what a fresh run at the served
@@ -116,8 +112,7 @@ class _BatchRunner(Replayer):
         failures fold into the result instead of raising."""
         eligible = [(c, after) for c, after in payloads if _eligible(c)]
         served = super().evaluate([(c["depths"], after)
-                                   for c, after in eligible],
-                                  [c["executor"] for c, _ in eligible])
+                                   for c, after in eligible])
         for config, _after in payloads:
             if not _eligible(config):
                 yield self._run(config)
@@ -131,7 +126,7 @@ class _BatchRunner(Replayer):
             return _full(run_engine(
                 config["engine"], self.compiled,
                 depths=config["depths"] or None,
-                executor=config["executor"], **config["kwargs"]))
+                **{"executor": self.executor, **config["kwargs"]}))
         except (DeadlockError, UnsupportedDesignError) as exc:
             return self._failed(config["engine"], exc)
 
@@ -171,8 +166,7 @@ def _served(outcome) -> SimulationResult:
     )
 
 
-def serve_depths(session, depths: dict,
-                 executor: str | None = None) -> SimulationResult:
+def serve_depths(session, depths: dict) -> SimulationResult:
     """One OmniSim run of ``session``'s design at depth overrides:
     incremental replay of its reference first, one full re-simulation
     on divergence (or when the declared depths deadlock and there is no
@@ -181,10 +175,10 @@ def serve_depths(session, depths: dict,
     deadlock at the requested depths raises
     :class:`~repro.errors.DeadlockError`.
     """
-    name, declared = session.declared(executor)
+    name, declared = session.declared()
     depths = validate_depth_names(depths, declared, name)
-    outcome, = Replayer.for_session(session, executor,
-                                    batch_size=1).evaluate([(depths, None)])
+    outcome, = Replayer.for_session(session, batch_size=1).evaluate(
+        [(depths, None)])
     if outcome.error is not None:
         raise outcome.error
     result = _served(outcome)
@@ -284,9 +278,6 @@ def run_many(session, configs, *, jobs: int = 1,
             "configs": hashlib.sha256("\n".join(
                 u.key for u in units).encode("utf-8")).hexdigest()[:16],
             "count": len(units),
-            # constant: journals from when ``incremental=`` was a knob
-            # carry it, and still resume
-            "incremental": True,
         }
 
     def quarantined(unit, detail):

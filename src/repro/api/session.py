@@ -20,7 +20,9 @@ Lifecycle and caching rules (DESIGN.md section 13):
 * the design is resolved **eagerly** at ``open`` (unknown names fail
   fast), compiled **lazily** on first use, and the compiled artifact is
   cached for the life of the session;
-* ``baseline()`` caches one captured OmniSim run per Func Sim executor —
+* the Func Sim executor is chosen at ``open``; only a one-shot
+  ``run(executor=...)`` picks another;
+* ``baseline()`` caches one OmniSim run captured with that executor —
   the reference that ``trace``/``resimulate`` replay against;
   ``reference()`` is the same run, or ``None`` when the design deadlocks
   at its *declared* depths (an override may not: a full run decides),
@@ -66,7 +68,9 @@ class Session:
         )
         #: builder parameter overrides the design was opened with
         self.params = dict(params)
-        #: default Func Sim executor for every run (None -> "compiled")
+        resolve_executor(executor)  # an unknown name fails at open
+        #: the Func Sim executor of every capture, replay and run on
+        #: this session's behalf (None -> "compiled")
         self.executor = executor
         #: the on-disk trace store (its module loads only when something
         #: configures one), or None when caching is disabled
@@ -77,8 +81,8 @@ class Session:
 
             self.trace_store = resolve_store(trace_cache)
         self._compiled = None
-        #: executor name -> captured baseline OmniSim run
-        self._baselines: dict = {}
+        #: the captured baseline OmniSim run, once there is one
+        self._baseline = None
         # Serializes compile/capture cache fills so concurrent threads
         # (service worker pool) never duplicate the expensive work;
         # re-entrant because baseline() compiles under the same lock.
@@ -95,9 +99,10 @@ class Session:
                 :class:`~repro.designs.registry.DesignSpec`,
                 :class:`~repro.hls.Design`, or an already-compiled
                 :class:`~repro.compile.CompiledDesign`.
-            executor: default Func Sim executor for this session's runs
-                (``"compiled"``/``"interp"``; per-call ``executor=``
-                overrides it).
+            executor: the Func Sim executor (``"compiled"``, the
+                default, or ``"interp"``) the session captures its
+                baseline with and runs full re-simulations on; only
+                :meth:`run` takes a per-call override.
             trace_cache: on-disk trace-artifact cache setting — a
                 directory path, ``True`` (default directory,
                 ``~/.cache/repro-trace``), ``False`` (disabled even if
@@ -128,55 +133,45 @@ class Session:
             return self.spec.name
         return self.compiled.name
 
-    def _key(self, executor: str | None) -> str:
-        """The Func Sim executor a call means: its own, else the
-        session's, else the default (validated)."""
-        return resolve_executor(executor if executor is not None
-                                else self.executor)
-
-    def trace_digest(self, executor: str | None = None) -> str | None:
-        """The content-address of this session's baseline capture under
-        ``executor`` (see :func:`repro.trace.artifact_digest`), or
-        ``None`` when the design is not fingerprintable (ad-hoc compiled
-        objects)."""
+    def trace_digest(self) -> str | None:
+        """The content-address of this session's baseline capture (see
+        :func:`repro.trace.artifact_digest`), or ``None`` when the
+        design is not fingerprintable (ad-hoc compiled objects)."""
         from ..trace.store import artifact_digest
 
-        return artifact_digest(self.design_ref, self._key(executor))
+        return artifact_digest(self.design_ref,
+                               resolve_executor(self.executor))
 
-    def baseline(self, *, executor: str | None = None,
-                 refresh: bool = False):
+    def baseline(self, *, refresh: bool = False):
         """The captured OmniSim reference run (``.trace`` is the
         replay handle).
 
-        Cached per Func Sim executor; ``refresh=True`` re-captures (the
-        invalidation knob for mutated designs or fresh timing numbers)
-        and rewrites the on-disk cache entry.  With a trace store
-        enabled, a warm hit loads the columnar artifact instead of
-        compiling + capturing; the result's
-        ``phase_seconds["capture"]`` reports ``"warm"`` or ``"cold"``.
+        Cached; ``refresh=True`` re-captures (the invalidation knob for
+        mutated designs or fresh timing numbers) and rewrites the
+        on-disk cache entry.  With a trace store enabled, a warm hit
+        loads the columnar artifact instead of compiling + capturing;
+        the result's ``phase_seconds["capture"]`` reports ``"warm"`` or
+        ``"cold"``.
         """
-        key = self._key(executor)
-        if refresh or key not in self._baselines:
+        if refresh or self._baseline is None:
             with self._lock:
-                if refresh or key not in self._baselines:
-                    self._baselines[key] = self._capture_baseline(
-                        key, refresh)
-        return self._baselines[key]
+                if refresh or self._baseline is None:
+                    self._baseline = self._capture_baseline(refresh)
+        return self._baseline
 
-    def has_baseline(self, executor: str | None = None) -> bool:
-        """Whether the baseline for ``executor`` is already cached
-        in-memory (no compile, capture or disk I/O is triggered) —
-        what the simulation service consults to label a request
-        ``hot`` before dispatching a capture."""
-        return self._key(executor) in self._baselines
+    def has_baseline(self) -> bool:
+        """Whether the baseline is already cached in-memory (no
+        compile, capture or disk I/O is triggered) — what the
+        simulation service consults to label a request ``hot`` before
+        dispatching a capture."""
+        return self._baseline is not None
 
-    def _capture_baseline(self, key: str, refresh: bool):
+    def _capture_baseline(self, refresh: bool):
         """The baseline cache fill (store lookup, else capture +
         write-back); runs under ``_lock``."""
         result = None
         store = self.trace_store
-        digest = (self.trace_digest(key) if store is not None
-                  else None)
+        digest = self.trace_digest() if store is not None else None
         if not refresh and digest is not None:
             artifact = store.get(digest)
             if artifact is not None:
@@ -184,23 +179,23 @@ class Session:
                 result.phase_seconds["capture"] = "warm"
         if result is None:
             result = run_engine("omnisim", self.compiled,
-                                executor=key)
+                                executor=self.executor)
             result.phase_seconds["capture"] = "cold"
             if digest is not None:
                 store.put(digest, result.trace)
         return result
 
-    def reference(self, executor: str | None = None):
+    def reference(self):
         """What depth overrides replay against: :meth:`baseline`, or
         ``None`` when the design deadlocks at its declared depths —
         the override decides then, by a full run (nothing is cached
         for such a design: each call pays the short capture again)."""
         try:
-            return self.baseline(executor=executor)
+            return self.baseline()
         except DeadlockError:
             return None
 
-    def declared(self, executor: str | None = None) -> tuple:
+    def declared(self) -> tuple:
         """``(design name, declared depth map)`` — what a depth
         override names and overlays.  While the session has not
         compiled, both are read off the baseline artifact when it is
@@ -208,12 +203,11 @@ class Session:
         compile-free (a corrupt store entry re-captures, which
         compiles)."""
         if self._compiled is None:
-            key = self._key(executor)
             store = self.trace_store
-            if key in self._baselines or (
+            if self._baseline is not None or (
                     store is not None
-                    and store.contains(self.trace_digest(key) or "")):
-                trace = self.baseline(executor=key).trace
+                    and store.contains(self.trace_digest() or "")):
+                trace = self.baseline().trace
                 if self._compiled is None:  # else: the entry was corrupt
                     return trace.design_name, dict(trace.depths)
         return self.compiled.name, self.compiled.stream_depths()
@@ -224,9 +218,6 @@ class Session:
         replay handle (recorded by the capture run, or loaded from the
         store on warm-cache baselines)."""
         return self.baseline().trace
-
-    # Kept only for benchmarks/perf (not editable here).
-    graph = trace
 
     # -- execution ------------------------------------------------------
 
@@ -239,19 +230,18 @@ class Session:
         ``depths`` are per-FIFO overrides, validated here — unknown FIFO
         names raise :class:`~repro.errors.UnknownFifoError`, and depths
         passed to an engine with ``supports_depths=False`` (csim) are
-        dropped with an explicit warning.  Extra ``kwargs`` forward to
-        the engine constructor (``step_limit=`` etc.).
+        dropped with an explicit warning.  ``executor`` overrides the
+        session's for this one run; extra ``kwargs`` forward to the
+        engine constructor (``step_limit=`` etc.).
         """
-        if executor is None:
-            executor = self.executor
         return run_engine(engine, self.compiled, depths=depths,
-                          executor=executor, **kwargs)
+                          executor=executor or self.executor, **kwargs)
 
-    def resimulate(self, depths: dict, *, executor: str | None = None):
+    def resimulate(self, depths: dict):
         """Incrementally re-simulate the cached baseline under new
         depths (microseconds; no Func Sim re-execution).
 
-        Returns an :class:`~repro.sim.incremental.IncrementalResult`;
+        Returns an :class:`~repro.sim.result.IncrementalResult`;
         raises :class:`~repro.errors.ConstraintViolation` when a
         recorded query flips under the new depths, or a plain
         :class:`~repro.errors.SimulationError` when they deadlock the
@@ -259,18 +249,18 @@ class Session:
         does).  Depth names are checked against :meth:`declared`, so a
         warm-cache replay stays compile-free.
         """
-        name, declared = self.declared(executor)
-        return self.baseline(executor=executor).trace.resimulate(
+        name, declared = self.declared()
+        return self.baseline().trace.resimulate(
             validate_depth_names(depths, declared, name))
 
-    def resimulate_many(self, configs, *, executor: str | None = None,
+    def resimulate_many(self, configs, *,
                         batch_size: int | None = None) -> list:
         """Batched :meth:`resimulate`: evaluate many depth-override
         dicts against the cached baseline in one vectorized matrix
         sweep.
 
         Returns one entry per config, **in config order**: an
-        :class:`~repro.sim.incremental.IncrementalResult` (bit-for-bit
+        :class:`~repro.sim.result.IncrementalResult` (bit-for-bit
         what scalar :meth:`resimulate` would return) when the recorded
         constraints re-validate under that row's depths, or ``None``
         when the row needs a full run (constraint flip — the scalar path
@@ -287,7 +277,7 @@ class Session:
         from ..exec import replay
 
         return replay.incremental_rows(
-            self.baseline(executor=executor), list(configs),
+            self.baseline(), list(configs),
             replay.resolve_batch_size(batch_size))
 
     def run_many(self, configs, *, jobs: int = 1,
@@ -297,10 +287,12 @@ class Session:
         """Run a batch of configurations, optionally over a process pool.
 
         Each config is a dict with optional keys ``engine`` (default
-        ``"omnisim"``), ``executor``, ``depths``, plus any engine
-        constructor kwargs.  OmniSim configs that differ only in depths
-        are served by constraint-checked incremental replay of the
-        cached baseline (full-run fallback).  With ``jobs > 1`` the
+        ``"omnisim"``) and ``depths``, plus any engine keyword
+        (``step_limit``, ``executor``, ...).  OmniSim configs that
+        differ only in depths are served by constraint-checked
+        incremental replay of the cached baseline (full-run fallback);
+        a config with engine keywords is a plain run, on the session's
+        executor unless it names its own.  With ``jobs > 1`` the
         batch is sharded over worker processes that receive the design
         reference and baseline once and compile locally — the compiled
         artifact is the unit of reuse, not the individual run.  Results
@@ -329,7 +321,7 @@ class Session:
                         resume=resume, faults=faults, batch_size=batch_size)
 
     def sweep(self, space, *, samples: int | None = None, seed: int = 0,
-              jobs: int = 1, executor: str | None = None,
+              jobs: int = 1,
               timeout: float | None = None, max_retries: int = 3,
               checkpoint=None, resume: bool = False, faults=None,
               batch_size: int | None = None,
@@ -353,8 +345,6 @@ class Session:
         from ..dse import explore
 
         return explore(self, space, samples=samples, seed=seed, jobs=jobs,
-                       executor=(executor if executor is not None
-                                 else self.executor),
                        timeout=timeout, max_retries=max_retries,
                        checkpoint=checkpoint, resume=resume,
                        faults=faults, batch_size=batch_size,
@@ -388,7 +378,7 @@ class Session:
         rebuild on next use)."""
         with self._lock:
             self._compiled = None
-            self._baselines.clear()
+            self._baseline = None
 
     def __enter__(self) -> "Session":
         return self
@@ -399,4 +389,4 @@ class Session:
     def __repr__(self) -> str:
         state = "compiled" if self._compiled is not None else "lazy"
         return (f"Session({self.name!r}, params={self.params}, "
-                f"{state}, baselines={sorted(self._baselines)})")
+                f"{state}, executor={self.executor!r})")

@@ -52,6 +52,7 @@ from .errors import (
     EXIT_INTERRUPTED,
     EXIT_SIM_FAILURE,
     DeadlockError,
+    OutdatedTraceError,
     ReproError,
     UnsupportedDesignError,
     exit_code_for,
@@ -98,7 +99,8 @@ def cmd_run(args) -> int:
     # registry: unknown FIFO names raise a clean UnknownFifoError (exit
     # 1 via the ReproError handler in main), and depths passed to an
     # engine that cannot honour them (csim) surface as a result warning.
-    session = Session.open(args.design, trace_cache=args.trace_cache)
+    session = Session.open(args.design, executor=args.executor,
+                           trace_cache=args.trace_cache)
     depths = _parse_depths(args.depth)
     try:
         if session.trace_store is not None and args.sim == "omnisim":
@@ -109,12 +111,11 @@ def cmd_run(args) -> int:
             if depths:
                 from .api.batch import serve_depths
 
-                result = serve_depths(session, depths, args.executor)
+                result = serve_depths(session, depths)
             else:
-                result = session.baseline(executor=args.executor)
+                result = session.baseline()
         else:
-            result = session.run(engine=args.sim, executor=args.executor,
-                                 depths=depths)
+            result = session.run(engine=args.sim, depths=depths)
     except DeadlockError as exc:
         print(f"DEADLOCK DETECTED: {exc}")
         return exit_code_for(exc)
@@ -159,10 +160,9 @@ def cmd_dse(args) -> int:
         raise SystemExit("dse --resume requires --checkpoint FILE")
     space = DepthSpace.parse(specs)
     kwargs = dict(samples=args.samples, seed=args.seed, jobs=args.jobs,
-                  executor=args.executor, timeout=args.timeout,
-                  max_retries=args.max_retries,
-                  batch_size=1 if args.no_vectorize else args.batch_size,
-                  strategy=args.strategy, max_evals=args.max_evals)
+                  timeout=args.timeout, max_retries=args.max_retries,
+                  batch_size=args.batch_size, strategy=args.strategy,
+                  max_evals=args.max_evals)
     # Directory-sweep mode only when the argument cannot mean a registry
     # design — a stray local directory must not shadow a design name.
     known_name = (args.design in designs.ALIASES
@@ -174,7 +174,8 @@ def cmd_dse(args) -> int:
             raise SystemExit("dse --checkpoint applies to a single "
                              "design sweep, not a spec directory")
         return _dse_directory(args, space, explore_specs, kwargs)
-    with Session.open(args.design, trace_cache=args.trace_cache) as session:
+    with Session.open(args.design, executor=args.executor,
+                      trace_cache=args.trace_cache) as session:
         sweep = explore(session, space, checkpoint=args.checkpoint,
                         resume=args.resume, **kwargs)
 
@@ -247,7 +248,7 @@ def _dse_directory(args, space, explore_specs, kwargs) -> int:
     """Sweep every spec file in a directory; one summary row per spec."""
     from .analysis import render_table
 
-    outcomes = explore_specs(args.design, space,
+    outcomes = explore_specs(args.design, space, executor=args.executor,
                              trace_cache=args.trace_cache, **kwargs)
     if not outcomes:
         raise SystemExit(f"no spec files (*.yaml, *.json) in {args.design}")
@@ -388,6 +389,8 @@ def cmd_trace(args) -> int:
                 design = meta["design_name"]
                 executor = meta["executor"]
                 nodes = len(meta["module_names"])
+            except OutdatedTraceError as exc:
+                design = f"<schema {exc.schema}>"
             except Exception as exc:  # noqa: BLE001 - info must not crash
                 design = f"<unreadable: {type(exc).__name__}>"
             age_h = (_time.time() - entry.mtime) / 3600.0
@@ -402,15 +405,18 @@ def cmd_trace(args) -> int:
         print(f"\n{len(entries)} artifact(s), {total / 1024:.1f} KiB total")
         return 0
     if args.trace_command == "verify":
-        ok, corrupt = store.verify(prune=args.prune)
+        ok, outdated, corrupt = store.verify(prune=args.prune)
         for entry, design in ok:
             print(f"ok      : {entry.digest[:12]}  {design}")
-        for entry, detail in corrupt:
-            verb = "pruned" if args.prune else "corrupt"
-            print(f"{verb:8}: {entry.digest[:12]}  {detail}")
-        print(f"verified {len(ok) + len(corrupt)} artifact(s): "
-              f"{len(ok)} ok, {len(corrupt)} corrupt"
-              + (" (removed)" if args.prune and corrupt else ""))
+        for label, found in (("outdated", outdated), ("corrupt", corrupt)):
+            for entry, detail in found:
+                verb = "pruned" if args.prune else label
+                print(f"{verb:8}: {entry.digest[:12]}  {detail}")
+        stale = f"{len(outdated)} outdated, " if outdated else ""
+        print(f"verified {len(ok) + len(outdated) + len(corrupt)} "
+              f"artifact(s): {len(ok)} ok, {stale}{len(corrupt)} corrupt"
+              + (" (removed)" if args.prune and (outdated or corrupt)
+                 else ""))
         return 1 if corrupt and not args.prune else 0
     # gc
     max_bytes = (parse_size(args.max_bytes)
@@ -652,14 +658,10 @@ def main(argv=None) -> int:
     dse_parser.add_argument("--batch-size", type=int, default=None,
                             metavar="B",
                             help="configurations per vectorized "
-                                 "batch-retiming sweep (default 256); "
+                                 "batch-retiming sweep (default 256; 1: "
+                                 "the scalar incremental path only); "
                                  "rows the kernel declines fall back "
                                  "to the scalar path one at a time")
-    dse_parser.add_argument("--no-vectorize", action="store_true",
-                            help="evaluate every configuration on the "
-                                 "scalar incremental path (disable the "
-                                 "NumPy kernel): --batch-size 1, and it "
-                                 "wins over --batch-size")
     dse_parser.add_argument("--strategy", default=None,
                             choices=("exhaustive", "refine", "random"),
                             help="how to cover the space: exhaustive "

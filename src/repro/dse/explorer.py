@@ -200,8 +200,8 @@ class Evaluator(Replayer):
 
 
 def explore(session, space, *, samples: int | None = None, seed: int = 0,
-            jobs: int = 1, executor: str | None = None,
-            timeout: float | None = None, max_retries: int = 3,
+            jobs: int = 1, timeout: float | None = None,
+            max_retries: int = 3,
             checkpoint=None, resume: bool = False, faults=None,
             batch_size: int | None = None, strategy: str | None = None,
             max_evals: int | None = None) -> SweepResult:
@@ -209,7 +209,8 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
     :class:`SweepResult`.
 
     ``session`` is an open :class:`repro.api.Session`: its cached
-    compiled artifact and captured baseline are reused, and under its
+    compiled artifact and captured baseline are reused, full runs use
+    its Func Sim executor, and under its
     ``trace_cache`` a warm sweep skips recapture (and compilation)
     entirely — the result's ``capture`` field reports ``"warm"`` or
     ``"cold"``.  ``space`` is a :class:`DepthSpace` or a list of axis
@@ -302,22 +303,21 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
     # session (or a warm cache hit, compile-free) makes this (nearly)
     # free, which is the point of the facade.
     capture_start = _time.perf_counter()
-    design_name, base_depths = session.declared(executor)
+    design_name, base_depths = session.declared()
     space.validate_against(base_depths)
-    evaluator = Evaluator.for_session(session, executor,
-                                      batch_size=batch_size)
+    evaluator = Evaluator.for_session(session, batch_size=batch_size)
     capture_seconds = _time.perf_counter() - capture_start
     base = evaluator.reference
 
     identity = None if checkpoint is None else {
         "kind": "dse",
         "design": design_name,
-        "digest": session.trace_digest(executor),
+        "digest": session.trace_digest(),
         "space": [[axis.fifo, list(axis.values)] for axis in space.axes],
         "strategy": strategy_name,
         "cap": cap,
         "seed": seed,
-        "executor": executor,
+        "executor": session.executor,
     }
 
     sweep_start = _time.perf_counter()
@@ -456,16 +456,17 @@ def iter_spec_files(directory) -> list:
     )
 
 
-def explore_specs(spec_paths, space, *, trace_cache=None,
-                  **explore_kwargs) -> list:
+def explore_specs(spec_paths, space, *, executor: str | None = None,
+                  trace_cache=None, **explore_kwargs) -> list:
     """Sweep one depth space over many spec files (generated corpora).
 
     ``spec_paths`` is a directory (all specs inside are swept) or an
     iterable of spec file paths; each is opened as a
-    :class:`repro.api.Session` (under ``trace_cache``) and the remaining
-    keyword arguments pass through to :func:`explore`.  Specs that
-    cannot be swept — missing the swept FIFO axis or malformed; mixed
-    corpora contain both — are skipped rather than aborting the batch.
+    :class:`repro.api.Session` (on ``executor``, under ``trace_cache``)
+    and the remaining keyword arguments pass through to :func:`explore`.
+    Specs that cannot be swept — missing the swept FIFO axis or
+    malformed; mixed corpora contain both — are skipped rather than
+    aborting the batch.
 
     Returns:
         List of ``(path, SweepResult | ReproError)`` pairs in sweep
@@ -480,7 +481,8 @@ def explore_specs(spec_paths, space, *, trace_cache=None,
     outcomes = []
     for path in spec_paths:
         try:
-            with Session(path, trace_cache=trace_cache) as session:
+            with Session(path, executor=executor,
+                         trace_cache=trace_cache) as session:
                 outcomes.append((path, explore(session, space,
                                                **explore_kwargs)))
         except ReproError as exc:

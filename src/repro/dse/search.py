@@ -62,8 +62,7 @@ to evaluate next.
     ``patience`` consecutive rounds fail to move the frontier (or the
     budget/space runs out).  This is the escape hatch for spaces where
     the monotonicity assumption is in doubt — no pruning, so no
-    soundness obligations — and the baseline the benchmarks compare
-    ``refine`` against.
+    soundness obligations.
 
 Every strategy is **deterministic** given ``(space, seed)`` and the
 sequence of observed outcomes.  That is what makes ``--resume`` work

@@ -157,6 +157,16 @@ class TraceFormatError(ReproError):
     """
 
 
+class OutdatedTraceError(TraceFormatError):
+    """A trace artifact of another schema version: written by another
+    build, not damaged (``repro trace verify`` reports it apart)."""
+
+    def __init__(self, message: str, schema: int):
+        super().__init__(message)
+        #: the schema version the artifact was written with
+        self.schema = schema
+
+
 class RequestError(ReproError, ValueError):
     """A request value the library refuses: a depth below 1, an unknown
     executor, a non-positive timeout, a malformed size or fault spec.

@@ -50,9 +50,8 @@ from ..errors import (
     RequestError,
     SimulationError,
 )
-from ..sim.incremental import IncrementalResult
 from ..sim.registry import run_engine
-from ..sim.result import SimulationResult
+from ..sim.result import IncrementalResult, SimulationResult
 from ..trace.columnar import DEFAULT_FIFO_WIDTH
 from ..trace.vectorized import (
     DEFAULT_BATCH_SIZE,
@@ -217,7 +216,7 @@ class Replayer:
                 config overlays these.
             compile_fn: zero-arg callable producing the compiled design,
                 invoked lazily on the first full run.
-            executor: default Func Sim executor for full runs.
+            executor: the Func Sim executor of full runs.
             batch_size: configurations per kernel call of
                 :meth:`evaluate` (1: the scalar path only).
         """
@@ -232,21 +231,19 @@ class Replayer:
         self._held = {"depths": None, "run": None}
 
     @classmethod
-    def for_session(cls, session, executor: str | None = None, *,
-                    capture: bool = True, batch_size: int | None = None):
+    def for_session(cls, session, *, capture: bool = True,
+                    batch_size: int | None = None):
         """The policy over ``session``'s design: replays
-        ``session.reference(executor)``, overlays
-        ``session.declared(executor)``, compiles through the session.
+        ``session.reference()``, overlays ``session.declared()``,
+        compiles through the session and runs on its executor.
         ``capture=False`` starts without a reference (a batch with
         nothing to serve from one does not pay for a capture);
         ``batch_size`` is refused (:func:`resolve_batch_size`) before
         anything is captured."""
         batch_size = resolve_batch_size(batch_size)
-        if executor is None:
-            executor = session.executor
-        return cls(session.reference(executor) if capture else None,
-                   session.declared(executor)[1], lambda: session.compiled,
-                   executor, batch_size)
+        return cls(session.reference() if capture else None,
+                   session.declared()[1], lambda: session.compiled,
+                   session.executor, batch_size)
 
     def worker_spec(self, session, jobs: int) -> tuple | None:
         """``(factory, args)`` rebuilding this policy in each of
@@ -266,8 +263,7 @@ class Replayer:
         shipped = None
         if self.reference is not None:
             store = session.trace_store
-            digest = (session.trace_digest(self.executor)
-                      if store is not None else None)
+            digest = session.trace_digest() if store is not None else None
             if digest is not None and store.contains(digest):
                 shipped = ("stored", digest, store.root)
             else:
@@ -305,15 +301,12 @@ class Replayer:
         """The compiled design, built on first use (full runs only)."""
         return self._compile()
 
-    def evaluate(self, requests, executors=None):
+    def evaluate(self, requests):
         """One :class:`ReplayOutcome` per ``(config, after)`` request
-        (:func:`chain`), in order, ``batch_size`` per kernel call;
-        ``executors`` optionally names a full-run executor per request.
+        (:func:`chain`), in order, ``batch_size`` per kernel call.
         Lazy: a slice's kernel call waits until the previous slice is
         consumed, so a caller can journal each outcome as it arrives."""
         requests = list(requests)
-        if executors is None:
-            executors = [None] * len(requests)
         reference, size = self.reference, self.batch_size
         kernel = (size > 1 and reference is not None
                   and batch_supported(reference.trace))
@@ -326,11 +319,10 @@ class Replayer:
             one_row = kernel and len(chunk) == 1
             rows = (resimulate_batch(reference.trace, depth_maps)
                     if kernel and not one_row else [None] * len(chunk))
-            for (_config, after), executor, depths, inc in zip(
-                    chunk, executors[lo:lo + size], depth_maps, rows):
+            for (_config, after), depths, inc in zip(chunk, depth_maps,
+                                                     rows):
                 if inc is None:
-                    outcome = self._replay(depths, after, executor, mode,
-                                           one_row)
+                    outcome = self._replay(depths, after, mode, one_row)
                 else:
                     outcome = _replayed(inc.depths, inc, inc.seconds,
                                         MODE_VECTORIZED, reference)
@@ -338,8 +330,8 @@ class Replayer:
                 self._held.update(depths=depths, run=run)
                 yield outcome
 
-    def _replay(self, depths: dict, after, executor: str | None,
-                mode: str, one_row: bool) -> ReplayOutcome:
+    def _replay(self, depths: dict, after, mode: str,
+                one_row: bool) -> ReplayOutcome:
         """One configuration no kernel call served: scalar replays of
         the neighbour this evaluator holds, then of the declared capture
         (a neighbour is never of the declared class, so the order
@@ -364,8 +356,7 @@ class Replayer:
                 detail = why
         try:
             fresh = run_engine("omnisim", self.compiled, depths=depths,
-                               executor=executor if executor is not None
-                               else self.executor)
+                               executor=self.executor)
         except DeadlockError as exc:
             return ReplayOutcome(
                 SweepPoint(depths, None, self._storage_bits(depths),

@@ -22,8 +22,8 @@ from .optimize import eliminate_dead_fifo_checks
 ENABLE_DEAD_CHECK_ELIMINATION = True
 
 
-def compile_kernel(kernel: Kernel, const_bindings: dict | None = None,
-                   optimize: bool | None = None) -> Function:
+def compile_kernel(kernel: Kernel,
+                   const_bindings: dict | None = None) -> Function:
     """Compile ``kernel`` into an IR function.
 
     ``const_bindings`` supplies values for ``Const``/``In`` parameters; the
@@ -58,8 +58,7 @@ def compile_kernel(kernel: Kernel, const_bindings: dict | None = None,
     lowering = KernelLowering(kernel, const_bindings, function, arguments)
     lowering.lower(fn_def.body)
 
-    enable = ENABLE_DEAD_CHECK_ELIMINATION if optimize is None else optimize
-    if enable:
+    if ENABLE_DEAD_CHECK_ELIMINATION:
         eliminate_dead_fifo_checks(function)
 
     verify_function(function)

@@ -3,9 +3,10 @@
 The economics of the service are "compile once, query many times": a
 :class:`~repro.api.Session` holds the compiled design and the captured
 baseline, so the pool keys sessions by a **content-addressed design
-digest** and keeps the hottest ``max_sessions`` alive (LRU eviction).
-Two clients asking for the same design+params land on the *same*
-session object — the warm path is a dictionary lookup.
+digest** and the Func Sim executor, and keeps the hottest
+``max_sessions`` alive (LRU eviction).  Two clients asking for the same
+design+params+executor land on the *same* session object — the warm
+path is a dictionary lookup.
 
 Digests are content-addressed, not name-addressed:
 
@@ -70,7 +71,8 @@ def design_digest(kind: str, ident: str, params: dict) -> str:
 
 
 class SessionPool:
-    """LRU-bounded map of design digest -> warm :class:`Session`."""
+    """LRU-bounded map of (design digest, executor) -> warm
+    :class:`Session`."""
 
     def __init__(self, max_sessions: int = 32):
         self.max_sessions = max_sessions
@@ -81,31 +83,31 @@ class SessionPool:
     def __len__(self) -> int:
         return len(self._sessions)
 
-    def get(self, digest: str):
-        """The pooled session for ``digest``, or ``None`` (marks the
-        entry most-recently-used on hit)."""
-        session = self._sessions.get(digest)
+    def get(self, key):
+        """The pooled session for ``key``, or ``None`` (marks the entry
+        most-recently-used on hit)."""
+        session = self._sessions.get(key)
         if session is None:
             self.stats["misses"] += 1
             return None
-        self._sessions.move_to_end(digest)
+        self._sessions.move_to_end(key)
         self.stats["hits"] += 1
         return session
 
-    def put(self, digest: str, session) -> None:
+    def put(self, key, session) -> None:
         """Adopt a freshly created session, evicting the
         least-recently-used entries past ``max_sessions``."""
-        self._sessions[digest] = session
-        self._sessions.move_to_end(digest)
+        self._sessions[key] = session
+        self._sessions.move_to_end(key)
         self.stats["created"] += 1
         while len(self._sessions) > self.max_sessions:
-            _digest, victim = self._sessions.popitem(last=False)
+            _key, victim = self._sessions.popitem(last=False)
             self.stats["evicted"] += 1
             victim.close()
 
     def clear(self) -> None:
         while self._sessions:
-            _digest, victim = self._sessions.popitem(last=False)
+            _key, victim = self._sessions.popitem(last=False)
             victim.close()
 
 

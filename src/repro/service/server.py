@@ -20,10 +20,10 @@ Endpoints (wire schema: :mod:`repro.service.wire`):
 Concurrency model: the event loop only parses and routes; every
 CPU-bound step (compile, capture, replay, sweep) is dispatched to a
 ``--workers``-sized thread pool so the loop stays responsive.  Requests
-resolving to the same content-addressed design digest share one pooled
-session, and a :class:`~repro.service.pool.SingleFlight` coalescer
-guarantees exactly one compile+capture per (digest, params, executor)
-under any level of concurrent first-touch traffic.
+resolving to the same content-addressed design digest and executor
+share one pooled session, and a :class:`~repro.service.pool.SingleFlight`
+coalescer guarantees exactly one compile+capture per (digest, params,
+executor) under any level of concurrent first-touch traffic.
 
 Limits and failure mapping: request bodies beyond ``max_body`` and
 sweeps beyond ``max_configs`` are refused (HTTP 413), concurrency past
@@ -58,6 +58,7 @@ from ..errors import (
     exit_code_for,
     http_status_for,
 )
+from ..sim.context import resolve_executor
 from . import wire
 from .pool import SessionPool, SingleFlight, canonical_spec, design_digest
 
@@ -98,7 +99,7 @@ class ServiceConfig:
     max_inflight: int = 64
     #: warm sessions kept alive (LRU eviction beyond it)
     max_sessions: int = 32
-    #: default Func Sim executor for pooled sessions
+    #: Func Sim executor of requests that name none
     executor: str | None = None
     #: trace-cache setting passed through to ``Session.open`` (None =
     #: consult REPRO_TRACE_CACHE; a directory path enables it there)
@@ -432,28 +433,32 @@ class ReproService:
             return "registry", req.design
         return "inline", canonical_spec(req.spec)
 
-    def _make_session(self, kind: str, ident: str, params: dict):
+    def _make_session(self, kind: str, ident: str, params: dict,
+                      executor: str):
         """Build the Session (worker thread: inline specs compile
         eagerly)."""
         from ..api import Session
 
         if kind == "registry":
-            return Session.open(ident, executor=self.config.executor,
+            return Session.open(ident, executor=executor,
                                 trace_cache=self.config.trace_cache,
                                 **params)
         from ..designs import dsl
 
         spec = dsl.parse_spec(ident, origin="<inline>")
         entry = dsl.to_design_spec(spec)
-        return Session.open(entry, executor=self.config.executor,
-                            trace_cache=False, **params)
+        return Session.open(entry, executor=executor, trace_cache=False,
+                            **params)
 
     async def _session_for(self, req):
         """The pooled (or freshly created, single-flight) session for a
-        request, plus its content digest."""
+        request — one per design digest and resolved Func Sim executor
+        (the request's, else the server's) — plus the digest."""
         kind, ident = self._design_identity(req)
         digest = design_digest(kind, ident, req.params)
-        session = self.pool.get(digest)
+        key = (digest, resolve_executor(req.executor
+                                        or self.config.executor))
+        session = self.pool.get(key)
         if session is not None:
             return session, digest
 
@@ -461,40 +466,35 @@ class ReproService:
             # Re-checked under the flight: a caller that missed the
             # pool *and* arrived after the previous flight completed
             # must not build a duplicate session.
-            pooled = self.pool.get(digest)
+            pooled = self.pool.get(key)
             if pooled is not None:
                 return pooled
             created = await self._in_worker(
-                self._make_session, kind, ident, dict(req.params))
-            self.pool.put(digest, created)
+                self._make_session, kind, ident, dict(req.params), key[1])
+            self.pool.put(key, created)
             return created
 
-        session, _owner = await self._flight.do(("session", digest),
-                                                _create)
+        session, _owner = await self._flight.do(("session", key), _create)
         return session, digest
 
-    async def _baseline_for(self, session, digest, executor, *,
+    async def _baseline_for(self, session, digest, *,
                             required: bool = True):
         """The (possibly coalesced) captured baseline + its label.
         With ``required=False`` — the request overrides depths — a
         design that deadlocks as declared answers ``(None, "none")``
         (``Session.reference``) instead of raising."""
-        from ..sim.context import resolve_executor
-
-        key = ("baseline", digest, resolve_executor(
-            executor if executor is not None else session.executor))
-        if session.has_baseline(executor):
+        key = ("baseline", digest, session.executor)
+        if session.has_baseline():
             self.captures["hot"] += 1
-            return session.baseline(executor=executor), "hot"
+            return session.baseline(), "hot"
 
         async def _capture():
             # Same latecomer re-check as in _session_for: the session
             # may have gained its baseline since we looked.
-            if session.has_baseline(executor):
-                return session.baseline(executor=executor), "hot"
+            if session.has_baseline():
+                return session.baseline(), "hot"
             result = await self._in_worker(
-                session.baseline if required else session.reference,
-                executor=executor)
+                session.baseline if required else session.reference)
             if result is None:
                 return None, "none"
             label = result.phase_seconds.get("capture", "cold")
@@ -517,17 +517,16 @@ class ReproService:
         capture = None
         if req.engine == "omnisim":
             base, capture = await self._baseline_for(
-                session, digest, executor, required=not depths)
+                session, digest, required=not depths)
             if depths:
-                result = await self._in_worker(
-                    serve_depths, session, depths, executor)
+                result = await self._in_worker(serve_depths, session,
+                                               depths)
                 serving = result.phase_seconds["serving"]
             else:
                 result, serving = base, "baseline"
         else:
             result = await self._in_worker(
-                session.run, engine=req.engine, executor=executor,
-                depths=depths or None)
+                session.run, engine=req.engine, depths=depths or None)
             serving = "full"
         return wire.to_json(wire.RunResponse(
             design=session.name,
@@ -554,9 +553,9 @@ class ReproService:
                     f"the server's max_configs limit is "
                     f"{self.config.max_configs}")
             base, capture = await self._baseline_for(
-                session, digest, executor, required=False)
+                session, digest, required=False)
             points = await self._in_worker(_config_points, session,
-                                           req.configs, executor)
+                                           req.configs)
             return wire.to_json(wire.SweepResponse(
                 design=session.name, digest=digest, executor=executor,
                 capture=capture, evaluated=len(points),
@@ -588,11 +587,10 @@ class ReproService:
                 f"the server's max_configs limit is "
                 f"{self.config.max_configs} ({hint})")
         _base, capture = await self._baseline_for(
-            session, digest, executor, required=False)
+            session, digest, required=False)
         sweep = await self._in_worker(
             functools.partial(session.sweep, space,
                               samples=req.samples, seed=req.seed,
-                              executor=executor,
                               strategy=req.strategy,
                               max_evals=req.max_evals))
         return wire.to_json(wire.SweepResponse(
@@ -632,16 +630,16 @@ class ReproService:
         ))
 
 
-def _config_points(session, configs, executor) -> list:
+def _config_points(session, configs) -> list:
     """The replay policy's points for explicit depth overrides, in
     order (worker thread)."""
     from ..exec.replay import Replayer, chain
     from ..sim.registry import validate_depth_names
 
-    name, declared = session.declared(executor)
+    name, declared = session.declared()
     for config in configs:
         validate_depth_names(config, declared, name)
-    replayer = Replayer.for_session(session, executor)
+    replayer = Replayer.for_session(session)
     return [outcome.point for outcome in replayer.evaluate(chain(configs))]
 
 

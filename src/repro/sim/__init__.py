@@ -21,7 +21,6 @@ entry point is :class:`repro.api.Session`.
 from __future__ import annotations
 
 from .context import DEFAULT_EXECUTOR, EXECUTORS, make_executor
-from .incremental import IncrementalResult, resimulate
 from .registry import (
     Engine,
     EngineInfo,
@@ -33,7 +32,12 @@ from .registry import (
     run_engine,
     validate_depths,
 )
-from .result import Constraint, SimulationResult, SimulationStats
+from .result import (
+    Constraint,
+    IncrementalResult,
+    SimulationResult,
+    SimulationStats,
+)
 
 __all__ = [
     "Constraint",
@@ -50,7 +54,6 @@ __all__ = [
     "get_engine",
     "make_executor",
     "register_engine",
-    "resimulate",
     "run_engine",
     "validate_depths",
 ]

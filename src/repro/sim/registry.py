@@ -68,7 +68,7 @@ class EngineInfo:
     #: produces a cycle count at all (csim and the naive strawman don't)
     timed: bool = True
     #: records a simulation graph + query constraints, enabling
-    #: incremental re-simulation (``repro.sim.resimulate``, ``repro.dse``)
+    #: incremental re-simulation (``result.trace.resimulate``, ``repro.dse``)
     records_graph: bool = False
     #: results are a pure function of the design (the naive threaded
     #: strawman is OS-scheduling dependent by construction)

@@ -1,4 +1,5 @@
-"""Simulation results and recorded query constraints."""
+"""Simulation results, incremental re-simulation results and recorded
+query constraints."""
 
 from __future__ import annotations
 
@@ -102,3 +103,25 @@ class SimulationResult:
         for name, value in sorted(self.scalars.items()):
             parts.append(f"{name}={value}")
         return "  ".join(parts)
+
+
+@dataclass
+class IncrementalResult:
+    """Outcome of a successful incremental re-simulation
+    (:meth:`repro.trace.TraceArtifact.resimulate`).
+
+    Carries enough metadata for a sweep orchestrator (``repro.dse``) to
+    aggregate points without re-touching the graph: the full resolved
+    depth configuration, per-module end times, and the FIFO buffer cost
+    of the configuration.
+    """
+
+    cycles: int
+    seconds: float
+    depths: dict
+    #: number of constraints re-validated
+    constraints_checked: int
+    #: module name -> end-of-task commit cycle under the new depths
+    module_end_times: dict = None
+    #: total FIFO storage (sum of depth x element width), in bits
+    buffer_bits: int = 0

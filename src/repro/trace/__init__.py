@@ -14,7 +14,7 @@ makes it a first-class object shared by every producer and consumer:
   pure-Python path everywhere);
 * :class:`TraceStore` (:mod:`.store`) — schema-versioned, checksummed
   binary serialization and a content-addressed on-disk cache keyed by
-  (design fingerprint, params, executor, schema version), so repeat
+  (design fingerprint, params, executor, schema, code digest), so repeat
   ``Session``/CLI/DSE invocations skip recapture across processes.
 
 Every OmniSim run attaches an artifact (``result.trace``);

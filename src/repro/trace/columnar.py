@@ -78,8 +78,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from ..errors import ConstraintViolation, SimulationError
-from ..sim.incremental import IncrementalResult
-from ..sim.result import Constraint, SimulationResult, SimulationStats
+from ..sim.result import (
+    Constraint,
+    IncrementalResult,
+    SimulationResult,
+    SimulationStats,
+)
 
 #: Node kinds, as the retiming kernel interprets them.
 K_OTHER = 0      # start/end/trace and failed queries (never stall)
@@ -674,12 +678,22 @@ class TraceArtifact:
     # incremental re-simulation
 
     def resimulate(self, new_depths: dict) -> IncrementalResult:
-        """Re-derive the capture's cycle count under new FIFO depths.
+        """Re-derive the capture's cycle count under new FIFO depths
+        (incremental re-simulation, paper section 7.2).
+
+        The graph was built *dynamically*, driven by the run's depths,
+        so it cannot be blindly reused the way LightningSim's can: every
+        resolved timing query was recorded instead.  Re-simulation
+        retimes the recorded graph under the new depths (:meth:`retime`)
+        and re-evaluates every query with the Table 2 conditions at the
+        new depth S' — microseconds to milliseconds, versus seconds for
+        a full run (paper Table 6).
 
         Unmentioned FIFOs keep the capture depth; raises
         :class:`~repro.errors.ConstraintViolation` when a recorded query
-        flips, :class:`~repro.errors.SimulationError` on unknown names,
-        depths < 1, or a configuration that deadlocks the recording.
+        flips (control flow may diverge: a full run must decide),
+        :class:`~repro.errors.SimulationError` on unknown names, depths
+        < 1, or a configuration that deadlocks the recording.
         """
         start = _time.perf_counter()
         depths = dict(self.depths)

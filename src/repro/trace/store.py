@@ -18,9 +18,10 @@ a poisoned cache must never crash or serve stale data).
 The cache itself (:class:`TraceStore`) is content-addressed: the file
 name is :func:`artifact_digest` — a SHA-256 over the *design
 fingerprint* (source bytes of the registry builder module or of the DSL
-spec file), the builder params, the Func Sim executor and the schema
-version.  Editing the design source, changing a parameter or executor,
-or bumping the schema therefore lands on a new key; stale entries are
+spec file), the builder params, the Func Sim executor, the schema
+version and the code that captured (:func:`code_digest`).  Editing the
+design source or the package, changing a parameter or executor, or
+bumping the schema therefore lands on a new key; stale entries are
 never read, only garbage-collected.  Ad-hoc designs (``("compiled",
 ...)`` references) have no stable fingerprint and are simply not cached.
 
@@ -33,6 +34,7 @@ setting, nothing touches the disk.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -43,7 +45,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 
-from ..errors import RequestError, TraceFormatError
+from ..errors import OutdatedTraceError, RequestError, TraceFormatError
 # ``REPRO_TRACE_CACHE``: a directory path enables the cache there;
 # "1"/"on"/"true"/"yes" enables the default directory;
 # "0"/"off"/"false"/"no"/"" disables; unset = disabled.
@@ -137,13 +139,7 @@ def loads_artifact(data: bytes) -> TraceArtifact:
             f"truncated trace artifact ({len(data)} bytes)"
         )
     magic, version, digest, hlen = _HEAD.unpack_from(data)
-    if magic != MAGIC:
-        raise TraceFormatError("not a trace artifact (bad magic)")
-    if version != SCHEMA_VERSION:
-        raise TraceFormatError(
-            f"unsupported trace schema version {version} "
-            f"(this build reads version {SCHEMA_VERSION})"
-        )
+    _check_head(magic, version)
     body = data[_HEAD.size:]
     if hashlib.sha256(body).digest() != digest:
         raise TraceFormatError("trace artifact checksum mismatch")
@@ -175,6 +171,17 @@ def loads_artifact(data: bytes) -> TraceArtifact:
         ) from None
 
 
+def _check_head(magic: bytes, version: int) -> None:
+    """Bad magic is a :class:`~repro.errors.TraceFormatError`, another
+    schema version an :class:`~repro.errors.OutdatedTraceError`."""
+    if magic != MAGIC:
+        raise TraceFormatError("not a trace artifact (bad magic)")
+    if version != SCHEMA_VERSION:
+        raise OutdatedTraceError(
+            f"unsupported trace schema version {version} "
+            f"(this build reads version {SCHEMA_VERSION})", version)
+
+
 def read_header_file(path) -> dict:
     """Header (meta + column manifest) of a serialized artifact straight
     from disk, reading only the fixed head plus the JSON header bytes —
@@ -186,12 +193,7 @@ def read_header_file(path) -> dict:
         if len(head) < _HEAD.size:
             raise TraceFormatError("truncated trace artifact")
         magic, version, _digest, hlen = _HEAD.unpack(head)
-        if magic != MAGIC:
-            raise TraceFormatError("not a trace artifact (bad magic)")
-        if version != SCHEMA_VERSION:
-            raise TraceFormatError(
-                f"unsupported trace schema version {version}"
-            )
+        _check_head(magic, version)
         blob = fh.read(hlen)
     if len(blob) < hlen:
         raise TraceFormatError("trace artifact header overruns the file")
@@ -261,19 +263,35 @@ def design_fingerprint(design_ref) -> bytes | None:
     return h.digest()
 
 
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@functools.cache
+def code_digest(root: str = _PACKAGE) -> str:
+    """sha256 over every ``.py`` file under ``root`` (default: this
+    package), relative path and bytes, in path order — the code that
+    captured; computed once per process."""
+    h = hashlib.sha256()
+    for path in sorted(os.path.join(folder, name)
+                       for folder, _dirs, names in os.walk(root)
+                       for name in names if name.endswith(".py")):
+        with open(path, "rb") as fh:
+            h.update(os.path.relpath(path, root).encode("utf-8") + b"\0"
+                     + fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def artifact_digest(design_ref, executor: str) -> str | None:
     """Content-address of one baseline capture:
-    ``sha256(schema, repro version, design fingerprint, params,
+    ``sha256(schema, code digest, design fingerprint, params,
     executor)`` — or ``None`` when the design is not fingerprintable."""
     fingerprint = design_fingerprint(design_ref)
     if fingerprint is None:
         return None
-    from .. import __version__
-
     params = design_ref[2]
     h = hashlib.sha256()
     h.update(
-        f"schema={SCHEMA_VERSION};repro={__version__};"
+        f"schema={SCHEMA_VERSION};code={code_digest()};"
         f"executor={executor};params={sorted(params.items())!r};"
         .encode("utf-8")
     )
@@ -431,22 +449,27 @@ class TraceStore:
     def verify(self, prune: bool = False):
         """Full checksum/schema check of every entry.
 
-        Returns ``(ok, corrupt)`` lists of ``(entry, detail)`` pairs;
-        ``prune=True`` deletes the corrupt files."""
-        ok, corrupt = [], []
+        Returns ``(ok, outdated, corrupt)`` lists of ``(entry, detail)``
+        pairs — an outdated entry is another schema version's (detail:
+        ``"schema N"``), a corrupt one unreadable; ``prune=True``
+        deletes both kinds."""
+        ok, outdated, corrupt = [], [], []
         for entry in self.entries():
             try:
                 with open(entry.path, "rb") as fh:
                     artifact = loads_artifact(fh.read())
                 ok.append((entry, artifact.design_name))
+                continue
+            except OutdatedTraceError as exc:
+                outdated.append((entry, f"schema {exc.schema}"))
             except (TraceFormatError, OSError) as exc:
                 corrupt.append((entry, str(exc)))
-                if prune:
-                    try:
-                        os.unlink(entry.path)
-                    except OSError:
-                        pass
-        return ok, corrupt
+            if prune:
+                try:
+                    os.unlink(entry.path)
+                except OSError:
+                    pass
+        return ok, outdated, corrupt
 
     def gc(self, older_than_days: float | None = None,
            max_bytes: int | None = None):

@@ -44,7 +44,7 @@ How the plan is laid out (DESIGN.md section 16):
   A flipped query marks *that config's row* only.
 
 :func:`resimulate_batch` is the public kernel entry: it returns one
-:class:`~repro.sim.incremental.IncrementalResult` per config row, or
+:class:`~repro.sim.result.IncrementalResult` per config row, or
 ``None`` for rows it cannot serve — a flipped constraint, an invalid
 depth, an unknown FIFO name, or a whole-batch downgrade (NumPy missing,
 no all-depth order).  Callers re-run ``None`` rows through the scalar
@@ -63,7 +63,7 @@ from __future__ import annotations
 import os as _os
 import time as _time
 
-from ..sim.incremental import IncrementalResult
+from ..sim.result import IncrementalResult
 from .columnar import K_WRITE, TraceArtifact
 
 #: the numpy module once :func:`_numpy` has looked for it (None when it
@@ -450,7 +450,7 @@ def resimulate_batch(art: TraceArtifact, configs,
     keep the capture depth, exactly like the scalar path).  Returns one
     entry per config:
 
-    * an :class:`~repro.sim.incremental.IncrementalResult` — bit-for-bit
+    * an :class:`~repro.sim.result.IncrementalResult` — bit-for-bit
       what ``art.resimulate(config)`` would return — when the row's
       recorded queries all re-validate;
     * ``None`` when the row must take the scalar path: a recorded query

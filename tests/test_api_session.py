@@ -87,19 +87,26 @@ class TestCaching:
         assert session._compiled is not None
 
     def test_baseline_cached_per_executor(self):
+        """One baseline per session, captured with the session's
+        executor; a session on the other executor has its own."""
         session = Session.open("fig4_ex5", n=60)
         base = session.baseline()
-        assert session.baseline() is base
-        assert session.baseline(executor="interp") is not base
+        assert session.baseline() is base and session.has_baseline()
+        interp = Session.open("fig4_ex5", n=60, executor="interp")
+        assert not interp.has_baseline()
+        other = interp.baseline()
+        assert other is not base and other.cycles == base.cycles
+        assert (other.trace.executor, base.trace.executor) \
+            == ("interp", "compiled")
         assert session.baseline(refresh=True) is not base
-        assert session.graph is session.trace is session.baseline().trace
+        assert session.trace is session.baseline().trace
 
     def test_close_drops_caches(self):
         with Session.open("fig4_ex5", n=60) as session:
             compiled = session.compiled
             session.baseline()
         assert session._compiled is None
-        assert session._baselines == {}
+        assert not session.has_baseline()
         # still usable after close: artifacts rebuild
         assert session.compiled is not compiled
         assert session.run().cycles > 0
@@ -110,7 +117,7 @@ class TestPlainRunsReplay:
             self, monkeypatch):
         """Every OmniSim result carries its replay handle: replaying a
         plain ``run()`` re-runs no engine and derives nothing."""
-        from repro.sim import get_engine, resimulate
+        from repro.sim import get_engine
 
         session = Session.open("fig4_ex5", n=60)
         result = session.run()
@@ -119,7 +126,7 @@ class TestPlainRunsReplay:
         real = cls.run
         monkeypatch.setattr(
             cls, "run", lambda self: runs.append(self) or real(self))
-        inc = resimulate(result, dict(result.trace.depths))
+        inc = result.trace.resimulate(dict(result.trace.depths))
         assert inc.cycles == result.cycles
         assert inc.module_end_times == result.module_end_times
         assert result.trace.resimulate({}).cycles == result.cycles

@@ -335,15 +335,17 @@ def k(inp: hls.StreamIn(hls.i32), out: hls.ScalarOut(hls.i32)):
                   if isinstance(i, ins.FifoCanRead)]
         assert len(checks) == 1
 
-    def test_optimize_flag_disables(self):
+    def test_optimize_flag_disables(self, monkeypatch):
         kernel = kernel_from_source("""
 def k(inp: hls.StreamIn(hls.i32), out: hls.ScalarOut(hls.i32)):
     inp.empty()
     out.set(inp.read())
 """)
-        from repro.frontend.compiler import compile_kernel
+        from repro.frontend import compiler
 
-        fn = compile_kernel(kernel, {}, optimize=False)
+        monkeypatch.setattr(compiler, "ENABLE_DEAD_CHECK_ELIMINATION",
+                            False)
+        fn = compiler.compile_kernel(kernel, {})
         checks = [i for i in fn.iter_instructions()
                   if isinstance(i, ins.FifoCanRead)]
         assert len(checks) == 1

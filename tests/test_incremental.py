@@ -5,7 +5,7 @@ import pytest
 from repro import compile_design, designs, hls
 from repro.api import Session
 from repro.errors import ConstraintViolation, DeadlockError, SimulationError
-from repro.sim import get_engine, resimulate
+from repro.sim import get_engine
 from repro.trace.vectorized import numpy_available, resimulate_batch
 from tests.conftest import (
     N_SMALL,
@@ -22,12 +22,12 @@ OmniSimulator = get_engine("omnisim").cls
 class TestOmniSimIncremental:
     def test_same_depths_same_cycles(self, nb_compiled):
         result = OmniSimulator(nb_compiled).run()
-        incremental = resimulate(result, {})
+        incremental = result.trace.resimulate({})
         assert incremental.cycles == result.cycles
 
     def test_growing_depth_matches_fresh_run(self, pipeline_compiled):
         result = OmniSimulator(pipeline_compiled).run()
-        incremental = resimulate(result, {"s1": 32, "s2": 32})
+        incremental = result.trace.resimulate({"s1": 32, "s2": 32})
         fresh = OmniSimulator(pipeline_compiled,
                               depths={"s1": 32, "s2": 32}).run()
         assert incremental.cycles == fresh.cycles
@@ -36,7 +36,7 @@ class TestOmniSimIncremental:
         # Type A designs have no queries, so any depth change is valid.
         result = OmniSimulator(pipeline_compiled,
                                depths={"s1": 16, "s2": 16}).run()
-        incremental = resimulate(result, {"s1": 1, "s2": 1})
+        incremental = result.trace.resimulate({"s1": 1, "s2": 1})
         fresh = OmniSimulator(pipeline_compiled,
                               depths={"s1": 1, "s2": 1}).run()
         assert incremental.cycles == fresh.cycles
@@ -48,30 +48,30 @@ class TestOmniSimIncremental:
         result = OmniSimulator(compiled).run()
         assert result.scalars["dropped"] > 0
         with pytest.raises(ConstraintViolation):
-            resimulate(result, {"s1": 64})
+            result.trace.resimulate({"s1": 64})
 
     def test_violation_names_the_query(self):
         compiled = compile_design(make_nb_design(depth=2))
         result = OmniSimulator(compiled).run()
         with pytest.raises(ConstraintViolation) as exc:
-            resimulate(result, {"s1": 64})
+            result.trace.resimulate({"s1": 64})
         assert exc.value.query is not None
         assert exc.value.query.fifo == "s1"
 
     def test_unknown_fifo_rejected(self, pipeline_compiled):
         result = OmniSimulator(pipeline_compiled).run()
         with pytest.raises(SimulationError):
-            resimulate(result, {"nope": 4})
+            result.trace.resimulate({"nope": 4})
 
     def test_invalid_depth_rejected(self, pipeline_compiled):
         result = OmniSimulator(pipeline_compiled).run()
         with pytest.raises(SimulationError):
-            resimulate(result, {"s1": 0})
+            result.trace.resimulate({"s1": 0})
 
     def test_requires_omnisim_result(self, pipeline_compiled):
+        """Only a recording engine leaves a replay handle."""
         result = get_engine("csim").cls(pipeline_compiled).run()
-        with pytest.raises(SimulationError):
-            resimulate(result, {"s1": 4})
+        assert result.trace is None
 
     def test_much_faster_than_full_run(self):
         # The paper reports four orders of magnitude; we only assert the
@@ -81,8 +81,8 @@ class TestOmniSimIncremental:
         # one-time static build, so the second one is the comparison.
         compiled = compile_design(designs.get("fig4_ex5").make(n=1000))
         result = OmniSimulator(compiled).run()
-        resimulate(result, {"fifo2": 8})
-        incremental = resimulate(result, {"fifo2": 16})
+        result.trace.resimulate({"fifo2": 8})
+        incremental = result.trace.resimulate({"fifo2": 16})
         assert incremental.seconds < result.execute_seconds
 
     def test_deadlocking_config_detected(self):
@@ -91,7 +91,7 @@ class TestOmniSimIncremental:
         # cycle for a configuration that reorders RAW/WAR inconsistently.
         compiled = compile_design(designs.get("fig4_ex3").make(n=50))
         result = OmniSimulator(compiled).run()
-        incremental = resimulate(result, {"fifo1": 1, "fifo2": 1})
+        incremental = result.trace.resimulate({"fifo1": 1, "fifo2": 1})
         fresh = OmniSimulator(compiled, depths={"fifo1": 1,
                                                 "fifo2": 1}).run()
         assert incremental.cycles == fresh.cycles
@@ -160,18 +160,18 @@ class TestTable6Pattern:
 
     def test_grow_uncongested_fifo_is_incremental(self, base_run):
         _compiled, result = base_run
-        incremental = resimulate(result, {"fifo2": 100})
+        incremental = result.trace.resimulate({"fifo2": 100})
         assert incremental.cycles > 0
         assert incremental.constraints_checked == len(result.trace.c_node)
 
     def test_grow_hot_fifo_violates(self, base_run):
         _compiled, result = base_run
         with pytest.raises(ConstraintViolation):
-            resimulate(result, {"fifo1": 100})
+            result.trace.resimulate({"fifo1": 100})
 
     def test_incremental_cycles_match_fresh(self, base_run):
         compiled, result = base_run
-        incremental = resimulate(result, {"fifo2": 100})
+        incremental = result.trace.resimulate({"fifo2": 100})
         fresh = OmniSimulator(compiled, depths={"fifo2": 100}).run()
         assert incremental.cycles == fresh.cycles
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro import compile_design, hls
 from repro.errors import ConstraintViolation, DeadlockError
 from repro.hls.kernel import kernel_from_source
-from repro.sim import get_engine, resimulate
+from repro.sim import get_engine
 
 CoSimulator = get_engine("cosim").cls
 OmniSimulator = get_engine("omnisim").cls
@@ -156,7 +156,7 @@ def test_incremental_matches_fresh_run(params, new_d1, new_d2):
     compiled = compile_design(build_design(params))
     result = OmniSimulator(compiled).run()
     try:
-        incremental = resimulate(result, {"s1": new_d1, "s2": new_d2})
+        incremental = result.trace.resimulate({"s1": new_d1, "s2": new_d2})
     except ConstraintViolation:
         return  # full re-simulation required: nothing to compare
     fresh = OmniSimulator(compiled, depths={"s1": new_d1,

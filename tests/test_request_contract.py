@@ -105,7 +105,7 @@ CLI_CASES = {
     "report": [["report", "fig4_ex5"]],
     "dse": [_DSE],
     "dse-refine": [_DSE + ["--strategy", "refine", "--max-evals", "3"]],
-    "dse-no-vectorize": [_DSE + ["--no-vectorize"]],
+    "dse-batch-size-1": [_DSE + ["--batch-size", "1"]],
     "dse-jobs": [_DSE + ["--jobs", "2"]],
     "gen": [["gen", "--type", "C", "--modules", "4", "--seed", "3"]],
 }

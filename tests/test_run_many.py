@@ -136,6 +136,18 @@ class TestSemantics:
         with pytest.raises(TypeError):
             session.run_many(["omnisim"])
 
+    def test_executor_config_is_a_plain_run(self, session):
+        """A config that names an executor carries an engine keyword:
+        a plain run on that executor, served ``full``, with the cycles
+        and outputs of the row the session's capture replays."""
+        replayed, named = session.run_many(
+            [{"depths": {"fifo2": 8}},
+             {"depths": {"fifo2": 8}, "executor": "interp"}])
+        assert replayed.phase_seconds["serving"] == "incremental"
+        assert named.phase_seconds["serving"] == "full"
+        assert (named.cycles, named.scalars) \
+            == (replayed.cycles, replayed.scalars)
+
     def test_unpicklable_design_degrades_to_inprocess(self):
         compiled = compile_design(make_nb_design())
         session = Session.open(compiled)
@@ -160,9 +172,11 @@ class TestChunking:
     def test_normalize_config_defaults(self, session):
         declared = session.declared()
         normalized = normalize_config({}, *declared)
-        assert normalized == {"engine": "omnisim", "executor": None,
-                              "depths": {}, "kwargs": {}}
+        assert normalized == {"engine": "omnisim", "depths": {},
+                              "kwargs": {}}
         with_kwargs = normalize_config(
-            {"engine": "omnisim", "step_limit": 10}, *declared
+            {"engine": "omnisim", "step_limit": 10, "executor": "interp"},
+            *declared
         )
-        assert with_kwargs["kwargs"] == {"step_limit": 10}
+        assert with_kwargs["kwargs"] == {"step_limit": 10,
+                                         "executor": "interp"}

@@ -689,9 +689,9 @@ class TestConcurrentFirstTouch:
         fills = []
         original = Session._capture_baseline
 
-        def counting(self, key, refresh):
-            fills.append(key)
-            return original(self, key, refresh)
+        def counting(self, refresh):
+            fills.append(refresh)
+            return original(self, refresh)
 
         Session._capture_baseline = counting
         try:
@@ -713,6 +713,23 @@ class TestConcurrentFirstTouch:
         assert len(fills) == 1
         assert all(r is out[0] for r in out), "one shared result object"
         assert session.has_baseline()
+
+    def test_each_executor_has_its_own_pooled_session(self):
+        """The request's executor picks the pooled session: interp, then
+        none named (the default), on one design are two sessions and two
+        cold captures with one answer; naming the default is hot."""
+        with serve_in_thread(workers=2, trace_cache=False) as handle:
+            docs = [_post(handle.port, "/v1/run",
+                          dict({"design": "fig4_ex5"}, **extra))[1]
+                    for extra in ({"executor": "interp"}, {},
+                                  {"executor": "compiled"})]
+            assert [d["capture"] for d in docs] == ["cold", "cold", "hot"]
+            assert [d["executor"] for d in docs] \
+                == ["interp", None, "compiled"]
+            assert len({d["cycles"] for d in docs}) == 1
+            _status, meta = _get(handle.port, "/v1/meta")
+            assert meta["sessions"]["created"] == 2
+            assert meta["captures"]["cold"] == 2
 
 
 # ---------------------------------------------------------------------------

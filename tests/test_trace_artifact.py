@@ -25,7 +25,6 @@ from repro import compile_design, designs
 from repro.api import Session
 from repro.errors import ConstraintViolation, DeadlockError, SimulationError
 from repro.exec.replay import Replayer
-from repro.sim.incremental import resimulate
 from repro.trace import (
     TraceArtifact,
     TraceStore,
@@ -39,18 +38,19 @@ from test_compiled_executor import SMALL_PARAMS
 _SESSIONS: dict = {}
 
 
-def _session(name: str) -> Session:
-    if name not in _SESSIONS:
-        _SESSIONS[name] = Session.open(name, trace_cache=False,
-                                       **SMALL_PARAMS.get(name, {}))
-    return _SESSIONS[name]
+def _session(name: str, executor: str = "compiled") -> Session:
+    if (name, executor) not in _SESSIONS:
+        _SESSIONS[name, executor] = Session.open(
+            name, executor=executor, trace_cache=False,
+            **SMALL_PARAMS.get(name, {}))
+    return _SESSIONS[name, executor]
 
 
 def _baseline(name: str, executor: str):
     """Captured OmniSim run of a registry design (None if it deadlocks
     at its declared depths — e.g. the ``deadlock`` design)."""
     try:
-        return _session(name).baseline(executor=executor)
+        return _session(name, executor).baseline()
     except DeadlockError:
         return None
 
@@ -87,26 +87,28 @@ def _outcome(fn):
 _TRUTH: dict = {}
 
 
-def _full_run_truth(session, executor, new_depths):
+def _full_run_truth(session, new_depths):
     """What an accepted replay must report, from a full OmniSim run at
-    ``new_depths`` (memoized: the round-trip tests re-ask)."""
-    key = (session.name, executor, tuple(sorted(new_depths.items())))
+    ``new_depths`` on the session's executor (memoized: the round-trip
+    tests re-ask)."""
+    key = (session.name, session.executor,
+           tuple(sorted(new_depths.items())))
     if key not in _TRUTH:
-        full = session.run(executor=executor, depths=new_depths)
+        full = session.run(depths=new_depths)
         depths = full.trace.depths
         _TRUTH[key] = (
             "ok", full.cycles, depths, full.module_end_times,
             full.trace.buffer_bits(depths),
-            len(session.baseline(executor=executor).trace.c_node))
+            len(session.baseline().trace.c_node))
     return _TRUTH[key]
 
 
-def assert_resim_parity(session, executor, artifact, new_depths, context):
+def assert_resim_parity(session, artifact, new_depths, context):
     """An accepted replay equals the full run at ``new_depths``; returns
     the normalized outcome (so callers can also compare artifacts)."""
     out = _outcome(lambda: artifact.resimulate(new_depths))
     if out[0] == "ok":
-        truth = _full_run_truth(session, executor, new_depths)
+        truth = _full_run_truth(session, new_depths)
         assert out == truth, (context, new_depths, out, truth)
     return out
 
@@ -124,7 +126,7 @@ def test_accepted_replays_match_full_runs(name, executor):
     assert artifact.executor == executor
     assert artifact.design_name == result.design_name
     for depths in _depth_variations(result):
-        assert_resim_parity(_session(name), executor, artifact, depths,
+        assert_resim_parity(_session(name, executor), artifact, depths,
                             (name, executor))
 
 
@@ -140,7 +142,7 @@ def test_serialized_artifact_round_trips(name):
     fresh = result.trace
     loaded = loads_artifact(dumps_artifact(fresh))
     for depths in _depth_variations(result):
-        out = assert_resim_parity(_session(name), "compiled", loaded,
+        out = assert_resim_parity(_session(name), loaded,
                                   depths, (name, "round-trip"))
         assert out == _outcome(lambda: fresh.resimulate(depths))
     clone = loaded.to_result()
@@ -221,7 +223,7 @@ def test_example_specs_replay_parity(path):
     artifact = result.trace
     loaded = loads_artifact(dumps_artifact(artifact))
     for depths in _depth_variations(result):
-        out = assert_resim_parity(session, None, artifact, depths, path)
+        out = assert_resim_parity(session, artifact, depths, path)
         assert out == _outcome(lambda: loaded.resimulate(depths))
 
 
@@ -324,7 +326,7 @@ class TestWorkerNoRebuild:
             TraceArtifact, "_build_static_columns",
             lambda self: calls.append("columnar") or orig(self),
         )
-        inc = resimulate(clone, {"fifo2": 5})
+        inc = clone.trace.resimulate({"fifo2": 5})
         # what crossed the pool's pickle replays like what stayed
         assert inc.cycles == stayed.cycles > 0
         assert calls == [], "worker rebuilt static edges"
@@ -358,6 +360,25 @@ class TestDigest:
 
         monkeypatch.setattr(store, "SCHEMA_VERSION",
                             store.SCHEMA_VERSION + 1)
+        assert artifact_digest(self.REF, "compiled") != base
+
+    def test_package_code_invalidates(self, tmp_path, monkeypatch):
+        """The key hashes the code that captured: an edit to any
+        ``.py`` file of the package lands on a new key."""
+        import shutil
+
+        from repro.trace import store
+
+        same, edited = tmp_path / "same", tmp_path / "edited"
+        for copy in (same, edited):
+            shutil.copytree(store._PACKAGE, copy,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        assert store.code_digest(str(same)) == store.code_digest()
+        with open(edited / "sim" / "result.py", "a") as fh:
+            fh.write("\n# touched\n")
+        assert store.code_digest(str(edited)) != store.code_digest()
+        base = artifact_digest(self.REF, "compiled")
+        monkeypatch.setattr(store, "code_digest", lambda: "0" * 64)
         assert artifact_digest(self.REF, "compiled") != base
 
     def test_spec_content_invalidates(self, tmp_path):

@@ -55,7 +55,7 @@ class TestWarmBaseline:
         base = warm.baseline()
         assert base.phase_seconds["capture"] == "warm"
         # warm baselines are rebuilt around the stored artifact
-        assert base.trace is not None and warm.graph is base.trace
+        assert base.trace is not None and warm.trace is base.trace
         cold_base = cold.baseline()
         assert base.cycles == cold_base.cycles
         assert base.scalars == cold_base.scalars
@@ -115,11 +115,13 @@ class TestWarmBaseline:
         assert other.baseline().phase_seconds["capture"] == "cold"
 
     def test_executor_keys_are_separate(self, warm_store, tmp_path):
-        session = Session.open("fig4_ex5", n=120, trace_cache=tmp_path)
-        assert (session.baseline(executor="interp")
-                .phase_seconds["capture"] == "cold")
-        assert (session.baseline(executor="compiled")
-                .phase_seconds["capture"] == "warm")
+        interp = Session.open("fig4_ex5", n=120, executor="interp",
+                              trace_cache=tmp_path)
+        assert interp.baseline().phase_seconds["capture"] == "cold"
+        compiled = Session.open("fig4_ex5", n=120, executor="compiled",
+                                trace_cache=tmp_path)
+        assert compiled.baseline().phase_seconds["capture"] == "warm"
+        assert interp.trace_digest() != compiled.trace_digest()
 
     def test_refresh_recaptures_and_rewrites(self, warm_store, tmp_path):
         store, digest, _cold = warm_store
@@ -228,8 +230,8 @@ class TestStoreManagement:
         store, digest, session = warm_store
         entries = store.entries()
         assert [e.digest for e in entries] == [digest]
-        ok, corrupt = store.verify()
-        assert len(ok) == 1 and not corrupt
+        ok, outdated, corrupt = store.verify()
+        assert len(ok) == 1 and not outdated and not corrupt
         removed, reclaimed = store.gc()
         assert removed == 1 and reclaimed > 0
         assert store.entries() == []
@@ -238,8 +240,41 @@ class TestStoreManagement:
         store, digest, _ = warm_store
         with open(store.path(digest), "ab") as fh:
             fh.write(b"tail garbage")
-        ok, corrupt = store.verify(prune=True)
-        assert not ok and len(corrupt) == 1
+        ok, outdated, corrupt = store.verify(prune=True)
+        assert not ok and not outdated and len(corrupt) == 1
+        assert store.entries() == []
+
+    def test_outdated_entry_is_not_corrupt(self, warm_store, capsys):
+        """An entry another schema version wrote (good magic, version
+        1 in the head) is outdated, not corrupt: listed apart, exit 0
+        unless something is corrupt, removed by ``--prune`` with the
+        corrupt ones; ``trace info`` names its schema."""
+        store, digest, _ = warm_store
+        path = store.path(digest)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:4] + struct.pack("<I", 1) + data[8:])
+        ok, outdated, corrupt = store.verify()
+        assert (ok, corrupt) == ([], [])
+        assert [(e.digest, detail) for e, detail in outdated] \
+            == [(digest, "schema 1")]
+        d = store.root
+        assert cli.main(["trace", "info", "--cache-dir", d]) == 0
+        assert "<schema 1>" in capsys.readouterr().out
+        assert cli.main(["trace", "verify", "--cache-dir", d]) == 0
+        out = capsys.readouterr().out
+        assert f"outdated: {digest[:12]}  schema 1\n" in out
+        assert out.endswith(
+            "verified 1 artifact(s): 0 ok, 1 outdated, 0 corrupt\n")
+        with open(store.path("bad"), "wb") as fh:
+            fh.write(b"garbage")
+        assert cli.main(["trace", "verify", "--cache-dir", d]) == 1
+        assert "0 ok, 1 outdated, 1 corrupt\n" in capsys.readouterr().out
+        assert cli.main(["trace", "verify", "--cache-dir", d,
+                         "--prune"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "0 ok, 1 outdated, 1 corrupt (removed)\n")
         assert store.entries() == []
 
     def test_gc_older_than_keeps_recent(self, warm_store):
@@ -336,7 +371,8 @@ class TestSchemaVersion:
         d = str(tmp_path)
         assert cli.main(["trace", "verify", "--cache-dir", d,
                          "--prune"]) == 0
-        assert "1 ok, 1 corrupt" in capsys.readouterr().out
+        assert "1 ok, 1 outdated, 0 corrupt (removed)" \
+            in capsys.readouterr().out
         assert not os.path.exists(old_path)
         assert [e.digest for e in session.trace_store.entries()] \
             == [session.trace_digest()]
