@@ -450,14 +450,14 @@ class ReproService:
         return Session.open(entry, executor=executor, trace_cache=False,
                             **params)
 
-    async def _session_for(self, req):
+    async def _session_for(self, req, executor: str | None = None):
         """The pooled (or freshly created, single-flight) session for a
         request — one per design digest and resolved Func Sim executor
-        (the request's, else the server's) — plus the digest."""
+        (``executor``, else the server's: analysis requests name none)
+        — plus the digest."""
         kind, ident = self._design_identity(req)
         digest = design_digest(kind, ident, req.params)
-        key = (digest, resolve_executor(req.executor
-                                        or self.config.executor))
+        key = (digest, resolve_executor(executor or self.config.executor))
         session = self.pool.get(key)
         if session is not None:
             return session, digest
@@ -511,7 +511,7 @@ class ReproService:
 
     async def _handle_run(self, req: wire.RunRequest) -> dict:
         t0 = time.perf_counter()
-        session, digest = await self._session_for(req)
+        session, digest = await self._session_for(req, req.executor)
         executor = req.executor or self.config.executor
         depths = dict(req.depths)
         capture = None
@@ -544,7 +544,7 @@ class ReproService:
 
     async def _handle_sweep(self, req: wire.SweepRequest) -> dict:
         t0 = time.perf_counter()
-        session, digest = await self._session_for(req)
+        session, digest = await self._session_for(req, req.executor)
         executor = req.executor or self.config.executor
         if req.configs is not None:
             if len(req.configs) > self.config.max_configs:

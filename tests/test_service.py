@@ -717,7 +717,8 @@ class TestConcurrentFirstTouch:
     def test_each_executor_has_its_own_pooled_session(self):
         """The request's executor picks the pooled session: interp, then
         none named (the default), on one design are two sessions and two
-        cold captures with one answer; naming the default is hot."""
+        cold captures with one answer; naming the default is hot, and an
+        analysis request (no run, so no executor) adds no session."""
         with serve_in_thread(workers=2, trace_cache=False) as handle:
             docs = [_post(handle.port, "/v1/run",
                           dict({"design": "fig4_ex5"}, **extra))[1]
@@ -727,6 +728,9 @@ class TestConcurrentFirstTouch:
             assert [d["executor"] for d in docs] \
                 == ["interp", None, "compiled"]
             assert len({d["cycles"] for d in docs}) == 1
+            assert _post(handle.port, "/v1/classify",
+                         {"design": "fig4_ex5", "executor": "interp"}
+                         )[0] == 200
             _status, meta = _get(handle.port, "/v1/meta")
             assert meta["sessions"]["created"] == 2
             assert meta["captures"]["cold"] == 2
