@@ -15,6 +15,8 @@ that pool workers never rebuild the static-edge columns.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 import sys
 import threading
@@ -225,6 +227,94 @@ def test_example_specs_replay_parity(path):
     for depths in _depth_variations(result):
         out = assert_resim_parity(session, artifact, depths, path)
         assert out == _outcome(lambda: loaded.resimulate(depths))
+
+
+def _single_fifo_steps(depths: dict) -> list:
+    """Every single-FIFO step ``d+1``, ``2d`` and ``d-1`` off the
+    capture depths (``d-1`` may be 0: an error is an answer too)."""
+    return [{name: new} for name in sorted(depths)
+            for new in dict.fromkeys((depths[name] + 1, 2 * depths[name],
+                                      depths[name] - 1))]
+
+
+def _step_answer(fn) -> list:
+    """A replay's answer: cycles and end times, or the exception's type
+    and message."""
+    try:
+        inc = fn()
+    except (ConstraintViolation, SimulationError) as exc:
+        return [type(exc).__name__, str(exc)]
+    return ["ok", inc.cycles, sorted(inc.module_end_times.items())]
+
+
+#: sha256 of the JSON list of :func:`_step_answer` per single-FIFO step,
+#: per registry design with FIFOs, as replayed before node times could be
+#: certified (the sweep and full validation on every step)
+STEP_ANSWERS = {
+    "accumulators_dataflow":
+        "02dd75338c9c724b4d9f6a23db0cf244eded312150f0172b74b5d2bcb76482d7",
+    "axis_no_side_channel":
+        "7af6fca5d97b039d37a1ee18b49064020333492f192381b24ae8773f1299d66d",
+    "branch":
+        "393676de57f0fed4d5bed361ee4438e8db700d3eb3426cbb9f4a3445ae0dff46",
+    "fft_multistage":
+        "44af66779f83657cbdb820ae6a0036850ef84e3b75109f7ebee46c915888db77",
+    "fig2_timer":
+        "01ba9ed573ff0c5d9bcdc79746f011b41b86ca8ea95edfec38964a1c6bf4b7c4",
+    "fig4_ex1":
+        "8b851f7ecb75420852c3ef3ba057d348445f4ce2808c086882b4edce5c113963",
+    "fig4_ex2":
+        "4c88364441766e415c156a72f367623504e4743e3fb4872314d8f17b8ea36fb8",
+    "fig4_ex3":
+        "3a993361bc9b23973ad2a9ef4b92df406359481f82e7825c799924c6458e0239",
+    "fig4_ex4a":
+        "bf01b150ae08ed6912c9949fd8140a31b27e15a96f867c4371df905387d832aa",
+    "fig4_ex4a_d":
+        "caa9909e44a6bcb765168bda1d242e8723644ce215e01afe05ae05a53dddb18a",
+    "fig4_ex4b":
+        "bf01b150ae08ed6912c9949fd8140a31b27e15a96f867c4371df905387d832aa",
+    "fig4_ex4b_d":
+        "cf23b6111a068cc678adf5675179f01bcef69f17352b8c56a139d51cedf9c5b9",
+    "fig4_ex5":
+        "a9bfef676e5747b22351f36f5445abce0b05800c24b84f46ffae3bff4ea04902",
+    "flowgnn_dgn":
+        "6d798234a3d4e95c2fac930e8fa68cf18fbaad8597161e36fce412e580435462",
+    "flowgnn_gat":
+        "cbd25a6e5ef7594f5e238f9a5fbf9eaff6343e778f321de5d96eb8faf8bde6ef",
+    "flowgnn_gcn":
+        "a1d46f0e869f6bb414c6cdf3661af61ee8d68378947812cc82db4675e2e51db2",
+    "flowgnn_gin":
+        "3ba616a9f86b37b8e5b29436b5a72f6380bcccd738ed458bf6dd43d4f2cd43a4",
+    "flowgnn_pna":
+        "7a335955bd9468f820443e7a64935c1c73804705e76ed20c93eec1a61cfa0973",
+    "inr_arch":
+        "848552e4b8f5e2ad45f7a304d604c49b0d386ad032788dbe54f8902697a6cbcc",
+    "merge_sort_parallel":
+        "f0a5fc13ebec537d36d7925aded33861488822b5a62ee265587f8b384d1bc1a6",
+    "multicore":
+        "faf625485515e95de88d5d60705451a5d4f4bc3aeaec0c8b39297d3f751ff8c4",
+    "skynet":
+        "53349c749f73a6e3ca2be11706280cab9970c1f8b9b67c8a305346339c70f72f",
+    "vector_add_stream":
+        "5b11e2fd7e2fa103df96cbc49031018c46dbc440dabc551a9c28ce95fee3f27d",
+}
+
+
+def test_single_fifo_steps_answer_as_pinned():
+    """Every single-FIFO step on every registry capture replays to the
+    pinned answer: cycles, end times, exception type and message."""
+    got = {}
+    for name in designs.names():
+        result = _baseline(name, "compiled")
+        steps = [] if result is None else _single_fifo_steps(
+            result.trace.depths)
+        if steps:
+            art = result.trace
+            answers = [_step_answer(lambda: art.resimulate(step))
+                       for step in steps]
+            got[name] = hashlib.sha256(
+                json.dumps(answers).encode()).hexdigest()
+    assert got == STEP_ANSWERS
 
 
 def test_serialization_preserves_static_columns():
