@@ -9,8 +9,10 @@ The two rows to reproduce:
   succeed: constraints are violated and a full re-simulation is required
   (still cheaper than recompiling: the front-end result is reused).
 
-``tests/test_paper_tables.py`` checks the ``incr. OK?`` and ``cycles``
-columns and the depth sweep in tier-1.
+The ``(2, 100)`` row's check time and speedup are a steady replay's;
+the first replay of the capture, which also builds what later replays
+reuse, is printed beside it.  ``tests/test_paper_tables.py`` checks the
+``incr. OK?`` and ``cycles`` columns and the depth sweep in tier-1.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ OmniSimulator = get_engine("omnisim").cls
 
 EX5_N = 800
 SWEEP_DEPTHS = range(3, 35)
+#: replays after the first; the steady cost is their minimum
+STEADY_REPLAYS = 20
 
 
 def base_result():
@@ -52,12 +56,17 @@ def rows() -> dict:
         "speedup vs full": "-", "cycles": result.cycles,
     }]
 
+    # The first replay of a capture also builds its static edges, the
+    # iteration view and the replay anchor; a steady one is what every
+    # later depth change costs.
     incremental = result.trace.resimulate({"fifo2": 100})
-    speedup = result.execute_seconds / incremental.seconds
+    steady = min(result.trace.resimulate({"fifo2": 100}).seconds
+                 for _ in range(STEADY_REPLAYS))
+    speedup = result.execute_seconds / steady
     table.append({
         "run": "incremental", "depths": "(2, 100)",
-        "incr. check": fmt_seconds(incremental.seconds), "incr. OK?": "yes",
-        "FE": "-", "MT": "-", "total": fmt_seconds(incremental.seconds),
+        "incr. check": fmt_seconds(steady), "incr. OK?": "yes",
+        "FE": "-", "MT": "-", "total": fmt_seconds(steady),
         "speedup vs full": f"{speedup:.0f}x", "cycles": incremental.cycles,
     })
 
@@ -85,7 +94,8 @@ def rows() -> dict:
     sweep_cycles = [result.trace.resimulate({"fifo2": depth}).cycles
                     for depth in SWEEP_DEPTHS]
     return {"table": table, "base": result, "sweep_cycles": sweep_cycles,
-            "sweep_seconds": time.perf_counter() - t0}
+            "sweep_seconds": time.perf_counter() - t0,
+            "first_seconds": incremental.seconds, "steady_seconds": steady}
 
 
 def render(data) -> str:
@@ -98,6 +108,10 @@ def render(data) -> str:
         f"P2={result.scalars['processed_by_P2']}, "
         f"cycles={result.cycles}, "
         f"constraints recorded={len(result.trace.c_node)}",
+        f"(2, 100) replay: first {fmt_seconds(data['first_seconds'])} "
+        f"(static edges, view, anchor), steady "
+        f"{fmt_seconds(data['steady_seconds'])} "
+        f"(min of {STEADY_REPLAYS})",
         f"\ndepth sweep over fifo2={SWEEP_DEPTHS[0]}..{SWEEP_DEPTHS[-1]} "
         f"({configs} configurations):",
         f"  incremental re-simulations : "

@@ -68,10 +68,11 @@ class Session:
         )
         #: builder parameter overrides the design was opened with
         self.params = dict(params)
-        resolve_executor(executor)  # an unknown name fails at open
         #: the Func Sim executor of every capture, replay and run on
-        #: this session's behalf (None -> "compiled")
-        self.executor = executor
+        #: this session's behalf, resolved (None -> "compiled"): one
+        #: capture has one name in store keys and journal identities;
+        #: an unknown name fails at open
+        self.executor = resolve_executor(executor)
         #: the on-disk trace store (its module loads only when something
         #: configures one), or None when caching is disabled
         self.trace_store = None
@@ -139,8 +140,7 @@ class Session:
         design is not fingerprintable (ad-hoc compiled objects)."""
         from ..trace.store import artifact_digest
 
-        return artifact_digest(self.design_ref,
-                               resolve_executor(self.executor))
+        return artifact_digest(self.design_ref, self.executor)
 
     def baseline(self, *, refresh: bool = False):
         """The captured OmniSim reference run (``.trace`` is the

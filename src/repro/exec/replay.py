@@ -182,14 +182,18 @@ def incremental_rows(reference, depth_maps: list, batch_size: int) -> list:
     neighbour): one ``IncrementalResult | None`` per depth map,
     ``batch_size`` rows per kernel call — one scalar replay each where
     the kernel cannot serve this reference (no NumPy, no all-depth
-    replay order); ``None`` marks a row only a full run can decide."""
+    replay order) and for a one-row slice, as in
+    :meth:`Replayer.evaluate`; ``None`` marks a row only a full run can
+    decide."""
     trace = reference.trace
     if not batch_supported(trace):
-        return [replay_one(reference, dict(depths))[0]
-                for depths in depth_maps]
-    return [row for lo in range(0, len(depth_maps), batch_size)
-            for row in resimulate_batch(trace,
-                                        depth_maps[lo:lo + batch_size])]
+        batch_size = 1
+    rows = []
+    for lo in range(0, len(depth_maps), batch_size):
+        chunk = depth_maps[lo:lo + batch_size]
+        rows += (resimulate_batch(trace, chunk) if len(chunk) > 1
+                 else [replay_one(reference, dict(chunk[0]))[0]])
+    return rows
 
 
 def chain(configs, after=None) -> list:

@@ -14,7 +14,10 @@ observable behaviour:
   those depths on cycles and per-module end times (the paper's Table 6
   identity); a declined replay (``ConstraintViolation`` / deadlocking
   configuration) is the contract, a full-run deadlock where replay said
-  "ok" is a finding;
+  "ok" is a finding; and every replay must answer exactly what the
+  forced relaxation sweep with a full re-validation answers (cycles,
+  end times, exception type and message), so the replay certificate
+  is checked on every generated spec;
 * **batch legs** — every non-``None`` row of
   :func:`repro.trace.vectorized.resimulate_batch` must be bit-for-bit
   the scalar columnar answer for that row; a declined row or a
@@ -136,6 +139,16 @@ def _timing_outcome(thunk):
             tuple(sorted(out[1].module_end_times.items())))
 
 
+def _exact_outcome(thunk):
+    """A replay's answer down to the exception message: what a
+    certified replay and the forced sweep must share byte for byte."""
+    try:
+        inc = thunk()
+    except Exception as exc:  # noqa: BLE001 - compared, not judged
+        return ("raised", type(exc).__name__, str(exc))
+    return ("ok", inc.cycles, tuple(sorted(inc.module_end_times.items())))
+
+
 def run_differential(spec, *, max_cycles: int = DEFAULT_MAX_CYCLES
                      ) -> DifferentialReport:
     """Evaluate one validated spec across every differential leg."""
@@ -195,6 +208,20 @@ def run_differential(spec, *, max_cycles: int = DEFAULT_MAX_CYCLES
     configs = _retime_configs(art.depths)
     scalar_outcomes = []
     for i, config in enumerate(configs):
+        exact = _exact_outcome(lambda: art.resimulate(config))
+        swept = _exact_outcome(
+            lambda: art._resimulate(config, certify=False))
+        if exact != swept:
+            found = {f"retime[{i}].replay": exact,
+                     f"retime[{i}].sweep": swept}
+            legs.update(found)
+            return DifferentialReport(
+                divergence=Divergence(
+                    kind="retiming",
+                    detail=(f"replay != forced sweep on config "
+                            f"{config!r}"),
+                    legs=found),
+                legs=legs, configs_checked=i + 1)
         replay = _timing_outcome(lambda: art.resimulate(config))
         scalar_outcomes.append(replay)
         if replay[0] in ("constraint", "failure"):

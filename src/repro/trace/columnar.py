@@ -229,8 +229,9 @@ class TraceArtifact:
         self.s_order: array | None = None
         self.s_has_order = False
         #: per-process derived caches, never serialized: the scalar
-        #: iteration view and :mod:`repro.trace.vectorized`'s batch plan
-        self._view = self._vplan = None
+        #: iteration view, :mod:`repro.trace.vectorized`'s batch plan and
+        #: the replay anchor (:meth:`_anchor_of`; False: none holds)
+        self._view = self._vplan = self._anchor = None
         #: makes the lazy builds single-flight: sessions are shared by
         #: the service's thread pool, and the first retimes of a cold
         #: artifact arrive together.  Readers that find a build already
@@ -324,7 +325,7 @@ class TraceArtifact:
             mod_ptr = [0, *accumulate(
                 per_module[mid] for mid in range(len(self.module_names)))]
             self.s_succ_ptr = None
-            self._view = self._vplan = None
+            self._view = self._vplan = self._anchor = None
             self.mod_ptr = mod_ptr
             # published last: a reader that finds the node list current
             # finds everything above current too
@@ -460,7 +461,7 @@ class TraceArtifact:
         self.s_succ_weight = _qarray(succ_weight)
         self.s_has_order = order is not None
         self.s_order = _qarray(order) if order is not None else _qarray()
-        self._view = None
+        self._view = self._anchor = None
         # published last: "built" is ``s_succ_ptr is not None``
         self.s_succ_ptr = _qarray(succ_ptr)
 
@@ -600,9 +601,30 @@ class TraceArtifact:
         functional execution is unchanged; the caller re-validates the
         recorded query constraints.  Returns the new time list.
         """
+        times, rows = self._retime(depths)
+        # certified times are the anchor's own list: hand out a copy
+        return times if rows is None else times[:]
+
+    def _retime(self, depths: dict, certify: bool = True):
+        """``(times, rows)``: the node times under ``depths``, and the
+        constraint rows a re-validation must check there — ``None`` (all
+        of them) where the relaxation sweep ran, the changed FIFOs'
+        write-side rows where :meth:`_certify` vouched for the anchor's
+        times.  ``certify=False`` forces the sweep: the oracle the
+        certificate is tested against."""
         self._check_depths(depths)
-        (sweep, succ_pairs, base, indegree_base, kind,
-         fifo_views) = self._iter_view()
+        view = self._iter_view()
+        if certify:
+            certified = self._certify(view, depths)
+            if certified is not None:
+                return certified
+        return self._sweep(view, depths), None
+
+    def _sweep(self, view, depths: dict) -> list[int]:
+        """Longest paths over the static edges plus the WAR overlay of
+        ``depths``: one relaxation sweep in the all-depth order, else a
+        Kahn walk that detects a cycle."""
+        (sweep, succ_pairs, base, indegree_base, kind, fifo_views) = view
         total = self.node_count
 
         # --- per-depth WAR overlay: the only depth-dependent edges ------
@@ -675,6 +697,82 @@ class TraceArtifact:
         return new_time
 
     # ------------------------------------------------------------------
+    # the replay certificate: the capture's own times, where they hold
+
+    def _anchor_of(self, view):
+        """The capture replayed at its own depths, as ``(depths, times,
+        write_rows)`` — the sweep's node times there, which re-validated
+        every recorded query, and per FIFO its write-side constraint
+        rows in column order — or False where no certificate can use
+        one: no all-depth order (:meth:`_certify` inducts along it), or the
+        capture's own replay raised.  Built once under the build lock;
+        :meth:`_sync` drops it with the view, and it never travels."""
+        anchor = self._anchor
+        if anchor is None:
+            with self._build_lock:
+                anchor = self._anchor
+                if anchor is None:
+                    anchor = self._anchor = self._build_anchor(view)
+        return anchor
+
+    def _build_anchor(self, view):
+        if view[0] is None:
+            return False
+        depths = dict(self.depths)
+        try:
+            self._check_depths(depths)
+            times = self._sweep(view, depths)
+            self._validate_constraints(times, depths)
+        except (ConstraintViolation, SimulationError):
+            return False
+        write_rows = [[] for _ in self.fifos]
+        for row, (code, fifo) in enumerate(zip(self.c_kind, self.c_fifo)):
+            if code <= _WRITE_QUERY_MAX_CODE:
+                write_rows[fifo].append(row)
+        return depths, times, write_rows
+
+    def _certify(self, view, depths: dict):
+        """``(times, rows)`` when the anchor's node times are the sweep's
+        at ``depths`` too, else None (the sweep decides).
+
+        Only the WAR edges of the FIFOs whose depth changed differ from
+        the anchor's graph, and only blocking writes receive them.  A
+        decrease ``d0 -> d1`` must find every new edge already met,
+        ``t[write #j] > t[read #(j-d1)]``; an increase must find no
+        removed edge tight, ``t[write #j] > t[read #(j-d0)] + 1`` — a
+        tie may be the write's only binding edge.  Then the anchor meets
+        every edge at ``depths`` and every node keeps an edge that
+        supports its time, so it is their least fixpoint (DESIGN.md
+        section 14).  A depth below the FIFO's replayable minimum falls
+        back: the sweep raises there.  ``rows`` are the changed FIFOs'
+        write-side constraint rows, in column order: no other query
+        reads a changed depth, and no time moved."""
+        anchor = self._anchor_of(view)
+        if not anchor:
+            return None
+        anchor_depths, times, write_rows = anchor
+        kind = view[4]
+        changed = []
+        for index, (name, writes, reads, min_depth) in enumerate(view[5]):
+            old, new = anchor_depths[name], depths[name]
+            if new == old:
+                continue
+            if new < min_depth:
+                return None
+            # write #j waits on read #(j - depth): the new edges of a
+            # decrease must hold, the old edges of an increase have slack
+            depth, slack = (new, 0) if new < old else (old, 1)
+            for write, read in zip(writes[depth:], reads):
+                if times[write] <= times[read] + slack \
+                        and kind[write] == K_WRITE:
+                    return None
+            changed.append(index)
+        if len(changed) == 1:
+            return times, write_rows[changed[0]]
+        return times, sorted(row for index in changed
+                             for row in write_rows[index])
+
+    # ------------------------------------------------------------------
     # incremental re-simulation
 
     def resimulate(self, new_depths: dict) -> IncrementalResult:
@@ -695,6 +793,12 @@ class TraceArtifact:
         :class:`~repro.errors.SimulationError` on unknown names, depths
         < 1, or a configuration that deadlocks the recording.
         """
+        return self._resimulate(new_depths)
+
+    def _resimulate(self, new_depths: dict,
+                    certify: bool = True) -> IncrementalResult:
+        """:meth:`resimulate`; ``certify=False`` forces the sweep and a
+        full re-validation (see :meth:`_retime`)."""
         start = _time.perf_counter()
         depths = dict(self.depths)
         unknown = set(new_depths) - set(depths)
@@ -703,8 +807,8 @@ class TraceArtifact:
                 f"unknown FIFO name(s): {sorted(unknown)}"
             )
         depths.update(new_depths)
-        times = self.retime(depths)
-        self._validate_constraints(times, depths)
+        times, rows = self._retime(depths, certify)
+        self._validate_constraints(times, depths, rows)
         seconds = _time.perf_counter() - start
         return IncrementalResult(
             cycles=self.total_cycles(times),
@@ -715,16 +819,18 @@ class TraceArtifact:
             buffer_bits=self.buffer_bits(depths),
         )
 
-    def _validate_constraints(self, times: list, depths: dict) -> None:
-        """Table 2 re-validation of every recorded query under the new
-        times and depths (iterates the constraint columns)."""
+    def _validate_constraints(self, times: list, depths: dict,
+                              rows=None) -> None:
+        """Table 2 re-validation of the recorded queries under the new
+        times and depths: the constraint rows ``rows`` (ascending), or
+        every row; the first that flips raises."""
         kinds = self.c_kind
         fifo_ids = self.c_fifo
         indices = self.c_index
         outcomes = self.c_outcome
         nodes = self.c_node
         fifos = self.fifos
-        for i in range(len(nodes)):
+        for i in range(len(nodes)) if rows is None else rows:
             fc = fifos[fifo_ids[i]]
             depth = depths[fc.name]
             source_time = times[nodes[i]]

@@ -206,6 +206,69 @@ class TestRecorderIsTheKernelInput:
             graph.resimulate(shallow).cycles
 
 
+class TestReplayCertificate:
+    """``retime`` returns the capture's own times where a certificate
+    proves they still hold at the new depths, and runs the sweep
+    otherwise; either way it answers what the forced sweep answers."""
+
+    def _graph(self, depth, writes, reads):
+        """Producer ``p`` writes at nominal ``writes``, consumer ``c``
+        reads at nominal ``reads``, through FIFO ``f`` captured at
+        ``depth``."""
+        graph = TraceArtifact()
+        table = graph.fifo_table("f")
+        for nominal in writes:
+            table.add_write(graph.add_node("p", _request(nominal), nominal,
+                                           K_WRITE))
+        for nominal in reads:
+            table.add_read(graph.add_node("c", _request(nominal), nominal,
+                                          K_READ))
+        graph.depths = {"f": depth}
+        return graph, table
+
+    def _certified(self, graph, depths) -> bool:
+        times, rows = graph._retime(depths)
+        assert times == graph._retime(depths, certify=False)[0]
+        return rows is not None
+
+    def test_slack_edges_certify_both_ways(self):
+        # a slow producer never waits on the fast consumer
+        graph, table = self._graph(2, [0, 10, 20], [1, 2, 3])
+        anchor = graph.retime({"f": 2})
+        for depth in (1, 3, 64):
+            assert self._certified(graph, {"f": depth}), depth
+            assert graph.retime({"f": depth}) == anchor
+
+    def test_tie_on_an_increase_falls_back(self):
+        # depth 1: write #2 waits on read #1, and that edge alone sets
+        # its time (a tie); at depth 2 the write moves up
+        graph, table = self._graph(1, [0, 1], [10, 11])
+        w2, r1 = table.write_nodes[1], table.read_nodes[0]
+        anchor = graph.retime({"f": 1})
+        assert anchor[w2] == anchor[r1] + 1
+        assert not self._certified(graph, {"f": 2})
+        assert graph.retime({"f": 2})[w2] == 1 != anchor[w2]
+
+    def test_decrease_breaking_a_new_war_edge_falls_back(self):
+        graph, table = self._graph(2, [0, 1], [10, 11])
+        w2, r1 = table.write_nodes[1], table.read_nodes[0]
+        anchor = graph.retime({"f": 2})
+        assert anchor[w2] == 1
+        assert not self._certified(graph, {"f": 1})
+        assert graph.retime({"f": 1})[w2] == anchor[r1] + 1
+
+    def test_certified_times_are_a_copy(self):
+        graph, _table = self._graph(2, [0, 10, 20], [1, 2, 3])
+        times = graph.retime({"f": 3})
+        times[0] = -1
+        assert graph.retime({"f": 3})[0] == 0
+
+    def test_no_capture_depth_no_certificate(self):
+        graph, _table = self._graph(2, [0, 10, 20], [1, 2, 3])
+        graph.depths = {}
+        assert not self._certified(graph, {"f": 3})
+
+
 class TestRetimeDepthValidation:
     """Invalid depth maps are typed errors, not IndexError/KeyError or
     a misleading "became cyclic"."""

@@ -124,3 +124,19 @@ def test_run_depth_trace_cache_agrees_and_keys_apart(tmp_path):
         assert meta["executor"] == (executor or "compiled")
     assert digests[None] != digests["interp"]
     assert len(store.entries()) == 2
+
+
+def test_dse_resume_without_the_default_executor_flag(tmp_path):
+    """``--executor compiled`` and no ``--executor`` open one capture, so
+    a journal written under one resumes under the other."""
+    journal = str(tmp_path / "j.jsonl")
+    argv = ["dse", "fig4_ex5", "--range", "fifo2=1:4",
+            "--checkpoint", journal]
+    status, first, err = shell(argv + ["--executor", "compiled"])
+    assert (status, err) == (0, ""), err
+    status, resumed, err = shell(argv + ["--resume"])
+    assert (status, err) == (0, ""), err
+    lines = _masked(resumed, journal).splitlines()
+    assert "resumed    : 4 configs from DIR" in lines
+    lines.remove("resumed    : 4 configs from DIR")
+    assert lines == _masked(first, journal).splitlines()

@@ -249,7 +249,7 @@ def _step_answer(fn) -> list:
 
 #: sha256 of the JSON list of :func:`_step_answer` per single-FIFO step,
 #: per registry design with FIFOs, as replayed before node times could be
-#: certified (the sweep and full validation on every step)
+#: certified (the sweep and a full re-validation on every step)
 STEP_ANSWERS = {
     "accumulators_dataflow":
         "02dd75338c9c724b4d9f6a23db0cf244eded312150f0172b74b5d2bcb76482d7",
@@ -300,10 +300,21 @@ STEP_ANSWERS = {
 }
 
 
+def _certified(art, step) -> bool:
+    """Whether the replay certificate vouched for ``step``."""
+    try:
+        return art._retime(dict(art.depths, **step))[1] is not None
+    except SimulationError:
+        return False
+
+
 def test_single_fifo_steps_answer_as_pinned():
     """Every single-FIFO step on every registry capture replays to the
-    pinned answer: cycles, end times, exception type and message."""
+    pinned answer and to what the forced sweep with a full
+    re-validation answers: cycles, end times, exception type and
+    message.  The certificate must serve at least half of the steps."""
     got = {}
+    steps_total = certified = 0
     for name in designs.names():
         result = _baseline(name, "compiled")
         steps = [] if result is None else _single_fifo_steps(
@@ -312,9 +323,15 @@ def test_single_fifo_steps_answer_as_pinned():
             art = result.trace
             answers = [_step_answer(lambda: art.resimulate(step))
                        for step in steps]
+            assert answers == [
+                _step_answer(lambda: art._resimulate(step, certify=False))
+                for step in steps], name
             got[name] = hashlib.sha256(
                 json.dumps(answers).encode()).hexdigest()
+            steps_total += len(steps)
+            certified += sum(_certified(art, step) for step in steps)
     assert got == STEP_ANSWERS
+    assert certified * 2 >= steps_total, (certified, steps_total)
 
 
 def test_serialization_preserves_static_columns():

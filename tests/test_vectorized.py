@@ -552,6 +552,30 @@ def test_without_numpy_whole_batch_degrades(monkeypatch):
         == [(p.depths, p.cycles, p.buffer_bits) for p in scalar.points]
 
 
+@needs_numpy
+def test_one_row_slices_make_no_kernel_call(monkeypatch):
+    """``resimulate_many(batch_size=1)`` is the scalar path, as in
+    ``Replayer.evaluate``: a one-row slice is a scalar replay, never a
+    kernel call, and answers like one."""
+    from repro.exec import replay
+
+    calls = []
+    kernel = replay.resimulate_batch
+    monkeypatch.setattr(replay, "resimulate_batch",
+                        lambda *args: calls.append(args) or kernel(*args))
+    session = Session.open("fig4_ex5", trace_cache=False, n=60)
+    configs = [{"fifo2": 3}, {"fifo1": 5}, {"fifo2": 9}]
+    rows = session.resimulate_many(configs, batch_size=1)
+    assert len(calls) == 0
+    base, declared = session.baseline(), session.declared()[1]
+    scalar = [replay.replay_one(base, dict(declared, **config))[0]
+              for config in configs]
+    assert [row and row.cycles for row in rows] == [
+        row and row.cycles for row in scalar]
+    session.resimulate_many(configs, batch_size=2)
+    assert [len(args[1]) for args in calls] == [2], "a one-row tail"
+
+
 def test_batch_size_validation():
     from repro.dse import explore
 
