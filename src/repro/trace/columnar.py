@@ -59,7 +59,11 @@ them per node:
 
 Only **WAR** depends on the FIFO depths, so ``retime`` overlays those
 per call on the static columns: a depth sweep pays O(WAR edges)
-construction per configuration instead of O(graph).  This is the only
+construction per configuration instead of O(graph).  Most depth changes
+move no node time at all, so ``retime`` / ``resimulate`` first try a
+certificate that the capture's own times still hold (:meth:`_certify`:
+O(writes of the changed FIFOs), then only those FIFOs' write-side
+queries are re-checked) and sweep only where it fails.  This is the only
 scalar implementation; :mod:`repro.trace.vectorized` is the batched one,
 and both are tested against full OmniSim runs at the new depths.
 
@@ -608,10 +612,10 @@ class TraceArtifact:
     def _retime(self, depths: dict, certify: bool = True):
         """``(times, rows)``: the node times under ``depths``, and the
         constraint rows a re-validation must check there — ``None`` (all
-        of them) where the relaxation sweep ran, the changed FIFOs'
-        write-side rows where :meth:`_certify` vouched for the anchor's
-        times.  ``certify=False`` forces the sweep: the oracle the
-        certificate is tested against."""
+        of them) where the relaxation sweep ran, the rows that flip
+        where :meth:`_certify` vouched for the anchor's times.
+        ``certify=False`` forces the sweep: the oracle the certificate
+        is tested against."""
         self._check_depths(depths)
         view = self._iter_view()
         if certify:
@@ -701,12 +705,13 @@ class TraceArtifact:
 
     def _anchor_of(self, view):
         """The capture replayed at its own depths, as ``(depths, times,
-        write_rows)`` — the sweep's node times there, which re-validated
-        every recorded query, and per FIFO its write-side constraint
-        rows in column order — or False where no certificate can use
-        one: no all-depth order (:meth:`_certify` inducts along it), or the
-        capture's own replay raised.  Built once under the build lock;
-        :meth:`_sync` drops it with the view, and it never travels."""
+        write_rows, verdicts)`` — the sweep's node times there, which
+        re-validated every recorded query; per FIFO its write-side
+        constraint rows in column order; and :meth:`_verdict`'s memo —
+        or False where no certificate can use one: no all-depth order
+        (:meth:`_certify` inducts along it), or the capture's own replay
+        raised.  Built once under the build lock; :meth:`_sync` drops it
+        with the view, and it never travels."""
         anchor = self._anchor
         if anchor is None:
             with self._build_lock:
@@ -729,48 +734,67 @@ class TraceArtifact:
         for row, (code, fifo) in enumerate(zip(self.c_kind, self.c_fifo)):
             if code <= _WRITE_QUERY_MAX_CODE:
                 write_rows[fifo].append(row)
-        return depths, times, write_rows
+        return depths, times, write_rows, {}
 
     def _certify(self, view, depths: dict):
         """``(times, rows)`` when the anchor's node times are the sweep's
-        at ``depths`` too, else None (the sweep decides).
+        at ``depths`` too, else None (the sweep decides).  ``rows`` are
+        the constraint rows that flip there, in column order: at most
+        one per changed FIFO (:meth:`_verdict`), and every other row
+        resolves as recorded.
 
         Only the WAR edges of the FIFOs whose depth changed differ from
-        the anchor's graph, and only blocking writes receive them.  A
-        decrease ``d0 -> d1`` must find every new edge already met,
-        ``t[write #j] > t[read #(j-d1)]``; an increase must find no
-        removed edge tight, ``t[write #j] > t[read #(j-d0)] + 1`` — a
-        tie may be the write's only binding edge.  Then the anchor meets
-        every edge at ``depths`` and every node keeps an edge that
-        supports its time, so it is their least fixpoint (DESIGN.md
-        section 14).  A depth below the FIFO's replayable minimum falls
-        back: the sweep raises there.  ``rows`` are the changed FIFOs'
-        write-side constraint rows, in column order: no other query
-        reads a changed depth, and no time moved."""
+        the anchor's graph, and each FIFO's verdict reads only its own
+        depth, so one verdict per (FIFO, depth) is remembered."""
         anchor = self._anchor_of(view)
         if not anchor:
             return None
-        anchor_depths, times, write_rows = anchor
-        kind = view[4]
-        changed = []
-        for index, (name, writes, reads, min_depth) in enumerate(view[5]):
-            old, new = anchor_depths[name], depths[name]
-            if new == old:
+        anchor_depths, times, write_rows, verdicts = anchor
+        flips = []
+        for fifo, fifo_view in enumerate(view[5]):
+            name = fifo_view[0]
+            depth = depths[name]
+            if depth == anchor_depths[name]:
                 continue
-            if new < min_depth:
+            verdict = verdicts.get((fifo, depth))
+            if verdict is None:  # threads racing here store equal values
+                verdict = verdicts[fifo, depth] = self._verdict(
+                    view[4], fifo_view, anchor_depths[name], depths,
+                    times, write_rows[fifo])
+            if verdict is False:
                 return None
-            # write #j waits on read #(j - depth): the new edges of a
-            # decrease must hold, the old edges of an increase have slack
-            depth, slack = (new, 0) if new < old else (old, 1)
-            for write, read in zip(writes[depth:], reads):
-                if times[write] <= times[read] + slack \
-                        and kind[write] == K_WRITE:
-                    return None
-            changed.append(index)
-        if len(changed) == 1:
-            return times, write_rows[changed[0]]
-        return times, sorted(row for index in changed
-                             for row in write_rows[index])
+            flips += verdict
+        return times, sorted(flips)
+
+    def _verdict(self, kind, fifo_view, old: int, depths: dict, times,
+                 write_rows):
+        """One changed FIFO against the anchor's ``times``: False when
+        the certificate fails, else its first write-side row that flips
+        at the new depth, as a list of at most one row.
+
+        Only blocking writes receive WAR edges.  A decrease ``d0 -> d1``
+        must find every new edge already met, ``t[write #j] >
+        t[read #(j-d1)]``; an increase must find no removed edge tight,
+        ``t[write #j] > t[read #(j-d0)] + 1`` — a tie may be the write's
+        only binding edge.  Then the anchor meets every edge at the new
+        depths and every node keeps an edge that supports its time, so
+        it is their least fixpoint (DESIGN.md section 14).  A depth
+        below the FIFO's replayable minimum fails: the sweep raises
+        there.  With the times unchanged, only this FIFO's write-side
+        queries read anything that changed (its depth)."""
+        name, writes, reads, min_depth = fifo_view
+        new = depths[name]
+        if new < min_depth:
+            return False
+        # write #j waits on read #(j - depth): the new edges of a
+        # decrease must hold, the old edges of an increase have slack
+        depth, slack = (new, 0) if new < old else (old, 1)
+        for write, read in zip(writes[depth:], reads):
+            if times[write] <= times[read] + slack \
+                    and kind[write] == K_WRITE:
+                return False
+        flip = self._first_flip(times, depths, write_rows)
+        return [] if flip is None else [flip]
 
     # ------------------------------------------------------------------
     # incremental re-simulation
@@ -784,8 +808,9 @@ class TraceArtifact:
         resolved timing query was recorded instead.  Re-simulation
         retimes the recorded graph under the new depths (:meth:`retime`)
         and re-evaluates every query with the Table 2 conditions at the
-        new depth S' — microseconds to milliseconds, versus seconds for
-        a full run (paper Table 6).
+        new depth S' — only the changed FIFOs' write-side queries where
+        the capture's own times are certified to hold — microseconds to
+        milliseconds, versus seconds for a full run (paper Table 6).
 
         Unmentioned FIFOs keep the capture depth; raises
         :class:`~repro.errors.ConstraintViolation` when a recorded query
@@ -824,6 +849,28 @@ class TraceArtifact:
         """Table 2 re-validation of the recorded queries under the new
         times and depths: the constraint rows ``rows`` (ascending), or
         every row; the first that flips raises."""
+        i = self._first_flip(times, depths, rows)
+        if i is None:
+            return
+        fc = self.fifos[self.c_fifo[i]]
+        kind = CONSTRAINT_KINDS[self.c_kind[i]]
+        index = self.c_index[i]
+        recorded = bool(self.c_outcome[i])
+        raise ConstraintViolation(
+            f"query {kind} on '{fc.name}' "
+            f"(access #{index}) resolved "
+            f"{recorded} in the recorded run but would "
+            f"resolve {not recorded} with depths {depths}; full "
+            "re-simulation required",
+            query=Constraint(kind, fc.name, index, recorded,
+                             self.c_node[i]),
+            depths=depths,
+        )
+
+    def _first_flip(self, times: list, depths: dict, rows=None):
+        """The first of the constraint rows ``rows`` (ascending; every
+        row when None) whose query resolves otherwise than recorded
+        under ``times`` and ``depths``, or None."""
         kinds = self.c_kind
         fifo_ids = self.c_fifo
         indices = self.c_index
@@ -834,9 +881,8 @@ class TraceArtifact:
             fc = fifos[fifo_ids[i]]
             depth = depths[fc.name]
             source_time = times[nodes[i]]
-            code = kinds[i]
             index = indices[i]
-            if code <= _WRITE_QUERY_MAX_CODE:  # nb_write / can_write
+            if kinds[i] <= _WRITE_QUERY_MAX_CODE:  # nb_write / can_write
                 if index <= depth:
                     outcome = True
                 else:
@@ -852,19 +898,9 @@ class TraceArtifact:
                         index - 1]]
                 else:
                     outcome = False  # the awaited write never happened
-            recorded = bool(outcomes[i])
-            if outcome != recorded:
-                kind = CONSTRAINT_KINDS[code]
-                raise ConstraintViolation(
-                    f"query {kind} on '{fc.name}' "
-                    f"(access #{index}) resolved "
-                    f"{recorded} in the recorded run but would "
-                    f"resolve {outcome} with depths {depths}; full "
-                    "re-simulation required",
-                    query=Constraint(kind, fc.name, index, recorded,
-                                     nodes[i]),
-                    depths=depths,
-                )
+            if outcome != bool(outcomes[i]):
+                return i
+        return None
 
     # ------------------------------------------------------------------
     # aggregates
