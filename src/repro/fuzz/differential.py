@@ -81,19 +81,24 @@ def _outcome(thunk):
     legitimately diagnose the same true deadlock at different clocks."""
     try:
         result = thunk()
-    except DeadlockError:
-        return ("deadlock",)
-    except UnsupportedDesignError:
-        return ("unsupported",)
-    except ConstraintViolation:
-        return ("constraint",)
-    except SimulationError as exc:
-        return ("failure", type(exc).__name__)
-    except ReproError as exc:
-        return ("error", type(exc).__name__)
     except Exception as exc:  # noqa: BLE001 - a crash IS the finding
-        return ("crash", f"{type(exc).__name__}: {exc}")
+        return _raised(exc)
     return ("ok", result)
+
+
+def _raised(exc: Exception) -> tuple:
+    """:func:`_outcome` of a leg that raised ``exc``."""
+    if isinstance(exc, DeadlockError):
+        return ("deadlock",)
+    if isinstance(exc, UnsupportedDesignError):
+        return ("unsupported",)
+    if isinstance(exc, ConstraintViolation):
+        return ("constraint",)
+    if isinstance(exc, SimulationError):
+        return ("failure", type(exc).__name__)
+    if isinstance(exc, ReproError):
+        return ("error", type(exc).__name__)
+    return ("crash", f"{type(exc).__name__}: {exc}")
 
 
 def _fingerprint(result) -> tuple:
@@ -139,14 +144,16 @@ def _timing_outcome(thunk):
             tuple(sorted(out[1].module_end_times.items())))
 
 
-def _exact_outcome(thunk):
-    """A replay's answer down to the exception message: what a
-    certified replay and the forced sweep must share byte for byte."""
+def _replay_outcomes(thunk):
+    """One replay's answer twice: exact, down to the exception's type
+    and message (what the replay certificate and the forced sweep must
+    share byte for byte), and as :func:`_timing_outcome`."""
     try:
         inc = thunk()
     except Exception as exc:  # noqa: BLE001 - compared, not judged
-        return ("raised", type(exc).__name__, str(exc))
-    return ("ok", inc.cycles, tuple(sorted(inc.module_end_times.items())))
+        return ("raised", type(exc).__name__, str(exc)), _raised(exc)
+    timing = ("ok", inc.cycles, tuple(sorted(inc.module_end_times.items())))
+    return timing, timing
 
 
 def run_differential(spec, *, max_cycles: int = DEFAULT_MAX_CYCLES
@@ -208,9 +215,9 @@ def run_differential(spec, *, max_cycles: int = DEFAULT_MAX_CYCLES
     configs = _retime_configs(art.depths)
     scalar_outcomes = []
     for i, config in enumerate(configs):
-        exact = _exact_outcome(lambda: art.resimulate(config))
-        swept = _exact_outcome(
-            lambda: art._resimulate(config, certify=False))
+        exact, replay = _replay_outcomes(lambda: art.resimulate(config))
+        swept = _replay_outcomes(
+            lambda: art._resimulate(config, certify=False))[0]
         if exact != swept:
             found = {f"retime[{i}].replay": exact,
                      f"retime[{i}].sweep": swept}
@@ -222,7 +229,6 @@ def run_differential(spec, *, max_cycles: int = DEFAULT_MAX_CYCLES
                             f"{config!r}"),
                     legs=found),
                 legs=legs, configs_checked=i + 1)
-        replay = _timing_outcome(lambda: art.resimulate(config))
         scalar_outcomes.append(replay)
         if replay[0] in ("constraint", "failure"):
             continue  # replay declined -> full re-simulation, by contract

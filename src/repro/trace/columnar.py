@@ -79,7 +79,7 @@ import time as _time
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from ..errors import ConstraintViolation, SimulationError
 from ..sim.result import (
@@ -107,6 +107,10 @@ CONSTRAINT_KINDS = (
     "fifo_nb_write", "fifo_can_write", "fifo_nb_read", "fifo_can_read",
 )
 _WRITE_QUERY_MAX_CODE = 1
+
+#: ``TraceArtifact._anchor`` after the artifact's first replay, which
+#: builds no anchor (see ``TraceArtifact._anchor_of``)
+_REPLAYED_ONCE = object()
 
 #: default element width (bits) for FIFOs absent from the width table
 #: (hand-built artifacts)
@@ -612,8 +616,9 @@ class TraceArtifact:
     def _retime(self, depths: dict, certify: bool = True):
         """``(times, rows)``: the node times under ``depths``, and the
         constraint rows a re-validation must check there — ``None`` (all
-        of them) where the relaxation sweep ran, the rows that flip
-        where :meth:`_certify` vouched for the anchor's times.
+        of them) where the relaxation sweep ran, the changed FIFOs'
+        write-side rows where :meth:`_certify` vouched for the anchor's
+        times.
         ``certify=False`` forces the sweep: the oracle the certificate
         is tested against."""
         self._check_depths(depths)
@@ -705,18 +710,24 @@ class TraceArtifact:
 
     def _anchor_of(self, view):
         """The capture replayed at its own depths, as ``(depths, times,
-        write_rows, verdicts)`` — the sweep's node times there, which
-        re-validated every recorded query; per FIFO its write-side
-        constraint rows in column order; and :meth:`_verdict`'s memo —
-        or False where no certificate can use one: no all-depth order
-        (:meth:`_certify` inducts along it), or the capture's own replay
-        raised.  Built once under the build lock; :meth:`_sync` drops it
-        with the view, and it never travels."""
+        write_rows)`` — the sweep's node times there, which re-validated
+        every recorded query, and per FIFO its write-side constraint
+        rows in column order — or False where no certificate uses one:
+        no all-depth order (:meth:`_certify` inducts along it), or the
+        capture's own replay raised.
+
+        The artifact's first replay builds none and is told False: a
+        one-shot replay pays for its own sweep only.  The second builds
+        it, once, under the build lock; :meth:`_sync` drops it with the
+        view (the count starts over), and it never travels."""
         anchor = self._anchor
-        if anchor is None:
+        if anchor is None or anchor is _REPLAYED_ONCE:
             with self._build_lock:
                 anchor = self._anchor
                 if anchor is None:
+                    self._anchor = _REPLAYED_ONCE
+                    return False
+                if anchor is _REPLAYED_ONCE:
                     anchor = self._anchor = self._build_anchor(view)
         return anchor
 
@@ -734,67 +745,48 @@ class TraceArtifact:
         for row, (code, fifo) in enumerate(zip(self.c_kind, self.c_fifo)):
             if code <= _WRITE_QUERY_MAX_CODE:
                 write_rows[fifo].append(row)
-        return depths, times, write_rows, {}
+        return depths, times, write_rows
 
     def _certify(self, view, depths: dict):
         """``(times, rows)`` when the anchor's node times are the sweep's
         at ``depths`` too, else None (the sweep decides).  ``rows`` are
-        the constraint rows that flip there, in column order: at most
-        one per changed FIFO (:meth:`_verdict`), and every other row
-        resolves as recorded.
+        the write-side constraint rows of the FIFOs whose depth changed,
+        in column order: the only queries that read anything that
+        changed (a depth), so every other row resolves as recorded.
 
-        Only the WAR edges of the FIFOs whose depth changed differ from
-        the anchor's graph, and each FIFO's verdict reads only its own
-        depth, so one verdict per (FIFO, depth) is remembered."""
+        Only blocking writes receive WAR edges, and only those of the
+        changed FIFOs differ from the anchor's graph.  A decrease ``d0
+        -> d1`` must find every new edge already met, ``t[write #j] >
+        t[read #(j-d1)]``; an increase must find no removed edge tight,
+        ``t[write #j] > t[read #(j-d0)] + 1`` — a tie may be the
+        write's only binding edge.  Then the anchor meets every edge at
+        the new depths and every node keeps an edge that supports its
+        time, so it is their least fixpoint (DESIGN.md section 14).  A
+        depth below the FIFO's replayable minimum fails: the sweep
+        raises there."""
         anchor = self._anchor_of(view)
         if not anchor:
             return None
-        anchor_depths, times, write_rows, verdicts = anchor
-        flips = []
-        for fifo, fifo_view in enumerate(view[5]):
-            name = fifo_view[0]
-            depth = depths[name]
-            if depth == anchor_depths[name]:
+        anchor_depths, times, write_rows = anchor
+        kind = view[4]
+        changed = []
+        for fifo, (name, writes, reads, min_depth) in enumerate(view[5]):
+            new, old = depths[name], anchor_depths[name]
+            if new == old:
                 continue
-            verdict = verdicts.get((fifo, depth))
-            if verdict is None:  # threads racing here store equal values
-                verdict = verdicts[fifo, depth] = self._verdict(
-                    view[4], fifo_view, anchor_depths[name], depths,
-                    times, write_rows[fifo])
-            if verdict is False:
+            if new < min_depth:
                 return None
-            flips += verdict
-        return times, sorted(flips)
-
-    def _verdict(self, kind, fifo_view, old: int, depths: dict, times,
-                 write_rows):
-        """One changed FIFO against the anchor's ``times``: False when
-        the certificate fails, else its first write-side row that flips
-        at the new depth, as a list of at most one row.
-
-        Only blocking writes receive WAR edges.  A decrease ``d0 -> d1``
-        must find every new edge already met, ``t[write #j] >
-        t[read #(j-d1)]``; an increase must find no removed edge tight,
-        ``t[write #j] > t[read #(j-d0)] + 1`` — a tie may be the write's
-        only binding edge.  Then the anchor meets every edge at the new
-        depths and every node keeps an edge that supports its time, so
-        it is their least fixpoint (DESIGN.md section 14).  A depth
-        below the FIFO's replayable minimum fails: the sweep raises
-        there.  With the times unchanged, only this FIFO's write-side
-        queries read anything that changed (its depth)."""
-        name, writes, reads, min_depth = fifo_view
-        new = depths[name]
-        if new < min_depth:
-            return False
-        # write #j waits on read #(j - depth): the new edges of a
-        # decrease must hold, the old edges of an increase have slack
-        depth, slack = (new, 0) if new < old else (old, 1)
-        for write, read in zip(writes[depth:], reads):
-            if times[write] <= times[read] + slack \
-                    and kind[write] == K_WRITE:
-                return False
-        flip = self._first_flip(times, depths, write_rows)
-        return [] if flip is None else [flip]
+            # write #j waits on read #(j - depth): the new edges of a
+            # decrease must hold, the old edges of an increase have slack
+            depth, slack = (new, 0) if new < old else (old, 1)
+            for write, read in zip(writes[depth:], reads):
+                if times[write] <= times[read] + slack \
+                        and kind[write] == K_WRITE:
+                    return None
+            changed.append(write_rows[fifo])
+        if len(changed) == 1:
+            return times, changed[0]
+        return times, sorted(chain.from_iterable(changed))
 
     # ------------------------------------------------------------------
     # incremental re-simulation
@@ -848,29 +840,7 @@ class TraceArtifact:
                               rows=None) -> None:
         """Table 2 re-validation of the recorded queries under the new
         times and depths: the constraint rows ``rows`` (ascending), or
-        every row; the first that flips raises."""
-        i = self._first_flip(times, depths, rows)
-        if i is None:
-            return
-        fc = self.fifos[self.c_fifo[i]]
-        kind = CONSTRAINT_KINDS[self.c_kind[i]]
-        index = self.c_index[i]
-        recorded = bool(self.c_outcome[i])
-        raise ConstraintViolation(
-            f"query {kind} on '{fc.name}' "
-            f"(access #{index}) resolved "
-            f"{recorded} in the recorded run but would "
-            f"resolve {not recorded} with depths {depths}; full "
-            "re-simulation required",
-            query=Constraint(kind, fc.name, index, recorded,
-                             self.c_node[i]),
-            depths=depths,
-        )
-
-    def _first_flip(self, times: list, depths: dict, rows=None):
-        """The first of the constraint rows ``rows`` (ascending; every
-        row when None) whose query resolves otherwise than recorded
-        under ``times`` and ``depths``, or None."""
+        every row (iterates the constraint columns)."""
         kinds = self.c_kind
         fifo_ids = self.c_fifo
         indices = self.c_index
@@ -881,8 +851,9 @@ class TraceArtifact:
             fc = fifos[fifo_ids[i]]
             depth = depths[fc.name]
             source_time = times[nodes[i]]
+            code = kinds[i]
             index = indices[i]
-            if kinds[i] <= _WRITE_QUERY_MAX_CODE:  # nb_write / can_write
+            if code <= _WRITE_QUERY_MAX_CODE:  # nb_write / can_write
                 if index <= depth:
                     outcome = True
                 else:
@@ -898,9 +869,19 @@ class TraceArtifact:
                         index - 1]]
                 else:
                     outcome = False  # the awaited write never happened
-            if outcome != bool(outcomes[i]):
-                return i
-        return None
+            recorded = bool(outcomes[i])
+            if outcome != recorded:
+                kind = CONSTRAINT_KINDS[code]
+                raise ConstraintViolation(
+                    f"query {kind} on '{fc.name}' "
+                    f"(access #{index}) resolved "
+                    f"{recorded} in the recorded run but would "
+                    f"resolve {outcome} with depths {depths}; full "
+                    "re-simulation required",
+                    query=Constraint(kind, fc.name, index, recorded,
+                                     nodes[i]),
+                    depths=depths,
+                )
 
     # ------------------------------------------------------------------
     # aggregates

@@ -259,9 +259,26 @@ class TestReplayCertificate:
 
     def test_certified_times_are_a_copy(self):
         graph, _table = self._graph(2, [0, 10, 20], [1, 2, 3])
+        graph.retime({"f": 2})  # the first replay builds no anchor
+        assert self._certified(graph, {"f": 3})
         times = graph.retime({"f": 3})
         times[0] = -1
         assert graph.retime({"f": 3})[0] == 0
+
+    def test_a_one_shot_replay_builds_no_anchor(self, monkeypatch):
+        builds = []
+
+        def counted(self, view, _orig=TraceArtifact._build_anchor):
+            builds.append(1)
+            return _orig(self, view)
+
+        monkeypatch.setattr(TraceArtifact, "_build_anchor", counted)
+        graph, _table = self._graph(2, [0, 10, 20], [1, 2, 3])
+        assert graph.resimulate({"f": 3}).cycles > 0
+        assert builds == []
+        assert self._certified(graph, {"f": 3})  # the second builds it
+        graph.resimulate({"f": 4})
+        assert builds == [1]
 
     def test_no_capture_depth_no_certificate(self):
         graph, _table = self._graph(2, [0, 10, 20], [1, 2, 3])
