@@ -8,9 +8,18 @@ designs (FlowGNN / INR-Arch / SkyNet), because LightningSim pays for
 separate trace, graph-construction and longest-path passes while OmniSim
 resolves timing in a single coupled pass.  ``tests/test_paper_tables.py``
 checks the two cycle columns against each other in tier-1.
+
+Timing: each engine makes one warm-up call per design (a first call
+pays one-time setup the other engine would then reuse), then
+:data:`CALLS` timed calls, the two engines alternating which runs first
+(per design and per round).  A time column is the median of those calls
+and its IQR as a share of the median; ``speedup`` is the ratio of the
+medians.
 """
 
 from __future__ import annotations
+
+import statistics
 
 try:
     from benchmarks.conftest import compiled_design, render_rows
@@ -25,22 +34,44 @@ OmniSimulator = get_engine("omnisim").cls
 
 TABLE5_NAMES = [spec.name for spec in designs.table5_specs()]
 
+#: timed calls per engine and design, after one warm-up call each
+CALLS = 5
+
+
+def _median_iqr(seconds: list) -> tuple:
+    """``(median, IQR / median)`` of one engine's timed calls."""
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return median, (q3 - q1) / median
+
+
+def _cell(seconds: list) -> str:
+    median, spread = _median_iqr(seconds)
+    return f"{fmt_seconds(median)} ±{spread:.0%}"
+
 
 def rows() -> list:
     """One dict per Type A design, keyed by column header (``speedup``
-    is the raw ratio)."""
+    is the raw ratio of the median times)."""
     table = []
-    for name in TABLE5_NAMES:
+    for index, name in enumerate(TABLE5_NAMES):
         compiled = compiled_design(name)
-        lightning = LightningSimulator(compiled).run()
-        omni = OmniSimulator(compiled).run()
+        engines = [LightningSimulator, OmniSimulator]
+        seconds = {cls: [] for cls in engines}
+        last = {}
+        for call in range(CALLS + 1):       # call 0 is the warm-up
+            order = engines if (index + call) % 2 else engines[::-1]
+            for cls in order:
+                last[cls] = cls(compiled).run()
+                if call:
+                    seconds[cls].append(last[cls].execute_seconds)
+        lightning, omni = last[LightningSimulator], last[OmniSimulator]
         table.append({
             "benchmark": name,
-            "LSv2 total": fmt_seconds(lightning.execute_seconds),
-            "OmniSim MT": fmt_seconds(omni.execute_seconds),
+            "LSv2 total": _cell(seconds[LightningSimulator]),
             "OmniSim FE": fmt_seconds(omni.frontend_seconds),
-            "OmniSim exec": fmt_seconds(omni.execute_seconds),
-            "speedup": lightning.execute_seconds / omni.execute_seconds,
+            "OmniSim MT": _cell(seconds[OmniSimulator]),
+            "speedup": (_median_iqr(seconds[LightningSimulator])[0]
+                        / _median_iqr(seconds[OmniSimulator])[0]),
             "LSv2 cycles": lightning.cycles,
             "cycles": omni.cycles,
         })
@@ -54,7 +85,7 @@ def render(table) -> str:
         [{**row, "speedup": f"{row['speedup']:.2f}x"} for row in table],
         f"Table 5: OmniSim vs LightningSimV2 (identical cycle counts "
         f"on {agree}/{len(table)} designs; geomean speedup "
-        f"{geomean(speedups):.2f}x)")
+        f"{geomean(speedups):.2f}x; median of {CALLS} warm calls ±IQR)")
 
 
 def main() -> None:

@@ -121,7 +121,7 @@ def check_design() -> int:
     required = ["## 14. Columnar trace artifacts", "**Recording.**",
                 "new_trace", "attach_payload", "add_constraint",
                 "## 16. Vectorized batch retiming",
-                "resimulate_batch", "--batch-size 1",
+                "resimulate_batch", "REPRO_NO_NUMPY",
                 "## 17. Coverage-guided differential fuzzing",
                 "run_differential", "tests/regressions/",
                 "REPRO_INJECT_COSIM_FINALITY_BUG",

@@ -177,8 +177,7 @@ def serve_depths(session, depths: dict) -> SimulationResult:
     """
     name, declared = session.declared()
     depths = validate_depth_names(depths, declared, name)
-    outcome, = Replayer.for_session(session, batch_size=1).evaluate(
-        [(depths, None)])
+    outcome = Replayer.for_session(session).replay(dict(declared, **depths))
     if outcome.error is not None:
         raise outcome.error
     result = _served(outcome)
@@ -235,8 +234,8 @@ class BatchResult(list):
 
 def run_many(session, configs, *, jobs: int = 1,
              timeout: float | None = None, max_retries: int = 3,
-             checkpoint=None, resume: bool = False, faults=None,
-             batch_size: int | None = None) -> BatchResult:
+             checkpoint=None, resume: bool = False,
+             faults=None) -> BatchResult:
     """:meth:`repro.api.Session.run_many` (the config schema, the
     serving paths and every knob are documented there).
 
@@ -258,8 +257,7 @@ def run_many(session, configs, *, jobs: int = 1,
     # Capture (or reuse) the baseline only when some config can actually
     # be served from it.
     runner = _BatchRunner.for_session(
-        session, capture=any(map(_eligible, normalized)),
-        batch_size=batch_size)
+        session, capture=any(map(_eligible, normalized)))
     if not normalized:
         return BatchResult()
 

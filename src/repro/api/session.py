@@ -253,8 +253,7 @@ class Session:
         return self.baseline().trace.resimulate(
             validate_depth_names(depths, declared, name))
 
-    def resimulate_many(self, configs, *,
-                        batch_size: int | None = None) -> list:
+    def resimulate_many(self, configs) -> list:
         """Batched :meth:`resimulate`: evaluate many depth-override
         dicts against the cached baseline in one vectorized matrix
         sweep.
@@ -274,16 +273,14 @@ class Session:
         order) every row is evaluated by the scalar path instead —
         same values, just not batched.
         """
-        from ..exec import replay
+        from ..exec.replay import incremental_rows
 
-        return replay.incremental_rows(
-            self.baseline(), list(configs),
-            replay.resolve_batch_size(batch_size))
+        return incremental_rows(self.baseline(), list(configs))
 
     def run_many(self, configs, *, jobs: int = 1,
                  timeout: float | None = None, max_retries: int = 3,
-                 checkpoint=None, resume: bool = False, faults=None,
-                 batch_size: int | None = None) -> list:
+                 checkpoint=None, resume: bool = False,
+                 faults=None) -> list:
         """Run a batch of configurations, optionally over a process pool.
 
         Each config is a dict with optional keys ``engine`` (default
@@ -308,23 +305,21 @@ class Session:
         (default: ``REPRO_FAULTS``).  The returned list's
         ``supervision`` attribute carries the provenance block.
         Replay-eligible configs go through the NumPy batch-retiming
-        kernel in ``batch_size``-row slices (``batch_size=1``: the
-        scalar path only), with per-row scalar fallback — identical
-        values, each result's ``phase_seconds["mode"]`` records the
-        path (``"vectorized"`` / ``"scalar"`` / ``"scalar-fallback"`` /
-        ``"full"``).
+        kernel where it can serve the baseline, with per-row scalar
+        fallback — identical values, each result's
+        ``phase_seconds["mode"]`` records the path (``"vectorized"`` /
+        ``"scalar"`` / ``"scalar-fallback"`` / ``"full"``).
         """
         from .batch import run_many
 
         return run_many(self, configs, jobs=jobs, timeout=timeout,
                         max_retries=max_retries, checkpoint=checkpoint,
-                        resume=resume, faults=faults, batch_size=batch_size)
+                        resume=resume, faults=faults)
 
     def sweep(self, space, *, samples: int | None = None, seed: int = 0,
               jobs: int = 1,
               timeout: float | None = None, max_retries: int = 3,
               checkpoint=None, resume: bool = False, faults=None,
-              batch_size: int | None = None,
               strategy: str | None = None, max_evals: int | None = None):
         """Depth-space exploration over this session's design.
 
@@ -334,9 +329,8 @@ class Session:
         design and cached baseline; returns a
         :class:`~repro.dse.SweepResult`.  The resilience knobs
         (``timeout``, ``max_retries``, ``checkpoint``/``resume``,
-        ``faults``) pass through to the supervised executor, and
-        ``batch_size`` bounds the rows per call of the batched retiming
-        kernel (1: scalar path only) — see :func:`repro.dse.explore`.
+        ``faults``) pass through to the supervised executor — see
+        :func:`repro.dse.explore`.
         ``strategy`` selects how the space is covered (``"exhaustive"``
         default, ``"refine"``, ``"random"``) and ``max_evals`` bounds
         the total number of evaluated configurations — the adaptive
@@ -347,8 +341,8 @@ class Session:
         return explore(self, space, samples=samples, seed=seed, jobs=jobs,
                        timeout=timeout, max_retries=max_retries,
                        checkpoint=checkpoint, resume=resume,
-                       faults=faults, batch_size=batch_size,
-                       strategy=strategy, max_evals=max_evals)
+                       faults=faults, strategy=strategy,
+                       max_evals=max_evals)
 
     # -- analysis -------------------------------------------------------
 

@@ -161,8 +161,7 @@ def cmd_dse(args) -> int:
     space = DepthSpace.parse(specs)
     kwargs = dict(samples=args.samples, seed=args.seed, jobs=args.jobs,
                   timeout=args.timeout, max_retries=args.max_retries,
-                  batch_size=args.batch_size, strategy=args.strategy,
-                  max_evals=args.max_evals)
+                  strategy=args.strategy, max_evals=args.max_evals)
     # Directory-sweep mode only when the argument cannot mean a registry
     # design — a stray local directory must not shadow a design name.
     known_name = (args.design in designs.ALIASES
@@ -655,13 +654,6 @@ def main(argv=None) -> int:
                             metavar="N",
                             help="failures one configuration may accrue "
                                  "before it is quarantined (default 3)")
-    dse_parser.add_argument("--batch-size", type=int, default=None,
-                            metavar="B",
-                            help="configurations per vectorized "
-                                 "batch-retiming sweep (default 256; 1: "
-                                 "the scalar incremental path only); "
-                                 "rows the kernel declines fall back "
-                                 "to the scalar path one at a time")
     dse_parser.add_argument("--strategy", default=None,
                             choices=("exhaustive", "refine", "random"),
                             help="how to cover the space: exhaustive "

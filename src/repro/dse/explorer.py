@@ -203,7 +203,7 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
             jobs: int = 1, timeout: float | None = None,
             max_retries: int = 3,
             checkpoint=None, resume: bool = False, faults=None,
-            batch_size: int | None = None, strategy: str | None = None,
+            strategy: str | None = None,
             max_evals: int | None = None) -> SweepResult:
     """Sweep ``session``'s design over ``space`` and aggregate a
     :class:`SweepResult`.
@@ -242,15 +242,15 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
     what the executor actually did.
 
     Configurations are evaluated in batches through the NumPy retiming
-    kernel (:mod:`repro.trace.vectorized`), ``batch_size`` rows per
-    call (default :data:`repro.trace.vectorized.DEFAULT_BATCH_SIZE`);
+    kernel (:mod:`repro.trace.vectorized`),
+    :data:`repro.trace.vectorized.DEFAULT_BATCH_SIZE` rows per call;
     rows the kernel declines fall back to the scalar path one by one,
-    so every point is bit-for-bit what ``batch_size=1`` — the scalar
-    path only — computes.  Each point's ``mode`` field records the path
-    that served it.  Points, ``source`` / ``mode`` / ``detail``
-    included, depend on the request and ``batch_size`` only — never on
-    ``jobs``, resumes or retries (:mod:`repro.exec.replay`).  Without
-    NumPy the sweep transparently degrades to the scalar path.
+    so every point's values are bit-for-bit what the scalar path
+    computes.  Each point's ``mode`` field records the path that served
+    it.  Points, ``source`` / ``mode`` / ``detail`` included, depend on
+    the request only — never on ``jobs``, resumes or retries
+    (:mod:`repro.exec.replay`).  Without NumPy the sweep transparently
+    degrades to the scalar path.
 
     Search (:mod:`repro.dse.search`): ``strategy`` picks how the space
     is covered — ``"exhaustive"`` (default; enumerate or
@@ -305,7 +305,7 @@ def explore(session, space, *, samples: int | None = None, seed: int = 0,
     capture_start = _time.perf_counter()
     design_name, base_depths = session.declared()
     space.validate_against(base_depths)
-    evaluator = Evaluator.for_session(session, batch_size=batch_size)
+    evaluator = Evaluator.for_session(session)
     capture_seconds = _time.perf_counter() - capture_start
     base = evaluator.reference
 

@@ -4,8 +4,8 @@ Every depth-override evaluation (``repro.dse``, ``Session.run_many``,
 ``/v1/run``, ``repro run --depth``) overlays the configuration on the
 design's *declared* depths and replays a captured run — retimes its
 recorded graph and re-validates its recorded queries (:func:`replay_one`,
-or ``batch_size`` rows per NumPy kernel call) — or runs a full OmniSim
-simulation where no capture holds; a true deadlock is an outcome.
+or many rows per NumPy kernel call) — or runs a full OmniSim simulation
+where no capture holds; a true deadlock is an outcome.
 
 Which capture serves configuration *k* reads only the request: the
 first of (1) the **declared capture** (``Session.reference()``,
@@ -15,11 +15,12 @@ replay-eligible configuration, for a search round's first the previous
 round's last, none after a *k-1* that deadlocked or failed — and (3) a
 full run.  Captures that accept a configuration record one functional
 execution (a *class*) and serve it identically; a neighbour is never
-of the declared class, so (1) and (2) never both accept.  With
-``batch_size > 1`` the kernel screens (1) for every slice (a one-row
-slice: a scalar replay of (1), which accepts exactly what the kernel
-does, without a kernel call); a declined row gets a scalar replay of
-(2), then one of (1) for its decline reason, then a full run.  ``mode``
+of the declared class, so (1) and (2) never both accept.  Where the
+kernel can serve (1) (NumPy, an all-depth replay order) it screens (1)
+for every slice of ``DEFAULT_BATCH_SIZE`` requests (a one-row slice: a
+scalar replay of (1), which accepts exactly what the kernel does,
+without a kernel call); a declined row gets a scalar replay of (2),
+then one of (1) for its decline reason, then a full run.  ``mode``
 is ``vectorized`` (the kernel accepted), ``scalar-fallback`` (the
 kernel ran, a scalar replay served), ``scalar`` (no kernel ran) or
 ``full``; a full point's ``detail`` is (1)'s decline reason
@@ -44,12 +45,7 @@ import functools
 import time as _time
 from dataclasses import dataclass
 
-from ..errors import (
-    ConstraintViolation,
-    DeadlockError,
-    RequestError,
-    SimulationError,
-)
+from ..errors import ConstraintViolation, DeadlockError, SimulationError
 from ..sim.registry import run_engine
 from ..sim.result import IncrementalResult, SimulationResult
 from ..trace.columnar import DEFAULT_FIFO_WIDTH
@@ -165,32 +161,20 @@ def _replayed(depths: dict, inc, seconds: float, mode: str,
         incremental=inc, run=reference)
 
 
-def resolve_batch_size(batch_size: int | None) -> int:
-    """Rows per kernel call of a sweep: ``None`` means
-    :data:`~repro.trace.vectorized.DEFAULT_BATCH_SIZE`, below 1 is a
-    :class:`~repro.errors.RequestError`."""
-    if batch_size is None:
-        return DEFAULT_BATCH_SIZE
-    if batch_size < 1:
-        raise RequestError(f"batch_size must be >= 1, got {batch_size}")
-    return batch_size
-
-
-def incremental_rows(reference, depth_maps: list, batch_size: int) -> list:
+def incremental_rows(reference, depth_maps: list) -> list:
     """Replays of one fixed capture
     (:meth:`repro.api.Session.resimulate_many`: no full run, no
     neighbour): one ``IncrementalResult | None`` per depth map,
-    ``batch_size`` rows per kernel call — one scalar replay each where
-    the kernel cannot serve this reference (no NumPy, no all-depth
+    ``DEFAULT_BATCH_SIZE`` rows per kernel call — one scalar replay each
+    where the kernel cannot serve this reference (no NumPy, no all-depth
     replay order) and for a one-row slice, as in
     :meth:`Replayer.evaluate`; ``None`` marks a row only a full run can
     decide."""
     trace = reference.trace
-    if not batch_supported(trace):
-        batch_size = 1
+    size = DEFAULT_BATCH_SIZE if batch_supported(trace) else 1
     rows = []
-    for lo in range(0, len(depth_maps), batch_size):
-        chunk = depth_maps[lo:lo + batch_size]
+    for lo in range(0, len(depth_maps), size):
+        chunk = depth_maps[lo:lo + size]
         rows += (resimulate_batch(trace, chunk) if len(chunk) > 1
                  else [replay_one(reference, dict(chunk[0]))[0]])
     return rows
@@ -210,8 +194,7 @@ class Replayer:
     docstring for which capture serves what)."""
 
     def __init__(self, reference, base_depths: dict, compile_fn,
-                 executor: str | None = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE):
+                 executor: str | None = None):
         """Args:
             reference: the declared capture, an OmniSim run at
                 ``base_depths`` (its ``trace`` is what replays), or
@@ -221,33 +204,26 @@ class Replayer:
             compile_fn: zero-arg callable producing the compiled design,
                 invoked lazily on the first full run.
             executor: the Func Sim executor of full runs.
-            batch_size: configurations per kernel call of
-                :meth:`evaluate` (1: the scalar path only).
         """
         self.reference = reference
         self.base_depths = dict(base_depths)
         self._compile = functools.cache(compile_fn)
         self.executor = executor
-        self.batch_size = batch_size
         #: the cache behind neighbours: the depths last evaluated and
         #: the ``run`` of their class (``None``: the declared class or
         #: a deadlock)
         self._held = {"depths": None, "run": None}
 
     @classmethod
-    def for_session(cls, session, *, capture: bool = True,
-                    batch_size: int | None = None):
+    def for_session(cls, session, *, capture: bool = True):
         """The policy over ``session``'s design: replays
         ``session.reference()``, overlays ``session.declared()``,
         compiles through the session and runs on its executor.
         ``capture=False`` starts without a reference (a batch with
-        nothing to serve from one does not pay for a capture);
-        ``batch_size`` is refused (:func:`resolve_batch_size`) before
-        anything is captured."""
-        batch_size = resolve_batch_size(batch_size)
+        nothing to serve from one does not pay for a capture)."""
         return cls(session.reference() if capture else None,
                    session.declared()[1], lambda: session.compiled,
-                   session.executor, batch_size)
+                   session.executor)
 
     def worker_spec(self, session, jobs: int) -> tuple | None:
         """``(factory, args)`` rebuilding this policy in each of
@@ -274,12 +250,10 @@ class Replayer:
                 self.reference.trace.ensure_static()
                 shipped = ("artifact", self.reference.trace)
         return type(self).in_worker, (
-            session.design_ref, self.base_depths, self.executor,
-            self.batch_size, shipped)
+            session.design_ref, self.base_depths, self.executor, shipped)
 
     @classmethod
-    def in_worker(cls, design_ref, base_depths, executor, batch_size,
-                  shipped):
+    def in_worker(cls, design_ref, base_depths, executor, shipped):
         """Pool-worker side of :meth:`worker_spec`: the design compiles
         lazily, only if a configuration needs a full run; a store entry
         that vanished or went corrupt degrades to no reference (with
@@ -298,7 +272,7 @@ class Replayer:
                 reference = artifact.to_result()
         return cls(reference, base_depths,
                    functools.partial(compile_from_ref, design_ref),
-                   executor, batch_size)
+                   executor)
 
     @property
     def compiled(self):
@@ -307,13 +281,13 @@ class Replayer:
 
     def evaluate(self, requests):
         """One :class:`ReplayOutcome` per ``(config, after)`` request
-        (:func:`chain`), in order, ``batch_size`` per kernel call.
-        Lazy: a slice's kernel call waits until the previous slice is
-        consumed, so a caller can journal each outcome as it arrives."""
+        (:func:`chain`), in order, ``DEFAULT_BATCH_SIZE`` per kernel
+        call.  Lazy: a slice's kernel call waits until the previous
+        slice is consumed, so a caller can journal each outcome as it
+        arrives."""
         requests = list(requests)
-        reference, size = self.reference, self.batch_size
-        kernel = (size > 1 and reference is not None
-                  and batch_supported(reference.trace))
+        reference, size = self.reference, DEFAULT_BATCH_SIZE
+        kernel = reference is not None and batch_supported(reference.trace)
         mode = MODE_SCALAR_FALLBACK if kernel else MODE_SCALAR
         for lo in range(0, len(requests), size):
             chunk = requests[lo:lo + size]
@@ -326,7 +300,7 @@ class Replayer:
             for (_config, after), depths, inc in zip(chunk, depth_maps,
                                                      rows):
                 if inc is None:
-                    outcome = self._replay(depths, after, mode, one_row)
+                    outcome = self.replay(depths, after, mode, one_row)
                 else:
                     outcome = _replayed(inc.depths, inc, inc.seconds,
                                         MODE_VECTORIZED, reference)
@@ -334,15 +308,18 @@ class Replayer:
                 self._held.update(depths=depths, run=run)
                 yield outcome
 
-    def _replay(self, depths: dict, after, mode: str,
-                one_row: bool) -> ReplayOutcome:
-        """One configuration no kernel call served: scalar replays of
-        the neighbour this evaluator holds, then of the declared capture
-        (a neighbour is never of the declared class, so the order
-        changes no answer), then a full run.  ``one_row``: a one-row
-        slice, ``vectorized`` where the declared capture serves it — the
-        kernel accepts exactly the rows a scalar replay accepts, and a
-        one-row call costs seven scalar replays."""
+    def replay(self, depths: dict, after: dict | None = None,
+               mode: str = MODE_SCALAR,
+               one_row: bool = False) -> ReplayOutcome:
+        """One configuration (a full depth map) no kernel call served —
+        called alone, the door of ``repro run --depth`` and ``/v1/run``,
+        which never imports NumPy: scalar replays of the neighbour this
+        evaluator holds for the predecessor ``after``, then of the
+        declared capture (a neighbour is never of the declared class, so
+        the order changes no answer), then a full run.  ``one_row``: a
+        one-row slice, ``vectorized`` where the declared capture serves
+        it — the kernel accepts exactly the rows a scalar replay
+        accepts, and a one-row call costs seven scalar replays."""
         start = _time.perf_counter()
         before = None if after is None else dict(self.base_depths, **after)
         held = before is not None and self._held["depths"] == before

@@ -25,6 +25,7 @@ from repro.dse import (
     weakly_dominates,
 )
 from repro.errors import DseError
+from repro.exec import replay
 from repro.sim import get_engine
 from tests.conftest import make_nb_design, make_pipeline_design
 
@@ -243,7 +244,7 @@ class TestExplorerFallback:
     """NB dropping producer: deepening s1 flips recorded NB outcomes, so
     the explorer must fall back to full simulation and re-capture."""
 
-    def test_fallback_and_recapture(self):
+    def test_fallback_and_recapture(self, monkeypatch):
         # Shallow depths each drop a different number of NB writes (every
         # point but the declared depth 2, which replays the declared
         # capture, falls back), but once the FIFO saturates the
@@ -253,20 +254,23 @@ class TestExplorerFallback:
         # depth-2 capture all of those would have violated — the tail of
         # incremental points IS the neighbour capture.
         compiled = compile_design(make_nb_design(depth=2))
-        sweep = explore(Session(compiled), ["s1=1:32"], batch_size=1)
+        # one-row slices: every row a scalar replay, no kernel call
+        monkeypatch.setattr(replay, "DEFAULT_BATCH_SIZE", 1)
+        sweep = explore(Session(compiled), ["s1=1:32"])
         sources = [p.source for p in sweep.points]
         assert sources[:3] == [SOURCE_FULL, SOURCE_INCREMENTAL, SOURCE_FULL]
         last_full = len(sources) - 1 - sources[::-1].index(SOURCE_FULL)
         tail = sources[last_full + 1:]
         assert tail and all(s == SOURCE_INCREMENTAL for s in tail)
 
-    def test_vectorized_default_matches_scalar_values(self):
+    def test_vectorized_default_matches_scalar_values(self, monkeypatch):
         # The kernel and the scalar path ask the same captures (declared,
         # then the predecessor's), so only `mode` may differ: every value
         # and every `source` is identical.
         compiled = compile_design(make_nb_design(depth=2))
         batched = explore(Session(compiled), ["s1=1:32"])
-        scalar = explore(Session(compiled), ["s1=1:32"], batch_size=1)
+        monkeypatch.setattr(replay, "DEFAULT_BATCH_SIZE", 1)
+        scalar = explore(Session(compiled), ["s1=1:32"])
         assert [(p.depths, p.cycles, p.buffer_bits, p.source)
                 for p in batched.points] \
             == [(p.depths, p.cycles, p.buffer_bits, p.source)

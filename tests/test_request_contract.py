@@ -23,7 +23,7 @@ where a kernel slice ends and where a fault cuts a worker's chunk:
 * ``run_many`` — cycles, failure and the ``phase_seconds``
   ``serving`` / ``mode`` / ``capture`` labels of mixed batches;
 * ``resimulate_many`` — ``Session.resimulate_many`` rows (cycles,
-  buffer bits, ``None`` positions) per ``batch_size``;
+  buffer bits, ``None`` positions) per kernel slice size;
 * ``fuzz`` — a seed-0 campaign's report and checkpoint journal,
   uninterrupted and stopped-then-resumed.
 
@@ -49,6 +49,7 @@ rule in a front door.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -62,6 +63,7 @@ import pytest
 from repro import errors
 from repro.api import Session
 from repro.dse import Evaluator
+from repro.exec import replay
 from repro.exec.replay import chain
 from repro.fuzz import CampaignConfig, run_campaign
 from repro.service import ServiceConfig, serve_in_thread
@@ -105,7 +107,6 @@ CLI_CASES = {
     "report": [["report", "fig4_ex5"]],
     "dse": [_DSE],
     "dse-refine": [_DSE + ["--strategy", "refine", "--max-evals", "3"]],
-    "dse-batch-size-1": [_DSE + ["--batch-size", "1"]],
     "dse-jobs": [_DSE + ["--jobs", "2"]],
     "gen": [["gen", "--type", "C", "--modules", "4", "--seed", "3"]],
 }
@@ -158,11 +159,10 @@ DSE_JSON_CASES = {
 
 # fifo1 re-captures *inside* a 3-row kernel slice and *between* slices
 _SLICES = ["dse", "fig4_ex5", "--range", "fifo1=1:4", "--range",
-           "fifo2=2:4", "--batch-size", "3"]
+           "fifo2=2:4"]
 # depth-only (nothing re-captures, so a pool's labels do not follow its
 # scheduling): 8 chunks of 4, each cut into slices of 3 + 1
-_POOL_SLICES = ["dse", "fig4_ex5", "--range", "fifo2=1:32",
-                "--batch-size", "3", "--jobs", "2"]
+_POOL_SLICES = ["dse", "fig4_ex5", "--range", "fifo2=1:32", "--jobs", "2"]
 DSE_JSON_CASES.update({
     "slices": _SLICES,
     "slices-jobs-2": _SLICES + ["--jobs", "2"],
@@ -175,6 +175,8 @@ DSE_JSON_CASES.update({
 DSE_FAULTS = {"slices-faults": "error@3:1",
               "slices-faults-jobs-2": "error@3:1",
               "pool-slices-faults": "error@5:1"}
+#: id -> the rows per kernel slice the case runs under (default: 256)
+DSE_SLICE_ROWS = {case: 3 for case in DSE_JSON_CASES if "slices" in case}
 
 _PARAMS = {"n": 60}
 
@@ -213,7 +215,7 @@ RUN_MANY_CASES = {
 }
 RUN_MANY_CASES["mixed-jobs-2"] = RUN_MANY_CASES["mixed"][:3] + (2,)
 #: seven depth-only configs in slices of 3 + 3 + 1 (a trailing fifth
-#: element is the batch's ``batch_size``)
+#: element is the rows per kernel slice the batch runs under)
 RUN_MANY_CASES["slices"] = ("fig4_ex5", _PARAMS, [
     {"depths": depths} for depths in (
         {"fifo2": 8}, {"fifo1": 3}, {"fifo1": 3, "fifo2": 4}, {"fifo2": 2},
@@ -221,10 +223,17 @@ RUN_MANY_CASES["slices"] = ("fig4_ex5", _PARAMS, [
 ], 1, 3)
 
 #: ``Session.resimulate_many`` configs (fifo1 flips recorded queries)
-#: and the ``batch_size`` values they are asked under
+#: and the rows per kernel slice they are asked under (None: default)
 RESIMULATE_CONFIGS = [{"fifo2": 8}, {"fifo1": 3}, {"fifo2": 2}, {},
                       {"fifo1": 1, "fifo2": 3}, {"fifo2": 5}, {"fifo2": 1}]
-RESIMULATE_BATCH_SIZES = (1, 3, None)
+RESIMULATE_SLICE_ROWS = (1, 3, None)
+
+
+def slice_rows(rows: int | None):
+    """Cut replay requests into kernel slices of ``rows`` (``None``: the
+    default size), here and in the pool workers this process forks."""
+    return (contextlib.nullcontext() if rows is None
+            else mock.patch.object(replay, "DEFAULT_BATCH_SIZE", rows))
 
 _MASKED_KEYS = ("seconds", "capture_seconds", "configs_per_sec", "digest")
 
@@ -268,9 +277,10 @@ def _masked_doc(doc):
     return doc
 
 
-def _dse_doc(argv: list, faults: str | None) -> dict:
+def _dse_doc(argv: list, faults: str | None, rows: int | None) -> dict:
     with tempfile.TemporaryDirectory() as scratch, mock.patch.dict(
-            os.environ, {"REPRO_FAULTS": faults} if faults else {}):
+            os.environ, {"REPRO_FAULTS": faults} if faults else {}), \
+            slice_rows(rows):
         path = os.path.join(scratch, "sweep.json")
         status, _out, err = shell(argv + ["--json", path])
         assert status == 0, err
@@ -279,7 +289,8 @@ def _dse_doc(argv: list, faults: str | None) -> dict:
 
 
 def dse_json(case: str) -> dict:
-    return _dse_doc(DSE_JSON_CASES[case], DSE_FAULTS.get(case))
+    return _dse_doc(DSE_JSON_CASES[case], DSE_FAULTS.get(case),
+                    DSE_SLICE_ROWS.get(case))
 
 
 def answered(port: int, case: str) -> list:
@@ -294,29 +305,28 @@ def answered(port: int, case: str) -> list:
 def run_many_labels(case: str, **overrides) -> list:
     """The case's labels; ``overrides`` are further ``run_many``
     keywords (``jobs`` replaces the case's)."""
-    design, params, configs, jobs, *batch = RUN_MANY_CASES[case]
-    kwargs = {"batch_size": batch[0]} if batch else {}
-    kwargs.update(overrides)
-    jobs = kwargs.pop("jobs", jobs)
-    with Session.open(design, trace_cache=False, **params) as session:
+    design, params, configs, jobs, *rows = RUN_MANY_CASES[case]
+    jobs = overrides.pop("jobs", jobs)
+    with Session.open(design, trace_cache=False, **params) as session, \
+            slice_rows(rows[0] if rows else None):
         return [
             {"simulator": result.simulator, "cycles": result.cycles,
              "failure": result.failure,
              "labels": {key: result.phase_seconds.get(key)
                         for key in ("serving", "mode", "capture")}}
-            for result in session.run_many(configs, jobs=jobs, **kwargs)
+            for result in session.run_many(configs, jobs=jobs, **overrides)
         ]
 
 
 def resimulate_many_rows() -> dict:
+    rows = {}
     with Session.open("fig4_ex5", trace_cache=False, **_PARAMS) as session:
-        return {
-            str(batch_size): [
-                row and [row.cycles, row.buffer_bits]
-                for row in session.resimulate_many(RESIMULATE_CONFIGS,
-                                                   batch_size=batch_size)]
-            for batch_size in RESIMULATE_BATCH_SIZES
-        }
+        for size in RESIMULATE_SLICE_ROWS:
+            with slice_rows(size):
+                rows[str(size)] = [
+                    row and [row.cycles, row.buffer_bits]
+                    for row in session.resimulate_many(RESIMULATE_CONFIGS)]
+    return rows
 
 
 def _fuzz_env() -> dict:
@@ -446,9 +456,9 @@ def _unscheduled(doc: dict) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _scheduled(argv: tuple, faults: str | None) -> dict:
+def _scheduled(argv: tuple, faults: str | None, rows: int | None) -> dict:
     """:func:`_unscheduled` of one invocation (cases share some)."""
-    return _unscheduled(_dse_doc(list(argv), faults))
+    return _unscheduled(_dse_doc(list(argv), faults, rows))
 
 
 def _with_jobs(argv: list, jobs: int) -> list:
@@ -476,17 +486,18 @@ def test_dse_document_does_not_depend_on_the_schedule(case, monkeypatch,
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     argv, faults = DSE_JSON_CASES[case], DSE_FAULTS.get(case)
-    expected = _scheduled(tuple(_with_jobs(argv, 1)), None)
+    rows = DSE_SLICE_ROWS.get(case)
+    expected = _scheduled(tuple(_with_jobs(argv, 1)), None, rows)
     for jobs in (2, 4):
-        assert _scheduled(tuple(_with_jobs(argv, jobs)), faults) \
+        assert _scheduled(tuple(_with_jobs(argv, jobs)), faults, rows) \
             == expected, jobs
-    assert _scheduled(tuple(argv), "crash@1") == expected
+    assert _scheduled(tuple(argv), "crash@1", rows) == expected
     journal = tmp_path / "sweep.ck.jsonl"
 
     def run(resume: bool) -> dict:
         return _unscheduled(_dse_doc(
             argv + ["--checkpoint", str(journal)]
-            + (["--resume"] if resume else []), faults))
+            + (["--resume"] if resume else []), faults, rows))
 
     for boundary, doc in _resumed_at_every_boundary(journal, run):
         assert doc == expected, boundary
@@ -525,19 +536,20 @@ def test_a_predecessor_the_evaluator_does_not_hold_answers_the_same():
         return dict(point.to_json(), seconds=None)
 
     with Session.open("fig4_ex5", trace_cache=False, **_PARAMS) as session:
-        for batch_size in (1, 3):
-            def evaluator():
-                return Evaluator.for_session(session, batch_size=batch_size)
+        def evaluator():
+            return Evaluator.for_session(session)
 
-            in_order = [doc(p) for p in evaluator().evaluate(requests)]
-            assert [p["source"] for p in in_order].count("full") >= 2
-            alone = [doc(p) for request in requests
-                     for p in evaluator().evaluate([request])]
-            backwards = evaluator()
-            reversed_order = [doc(p) for request in reversed(requests)
-                              for p in backwards.evaluate([request])]
-            assert alone == in_order, batch_size
-            assert reversed_order[::-1] == in_order, batch_size
+        for rows in (1, 3):
+            with slice_rows(rows):
+                in_order = [doc(p) for p in evaluator().evaluate(requests)]
+                assert [p["source"] for p in in_order].count("full") >= 2
+                alone = [doc(p) for request in requests
+                         for p in evaluator().evaluate([request])]
+                backwards = evaluator()
+                reversed_order = [doc(p) for request in reversed(requests)
+                                  for p in backwards.evaluate([request])]
+            assert alone == in_order, rows
+            assert reversed_order[::-1] == in_order, rows
 
 
 def test_a_failing_predecessor_leaves_its_successor_served():
@@ -598,11 +610,6 @@ REFUSED = {
     "unknown-executor": dict(
         http=("/v1/run", {"design": "fig4_ex5", "executor": "bogus"}),
         call=lambda: Session.open("fig4_ex5", executor="bogus").run()),
-    "batch-size-0": _sweep_knob("--batch-size", 0, batch_size=0),
-    "batch-size-0-run-many": dict(
-        call=lambda: _session().run_many([{}], batch_size=0)),
-    "batch-size-0-resimulate-many": dict(
-        call=lambda: _session().resimulate_many([{}], batch_size=0)),
     "jobs-0": _sweep_knob("--jobs", 0, jobs=0),
     "jobs-negative": _sweep_knob("--jobs", -3, jobs=-3),
     "jobs-negative-run-many": dict(

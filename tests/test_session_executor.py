@@ -24,6 +24,7 @@ from tests.test_request_contract import (
     _masked,
     RESIMULATE_CONFIGS,
     RUN_MANY_CASES,
+    slice_rows,
 )
 
 EXECUTORS = (None, "interp")
@@ -41,12 +42,12 @@ def _points(sweep) -> list:
     return [dict(point.to_json(), seconds=None) for point in sweep.points]
 
 
-@pytest.mark.parametrize("batch_size", [None, 1, 3])
-def test_sweep_points_agree(batch_size):
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_sweep_points_agree(rows):
     answers = []
     for executor in EXECUTORS:
-        with _open(executor) as session:
-            sweep = session.sweep(SPACE, batch_size=batch_size)
+        with _open(executor) as session, slice_rows(rows):
+            sweep = session.sweep(SPACE)
             answers.append((sweep.base_cycles, sweep.mode_counts,
                             _points(sweep)))
     assert answers[0][1].get("full")        # full runs were exercised
@@ -74,25 +75,24 @@ def _rows(results) -> list:
 
 @pytest.mark.parametrize("case", ["mixed", "slices"])
 def test_run_many_rows_agree(case):
-    _design, params, configs, _jobs, *batch = RUN_MANY_CASES[case]
+    _design, params, configs, _jobs, *rows = RUN_MANY_CASES[case]
     assert not any("executor" in config for config in configs)
     answers = []
     for executor in EXECUTORS:
-        with _open(executor, **params) as session:
-            answers.append(_rows(session.run_many(
-                configs, batch_size=batch[0] if batch else None)))
+        with _open(executor, **params) as session, \
+                slice_rows(rows[0] if rows else None):
+            answers.append(_rows(session.run_many(configs)))
     assert answers[0] == answers[1]
 
 
-@pytest.mark.parametrize("batch_size", [1, 3, None])
-def test_resimulate_many_rows_agree(batch_size):
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_resimulate_many_rows_agree(rows):
     answers = []
     for executor in EXECUTORS:
-        with _open(executor) as session:
+        with _open(executor) as session, slice_rows(rows):
             answers.append([
                 row and (row.cycles, row.buffer_bits, row.depths)
-                for row in session.resimulate_many(RESIMULATE_CONFIGS,
-                                                   batch_size=batch_size)])
+                for row in session.resimulate_many(RESIMULATE_CONFIGS)])
     assert answers[0] == answers[1]
 
 

@@ -16,7 +16,9 @@ that pool workers never rebuild the static-edge columns.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
 import pickle
 import sys
 import threading
@@ -312,9 +314,13 @@ def test_single_fifo_steps_answer_as_pinned():
     """Every single-FIFO step on every registry capture replays to the
     pinned answer and to what the forced sweep with a full
     re-validation answers: cycles, end times, exception type and
-    message.  The certificate must serve at least half of the steps."""
+    message.  The certificate must serve at least half of the steps.
+    Within one artifact a deeper FIFO moves no node later: along each
+    FIFO's accepted steps and the capture depths, in depth order, the
+    forced sweep's times never rise — by transitivity through the
+    capture, every comparable pair of those depth maps."""
     got = {}
-    steps_total = certified = 0
+    steps_total = certified = monotone_pairs = 0
     for name in designs.names():
         result = _baseline(name, "compiled")
         steps = [] if result is None else _single_fifo_steps(
@@ -330,8 +336,21 @@ def test_single_fifo_steps_answer_as_pinned():
                 json.dumps(answers).encode()).hexdigest()
             steps_total += len(steps)
             certified += sum(_certified(art, step) for step in steps)
+            captured = art._retime(dict(art.depths), certify=False)[0]
+            for fifo, depth in art.depths.items():
+                chain = sorted([(depth, captured)] + [
+                    (step[fifo], art._retime(dict(art.depths, **step),
+                                             certify=False)[0])
+                    for step, answer in zip(steps, answers)
+                    if fifo in step and answer[0] == "ok"])
+                for (shallow, times), (deep, later) in itertools.pairwise(
+                        chain):
+                    monotone_pairs += 1
+                    assert all(map(operator.ge, times, later)), (
+                        name, fifo, shallow, deep)
     assert got == STEP_ANSWERS
     assert certified * 2 >= steps_total, (certified, steps_total)
+    assert monotone_pairs >= 400, monotone_pairs
 
 
 def test_serialization_preserves_static_columns():

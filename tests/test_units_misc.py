@@ -266,7 +266,6 @@ class TestCli:
         assert_cli_refuses(["run", "fig4_ex1", "--depth", "fifo"], "FIFO=N")
 
     @pytest.mark.parametrize("argv", [
-        ["dse", "fig4_ex5", "--range", "fifo2=1:4", "--batch-size", "0"],
         ["dse", "fig4_ex5", "--range", "fifo2=1:4", "--timeout", "-1"],
         ["dse", "fig4_ex5", "--range", "fifo2=1:4", "--max-retries", "-1"],
         ["serve", "--max-sessions", "0"],

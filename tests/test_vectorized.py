@@ -273,15 +273,17 @@ def test_mixed_batch_deadlock_rows_decline():
         assert scalar_row(trace, config) is None
 
 
-def test_sweep_with_deadlock_rows_batched_equals_scalar():
+def test_sweep_with_deadlock_rows_batched_equals_scalar(monkeypatch):
     # End to end through the explorer: a sweep spanning deadlocking and
     # completing depths must produce identical points (values *and*
     # deadlock outcomes) batched and scalar.
     from repro.dse import SOURCE_DEADLOCK, explore
+    from repro.exec import replay
 
     compiled = compile_design(make_reorder_design())
     batched = explore(Session(compiled), ["s1=4:12"])
-    scalar = explore(Session(compiled), ["s1=4:12"], batch_size=1)
+    monkeypatch.setattr(replay, "DEFAULT_BATCH_SIZE", 1)
+    scalar = explore(Session(compiled), ["s1=4:12"])
     key = lambda p: (p.depths, p.cycles, p.buffer_bits, p.ok)
     assert [key(p) for p in batched.points] == [key(p) for p in scalar.points]
     sources = [p.source for p in batched.points]
@@ -544,44 +546,40 @@ def test_without_numpy_whole_batch_degrades(monkeypatch):
     assert not vectorized.batch_supported(trace)
     assert vectorized.resimulate_batch(trace, [{"s1": 3}, {"s1": 4}]) \
         == [None, None]
-    # the explorer still sweeps — scalar path, identical values
+    # the explorer still sweeps — scalar path, the kernel's values
     compiled = compile_design(make_pipeline_design())
+    scalar = explore(Session(compiled), ["s1=1:6"])
+    assert {p.mode for p in scalar.points} <= {"scalar", "full"}
+    monkeypatch.undo()
     batched = explore(Session(compiled), ["s1=1:6"])
-    scalar = explore(Session(compiled), ["s1=1:6"], batch_size=1)
     assert [(p.depths, p.cycles, p.buffer_bits) for p in batched.points] \
         == [(p.depths, p.cycles, p.buffer_bits) for p in scalar.points]
 
 
 @needs_numpy
 def test_one_row_slices_make_no_kernel_call(monkeypatch):
-    """``resimulate_many(batch_size=1)`` is the scalar path, as in
-    ``Replayer.evaluate``: a one-row slice is a scalar replay, never a
-    kernel call, and answers like one."""
+    """``resimulate_many`` in slices of one row is the scalar path, as
+    in ``Replayer.evaluate``: a one-row slice is a scalar replay, never
+    a kernel call, and answers like one."""
     from repro.exec import replay
 
     calls = []
     kernel = replay.resimulate_batch
     monkeypatch.setattr(replay, "resimulate_batch",
                         lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setattr(replay, "DEFAULT_BATCH_SIZE", 1)
     session = Session.open("fig4_ex5", trace_cache=False, n=60)
     configs = [{"fifo2": 3}, {"fifo1": 5}, {"fifo2": 9}]
-    rows = session.resimulate_many(configs, batch_size=1)
+    rows = session.resimulate_many(configs)
     assert len(calls) == 0
     base, declared = session.baseline(), session.declared()[1]
     scalar = [replay.replay_one(base, dict(declared, **config))[0]
               for config in configs]
     assert [row and row.cycles for row in rows] == [
         row and row.cycles for row in scalar]
-    session.resimulate_many(configs, batch_size=2)
+    monkeypatch.setattr(replay, "DEFAULT_BATCH_SIZE", 2)
+    session.resimulate_many(configs)
     assert [len(args[1]) for args in calls] == [2], "a one-row tail"
-
-
-def test_batch_size_validation():
-    from repro.dse import explore
-
-    compiled = compile_design(make_pipeline_design())
-    with pytest.raises(ValueError):
-        explore(Session(compiled), ["s1=1:4"], batch_size=0)
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +637,6 @@ os.environ.pop("REPRO_TRACE_CACHE", None)   # a configured cache loads the store
 from repro.cli import main
 assert main(["run", "fig4_ex5"]) == 0
 loaded = set(sys.modules)
-from tests.test_vectorized import (
-    RUN_MAX_MODULES, RUN_MAX_REPRO_MODULES, run_import_report)
-report = run_import_report(before, loaded)
-print("BUDGET", report)
-assert not report["denied"], report["denied"]
-assert report["repro"] <= RUN_MAX_REPRO_MODULES, report
-assert report["all"] <= RUN_MAX_MODULES, report
 
 # lazy means later, not never: the same process still reaches it all
 import tempfile
@@ -655,11 +646,24 @@ with tempfile.TemporaryDirectory() as cache:
     for capture in ("cold", "warm"):
         assert main(["run", "fig4_ex5", "--trace-cache", cache]) == 0
     assert os.listdir(cache)
+    # a warm depth override is one scalar replay: no kernel, no NumPy
+    assert main(["run", "fig4_ex5", "--trace-cache", cache,
+                 "--depth", "fifo2=8"]) == 0
+assert "numpy" not in sys.modules
 from repro.trace import numpy_available
 result = Session.open("fig4_ex5", trace_cache=False, n=100).sweep(
     ["fifo2=1:8"])
 modes = sorted({p.mode for p in result.points})
 print("MODES", numpy_available(), "numpy" in sys.modules, modes)
+
+# last: this test module imports NumPy
+from tests.test_vectorized import (
+    RUN_MAX_MODULES, RUN_MAX_REPRO_MODULES, run_import_report)
+report = run_import_report(before, loaded)
+print("BUDGET", report)
+assert not report["denied"], report["denied"]
+assert report["repro"] <= RUN_MAX_REPRO_MODULES, report
+assert report["all"] <= RUN_MAX_MODULES, report
 """
 
 
@@ -668,7 +672,8 @@ def test_repro_run_does_not_import_numpy():
     wall once), PyYAML, the pool/service/DSE/fuzz layers, the other
     engines or the other 39 designs — and everything it skipped still
     loads on first use in the same process: another engine, the trace
-    store, and the vectorized kernel on the first batched sweep."""
+    store, and the vectorized kernel on the first batched sweep (a
+    warm ``run --depth`` before it still imports no NumPy)."""
     out = fresh_interpreter(_RUN_BUDGET_PROG)
     print(*(ln for ln in out.splitlines() if ln.startswith("BUDGET")))
     line = [ln for ln in out.splitlines() if ln.startswith("MODES")][-1]
